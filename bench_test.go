@@ -8,6 +8,7 @@
 package notable
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -144,7 +145,7 @@ func BenchmarkFig5ContextTimeContextRW(b *testing.B) {
 	sel := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed, Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel.Select(yago.Graph, q, 100)
+		ctxsel.Select(context.Background(), sel, yago.Graph, q, 100)
 	}
 }
 
@@ -156,7 +157,7 @@ func BenchmarkFig5ContextTimeRandomWalk(b *testing.B) {
 	sel := ctxsel.RandomWalk{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel.Select(yago.Graph, q, 100)
+		ctxsel.Select(context.Background(), sel, yago.Graph, q, 100)
 	}
 }
 
@@ -168,7 +169,7 @@ func BenchmarkFig6PathLength(b *testing.B) {
 	sel := ctxsel.ContextRW{Walks: cfg.Walks / 4, Seed: cfg.Seed, MaxLength: 20, Parallelism: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sel.Select(yago.Graph, q, 100)
+		ctxsel.Select(context.Background(), sel, yago.Graph, q, 100)
 	}
 }
 
@@ -294,7 +295,7 @@ func BenchmarkAblationUniformWalk(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, uniform := range []bool{false, true} {
 			sel := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed, Uniform: uniform}
-			ranking := sel.Select(yago.Graph, q, 100)
+			ranking := ctxsel.Select(context.Background(), sel, yago.Graph, q, 100)
 			f1 := eval.F1Curve(ranking, gt, []int{100})[0]
 			if uniform {
 				b.ReportMetric(f1, "uniformF1")
@@ -319,7 +320,7 @@ func BenchmarkAblationSelectors(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sel := selectors[i%len(selectors)]
-		if got := sel.Select(yago.Graph, q, 50); len(got) == 0 {
+		if got := ctxsel.Select(context.Background(), sel, yago.Graph, q, 50); len(got) == 0 {
 			b.Fatalf("%s returned nothing", sel.Name())
 		}
 	}
@@ -420,7 +421,11 @@ func BenchmarkEndToEndFindNC(b *testing.B) {
 	names := gen.Table1["actors"][:5]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := engine.SearchNames(names...)
+		query, err := engine.Resolve(names...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := engine.Do(context.Background(), Query{Nodes: query})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -13,7 +13,7 @@
 //
 // With -queries FILE, each non-empty line of FILE is one query
 // (comma-separated entity names, # starts a comment); the whole file runs
-// as one Engine.SearchBatch — amortizing graph traversal across the
+// as one Engine.DoBatch — amortizing graph traversal across the
 // queries — and per-query plus aggregate timing is reported.
 //
 // With -refine, queries are read interactively from stdin — one per

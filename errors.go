@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// ErrEmptyQuery is returned by Do, DoBatch, DoStream, and the deprecated
-// Search entry points when a request carries no query nodes. Batch entry
-// points wrap it with the offending index; match with errors.Is.
+// ErrEmptyQuery is returned by Do, DoBatch, and DoStream when a request
+// carries no query nodes. Batch entry points wrap it with the offending
+// index; match with errors.Is.
 var ErrEmptyQuery = errors.New("notable: empty query")
 
 // ErrBadQuery is returned by Do, DoBatch, and DoStream when a Query

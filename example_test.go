@@ -80,30 +80,9 @@ func ExampleEngine_DoStream() {
 	// true true
 }
 
-// ExampleEngine_SearchNames is the pre-context entry point; new code
-// should use Resolve + Do (see ExampleEngine_Do).
-func ExampleEngine_SearchNames() {
-	engine := notable.NewEngine(figure1Graph(), notable.Options{
-		ContextSize: 3,
-		Walks:       20000,
-		Seed:        7,
-	})
-	res, err := engine.SearchNames("Angela Merkel", "Barack Obama")
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	for _, c := range res.NotableOnly() {
-		fmt.Println(c.Name)
-	}
-	// Output:
-	// hasChild
-	// studied
-}
-
-// ExampleEngine_Compare tests an explicit query against an explicit
+// ExampleEngine_DoCompare tests an explicit query against an explicit
 // context, skipping context selection entirely.
-func ExampleEngine_Compare() {
+func ExampleEngine_DoCompare() {
 	b := notable.NewBuilder(16)
 	b.AddEdge("alice", "hasDegree", "PhD")
 	b.AddEdge("alice", "worksAt", "Acme")
@@ -114,8 +93,13 @@ func ExampleEngine_Compare() {
 
 	engine := notable.NewEngine(g, notable.Options{Seed: 1})
 	query, _ := engine.Resolve("alice")
-	context, _ := engine.Resolve("bob", "carol", "dave")
-	for _, c := range engine.Compare(query, context) {
+	peers, _ := engine.Resolve("bob", "carol", "dave")
+	chars, err := engine.DoCompare(context.Background(), query, peers, notable.Query{})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	for _, c := range chars {
 		if c.Notable() {
 			fmt.Printf("%s is notable\n", c.Name)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -28,7 +29,11 @@ func main() {
 		Walks:       200000,
 		Seed:        42,
 	})
-	res, err := engine.SearchNames("Angela Merkel", "Barack Obama")
+	query, err := engine.Resolve("Angela Merkel", "Barack Obama")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := engine.Do(context.Background(), notable.Query{Nodes: query})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,11 @@ func main() {
 		Walks:       50000,
 		Seed:        11,
 	})
-	res, err := engine.SearchNames("Camera Alpha-7", "Camera X-Pro9")
+	query, err := engine.Resolve("Camera Alpha-7", "Camera X-Pro9")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := engine.Do(context.Background(), notable.Query{Nodes: query})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package notable
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestIntegrationPoliticians(t *testing.T) {
 		Walks:       60000,
 		Seed:        21,
 	})
-	res, err := engine.SearchNames("Angela Merkel", "Barack Obama")
+	res, err := doNames(engine, "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestIntegrationMoviesLMDB(t *testing.T) {
 	ds := gen.LinkedMDBLike(gen.LMDBConfig{Seed: 22, Scale: 0.5})
 	engine := NewEngine(ds.Graph, Options{ContextSize: 50, Walks: 60000, Seed: 22})
 	sc := ds.Scenario("actors")
-	res, err := engine.SearchNames(sc.Query[:3]...)
+	res, err := doNames(engine, sc.Query[:3]...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestIntegrationMoviesLMDB(t *testing.T) {
 func TestIntegrationProducts(t *testing.T) {
 	ds := gen.Products(23)
 	engine := NewEngine(ds.Graph, Options{ContextSize: 30, Walks: 40000, Seed: 23})
-	res, err := engine.Search(ds.Query)
+	res, err := engine.Do(context.Background(), Query{Nodes: ds.Query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestIntegrationAuthorsPooled(t *testing.T) {
 		Seed:        24,
 		Policy:      PolicyPooled,
 	})
-	res, err := engine.Search(ds.Query)
+	res, err := engine.Do(context.Background(), Query{Nodes: ds.Query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestIntegrationAuthorsPooled(t *testing.T) {
 func TestIntegrationCorrelationExtension(t *testing.T) {
 	ds := gen.YAGOLike(gen.YAGOConfig{Seed: 25, Scale: 0.5})
 	engine := NewEngine(ds.Graph, Options{ContextSize: 60, Walks: 60000, Seed: 25})
-	res, err := engine.SearchNames("Angela Merkel", "Barack Obama")
+	res, err := doNames(engine, "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,11 +146,11 @@ func TestIntegrationSnapshotPreservesResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := Options{ContextSize: 30, Walks: 30000, Seed: 26}
-	a, err := NewEngine(ds.Graph, opt).SearchNames("Angela Merkel", "Barack Obama")
+	a, err := doNames(NewEngine(ds.Graph, opt), "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewEngine(restored, opt).SearchNames("Angela Merkel", "Barack Obama")
+	b, err := doNames(NewEngine(restored, opt), "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestIntegrationTripleExportImport(t *testing.T) {
 	ds := gen.Figure1()
 	g := ds.Graph
 	engine := NewEngine(g, Options{ContextSize: 3, Walks: 20000, Seed: 27})
-	res, err := engine.Search(ds.Query)
+	res, err := engine.Do(context.Background(), Query{Nodes: ds.Query})
 	if err != nil {
 		t.Fatal(err)
 	}

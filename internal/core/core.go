@@ -263,28 +263,25 @@ func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (R
 }
 
 // FindNCBatch runs FindNC for every query in one batched pass. Context
-// selection goes through the selector's batch path when it has one
-// (ctxsel.CtxBatchSelector/BatchSelector, then ctxsel.SelectBatchCtx's
-// dispatch), amortizing graph traversal across the batch; the comparison
-// stages then fan out per query through the shared executor, each an
-// independent CompareSets writing its own result slot. Results are
-// identical to calling FindNC per query — bitwise, when the selector's
-// batch path is (RandomWalk's is) — for every batch size and Parallelism
-// setting. A cancelled ctx stops every stage within one sweep or label
-// test and returns ctx.Err().
+// selection is one barriered selector call for the whole batch, so a
+// selector with batch-wide kernels amortizes graph traversal across it;
+// the comparison stages then fan out per query through the shared
+// executor, each an independent CompareSets writing its own result slot.
+// Results are bitwise identical to calling FindNC per query for every
+// batch size and Parallelism setting. A cancelled ctx stops every stage
+// within one sweep or label test and returns ctx.Err().
 func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
 	selStart := time.Now()
-	var contexts [][]topk.Item
-	if bs, ok := opt.Selector.(ctxsel.CtxBatchSelector); ok {
-		contexts = bs.SelectBatchCtx(ctx, g, queries, opt.ContextSize)
-	} else if bs, ok := opt.Selector.(ctxsel.BatchSelector); ok {
-		contexts = bs.SelectBatch(g, queries, opt.ContextSize)
-	} else {
-		contexts = ctxsel.SelectBatchCtx(ctx, opt.Selector, g, queries, opt.ContextSize)
+	scores := opt.Selector.Scores(ctx, g, queries, nil)
+	contexts := make([][]topk.Item, len(queries))
+	if ctx.Err() == nil {
+		for i, q := range queries {
+			contexts[i] = ctxsel.TopKFromScores(scores[i], q, opt.ContextSize)
+		}
 	}
 	if opt.Obs != nil {
 		opt.Obs.Select.Observe(time.Since(selStart))

@@ -5,11 +5,11 @@
 // The barrier FindNCBatch pays is structural: the multi-source PageRank
 // solve finishes every query's context before any comparison stage
 // starts, so the first result of an N-query batch arrives only after all
-// N have been compared. Here context selection goes through the
-// selector's streaming path (ctxsel.SelectStream): as each query's score
-// vector folds, its comparison stage is dispatched immediately on its own
-// goroutine — admission-bounded, see below — and its result is emitted as
-// soon as the comparison finishes. Seed-level deduplication across the
+// N have been compared. Here context selection is the selector's
+// streaming call: as each query's score vector is released, its
+// comparison stage is dispatched immediately on its own goroutine —
+// admission-bounded, see below — and its result is emitted as soon as
+// the comparison finishes. Seed-level deduplication across the
 // batch is untouched (it lives inside the multi-source solve), and each
 // emitted Result is bitwise identical to a solo FindNC call.
 //
@@ -85,8 +85,9 @@ func FindNCStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt O
 	// goroutine finishes it — and emits it — before the next seed solves,
 	// which is exactly the stream's latency contract.
 	inline := runtime.GOMAXPROCS(0) == 1
-	ready := func(i int, items []topk.Item) {
+	ready := func(i int, scores []float64) {
 		released[i] = true
+		items := ctxsel.TopKFromScores(scores, queries[i], opt.ContextSize)
 		if inline {
 			compare(i, items)
 			return
@@ -101,7 +102,7 @@ func FindNCStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt O
 			compare(i, items)
 		}()
 	}
-	ctxsel.SelectStream(ctx, opt.Selector, g, queries, opt.ContextSize, ready)
+	opt.Selector.Scores(ctx, g, queries, ready)
 	// The selector only withholds queries when cancelled; flush whatever it
 	// never released so every index gets exactly one emit.
 	for i := range queries {

@@ -1,6 +1,7 @@
 package ctxsel
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestUniformVsWeightedMining(t *testing.T) {
 	}
 	prec := func(uniform bool) float64 {
 		s := ContextRW{Walks: 30000, Seed: 9, Uniform: uniform}
-		items := s.Select(g, query, 8)
+		items := Select(context.Background(), s, g, query, 8)
 		hits := 0
 		for _, it := range items {
 			if want[kg.NodeID(it.ID)] {
@@ -130,7 +131,7 @@ func rankingOf(scores []float64, query []kg.NodeID, k int) []struct {
 func TestScoresSumBounded(t *testing.T) {
 	g, query, _ := communityGraph()
 	s := ContextRW{Walks: 20000, Seed: 5}
-	scores := s.Scores(g, query)
+	scores := s.Scores(context.Background(), g, [][]kg.NodeID{query}, nil)[0]
 	sum := 0.0
 	for _, v := range scores {
 		if v < 0 {
@@ -146,13 +147,21 @@ func TestScoresSumBounded(t *testing.T) {
 	}
 }
 
-// TestSelectRespectsK: never returns more than k items.
+// TestSelectRespectsK: no selector returns more than k items, and none
+// pads a short context with zero-score (unreached) nodes.
 func TestSelectRespectsK(t *testing.T) {
 	g, query, _ := communityGraph()
-	for _, k := range []int{1, 3, 7, 1000} {
-		items := ContextRW{Walks: 10000, Seed: 2}.Select(g, query, k)
-		if len(items) > k {
-			t.Fatalf("k=%d returned %d items", k, len(items))
+	for _, s := range []Selector{ContextRW{Walks: 10000, Seed: 2}, RandomWalk{}, Jaccard{}, SimRank{}} {
+		for _, k := range []int{1, 3, 7, 1000} {
+			items := Select(context.Background(), s, g, query, k)
+			if len(items) > k {
+				t.Fatalf("%s: k=%d returned %d items", s.Name(), k, len(items))
+			}
+			for _, it := range items {
+				if it.Score <= 0 {
+					t.Fatalf("%s: k=%d returned zero-score item %v", s.Name(), k, it)
+				}
+			}
 		}
 	}
 }

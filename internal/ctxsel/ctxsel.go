@@ -1,24 +1,24 @@
 // Package ctxsel implements context selection (Definition 2): finding the
 // top-k nodes most similar to a query set.
 //
-// Two selectors from the paper:
+// Definition 2 has one shape — score every node against Q, cut the top-k —
+// and so does this package: a Selector scores, TopKFromScores cuts. Two
+// selectors come from the paper:
 //
 //   - RandomWalk — the baseline: informativeness-weighted Personalized
 //     PageRank from each query node, summed (Section 3.1, Eq. 1–2).
 //   - ContextRW — the contribution: mine metapaths that connect the graph
 //     to the query (PathMining), keep the |M| most frequent, then score
-//     every node by σ(n', Q) = Σ_{m,n} |{n ⇝m n'}| / |{n ⇝m n”}| · Pr(m)
-//     and take the top-k.
+//     every node by σ(n', Q) = Σ_{m,n} |{n ⇝m n'}| / |{n ⇝m n”}| · Pr(m).
 //
-// Two more selectors from related work serve as ablations: SimRank-style
-// neighbor similarity and neighborhood Jaccard overlap. Both ignore edge
-// labels, which is exactly the deficiency the paper points out; keeping
-// them runnable makes the comparison concrete.
+// Two more from related work serve as ablations: SimRank-style neighbor
+// similarity and neighborhood Jaccard overlap. Both ignore edge labels,
+// which is exactly the deficiency the paper points out; keeping them
+// runnable makes the comparison concrete.
 package ctxsel
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/kg"
@@ -27,211 +27,63 @@ import (
 	"repro/internal/topk"
 )
 
-// Selector retrieves a ranked context set for a query.
+// Selector scores every graph node against each query of a batch. The
+// context of a query is always TopKFromScores(scores, query, k); k is the
+// caller's business, so one scoring pass serves any context size.
 type Selector interface {
-	// Name identifies the selector in reports.
+	// Name identifies the selector in reports and cache keys.
 	Name() string
-	// Select returns up to k context nodes ranked by descending
-	// similarity, never including query nodes.
-	Select(g *kg.Graph, query []kg.NodeID, k int) []topk.Item
+	// Scores computes one dense similarity vector per query (index = node
+	// ID; query nodes may carry arbitrary scores, the cut excludes them).
+	// A single query is a batch of one. Each vector is bitwise what a
+	// batch of just that query yields, whatever the batch or mode.
+	//
+	// ready == nil is the barriered call: it returns every vector, in
+	// query order, and may use batch-wide kernels. Once ctx is done the
+	// returned vectors are meaningless — callers must consult ctx.Err()
+	// before using or storing them.
+	//
+	// ready != nil is the streaming call: ready(i, scores) fires exactly
+	// once per query, on the calling goroutine, the moment that query's
+	// vector is complete (expensive consumers should offload), and the
+	// return value is nil. Once ctx is done the call stops and unreleased
+	// queries never get a callback, so only complete vectors are released.
+	Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64
 }
 
-// Scorer is implemented by selectors whose Select is a pure top-k cut over
-// a dense per-node score vector. Callers that cache or reuse scores (the
-// engine's query cache, the experiment sweeps) compute Scores once and
-// derive contexts of any size with TopKFromScores.
-type Scorer interface {
-	// Scores returns one similarity score per node; query nodes may carry
-	// arbitrary scores (they are excluded at selection time).
-	Scores(g *kg.Graph, query []kg.NodeID) []float64
-}
-
-// BatchScorer is implemented by scorers with a batched scoring path that
-// amortizes graph traversal across queries. ScoresBatch must return
-// exactly what per-query Scores calls would — selectors whose batch path
-// is bitwise identical (RandomWalk via ppr.PersonalizedSumMulti) make the
-// whole batch pipeline's outputs identical to sequential searches.
-type BatchScorer interface {
-	Scorer
-	// ScoresBatch returns one score vector per query, in order.
-	ScoresBatch(g *kg.Graph, queries [][]kg.NodeID) [][]float64
-}
-
-// BatchSelector is implemented by selectors that resolve whole batches
-// themselves — the engine's caching wrapper, which consults its cache per
-// query and batches only the misses.
-type BatchSelector interface {
-	Selector
-	// SelectBatch returns one ranked context per query, in order.
-	SelectBatch(g *kg.Graph, queries [][]kg.NodeID, k int) [][]topk.Item
-}
-
-// The request-scoped serving API threads a context.Context through every
-// layer, but the base Selector interfaces predate it and many ablation
-// selectors (and experiment callers) never need cancellation. The Ctx*
-// and Stream* capability interfaces below are therefore optional:
-// selectors that honor cancellation implement them, and the dispatch
-// helpers (Select, SelectBatchCtx, SelectStream) fall back to the plain
-// methods otherwise — coarse-grained cancellation, checked by the caller
-// at stage boundaries. RandomWalk implements all of them (its PageRank
-// solves check ctx between sweeps); the engine's caching wrapper relays
-// them around its cache.
-
-// CtxSelector is a Selector honoring request cancellation: once ctx is
-// done, SelectCtx stops within one solver sweep and its return value is
-// meaningless — callers must consult ctx.Err() before using it.
-type CtxSelector interface {
-	Selector
-	SelectCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, k int) []topk.Item
-}
-
-// CtxScorer is a Scorer honoring request cancellation, with the same
-// partial-result contract as CtxSelector.
-type CtxScorer interface {
-	Scorer
-	ScoresCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID) []float64
-}
-
-// CtxBatchSelector is a BatchSelector honoring request cancellation:
-// entries of the returned slice may be nil once ctx is done.
-type CtxBatchSelector interface {
-	BatchSelector
-	SelectBatchCtx(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, k int) [][]topk.Item
-}
-
-// CtxBatchScorer is a BatchScorer honoring request cancellation, with
-// the same partial-result contract as CtxScorer (entries may be nil once
-// ctx is done). Barriered batch callers prefer it over StreamScorer:
-// the barriered solve may use batch-wide kernels (the blocked
-// multi-vector gather) that the streaming schedule trades away for
-// release granularity.
-type CtxBatchScorer interface {
-	BatchScorer
-	ScoresBatchCtx(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID) [][]float64
-}
-
-// StreamScorer is a Scorer with a streaming batch path: ScoresStream
-// invokes ready(i, scores) exactly once per query, as soon as that
-// query's score vector is complete — queries sharing solved seeds release
-// early instead of barriering on the whole batch. ready runs on the
-// solver's goroutine; expensive consumers should offload. Each released
-// vector is bitwise identical to a per-query Scores call. Once ctx is
-// done the stream stops within one sweep and unreleased queries never get
-// a callback.
-type StreamScorer interface {
-	Scorer
-	ScoresStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64))
-}
-
-// StreamBatchSelector resolves whole batches as a stream of ranked
-// contexts, with the same callback contract as StreamScorer.
-type StreamBatchSelector interface {
-	Selector
-	SelectStreamBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, k int, ready func(i int, items []topk.Item))
-}
-
-// Select resolves one query through sel, threading ctx when sel supports
-// it (CtxSelector, then CtxScorer) and falling back to the plain Select
-// otherwise. Callers own the cancellation check: a done ctx makes the
-// return value meaningless.
+// Select resolves one query's ranked context through sel: up to k nodes by
+// descending similarity, never including query nodes. A done ctx yields
+// nil.
 func Select(ctx context.Context, sel Selector, g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	if cs, ok := sel.(CtxSelector); ok {
-		return cs.SelectCtx(ctx, g, query, k)
+	scores := sel.Scores(ctx, g, [][]kg.NodeID{query}, nil)
+	if ctx.Err() != nil {
+		return nil
 	}
-	if sc, ok := sel.(CtxScorer); ok {
-		scores := sc.ScoresCtx(ctx, g, query)
-		if ctx.Err() != nil {
-			return nil
-		}
-		return TopKFromScores(scores, query, k)
-	}
-	return sel.Select(g, query, k)
+	return TopKFromScores(scores[0], query, k)
 }
 
-// SelectBatchCtx resolves contexts for many queries through sel with
-// cancellation. Dispatch order matters: the barriered batch scoring
-// paths (CtxBatchScorer, then BatchScorer) come before the streaming
-// one, because a barriered caller wants the batch solve's full kernel
-// arsenal — the streaming schedule gives up the blocked multi-vector
-// gather for release granularity no barriered caller can observe. While
-// ctx stays live the results equal per-query Select calls; once it is
-// done entries may be nil.
-func SelectBatchCtx(ctx context.Context, sel Selector, g *kg.Graph, queries [][]kg.NodeID, k int) [][]topk.Item {
-	out := make([][]topk.Item, len(queries))
-	if bs, ok := sel.(CtxBatchScorer); ok {
-		scores := bs.ScoresBatchCtx(ctx, g, queries)
-		if ctx.Err() != nil {
-			return out
-		}
-		for i, q := range queries {
-			out[i] = TopKFromScores(scores[i], q, k)
-		}
-		return out
-	}
-	if bs, ok := sel.(BatchScorer); ok {
-		scores := bs.ScoresBatch(g, queries)
-		for i, q := range queries {
-			out[i] = TopKFromScores(scores[i], q, k)
-		}
-		return out
-	}
-	if ss, ok := sel.(StreamScorer); ok {
-		ss.ScoresStream(ctx, g, queries, func(i int, scores []float64) {
-			out[i] = TopKFromScores(scores, queries[i], k)
-		})
-		return out
+// scoreEach is Scores for selectors without a batch-wide kernel: score
+// runs per query in order, each vector delivered in the caller's mode as
+// it completes. A score cut short by ctx is dropped along with the rest of
+// the batch.
+func scoreEach(ctx context.Context, queries [][]kg.NodeID, ready func(i int, scores []float64), score func(query []kg.NodeID) []float64) [][]float64 {
+	var out [][]float64
+	if ready == nil {
+		out = make([][]float64, len(queries))
 	}
 	for i, q := range queries {
 		if ctx.Err() != nil {
-			return out
+			break
 		}
-		out[i] = Select(ctx, sel, g, q, k)
-	}
-	return out
-}
-
-// SelectStream resolves contexts for many queries as a stream: ready(i,
-// items) fires exactly once per query as each context becomes available,
-// through sel's own streaming path when it has one (StreamBatchSelector,
-// then StreamScorer) or a per-query sequential fallback otherwise. Once
-// ctx is done, unreleased queries never get a callback.
-func SelectStream(ctx context.Context, sel Selector, g *kg.Graph, queries [][]kg.NodeID, k int, ready func(i int, items []topk.Item)) {
-	if ss, ok := sel.(StreamBatchSelector); ok {
-		ss.SelectStreamBatch(ctx, g, queries, k, ready)
-		return
-	}
-	if sc, ok := sel.(StreamScorer); ok {
-		sc.ScoresStream(ctx, g, queries, func(i int, scores []float64) {
-			ready(i, TopKFromScores(scores, queries[i], k))
-		})
-		return
-	}
-	for i, q := range queries {
+		scores := score(q)
 		if ctx.Err() != nil {
-			return
+			break
 		}
-		items := Select(ctx, sel, g, q, k)
-		if ctx.Err() != nil {
-			return
+		if ready != nil {
+			ready(i, scores)
+		} else {
+			out[i] = scores
 		}
-		ready(i, items)
-	}
-}
-
-// SelectBatch resolves contexts for many queries through sel: the batched
-// scoring path when sel provides one, per-query Select otherwise. Either
-// way the results equal per-query Select calls.
-func SelectBatch(g *kg.Graph, sel Selector, queries [][]kg.NodeID, k int) [][]topk.Item {
-	out := make([][]topk.Item, len(queries))
-	if bs, ok := sel.(BatchScorer); ok {
-		scores := bs.ScoresBatch(g, queries)
-		for i, q := range queries {
-			out[i] = TopKFromScores(scores[i], q, k)
-		}
-		return out
-	}
-	for i, q := range queries {
-		out[i] = sel.Select(g, q, k)
 	}
 	return out
 }
@@ -263,50 +115,24 @@ type RandomWalk struct {
 // Name implements Selector.
 func (RandomWalk) Name() string { return "RandomWalk" }
 
-// Select implements Selector.
-func (s RandomWalk) Select(g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	return TopKFromScores(s.Scores(g, query), query, k)
-}
-
-// SelectCtx implements CtxSelector: the PageRank solve checks ctx between
-// sweeps.
-func (s RandomWalk) SelectCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	scores := s.ScoresCtx(ctx, g, query)
-	if ctx.Err() != nil {
+// Scores implements Selector, picking the PageRank schedule from the
+// call's shape: a stream runs each deduplicated seed to completion in
+// first-appearance order so queries release as their last seed resolves;
+// one barriered query sums its seeds on the per-seed worker pool; a
+// barriered batch solves its distinct seeds once and shares the blocked
+// multi-vector gather across their dense tails. All three produce the
+// same bits per query.
+func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
+	switch {
+	case ready != nil:
+		// The returned error is ctx.Err(), which the caller consults itself.
+		_ = ppr.PersonalizedSumMultiStream(ctx, g, queries, s.Opt, ready)
 		return nil
+	case len(queries) == 1:
+		return [][]float64{ppr.PersonalizedSumCtx(ctx, g, queries[0], s.Opt)}
+	default:
+		return ppr.PersonalizedSumMultiCtx(ctx, g, queries, s.Opt)
 	}
-	return TopKFromScores(scores, query, k)
-}
-
-// Scores implements Scorer: the summed per-seed PageRank vector.
-func (s RandomWalk) Scores(g *kg.Graph, query []kg.NodeID) []float64 {
-	return ppr.PersonalizedSum(g, query, s.Opt)
-}
-
-// ScoresCtx implements CtxScorer.
-func (s RandomWalk) ScoresCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID) []float64 {
-	return ppr.PersonalizedSumCtx(ctx, g, query, s.Opt)
-}
-
-// ScoresBatch implements BatchScorer through the batched multi-source
-// solve: unique seeds across the batch are solved once and the dense
-// tails share the blocked gather kernel, bitwise identical to per-query
-// Scores.
-func (s RandomWalk) ScoresBatch(g *kg.Graph, queries [][]kg.NodeID) [][]float64 {
-	return ppr.PersonalizedSumMulti(g, queries, s.Opt)
-}
-
-// ScoresBatchCtx implements CtxBatchScorer: the same barriered blocked-
-// kernel solve as ScoresBatch, checking ctx between sweeps.
-func (s RandomWalk) ScoresBatchCtx(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID) [][]float64 {
-	return ppr.PersonalizedSumMultiCtx(ctx, g, queries, s.Opt)
-}
-
-// ScoresStream implements StreamScorer through the streaming multi-source
-// solve: the same deduplicated batch solve as ScoresBatch, but each
-// query's summed vector releases the moment its last seed resolves.
-func (s RandomWalk) ScoresStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) {
-	ppr.PersonalizedSumMultiStream(ctx, g, queries, s.Opt, ready)
 }
 
 // ContextRW is the paper's context selector (Section 3.1).
@@ -343,43 +169,25 @@ func (s ContextRW) withDefaults() ContextRW {
 	return s
 }
 
-// Select implements Selector.
-func (s ContextRW) Select(g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	return TopKFromScores(s.Scores(g, query), query, k)
-}
-
-// SelectCtx implements CtxSelector: mining workers check ctx between
-// walk batches, so a dropped request aborts the dominant stage early.
-func (s ContextRW) SelectCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	scores := s.ScoresCtx(ctx, g, query)
-	if ctx.Err() != nil {
-		return nil
-	}
-	return TopKFromScores(scores, query, k)
-}
-
-// Scores computes σ(n', Q) for every node n'. Exposed separately so
-// experiments can reuse one scoring pass across several context sizes.
-func (s ContextRW) Scores(g *kg.Graph, query []kg.NodeID) []float64 {
-	return s.ScoresCtx(context.Background(), g, query)
-}
-
-// ScoresCtx implements CtxScorer: the walk-sampling budget — the bulk of
-// a ContextRW selection — honors cancellation via metapath.MineCtx; the
-// (comparatively brief) scoring pass runs only while ctx stays live.
-func (s ContextRW) ScoresCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID) []float64 {
+// Scores implements Selector: per query, mine then score. The
+// walk-sampling budget — the bulk of a ContextRW selection — honors
+// cancellation via metapath.MineCtx; the (comparatively brief) scoring
+// pass runs only while ctx stays live.
+func (s ContextRW) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
 	s = s.withDefaults()
-	mined := metapath.MineCtx(ctx, g, query, metapath.MineOptions{
-		Walks:       s.Walks,
-		MaxLength:   s.MaxLength,
-		Uniform:     s.Uniform,
-		Seed:        s.Seed,
-		Parallelism: s.Parallelism,
+	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
+		mined := metapath.MineCtx(ctx, g, query, metapath.MineOptions{
+			Walks:       s.Walks,
+			MaxLength:   s.MaxLength,
+			Uniform:     s.Uniform,
+			Seed:        s.Seed,
+			Parallelism: s.Parallelism,
+		})
+		if ctx.Err() != nil {
+			return nil
+		}
+		return s.ScoresWithPaths(g, query, mined)
 	})
-	if ctx.Err() != nil {
-		return nil
-	}
-	return s.ScoresWithPaths(g, query, mined)
 }
 
 // ScoresWithPaths scores nodes against an already-mined metapath list
@@ -511,37 +319,11 @@ type Jaccard struct{}
 // Name implements Selector.
 func (Jaccard) Name() string { return "Jaccard" }
 
-// Select implements Selector.
-func (Jaccard) Select(g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	inQuery := make(map[kg.NodeID]bool, len(query))
-	for _, q := range query {
-		inQuery[q] = true
-	}
-	qNbrs := make([]map[kg.NodeID]bool, len(query))
-	candidates := make(map[kg.NodeID]bool)
-	for i, q := range query {
-		qNbrs[i] = neighborSet(g, q)
-		for nb := range qNbrs[i] {
-			for _, e := range g.OutEdges(nb) {
-				if !inQuery[e.To] {
-					candidates[e.To] = true
-				}
-			}
-		}
-	}
-	sel := topk.New(k)
-	for cand := range candidates {
-		cNbrs := neighborSet(g, cand)
-		sum := 0.0
-		for i := range query {
-			sum += jaccard(qNbrs[i], cNbrs)
-		}
-		score := sum / float64(len(query))
-		if score > 0 {
-			sel.Offer(cand, score)
-		}
-	}
-	return sel.Ranked()
+// Scores implements Selector.
+func (Jaccard) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
+	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
+		return neighborScores(g, query, jaccard)
+	})
 }
 
 // SimRank is an ablation selector: one-iteration SimRank,
@@ -555,12 +337,28 @@ type SimRank struct {
 // Name implements Selector.
 func (SimRank) Name() string { return "SimRank" }
 
-// Select implements Selector.
-func (s SimRank) Select(g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
+// Scores implements Selector.
+func (s SimRank) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
 	c := s.C
 	if c == 0 {
 		c = 0.8
 	}
+	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
+		return neighborScores(g, query, func(a, b map[kg.NodeID]bool) float64 {
+			if len(a) == 0 || len(b) == 0 {
+				return 0
+			}
+			return c * float64(intersectionSize(a, b)) / (float64(len(a)) * float64(len(b)))
+		})
+	})
+}
+
+// neighborScores is the scoring pass shared by the label-blind ablation
+// selectors: the candidates are the non-query nodes sharing at least one
+// out-neighbor with a query node, each scored by the mean over the query
+// nodes of sim(N(q), N(candidate)); every other node scores zero.
+func neighborScores(g *kg.Graph, query []kg.NodeID, sim func(qNbrs, cNbrs map[kg.NodeID]bool) float64) []float64 {
+	scores := make([]float64, g.NumNodes())
 	inQuery := make(map[kg.NodeID]bool, len(query))
 	for _, q := range query {
 		inQuery[q] = true
@@ -577,26 +375,15 @@ func (s SimRank) Select(g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
 			}
 		}
 	}
-	sel := topk.New(k)
 	for cand := range candidates {
 		cNbrs := neighborSet(g, cand)
-		if len(cNbrs) == 0 {
-			continue
-		}
 		sum := 0.0
 		for i := range query {
-			if len(qNbrs[i]) == 0 {
-				continue
-			}
-			common := intersectionSize(qNbrs[i], cNbrs)
-			sum += c * float64(common) / (float64(len(qNbrs[i])) * float64(len(cNbrs)))
+			sum += sim(qNbrs[i], cNbrs)
 		}
-		score := sum / float64(len(query))
-		if score > 0 {
-			sel.Offer(cand, score)
-		}
+		scores[cand] = sum / float64(len(query))
 	}
-	return sel.Ranked()
+	return scores
 }
 
 func neighborSet(g *kg.Graph, n kg.NodeID) map[kg.NodeID]bool {
@@ -630,20 +417,4 @@ func intersectionSize(a, b map[kg.NodeID]bool) int {
 		}
 	}
 	return n
-}
-
-// ByName returns the named selector with default parameters, for CLIs.
-func ByName(name string, seed int64) (Selector, error) {
-	switch name {
-	case "contextrw", "ContextRW":
-		return ContextRW{Seed: seed}, nil
-	case "randomwalk", "RandomWalk":
-		return RandomWalk{}, nil
-	case "jaccard", "Jaccard":
-		return Jaccard{}, nil
-	case "simrank", "SimRank":
-		return SimRank{}, nil
-	default:
-		return nil, fmt.Errorf("ctxsel: unknown selector %q", name)
-	}
 }

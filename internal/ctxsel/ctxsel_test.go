@@ -1,6 +1,7 @@
 package ctxsel
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -63,7 +64,7 @@ func precisionAt(items []topk.Item, want map[kg.NodeID]bool, k int) float64 {
 func TestContextRWFindsCommunity(t *testing.T) {
 	g, query, want := communityGraph()
 	s := ContextRW{Walks: 30000, Seed: 5}
-	got := s.Select(g, query, 10)
+	got := Select(context.Background(), s, g, query, 10)
 	if len(got) == 0 {
 		t.Fatal("empty context")
 	}
@@ -75,7 +76,7 @@ func TestContextRWFindsCommunity(t *testing.T) {
 func TestContextRWExcludesQuery(t *testing.T) {
 	g, query, _ := communityGraph()
 	s := ContextRW{Walks: 10000, Seed: 5}
-	for _, it := range s.Select(g, query, 50) {
+	for _, it := range Select(context.Background(), s, g, query, 50) {
 		for _, q := range query {
 			if kg.NodeID(it.ID) == q {
 				t.Fatal("context contains a query node")
@@ -87,8 +88,8 @@ func TestContextRWExcludesQuery(t *testing.T) {
 func TestContextRWDeterministic(t *testing.T) {
 	g, query, _ := communityGraph()
 	s := ContextRW{Walks: 10000, Seed: 99, Parallelism: 3}
-	a := s.Select(g, query, 10)
-	b := s.Select(g, query, 10)
+	a := Select(context.Background(), s, g, query, 10)
+	b := Select(context.Background(), s, g, query, 10)
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -101,7 +102,7 @@ func TestContextRWDeterministic(t *testing.T) {
 
 func TestRandomWalkReturnsRankedContext(t *testing.T) {
 	g, query, _ := communityGraph()
-	got := RandomWalk{}.Select(g, query, 10)
+	got := Select(context.Background(), RandomWalk{}, g, query, 10)
 	if len(got) == 0 {
 		t.Fatal("empty context")
 	}
@@ -121,8 +122,8 @@ func TestRandomWalkReturnsRankedContext(t *testing.T) {
 
 func TestContextRWBeatsRandomWalkOnCommunity(t *testing.T) {
 	g, query, want := communityGraph()
-	crw := ContextRW{Walks: 30000, Seed: 5}.Select(g, query, 10)
-	rw := RandomWalk{}.Select(g, query, 10)
+	crw := Select(context.Background(), ContextRW{Walks: 30000, Seed: 5}, g, query, 10)
+	rw := Select(context.Background(), RandomWalk{}, g, query, 10)
 	pc := precisionAt(crw, want, 10)
 	pr := precisionAt(rw, want, 10)
 	if pc < pr {
@@ -132,7 +133,7 @@ func TestContextRWBeatsRandomWalkOnCommunity(t *testing.T) {
 
 func TestJaccardSelector(t *testing.T) {
 	g, query, want := communityGraph()
-	got := Jaccard{}.Select(g, query, 10)
+	got := Select(context.Background(), Jaccard{}, g, query, 10)
 	if len(got) == 0 {
 		t.Fatal("empty context")
 	}
@@ -143,7 +144,7 @@ func TestJaccardSelector(t *testing.T) {
 
 func TestSimRankSelector(t *testing.T) {
 	g, query, _ := communityGraph()
-	got := SimRank{}.Select(g, query, 10)
+	got := Select(context.Background(), SimRank{}, g, query, 10)
 	if len(got) == 0 {
 		t.Fatal("empty context")
 	}
@@ -157,7 +158,7 @@ func TestSimRankSelector(t *testing.T) {
 func TestSelectorsHandleEmptyQuery(t *testing.T) {
 	g, _, _ := communityGraph()
 	for _, s := range []Selector{ContextRW{Walks: 100, Seed: 1}, RandomWalk{}, Jaccard{}, SimRank{}} {
-		if got := s.Select(g, nil, 5); len(got) != 0 {
+		if got := Select(context.Background(), s, g, nil, 5); len(got) != 0 {
 			t.Fatalf("%s returned context for empty query", s.Name())
 		}
 	}
@@ -170,21 +171,6 @@ func TestScoresWithPathsEmptyMined(t *testing.T) {
 		if s != 0 {
 			t.Fatal("no mined paths should produce zero scores")
 		}
-	}
-}
-
-func TestByName(t *testing.T) {
-	for _, name := range []string{"contextrw", "randomwalk", "jaccard", "simrank"} {
-		s, err := ByName(name, 1)
-		if err != nil {
-			t.Fatalf("ByName(%q): %v", name, err)
-		}
-		if s.Name() == "" {
-			t.Fatalf("selector %q has empty name", name)
-		}
-	}
-	if _, err := ByName("nope", 1); err == nil {
-		t.Fatal("unknown selector should error")
 	}
 }
 
@@ -210,7 +196,7 @@ func BenchmarkContextRWSelect(b *testing.B) {
 	s := ContextRW{Walks: 20000, Seed: 3}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Select(g, query, 20)
+		Select(context.Background(), s, g, query, 20)
 	}
 }
 
@@ -219,6 +205,6 @@ func BenchmarkRandomWalkSelect(b *testing.B) {
 	s := RandomWalk{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Select(g, query, 20)
+		Select(context.Background(), s, g, query, 20)
 	}
 }

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -164,12 +165,13 @@ func Fig5(d *gen.Dataset, domain string, cfg Config) (Fig5Result, error) {
 		res.Sizes = append(res.Sizes, size)
 
 		start := time.Now()
-		sel := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed, Parallelism: 1}
-		sel.Select(d.Graph, query, 100)
+		crw := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed, Parallelism: 1}
+		ctxsel.Select(context.Background(), crw, d.Graph, query, 100)
 		res.Seconds[AlgContextRW] = append(res.Seconds[AlgContextRW], time.Since(start).Seconds())
 
 		start = time.Now()
-		ppr.TopK(d.Graph, query, 100, ppr.Options{Parallelism: 1})
+		rw := ctxsel.RandomWalk{Opt: ppr.Options{Parallelism: 1}}
+		ctxsel.Select(context.Background(), rw, d.Graph, query, 100)
 		res.Seconds[AlgRandomWalk] = append(res.Seconds[AlgRandomWalk], time.Since(start).Seconds())
 	}
 	return res, nil
@@ -223,7 +225,7 @@ func Fig6(d *gen.Dataset, domain string, cfg Config) (Fig6Result, error) {
 			sel := ctxsel.ContextRW{
 				Walks: cfg.Walks, Seed: cfg.Seed, MaxLength: maxLen, Parallelism: 1,
 			}
-			sel.Select(d.Graph, query, 100)
+			ctxsel.Select(context.Background(), sel, d.Graph, query, 100)
 			times = append(times, time.Since(start).Seconds())
 		}
 		res.Seconds = append(res.Seconds, times)

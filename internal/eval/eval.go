@@ -6,6 +6,7 @@
 package eval
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,7 +14,6 @@ import (
 	"repro/internal/ctxsel"
 	"repro/internal/gen"
 	"repro/internal/kg"
-	"repro/internal/ppr"
 	"repro/internal/topk"
 )
 
@@ -113,13 +113,11 @@ const (
 // the paper's PageRank parameters.
 func Ranking(g *kg.Graph, query []kg.NodeID, alg string, cfg Config, k int) []topk.Item {
 	cfg = cfg.WithDefaults()
-	switch alg {
-	case AlgRandomWalk:
-		return ppr.TopK(g, query, k, ppr.Options{})
-	default:
-		sel := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed}
-		return sel.Select(g, query, k)
+	var sel ctxsel.Selector = ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed}
+	if alg == AlgRandomWalk {
+		sel = ctxsel.RandomWalk{}
 	}
+	return ctxsel.Select(context.Background(), sel, g, query, k)
 }
 
 // QualityData caches the F1 sweeps for one dataset+domain: algorithm →

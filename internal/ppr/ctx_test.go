@@ -35,12 +35,13 @@ func (c *countdownCtx) Err() error {
 func (c *countdownCtx) probes(budget int64) int64 { return budget - c.left.Load() }
 
 // TestPersonalizedSumCtxLiveMatchesPlain: a live ctx changes nothing —
-// the ctx variant is bitwise identical to the plain call.
+// a solve under a probed-but-never-cancelled ctx is bitwise identical to
+// one under context.Background().
 func TestPersonalizedSumCtxLiveMatchesPlain(t *testing.T) {
 	g := randomGraph(400, 1600, 17)
 	seeds := []kg.NodeID{3, 7, 11}
-	want := PersonalizedSum(g, seeds, Options{})
-	got := PersonalizedSumCtx(context.Background(), g, seeds, Options{})
+	want := PersonalizedSumCtx(context.Background(), g, seeds, Options{})
+	got := PersonalizedSumCtx(newCountdownCtx(1<<30), g, seeds, Options{})
 	assertSameBits(t, "live-ctx", got, want)
 }
 
@@ -53,7 +54,7 @@ func TestPersonalizedSumCtxLiveMatchesPlain(t *testing.T) {
 func TestPersonalizedSumCtxCancelledMidSolve(t *testing.T) {
 	g := randomGraph(400, 1600, 17)
 	seeds := []kg.NodeID{3, 7, 11, 19}
-	want := PersonalizedSum(g, seeds, Options{})
+	want := PersonalizedSumCtx(context.Background(), g, seeds, Options{})
 
 	const budget = int64(1 << 30)
 	full := newCountdownCtx(budget)
@@ -92,7 +93,7 @@ func TestPersonalizedSumMultiCtxCancelled(t *testing.T) {
 		g := randomGraph(400, 1600, 17)
 		rng := rand.New(rand.NewSource(29))
 		queries := batchQueries(rng, 6, 4, g.NumNodes())
-		want := PersonalizedSumMulti(g, queries, Options{})
+		want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
 
 		const budget = int64(1 << 30)
 		full := newCountdownCtx(budget)
@@ -138,7 +139,7 @@ func TestPersonalizedSumMultiStreamBitwise(t *testing.T) {
 				if cached {
 					opt.SeedCache = seedCacheOf(0)
 				}
-				want := PersonalizedSumMulti(g, queries, Options{Parallelism: par})
+				want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{Parallelism: par})
 				got := make([][]float64, len(queries))
 				calls := 0
 				err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
@@ -182,7 +183,7 @@ func TestPersonalizedSumMultiStreamCancelled(t *testing.T) {
 	g := randomGraph(400, 1600, 17)
 	rng := rand.New(rand.NewSource(53))
 	queries := batchQueries(rng, 6, 4, g.NumNodes())
-	want := PersonalizedSumMulti(g, queries, Options{})
+	want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
 
 	const budget = int64(1 << 30)
 	full := newCountdownCtx(budget)

@@ -1,4 +1,4 @@
-// Batched multi-source PageRank: PersonalizedSumMulti amortizes the cold
+// Batched multi-source PageRank: PersonalizedSumMultiCtx amortizes the cold
 // cost of many queries against one graph.
 //
 // Two amortizations stack. First, seed-level deduplication: the paper's
@@ -15,8 +15,8 @@
 // Every per-seed solve follows the exact schedule of its solo run — the
 // same sparse iterations, the same switch point, dense steps whose
 // per-column arithmetic replicates the serial kernel — and per-query sums
-// fold in seed-list order exactly as PersonalizedSum does, so the batch
-// output is bitwise identical to calling PersonalizedSum per query.
+// fold in seed-list order exactly as PersonalizedSumCtx does, so the batch
+// output is bitwise identical to calling PersonalizedSumCtx per query.
 //
 // PersonalizedSumMultiStream exposes the same solve as a stream: each
 // query's summed vector is released through a callback the moment its
@@ -38,17 +38,13 @@ import (
 	"repro/internal/qcache"
 )
 
-// PersonalizedSumMulti computes PersonalizedSum for every seed set in one
-// batched pass and returns one summed vector per query, in order. Peak
-// memory is O(unique seeds · n) for the per-seed result vectors plus
+// PersonalizedSumMultiCtx computes PersonalizedSumCtx for every seed set
+// in one batched pass and returns one summed vector per query, in order.
+// Peak memory is O(unique seeds · n) for the per-seed result vectors plus
 // O(MaxGatherBlock · n) for the active dense block.
-func PersonalizedSumMulti(g *kg.Graph, queries [][]kg.NodeID, opt Options) [][]float64 {
-	return PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
-}
-
-// PersonalizedSumMultiCtx is PersonalizedSumMulti under a cancellation
-// context: solves check ctx between sweeps and the batch stops within one
-// sweep of cancellation. Once ctx is done the returned slice is partial —
+//
+// Solves check ctx between sweeps and the batch stops within one sweep of
+// cancellation. Once ctx is done the returned slice is partial —
 // unresolved queries hold nil — and nothing partial enters the seed
 // cache; callers must treat ctx.Err() != nil as "no result".
 func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) [][]float64 {
@@ -69,7 +65,7 @@ func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.No
 // last seed has resolved — before other queries' solves complete. ready
 // is called synchronously from the solving goroutine (offload expensive
 // consumers); released vectors are bitwise identical to per-query
-// PersonalizedSum, whatever the release order. On cancellation the stream
+// PersonalizedSumCtx, whatever the release order. On cancellation the stream
 // stops within one sweep and queries not yet released never get a
 // callback; the returned error is ctx.Err().
 //
@@ -78,10 +74,10 @@ func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.No
 // multi-vector kernel: the kernel amortizes the edge stream across
 // columns but retires them together, which would barrier every release
 // behind the whole batch's dense work — the opposite of streaming. The
-// per-seed schedule is exactly PersonalizedSum's, so the bits are
+// per-seed schedule is exactly PersonalizedSumCtx's, so the bits are
 // unchanged; only the batch's bandwidth amortization is traded for
-// release granularity. Barriered callers (PersonalizedSumMulti) keep the
-// kernel.
+// release granularity. Barriered callers (PersonalizedSumMultiCtx) keep
+// the kernel.
 func PersonalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(qi int, sum []float64)) error {
 	obsH := observedMultiStart(&opt)
 	start := time.Now()
@@ -172,7 +168,7 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 		}
 	}
 	// foldAndEmit materializes one query's sum with the exact per-seed
-	// fold loops PersonalizedSum runs, so sums carry the same bits
+	// fold loops PersonalizedSumCtx runs, so sums carry the same bits
 	// whenever they are released.
 	foldAndEmit := func(qi int) {
 		sum := make([]float64, n)
@@ -242,7 +238,7 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 
 	if streaming {
 		// Streaming schedule: run each seed's full solve (sparse prefix +
-		// its own dense tail — PersonalizedSum's exact schedule) in
+		// its own dense tail — PersonalizedSumCtx's exact schedule) in
 		// first-appearance order, releasing dependent queries the moment
 		// each completes. The blocked kernel below would retire all
 		// columns together and barrier every release behind the batch's
@@ -357,7 +353,7 @@ type perSeed struct {
 }
 
 // foldInto accumulates the seed's vector into sum, mirroring
-// PersonalizedSum's fold: touched-list order for sparse results, an
+// PersonalizedSumCtx's fold: touched-list order for sparse results, an
 // ascending nonzero sweep for dense ones. Slot orders across distinct
 // indices never affect bits — each slot receives one add per seed.
 func (ps *perSeed) foldInto(sum []float64, n int) {

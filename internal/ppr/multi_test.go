@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -51,12 +52,12 @@ func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 				queries := batchQueries(rng, nq, 4, g.NumNodes())
 				for _, par := range []int{1, 4} {
 					opt := Options{Parallelism: par}
-					got := PersonalizedSumMulti(g, queries, opt)
+					got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 					if len(got) != len(queries) {
 						t.Fatalf("%d nodes nq=%d: %d results", sh.nodes, nq, len(got))
 					}
 					for qi, q := range queries {
-						want := PersonalizedSum(g, q, opt)
+						want := PersonalizedSumCtx(context.Background(), g, q, opt)
 						for i := range want {
 							if got[qi][i] != want[i] {
 								t.Fatalf("%d nodes nq=%d par=%d kernel=%v query %d node %d: batch %v != sequential %v",
@@ -76,9 +77,9 @@ func TestPersonalizedSumMultiUniform(t *testing.T) {
 	g := randomGraph(300, 1200, 5)
 	queries := [][]kg.NodeID{{1, 2}, {2, 3, 3}, {7}}
 	opt := Options{Uniform: true}
-	got := PersonalizedSumMulti(g, queries, opt)
+	got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 	for qi, q := range queries {
-		want := PersonalizedSum(g, q, opt)
+		want := PersonalizedSumCtx(context.Background(), g, q, opt)
 		for i := range want {
 			if got[qi][i] != want[i] {
 				t.Fatalf("uniform query %d node %d: %v != %v", qi, i, got[qi][i], want[i])
@@ -91,23 +92,23 @@ func TestPersonalizedSumMultiUniform(t *testing.T) {
 // empty graph must mirror the sequential behavior.
 func TestPersonalizedSumMultiEdgeCases(t *testing.T) {
 	g := randomGraph(50, 200, 9)
-	if got := PersonalizedSumMulti(g, nil, Options{}); len(got) != 0 {
+	if got := PersonalizedSumMultiCtx(context.Background(), g, nil, Options{}); len(got) != 0 {
 		t.Fatalf("nil batch: %d results", len(got))
 	}
-	got := PersonalizedSumMulti(g, [][]kg.NodeID{{}, {3}}, Options{})
+	got := PersonalizedSumMultiCtx(context.Background(), g, [][]kg.NodeID{{}, {3}}, Options{})
 	for i, x := range got[0] {
 		if x != 0 {
 			t.Fatalf("empty query node %d = %v, want 0", i, x)
 		}
 	}
-	want := PersonalizedSum(g, []kg.NodeID{3}, Options{})
+	want := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3}, Options{})
 	for i := range want {
 		if got[1][i] != want[i] {
 			t.Fatalf("node %d: %v != %v", i, got[1][i], want[i])
 		}
 	}
 	empty := kg.NewBuilder(0).Build()
-	if got := PersonalizedSumMulti(empty, [][]kg.NodeID{{}}, Options{}); len(got) != 1 || len(got[0]) != 0 {
+	if got := PersonalizedSumMultiCtx(context.Background(), empty, [][]kg.NodeID{{}}, Options{}); len(got) != 1 || len(got[0]) != 0 {
 		t.Fatalf("empty graph: %+v", got)
 	}
 }
@@ -123,9 +124,9 @@ func TestPersonalizedSumMultiConvergenceDropout(t *testing.T) {
 	g := randomGraph(60, 600, 3)
 	queries := [][]kg.NodeID{{1}, {2}, {1, 2, 3}, {4, 5}}
 	opt := Options{Iterations: 300}
-	got := PersonalizedSumMulti(g, queries, opt)
+	got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 	for qi, q := range queries {
-		want := PersonalizedSum(g, q, opt)
+		want := PersonalizedSumCtx(context.Background(), g, q, opt)
 		for i := range want {
 			if got[qi][i] != want[i] {
 				t.Fatalf("query %d node %d: %v != %v", qi, i, got[qi][i], want[i])
@@ -148,9 +149,9 @@ func TestPersonalizedSumMultiYago(t *testing.T) {
 		}
 		queries = append(queries, q)
 	}
-	got := PersonalizedSumMulti(g, queries, Options{})
+	got := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
 	for qi, q := range queries {
-		want := PersonalizedSum(g, q, Options{})
+		want := PersonalizedSumCtx(context.Background(), g, q, Options{})
 		for i := range want {
 			if got[qi][i] != want[i] {
 				t.Fatalf("query %d node %d: batch %v != sequential %v", qi, i, got[qi][i], want[i])

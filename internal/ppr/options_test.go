@@ -60,18 +60,3 @@ func TestDuplicateSeedsAccumulate(t *testing.T) {
 		t.Fatalf("duplicated seed mass %v vs %v", p[a], p[d])
 	}
 }
-
-// TestTopKLimit respects k and never returns zero-score filler.
-func TestTopKLimit(t *testing.T) {
-	g := chain()
-	a, _ := g.NodeByName("a")
-	items := TopK(g, []kg.NodeID{a}, 2, Options{})
-	if len(items) > 2 {
-		t.Fatalf("TopK returned %d items", len(items))
-	}
-	for _, it := range items {
-		if it.Score <= 0 {
-			t.Fatal("zero-score item returned")
-		}
-	}
-}

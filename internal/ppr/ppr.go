@@ -34,15 +34,15 @@
 // sync.Pool and cleared sparsely, so a steady-state Personalized call
 // allocates only its result slice.
 //
-// PersonalizedSum processes seeds in blocks on a bounded worker pool:
+// PersonalizedSumCtx processes seeds in blocks on a bounded worker pool:
 // memory is O(workers·n) rather than O(seeds·n), and per-seed vectors are
 // folded into the running sum in ascending seed order, so results are
 // bitwise identical for every Parallelism setting.
 //
-// PersonalizedSumMulti (multi.go) batches many queries into one
+// PersonalizedSumMultiCtx (multi.go) batches many queries into one
 // multi-source solve — unique seeds solved once, dense tails blocked
 // through the multi-vector gather kernel — bitwise identical to per-query
-// PersonalizedSum calls.
+// PersonalizedSumCtx calls.
 //
 // Options.SeedCache (seedcache.go) extends the same amortization across
 // sequential calls: single-seed vectors are memoized in a byte-budgeted
@@ -61,7 +61,6 @@ import (
 	"repro/internal/kg"
 	"repro/internal/obs"
 	"repro/internal/qcache"
-	"repro/internal/topk"
 )
 
 // Options configures a PageRank computation. The zero value selects the
@@ -76,7 +75,7 @@ type Options struct {
 	// Uniform disables informativeness weighting and walks uniformly over
 	// out-edges — the ablation of Eq. 1's weighting.
 	Uniform bool
-	// Parallelism bounds the total worker budget: PersonalizedSum's
+	// Parallelism bounds the total worker budget: PersonalizedSumCtx's
 	// per-seed pool, and within each run the row-partitioned parallel
 	// gather of the saturated dense regime (seed workers × gather workers
 	// never exceeds it). 0 uses GOMAXPROCS. Results are bitwise identical
@@ -84,7 +83,7 @@ type Options struct {
 	Parallelism int
 
 	// SeedCache, when non-nil, memoizes single-seed PageRank vectors
-	// across PersonalizedSum and PersonalizedSumMulti calls (stored under
+	// across PersonalizedSumCtx and multi-source calls (stored under
 	// qcache.LayerSeed, byte-accounted): each distinct seed consults the
 	// cache first and only the misses are solved, so sequential
 	// overlapping queries — interactive refinement — pay one solve per
@@ -101,7 +100,7 @@ type Options struct {
 	CacheTag string
 
 	// SolveObs, when non-nil, receives one observation per
-	// PersonalizedSum(Ctx) call and one per multi-source batch solve —
+	// PersonalizedSumCtx call and one per multi-source batch solve —
 	// the wall time of the whole solve, cache consults included (a fully
 	// cached resolve is still a solve the caller waited on). Observation
 	// is a few atomic adds; nil costs one branch.
@@ -197,7 +196,7 @@ const denseSwitchDivisor = 6
 //
 // The run is two phases: the sparse phase walks the frontier until it
 // saturates (or the iteration budget runs out), then every remaining
-// iteration is a dense step. PersonalizedSumMulti drives the same two
+// iteration is a dense step. PersonalizedSumMultiCtx drives the same two
 // phases but hands the dense tail to the blocked multi-vector kernel, so
 // both paths share each phase's code — and therefore its bits.
 //
@@ -402,9 +401,9 @@ func Personalized(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 	return out
 }
 
-// PersonalizedSum runs Personalized once per seed (the paper computes "the
-// PageRank starting from each node in the query ... individually") and
-// returns the element-wise sum of the resulting vectors.
+// PersonalizedSumCtx runs Personalized once per seed (the paper computes
+// "the PageRank starting from each node in the query ... individually")
+// and returns the element-wise sum of the resulting vectors.
 //
 // Seeds are processed in blocks of Parallelism workers, each folding its
 // per-seed vector into the sum in ascending seed order, so the result is
@@ -414,17 +413,12 @@ func Personalized(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 // the missing seeds enter the pool — the interactive-refinement fast
 // path; the fold replicates the cacheless additions exactly, so every
 // cache state returns the same bits.
-func PersonalizedSum(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
-	return PersonalizedSumCtx(context.Background(), g, seeds, opt)
-}
-
-// PersonalizedSumCtx is PersonalizedSum under a cancellation context:
-// every solve checks ctx between power-iteration sweeps, so a dropped
+//
+// Every solve checks ctx between power-iteration sweeps, so a dropped
 // request stops burning CPU within one sweep. Once ctx is done the
 // returned vector is partial and meaningless — callers must treat
 // ctx.Err() != nil as "no result" — and nothing partial is ever stored in
-// the seed cache. While ctx stays live the output is bitwise identical to
-// PersonalizedSum.
+// the seed cache.
 func PersonalizedSumCtx(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 	if opt.SolveObs == nil {
 		return personalizedSumCtx(ctx, g, seeds, opt)
@@ -517,26 +511,4 @@ func runSeedBlock(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Optio
 		}(j)
 	}
 	wg.Wait()
-}
-
-// TopK returns the k highest-ranked nodes by PersonalizedSum, excluding the
-// seed nodes themselves — the RandomWalk baseline's context set.
-func TopK(g *kg.Graph, seeds []kg.NodeID, k int, opt Options) []topk.Item {
-	scores := PersonalizedSum(g, seeds, opt)
-	skip := make(map[uint32]bool, len(seeds))
-	for _, s := range seeds {
-		skip[s] = true
-	}
-	// Nodes never touched by the walk (score 0) are not meaningful context
-	// candidates; offering them anyway is harmless because any touched node
-	// outranks them, but filtering keeps deterministic tie-breaks among
-	// genuinely reachable nodes only.
-	sel := topk.New(k)
-	for id, sc := range scores {
-		if sc == 0 || skip[uint32(id)] {
-			continue
-		}
-		sel.Offer(uint32(id), sc)
-	}
-	return sel.Ranked()
 }

@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -133,7 +134,7 @@ func TestWeightingPrefersRareLabel(t *testing.T) {
 func TestPersonalizedSumMatchesSequential(t *testing.T) {
 	g := randomGraph(500, 2000, 77)
 	seeds := []kg.NodeID{1, 5, 9, 13}
-	sum := PersonalizedSum(g, seeds, Options{})
+	sum := PersonalizedSumCtx(context.Background(), g, seeds, Options{})
 	want := make([]float64, g.NumNodes())
 	for _, s := range seeds {
 		p := Personalized(g, []kg.NodeID{s}, Options{})
@@ -151,30 +152,11 @@ func TestPersonalizedSumMatchesSequential(t *testing.T) {
 func TestPersonalizedSumParallelismBound(t *testing.T) {
 	g := randomGraph(100, 300, 3)
 	seeds := []kg.NodeID{0, 1, 2, 3, 4, 5}
-	a := PersonalizedSum(g, seeds, Options{Parallelism: 1})
-	b := PersonalizedSum(g, seeds, Options{Parallelism: 2})
+	a := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: 1})
+	b := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: 2})
 	for i := range a {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatalf("parallelism changed results at node %d", i)
-		}
-	}
-}
-
-func TestTopKExcludesSeeds(t *testing.T) {
-	g := chain()
-	a, _ := g.NodeByName("a")
-	items := TopK(g, []kg.NodeID{a}, 10, Options{})
-	for _, it := range items {
-		if kg.NodeID(it.ID) == a {
-			t.Fatal("TopK returned a seed node")
-		}
-	}
-	if len(items) == 0 {
-		t.Fatal("TopK returned nothing")
-	}
-	for i := 1; i < len(items); i++ {
-		if items[i].Score > items[i-1].Score {
-			t.Fatal("TopK not sorted by descending score")
 		}
 	}
 }
@@ -247,6 +229,6 @@ func BenchmarkPersonalizedSum5Seeds(b *testing.B) {
 	seeds := []kg.NodeID{1, 2, 3, 4, 5}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PersonalizedSum(g, seeds, Options{})
+		PersonalizedSumCtx(context.Background(), g, seeds, Options{})
 	}
 }

@@ -1,11 +1,11 @@
 // Per-seed PageRank vector caching: the store behind the
 // interactive-refinement fast path.
 //
-// PersonalizedSum is a fold of independent single-seed solves, so the
+// PersonalizedSumCtx is a fold of independent single-seed solves, so the
 // expensive half of a query that overlaps an earlier one — re-running
 // {A, B, C} after {A, B} — is redundant: every shared seed's vector is
-// already known. When Options.SeedCache is set, PersonalizedSum and
-// PersonalizedSumMulti consult it per seed (qcache.LayerSeed), solve only
+// already known. When Options.SeedCache is set, PersonalizedSumCtx and
+// PersonalizedSumMultiCtx consult it per seed (qcache.LayerSeed), solve only
 // the misses, and fold cached and fresh vectors in seed-list order with
 // the exact per-slot additions of the cacheless fold — so cache state
 // never changes a bit of the output, only how much of it is recomputed.
@@ -39,7 +39,7 @@ type seedVec struct {
 }
 
 // foldInto accumulates the vector into sum with exactly the additions of
-// PersonalizedSum's workspace fold: touched-list order for sparse
+// PersonalizedSumCtx's workspace fold: touched-list order for sparse
 // vectors, an ascending nonzero sweep for dense ones. Each slot receives
 // one add per seed either way, so the fold is bitwise identical to the
 // cacheless path.

@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/kg"
@@ -52,13 +53,13 @@ func TestPersonalizedSumSeedCacheBitwise(t *testing.T) {
 	for _, par := range []int{1, 4} {
 		want := make([][]float64, len(seq))
 		for i, q := range seq {
-			want[i] = PersonalizedSum(g, q, Options{Parallelism: par})
+			want[i] = PersonalizedSumCtx(context.Background(), g, q, Options{Parallelism: par})
 		}
 		for name, budget := range map[string]int64{"tiny": 6000, "ample": 0} {
 			cache := seedCacheOf(budget)
 			opt := Options{Parallelism: par, SeedCache: cache}
 			for i, q := range seq {
-				got := PersonalizedSum(g, q, opt)
+				got := PersonalizedSumCtx(context.Background(), g, q, opt)
 				assertSameBits(t, name, got, want[i])
 			}
 			st := cache.Stats()
@@ -84,12 +85,12 @@ func TestPersonalizedSumSeedCacheDense(t *testing.T) {
 	seq := [][]kg.NodeID{{1, 2}, {1, 2, 3}, {2, 3}}
 	want := make([][]float64, len(seq))
 	for i, q := range seq {
-		want[i] = PersonalizedSum(g, q, opt)
+		want[i] = PersonalizedSumCtx(context.Background(), g, q, opt)
 	}
 	cached := opt
 	cached.SeedCache = seedCacheOf(0)
 	for i, q := range seq {
-		assertSameBits(t, "dense", PersonalizedSum(g, q, cached), want[i])
+		assertSameBits(t, "dense", PersonalizedSumCtx(context.Background(), g, q, cached), want[i])
 	}
 	if st := cached.SeedCache.Stats(); st.SeedBytes == 0 || st.Layers[qcache.LayerSeed].Hits == 0 {
 		t.Fatalf("dense vectors not cached: %+v", st)
@@ -103,14 +104,14 @@ func TestPersonalizedSumSeedCacheDense(t *testing.T) {
 func TestPersonalizedSumMultiSeedCacheBitwise(t *testing.T) {
 	g := randomGraph(400, 1600, 77)
 	queries := [][]kg.NodeID{{3, 7, 11}, {7, 19}, {11, 19, 23}, {3}}
-	want := PersonalizedSumMulti(g, queries, Options{})
+	want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
 	for _, par := range []int{1, 4} {
 		cache := seedCacheOf(0)
 		opt := Options{Parallelism: par, SeedCache: cache}
 		// Warm two seeds through the solo path first.
-		warmSolo := PersonalizedSum(g, []kg.NodeID{3, 7}, opt)
-		assertSameBits(t, "warm-solo", warmSolo, PersonalizedSum(g, []kg.NodeID{3, 7}, Options{}))
-		got := PersonalizedSumMulti(g, queries, opt)
+		warmSolo := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3, 7}, opt)
+		assertSameBits(t, "warm-solo", warmSolo, PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3, 7}, Options{}))
+		got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 		for i := range want {
 			assertSameBits(t, "multi", got[i], want[i])
 		}
@@ -121,8 +122,8 @@ func TestPersonalizedSumMultiSeedCacheBitwise(t *testing.T) {
 		}
 		// And a refinement over seeds the batch introduced is all hits.
 		misses := st.Layers[qcache.LayerSeed].Misses
-		refined := PersonalizedSum(g, []kg.NodeID{11, 19, 23}, opt)
-		assertSameBits(t, "refine-after-batch", refined, PersonalizedSum(g, []kg.NodeID{11, 19, 23}, Options{}))
+		refined := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{11, 19, 23}, opt)
+		assertSameBits(t, "refine-after-batch", refined, PersonalizedSumCtx(context.Background(), g, []kg.NodeID{11, 19, 23}, Options{}))
 		if st2 := cache.Stats(); st2.Layers[qcache.LayerSeed].Misses != misses {
 			t.Fatalf("par=%d: refinement after batch missed: %+v", par, st2)
 		}
@@ -139,16 +140,16 @@ func TestPersonalizedSumMultiSeedCacheBlockedKernel(t *testing.T) {
 	g := randomGraph(300, 6000, 9)
 	opt := Options{Iterations: 12}
 	queries := [][]kg.NodeID{{1, 2, 3}, {2, 4}, {5, 6}}
-	want := PersonalizedSumMulti(g, queries, opt)
+	want := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 	cached := opt
 	cached.SeedCache = seedCacheOf(0)
-	got := PersonalizedSumMulti(g, queries, cached)
+	got := PersonalizedSumMultiCtx(context.Background(), g, queries, cached)
 	for i := range want {
 		assertSameBits(t, "blocked", got[i], want[i])
 	}
 	// Re-running the whole batch is now solve-free and identical.
 	misses := cached.SeedCache.Stats().Layers[qcache.LayerSeed].Misses
-	again := PersonalizedSumMulti(g, queries, cached)
+	again := PersonalizedSumMultiCtx(context.Background(), g, queries, cached)
 	for i := range want {
 		assertSameBits(t, "blocked-warm", again[i], want[i])
 	}
@@ -163,7 +164,7 @@ func TestSeedCacheKeySeparatesOptions(t *testing.T) {
 	g := randomGraph(200, 800, 31)
 	cache := seedCacheOf(0)
 	q := []kg.NodeID{3, 9}
-	base := PersonalizedSum(g, q, Options{SeedCache: cache})
+	base := PersonalizedSumCtx(context.Background(), g, q, Options{SeedCache: cache})
 	for _, opt := range []Options{
 		{Damping: 0.2, SeedCache: cache},
 		{Iterations: 5, SeedCache: cache},
@@ -171,8 +172,8 @@ func TestSeedCacheKeySeparatesOptions(t *testing.T) {
 	} {
 		plain := opt
 		plain.SeedCache = nil
-		got := PersonalizedSum(g, q, opt)
-		assertSameBits(t, "options", got, PersonalizedSum(g, q, plain))
+		got := PersonalizedSumCtx(context.Background(), g, q, opt)
+		assertSameBits(t, "options", got, PersonalizedSumCtx(context.Background(), g, q, plain))
 		same := true
 		for i := range got {
 			if got[i] != base[i] {

@@ -1,6 +1,7 @@
 package ppr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -107,9 +108,9 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 func TestPersonalizedSumParallelismIdentical(t *testing.T) {
 	g := randomGraph(400, 1600, 99)
 	seeds := []kg.NodeID{3, 7, 11, 19, 23, 29, 31, 37, 41}
-	want := PersonalizedSum(g, seeds, Options{Parallelism: 1})
+	want := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: 1})
 	for _, par := range []int{2, 3, 4, len(seeds), len(seeds) + 5, 0} {
-		got := PersonalizedSum(g, seeds, Options{Parallelism: par})
+		got := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: par})
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("Parallelism=%d differs at node %d: %v vs %v",
@@ -141,9 +142,9 @@ func TestPersonalizedParallelGatherIdentical(t *testing.T) {
 	}
 	// The same holds through the multi-seed pool, where leftover budget
 	// flows to the gather.
-	wantSum := PersonalizedSum(g, seeds, Options{Iterations: 12, Parallelism: 1})
+	wantSum := PersonalizedSumCtx(context.Background(), g, seeds, Options{Iterations: 12, Parallelism: 1})
 	for _, par := range []int{2, 6, 0} {
-		got := PersonalizedSum(g, seeds, Options{Iterations: 12, Parallelism: par})
+		got := PersonalizedSumCtx(context.Background(), g, seeds, Options{Iterations: 12, Parallelism: par})
 		for i := range wantSum {
 			if got[i] != wantSum[i] {
 				t.Fatalf("Sum Parallelism=%d differs at node %d", par, i)
@@ -238,6 +239,6 @@ func BenchmarkPersonalizedSumYago(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PersonalizedSum(g, q, Options{})
+		PersonalizedSumCtx(context.Background(), g, q, Options{})
 	}
 }

@@ -7,7 +7,7 @@
 //
 // One cache holds entries from several pipeline stages, distinguished by
 // a Layer tag for per-layer accounting and budgeting: selector score
-// vectors and ranked contexts (LayerSelector), per-label test records
+// vectors (LayerSelector), per-label test records
 // (LayerTest), single-seed PageRank vectors (LayerSeed), and Monte-Carlo
 // null distributions (LayerNull). The cache itself treats layer values
 // opaquely; layers exist so Stats can report residency and hit rates per
@@ -77,8 +77,8 @@ import (
 type Layer uint8
 
 const (
-	// LayerSelector holds selector score vectors and ranked contexts —
-	// large entries, ~8 bytes per graph node each.
+	// LayerSelector holds selector score vectors — large entries, ~8
+	// bytes per graph node each.
 	LayerSelector Layer = iota
 	// LayerTest holds per-label test records — small entries.
 	LayerTest
@@ -457,9 +457,9 @@ func (c *Cache) Stats() Stats {
 
 // Key canonicalizes a query node set under an options prefix: IDs are
 // sorted ascending and deduplicated, so every permutation of one entity
-// set maps to the same key. ok is false when ids contains duplicates —
-// such queries are not canonicalizable (see the package comment) and must
-// bypass the cache.
+// set maps to the same key. ok is false (and key empty) when ids contains
+// duplicates — such queries are not canonicalizable (see the package
+// comment) and must bypass the cache.
 func Key(prefix string, ids []uint32) (key string, ok bool) {
 	sorted := make([]uint32, len(ids))
 	copy(sorted, ids)

@@ -90,29 +90,6 @@ func (s *Selector) RankedIDs() []uint32 {
 	return ids
 }
 
-// SelectMap ranks the entries of a score map and returns the top k.
-func SelectMap(scores map[uint32]float64, k int) []Item {
-	s := New(k)
-	for id, sc := range scores {
-		s.Offer(id, sc)
-	}
-	return s.Ranked()
-}
-
-// SelectSlice ranks the entries of a dense score slice (index = ID, skipping
-// NaN-free zero handling: zeros are valid scores) and returns the top k.
-// Entries whose index appears in skip are excluded.
-func SelectSlice(scores []float64, k int, skip map[uint32]bool) []Item {
-	s := New(k)
-	for id, sc := range scores {
-		if skip != nil && skip[uint32(id)] {
-			continue
-		}
-		s.Offer(uint32(id), sc)
-	}
-	return s.Ranked()
-}
-
 // minHeap implements heap.Interface ordered by less.
 type minHeap []Item
 

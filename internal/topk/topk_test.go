@@ -79,22 +79,6 @@ func TestThreshold(t *testing.T) {
 	}
 }
 
-func TestSelectMap(t *testing.T) {
-	m := map[uint32]float64{1: 0.2, 2: 0.9, 3: 0.5}
-	got := SelectMap(m, 2)
-	if len(got) != 2 || got[0].ID != 2 || got[1].ID != 3 {
-		t.Fatalf("SelectMap = %v", got)
-	}
-}
-
-func TestSelectSliceWithSkip(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.7, 0.6}
-	got := SelectSlice(scores, 2, map[uint32]bool{0: true})
-	if len(got) != 2 || got[0].ID != 1 || got[1].ID != 2 {
-		t.Fatalf("SelectSlice = %v", got)
-	}
-}
-
 // Property: selection matches full sort + truncate for random inputs.
 func TestMatchesFullSortProperty(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
@@ -105,7 +89,11 @@ func TestMatchesFullSortProperty(t *testing.T) {
 		for i := range scores {
 			scores[i] = float64(rng.Intn(50)) / 10 // force ties
 		}
-		got := SelectSlice(scores, k, nil)
+		sel := New(k)
+		for id, sc := range scores {
+			sel.Offer(uint32(id), sc)
+		}
+		got := sel.Ranked()
 
 		type pair struct {
 			id uint32

@@ -42,19 +42,17 @@
 // mid-request: a dropped request stops burning CPU within one PageRank
 // sweep or one label test and returns ctx.Err(). Failures are typed —
 // ErrEmptyQuery (errors.Is) and *UnresolvedError (errors.As) — never
-// bare strings. The pre-context entry points (Search, SearchBatch,
-// SearchNames, Compare) remain as thin deprecated wrappers over Do and
-// DoBatch with identical output.
+// bare strings.
 //
 // # Caching and determinism
 //
 // An Engine memoizes four layers of repeated work in one bounded LRU
 // (Options.CacheSize, optionally byte-budgeted via Options.CacheBytes,
 // optionally sharded via Options.CacheShards for concurrent traffic).
-// The selector layer caches score vectors and ranked contexts, so a warm
+// The selector layer caches each query's dense score vector, so a warm
 // query skips metapath mining and walking; the comparison layer caches
 // per-label test records, so a warm query also skips distribution
-// building and multinomial testing — a fully warm repeated Search
+// building and multinomial testing — a fully warm repeated Do
 // recomputes nothing but the top-k cut. Two more layers serve the
 // interactive-refinement workload, where consecutive queries overlap
 // rather than repeat: the seed layer (Options.SeedCacheBytes) keeps
@@ -229,18 +227,18 @@ type Options struct {
 	Seed int64
 	// Parallelism bounds the workers a search draws from the shared
 	// executor — label tests within one query, and queries within one
-	// SearchBatch. 0 means the core default (4). Like every concurrency
+	// DoBatch. 0 means the core default (4). Like every concurrency
 	// knob here it never changes results, only wall-clock.
 	Parallelism int
 	// CacheSize bounds the engine's query cache: the number of memoized
-	// entries across all four cache layers — selector score
-	// vectors/contexts, per-label test records, per-seed PageRank
-	// vectors, and Monte-Carlo null distributions (see internal/qcache).
-	// 0 selects DefaultCacheSize; negative disables caching. Caching
-	// never changes results — every randomized component is seeded — it
-	// only skips repeated work: a warm repeat of a query skips metapath
-	// mining, walking, distribution building, and multinomial testing
-	// entirely, and an overlapping query re-solves only its new seeds.
+	// entries across all four cache layers — selector score vectors,
+	// per-label test records, per-seed PageRank vectors, and Monte-Carlo
+	// null distributions (see internal/qcache). 0 selects
+	// DefaultCacheSize; negative disables caching. Caching never changes
+	// results — every randomized component is seeded — it only skips
+	// repeated work: a warm repeat of a query skips metapath mining,
+	// walking, distribution building, and multinomial testing entirely,
+	// and an overlapping query re-solves only its new seeds.
 	CacheSize int
 	// CacheBytes optionally bounds the query cache by estimated resident
 	// bytes alongside the entry cap. Selector entries weigh ~8 bytes per
@@ -539,15 +537,14 @@ func (e *Engine) Compact() { e.vg.Compact() }
 
 // CacheStats reports the query cache's counters, aggregated over all
 // shards and broken down per layer (Stats.Layers): the selector layer
-// (one entry per query's score vector or ranked context, ~8 bytes per
-// graph node each), the comparison layer (one small entry per tested
-// label), the seed layer (one PageRank vector per hot entity), and the
-// null layer (one Monte-Carlo null distribution per distinct context
-// distribution). A fully warm repeated Search performs exactly one
-// selector hit plus one hit per tested label and zero misses; a
-// refinement step shows seed-layer hits for the retained entities and
-// null-layer hits for the labels whose context distribution survived.
-// A cache-disabled engine reports zeros.
+// (one entry per query's score vector, ~8 bytes per graph node each),
+// the comparison layer (one small entry per tested label), the seed
+// layer (one PageRank vector per hot entity), and the null layer (one
+// Monte-Carlo null distribution per distinct context distribution). A
+// fully warm repeated Do performs exactly one selector hit plus one hit
+// per tested label and zero misses; a refinement step shows seed-layer
+// hits for the retained entities and null-layer hits for the labels whose
+// context distribution survived. A cache-disabled engine reports zeros.
 func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
 
 // Graph returns the engine's current graph — the epoch published by the
@@ -627,11 +624,10 @@ func (e *Engine) stateFor(opt Options, view *kg.View) *optState {
 	return st
 }
 
-// cachedSelector wraps a selector with the engine's query cache. For
-// score-based selectors (ctxsel.Scorer) it memoizes the dense score
-// vector, which subsumes the mined metapaths — a warm hit serves any
-// context size with zero mining or walking. Other selectors memoize the
-// ranked context per (query, k). Queries with duplicate nodes bypass the
+// cachedSelector wraps a selector with the engine's query cache: it
+// memoizes each query's dense score vector, which subsumes the mined
+// metapaths or solved PageRank sums — a warm hit serves any context size
+// with zero mining or walking. Queries with duplicate nodes bypass the
 // cache (see qcache.Key).
 //
 // pfx is precomputed from the request's EFFECTIVE options (engine
@@ -639,7 +635,7 @@ func (e *Engine) stateFor(opt Options, view *kg.View) *optState {
 // epoch, so a Walks/Damping override or a graph mutation can never
 // collide with entries computed under other settings.
 type cachedSelector struct {
-	e     *Engine
+	cache *qcache.Cache
 	inner ctxsel.Selector
 	pfx   string
 }
@@ -647,220 +643,65 @@ type cachedSelector struct {
 // Name implements ctxsel.Selector.
 func (cs cachedSelector) Name() string { return cs.inner.Name() }
 
-// scoresFootprint is the byte accounting hint for a cached dense score
-// vector.
-func scoresFootprint(scores []float64, key string) int64 {
-	return 8*int64(len(scores)) + int64(len(key)) + 48
-}
-
-// Select implements ctxsel.Selector.
-func (cs cachedSelector) Select(g *kg.Graph, query []NodeID, k int) []topk.Item {
-	return cs.SelectCtx(context.Background(), g, query, k)
-}
-
-// SelectCtx implements ctxsel.CtxSelector: the cache consult is free
-// either way, the inner selector gets ctx when it honors one, and a score
-// vector cut short by cancellation is never stored.
-func (cs cachedSelector) SelectCtx(ctx context.Context, g *kg.Graph, query []NodeID, k int) []topk.Item {
-	prefix := cs.prefix()
-	if scorer, ok := cs.inner.(ctxsel.Scorer); ok {
-		key, cacheable := qcache.Key(prefix, query)
-		if !cacheable {
-			return ctxsel.Select(ctx, cs.inner, g, query, k)
-		}
-		if v, hit := cs.e.cache.Get(key); hit {
-			return ctxsel.TopKFromScores(v.([]float64), query, k)
-		}
-		var scores []float64
-		if cscorer, ok := cs.inner.(ctxsel.CtxScorer); ok {
-			scores = cscorer.ScoresCtx(ctx, g, query)
-		} else {
-			scores = scorer.Scores(g, query)
-		}
-		if ctx.Err() != nil {
-			return nil // partial vector: not stored, not usable
-		}
-		cs.e.cache.PutSized(key, scores, qcache.LayerSelector, scoresFootprint(scores, key))
-		return ctxsel.TopKFromScores(scores, query, k)
+// Scores implements ctxsel.Selector: each query consults the cache first
+// and hits are delivered at once; only the misses enter the inner
+// selector, in the caller's mode — barriered or streaming — and each
+// solved vector is stored, then delivered. Hits, misses, and every batch
+// size yield exactly the vectors the inner selector alone would.
+func (cs cachedSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]NodeID, ready func(i int, scores []float64)) [][]float64 {
+	var out [][]float64
+	if ready == nil {
+		out = make([][]float64, len(queries))
 	}
-	key, cacheable := qcache.Key(fmt.Sprintf("%s|k%d", prefix, k), query)
-	if !cacheable {
-		return ctxsel.Select(ctx, cs.inner, g, query, k)
-	}
-	// Contexts are cached as private copies: callers own (and may mutate)
-	// every slice they receive, matching the uncached selectors.
-	if v, hit := cs.e.cache.Get(key); hit {
-		return append([]topk.Item(nil), v.([]topk.Item)...)
-	}
-	items := ctxsel.Select(ctx, cs.inner, g, query, k)
-	if ctx.Err() != nil {
-		return nil
-	}
-	cs.e.cache.PutSized(key, append([]topk.Item(nil), items...),
-		qcache.LayerSelector, 16*int64(len(items))+int64(len(key))+48)
-	return items
-}
-
-func (cs cachedSelector) prefix() string { return cs.pfx }
-
-// SelectBatch implements ctxsel.BatchSelector: each query consults the
-// cache first, and only the misses enter the inner selector — batched
-// through the multi-source PageRank solve when the inner selector
-// provides it. Hits, misses, and every batch size produce exactly what
-// per-query Select calls would.
-func (cs cachedSelector) SelectBatch(g *kg.Graph, queries [][]NodeID, k int) [][]topk.Item {
-	return cs.SelectBatchCtx(context.Background(), g, queries, k)
-}
-
-// scorerBatchPlan is the shared cache consult of the scorer-based batch
-// paths: one pass over the queries serving hits through ready
-// immediately and listing the misses for whichever solve (barriered or
-// streaming) the caller dispatches; release stores and releases one
-// solved miss. Hits, misses, and either solve produce exactly what
-// per-query Select calls would.
-type scorerBatchPlan struct {
-	missIdx     []int
-	missQueries [][]NodeID
-	release     func(j int, scores []float64)
-}
-
-// planScorerBatch builds the consult plan for a scorer-based batch. A
-// released score vector is stored only under a live ctx (the solvers
-// only release complete vectors, but the gate keeps the contract
-// obvious) and only for cacheable keys.
-func (cs cachedSelector) planScorerBatch(ctx context.Context, g *kg.Graph, queries [][]NodeID, k int, ready func(i int, items []topk.Item)) scorerBatchPlan {
-	prefix := cs.prefix()
-	keys := make([]string, len(queries))
-	var p scorerBatchPlan
+	// Cache misses and uncacheable (duplicate-node) queries both go to the
+	// inner selector; only the former — those with a key — are stored.
+	var (
+		missIdx     []int
+		missKeys    []string
+		missQueries [][]NodeID
+	)
 	for i, q := range queries {
-		key, cacheable := qcache.Key(prefix, q)
+		key, cacheable := qcache.Key(cs.pfx, q) // "" when uncacheable
 		if cacheable {
-			if v, hit := cs.e.cache.Get(key); hit {
-				ready(i, ctxsel.TopKFromScores(v.([]float64), q, k))
+			if v, hit := cs.cache.Get(key); hit {
+				if ready != nil {
+					ready(i, v.([]float64))
+				} else {
+					out[i] = v.([]float64)
+				}
 				continue
 			}
-			keys[i] = key
 		}
-		// Cache misses and uncacheable (duplicate-node) queries both go to
-		// the solver; only the former are stored afterwards.
-		p.missIdx = append(p.missIdx, i)
-		p.missQueries = append(p.missQueries, q)
+		missIdx = append(missIdx, i)
+		missKeys = append(missKeys, key)
+		missQueries = append(missQueries, q)
 	}
-	p.release = func(j int, scores []float64) {
-		i := p.missIdx[j]
-		if keys[i] != "" && ctx.Err() == nil {
-			cs.e.cache.PutSized(keys[i], scores, qcache.LayerSelector, scoresFootprint(scores, keys[i]))
-		}
-		ready(i, ctxsel.TopKFromScores(scores, queries[i], k))
-	}
-	return p
-}
-
-// SelectBatchCtx implements ctxsel.CtxBatchSelector: cache hits first,
-// then the misses enter the inner selector's barriered batch solve —
-// CtxBatchScorer/BatchScorer before any streaming path, so a barriered
-// batch keeps the blocked multi-vector gather kernel the streaming
-// schedule trades away. Once ctx is done, unreleased entries stay nil.
-func (cs cachedSelector) SelectBatchCtx(ctx context.Context, g *kg.Graph, queries [][]NodeID, k int) [][]topk.Item {
-	out := make([][]topk.Item, len(queries))
-	ready := func(i int, items []topk.Item) { out[i] = items }
-	if _, isScorer := cs.inner.(ctxsel.Scorer); !isScorer {
-		// Ranked-context caching is per (query, k); resolve query by query.
-		for i, q := range queries {
-			if ctx.Err() != nil {
-				return out
-			}
-			out[i] = cs.SelectCtx(ctx, g, q, k)
-		}
+	if len(missQueries) == 0 {
 		return out
 	}
-	p := cs.planScorerBatch(ctx, g, queries, k, ready)
-	if len(p.missQueries) == 0 {
-		return out
-	}
-	var scores [][]float64
-	if bs, ok := cs.inner.(ctxsel.CtxBatchScorer); ok {
-		scores = bs.ScoresBatchCtx(ctx, g, p.missQueries)
-		if ctx.Err() != nil {
-			return out
-		}
-	} else if bs, ok := cs.inner.(ctxsel.BatchScorer); ok {
-		scores = bs.ScoresBatch(g, p.missQueries)
-	} else {
-		scores = make([][]float64, len(p.missQueries))
-		for j, q := range p.missQueries {
-			if ctx.Err() != nil {
-				return out
-			}
-			scores[j] = ctxselScores(ctx, cs.inner.(ctxsel.Scorer), g, q)
-			if ctx.Err() != nil {
-				return out
-			}
+	// A vector is stored only under a live ctx: a streaming selector only
+	// releases complete vectors, but the gate keeps the contract obvious.
+	store := func(j int, scores []float64) {
+		if key := missKeys[j]; key != "" && ctx.Err() == nil {
+			cs.cache.PutSized(key, scores, qcache.LayerSelector, 8*int64(len(scores))+int64(len(key))+48)
 		}
 	}
-	for j := range p.missQueries {
-		p.release(j, scores[j])
+	if ready != nil {
+		cs.inner.Scores(ctx, g, missQueries, func(j int, scores []float64) {
+			store(j, scores)
+			ready(missIdx[j], scores)
+		})
+		return nil
+	}
+	scores := cs.inner.Scores(ctx, g, missQueries, nil)
+	if ctx.Err() != nil {
+		return out // cut short: vectors may be partial — not stored, not usable
+	}
+	for j, i := range missIdx {
+		store(j, scores[j])
+		out[i] = scores[j]
 	}
 	return out
-}
-
-// ctxselScores resolves one query's score vector, threading ctx when the
-// scorer supports it.
-func ctxselScores(ctx context.Context, sc ctxsel.Scorer, g *kg.Graph, q []NodeID) []float64 {
-	if cs, ok := sc.(ctxsel.CtxScorer); ok {
-		return cs.ScoresCtx(ctx, g, q)
-	}
-	return sc.Scores(g, q)
-}
-
-// SelectStreamBatch implements ctxsel.StreamBatchSelector: cache hits
-// release immediately (in query order), and the misses enter the inner
-// selector's streaming solve, each releasing — and being stored — as its
-// score vector folds. Every released context is exactly what a per-query
-// Select would return; a cancelled ctx stops the solve within one sweep
-// and withholds the unreleased queries.
-func (cs cachedSelector) SelectStreamBatch(ctx context.Context, g *kg.Graph, queries [][]NodeID, k int, ready func(i int, items []topk.Item)) {
-	scorer, isScorer := cs.inner.(ctxsel.Scorer)
-	if !isScorer {
-		// Ranked-context caching is per (query, k); resolve query by query,
-		// releasing each as it completes.
-		for i, q := range queries {
-			if ctx.Err() != nil {
-				return
-			}
-			items := cs.SelectCtx(ctx, g, q, k)
-			if ctx.Err() != nil {
-				return
-			}
-			ready(i, items)
-		}
-		return
-	}
-	p := cs.planScorerBatch(ctx, g, queries, k, ready)
-	if len(p.missQueries) == 0 {
-		return
-	}
-	if ss, ok := cs.inner.(ctxsel.StreamScorer); ok {
-		ss.ScoresStream(ctx, g, p.missQueries, p.release)
-		return
-	}
-	if bs, ok := cs.inner.(ctxsel.BatchScorer); ok {
-		scores := bs.ScoresBatch(g, p.missQueries)
-		for j := range p.missQueries {
-			p.release(j, scores[j])
-		}
-		return
-	}
-	for j, q := range p.missQueries {
-		if ctx.Err() != nil {
-			return
-		}
-		scores := ctxselScores(ctx, scorer, g, q)
-		if ctx.Err() != nil {
-			return
-		}
-		p.release(j, scores)
-	}
 }
 
 // cachedSelectorFor wraps sel with the engine cache unless caching is
@@ -876,7 +717,7 @@ func (e *Engine) cachedSelectorFor(sel ctxsel.Selector, opt Options, tag string)
 	}
 	pfx := fmt.Sprintf("%s|%s|w%d|d%v|s%d",
 		sel.Name(), tag, opt.Walks, opt.Damping, opt.Seed)
-	return cachedSelector{e: e, inner: sel, pfx: pfx}
+	return cachedSelector{cache: e.cache, inner: sel, pfx: pfx}
 }
 
 // coreOptionsFor translates opt — the engine's options with any
@@ -911,58 +752,11 @@ func (e *Engine) coreOptionsFor(opt Options, view *kg.View) core.Options {
 	}
 }
 
-// Search runs the full pipeline (context selection + distribution
-// comparison) for the query nodes.
-//
-// Deprecated: use Do, which adds request-scoped cancellation and
-// per-request overrides. Search(q) is exactly
-// Do(context.Background(), Query{Nodes: q}).
-func (e *Engine) Search(query []NodeID) (Result, error) {
-	return e.Do(context.Background(), Query{Nodes: query})
-}
-
-// SearchBatch runs Search for every query in one batched pass and returns
-// one Result per query, in order.
-//
-// Deprecated: use DoBatch (one batched pass, request-scoped), or DoStream
-// to receive each result as it completes instead of barriering on the
-// batch. SearchBatch(qs) returns exactly what DoBatch returns for the
-// same queries with no overrides.
-func (e *Engine) SearchBatch(queries [][]NodeID) ([]Result, error) {
-	qs := make([]Query, len(queries))
-	for i, q := range queries {
-		qs[i] = Query{Nodes: q}
-	}
-	return e.DoBatch(context.Background(), qs)
-}
-
-// SearchNames resolves entity names and runs Search.
-//
-// Deprecated: use Resolve followed by Do; the two-step form exposes the
-// *UnresolvedError for did-you-mean handling and takes a ctx.
-func (e *Engine) SearchNames(names ...string) (Result, error) {
-	query, err := e.Resolve(names...)
-	if err != nil {
-		return Result{}, err
-	}
-	return e.Do(context.Background(), Query{Nodes: query})
-}
-
 // Context returns only the top-k similar nodes for a query, against the
 // current graph epoch.
 func (e *Engine) Context(query []NodeID, k int) []ContextItem {
 	view := e.vg.View()
-	return e.stateFor(e.opt, view).sel.Select(view.G, query, k)
-}
-
-// Compare runs only the distribution-comparison stage against an explicit
-// context set (bring-your-own-context).
-//
-// Deprecated: use DoCompare, which adds request-scoped cancellation and
-// per-request overrides.
-func (e *Engine) Compare(query, contextSet []NodeID) []Characteristic {
-	out, _ := e.DoCompare(context.Background(), query, contextSet, Query{})
-	return out
+	return ctxsel.Select(context.Background(), e.stateFor(e.opt, view).sel, view.G, query, k)
 }
 
 // DoCompare runs only the distribution-comparison stage against an

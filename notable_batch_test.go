@@ -1,6 +1,7 @@
 package notable
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -34,12 +35,12 @@ func leaderQueries(t testing.TB, e *Engine, n int) [][]NodeID {
 	return queries
 }
 
-// searchSequential runs Search per query on e.
+// searchSequential runs one Do per query on e.
 func searchSequential(t testing.TB, e *Engine, queries [][]NodeID) []Result {
 	t.Helper()
 	out := make([]Result, len(queries))
 	for i, q := range queries {
-		r, err := e.Search(q)
+		r, err := e.Do(context.Background(), Query{Nodes: q})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,9 +50,9 @@ func searchSequential(t testing.TB, e *Engine, queries [][]NodeID) []Result {
 }
 
 // TestSearchBatchMatchesSequentialBitwise is the batch pipeline's
-// acceptance invariant: for every batch size and Parallelism, SearchBatch
+// acceptance invariant: for every batch size and Parallelism, DoBatch
 // on a fresh engine returns exactly — bitwise, via DeepEqual on the full
-// Result records — what per-query Search calls on an equally fresh engine
+// Result records — what per-query Do calls on an equally fresh engine
 // return. Covers the score-caching selector path (RandomWalk, whose batch
 // solve is the multi-source kernel), with and without the cache.
 func TestSearchBatchMatchesSequentialBitwise(t *testing.T) {
@@ -66,7 +67,7 @@ func TestSearchBatchMatchesSequentialBitwise(t *testing.T) {
 			want := searchSequential(t, seqEng, queries)
 
 			batchEng := NewEngine(g, opt)
-			got, err := batchEng.SearchBatch(queries)
+			got, err := batchEng.DoBatch(context.Background(), asQueries(queries))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -78,7 +79,7 @@ func TestSearchBatchMatchesSequentialBitwise(t *testing.T) {
 			// dedup does not depend on the cache.
 			opt.CacheSize = -1
 			coldEng := NewEngine(g, opt)
-			cold, err := coldEng.SearchBatch(queries)
+			cold, err := coldEng.DoBatch(context.Background(), asQueries(queries))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,7 +100,7 @@ func TestSearchBatchDefaultSelector(t *testing.T) {
 	queries := leaderQueries(t, seqEng, 5)
 	want := searchSequential(t, seqEng, queries)
 	batchEng := NewEngine(g, opt)
-	got, err := batchEng.SearchBatch(queries)
+	got, err := batchEng.DoBatch(context.Background(), asQueries(queries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestSearchBatchWarmEngine(t *testing.T) {
 	queries := leaderQueries(t, e, 6)
 	want := searchSequential(t, e, queries)
 	missesBefore := e.CacheStats().Misses
-	got, err := e.SearchBatch(queries)
+	got, err := e.DoBatch(context.Background(), asQueries(queries))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,10 +137,10 @@ func TestSearchBatchWarmEngine(t *testing.T) {
 func TestSearchBatchEmptyQuery(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{})
-	if _, err := e.SearchBatch([][]NodeID{{1}, {}}); err == nil {
+	if _, err := e.DoBatch(context.Background(), []Query{{Nodes: []NodeID{1}}, {}}); err == nil {
 		t.Fatal("empty query in batch should error")
 	}
-	if res, err := e.SearchBatch(nil); err != nil || len(res) != 0 {
+	if res, err := e.DoBatch(context.Background(), nil); err != nil || len(res) != 0 {
 		t.Fatalf("empty batch: %v, %v", res, err)
 	}
 }
@@ -182,8 +183,8 @@ func TestEngineCacheByteBudget(t *testing.T) {
 }
 
 // BenchmarkSearchBatch is the batched cold path's acceptance benchmark:
-// one SearchBatch over 8 distinct overlapping queries against 8
-// sequential cold Search calls with identical options. The mix is a
+// one DoBatch over 8 distinct overlapping queries against 8
+// sequential cold Do calls with identical options. The mix is a
 // profile sweep over the actors cohort — every size-5 subset, the full
 // set, and one truncation — the batch-entity-profiling / eval-sweep
 // workload the batch path exists for, where queries share most of their
@@ -221,7 +222,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 	b.Run("b=1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.SearchBatch(queries[:1]); err != nil {
+			if _, err := e.DoBatch(context.Background(), asQueries(queries[:1])); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -229,7 +230,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 	b.Run("b=8", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.SearchBatch(queries); err != nil {
+			if _, err := e.DoBatch(context.Background(), asQueries(queries)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -239,7 +240,7 @@ func BenchmarkSearchBatch(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				if _, err := e.Search(q); err != nil {
+				if _, err := e.Do(context.Background(), Query{Nodes: q}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,36 +1,40 @@
 package notable
 
 import (
+	"context"
 	"testing"
 
+	"repro/internal/ctxsel"
 	"repro/internal/gen"
 	"repro/internal/kg"
 	"repro/internal/qcache"
-	"repro/internal/topk"
 )
 
-// countingSelector is a score-based selector that counts how often its
-// scoring pass actually runs — the observable for "a warm cache does zero
-// mining and walking".
+// countingSelector counts how many query vectors its scoring pass actually
+// computes — the observable for "a warm cache does zero mining and
+// walking".
 type countingSelector struct {
-	scoreCalls  *int
-	selectCalls *int
+	scored *int
 }
 
 func (c countingSelector) Name() string { return "counting" }
 
-func (c countingSelector) Scores(g *kg.Graph, query []kg.NodeID) []float64 {
-	*c.scoreCalls++
-	scores := make([]float64, g.NumNodes())
-	for i := range scores {
-		scores[i] = float64(i + 1)
+func (c countingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(int, []float64)) [][]float64 {
+	out := make([][]float64, len(queries))
+	for i := range queries {
+		*c.scored++
+		out[i] = make([]float64, g.NumNodes())
+		for id := range out[i] {
+			out[i][id] = float64(id + 1)
+		}
+		if ready != nil {
+			ready(i, out[i])
+		}
 	}
-	return scores
-}
-
-func (c countingSelector) Select(g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	*c.selectCalls++
-	return nil
+	if ready != nil {
+		return nil
+	}
+	return out
 }
 
 func TestCachedSelectorRunsScoringOnce(t *testing.T) {
@@ -40,17 +44,15 @@ func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scoreCalls, selectCalls := 0, 0
-	cs := e.cachedSelectorFor(countingSelector{&scoreCalls, &selectCalls}, e.opt, "e0")
-	a := cs.Select(g, query, 5)
-	b := cs.Select(g, query, 5)
+	scored := 0
+	cs := e.cachedSelectorFor(countingSelector{&scored}, e.opt, "e0")
+	ctx := context.Background()
+	a := ctxsel.Select(ctx, cs, g, query, 5)
+	b := ctxsel.Select(ctx, cs, g, query, 5)
 	// Permuted queries canonicalize to the same entry.
-	c := cs.Select(g, []NodeID{query[1], query[0]}, 5)
-	if scoreCalls != 1 {
-		t.Fatalf("scoring ran %d times across three selects, want 1", scoreCalls)
-	}
-	if selectCalls != 0 {
-		t.Fatal("score-based selector's Select should never run under the cache")
+	c := ctxsel.Select(ctx, cs, g, []NodeID{query[1], query[0]}, 5)
+	if scored != 1 {
+		t.Fatalf("scoring ran %d times across three selects, want 1", scored)
 	}
 	if len(a) != 5 || len(b) != 5 || len(c) != 5 {
 		t.Fatalf("select sizes: %d %d %d", len(a), len(b), len(c))
@@ -61,10 +63,21 @@ func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 		}
 	}
 	// A different k reuses the cached score vector too.
-	if d := cs.Select(g, query, 3); len(d) != 3 || scoreCalls != 1 {
-		t.Fatalf("k=3 select: len %d, scoring ran %d times", len(d), scoreCalls)
+	if d := ctxsel.Select(ctx, cs, g, query, 3); len(d) != 3 || scored != 1 {
+		t.Fatalf("k=3 select: len %d, scoring ran %d times", len(d), scored)
 	}
-	if st := e.CacheStats(); st.Hits < 3 || st.Misses < 1 {
+	// So does every batch mode: a barriered batch and a stream holding the
+	// warm query plus one new query score only the new one.
+	other := []NodeID{query[0]}
+	if got := cs.Scores(ctx, g, [][]NodeID{query, other}, nil); len(got) != 2 || scored != 2 {
+		t.Fatalf("barriered batch: %d vectors, scoring ran %d times, want 2 and 2", len(got), scored)
+	}
+	released := 0
+	cs.Scores(ctx, g, [][]NodeID{other, query, {query[1]}}, func(int, []float64) { released++ })
+	if released != 3 || scored != 3 {
+		t.Fatalf("stream: %d released, scoring ran %d times, want 3 and 3", released, scored)
+	}
+	if st := e.CacheStats(); st.Hits < 6 || st.Misses != 3 {
 		t.Fatalf("cache stats = %+v", st)
 	}
 }
@@ -77,13 +90,13 @@ func TestCachedSelectorBypassesDuplicateQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	dup := []NodeID{query[0], query[0], query[1]}
-	scoreCalls, selectCalls := 0, 0
-	cs := e.cachedSelectorFor(countingSelector{&scoreCalls, &selectCalls}, e.opt, "e0")
-	cs.Select(g, dup, 5)
-	cs.Select(g, dup, 5)
-	if scoreCalls != 0 || selectCalls != 2 {
-		t.Fatalf("duplicate-node query must bypass the cache: scores=%d selects=%d",
-			scoreCalls, selectCalls)
+	scored := 0
+	cs := e.cachedSelectorFor(countingSelector{&scored}, e.opt, "e0")
+	ctxsel.Select(context.Background(), cs, g, dup, 5)
+	ctxsel.Select(context.Background(), cs, g, dup, 5)
+	if st := e.CacheStats(); scored != 2 || st.Size != 0 {
+		t.Fatalf("duplicate-node query must bypass the cache: scored %d times, %d entries stored",
+			scored, st.Size)
 	}
 }
 
@@ -95,15 +108,15 @@ func TestEngineSearchCachedMatchesUncached(t *testing.T) {
 	optOff.CacheSize = -1
 	uncached := NewEngine(g, optOff)
 
-	warm, err := cached.SearchNames("Angela Merkel", "Barack Obama")
+	warm, err := doNames(cached, "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hit, err := cached.SearchNames("Angela Merkel", "Barack Obama")
+	hit, err := doNames(cached, "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := uncached.SearchNames("Angela Merkel", "Barack Obama")
+	cold, err := doNames(uncached, "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +155,7 @@ func TestEngineContextSharesCacheWithSearch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Search(query); err != nil {
+	if _, err := e.Do(context.Background(), Query{Nodes: query}); err != nil {
 		t.Fatal(err)
 	}
 	before := e.CacheStats()
@@ -152,18 +165,18 @@ func TestEngineContextSharesCacheWithSearch(t *testing.T) {
 	}
 	after := e.CacheStats()
 	if after.Hits != before.Hits+1 {
-		t.Fatalf("Context did not hit the Search-warmed cache: %+v -> %+v", before, after)
+		t.Fatalf("Context did not hit the Do-warmed cache: %+v -> %+v", before, after)
 	}
 }
 
-// TestEngineWarmSearchSkipsTestingStage: a warm repeated Search serves
+// TestEngineWarmSearchSkipsTestingStage: a warm repeated Do serves
 // the selector AND every label test from the cache — exactly one hit per
 // tested label plus one for the score vector, and zero new misses.
 func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{ContextSize: 8, Walks: 20000, Seed: 3})
 	names := []string{"Angela Merkel", "Barack Obama"}
-	cold, err := e.SearchNames(names...)
+	cold, err := doNames(e, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +186,7 @@ func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 		t.Fatalf("cold search stats %+v, want %d misses (selector + labels), 0 hits",
 			st, labels+1)
 	}
-	warm, err := e.SearchNames(names...)
+	warm, err := doNames(e, names...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,21 +204,23 @@ func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 			t.Fatalf("warm result differs at %d: %+v vs %+v", i, a, b)
 		}
 	}
-	// Compare shares the memo: an explicit-context run against the same
+	// DoCompare shares the memo: an explicit-context run against the same
 	// ranked context is fully warm too.
 	before := e.CacheStats()
 	query, err := e.Resolve(names...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Compare(query, cold.ContextIDs())
+	if _, err := e.DoCompare(context.Background(), query, cold.ContextIDs(), Query{}); err != nil {
+		t.Fatal(err)
+	}
 	after := e.CacheStats()
 	if after.Misses != before.Misses {
-		t.Fatalf("Compare against the searched context missed: %+v -> %+v", before, after)
+		t.Fatalf("DoCompare against the searched context missed: %+v -> %+v", before, after)
 	}
 }
 
-// BenchmarkEngineWarmSearch measures repeated Engine.Search on the
+// BenchmarkEngineWarmSearch measures repeated Resolve + Engine.Do on the
 // half-scale YAGO-like graph: the warm path (default cache) skips mining,
 // walking, distribution building, and testing entirely; the cold path
 // (cache disabled) repeats all of them every query.
@@ -219,12 +234,12 @@ func BenchmarkEngineWarmSearch(b *testing.B) {
 			Seed:        42,
 			CacheSize:   cacheSize,
 		})
-		if _, err := engine.SearchNames(names...); err != nil {
+		if _, err := doNames(engine, names...); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := engine.SearchNames(names...); err != nil {
+			if _, err := doNames(engine, names...); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package notable
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -54,7 +55,7 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 		steps := refineSteps(t, cold)
 		want := make([]Result, len(steps))
 		for i, q := range steps {
-			r, err := cold.Search(q)
+			r, err := cold.Do(context.Background(), Query{Nodes: q})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -65,7 +66,7 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 			wopt.SeedCacheBytes = budget
 			warm := NewEngine(g, wopt)
 			for i, q := range steps {
-				got, err := warm.Search(q)
+				got, err := warm.Do(context.Background(), Query{Nodes: q})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -119,11 +120,11 @@ func TestEngineRefinePermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Search([]NodeID{ids[0], ids[1], ids[2]})
+	first, err := e.Do(context.Background(), Query{Nodes: []NodeID{ids[0], ids[1], ids[2]}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm, err := e.Search([]NodeID{ids[2], ids[0], ids[1]})
+	perm, err := e.Do(context.Background(), Query{Nodes: []NodeID{ids[2], ids[0], ids[1]}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestEngineRefinePermutation(t *testing.T) {
 
 // TestEngineRefineSearchBatchConsistency: mixing the batched path into a
 // refinement session — warm the engine per query, then re-run the whole
-// session as one SearchBatch — stays bitwise identical and solve-free.
+// session as one DoBatch — stays bitwise identical and solve-free.
 func TestEngineRefineSearchBatchConsistency(t *testing.T) {
 	g := buildLeaders()
 	opt := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 300}
@@ -145,14 +146,14 @@ func TestEngineRefineSearchBatchConsistency(t *testing.T) {
 	steps := refineSteps(t, e)
 	want := make([]Result, len(steps))
 	for i, q := range steps {
-		r, err := e.Search(q)
+		r, err := e.Do(context.Background(), Query{Nodes: q})
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = r
 	}
 	missesBefore := e.CacheStats().Misses
-	got, err := e.SearchBatch(steps)
+	got, err := e.DoBatch(context.Background(), asQueries(steps))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestEngineRefineSearchBatchConsistency(t *testing.T) {
 }
 
 // BenchmarkEngineRefineSearch is the refinement fast path's acceptance
-// benchmark: one Search that adds a previously unseen entity to a warm
+// benchmark: one Do that adds a previously unseen entity to a warm
 // 3-actor query, against the same 4-entity query on a cache-disabled
 // engine (cold). Every iteration refines with a different entity (cycling
 // a 1024-node pool, far beyond any -benchtime used here), so the refined
@@ -209,13 +210,13 @@ func BenchmarkEngineRefineSearch(b *testing.B) {
 	}
 	b.Run("refine", func(b *testing.B) {
 		e := NewEngine(g, opt)
-		if _, err := e.Search(base); err != nil {
+		if _, err := e.Do(context.Background(), Query{Nodes: base}); err != nil {
 			b.Fatal(err) // warm the 3 base seeds and their null distributions
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Search(query(i)); err != nil {
+			if _, err := e.Do(context.Background(), Query{Nodes: query(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -227,7 +228,7 @@ func BenchmarkEngineRefineSearch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Search(query(i)); err != nil {
+			if _, err := e.Do(context.Background(), Query{Nodes: query(i)}); err != nil {
 				b.Fatal(err)
 			}
 		}

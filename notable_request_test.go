@@ -12,7 +12,7 @@ import (
 )
 
 // TestDoMatchesSearchBitwise: for equal engine options and no overrides,
-// Do is bitwise identical to the deprecated Search — across selectors and
+// Do on a fresh engine is bitwise reproducible — across selectors and
 // cache states.
 func TestDoMatchesSearchBitwise(t *testing.T) {
 	g := buildLeaders()
@@ -31,7 +31,7 @@ func TestDoMatchesSearchBitwise(t *testing.T) {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("sel=%s cache=%d: Do(%d) differs from Search", sel, cacheSize, i)
+					t.Fatalf("sel=%s cache=%d: Do(%d) differs between equal engines", sel, cacheSize, i)
 				}
 			}
 		}
@@ -68,7 +68,7 @@ func TestDoOverridesMatchEngineOptions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := NewEngine(g, tc.opt(base)).Search(nodes)
+		want, err := NewEngine(g, tc.opt(base)).Do(context.Background(), Query{Nodes: nodes})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -117,28 +117,21 @@ func TestDoTopK(t *testing.T) {
 	}
 }
 
-// TestDoBatchMatchesSearchBatchBitwise: with no overrides, DoBatch is the
-// same batched pass as the deprecated SearchBatch.
+// TestDoBatchMatchesSearchBatchBitwise: with no overrides, DoBatch
+// returns per query exactly what sequential Do calls on an equally fresh
+// engine return.
 func TestDoBatchMatchesSearchBatchBitwise(t *testing.T) {
 	g := buildLeaders()
 	opt := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 500}
-	oldEng := NewEngine(g, opt)
-	queries := leaderQueries(t, oldEng, 6)
-	want, err := oldEng.SearchBatch(queries)
-	if err != nil {
-		t.Fatal(err)
-	}
-	newEng := NewEngine(g, opt)
-	qs := make([]Query, len(queries))
-	for i, q := range queries {
-		qs[i] = Query{Nodes: q}
-	}
-	got, err := newEng.DoBatch(context.Background(), qs)
+	soloEng := NewEngine(g, opt)
+	queries := leaderQueries(t, soloEng, 6)
+	want := searchSequential(t, soloEng, queries)
+	got, err := NewEngine(g, opt).DoBatch(context.Background(), asQueries(queries))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("DoBatch differs from SearchBatch")
+		t.Fatal("DoBatch differs from sequential Do")
 	}
 }
 
@@ -182,9 +175,6 @@ func TestTypedErrors(t *testing.T) {
 	if _, err := e.Do(ctx, Query{}); !errors.Is(err, ErrEmptyQuery) {
 		t.Fatalf("Do on empty query: %v, want ErrEmptyQuery", err)
 	}
-	if _, err := e.Search(nil); !errors.Is(err, ErrEmptyQuery) {
-		t.Fatalf("Search(nil): %v, want ErrEmptyQuery", err)
-	}
 	_, err := e.DoBatch(ctx, []Query{{Nodes: []NodeID{1}}, {}})
 	if !errors.Is(err, ErrEmptyQuery) {
 		t.Fatalf("DoBatch with empty query: %v, want ErrEmptyQuery", err)
@@ -200,9 +190,6 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if !reflect.DeepEqual(ue.Missing, []string{"No Such Person", "Nor This One"}) {
 		t.Fatalf("Missing = %v", ue.Missing)
-	}
-	if _, err := e.SearchNames("No Such Person"); !errors.As(err, &ue) {
-		t.Fatalf("SearchNames: %v, want *UnresolvedError", err)
 	}
 }
 
@@ -238,68 +225,100 @@ func (c *countdownCtx) Err() error {
 }
 
 // TestDoCancelledMidFlight: cancelling partway through the pipeline (at
-// every feasible probe depth) returns context.Canceled, and the engine's
-// shared cache is never corrupted — a subsequent identical request on the
-// same engine returns bitwise what a fresh engine computes.
+// every feasible probe depth, in every request mode) returns
+// context.Canceled, and the engine's shared cache is never corrupted — a
+// subsequent identical request on the same engine returns bitwise what a
+// fresh engine computes.
 func TestDoCancelledMidFlight(t *testing.T) {
 	g := buildLeaders()
 	opt := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 500}
-	e := NewEngine(g, opt)
-	nodes, err := e.Resolve("Angela Merkel", "Barack Obama", "Vladimir Putin")
+	nodes, err := NewEngine(g, opt).Resolve("Angela Merkel", "Barack Obama", "Vladimir Putin")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := NewEngine(g, opt).Do(context.Background(), Query{Nodes: nodes})
-	if err != nil {
-		t.Fatal(err)
+	qs := []Query{{Nodes: nodes}, {Nodes: nodes[:2]}}
+	// Each mode reports the first error any of its queries hit.
+	modes := []struct {
+		name string
+		run  func(ctx context.Context, e *Engine) ([]Result, error)
+	}{
+		{"Do", func(ctx context.Context, e *Engine) ([]Result, error) {
+			res, err := e.Do(ctx, qs[0])
+			return []Result{res}, err
+		}},
+		{"DoBatch", func(ctx context.Context, e *Engine) ([]Result, error) {
+			return e.DoBatch(ctx, qs)
+		}},
+		{"DoStream", func(ctx context.Context, e *Engine) ([]Result, error) {
+			out := make([]Result, len(qs))
+			var first error
+			for o := range e.DoStream(ctx, qs) {
+				out[o.Index] = o.Result
+				if o.Err != nil && first == nil {
+					first = o.Err
+				}
+			}
+			return out, first
+		}},
 	}
-	// Find how many probes a cold run needs, then cancel at depths below
-	// it: early cuts land mid-PPR, later ones mid-comparison. Each cut
-	// runs on a cold engine — a warm engine skips probe points along with
-	// the work, so only a cold run's probe schedule is deterministic.
-	probe := newCountdownCtx(1 << 30)
-	if _, err := e.Do(probe, Query{Nodes: nodes}); err != nil {
-		t.Fatal(err)
-	}
-	total := (1 << 30) - probe.left.Load()
-	if total < 4 {
-		t.Fatalf("pipeline only probed ctx %d times; cut points too coarse", total)
-	}
-	scarred := NewEngine(g, opt)
-	for k := int64(0); k < total; k += 1 + total/16 {
-		if _, err := NewEngine(g, opt).Do(newCountdownCtx(k), Query{Nodes: nodes}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("cold cut at probe %d: err = %v, want context.Canceled", k, err)
+	for _, mode := range modes {
+		want, err := mode.run(context.Background(), NewEngine(g, opt))
+		if err != nil {
+			t.Fatal(err)
 		}
-		// The same cut against one accumulating engine: its cache absorbs
-		// whatever the aborted runs stored. Warm skips can let a late cut
-		// finish early, so only the error type is constrained, not its
-		// presence.
-		if _, err := scarred.Do(newCountdownCtx(k), Query{Nodes: nodes}); err != nil && !errors.Is(err, context.Canceled) {
-			t.Fatalf("scarred cut at probe %d: unexpected err %v", k, err)
+		// Find how many probes a cold run needs, then cancel at depths below
+		// it: early cuts land mid-PPR, later ones mid-comparison. Each cut
+		// runs on a cold engine — a warm engine skips probe points along with
+		// the work, so only a cold run's probe schedule is deterministic. The
+		// stream's comparison goroutines probe concurrently, so a late stream
+		// cut may land after everything finished: only its error type is
+		// constrained.
+		probe := newCountdownCtx(1 << 30)
+		if _, err := mode.run(probe, NewEngine(g, opt)); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// The aborted runs may have cached complete sub-results but never
-	// partial ones: the same request must now complete bitwise
-	// identically to the uncancelled engine.
-	got, err := scarred.Do(context.Background(), Query{Nodes: nodes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("result after cancelled runs differs — cache corrupted")
-	}
-	// And the cache still behaves as a cache: a warm repeat is pure hits.
-	missesBefore := scarred.CacheStats().Misses
-	if _, err := scarred.Do(context.Background(), Query{Nodes: nodes}); err != nil {
-		t.Fatal(err)
-	}
-	if st := scarred.CacheStats(); st.Misses != missesBefore {
-		t.Fatalf("warm repeat missed after cancelled runs: %+v", st)
+		total := (1 << 30) - probe.left.Load()
+		if total < 4 {
+			t.Fatalf("%s: pipeline only probed ctx %d times; cut points too coarse", mode.name, total)
+		}
+		scarred := NewEngine(g, opt)
+		for k := int64(0); k < total; k += 1 + total/16 {
+			_, err := mode.run(newCountdownCtx(k), NewEngine(g, opt))
+			if !errors.Is(err, context.Canceled) && !(err == nil && mode.name == "DoStream") {
+				t.Fatalf("%s: cold cut at probe %d: err = %v, want context.Canceled", mode.name, k, err)
+			}
+			// The same cut against one accumulating engine: its cache absorbs
+			// whatever the aborted runs stored. Warm skips can let a late cut
+			// finish early, so only the error type is constrained, not its
+			// presence.
+			if _, err := mode.run(newCountdownCtx(k), scarred); err != nil && !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: scarred cut at probe %d: unexpected err %v", mode.name, k, err)
+			}
+		}
+		// The aborted runs may have cached complete sub-results but never
+		// partial ones: the same request must now complete bitwise
+		// identically to the uncancelled engine.
+		got, err := mode.run(context.Background(), scarred)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: result after cancelled runs differs — cache corrupted", mode.name)
+		}
+		// And the cache still behaves as a cache: a warm repeat is pure hits.
+		missesBefore := scarred.CacheStats().Misses
+		if _, err := mode.run(context.Background(), scarred); err != nil {
+			t.Fatal(err)
+		}
+		if st := scarred.CacheStats(); st.Misses != missesBefore {
+			t.Fatalf("%s: warm repeat missed after cancelled runs: %+v", mode.name, st)
+		}
 	}
 }
 
-// TestDoCompareMatchesCompare: the request-scoped comparison stage equals
-// the deprecated wrapper and honors overrides.
+// TestDoCompareMatchesCompare: the bring-your-own-context comparison
+// stage, handed the context a full request selected, reports exactly that
+// request's characteristics — and honors overrides.
 func TestDoCompareMatchesCompare(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{ContextSize: 6, Walks: 20000, Seed: 3, TestSamples: 500})
@@ -307,18 +326,18 @@ func TestDoCompareMatchesCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cset := e.Context(nodes, 5)
-	ids := make([]NodeID, len(cset))
-	for i, it := range cset {
-		ids[i] = it.ID
+	full, err := e.Do(context.Background(), Query{Nodes: nodes, ContextSize: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := e.Compare(nodes, ids)
+	ids := full.ContextIDs()
+	want := full.Characteristics
 	got, err := e.DoCompare(context.Background(), nodes, ids, Query{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("DoCompare differs from Compare")
+		t.Fatal("DoCompare differs from the full request's characteristics")
 	}
 	// TopK is honored as a payload cut on the ranked characteristics.
 	if len(want) >= 2 {

@@ -26,7 +26,7 @@ func collectStream(t *testing.T, ch <-chan Outcome) map[int]Outcome {
 
 // TestDoStreamMatchesSearchBitwise: the stream yields exactly one Outcome
 // per query, and every successful Result is bitwise identical to a solo
-// Search on a fresh engine — across batch sizes, parallelism, and cache
+// Do on a fresh engine — across batch sizes, parallelism, and cache
 // states (the duplicate-node query in the mix exercises the uncacheable
 // path).
 func TestDoStreamMatchesSearchBitwise(t *testing.T) {
@@ -58,7 +58,7 @@ func TestDoStreamMatchesSearchBitwise(t *testing.T) {
 						t.Fatalf("b=%d par=%d cache=%d: query %d: %v", batchSize, par, cacheSize, i, out.Err)
 					}
 					if !reflect.DeepEqual(out.Result, want[i]) {
-						t.Fatalf("b=%d par=%d cache=%d: stream result %d differs from Search",
+						t.Fatalf("b=%d par=%d cache=%d: stream result %d differs from solo Do",
 							batchSize, par, cacheSize, i)
 					}
 				}

@@ -1,6 +1,7 @@
 package notable
 
 import (
+	"context"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -32,7 +33,7 @@ func buildLeaders() *Graph {
 func TestEngineSearchNames(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{ContextSize: 8, Walks: 30000, Seed: 3})
-	res, err := e.SearchNames("Angela Merkel", "Barack Obama")
+	res, err := doNames(e, "Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +53,10 @@ func TestEngineSearchNames(t *testing.T) {
 func TestEngineResolveErrors(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{})
-	if _, err := e.SearchNames("No Such Person Anywhere"); err == nil {
+	if _, err := doNames(e, "No Such Person Anywhere"); err == nil {
 		t.Fatal("unresolvable entity should error")
 	}
-	if _, err := e.Search(nil); err == nil {
+	if _, err := e.Do(context.Background(), Query{}); err == nil {
 		t.Fatal("empty query should error")
 	}
 }
@@ -88,9 +89,12 @@ func TestEngineCompare(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{Seed: 5})
 	query, _ := e.Resolve("Angela Merkel", "Barack Obama")
-	context, _ := e.Resolve("Vladimir Putin", "Matteo Renzi", "François Hollande",
+	cset, _ := e.Resolve("Vladimir Putin", "Matteo Renzi", "François Hollande",
 		"David Cameron", "Xi Jinping", "Justin Trudeau", "Shinzo Abe", "Dilma Rousseff")
-	chars := e.Compare(query, context)
+	chars, err := e.DoCompare(context.Background(), query, cset, Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(chars) == 0 {
 		t.Fatal("no characteristics")
 	}
@@ -105,9 +109,9 @@ func TestEnginePolicyOption(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{Policy: PolicyPooled, Seed: 5})
 	query, _ := e.Resolve("Angela Merkel", "Barack Obama")
-	context, _ := e.Resolve("Vladimir Putin", "Matteo Renzi", "François Hollande")
-	if len(e.Compare(query, context)) == 0 {
-		t.Fatal("pooled policy comparison failed")
+	cset, _ := e.Resolve("Vladimir Putin", "Matteo Renzi", "François Hollande")
+	if chars, err := e.DoCompare(context.Background(), query, cset, Query{}); err != nil || len(chars) == 0 {
+		t.Fatalf("pooled policy comparison failed: %d records, err %v", len(chars), err)
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 
 // Query is one request-scoped search: the query nodes plus per-request
 // overrides of the engine's Options. Zero-valued override fields inherit
-// the engine's configuration, so Query{Nodes: q} reproduces an
-// engine-default Search exactly.
+// the engine's configuration, so Query{Nodes: q} runs under the engine's
+// Options exactly.
 type Query struct {
 	// Nodes is the query entity set Q. Required: an empty query yields
 	// ErrEmptyQuery.
@@ -40,7 +40,7 @@ type Query struct {
 	// TopK, when > 0, truncates Result.Characteristics to the TopK
 	// highest-ranked records after testing (the full context is still
 	// selected and every label still tested — TopK only bounds the
-	// response payload). 0 keeps every tested label, like Search.
+	// response payload). 0 keeps every tested label.
 	TopK int
 	// Policy overrides Options.Policy when non-empty (PolicyStrict or
 	// PolicyPooled).
@@ -150,8 +150,6 @@ type Outcome struct {
 // ctx aborts the search within one PageRank sweep or one label test and
 // returns ctx.Err(); the engine's caches are never corrupted by an
 // abandoned request (only complete vectors and records are stored).
-// For equal engine options and overrides, Do's result is bitwise
-// identical to the deprecated Search.
 //
 // With q.Degrade set, a cut that lands in the comparison stage returns
 // the partial Result (context + labels tested so far, TopK-trimmed)
