@@ -135,12 +135,22 @@ func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOption
 	if n == 0 || len(query) == 0 || opt.Walks <= 0 {
 		return nil
 	}
-	inQuery := make(map[kg.NodeID]bool, len(query))
+	wk := walker{g: g, n: n, inQuery: make([]uint64, (n+63)/64), maxLength: opt.MaxLength}
+	distinct := 0
 	for _, q := range query {
-		inQuery[q] = true
+		if int(q) < n && !wk.isQuery(q) {
+			wk.inQuery[q>>6] |= 1 << (q & 63)
+			distinct++
+		}
 	}
-	if len(inQuery) >= n {
+	if distinct >= n {
 		return nil // no start nodes available
+	}
+	if !opt.Uniform {
+		wk.weight = make([]float64, g.NumLabels())
+		for l := range wk.weight {
+			wk.weight[l] = g.LabelWeight(kg.LabelID(l))
+		}
 	}
 
 	workers := opt.Parallelism
@@ -157,7 +167,7 @@ func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOption
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(opt.Seed + int64(w)*0x9e3779b9))
+			d := newDraws(opt.Seed + int64(w)*0x9e3779b9)
 			sh := shard{
 				counts: make(map[string]int64),
 				paths:  make(map[string]Path),
@@ -171,8 +181,7 @@ func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOption
 				if i%mineCheckInterval == 0 && ctx.Err() != nil {
 					break
 				}
-				labels = labels[:0]
-				if p := walkOnce(g, inQuery, rng, opt, labels); p != nil {
+				if p := wk.once(d, labels[:0]); p != nil {
 					k := p.Key()
 					if _, ok := sh.paths[k]; !ok {
 						cp := make(Path, len(p))
@@ -213,56 +222,96 @@ func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOption
 	return out
 }
 
-// walkOnce performs one mining walk and returns the label sequence if it
-// reached a query node, reusing the labels buffer.
-func walkOnce(g *kg.Graph, inQuery map[kg.NodeID]bool, rng *rand.Rand, opt MineOptions, labels Path) Path {
-	n := g.NumNodes()
+// walker is what the walks of one MineCtx call share, read-only: the graph
+// with its node count and label weights read out once, and the query as a
+// node bitset.
+type walker struct {
+	g         *kg.Graph
+	n         int
+	inQuery   []uint64  // one bit per node
+	weight    []float64 // g.LabelWeight per label; nil steps uniformly
+	maxLength int
+}
+
+func (wk *walker) isQuery(v kg.NodeID) bool { return wk.inQuery[v>>6]>>(v&63)&1 != 0 }
+
+// once performs one mining walk and returns the label sequence if it
+// reached a query node, appending to the labels buffer.
+func (wk *walker) once(d draws, labels Path) Path {
 	// Uniform start in V \ Q by rejection; the query is tiny relative to V.
-	var cur kg.NodeID
-	for {
-		cur = kg.NodeID(rng.Intn(n))
-		if !inQuery[cur] {
-			break
-		}
+	cur := kg.NodeID(d.intn(wk.n))
+	for wk.isQuery(cur) {
+		cur = kg.NodeID(d.intn(wk.n))
 	}
-	for step := 0; step < opt.MaxLength; step++ {
-		adj := g.OutEdges(cur)
+	for step := 0; step < wk.maxLength; step++ {
+		adj := wk.g.OutEdges(cur)
 		if len(adj) == 0 {
 			return nil
 		}
-		var e kg.Edge
-		if opt.Uniform {
-			e = adj[rng.Intn(len(adj))]
-		} else {
-			e = weightedPick(g, cur, adj, rng)
-		}
+		e := wk.pick(cur, adj, d)
 		labels = append(labels, e.Label)
 		cur = e.To
-		if inQuery[cur] {
+		if wk.isQuery(cur) {
 			return labels
 		}
 	}
 	return nil
 }
 
-// weightedPick samples an out-edge proportionally to its label weight by
+// pick samples an out-edge proportionally to its label weight by
 // rejection sampling: pick a uniform edge, accept with probability equal
 // to its weight (weights are in [0, 1) by construction, and close to 1
 // for all but the most frequent labels, so acceptance is near-immediate).
 // This is O(1) expected regardless of node degree — a linear scan would
 // make every walk step through a hub node cost O(degree).
-func weightedPick(g *kg.Graph, from kg.NodeID, adj []kg.Edge, rng *rand.Rand) kg.Edge {
-	if g.WeightedOutDegree(from) <= 0 {
-		return adj[rng.Intn(len(adj))]
+func (wk *walker) pick(from kg.NodeID, adj []kg.Edge, d draws) kg.Edge {
+	if wk.weight == nil || wk.g.WeightedOutDegree(from) <= 0 {
+		return adj[d.intn(len(adj))]
 	}
 	for tries := 0; tries < 64; tries++ {
-		e := adj[rng.Intn(len(adj))]
-		if rng.Float64() < g.LabelWeight(e.Label) {
+		e := adj[d.intn(len(adj))]
+		if d.float64() < wk.weight[e.Label] {
 			return e
 		}
 	}
 	// Pathological weights (all ≈ 0): fall back to uniform.
-	return adj[rng.Intn(len(adj))]
+	return adj[d.intn(len(adj))]
+}
+
+// draws yields rand.Rand's Intn and Float64 values, draw for draw, straight
+// off the rand.Source64 that rand.NewSource documents it returns: a walk
+// step is two or three draws, each otherwise paid for through four layers
+// of Rand wrapper (Intn, Int31n, Int31, Int63) and a second modulo.
+type draws struct{ src rand.Source64 }
+
+func newDraws(seed int64) draws { return draws{rand.NewSource(seed).(rand.Source64)} }
+
+// int31 is rand.Rand.Int31: the top 31 bits of a 63-bit draw.
+func (d draws) int31() uint32 { return uint32(d.src.Uint64()>>32) & (1<<31 - 1) }
+
+// intn is rand.Rand.Intn for 0 < n < 2³¹, which node and edge counts are.
+func (d draws) intn(n int) int {
+	v, m := d.int31(), uint32(n)
+	if m&(m-1) == 0 {
+		return int(v & (m - 1))
+	}
+	// Rand.Int31n redraws while v > max = 2³¹−1 − 2³¹%m. Since max > 2³¹−1−m,
+	// only a v within m of 2³¹ pays for that modulo.
+	if v > 1<<31-1-m {
+		for max := 1<<31 - 1 - (1<<31)%m; v > max; {
+			v = d.int31()
+		}
+	}
+	return int(v % m)
+}
+
+// float64 is rand.Rand.Float64, which redraws a quotient that rounds up to 1.
+func (d draws) float64() float64 {
+	for {
+		if f := float64(d.src.Uint64()&(1<<63-1)) / (1 << 63); f != 1 {
+			return f
+		}
+	}
 }
 
 // Top keeps the m highest-count metapaths (the paper's |M| parameter).

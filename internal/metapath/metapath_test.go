@@ -1,10 +1,12 @@
 package metapath
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/kg"
 )
 
@@ -329,12 +331,25 @@ func min(a, b int) int {
 	return b
 }
 
+// BenchmarkMine is the mining half of a cold ContextRW request as the repo
+// benchmark issues it: 200 000 five-step walks toward three actors of the
+// scale-1 YAGO-like graph, serial and at the default four workers.
 func BenchmarkMine(b *testing.B) {
-	g := chainWithBranch()
-	q, _ := g.NodeByName("q")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Mine(g, []kg.NodeID{q}, MineOptions{Walks: 10000, MaxLength: 5, Seed: int64(i)})
+	g := gen.YAGOLike(gen.YAGOConfig{Seed: 1, Scale: 1}).Graph
+	var query []kg.NodeID
+	for _, name := range gen.Table1["actors"][:3] {
+		q, ok := g.NodeByName(name)
+		if !ok {
+			b.Fatalf("actor %q missing", name)
+		}
+		query = append(query, q)
+	}
+	for _, par := range []int{1, 4} {
+		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				Mine(g, query, MineOptions{Walks: 200000, MaxLength: 5, Seed: int64(i), Parallelism: par})
+			}
+		})
 	}
 }
 

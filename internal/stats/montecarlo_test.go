@@ -60,11 +60,13 @@ func TestMonteCarloNeverZeroForPossible(t *testing.T) {
 	}
 }
 
-// Exhaustive check of searchCDF against linear scan.
+// Exhaustive check of the reference CDF search — the "first index whose
+// cumulative value exceeds u" the sampler's guide-table scan must reproduce —
+// against a linear scan.
 func TestSearchCDF(t *testing.T) {
 	cdf := []float64{0.1, 0.4, 0.9, 1.0}
 	for _, u := range []float64{0, 0.05, 0.1, 0.25, 0.4, 0.65, 0.95, 0.999} {
-		got := searchCDF(cdf, u)
+		got := refSearchCDF(cdf, u)
 		want := len(cdf) - 1
 		for i, c := range cdf {
 			if c > u {
@@ -73,7 +75,7 @@ func TestSearchCDF(t *testing.T) {
 			}
 		}
 		if got != want {
-			t.Fatalf("searchCDF(%v) = %d, want %d", u, got, want)
+			t.Fatalf("refSearchCDF(%v) = %d, want %d", u, got, want)
 		}
 	}
 }

@@ -7,6 +7,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -99,15 +100,16 @@ func (m Multinomial) Test(pi []float64, x []int) Result {
 type Scratch struct {
 	p      []float64
 	logp   []float64
-	comp   []int
+	sufMin []float64 // exact: least finite logp over each category suffix
 	cdf    []float64
 	counts []int
 	guide  []int
+	drawn  []uint64 // monteCarlo: one bit per category drawn this sample
 }
 
 // grow returns buf resized to length k, reallocating only when capacity
 // is insufficient. Contents are unspecified; callers overwrite fully.
-func grow[T int | float64](buf []T, k int) []T {
+func grow[T int | float64 | uint64](buf []T, k int) []T {
 	if cap(buf) < k {
 		return make([]T, k)
 	}
@@ -174,43 +176,66 @@ func (m Multinomial) Score(pi []float64, x []int) float64 {
 	return 0
 }
 
-// exact enumerates every composition of n into k parts, accumulating the
+// exact enumerates the compositions of n into k parts, accumulating the
 // probability of outcomes at most as likely as logX. Probability terms are
 // pure arithmetic over the cached category logs and the ln-factorial
 // table, so enumeration spends no time in math.Log/Lgamma.
 func (m Multinomial) exact(p, logp []float64, logX float64, n, k int, s *Scratch) float64 {
-	logN := lgammaInt(n + 1)
-	total := 0.0
-	s.comp = grow(s.comp, k)
-	comp := s.comp
-	var rec func(cat, remaining int, logAcc float64)
-	rec = func(cat, remaining int, logAcc float64) {
-		if cat == k-1 {
-			comp[cat] = remaining
-			lp := logAcc + termLogCached(p[cat], logp[cat], remaining)
-			if math.IsInf(lp, -1) {
-				return
-			}
-			lp += logN
-			if lp <= logX+logProbTolerance {
-				total += math.Exp(lp)
-			}
-			return
+	s.sufMin = grow(s.sufMin, k)
+	e := exactSum{p: p, logp: logp, sufMin: s.sufMin, logN: lgammaInt(n + 1), threshold: logX + logProbTolerance}
+	least := math.Inf(1)
+	for i := k - 1; i >= 0; i-- {
+		if p[i] > 0 && logp[i] < least {
+			least = logp[i]
 		}
-		for c := 0; c <= remaining; c++ {
-			comp[cat] = c
-			lt := termLogCached(p[cat], logp[cat], c)
-			if math.IsInf(lt, -1) {
-				continue // impossible category count; all deeper outcomes have prob 0
-			}
-			rec(cat+1, remaining-c, logAcc+lt)
+		e.sufMin[i] = least
+	}
+	// A subtree is skipped only when its least likely outcome clears the
+	// threshold by far more than the rounding of the few-term sums compared.
+	e.skipAbove = e.threshold + 1e-9*(1+math.Abs(e.threshold)+e.logN-float64(n)*least)
+	e.walk(0, n, 0)
+	if e.total > 1 {
+		e.total = 1 // guard against accumulation drift
+	}
+	return e.total
+}
+
+// exactSum is the state of one exact enumeration.
+type exactSum struct {
+	p, logp, sufMin                   []float64
+	logN, threshold, skipAbove, total float64
+}
+
+// walk adds the outcomes that place remaining draws on categories cat
+// onward, given the log-probability logAcc of the counts chosen so far.
+func (e *exactSum) walk(cat, remaining int, logAcc float64) {
+	if cat == len(e.p)-1 {
+		e.leaf(logAcc + termLogCached(e.p[cat], e.logp[cat], remaining))
+		return
+	}
+	for c := 0; c <= remaining; c++ {
+		lt := termLogCached(e.p[cat], e.logp[cat], c)
+		if math.IsInf(lt, -1) {
+			break // impossible category: every count above zero has probability 0
+		}
+		switch left := remaining - c; {
+		case left == 0:
+			// Every deeper category takes 0 draws and contributes an exact
+			// +0 term: this is the leaf.
+			e.leaf(logAcc + lt)
+		case logAcc+lt+(float64(left)*e.sufMin[cat+1]-lgammaInt(left+1))+e.logN > e.skipAbove:
+			// All of left on the rarest remaining category is the subtree's
+			// least likely outcome; above the threshold, none of it counts.
+		default:
+			e.walk(cat+1, left, logAcc+lt)
 		}
 	}
-	rec(0, n, 0)
-	if total > 1 {
-		total = 1 // guard against accumulation drift
+}
+
+func (e *exactSum) leaf(lp float64) {
+	if lp += e.logN; lp <= e.threshold {
+		e.total += math.Exp(lp)
 	}
-	return total
 }
 
 // guideBuckets sizes the Monte-Carlo sampler's guide table: enough buckets
@@ -232,11 +257,11 @@ func guideBuckets(k int) int {
 // the convention that a Monte-Carlo p-value never claims impossibility.
 //
 // Each draw inverts the CDF through a guide table: bucket b pre-resolves
-// the index range the binary search could land in, collapsing the per-draw
-// search to O(1) expected. The bucketed search answers exactly the same
-// "first index whose cumulative value exceeds u" question, so the sampled
-// category sequence — and therefore the estimate — is bit-identical to the
-// plain binary search it replaces.
+// the short index range the answer lies in, collapsing the per-draw search
+// to an O(1) expected scan. The scan answers exactly the same "first index
+// whose cumulative value exceeds u" question as a binary search of the
+// whole CDF, so the sampled category sequence — and therefore the estimate
+// — is bit-identical to that search's.
 //
 // With m.Nulls set, the sampled log-probabilities — which depend only on
 // (p, n, Samples, Seed), never on the observation — are memoized sorted;
@@ -257,7 +282,9 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scrat
 		}
 		rec = make([]float64, 0, m.Samples)
 	}
-	rng := rand.New(rand.NewSource(m.Seed))
+	// rand.NewSource documents that its result implements Source64; drawing
+	// from it directly yields rand.Rand.Float64's values without the wrappers.
+	src := rand.NewSource(m.Seed).(rand.Source64)
 	s.cdf = grow(s.cdf, len(p))
 	cdf := s.cdf
 	acc := 0.0
@@ -266,19 +293,21 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scrat
 		cdf[i] = acc
 	}
 	nb := guideBuckets(len(p))
-	s.guide = grow(s.guide, nb+1)
-	guide := s.guide
 	step := acc / float64(nb)
-	// One monotone sweep fills every bucket with the same "first index
-	// whose cumulative value exceeds the bucket boundary" a binary search
-	// would find.
+	// guide[b+1] is the first index whose cumulative value exceeds bucket
+	// boundary b·step, filled by one monotone sweep. A draw's bucket is
+	// computed with rounding, so its search runs over the bucket widened by
+	// one on each side: guide[b] to guide[b+3], the table being padded with
+	// one copy of its first entry and two of its last.
+	s.guide = grow(s.guide, nb+4)
+	guide := s.guide
 	idx := 0
-	for b := 0; b <= nb; b++ {
-		v := float64(b) * step
+	for i := range guide {
+		v := float64(min(max(i-1, 0), nb)) * step
 		for idx < len(cdf)-1 && cdf[idx] <= v {
 			idx++
 		}
-		guide[b] = idx
+		guide[i] = idx
 	}
 	hits := 0
 	s.counts = grow(s.counts, len(p))
@@ -286,40 +315,41 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scrat
 	for i := range counts {
 		counts[i] = 0
 	}
-	s.comp = grow(s.comp, 0)
-	touched := s.comp // category indices drawn this sample, unsorted
+	s.drawn = grow(s.drawn, (len(p)+63)/64)
+	drawn := s.drawn
+	for i := range drawn {
+		drawn[i] = 0
+	}
+	logN, perStep := lgammaInt(n+1), 1/step
 	for s := 0; s < m.Samples; s++ {
-		touched = touched[:0]
 		for j := 0; j < n; j++ {
-			u := rng.Float64() * acc
-			b := int(u / step)
-			// The division can round across an integer boundary (by at most
-			// one, a single 1-ulp error), so search the bucket widened by
-			// one on each side rather than trust b exactly.
-			lo, hi := b-1, b+2
-			if lo < 0 {
-				lo = 0
+			f := 1.0
+			for f == 1 { // rand.Rand.Float64 redraws a quotient that rounds up to 1
+				f = float64(src.Uint64()&(1<<63-1)) / (1 << 63)
 			}
-			if hi > nb {
-				hi = nb
-			}
-			c := searchCDFRange(cdf, u, guide[lo], guide[hi])
-			if counts[c] == 0 {
-				touched = append(touched, c)
+			u := f * acc
+			// Buckets are narrower than the average category, so the first
+			// cumulative value above u is a step or two into the range.
+			b := int(u * perStep)
+			c := guide[b]
+			for last := guide[b+3]; c < last && cdf[c] <= u; c++ {
 			}
 			counts[c]++
+			drawn[c>>6] |= 1 << (c & 63)
 		}
 		// The sample's log-probability sums category terms in ascending
-		// index order, exactly as a full scan of counts would.
-		sort.Ints(touched)
-		lp := lgammaInt(n + 1)
-		for _, c := range touched {
-			t := termLogCached(p[c], logp[c], counts[c])
-			if math.IsInf(t, -1) {
-				lp = math.Inf(-1)
-				break
+		// index order, exactly as a full scan of counts would: the set bits
+		// of drawn, low word and low bit first. An impossible category's
+		// term is −Inf and so is the sum, whatever follows; every drawn
+		// category is visited and cleared either way.
+		lp := logN
+		for w, word := range drawn {
+			for ; word != 0; word &= word - 1 {
+				c := w<<6 | bits.TrailingZeros64(word)
+				lp += float64(counts[c])*logp[c] - lgammaInt(counts[c]+1)
+				counts[c] = 0
 			}
-			lp += t
+			drawn[w] = 0
 		}
 		if lp <= threshold {
 			hits++
@@ -327,40 +357,13 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scrat
 		if rec != nil {
 			rec = append(rec, lp)
 		}
-		for _, c := range touched {
-			counts[c] = 0
-		}
 	}
-	s.comp = touched[:0] // keep the grown capacity for the next test
 	if key != "" {
 		nd := &nullDist{p: append([]float64(nil), p...), lps: rec}
 		sort.Float64s(nd.lps)
 		m.Nulls.PutSized(key, nd, qcache.LayerNull, nd.footprint(len(key)))
 	}
 	return float64(hits+1) / float64(m.Samples+1)
-}
-
-// searchCDF returns the first index whose cumulative value exceeds u.
-func searchCDF(cdf []float64, u float64) int {
-	return searchCDFRange(cdf, u, 0, len(cdf)-1)
-}
-
-// searchCDFRange returns the first index in [lo, hi] whose cumulative
-// value exceeds u, assuming the answer lies in that range — the range is
-// [0, len-1] for an unconstrained search, or a guide-table bucket.
-// Because searchCDF's answer is monotone in u, bucket endpoints evaluated
-// at the bucket's boundary values bracket every answer inside it, so the
-// constrained search returns exactly what the full search would.
-func searchCDFRange(cdf []float64, u float64, lo, hi int) int {
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid] > u {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
 }
 
 // logMultinomialProb returns ln Pr(X = x) for X ~ Mult(n, p). Uncached

@@ -3,7 +3,10 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
+
+	"repro/internal/qcache"
 )
 
 // This file pins the optimized multinomial test (cached per-category logs,
@@ -92,6 +95,31 @@ func (m Multinomial) refMonteCarlo(p []float64, logX float64, n int) float64 {
 		}
 	}
 	return float64(hits+1) / float64(m.Samples+1)
+}
+
+// refNullLps is refMonteCarlo's sampling loop returning what the null memo
+// stores: every sample's log-probability, sorted.
+func (m Multinomial) refNullLps(p []float64, n int) []float64 {
+	rng := rand.New(rand.NewSource(m.Seed))
+	cdf := make([]float64, len(p))
+	acc := 0.0
+	for i, pi := range p {
+		acc += pi
+		cdf[i] = acc
+	}
+	lps := make([]float64, 0, m.Samples)
+	counts := make([]int, len(p))
+	for s := 0; s < m.Samples; s++ {
+		for i := range counts {
+			counts[i] = 0
+		}
+		for j := 0; j < n; j++ {
+			counts[refSearchCDF(cdf, rng.Float64()*acc)]++
+		}
+		lps = append(lps, refLogMultinomialProb(p, counts, n))
+	}
+	sort.Float64s(lps)
+	return lps
 }
 
 func refSearchCDF(cdf []float64, u float64) int {
@@ -208,6 +236,169 @@ func TestOptimizedMatchesReferenceLargeDraws(t *testing.T) {
 		want := m.refTest(pi, x)
 		if got != want {
 			t.Fatalf("trial %d (k=%d): optimized %+v != reference %+v", trial, k, got, want)
+		}
+	}
+}
+
+// exactShapes and monteCarloShapes are the (draws n, categories k) shapes a
+// cold ContextRW request sends to TestScratch: exact enumeration sees a
+// handful of draws over tens to hundreds of categories, Monte-Carlo 25–60
+// draws over up to 300. The Monte-Carlo category counts straddle the 64-bit
+// word boundaries of the sampler's category set.
+var (
+	exactShapes      = []struct{ n, k int }{{5, 26}, {4, 31}, {2, 400}, {12, 4}}
+	monteCarloShapes = []struct{ n, k int }{{25, 63}, {30, 64}, {33, 65}, {40, 128}, {52, 129}, {60, 300}}
+)
+
+// shapeCase builds a deterministic (π, x) with k categories and n draws:
+// exponential category masses with every 7th category impossible, and an
+// observation placed by obs — "mode" is the likeliest outcome, each draw
+// going where it raises the probability most (P = 1), "rare" puts them all on the least likely possible category
+// (P near 0), "mid" draws them uniformly over the possible categories.
+func shapeCase(k, n int, seed int64, obs string) ([]float64, []int) {
+	rng := rand.New(rand.NewSource(seed))
+	pi := make([]float64, k)
+	rarest := -1
+	var possible []int
+	for i := range pi {
+		if k > 4 && i%7 == 3 {
+			continue
+		}
+		pi[i] = rng.ExpFloat64() + 1e-3
+		possible = append(possible, i)
+		if rarest < 0 || pi[i] < pi[rarest] {
+			rarest = i
+		}
+	}
+	x := make([]int, k)
+	switch obs {
+	case "mode":
+		for j := 0; j < n; j++ {
+			best := possible[0]
+			for _, i := range possible {
+				if pi[i]/float64(x[i]+1) > pi[best]/float64(x[best]+1) {
+					best = i
+				}
+			}
+			x[best]++
+		}
+	case "rare":
+		x[rarest] = n
+	default:
+		for j := 0; j < n; j++ {
+			x[possible[rng.Intn(len(possible))]]++
+		}
+	}
+	return pi, x
+}
+
+// TestMonteCarloShapesMatchReference: the sampler at the serving workload's
+// shapes and the default 20 000 samples, over distributions with impossible
+// categories and category counts on both sides of the drawn-set's word
+// boundaries.
+func TestMonteCarloShapesMatchReference(t *testing.T) {
+	for _, sh := range monteCarloShapes {
+		for seed := int64(1); seed <= 2; seed++ {
+			pi, x := shapeCase(sh.k, sh.n, seed, "mid")
+			m := Multinomial{Seed: seed}
+			got, want := m.Test(pi, x), m.refTest(pi, x)
+			if got != want || got.Exact {
+				t.Fatalf("n=%d k=%d seed %d: optimized %+v != reference %+v", sh.n, sh.k, seed, got, want)
+			}
+		}
+	}
+}
+
+// TestExactShapesMatchReference: exact enumeration at the workload's shapes
+// with observations from the likeliest (P near 1, nothing skipped) to the
+// least likely (P near 0, nearly every subtree skipped), reusing one Scratch.
+func TestExactShapesMatchReference(t *testing.T) {
+	var s Scratch
+	for _, sh := range exactShapes {
+		lo, hi := 1.0, 0.0
+		for _, obs := range []string{"mode", "mid", "rare"} {
+			for seed := int64(1); seed <= 3; seed++ {
+				pi, x := shapeCase(sh.k, sh.n, seed, obs)
+				got, want := Multinomial{}.TestScratch(pi, x, &s), Multinomial{}.refTest(pi, x)
+				if got != want || !got.Exact {
+					t.Fatalf("n=%d k=%d %s seed %d: optimized %+v != reference %+v", sh.n, sh.k, obs, seed, got, want)
+				}
+				lo, hi = math.Min(lo, got.P), math.Max(hi, got.P)
+			}
+		}
+		if lo > 0.01 || hi < 0.9 {
+			t.Fatalf("n=%d k=%d: P ranged over [%v, %v], want both tails covered", sh.n, sh.k, lo, hi)
+		}
+	}
+}
+
+// TestExactSkewedMatchesReference sweeps small exact problems whose category
+// masses span twenty orders of magnitude, with typical and atypical
+// observations, so thresholds fall everywhere between the likeliest and the
+// least likely outcome of the skipped subtrees.
+func TestExactSkewedMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 600; trial++ {
+		k := 2 + rng.Intn(9)
+		pi := make([]float64, k)
+		for i := range pi {
+			if rng.Intn(6) != 0 {
+				pi[i] = math.Exp(-46 * rng.Float64() * rng.Float64())
+			}
+		}
+		pi[rng.Intn(k)] = 1
+		cdf := make([]float64, k)
+		acc := 0.0
+		for i, v := range pi {
+			acc += v
+			cdf[i] = acc
+		}
+		x := make([]int, k)
+		for j, n := 0, 1+rng.Intn(9); j < n; j++ {
+			c := rng.Intn(k)
+			if trial%2 == 0 {
+				c = refSearchCDF(cdf, rng.Float64()*acc)
+			}
+			x[c]++
+		}
+		got, want := Multinomial{}.Test(pi, x), Multinomial{}.refTest(pi, x)
+		if got != want {
+			t.Fatalf("trial %d π=%v x=%v: optimized %+v != reference %+v", trial, pi, x, got, want)
+		}
+	}
+}
+
+// TestNullMemoMatchesReference: with Nulls set, the order statistics the
+// first test stores and the P a second test reads off them are the
+// reference's, bit for bit.
+func TestNullMemoMatchesReference(t *testing.T) {
+	for _, sh := range monteCarloShapes[2:5] {
+		pi, x := shapeCase(sh.k, sh.n, 4, "mid")
+		_, x2 := shapeCase(sh.k, sh.n, 5, "mid")
+		m := Multinomial{Seed: 9, Samples: 2000, Nulls: qcache.New(8)}
+		if got, want := m.Test(pi, x), m.refTest(pi, x); got != want {
+			t.Fatalf("k=%d memo fill: %+v != reference %+v", sh.k, got, want)
+		}
+		p := normalizeProbs(pi, len(x))
+		v, ok := m.Nulls.GetLayer(nullKey(p, sh.n, m.Samples, m.Seed), qcache.LayerNull)
+		if !ok {
+			t.Fatalf("k=%d: null distribution not stored", sh.k)
+		}
+		got, want := v.(*nullDist).lps, m.refNullLps(p, sh.n)
+		if len(got) != len(want) {
+			t.Fatalf("k=%d: stored %d order statistics, reference has %d", sh.k, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("k=%d: order statistic %d = %v, reference %v", sh.k, i, got[i], want[i])
+			}
+		}
+		before := m.Nulls.Stats().Layers[qcache.LayerNull].Hits
+		if got, want := m.Test(pi, x2), m.refTest(pi, x2); got != want {
+			t.Fatalf("k=%d memo hit: %+v != reference %+v", sh.k, got, want)
+		}
+		if m.Nulls.Stats().Layers[qcache.LayerNull].Hits != before+1 {
+			t.Fatalf("k=%d: second test did not read the memo", sh.k)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -236,22 +237,47 @@ func TestNormalizeHelpers(t *testing.T) {
 	}
 }
 
+// The benchmarks below run the two test regimes at the shapes a cold
+// ContextRW request produces (shapeCase): exact enumeration over a handful
+// of draws and tens-to-hundreds of categories, Monte-Carlo at n = 25–60
+// draws × the default 20 000 samples over up to 300 categories. Together
+// they are the exact-vs-Monte-Carlo time split of the serving workload,
+// reproducible from this package alone.
+
+var benchSink Result
+
 func BenchmarkExactTest(b *testing.B) {
-	pi := []float64{0.4, 0.3, 0.2, 0.1}
-	x := []int{2, 1, 1, 4}
-	m := Multinomial{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Test(pi, x)
+	for _, sh := range exactShapes {
+		for _, obs := range []string{"mode", "mid", "rare"} {
+			pi, x := shapeCase(sh.k, sh.n, 1, obs)
+			b.Run(fmt.Sprintf("n=%d,k=%d/%s", sh.n, sh.k, obs), func(b *testing.B) {
+				var s Scratch
+				m := Multinomial{}
+				if r := m.TestScratch(pi, x, &s); !r.Exact {
+					b.Fatal("shape left the exact regime")
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					benchSink = m.TestScratch(pi, x, &s)
+				}
+			})
+		}
 	}
 }
 
 func BenchmarkMonteCarloTest(b *testing.B) {
-	pi := []float64{0.4, 0.3, 0.2, 0.1}
-	x := []int{20, 10, 10, 40}
-	m := Multinomial{Samples: 5000}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Test(pi, x)
+	for _, sh := range monteCarloShapes {
+		pi, x := shapeCase(sh.k, sh.n, 1, "mid")
+		b.Run(fmt.Sprintf("n=%d,k=%d", sh.n, sh.k), func(b *testing.B) {
+			var s Scratch
+			m := Multinomial{Seed: 1}
+			if r := m.TestScratch(pi, x, &s); r.Exact {
+				b.Fatal("shape left the Monte-Carlo regime")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = m.TestScratch(pi, x, &s)
+			}
+		})
 	}
 }
