@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/kg"
-	"repro/internal/search"
 	"repro/internal/wal"
 )
 
@@ -168,9 +167,7 @@ func NewDurableEngine(bootstrap *Graph, opt Options, d Durability) (*Engine, *Re
 			return nil, nil, fmt.Errorf("%w: replaying record at epoch %d: %v", wal.ErrCorrupt, rec.Epoch, aerr)
 		}
 	}
-	if view := e.vg.View(); e.idx.Load().NumNodes() < view.G.NumNodes() {
-		e.idx.Store(search.NewIndex(view.G))
-	}
+	e.idx.Load().Extend(e.vg.View().G)
 	e.recovered = len(recov.Records)
 	e.skippedCkpts = recov.SkippedCheckpoints
 	e.wal.Store(l)

@@ -55,12 +55,16 @@
 // and seed layers), so an entry computed against one epoch is never
 // served at another, while re-running a query at an unchanged epoch
 // still pure-hits. Epochs survive no-op batches and compaction (neither
-// changes the readable graph), so warm entries survive them too; stale
-// epochs' entries are not purged eagerly, they simply stop being
-// addressed and age out of the LRU. The null layer is the exception by
-// design: its keys are the context distribution itself, the only input
-// the memoized null depends on, so a distribution that recurs across
-// epochs legitimately reuses its entry.
+// changes the readable graph), so warm entries survive them too. Once a
+// new epoch is published no later request can address the old epoch's
+// entries, so the engine drops those three layers at publish time
+// (Purge) instead of letting dead vectors crowd the LRU until capacity
+// pressure reaches them; a request still pinned to the old epoch simply
+// recomputes, and whatever it stores goes at the next publish. The null
+// layer is the exception by design: its keys are the context
+// distribution itself, the only input the memoized null depends on, so a
+// distribution that recurs across epochs legitimately reuses its entry —
+// and Purge is never asked to touch it.
 package qcache
 
 import (
@@ -157,6 +161,7 @@ type shard struct {
 	hits       [numLayers]uint64
 	misses     [numLayers]uint64
 	evictions  uint64
+	purged     uint64
 }
 
 // entry is one cached key/value pair, stored in its layer's recency list.
@@ -372,6 +377,28 @@ func (sh *shard) remove(el *list.Element) {
 	sh.evictions++
 }
 
+// Purge drops every entry of the given layers — the engine's
+// drop-at-publish for the epoch-keyed layers (see "Epoch keying"). The
+// drops count in Stats.Purged, not Evictions, and leave hit/miss counters
+// and every other layer untouched.
+func (c *Cache) Purge(layers ...Layer) {
+	if c == nil {
+		return
+	}
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		for _, l := range layers {
+			for el := sh.ll[l].Front(); el != nil; el = el.Next() {
+				delete(sh.items, el.Value.(*entry).key)
+			}
+			sh.purged += uint64(sh.ll[l].Len())
+			sh.ll[l].Init()
+			sh.bytes[l] = 0
+		}
+		sh.mu.Unlock()
+	}
+}
+
 func (sh *shard) totalBytes() int64 {
 	var t int64
 	for _, b := range sh.bytes {
@@ -407,8 +434,9 @@ type LayerStats struct {
 // over all shards.
 type Stats struct {
 	// Hits and Misses count Get outcomes across every layer; Evictions
-	// counts entries dropped to make room.
-	Hits, Misses, Evictions uint64
+	// counts entries dropped to make room — the capacity-pressure signal —
+	// and Purged those dropped wholesale by Purge.
+	Hits, Misses, Evictions, Purged uint64
 	// Size is the current entry count, Capacity the bound, Shards the
 	// shared-nothing shard count (0 for the nil cache).
 	Size, Capacity, Shards int
@@ -432,6 +460,7 @@ func (c *Cache) Stats() Stats {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		st.Evictions += sh.evictions
+		st.Purged += sh.purged
 		st.Size += len(sh.items)
 		st.Capacity += sh.capacity
 		st.ByteBudget += sh.byteBudget

@@ -197,9 +197,70 @@ func TestShardedByteBudget(t *testing.T) {
 	}
 }
 
-// TestConcurrentShardedBytesNeverNegative hammers PutSized/Get/Stats from
-// many goroutines with mixed layers and sizes — including refreshes that
-// change an entry's layer — and asserts no per-layer byte counter ever
+// TestPurgeDropsNamedLayersOnly: Purge empties exactly the layers it is
+// given — entries, bytes, map slots — on every shard, counts the drops
+// in Purged and not in Evictions, leaves the other layers' entries,
+// recency and hit/miss counters alone, and the cache keeps working
+// (inserts, budgets, LRU) afterwards.
+func TestPurgeDropsNamedLayersOnly(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		c := NewSharded(Config{Capacity: 400, Shards: shards})
+		for i := 0; i < 40; i++ {
+			for l := 0; l < NumLayers; l++ {
+				c.PutSized(fmt.Sprintf("%s-%d", Layer(l), i), i, Layer(l), int64(10*(l+1)))
+			}
+		}
+		c.GetLayer("null-3", LayerNull)
+		c.GetLayer("absent", LayerSeed)
+		before := c.Stats()
+
+		c.Purge(LayerSelector, LayerTest, LayerSeed)
+		st := c.Stats()
+		if st.SelectorBytes != 0 || st.TestBytes != 0 || st.SeedBytes != 0 {
+			t.Fatalf("shards=%d: purged layers still hold bytes: %+v", shards, st)
+		}
+		if st.NullBytes != before.NullBytes || st.Bytes != before.NullBytes || st.Size != 40 || c.Len() != 40 {
+			t.Fatalf("shards=%d: null layer disturbed: before %+v after %+v", shards, before, st)
+		}
+		if st.Purged != 120 || st.Evictions != before.Evictions {
+			t.Fatalf("shards=%d: purged %d evictions %d -> %d, want 120 drops counted as purges only",
+				shards, st.Purged, before.Evictions, st.Evictions)
+		}
+		if st.Hits != before.Hits || st.Misses != before.Misses {
+			t.Fatalf("shards=%d: purge moved hit/miss counters: %+v -> %+v", shards, before, st)
+		}
+		for i := 0; i < 40; i++ {
+			if v, ok := c.GetLayer(fmt.Sprintf("null-%d", i), LayerNull); !ok || v.(int) != i {
+				t.Fatalf("shards=%d: null entry %d lost", shards, i)
+			}
+			for _, l := range []Layer{LayerSelector, LayerTest, LayerSeed} {
+				if _, ok := c.GetLayer(fmt.Sprintf("%s-%d", l, i), l); ok {
+					t.Fatalf("shards=%d: %s entry %d survived the purge", shards, l, i)
+				}
+			}
+		}
+
+		// A purged layer refills, and capacity eviction still finds the LRU
+		// entry across the reset lists.
+		for i := 0; i < 400; i++ {
+			c.PutSized(fmt.Sprintf("refill-%d", i), i, LayerSeed, 8)
+		}
+		st = c.Stats()
+		if st.Size > 400+shards || st.SeedBytes == 0 || st.Evictions == before.Evictions || st.Purged != 120 {
+			t.Fatalf("shards=%d: cache unhealthy after refill: %+v", shards, st)
+		}
+		c.Purge() // no layers named: nothing happens
+		if again := c.Stats(); again.Size != st.Size || again.Purged != 120 {
+			t.Fatalf("shards=%d: Purge() with no layers dropped entries: %+v", shards, again)
+		}
+	}
+	var nilCache *Cache
+	nilCache.Purge(LayerSelector) // the no-op cache stays a no-op
+}
+
+// TestConcurrentShardedBytesNeverNegative hammers PutSized/Get/Purge/Stats
+// from many goroutines with mixed layers and sizes — including refreshes
+// that change an entry's layer — and asserts no per-layer byte counter ever
 // goes negative and the aggregate equals the layer sum. Run under -race
 // this also exercises the per-shard locking. (Sizes are stored in the
 // entry at insert time; eviction subtracts the stored value, so the
@@ -243,9 +304,12 @@ func TestConcurrentShardedBytesNeverNegative(t *testing.T) {
 				for i := 0; i < 2000; i++ {
 					key := fmt.Sprintf("k%d", rng.Intn(96))
 					layer := Layer(rng.Intn(NumLayers))
-					if rng.Intn(4) == 0 {
+					switch rng.Intn(64) {
+					case 0: // an epoch publish lands between the Puts and Gets
+						c.Purge(LayerSelector, LayerTest, LayerSeed)
+					case 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16:
 						c.GetLayer(key, layer)
-					} else {
+					default:
 						c.PutSized(key, i, layer, int64(rng.Intn(200)))
 					}
 				}

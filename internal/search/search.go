@@ -2,22 +2,36 @@
 //
 // The paper assumes query nodes are given, noting that "there exists a
 // number of techniques that correctly map keywords to nodes in any
-// knowledge graph" [12, 24]. This package is that substrate for the CLI: a
-// token-level inverted index over node names with TF-style scoring, exact
-// and case-insensitive matching, and deterministic ranking.
+// knowledge graph" [12, 24]. This package is that substrate: a token-level
+// inverted index over node names with TF-style scoring, exact and
+// case-insensitive matching, and deterministic ranking. It sits in front
+// of every served request, so resolving an exact name is one map lookup.
+//
+// # Concurrency
+//
+// Node names are immutable and node IDs append-only across the epochs of
+// a live graph, so an index never needs rebuilding for a graph its own
+// graph prefixes: Extend indexes the new IDs in place. Any number of
+// Lookup/Resolve readers and any number of Extend callers may run
+// concurrently; a reader sees the index either before or after an Extend,
+// never in between.
 package search
 
 import (
 	"sort"
 	"strings"
+	"sync"
 	"unicode"
 
 	"repro/internal/kg"
 )
 
-// Index is an inverted index over node names. Build once, query many
-// times; safe for concurrent readers.
+// Index is an inverted index over node names, append-only in place (see
+// Extend) and safe for concurrent use.
 type Index struct {
+	mu sync.RWMutex
+	// g names the indexed nodes: the graph of the latest Extend that added
+	// any.
 	g       *kg.Graph
 	byToken map[string][]kg.NodeID
 	exact   map[string]kg.NodeID
@@ -43,33 +57,52 @@ func Tokenize(s string) []string {
 // NewIndex indexes every node name of g.
 func NewIndex(g *kg.Graph) *Index {
 	idx := &Index{
-		g:          g,
-		byToken:    make(map[string][]kg.NodeID),
-		exact:      make(map[string]kg.NodeID, g.NumNodes()),
-		tokenCount: make([]int, g.NumNodes()),
+		byToken: make(map[string][]kg.NodeID),
+		exact:   make(map[string]kg.NodeID, g.NumNodes()),
 	}
-	for n := 0; n < g.NumNodes(); n++ {
-		id := kg.NodeID(n)
+	idx.Extend(g)
+	return idx
+}
+
+// Extend indexes the nodes of g the index does not cover yet — IDs
+// [NumNodes(), g.NumNodes()), in ID order — leaving exactly the index
+// NewIndex(g) would build. g must extend the indexed graph: same names
+// for the IDs already covered, which every later epoch of one live graph
+// guarantees. A g with no new nodes is a no-op, so callers racing each
+// other with different epochs converge on the longest.
+func (idx *Index) Extend(g *kg.Graph) {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	n := g.NumNodes()
+	if n <= len(idx.tokenCount) {
+		return
+	}
+	idx.g = g
+	for id := kg.NodeID(len(idx.tokenCount)); int(id) < n; id++ {
 		name := g.NodeName(id)
 		idx.exact[strings.ToLower(name)] = id
 		toks := Tokenize(name)
-		idx.tokenCount[n] = len(toks)
-		seen := map[string]bool{}
+		idx.tokenCount = append(idx.tokenCount, len(toks))
 		for _, tok := range toks {
-			if seen[tok] {
+			// Postings grow in ID order, so a token this name already
+			// contributed is the list's last entry.
+			post := idx.byToken[tok]
+			if len(post) > 0 && post[len(post)-1] == id {
 				continue
 			}
-			seen[tok] = true
-			idx.byToken[tok] = append(idx.byToken[tok], id)
+			idx.byToken[tok] = append(post, id)
 		}
 	}
-	return idx
 }
 
 // NumNodes reports how many nodes the index covers — callers serving a
 // live-mutable graph compare it with the current graph's node count to
-// decide whether the index needs a rebuild.
-func (idx *Index) NumNodes() int { return len(idx.tokenCount) }
+// decide whether the index needs an Extend.
+func (idx *Index) NumNodes() int {
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	return len(idx.tokenCount)
+}
 
 // Lookup finds the best matches for a free-text mention. An exact
 // (case-insensitive) name match always ranks first with score 1; otherwise
@@ -80,10 +113,17 @@ func (idx *Index) Lookup(mention string, limit int) []Hit {
 	if limit <= 0 {
 		return nil
 	}
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
 	var hits []Hit
 	lower := strings.ToLower(strings.TrimSpace(mention))
 	if id, ok := idx.exact[lower]; ok {
 		hits = append(hits, Hit{Node: id, Name: idx.g.NodeName(id), Score: 1})
+		if limit == 1 {
+			// Every other candidate scores at most 0.9: the ranking below
+			// would put this hit first and cut the rest.
+			return hits
+		}
 	}
 	tokens := Tokenize(mention)
 	if len(tokens) > 0 {

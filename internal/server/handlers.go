@@ -112,8 +112,10 @@ type streamOutcome struct {
 
 // toQuery resolves a wireQuery into a notable.Query: entity names through
 // the engine's fuzzy resolver, raw node ids validated against the graph.
-func (s *Server) toQuery(wq wireQuery) (notable.Query, error) {
-	eng := s.engine()
+// Handlers call it after awaitMinEpoch: both checks read the current
+// epoch, and the entity a read-your-writes request names may exist only
+// from the epoch it waits for.
+func toQuery(eng *notable.Engine, wq wireQuery) (notable.Query, error) {
 	nodes := make([]notable.NodeID, 0, len(wq.Nodes)+len(wq.Entities))
 	numNodes := eng.Graph().NumNodes()
 	for _, id := range wq.Nodes {
@@ -244,13 +246,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	q, err := s.toQuery(req.wireQuery)
-	if err != nil {
-		s.writeError(w, r, err)
-		return
-	}
 	eng := s.engine()
 	if !s.awaitMinEpoch(w, r, eng) {
+		return
+	}
+	q, err := toQuery(eng, req.wireQuery)
+	if err != nil {
+		s.writeError(w, r, err)
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
@@ -281,18 +283,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badRequestf("empty batch"))
 		return
 	}
+	eng := s.engine()
+	if !s.awaitMinEpoch(w, r, eng) {
+		return
+	}
 	qs := make([]notable.Query, len(req.Queries))
 	for i, wq := range req.Queries {
-		q, err := s.toQuery(wq)
+		q, err := toQuery(eng, wq)
 		if err != nil {
 			s.writeError(w, r, badRequestf("query %d: %v", i, err))
 			return
 		}
 		qs[i] = q
-	}
-	eng := s.engine()
-	if !s.awaitMinEpoch(w, r, eng) {
-		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
 	defer cancel()
@@ -425,18 +427,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badRequestf("empty batch"))
 		return
 	}
+	eng := s.engine()
+	if !s.awaitMinEpoch(w, r, eng) {
+		return
+	}
 	qs := make([]notable.Query, len(req.Queries))
 	for i, wq := range req.Queries {
-		q, err := s.toQuery(wq)
+		q, err := toQuery(eng, wq)
 		if err != nil {
 			s.writeError(w, r, badRequestf("query %d: %v", i, err))
 			return
 		}
 		qs[i] = q
-	}
-	eng := s.engine()
-	if !s.awaitMinEpoch(w, r, eng) {
-		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
 	defer cancel()

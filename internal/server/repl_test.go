@@ -154,10 +154,13 @@ func TestReadOnlyIngest(t *testing.T) {
 
 // TestMinEpoch: the read-your-writes gate — immediate pass at or above
 // the floor, bounded wait for a lagging engine, honest 503 with
-// Retry-After and X-Replica-Epoch on timeout, 400 on garbage.
+// Retry-After and X-Replica-Epoch on timeout, 400 on garbage — and the
+// wait comes before name resolution, so a request for the entity the
+// awaited epoch creates is answered, not refused.
 func TestMinEpoch(t *testing.T) {
 	cfg := quietCfg()
 	cfg.MinEpochWait = 300 * time.Millisecond
+	cfg.MaxInFlight = 16 // the wait-then-pass case parks five requests at once
 	eng := testEngine(notable.Options{})
 	s := New(eng, cfg)
 	ts := httptest.NewServer(s.Handler())
@@ -205,24 +208,68 @@ func TestMinEpoch(t *testing.T) {
 			resp.Header.Get("Retry-After"), resp.Header.Get("X-Replica-Epoch"))
 	}
 
-	// Wait-then-pass: the engine catches up mid-wait and the request
-	// completes with the epoch floor in the response.
+	// Wait-then-pass: requests admitted at epoch 0 with floor 1 park in the
+	// wait, the engine catches up mid-wait, and each completes with the
+	// epoch floor in its response. The batch they wait for creates
+	// "Atlantis", so a request naming it — or sending its node id, out of
+	// range until the bump — can only be resolved after the wait: every
+	// handler must await first and resolve second.
+	atlantis := eng.Graph().NumNodes() // the id the batch interns
+	waiters := []struct{ path, body string }{
+		{"/v1/search", `{"entities":["Angela Merkel","Barack Obama"]}`},
+		{"/v1/search", `{"entities":["Angela Merkel","Atlantis"]}`},
+		{"/v1/search", fmt.Sprintf(`{"nodes":[0,%d]}`, atlantis)},
+		{"/v1/batch", `{"queries":[{"entities":["Barack Obama","Atlantis"]}]}`},
+		{"/v1/stream", fmt.Sprintf(`{"queries":[{"nodes":[0,%d]},{"entities":["atlantis"]}]}`, atlantis)},
+	}
+	admitted := make(chan struct{}, len(waiters))
+	setHook(t, func(*http.Request) { admitted <- struct{}{} })
 	go func() {
+		for range waiters {
+			<-admitted // every waiter is inside the server, at epoch 0
+		}
 		time.Sleep(50 * time.Millisecond)
 		_, _ = eng.ApplyTriples(context.Background(), []notable.Triple{
 			{S: "Angela Merkel", P: "visited", O: "Atlantis"},
 		}, nil)
 	}()
-	resp, data = post("1")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("min-epoch 1 after catch-up: %d %s", resp.StatusCode, data)
+	replies := make([]chan reply, len(waiters))
+	for i, w := range waiters {
+		replies[i] = make(chan reply, 1)
+		go func() { replies[i] <- doPost(ts.URL+w.path, w.body, map[string]string{"X-Min-Epoch": "1"}) }()
 	}
-	var sr searchResponse
-	if err := json.Unmarshal(data, &sr); err != nil {
-		t.Fatal(err)
-	}
-	if sr.Epoch < 1 {
-		t.Fatalf("response epoch %d below the requested floor 1", sr.Epoch)
+	for i, w := range waiters {
+		r := <-replies[i]
+		if r.err != nil || r.status != http.StatusOK {
+			t.Fatalf("%s %s with min-epoch 1 after catch-up: %d %s %v", w.path, w.body, r.status, r.body, r.err)
+		}
+		// Every response carries the epoch floor; a stream carries it per line.
+		var floors []uint64
+		if w.path == "/v1/stream" {
+			for _, line := range strings.Split(strings.TrimSpace(string(r.body)), "\n") {
+				var o streamOutcome
+				if err := json.Unmarshal([]byte(line), &o); err != nil || o.Error != "" || o.Result == nil {
+					t.Fatalf("%s %s: bad stream line %q (%v)", w.path, w.body, line, err)
+				}
+				floors = append(floors, o.Result.Epoch)
+			}
+			if len(floors) != 2 {
+				t.Fatalf("%s %s: %d stream lines, want 2", w.path, w.body, len(floors))
+			}
+		} else { // searchResponse and batchResponse share the field
+			var sr struct {
+				Epoch uint64 `json:"epoch"`
+			}
+			if err := json.Unmarshal(r.body, &sr); err != nil {
+				t.Fatal(err)
+			}
+			floors = append(floors, sr.Epoch)
+		}
+		for _, floor := range floors {
+			if floor < 1 {
+				t.Fatalf("%s %s: response epoch %d below the requested floor 1", w.path, w.body, floor)
+			}
+		}
 	}
 }
 

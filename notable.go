@@ -67,12 +67,16 @@
 // folds in the epoch of the view the request pinned, so an entry
 // computed before an ApplyTriples bump is never served after it — a
 // post-mutation query recomputes against the new graph, while re-running
-// a query at an unchanged epoch still pure-hits. A no-op mutation batch
-// keeps the epoch, and compaction keeps it too, so warm caches survive
-// both. The null layer is keyed by the context distribution itself
-// rather than the epoch — a distribution that happens to survive a
-// mutation legitimately reuses its null, since the test depends on
-// nothing else.
+// a query at an unchanged epoch still pure-hits. Entries of an epoch
+// that has been superseded can never be addressed again, so publishing
+// an epoch drops the three epoch-keyed layers (selector, comparison,
+// seed) on the spot instead of leaving them to the LRU; a request still
+// pinned to the old epoch recomputes, bit for bit. A no-op mutation
+// batch keeps the epoch, and compaction keeps it too, so warm caches
+// survive both. The null layer is keyed by the context distribution
+// itself rather than the epoch — a distribution that happens to survive
+// a mutation legitimately reuses its null, since the test depends on
+// nothing else — and is never purged.
 //
 // # Live mutation
 //
@@ -454,10 +458,11 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 // warm. Returns the epoch now current.
 //
 // Results at the new epoch are exactly those of a graph rebuilt from
-// scratch with the mutation applied — cache layers are epoch-keyed, so
-// nothing stale is ever served — and when the accumulated overlay
-// crosses Options.CompactThreshold a background compactor folds it into
-// a fresh base without changing the epoch or any result bits.
+// scratch with the mutation applied — cache layers are epoch-keyed, and
+// the superseded epoch's entries are dropped as the new one is
+// published, so nothing stale is ever served — and when the accumulated
+// overlay crosses Options.CompactThreshold a background compactor folds
+// it into a fresh base without changing the epoch or any result bits.
 //
 // On a durable engine (NewDurableEngine), an effective batch is appended
 // to the write-ahead log and fsync'd (per the configured sync policy)
@@ -500,17 +505,20 @@ func (e *Engine) applyTriples(ctx context.Context, adds, dels []Triple) (uint64,
 	if l != nil {
 		e.ingestMu.Unlock()
 	}
+	// The engine's half of an epoch bump — also when logging the batch
+	// failed, the store has published it: index the nodes the batch
+	// interned so Resolve/Suggest see them (names are immutable and IDs
+	// append-only, nothing already indexed changes), and drop the cache
+	// entries of the superseded epoch.
+	if view != nil && view.Epoch != before {
+		e.idx.Load().Extend(view.G)
+		e.purgeEpochKeyed()
+	}
 	if err != nil {
 		if view == nil {
 			return e.vg.View().Epoch, fmt.Errorf("%w: %v", ErrBadTriple, err)
 		}
 		return view.Epoch, err
-	}
-	// New nodes need the name index rebuilt so Resolve/Suggest see them.
-	// Names are immutable and IDs append-only, so an index lagging a
-	// node-free mutation stays correct as-is.
-	if idx := e.idx.Load(); idx.NumNodes() < view.G.NumNodes() {
-		e.idx.Store(search.NewIndex(view.G))
 	}
 	if commit != nil {
 		if cerr := commit(); cerr != nil {
@@ -518,6 +526,14 @@ func (e *Engine) applyTriples(ctx context.Context, adds, dels []Triple) (uint64,
 		}
 	}
 	return view.Epoch, nil
+}
+
+// purgeEpochKeyed drops the three cache layers keyed by graph epoch, run
+// wherever an epoch is published: no later request can address the old
+// epoch's entries (see "Caching and determinism"). The content-keyed null
+// layer stays.
+func (e *Engine) purgeEpochKeyed() {
+	e.cache.Purge(qcache.LayerSelector, qcache.LayerTest, qcache.LayerSeed)
 }
 
 // Epoch returns the current graph epoch: 0 at construction, +1 per
@@ -557,7 +573,7 @@ func (e *Engine) Graph() *Graph { return e.vg.View().G }
 // match nothing are reported through an *UnresolvedError carrying the
 // missing names (recover it with errors.As for did-you-mean handling).
 func (e *Engine) Resolve(names ...string) ([]NodeID, error) {
-	ids, missing := e.idx.Load().Resolve(names)
+	ids, missing := e.index().Resolve(names)
 	if len(missing) > 0 {
 		return ids, &UnresolvedError{Missing: missing}
 	}
@@ -566,7 +582,19 @@ func (e *Engine) Resolve(names ...string) ([]NodeID, error) {
 
 // Suggest returns up to limit candidate entities for a mention.
 func (e *Engine) Suggest(mention string, limit int) []search.Hit {
-	return e.idx.Load().Lookup(mention, limit)
+	return e.index().Lookup(mention, limit)
+}
+
+// index returns the name index, caught up with the published view.
+// Ingest extends the index right after the store publishes an epoch; a
+// reader that observed the new epoch inside that gap extends it here
+// instead, so resolution never lags an epoch a reader has already seen.
+func (e *Engine) index() *search.Index {
+	idx := e.idx.Load()
+	if view := e.vg.View(); idx.NumNodes() < view.G.NumNodes() {
+		idx.Extend(view.G)
+	}
+	return idx
 }
 
 // seedCache returns the cache the RandomWalk selector's per-seed PageRank

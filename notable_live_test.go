@@ -216,10 +216,11 @@ func TestApplyTriplesErrorsAndEpochs(t *testing.T) {
 }
 
 // TestConcurrentQueriesDuringApplyAndCompaction races Do and DoStream
-// against a mutating writer with a tiny compaction threshold: every
-// result must be error-free and bitwise equal to the from-scratch result
-// of SOME published epoch — a torn graph would produce a result matching
-// none.
+// against a mutating writer with a tiny compaction threshold, each batch
+// dropping the epoch-keyed cache layers mid-request: every result must be
+// error-free and bitwise equal to the from-scratch result of SOME
+// published epoch — a torn graph, or a cache entry served across epochs,
+// would produce a result matching none.
 func TestConcurrentQueriesDuringApplyAndCompaction(t *testing.T) {
 	opt := Options{ContextSize: 6, Walks: 5000, Seed: 2, CompactThreshold: 4}
 	e := NewEngine(buildLeaders(), opt)
@@ -306,6 +307,11 @@ func TestConcurrentQueriesDuringApplyAndCompaction(t *testing.T) {
 	e.Compact()
 	if st := e.VersionStats(); st.Rebuilds == 0 {
 		t.Fatal("compaction never ran despite threshold 4")
+	}
+	// Every batch also purged the epoch-keyed cache layers under the
+	// readers' feet; the comparison below holds them to the bits anyway.
+	if st := e.CacheStats(); st.Purged == 0 {
+		t.Fatalf("six effective batches purged nothing: %+v", st)
 	}
 
 	// One from-scratch oracle per epoch; every concurrent result must

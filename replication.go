@@ -113,9 +113,9 @@ func (e *Engine) ReplSnapshot() (epoch uint64, rc io.ReadCloser, err error) {
 // engine: a WAL-backed engine's history is its log, and rewriting the
 // live graph underneath it would desynchronize the two. The epoch may
 // only move forward (requests that pinned older views finish on them,
-// as always); the name index is rebuilt for the new graph. Cache
-// entries stay epoch-keyed and so stay correct: an identical epoch
-// implies identical bits under the deterministic-replay invariant.
+// as always). This is the one publish that builds a fresh name index —
+// nothing says the new graph extends the old one — and like every
+// publish it drops the epoch-keyed cache layers.
 func (e *Engine) ResetGraph(g *Graph, epoch uint64) error {
 	if e.wal.Load() != nil {
 		return fmt.Errorf("%w: refusing to reset a durable engine's graph", ErrDurability)
@@ -125,5 +125,6 @@ func (e *Engine) ResetGraph(g *Graph, epoch uint64) error {
 	}
 	e.idx.Store(search.NewIndex(g))
 	e.selMemo.Store(nil)
+	e.purgeEpochKeyed()
 	return nil
 }
