@@ -1,5 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper's
-// evaluation section (see DESIGN.md's experiment index). Each benchmark
+// evaluation section (the experiments of internal/eval, which
+// `cmd/ncbench` prints in full). Each benchmark
 // runs the corresponding experiment end to end and reports the headline
 // quality metric alongside timing; `cmd/ncbench` prints the full tables.
 //
@@ -282,7 +283,7 @@ func BenchmarkAuthorsCase(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches: one design lever switched off at a time ---
 
 // BenchmarkAblationUniformWalk compares informativeness-weighted mining
 // (Eq. 1) against uniform edge choice: the reported metric is the F1 each

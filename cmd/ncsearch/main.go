@@ -62,6 +62,12 @@ func main() {
 		showAll   = flag.Bool("all", false, "print non-notable characteristics too")
 	)
 	flag.Parse()
+	switch *selector {
+	case notable.SelectorContextRW, notable.SelectorRandomWalk, notable.SelectorSimRank, notable.SelectorJaccard:
+	default:
+		fmt.Fprintf(os.Stderr, "ncsearch: unknown -selector %q (want contextrw | randomwalk | simrank | jaccard)\n", *selector)
+		os.Exit(2)
+	}
 
 	if *queryStr == "" && *queryFile == "" && !*refine {
 		fmt.Fprintln(os.Stderr, "ncsearch: -q, -queries, or -refine is required")

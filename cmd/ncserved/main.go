@@ -88,6 +88,12 @@ func main() {
 		follow      = flag.String("follow", "", "primary base URL to replicate from (follower mode: read-only, in-memory)")
 	)
 	flag.Parse()
+	switch *selector {
+	case notable.SelectorContextRW, notable.SelectorRandomWalk, notable.SelectorSimRank, notable.SelectorJaccard:
+	default:
+		fmt.Fprintf(os.Stderr, "ncserved: unknown -selector %q (want contextrw | randomwalk | simrank | jaccard)\n", *selector)
+		os.Exit(2)
+	}
 
 	if *follow != "" && *walDir != "" {
 		fmt.Fprintln(os.Stderr, "ncserved: -follow and -wal-dir are mutually exclusive: a follower's durability is its primary's WAL")

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/corr"
 	"repro/internal/gen"
-	"repro/internal/kg"
+	"repro/internal/ntriples"
 	"repro/internal/stats"
 )
 
@@ -168,12 +168,19 @@ func TestIntegrationSnapshotPreservesResults(t *testing.T) {
 }
 
 func TestIntegrationTripleExportImport(t *testing.T) {
-	// Graph -> snapshot file -> load -> same notable search outcome as a
-	// triple-level round trip through kg.FromStore semantics.
+	// Figure 1 exported as triples and loaded back with LoadGraph (which
+	// renumbers it) still yields the figure's outcome.
 	ds := gen.Figure1()
-	g := ds.Graph
+	g, err := LoadGraph(bytes.NewReader(dumpTriples(ds.Graph, ntriples.FormatTSV)), "type")
+	if err != nil {
+		t.Fatal(err)
+	}
 	engine := NewEngine(g, Options{ContextSize: 3, Walks: 20000, Seed: 27})
-	res, err := engine.Do(context.Background(), Query{Nodes: ds.Query})
+	query, err := engine.Resolve("Angela Merkel", "Barack Obama")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := engine.Do(context.Background(), Query{Nodes: query})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +193,12 @@ func TestIntegrationTripleExportImport(t *testing.T) {
 		t.Fatalf("Figure 1 notables = %v, want hasChild and studied", names)
 	}
 	// And the context is exactly the figure's three leaders.
-	want := map[kg.NodeID]bool{}
+	want := map[string]bool{}
 	for _, c := range ds.Context {
-		want[c] = true
+		want[ds.Graph.NodeName(c)] = true
 	}
 	for _, id := range res.ContextIDs() {
-		if !want[id] {
+		if !want[g.NodeName(id)] {
 			t.Fatalf("unexpected context node %s", g.NodeName(id))
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/gen"
 	"repro/internal/metapath"
 	"repro/internal/ppr"
-	"repro/internal/topk"
 )
 
 // Fig2Result reproduces Figure 2: F1 vs context size for each query-size
@@ -325,11 +324,7 @@ func Table3(d *gen.Dataset, domain string, cfg Config) (Table3Result, error) {
 	for pi, m := range res.NumPaths {
 		sel := ctxsel.ContextRW{NumPaths: m, Walks: cfg.Walks, Seed: cfg.Seed}
 		scores := sel.ScoresWithPaths(d.Graph, query, mined)
-		skip := make(map[uint32]bool)
-		for _, q := range query {
-			skip[q] = true
-		}
-		ranking := rankingFromScores(scores, skip, 200)
+		ranking := ctxsel.TopKFromScores(scores, query, 200)
 		curve := F1Curve(ranking, gt, res.Cuts)
 		for ci := range res.Cuts {
 			res.F1[ci][pi] = curve[ci]
@@ -367,17 +362,4 @@ func Table1Render() string {
 		})
 	}
 	return "Table 1: query entities per domain\n" + table(header, rows)
-}
-
-// rankingFromScores turns a dense score vector into a ranked top-k list,
-// excluding skipped nodes and zero scores (unreached nodes).
-func rankingFromScores(scores []float64, skip map[uint32]bool, k int) []topk.Item {
-	sel := topk.New(k)
-	for id, sc := range scores {
-		if sc == 0 || skip[uint32(id)] {
-			continue
-		}
-		sel.Offer(uint32(id), sc)
-	}
-	return sel.Ranked()
 }

@@ -1,7 +1,7 @@
 // Package eval is the experiment harness: it regenerates every table and
-// figure of the paper's Section 4 against the synthetic datasets (see
-// DESIGN.md for the experiment index and EXPERIMENTS.md for measured
-// results). Each experiment returns a typed result with a Render method
+// figure of the paper's Section 4 (PAPER.md has the abstract) against the
+// synthetic datasets; `go run ./cmd/ncbench` runs them all and prints the
+// results. Each experiment returns a typed result with a Render method
 // that prints the same rows/series the paper reports.
 package eval
 

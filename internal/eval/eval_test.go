@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ctxsel"
 	"repro/internal/dist"
 	"repro/internal/gen"
 	"repro/internal/kg"
@@ -252,8 +253,8 @@ func TestMetricsComparisonOrdering(t *testing.T) {
 	// The paper's finding: the multinomial test tracks expert judgment
 	// better than EMD and at least as well as KL. At this reduced test
 	// scale KL can tie within a switch or two, so the hard assertion is
-	// against EMD; the full-scale comparison in EXPERIMENTS.md shows the
-	// complete FindNC < KL < EMD ordering.
+	// against EMD; the full-scale comparison (`ncbench -exp metrics`) is
+	// where the complete FindNC < KL < EMD ordering is expected.
 	if m.Switches["FindNC"] > m.Switches["EMD"] {
 		t.Fatalf("FindNC switches %d should not exceed EMD %d",
 			m.Switches["FindNC"], m.Switches["EMD"])
@@ -328,10 +329,12 @@ func TestQueryLabel(t *testing.T) {
 	}
 }
 
+// TestRankingFromScores: the cut Table 3 ranks by drops zero scores and
+// the query nodes, and stops short when k exceeds the candidates.
 func TestRankingFromScores(t *testing.T) {
 	scores := []float64{0.5, 0, 0.9, 0.7}
-	items := rankingFromScores(scores, map[uint32]bool{3: true}, 10)
+	items := ctxsel.TopKFromScores(scores, []kg.NodeID{3}, 10)
 	if len(items) != 2 || items[0].ID != 2 || items[1].ID != 0 {
-		t.Fatalf("rankingFromScores = %v", items)
+		t.Fatalf("TopKFromScores = %v", items)
 	}
 }

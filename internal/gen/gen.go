@@ -1,5 +1,6 @@
 // Package gen generates the synthetic datasets that stand in for the
-// paper's evaluation resources (see DESIGN.md, "Substitutions"):
+// paper's evaluation resources (YAGO 2.5, LinkedMDB and crowdsourced
+// ground truth; PAPER.md has the abstract):
 //
 //   - YAGOLike: a general-purpose knowledge graph with three celebrity
 //     domains (politicians, actors, movie contributors), a large distractor

@@ -1,10 +1,9 @@
 package kg
 
 import (
-	"sort"
-
-	"repro/internal/dict"
-	"repro/internal/triplestore"
+	"cmp"
+	"io"
+	"slices"
 )
 
 // rawEdge is a builder-side edge with an explicit source.
@@ -19,9 +18,9 @@ type rawEdge struct {
 // edge under the inverse label (Section 2's modelling assumption); labels
 // can be declared symmetric so that they act as their own inverse.
 type Builder struct {
-	nodes  *dict.Dict
-	labels *dict.Dict
-	types  *dict.Dict
+	nodes  *dict
+	labels *dict
+	types  *dict
 
 	edges     []rawEdge
 	nodeType  []TypeID
@@ -32,9 +31,9 @@ type Builder struct {
 // NewBuilder returns a Builder with capacity hints for nEdges edges.
 func NewBuilder(nEdges int) *Builder {
 	return &Builder{
-		nodes:     dict.New(nEdges / 4),
-		labels:    dict.New(32),
-		types:     dict.New(32),
+		nodes:     newDict(nEdges / 4),
+		labels:    newDict(32),
+		types:     newDict(32),
 		edges:     make([]rawEdge, 0, nEdges),
 		symmetric: make(map[LabelID]bool),
 	}
@@ -49,18 +48,18 @@ func (b *Builder) DisableInverses() *Builder {
 
 // Node interns a node name and returns its ID.
 func (b *Builder) Node(name string) NodeID {
-	id := b.nodes.Put(name)
-	for len(b.nodeType) < b.nodes.Len() {
+	id := b.nodes.put(name)
+	for len(b.nodeType) < b.nodes.len() {
 		b.nodeType = append(b.nodeType, NoType)
 	}
 	return id
 }
 
 // Label interns an edge label name and returns its ID.
-func (b *Builder) Label(name string) LabelID { return b.labels.Put(name) }
+func (b *Builder) Label(name string) LabelID { return b.labels.put(name) }
 
 // Type interns a node type name and returns its ID.
-func (b *Builder) Type(name string) TypeID { return b.types.Put(name) }
+func (b *Builder) Type(name string) TypeID { return b.types.put(name) }
 
 // Symmetric declares label name to be its own inverse (e.g. "spouse").
 // Edges with a symmetric label are mirrored under the same label.
@@ -92,23 +91,23 @@ func (b *Builder) AddEdgeIDs(from NodeID, label LabelID, to NodeID) {
 func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // NumNodes returns the number of interned nodes so far.
-func (b *Builder) NumNodes() int { return b.nodes.Len() }
+func (b *Builder) NumNodes() int { return b.nodes.len() }
 
 // Build freezes the Builder into a Graph. The Builder must not be used
 // afterwards.
 func (b *Builder) Build() *Graph {
 	// Assign inverse labels first so the label dictionary is complete.
-	nFwd := b.labels.Len()
+	nFwd := b.labels.len()
 	inverse := make([]LabelID, nFwd)
 	for l := 0; l < nFwd; l++ {
 		if b.symmetric[LabelID(l)] {
 			inverse[l] = LabelID(l)
 			continue
 		}
-		inverse[l] = b.labels.Put(InverseName(b.labels.String(LabelID(l))))
+		inverse[l] = b.labels.put(InverseName(b.labels.name(LabelID(l))))
 	}
 	// Inverse labels introduced above map back to their base label.
-	full := make([]LabelID, b.labels.Len())
+	full := make([]LabelID, b.labels.len())
 	copy(full, inverse)
 	for l := 0; l < nFwd; l++ {
 		if inv := inverse[l]; int(inv) >= nFwd {
@@ -128,27 +127,9 @@ func (b *Builder) Build() *Graph {
 		}
 	}
 
-	sort.Slice(all, func(i, j int) bool {
-		a, c := all[i], all[j]
-		if a.from != c.from {
-			return a.from < c.from
-		}
-		if a.label != c.label {
-			return a.label < c.label
-		}
-		return a.to < c.to
-	})
-	// Deduplicate exact (from, label, to) repeats.
-	w := 0
-	for i, e := range all {
-		if i == 0 || e != all[i-1] {
-			all[w] = e
-			w++
-		}
-	}
-	all = all[:w]
+	all = sortedUnique(all)
 
-	n := b.nodes.Len()
+	n := b.nodes.len()
 	g := &Graph{
 		nodes:      b.nodes,
 		labels:     b.labels,
@@ -157,7 +138,7 @@ func (b *Builder) Build() *Graph {
 		edges:      make([]Edge, len(all)),
 		nodeType:   b.nodeType,
 		inverse:    full,
-		labelCount: make([]int64, b.labels.Len()),
+		labelCount: make([]int64, b.labels.len()),
 	}
 	for len(g.nodeType) < n {
 		g.nodeType = append(g.nodeType, NoType)
@@ -175,51 +156,95 @@ func (b *Builder) Build() *Graph {
 		g.edges[pos] = Edge{Label: e.label, To: e.to}
 		cursor[e.from]++
 	}
+	g.deriveWeights()
+	b.edges = nil
+	return g
+}
 
-	g.weight = make([]float64, b.labels.Len())
+// sortedUnique sorts es by (from, label, to) and drops exact repeats, in
+// place.
+func sortedUnique(es []rawEdge) []rawEdge {
+	slices.SortFunc(es, func(a, c rawEdge) int {
+		if a.from != c.from {
+			return cmp.Compare(a.from, c.from)
+		}
+		if a.label != c.label {
+			return cmp.Compare(a.label, c.label)
+		}
+		return cmp.Compare(a.to, c.to)
+	})
+	return slices.Compact(es)
+}
+
+// deriveWeights fills the data a CSR implies and no file stores: the
+// label weights of Eq. 1 from labelCount, and every node's weighted
+// out-degree.
+func (g *Graph) deriveWeights() {
+	g.weight = make([]float64, len(g.labelCount))
 	total := float64(len(g.edges))
 	for l := range g.weight {
 		if total > 0 {
 			g.weight[l] = 1 - float64(g.labelCount[l])/total
 		}
 	}
-	g.wdeg = make([]float64, n)
-	for v := 0; v < n; v++ {
+	g.wdeg = make([]float64, g.NumNodes())
+	for v := range g.wdeg {
 		sum := 0.0
 		for _, e := range g.OutEdges(NodeID(v)) {
 			sum += g.weight[e.Label]
 		}
 		g.wdeg[v] = sum
 	}
-	b.edges = nil
-	return g
 }
 
-// FromStore converts a triple store into a Graph. Triples whose predicate
-// equals typePredicate become node-type assignments instead of edges; pass
-// "" to treat every predicate as an edge label. Reverse edges are added
-// unless the builder-level convention is already present in the data (they
-// are deduplicated either way).
-func FromStore(s *triplestore.Store, typePredicate string) *Graph {
-	b := NewBuilder(s.NumTriples())
-	typeP := uint32(triplestore.Wildcard)
-	if typePredicate != "" {
-		if id := s.Predicates().Lookup(typePredicate); id != dict.NoID {
-			typeP = id
+// ReadTriples builds a Graph from statements in input order: next returns
+// them one at a time and io.EOF after the last; any other error aborts the
+// load and is returned as is. Statements whose predicate equals
+// typePredicate assign node types instead of edges; "" makes every
+// predicate an edge label. Reverse edges are added as Build adds them.
+//
+// The input fixes the numbering. Nodes are numbered by first appearance,
+// subject before object, type objects included. The statements are then
+// sorted by (subject, predicate, object) — predicates ranked by first
+// appearance — and deduplicated, and edge labels and types are interned in
+// that order; of several types stated for one node the last in that order
+// wins.
+func ReadTriples(next func() (Triple, error), typePredicate string) (*Graph, error) {
+	b := NewBuilder(1024)
+	preds := newDict(16)
+	for {
+		t, err := next()
+		if err == io.EOF {
+			break
 		}
+		if err != nil {
+			return nil, err
+		}
+		s, p := b.Node(t.S), preds.put(t.P)
+		b.edges = append(b.edges, rawEdge{from: s, label: p, to: b.Node(t.O)})
 	}
-	nodeNames := s.Nodes()
-	predNames := s.Predicates()
-	// Intern nodes first so kg IDs match store IDs where possible.
-	for _, name := range nodeNames.Strings() {
-		b.Node(name)
+	typeP := noID
+	if typePredicate != "" {
+		typeP = preds.lookup(typePredicate)
 	}
-	for _, t := range s.Triples() {
-		if t.P == typeP {
-			b.SetType(nodeNames.String(t.S), nodeNames.String(t.O))
+	// Swap predicate IDs for label IDs in sorted order, moving the type
+	// statements out of the edge list.
+	label := make([]LabelID, preds.len())
+	for i := range label {
+		label[i] = noID
+	}
+	es := b.edges[:0]
+	for _, e := range sortedUnique(b.edges) {
+		if e.label == typeP {
+			b.nodeType[e.from] = b.Type(b.nodes.name(e.to))
 			continue
 		}
-		b.AddEdge(nodeNames.String(t.S), predNames.String(t.P), nodeNames.String(t.O))
+		if label[e.label] == noID {
+			label[e.label] = b.Label(preds.name(e.label))
+		}
+		e.label = label[e.label]
+		es = append(es, e)
 	}
-	return b.Build()
+	b.edges = es
+	return b.Build(), nil
 }

@@ -15,6 +15,12 @@
 // edge slice sorted by (label, target) per node, plus per-node offsets.
 // Graphs are immutable after Build and safe for concurrent readers.
 //
+// kg owns all graph I/O. It interns node, label and type names into dense
+// IDs itself (dict.go); ReadTriples builds a graph from parsed statements
+// in input order; and WriteSnapshot/ReadSnapshot (snapshot.go) are the one
+// binary format that snapshot files, WAL checkpoints and the replication
+// bootstrap share.
+//
 // Live mutation is layered on top of that immutability rather than poked
 // into it: a Versioned store holds the current Graph behind an atomic
 // pointer, and each Apply publishes a fresh copy-on-write overlay Graph
@@ -26,8 +32,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"repro/internal/dict"
 )
 
 // NodeID identifies a node. IDs are dense: 0..NumNodes-1.
@@ -80,9 +84,9 @@ type Edge struct {
 // routes through the patch set first. Both flavors are immutable once
 // published and safe for concurrent readers.
 type Graph struct {
-	nodes  *dict.Dict
-	labels *dict.Dict
-	types  *dict.Dict
+	nodes  *dict
+	labels *dict
+	types  *dict
 
 	offsets []int64 // len NumNodes+1; edge range of node n is edges[offsets[n]:offsets[n+1]]
 	edges   []Edge  // sorted by (Label, To) within each node's range
@@ -131,9 +135,9 @@ func (g *Graph) NumLabels() int { return len(g.inverse) }
 // NumTypes returns the number of distinct node types.
 func (g *Graph) NumTypes() int {
 	if g.ov != nil {
-		return g.types.Len() + g.ov.typeX.count()
+		return g.types.len() + g.ov.typeX.count()
 	}
-	return g.types.Len()
+	return g.types.len()
 }
 
 // NodeName returns the name of node n.
@@ -143,16 +147,16 @@ func (g *Graph) NodeName(n NodeID) string {
 			return name
 		}
 	}
-	return g.nodes.String(n)
+	return g.nodes.name(n)
 }
 
 // NodeByName returns the ID of the named node, and whether it exists.
 func (g *Graph) NodeByName(name string) (NodeID, bool) {
-	id := g.nodes.Lookup(name)
-	if id == dict.NoID && g.ov != nil {
+	id := g.nodes.lookup(name)
+	if id == noID && g.ov != nil {
 		return g.ov.nodeX.lookup(name)
 	}
-	return id, id != dict.NoID
+	return id, id != noID
 }
 
 // LabelName returns the name of edge label l.
@@ -162,16 +166,16 @@ func (g *Graph) LabelName(l LabelID) string {
 			return name
 		}
 	}
-	return g.labels.String(l)
+	return g.labels.name(l)
 }
 
 // LabelByName returns the ID of the named edge label, and whether it exists.
 func (g *Graph) LabelByName(name string) (LabelID, bool) {
-	id := g.labels.Lookup(name)
-	if id == dict.NoID && g.ov != nil {
+	id := g.labels.lookup(name)
+	if id == noID && g.ov != nil {
 		return g.ov.labelX.lookup(name)
 	}
-	return id, id != dict.NoID
+	return id, id != noID
 }
 
 // TypeName returns the name of node type t.
@@ -184,7 +188,7 @@ func (g *Graph) TypeName(t TypeID) string {
 			return name
 		}
 	}
-	return g.types.String(t)
+	return g.types.name(t)
 }
 
 // TypeOf returns φ(n), the primary type of node n (NoType if unset).

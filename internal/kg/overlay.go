@@ -1,10 +1,6 @@
 package kg
 
-import (
-	"sync"
-
-	"repro/internal/dict"
-)
+import "sync"
 
 // overlay is the copy-on-write patch set of an overlay Graph: a shared,
 // immutable base graph plus the per-node adjacency slices that differ
@@ -148,7 +144,7 @@ func (x *extraNames) count() int {
 
 func (x *extraNames) lookup(name string) (uint32, bool) {
 	if x == nil {
-		return dict.NoID, false
+		return noID, false
 	}
 	id, ok := x.byStr[name]
 	return id, ok

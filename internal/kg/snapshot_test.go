@@ -2,11 +2,14 @@ package kg
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"io"
 	"math/rand"
 	"testing"
-
-	"repro/internal/snapshot"
+	"testing/iotest"
+	"testing/quick"
 )
 
 func TestSnapshotRoundTripFigure1(t *testing.T) {
@@ -77,23 +80,253 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	}
 }
 
+// TestSnapshotDetectsTruncation cuts the snapshot at every length, inside
+// the header, the payload and the trailer alike.
 func TestSnapshotDetectsTruncation(t *testing.T) {
 	g := figure1()
 	var buf bytes.Buffer
 	if err := g.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()[:buf.Len()/2]
-	_, err := ReadSnapshot(bytes.NewReader(data))
-	if !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	for n := 0; n < buf.Len(); n++ {
+		_, err := ReadSnapshot(bytes.NewReader(buf.Bytes()[:n]))
+		if !errors.Is(err, errCorrupt) {
+			t.Fatalf("cut at %d of %d: err = %v, want errCorrupt", n, buf.Len(), err)
+		}
+	}
+}
+
+// TestSnapshotDetectsEveryFlippedByte flips each byte of a snapshot in
+// turn; header checks, range checks or the CRC must reject every one.
+func TestSnapshotDetectsEveryFlippedByte(t *testing.T) {
+	var buf bytes.Buffer
+	if err := figure1().WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < buf.Len(); i++ {
+		data := bytes.Clone(buf.Bytes())
+		data[i] ^= 0xff
+		if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, errCorrupt) {
+			t.Fatalf("byte %d flipped: err = %v, want errCorrupt", i, err)
+		}
 	}
 }
 
 func TestSnapshotRejectsWrongMagic(t *testing.T) {
 	_, err := ReadSnapshot(bytes.NewReader([]byte("not a snapshot at all")))
-	if !errors.Is(err, snapshot.ErrCorrupt) {
-		t.Fatalf("err = %v, want ErrCorrupt", err)
+	if !errors.Is(err, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt", err)
+	}
+}
+
+func TestSnapshotRejectsWrongVersion(t *testing.T) {
+	var buf bytes.Buffer
+	if err := figure1().WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[len(snapMagic):], snapVersion+1)
+	if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt", err)
+	}
+}
+
+// TestSnapshotReadError: a failing reader is reported as corruption, as a
+// short read would be.
+func TestSnapshotReadError(t *testing.T) {
+	r := io.MultiReader(bytes.NewReader([]byte(snapMagic)), iotest.ErrReader(errors.New("link down")))
+	if _, err := ReadSnapshot(r); !errors.Is(err, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt", err)
+	}
+}
+
+// snapshotBytes frames payload with the header and a correct trailer, so
+// only the payload's structure is under test.
+func snapshotBytes(payload []byte) []byte {
+	out := append([]byte(snapMagic), 0, 0, 0, 0)
+	binary.LittleEndian.PutUint32(out[len(snapMagic):], snapVersion)
+	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+}
+
+// TestSnapshotRejectsHugeCounts: a CRC-valid payload whose node count
+// exceeds the bytes left is refused before anything is sized by it.
+func TestSnapshotRejectsHugeCounts(t *testing.T) {
+	data := snapshotBytes(binary.AppendUvarint(nil, 1<<40))
+	if _, err := ReadSnapshot(bytes.NewReader(data)); !errors.Is(err, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt", err)
+	}
+}
+
+func TestSnapshotIgnoresTrailingBytes(t *testing.T) {
+	g := figure1()
+	var buf bytes.Buffer
+	if err := g.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	buf.WriteString("trailing")
+	got, err := ReadSnapshot(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsEqual(t, g, got)
+}
+
+// chunkWriter records the largest single Write and fails every Write
+// after the first failAfter.
+type chunkWriter struct {
+	bytes.Buffer
+	writes, failAfter, largest int
+}
+
+func (w *chunkWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.failAfter > 0 && w.writes > w.failAfter {
+		return 0, errors.New("disk full")
+	}
+	w.largest = max(w.largest, len(p))
+	return w.Buffer.Write(p)
+}
+
+// TestSnapshotWritesInChunks: a snapshot several chunks long reaches the
+// writer in bounded pieces, reads back to the same graph, and a write
+// failure part-way is reported.
+func TestSnapshotWritesInChunks(t *testing.T) {
+	g := benchGraph()
+	var w chunkWriter
+	if err := g.WriteSnapshot(&w); err != nil {
+		t.Fatal(err)
+	}
+	if w.Len() < 2*snapChunk || w.largest > snapChunk+64 {
+		t.Fatalf("%d bytes in %d writes, largest %d; want several chunks of at most %d", w.Len(), w.writes, w.largest, snapChunk+64)
+	}
+	got, err := ReadSnapshot(&w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertGraphsEqual(t, g, got)
+
+	if err := g.WriteSnapshot(&chunkWriter{failAfter: 2}); err == nil {
+		t.Fatal("WriteSnapshot returned nil after a failed write")
+	}
+}
+
+func mustDecoder(t *testing.T, payload []byte) *decoder {
+	t.Helper()
+	d, err := newDecoder(snapshotBytes(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestDecoderPrimitives(t *testing.T) {
+	var p []byte
+	p = binary.AppendUvarint(p, 0)
+	p = binary.AppendUvarint(p, 1<<40)
+	p = binary.AppendVarint(p, -12345)
+	p = binary.AppendUvarint(p, uint64(len("hello, 世界")))
+	p = append(p, "hello, 世界"...)
+	d := mustDecoder(t, p)
+	if got := d.uvarint(); got != 0 {
+		t.Fatalf("uvarint = %d", got)
+	}
+	if got := d.uvarint(); got != 1<<40 {
+		t.Fatalf("uvarint = %d", got)
+	}
+	if got := d.varint(); got != -12345 {
+		t.Fatalf("varint = %d", got)
+	}
+	if got := d.str(); got != "hello, 世界" {
+		t.Fatalf("str = %q", got)
+	}
+	if err := d.close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDecoderVarintProperty(t *testing.T) {
+	f := func(us []uint64, is []int64) bool {
+		var p []byte
+		for _, u := range us {
+			p = binary.AppendUvarint(p, u)
+		}
+		for _, i := range is {
+			p = binary.AppendVarint(p, i)
+		}
+		d, err := newDecoder(snapshotBytes(p))
+		if err != nil {
+			return false
+		}
+		for _, u := range us {
+			if d.uvarint() != u {
+				return false
+			}
+		}
+		for _, i := range is {
+			if d.varint() != i {
+				return false
+			}
+		}
+		return d.close() == nil
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDecoderRejectsOversizedString(t *testing.T) {
+	d := mustDecoder(t, binary.AppendUvarint(nil, 1<<40)) // absurd length prefix
+	if d.str(); !errors.Is(d.err, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt", d.err)
+	}
+}
+
+func TestDecoderRejectsWrongMagic(t *testing.T) {
+	data := snapshotBytes(binary.AppendUvarint(nil, 7))
+	copy(data, "WRONGMAG")
+	if _, err := newDecoder(data); !errors.Is(err, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt", err)
+	}
+}
+
+// TestDecoderDetectsTruncatedFile drops part of a string and the trailer:
+// the string read or the checksum check must fail.
+func TestDecoderDetectsTruncatedFile(t *testing.T) {
+	s := "truncate me please, a reasonably long payload"
+	data := snapshotBytes(append(binary.AppendUvarint(nil, uint64(len(s))), s...))
+	d, err := newDecoder(data[:len(data)-6])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.str()
+	if err := d.close(); !errors.Is(err, errCorrupt) {
+		t.Fatalf("close err = %v, want errCorrupt", err)
+	}
+}
+
+func TestDecoderStickyError(t *testing.T) {
+	d := mustDecoder(t, nil)
+	d.data = d.data[:d.off] // drop the trailer too: nothing left to read
+	d.uvarint()
+	first := d.err
+	if !errors.Is(first, errCorrupt) {
+		t.Fatalf("err = %v, want errCorrupt on an empty payload", first)
+	}
+	if d.varint() != 0 || d.str() != "" || d.err != first || d.close() != first {
+		t.Fatal("error not sticky")
+	}
+}
+
+func TestDecoderChecksumMismatch(t *testing.T) {
+	data := snapshotBytes(binary.AppendUvarint(nil, 7))
+	data[len(data)-1] ^= 1
+	d, err := newDecoder(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.uvarint()
+	if err := d.close(); !errors.Is(err, errCorrupt) {
+		t.Fatalf("close err = %v, want errCorrupt", err)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/dict"
 )
 
 // Triple is one (subject, predicate, object) fact in a mutation batch,
@@ -25,7 +23,7 @@ const DefaultCompactThreshold = 4096
 // VersionedOptions configures a Versioned store.
 type VersionedOptions struct {
 	// TypePredicate names the predicate whose triples assign node types
-	// rather than edges (mirroring FromStore). Empty means every
+	// rather than edges (mirroring ReadTriples). Empty means every
 	// predicate is an edge label.
 	TypePredicate string
 	// CompactThreshold is the overlay triple count (adds + dels since
@@ -289,18 +287,18 @@ func newMutator(prev *Graph) *mutator {
 		for k, vv := range o.typePatch {
 			m.typePatch[k] = vv
 		}
-		m.nodeX = o.nodeX.clone(m.base.nodes.Len())
-		m.labelX = o.labelX.clone(m.base.labels.Len())
-		m.typeX = o.typeX.clone(m.base.types.Len())
+		m.nodeX = o.nodeX.clone(m.base.nodes.len())
+		m.labelX = o.labelX.clone(m.base.labels.len())
+		m.typeX = o.typeX.clone(m.base.types.len())
 		m.adds, m.dels = o.adds, o.dels
 	} else {
 		m.base = prev
 		m.n, m.m = prev.NumNodes(), prev.NumEdges()
 		m.patched = make(map[NodeID][]Edge, 4)
 		m.typePatch = make(map[NodeID]TypeID, 1)
-		m.nodeX = (*extraNames)(nil).clone(m.base.nodes.Len())
-		m.labelX = (*extraNames)(nil).clone(m.base.labels.Len())
-		m.typeX = (*extraNames)(nil).clone(m.base.types.Len())
+		m.nodeX = (*extraNames)(nil).clone(m.base.nodes.len())
+		m.labelX = (*extraNames)(nil).clone(m.base.labels.len())
+		m.typeX = (*extraNames)(nil).clone(m.base.types.len())
 	}
 	m.inverse = append([]LabelID(nil), prev.inverse...)
 	m.labelCount = append([]int64(nil), prev.labelCount...)
@@ -309,7 +307,7 @@ func newMutator(prev *Graph) *mutator {
 
 // node interns a node name, assigning the next dense ID when new.
 func (m *mutator) node(name string) NodeID {
-	if id := m.base.nodes.Lookup(name); id != dict.NoID {
+	if id := m.base.nodes.lookup(name); id != noID {
 		return id
 	}
 	if id, ok := m.nodeX.lookup(name); ok {
@@ -321,14 +319,14 @@ func (m *mutator) node(name string) NodeID {
 }
 
 func (m *mutator) lookupNode(name string) (NodeID, bool) {
-	if id := m.base.nodes.Lookup(name); id != dict.NoID {
+	if id := m.base.nodes.lookup(name); id != noID {
 		return id, true
 	}
 	return m.nodeX.lookup(name)
 }
 
 func (m *mutator) lookupLabel(name string) (LabelID, bool) {
-	if id := m.base.labels.Lookup(name); id != dict.NoID {
+	if id := m.base.labels.lookup(name); id != noID {
 		return id, true
 	}
 	return m.labelX.lookup(name)
@@ -365,14 +363,14 @@ func (m *mutator) internLabel(name string) LabelID {
 }
 
 func (m *mutator) lookupType(name string) (TypeID, bool) {
-	if id := m.base.types.Lookup(name); id != dict.NoID {
+	if id := m.base.types.lookup(name); id != noID {
 		return id, true
 	}
 	return m.typeX.lookup(name)
 }
 
 func (m *mutator) typeID(name string) TypeID {
-	if id := m.base.types.Lookup(name); id != dict.NoID {
+	if id := m.base.types.lookup(name); id != noID {
 		return id
 	}
 	if id, ok := m.typeX.lookup(name); ok {
@@ -443,7 +441,7 @@ func (m *mutator) removeEdge(from NodeID, l LabelID, to NodeID) bool {
 func (m *mutator) add(t Triple, typePred string) {
 	if typePred != "" && t.P == typePred {
 		s := m.node(t.S)
-		m.node(t.O) // type objects are interned as nodes, as FromStore does
+		m.node(t.O) // type objects are interned as nodes, as ReadTriples does
 		tt := m.typeID(t.O)
 		if m.effectiveType(s) != tt {
 			m.typePatch[s] = tt

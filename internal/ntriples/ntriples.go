@@ -9,7 +9,7 @@
 //
 // The reader auto-detects the format per line, so mixed files load fine.
 // Both formats identify terms by their string form; the caller interns them
-// into a triplestore or kg builder.
+// (notable.LoadGraph feeds a Reader to kg.ReadTriples).
 package ntriples
 
 import (
@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/triplestore"
 )
 
 // Statement is a parsed (subject, predicate, object) string triple.
@@ -217,36 +215,3 @@ func (w *Writer) Count() int { return w.n }
 
 // Flush flushes buffered output.
 func (w *Writer) Flush() error { return w.w.Flush() }
-
-// LoadStore reads every statement from r into a new triple store.
-func LoadStore(r io.Reader) (*triplestore.Store, error) {
-	rd := NewReader(r)
-	b := triplestore.NewBuilder(1024)
-	for {
-		st, err := rd.Read()
-		if err == io.EOF {
-			return b.Freeze(), nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		b.Add(st.S, st.P, st.O)
-	}
-}
-
-// DumpStore writes every triple of s to w in the given format.
-func DumpStore(s *triplestore.Store, w io.Writer, format Format) (int, error) {
-	wr := NewWriter(w, format)
-	nodes, preds := s.Nodes(), s.Predicates()
-	for _, t := range s.Triples() {
-		st := Statement{
-			S: nodes.String(t.S),
-			P: preds.String(t.P),
-			O: nodes.String(t.O),
-		}
-		if err := wr.Write(st); err != nil {
-			return wr.Count(), err
-		}
-	}
-	return wr.Count(), wr.Flush()
-}

@@ -195,32 +195,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestLoadDumpStore(t *testing.T) {
-	in := "merkel\tleaderOf\tgermany\nobama\tleaderOf\tusa\nmerkel\tstudied\tphysics\n"
-	store, err := LoadStore(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if store.NumTriples() != 3 {
-		t.Fatalf("NumTriples = %d, want 3", store.NumTriples())
-	}
-	var buf bytes.Buffer
-	n, err := DumpStore(store, &buf, FormatTSV)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 3 {
-		t.Fatalf("DumpStore wrote %d, want 3", n)
-	}
-	again, err := LoadStore(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.NumTriples() != 3 {
-		t.Fatalf("reloaded NumTriples = %d", again.NumTriples())
-	}
-}
-
 func BenchmarkReadTSV(b *testing.B) {
 	var sb strings.Builder
 	for i := 0; i < 10000; i++ {

@@ -397,11 +397,6 @@ type pendingSolve struct {
 	idx int // unique-seed index, addressing solves
 }
 
-// fixedPointMinRem is the remaining-iteration count above which a dense
-// block checks columns for bitwise fixed points. Below it the scan costs
-// more than the iterations it could save.
-const fixedPointMinRem = 16
-
 // denseCol tracks one active column of a dense block.
 type denseCol struct {
 	rem  int
@@ -412,11 +407,9 @@ type denseCol struct {
 // solveDenseBlock runs the remaining dense iterations of up to
 // MaxGatherBlock single-seed solves as blocked multi-vector steps. Each
 // iteration is one gather over the shared edge stream plus a per-column
-// teleport; a column retires when its iterations are done or when it hits
-// a bitwise fixed point (p == next everywhere), after which further
-// iterations could not change another bit. Retiring repacks the block to
-// the narrower stride, preserving column order, and reports the finished
-// seed through onRetire — the streaming release hook (pass a no-op for
+// teleport; a column retires when its iterations are done. Retiring
+// repacks the block to the narrower stride, preserving column order, and
+// reports the finished seed through onRetire — the streaming release hook (pass a no-op for
 // barriered callers). Cancellation is checked between gathers; abandoned
 // columns simply never retire.
 func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSolve, solves []perSeed, opt Options, n int, onRetire func(idx int)) {
@@ -436,11 +429,6 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 		solves[ps.idx].ws = nil
 		ws.release()
 	}
-	// Fixed-point dropout pays when it can save many iterations but is a
-	// per-iteration column scan; short tails (the paper's 10-iteration
-	// runs) skip it. Skipping never changes results — dropout only elides
-	// iterations that would reproduce the same bits.
-	checkFixedPoint := blk[0].rem > fixedPointMinRem
 	c := opt.Damping
 	for b > 0 {
 		if ctx.Err() != nil {
@@ -454,11 +442,6 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 			restart := (1 - c) + c*dangling[j]
 			nextM[int(cols[j].seed)*b+j] += restart * 1
 			cols[j].rem--
-			if checkFixedPoint && cols[j].rem > 0 && fixedPointCol(pm, nextM, b, j, n) {
-				// Bitwise fixed point: every further iteration reproduces
-				// this exact column, so stop iterating it now.
-				cols[j].rem = 0
-			}
 			if cols[j].rem == 0 {
 				retired = true
 			}
@@ -501,16 +484,4 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 			onRetire(idx)
 		}
 	}
-}
-
-// fixedPointCol reports whether column j is bitwise identical in p and
-// next. Early exit on the first differing node keeps the common
-// (unconverged) case nearly free.
-func fixedPointCol(p, next []float64, b, j, n int) bool {
-	for x := 0; x < n; x++ {
-		if p[x*b+j] != next[x*b+j] {
-			return false
-		}
-	}
-	return true
 }

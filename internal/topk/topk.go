@@ -5,6 +5,11 @@
 // highest score" out of up to |V| candidates. A bounded min-heap does this
 // in O(n log k) time and O(k) space. Ties are broken by the smaller item ID
 // so selections are deterministic regardless of insertion order.
+//
+// It stands alone, rather than inside ctxsel, because Item is a shared
+// vocabulary type: it is notable.ContextItem in the public API, core and
+// eval pass rankings of it around, and the benchmark harness under bench/
+// imports it directly.
 package topk
 
 import (

@@ -10,8 +10,8 @@
 //	           uvarint nAdds  nAdds × triple
 //	triple  := string S  string P  string O      (uvarint length + bytes)
 //
-// The CRC uses the IEEE polynomial over the payload only, mirroring
-// internal/snapshot's trailer. Epochs are the post-apply epoch of the
+// The CRC uses the IEEE polynomial over the payload only, mirroring the
+// graph snapshot trailer (kg/snapshot.go). Epochs are the post-apply epoch of the
 // batch: replaying record N over the graph state at epoch N-1 must
 // republish exactly epoch N.
 package wal

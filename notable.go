@@ -707,15 +707,19 @@ func (cs cachedSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]No
 	if len(missQueries) == 0 {
 		return out
 	}
-	// A vector is stored only under a live ctx: a streaming selector only
-	// releases complete vectors, but the gate keeps the contract obvious.
 	store := func(j int, scores []float64) {
-		if key := missKeys[j]; key != "" && ctx.Err() == nil {
+		if key := missKeys[j]; key != "" {
 			cs.cache.PutSized(key, scores, qcache.LayerSelector, 8*int64(len(scores))+int64(len(key))+48)
 		}
 	}
 	if ready != nil {
 		cs.inner.Scores(ctx, g, missQueries, func(j int, scores []float64) {
+			// One probe gates both: once ctx is done a vector is neither
+			// stored nor released (the ctxsel.Selector contract), even if
+			// the inner selector did not look at ctx before releasing it.
+			if ctx.Err() != nil {
+				return
+			}
 			store(j, scores)
 			ready(missIdx[j], scores)
 		})
@@ -809,13 +813,20 @@ func (e *Engine) DoCompare(ctx context.Context, query, contextSet []NodeID, q Qu
 
 // LoadGraph reads triples (N-Triples subset or TSV) from r and builds a
 // graph. Triples whose predicate equals typePredicate become node types;
-// pass "" to keep them as edges.
+// pass "" to keep them as edges. Node IDs follow first appearance in r,
+// subject before object (type objects are nodes too); label and type IDs
+// follow the statements sorted by (subject, predicate, object) in those
+// IDs, predicates ranked by first appearance — see kg.ReadTriples.
 func LoadGraph(r io.Reader, typePredicate string) (*Graph, error) {
-	store, err := ntriples.LoadStore(r)
+	rd := ntriples.NewReader(r)
+	g, err := kg.ReadTriples(func() (kg.Triple, error) {
+		st, err := rd.Read()
+		return kg.Triple(st), err
+	}, typePredicate)
 	if err != nil {
 		return nil, fmt.Errorf("notable: loading triples: %w", err)
 	}
-	return kg.FromStore(store, typePredicate), nil
+	return g, nil
 }
 
 // LoadGraphFile loads a graph from a file path: binary snapshots (written

@@ -436,6 +436,9 @@ func TestQueryValidation(t *testing.T) {
 		{"Alpha", Query{Nodes: nodes, Alpha: 1}},
 		{"Alpha", Query{Nodes: nodes, Alpha: 1.5}},
 		{"TestSamples", Query{Nodes: nodes, TestSamples: -5}},
+		// ctxsel.RandomWalk's Name(), not the Selector* constant.
+		{"Selector", Query{Nodes: nodes, Selector: "RandomWalk"}},
+		{"Selector", Query{Nodes: nodes, Selector: "pagerank"}},
 	}
 	for _, tc := range cases {
 		_, err := e.Do(ctx, tc.q)
@@ -467,6 +470,17 @@ func TestQueryValidation(t *testing.T) {
 	}
 	if outcomes[1].Err != nil || len(outcomes[1].Result.Characteristics) == 0 {
 		t.Fatalf("stream outcome 1 = %+v, want a completed result", outcomes[1])
+	}
+
+	// An unknown selector fails per index in both batch modes too.
+	_, err = e.DoBatch(ctx, []Query{{Nodes: nodes}, {Nodes: nodes, Selector: "RandomWalk"}})
+	if !errors.Is(err, ErrBadQuery) || !contains(err.Error(), "batch index 1") || !contains(err.Error(), "Selector") {
+		t.Fatalf("DoBatch err = %v, want ErrBadQuery naming Selector at index 1", err)
+	}
+	for o := range e.DoStream(ctx, []Query{{Nodes: nodes}, {Nodes: nodes, Selector: "RandomWalk"}}) {
+		if bad := o.Index == 1; bad != errors.Is(o.Err, ErrBadQuery) {
+			t.Fatalf("stream outcome %d err = %v", o.Index, o.Err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/ctxsel"
+	"repro/internal/kg"
 	"repro/internal/qcache"
 )
 
@@ -143,5 +144,41 @@ func TestCachedSelectorCancelled(t *testing.T) {
 				t.Fatalf("%s: vector %d after cancelled calls differs — a partial entry was stored", mode.name, i)
 			}
 		}
+	}
+}
+
+// releaseAllSelector is a streaming selector that releases one vector per
+// query without ever probing ctx, leaving the cut to its wrapper.
+type releaseAllSelector struct{}
+
+func (releaseAllSelector) Name() string { return "release-all" }
+
+func (releaseAllSelector) Scores(_ context.Context, g *kg.Graph, queries [][]NodeID, ready func(int, []float64)) [][]float64 {
+	for i := range queries {
+		ready(i, make([]float64, g.NumNodes()))
+	}
+	return nil
+}
+
+// TestCachedSelectorWithholdsReleaseAfterCut: the cache wrapper's own ctx
+// probe sees the cut before the second release, so that vector is neither
+// stored nor handed to the caller.
+func TestCachedSelectorWithholdsReleaseAfterCut(t *testing.T) {
+	g := buildLeaders()
+	e := NewEngine(g, Options{})
+	sel := e.cachedSelectorFor(releaseAllSelector{}, e.opt, "e0")
+	ctx := newCountdownCtx(1)
+	var released []int
+	sel.Scores(ctx, g, leaderQueries(t, e, 2), func(i int, _ []float64) {
+		if ctx.left.Load() < 0 {
+			t.Fatalf("query %d released after the cut", i)
+		}
+		released = append(released, i)
+	})
+	if !reflect.DeepEqual(released, []int{0}) {
+		t.Fatalf("released %v, want only query 0", released)
+	}
+	if n := e.CacheStats().Size; n != 1 {
+		t.Fatalf("cache holds %d entries, want query 0's vector alone", n)
 	}
 }

@@ -72,7 +72,8 @@ type Query struct {
 // validate rejects override values no engine configuration could make
 // valid. Zero values are never errors — they mean "inherit the engine's
 // option" — so validation only fires on explicit nonsense: negative
-// sizes/counts and significance levels outside (0, 1).
+// sizes/counts, significance levels outside (0, 1), and selector names
+// other than the four Selector* constants.
 func (q Query) validate() error {
 	if len(q.Nodes) == 0 {
 		return ErrEmptyQuery
@@ -91,7 +92,12 @@ func (q Query) validate() error {
 	case q.Damping != 0 && (q.Damping <= 0 || q.Damping >= 1):
 		return fmt.Errorf("%w: Damping %v outside (0, 1)", ErrBadQuery, q.Damping)
 	}
-	return nil
+	switch q.Selector {
+	case "", SelectorContextRW, SelectorRandomWalk, SelectorSimRank, SelectorJaccard:
+		return nil
+	}
+	return fmt.Errorf("%w: Selector %q is none of %q, %q, %q, %q", ErrBadQuery, q.Selector,
+		SelectorContextRW, SelectorRandomWalk, SelectorSimRank, SelectorJaccard)
 }
 
 // apply returns o with q's non-zero overrides folded in.
