@@ -10,7 +10,7 @@
 //     level; its score is δ = max(δ_Inst, δ_Card) ∈ (0.95, 1].
 //
 // Labels are tested concurrently on a bounded worker pool (optionally
-// memoized through Options.TestCache); results are deterministic for a
+// memoized through Options.Cache); results are deterministic for a
 // fixed seed because every randomized component takes an explicit seed
 // and each label's record lands at a fixed slot before the final sort.
 //
@@ -19,7 +19,7 @@
 // between sweeps) and the comparison stage's worker pool (checked between
 // label tests), and returns ctx.Err() once the request is cancelled — a
 // dropped request stops burning CPU mid-solve. Cancellation never
-// corrupts shared caches: only complete records and vectors are stored.
+// corrupts shared caches: only complete records and contexts are stored.
 // FindNCStream (stream.go) additionally releases each query of a batch as
 // it completes instead of barriering.
 package core
@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync/atomic"
@@ -120,20 +121,10 @@ type Options struct {
 	Parallelism int
 	// Seed drives every randomized component.
 	Seed int64
-	// TestCache, when non-nil, memoizes per-label Characteristic records
-	// across CompareSets calls, keyed on (label, query multiset, ranked
-	// context, test options, policy). A warm hit skips distribution
-	// building and the multinomial test outright. The cached master
-	// record is private to the cache: every result handed to a caller
-	// carries freshly cloned distribution slices, so callers own and may
-	// mutate what they receive, cached or not. Keys fold CacheTag, which
-	// carries the graph epoch when the cache serves a live-mutable graph.
-	TestCache *qcache.Cache
-	// CacheTag is folded verbatim into every TestCache key. Callers
-	// serving a mutable graph put the graph's epoch here so records
-	// computed against one epoch are never served at another;
-	// single-graph callers may leave it empty.
-	CacheTag string
+	// Cache, when non-nil, memoizes ranked contexts (see Contexts) and
+	// per-label test records (see CompareSets) across calls. A pointer for
+	// the same reason as Obs.
+	Cache *Cache
 
 	// Obs, when non-nil, receives per-stage wall times: one Select
 	// observation per FindNC call and per batch select phase (cache hits
@@ -145,6 +136,17 @@ type Options struct {
 	// worker closure captures opt, and a larger Options would force a
 	// heap copy on every call.
 	Obs *StageObs
+}
+
+// Cache is the memo a search consults: the entry store plus its two
+// layers' key prefixes, built once per (graph epoch, effective options).
+type Cache struct {
+	Store *qcache.Cache // the entries; required
+	// Tag leads every test-layer key: the graph epoch, for a mutable graph.
+	Tag string
+	// SelectorPrefix leads every selector-layer key: it must identify
+	// Options.Selector, every setting that changes its scores, and the epoch.
+	SelectorPrefix string
 }
 
 // StageObs bundles the per-stage latency histograms a caller may attach
@@ -245,14 +247,14 @@ func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (R
 	}
 	opt = opt.withDefaults()
 	selStart := time.Now()
-	cset := ctxsel.Select(ctx, opt.Selector, g, query, opt.ContextSize)
+	contexts := Contexts(ctx, g, [][]kg.NodeID{query}, opt, nil)
 	if opt.Obs != nil {
 		opt.Obs.Select.Observe(time.Since(selStart))
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	res := Result{Query: query, Context: cset}
+	res := Result{Query: query, Context: contexts[0]}
 	chars, err := CompareSets(ctx, g, query, res.ContextIDs(), opt)
 	var pe *PartialError
 	if err != nil && !errors.As(err, &pe) {
@@ -263,10 +265,10 @@ func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (R
 }
 
 // FindNCBatch runs FindNC for every query in one batched pass. Context
-// selection is one barriered selector call for the whole batch, so a
-// selector with batch-wide kernels amortizes graph traversal across it;
-// the comparison stages then fan out per query through the shared
-// executor, each an independent CompareSets writing its own result slot.
+// selection is one barriered Contexts call for the whole batch, so a
+// selector with batch-wide kernels amortizes graph traversal across the
+// cache misses; the comparison stages then fan out per query through the
+// shared executor, each an independent CompareSets writing its own slot.
 // Results are bitwise identical to calling FindNC per query for every
 // batch size and Parallelism setting. A cancelled ctx stops every stage
 // within one sweep or label test and returns ctx.Err().
@@ -276,13 +278,7 @@ func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Op
 	}
 	opt = opt.withDefaults()
 	selStart := time.Now()
-	scores := opt.Selector.Scores(ctx, g, queries, nil)
-	contexts := make([][]topk.Item, len(queries))
-	if ctx.Err() == nil {
-		for i, q := range queries {
-			contexts[i] = ctxsel.TopKFromScores(scores[i], q, opt.ContextSize)
-		}
-	}
+	contexts := Contexts(ctx, g, queries, opt, nil)
 	if opt.Obs != nil {
 		opt.Obs.Select.Observe(time.Since(selStart))
 	}
@@ -315,6 +311,119 @@ func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Op
 		return nil, err
 	}
 	return results, nil
+}
+
+// cachedContextFloor is the smallest cut the selector layer stores, so
+// one entry serves every default-sized request and any smaller one.
+const cachedContextFloor = 100
+
+// Contexts resolves every query's ranked context, exactly
+// ctxsel.TopKFromScores of the selector's vector at opt.ContextSize,
+// through the selector layer of opt.Cache: only the misses go to
+// opt.Selector.Scores, in the caller's mode, and each miss's vector is cut
+// once at max(k, cachedContextFloor), stored, and dropped. A hit is a
+// private copy of the entry's first k items; an entry shorter than its
+// cut holds every candidate and serves any k, while a larger k than a
+// full entry holds solves again and replaces it (the lookup still counts
+// as a hit). Queries listing a node twice bypass the layer (qcache.Key).
+//
+// ready == nil is the barriered call: it returns every context in query
+// order, or nil once ctx is done. ready != nil is the streaming call:
+// ready(i, items) fires once per query on the calling goroutine — hits at
+// once, misses as the selector releases them — and the return value is
+// nil. Once ctx is done nothing more is stored or released.
+func Contexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(i int, items []topk.Item)) [][]topk.Item {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	opt = opt.withDefaults()
+	k := opt.ContextSize
+	var out [][]topk.Item
+	deliver := ready
+	if ready == nil {
+		out = make([][]topk.Item, len(queries))
+		deliver = func(i int, items []topk.Item) { out[i] = items }
+	}
+	// The selector sees misses[j] = queries[idx[j]]; keys[j] is "" when
+	// the query is not to be cached.
+	var (
+		idx    []int
+		keys   []string
+		misses [][]kg.NodeID
+	)
+	for i, q := range queries {
+		var key string
+		if opt.Cache != nil {
+			key, _ = qcache.Key(opt.Cache.SelectorPrefix, q)
+		}
+		if items, ok := opt.Cache.lookup(key, k); ok {
+			deliver(i, items)
+			continue
+		}
+		idx, keys, misses = append(idx, i), append(keys, key), append(misses, q)
+	}
+	if len(misses) == 0 {
+		return out
+	}
+	cut := func(j int, scores []float64) (int, []topk.Item) {
+		if keys[j] == "" {
+			return idx[j], ctxsel.TopKFromScores(scores, misses[j], k)
+		}
+		r := &rankedContext{cut: max(k, cachedContextFloor)}
+		r.items = ctxsel.TopKFromScores(scores, misses[j], r.cut)
+		// 16 bytes per item, the key, and a fixed 96 for the cache's entry
+		// and list element and the rankedContext.
+		opt.Cache.Store.PutSized(keys[j], r, qcache.LayerSelector, 16*int64(len(r.items))+int64(len(keys[j]))+96)
+		items, _ := r.prefix(k)
+		return idx[j], items
+	}
+	if ready != nil {
+		opt.Selector.Scores(ctx, g, misses, func(j int, scores []float64) {
+			// One probe gates both: once ctx is done a context is neither
+			// stored nor released, even if the selector did not look at ctx
+			// before releasing its vector.
+			if ctx.Err() == nil {
+				deliver(cut(j, scores))
+			}
+		})
+		return nil
+	}
+	scores := opt.Selector.Scores(ctx, g, misses, nil)
+	if ctx.Err() != nil {
+		return nil // cut short: vectors may be partial — neither stored nor usable
+	}
+	for j := range misses {
+		deliver(cut(j, scores[j]))
+	}
+	return out
+}
+
+// rankedContext is one selector-layer entry: a query's context cut at
+// cut items. Holding fewer items than cut means every candidate is here.
+type rankedContext struct {
+	items []topk.Item
+	cut   int
+}
+
+// prefix returns a private copy of the entry's first k items, or ok =
+// false when k exceeds a full entry — candidates past its cut may exist.
+func (r *rankedContext) prefix(k int) (items []topk.Item, ok bool) {
+	if n := len(r.items); k > n && n == r.cut {
+		return nil, false
+	}
+	return slices.Clone(r.items[:max(min(k, len(r.items)), 0)]), true
+}
+
+// lookup serves k from the selector-layer entry under key ("" never
+// hits, and is every key when c is nil), if there is one that can.
+func (c *Cache) lookup(key string, k int) ([]topk.Item, bool) {
+	if key == "" {
+		return nil, false
+	}
+	if v, hit := c.Store.Get(key); hit {
+		return v.(*rankedContext).prefix(k)
+	}
+	return nil, false
 }
 
 // testLabelHook, when non-nil, runs at the start of every label task — a
@@ -365,7 +474,7 @@ func compareSetsUntimed(ctx context.Context, g *kg.Graph, query, cset []kg.NodeI
 	}
 
 	var keyBase string
-	if opt.TestCache != nil {
+	if opt.Cache != nil {
 		keyBase = testKeyBase(query, cset, opt)
 	}
 	out := make([]Characteristic, len(labels))
@@ -468,25 +577,28 @@ type labelScratch struct {
 // opt must already carry defaults.
 func testKeyBase(query, cset []kg.NodeID, opt Options) string {
 	prefix := fmt.Sprintf("mt|%s|a%v|el%d|mc%d|s%d|pol%d|c%x",
-		opt.CacheTag, opt.Test.Alpha, opt.Test.ExactLimit, opt.Test.Samples, opt.Test.Seed,
+		opt.Cache.Tag, opt.Test.Alpha, opt.Test.ExactLimit, opt.Test.Samples, opt.Test.Seed,
 		opt.Policy, qcache.HashIDs(cset))
 	return qcache.MultisetKey(prefix, query)
 }
 
-// testLabelCached consults opt.TestCache around testLabel. The stored
-// master record is never handed out: hits and misses alike return a
-// record with private distribution slices, preserving the uncached
-// contract that callers own (and may mutate) everything they receive.
+// testLabelCached consults the test layer of opt.Cache around testLabel,
+// keyed on (label, query multiset, ranked context, test options, policy):
+// a warm hit skips distribution building and the multinomial test
+// outright. The stored master record is never handed out: hits and
+// misses alike return a record with private distribution slices,
+// preserving the uncached contract that callers own (and may mutate)
+// everything they receive.
 func testLabelCached(g *kg.Graph, l kg.LabelID, query, cset []kg.NodeID, opt Options, keyBase string, s *labelScratch) Characteristic {
-	if opt.TestCache == nil {
+	if opt.Cache == nil {
 		return testLabel(g, l, query, cset, opt.Test, opt.Policy, s)
 	}
 	key := keyBase + "|l" + strconv.FormatUint(uint64(l), 10)
-	if v, ok := opt.TestCache.GetLayer(key, qcache.LayerTest); ok {
+	if v, ok := opt.Cache.Store.GetLayer(key, qcache.LayerTest); ok {
 		return v.(Characteristic).clone()
 	}
 	c := testLabel(g, l, query, cset, opt.Test, opt.Policy, s)
-	opt.TestCache.PutSized(key, c, qcache.LayerTest, c.cacheFootprint()+int64(len(key)))
+	opt.Cache.Store.PutSized(key, c, qcache.LayerTest, c.cacheFootprint()+int64(len(key)))
 	return c.clone()
 }
 

@@ -5,8 +5,8 @@
 // The barrier FindNCBatch pays is structural: the multi-source PageRank
 // solve finishes every query's context before any comparison stage
 // starts, so the first result of an N-query batch arrives only after all
-// N have been compared. Here context selection is the selector's
-// streaming call: as each query's score vector is released, its
+// N have been compared. Here context selection is the streaming Contexts
+// call: as each query's context is released (a cache hit at once), its
 // comparison stage is dispatched immediately on its own goroutine —
 // admission-bounded, see below — and its result is emitted as soon as
 // the comparison finishes. Seed-level deduplication across the
@@ -31,7 +31,6 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/ctxsel"
 	"repro/internal/kg"
 	"repro/internal/topk"
 )
@@ -85,9 +84,8 @@ func FindNCStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt O
 	// goroutine finishes it — and emits it — before the next seed solves,
 	// which is exactly the stream's latency contract.
 	inline := runtime.GOMAXPROCS(0) == 1
-	ready := func(i int, scores []float64) {
+	ready := func(i int, items []topk.Item) {
 		released[i] = true
-		items := ctxsel.TopKFromScores(scores, queries[i], opt.ContextSize)
 		if inline {
 			compare(i, items)
 			return
@@ -102,7 +100,7 @@ func FindNCStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt O
 			compare(i, items)
 		}()
 	}
-	opt.Selector.Scores(ctx, g, queries, ready)
+	Contexts(ctx, g, queries, opt, ready)
 	// The selector only withholds queries when cancelled; flush whatever it
 	// never released so every index gets exactly one emit.
 	for i := range queries {

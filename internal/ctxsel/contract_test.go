@@ -2,7 +2,9 @@ package ctxsel
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -184,5 +186,62 @@ func TestTopKFromScores(t *testing.T) {
 	}
 	if all := TopKFromScores(scores, nil, 10); len(all) != 5 || all[0].ID != 0 {
 		t.Fatalf("uncut ranking = %v, want the 5 nonzero scores led by node 0", all)
+	}
+}
+
+// TestTopKFromScoresBoundsItsHeap: a context size far beyond the vector
+// costs no more than the vector's candidates — a request cannot make the
+// cut allocate in proportion to k.
+func TestTopKFromScoresBoundsItsHeap(t *testing.T) {
+	scores := make([]float64, 100)
+	for i := range scores {
+		scores[i] = float64(i%7) / 7
+	}
+	const k = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := TopKFromScores(scores, []kg.NodeID{3}, k)
+	runtime.ReadMemStats(&after)
+	if len(got) != 84 {
+		t.Fatalf("%d items, want the 84 non-zero non-query scores", len(got))
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("k = %d on a 100-node vector allocated %d bytes", k, alloc)
+	}
+}
+
+// TestTopKFromScoresPrefixInvariant pins what the engine's selector layer
+// relies on: the cut at k is the first k items of the cut at any K ≥ k, and
+// a cut holding fewer than K items is every candidate, so it answers any
+// k. Vectors are random with heavy ties, many zeros, and query nodes drawn
+// from the top of the ranking.
+func TestTopKFromScoresPrefixInvariant(t *testing.T) {
+	const K = 100
+	rng := rand.New(rand.NewSource(5))
+	levels := []float64{0, 0, 0, 0.125, 0.25, 0.25, 0.5, 1}
+	for trial := 0; trial < 200; trial++ {
+		scores := make([]float64, 1+rng.Intn(300))
+		for i := range scores {
+			scores[i] = levels[rng.Intn(len(levels))]
+		}
+		var query []kg.NodeID
+		for id, s := range scores {
+			if s == 1 && rng.Intn(3) == 0 {
+				query = append(query, kg.NodeID(id))
+			}
+		}
+		full := TopKFromScores(scores, query, K)
+		for k := 0; k <= K; k++ {
+			if got, want := TopKFromScores(scores, query, k), full[:min(k, len(full))]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: cut at %d is not the prefix of the cut at %d:\n got  %v\n want %v", trial, k, K, got, want)
+			}
+		}
+		if len(full) < K {
+			for _, k := range []int{len(full), K + 1, len(scores), 1 << 30} {
+				if got := TopKFromScores(scores, query, k); !reflect.DeepEqual(got, full) {
+					t.Fatalf("trial %d: %d candidates, cut at %d = %v, want all of them", trial, len(full), k, got)
+				}
+			}
+		}
 	}
 }

@@ -90,13 +90,14 @@ func scoreEach(ctx context.Context, queries [][]kg.NodeID, ready func(i int, sco
 
 // TopKFromScores cuts the k best-scored nodes from a dense score vector,
 // excluding the query nodes and zero scores — the shared selection step of
-// every score-based selector.
+// every score-based selector. The order is total (score, then ID), so the
+// cut at k is a prefix of the cut at any K ≥ k; no k allocates past n.
 func TopKFromScores(scores []float64, query []kg.NodeID, k int) []topk.Item {
 	skip := make(map[uint32]bool, len(query))
 	for _, q := range query {
 		skip[q] = true
 	}
-	sel := topk.New(k)
+	sel := topk.New(min(k, len(scores)))
 	for id, sc := range scores {
 		if sc == 0 || skip[uint32(id)] {
 			continue

@@ -6,8 +6,8 @@
 // # Layers
 //
 // One cache holds entries from several pipeline stages, distinguished by
-// a Layer tag for per-layer accounting and budgeting: selector score
-// vectors (LayerSelector), per-label test records
+// a Layer tag for per-layer accounting and budgeting: ranked selector
+// contexts (LayerSelector), per-label test records
 // (LayerTest), single-seed PageRank vectors (LayerSeed), and Monte-Carlo
 // null distributions (LayerNull). The cache itself treats layer values
 // opaquely; layers exist so Stats can report residency and hit rates per
@@ -36,8 +36,8 @@
 //
 // A cache key is built by Key: a selector/options prefix (anything that
 // changes the cached value must be folded into it — selector name, walk
-// budget, damping, seed, and for selectors without a score vector the
-// context size k) followed by the query node IDs sorted ascending and
+// budget, damping, seed, epoch; not k, one ranked entry serves every k up
+// to its cut) followed by the query node IDs sorted ascending and
 // deduplicated, so that permutations of one entity set share an entry.
 // Queries listing the same node twice are not canonicalizable (duplicate
 // seeds change PageRank's personalization mass) — callers bypass the
@@ -58,7 +58,7 @@
 // changes the readable graph), so warm entries survive them too. Once a
 // new epoch is published no later request can address the old epoch's
 // entries, so the engine drops those three layers at publish time
-// (Purge) instead of letting dead vectors crowd the LRU until capacity
+// (Purge) instead of letting dead entries crowd the LRU until capacity
 // pressure reaches them; a request still pinned to the old epoch simply
 // recomputes, and whatever it stores goes at the next publish. The null
 // layer is the exception by design: its keys are the context
@@ -81,8 +81,8 @@ import (
 type Layer uint8
 
 const (
-	// LayerSelector holds selector score vectors — large entries, ~8
-	// bytes per graph node each.
+	// LayerSelector holds ranked selector contexts — small entries, 16
+	// bytes per context item whatever the graph size.
 	LayerSelector Layer = iota
 	// LayerTest holds per-label test records — small entries.
 	LayerTest

@@ -132,6 +132,32 @@ func TestSearchEndpoint(t *testing.T) {
 	}
 }
 
+// TestHugeContextSize: a context_size far beyond the graph is a valid
+// request for every candidate — 200 with at most one item per node — and
+// allocates nothing in proportion to the number asked for.
+func TestHugeContextSize(t *testing.T) {
+	s := New(testEngine(notable.Options{}), quietCfg())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, sel := range []string{"", notable.SelectorRandomWalk} {
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/search", map[string]any{
+			"entities":     []string{"Angela Merkel", "Barack Obama"},
+			"context_size": int64(1) << 40,
+			"selector":     sel,
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("selector %q: status %d: %s", sel, resp.StatusCode, data)
+		}
+		var sr searchResponse
+		if err := json.Unmarshal(data, &sr); err != nil {
+			t.Fatal(err)
+		}
+		if n := testGraph().NumNodes(); len(sr.Context) == 0 || len(sr.Context) > n {
+			t.Fatalf("selector %q: %d context items on a %d-node graph", sel, len(sr.Context), n)
+		}
+	}
+}
+
 // TestErrorMapping: typed library errors and request-shape failures map
 // to the right statuses — never a generic 500.
 func TestErrorMapping(t *testing.T) {

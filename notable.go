@@ -49,11 +49,12 @@
 // An Engine memoizes four layers of repeated work in one bounded LRU
 // (Options.CacheSize, optionally byte-budgeted via Options.CacheBytes,
 // optionally sharded via Options.CacheShards for concurrent traffic).
-// The selector layer caches each query's dense score vector, so a warm
-// query skips metapath mining and walking; the comparison layer caches
-// per-label test records, so a warm query also skips distribution
-// building and multinomial testing — a fully warm repeated Do
-// recomputes nothing but the top-k cut. Two more layers serve the
+// The selector layer caches each query's ranked context (the best
+// max(k, 100) nodes — never the score vector), so a warm query skips
+// mining, walking and ranking; the comparison layer caches per-label test
+// records, so it also skips distribution building and multinomial
+// testing — a fully warm repeated Do copies cached values and recomputes
+// only the label list of query and context. Two more layers serve the
 // interactive-refinement workload, where consecutive queries overlap
 // rather than repeat: the seed layer (Options.SeedCacheBytes) keeps
 // single-seed PageRank vectors, so adding or removing one entity from a
@@ -235,7 +236,7 @@ type Options struct {
 	// knob here it never changes results, only wall-clock.
 	Parallelism int
 	// CacheSize bounds the engine's query cache: the number of memoized
-	// entries across all four cache layers — selector score vectors,
+	// entries across all four cache layers — ranked selector contexts,
 	// per-label test records, per-seed PageRank vectors, and Monte-Carlo
 	// null distributions (see internal/qcache). 0 selects
 	// DefaultCacheSize; negative disables caching. Caching never changes
@@ -245,10 +246,10 @@ type Options struct {
 	// and an overlapping query re-solves only its new seeds.
 	CacheSize int
 	// CacheBytes optionally bounds the query cache by estimated resident
-	// bytes alongside the entry cap. Selector entries weigh ~8 bytes per
-	// graph node (a dense score vector); per-label test records are small.
-	// 0 means no byte bound; CacheStats reports per-layer residency either
-	// way, so a budget can be sized from observed load.
+	// bytes alongside the entry cap. Selector entries weigh 16 bytes per
+	// context item and test records are small; seed vectors (8 bytes per
+	// graph node) are the big entries. 0 means no byte bound; CacheStats
+	// reports per-layer residency, so a budget can be sized from load.
 	CacheBytes int64
 	// TestSamples overrides the multinomial test's Monte-Carlo sample
 	// count (default 20000). Lower is faster and coarser: the sampling
@@ -292,9 +293,9 @@ type Options struct {
 // is zero. A warm query occupies one selector entry plus one entry per
 // tested label, so size CacheSize to roughly (hot queries) × (labels per
 // query + 1) — the default keeps a few hundred fully-warm queries on
-// typical label counts. Entry sizes range from a per-label record to an
-// n-float score vector; Options.CacheBytes and the per-layer budgets
-// below bound the big layers by bytes.
+// typical label counts. Selector and test entries are small; the big
+// ones, seed-layer n-float vectors, are bounded by the per-layer budgets
+// below, and Options.CacheBytes bounds the total.
 const DefaultCacheSize = 4096
 
 // DefaultSeedCacheBytes bounds the seed-vector layer when
@@ -334,8 +335,8 @@ type Engine struct {
 	// skippedCkpts counts checkpoint files boot recovery discarded.
 	recovered    int
 	skippedCkpts int
-	// selMemo caches the request-derived state — epoch tag, wrapped
-	// selector, cache-key prefix — for one (epoch, effective options)
+	// selMemo caches the request-derived state — selector, epoch tag,
+	// selector-layer key prefix — for one (epoch, effective options)
 	// pair, so the steady-state serving path (same options, unchanged
 	// graph) builds no strings per request. Misses (an epoch bump or an
 	// override mix) just rebuild; correctness never depends on a hit.
@@ -393,8 +394,8 @@ func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 type optState struct {
 	epoch uint64
 	opt   Options
-	tag   string
 	sel   ctxsel.Selector
+	cache *core.Cache // nil when caching is disabled
 }
 
 // NewEngine prepares an engine (including the entity-name index) for g,
@@ -553,9 +554,9 @@ func (e *Engine) Compact() { e.vg.Compact() }
 
 // CacheStats reports the query cache's counters, aggregated over all
 // shards and broken down per layer (Stats.Layers): the selector layer
-// (one entry per query's score vector, ~8 bytes per graph node each),
-// the comparison layer (one small entry per tested label), the seed
-// layer (one PageRank vector per hot entity), and the null layer (one
+// (one ranked context per query, 16 bytes per item), the comparison layer
+// (one small entry per tested label), the seed layer (one PageRank vector
+// per hot entity), and the null layer (one
 // Monte-Carlo null distribution per distinct context distribution). A
 // fully warm repeated Do performs exactly one selector hit plus one hit
 // per tested label and zero misses; a refinement step shows seed-layer
@@ -636,120 +637,22 @@ func (e *Engine) selectorFor(opt Options, tag string) ctxsel.Selector {
 }
 
 // stateFor resolves the memoized request-derived state for opt at view's
-// epoch, rebuilding (and re-memoizing) on any miss.
+// epoch, rebuilding (and re-memoizing) on any miss. The selector-layer
+// prefix folds the epoch and every effective option that can change a
+// score vector (selector, Walks, Damping, Seed), overridden or not.
 func (e *Engine) stateFor(opt Options, view *kg.View) *optState {
 	if st := e.selMemo.Load(); st != nil && st.epoch == view.Epoch && st.opt == opt {
 		return st
 	}
 	tag := epochTag(view)
-	st := &optState{
-		epoch: view.Epoch,
-		opt:   opt,
-		tag:   tag,
-		sel:   e.cachedSelectorFor(e.selectorFor(opt, tag), opt, tag),
+	sel := e.selectorFor(opt, tag)
+	st := &optState{epoch: view.Epoch, opt: opt, sel: sel}
+	if e.cache != nil {
+		st.cache = &core.Cache{Store: e.cache, Tag: tag,
+			SelectorPrefix: fmt.Sprintf("%s|%s|w%d|d%v|s%d", sel.Name(), tag, opt.Walks, opt.Damping, opt.Seed)}
 	}
 	e.selMemo.Store(st)
 	return st
-}
-
-// cachedSelector wraps a selector with the engine's query cache: it
-// memoizes each query's dense score vector, which subsumes the mined
-// metapaths or solved PageRank sums — a warm hit serves any context size
-// with zero mining or walking. Queries with duplicate nodes bypass the
-// cache (see qcache.Key).
-//
-// pfx is precomputed from the request's EFFECTIVE options (engine
-// defaults with per-request overrides applied) plus the pinned view's
-// epoch, so a Walks/Damping override or a graph mutation can never
-// collide with entries computed under other settings.
-type cachedSelector struct {
-	cache *qcache.Cache
-	inner ctxsel.Selector
-	pfx   string
-}
-
-// Name implements ctxsel.Selector.
-func (cs cachedSelector) Name() string { return cs.inner.Name() }
-
-// Scores implements ctxsel.Selector: each query consults the cache first
-// and hits are delivered at once; only the misses enter the inner
-// selector, in the caller's mode — barriered or streaming — and each
-// solved vector is stored, then delivered. Hits, misses, and every batch
-// size yield exactly the vectors the inner selector alone would.
-func (cs cachedSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]NodeID, ready func(i int, scores []float64)) [][]float64 {
-	var out [][]float64
-	if ready == nil {
-		out = make([][]float64, len(queries))
-	}
-	// Cache misses and uncacheable (duplicate-node) queries both go to the
-	// inner selector; only the former — those with a key — are stored.
-	var (
-		missIdx     []int
-		missKeys    []string
-		missQueries [][]NodeID
-	)
-	for i, q := range queries {
-		key, cacheable := qcache.Key(cs.pfx, q) // "" when uncacheable
-		if cacheable {
-			if v, hit := cs.cache.Get(key); hit {
-				if ready != nil {
-					ready(i, v.([]float64))
-				} else {
-					out[i] = v.([]float64)
-				}
-				continue
-			}
-		}
-		missIdx = append(missIdx, i)
-		missKeys = append(missKeys, key)
-		missQueries = append(missQueries, q)
-	}
-	if len(missQueries) == 0 {
-		return out
-	}
-	store := func(j int, scores []float64) {
-		if key := missKeys[j]; key != "" {
-			cs.cache.PutSized(key, scores, qcache.LayerSelector, 8*int64(len(scores))+int64(len(key))+48)
-		}
-	}
-	if ready != nil {
-		cs.inner.Scores(ctx, g, missQueries, func(j int, scores []float64) {
-			// One probe gates both: once ctx is done a vector is neither
-			// stored nor released (the ctxsel.Selector contract), even if
-			// the inner selector did not look at ctx before releasing it.
-			if ctx.Err() != nil {
-				return
-			}
-			store(j, scores)
-			ready(missIdx[j], scores)
-		})
-		return nil
-	}
-	scores := cs.inner.Scores(ctx, g, missQueries, nil)
-	if ctx.Err() != nil {
-		return out // cut short: vectors may be partial — not stored, not usable
-	}
-	for j, i := range missIdx {
-		store(j, scores[j])
-		out[i] = scores[j]
-	}
-	return out
-}
-
-// cachedSelectorFor wraps sel with the engine cache unless caching is
-// disabled. The cache-key prefix folds every effective option that can
-// change a score vector — selector, Walks, Damping, Seed — plus the
-// pinned view's epoch tag: a per-request override or an ApplyTriples
-// bump lands in its own key space, while a request whose effective
-// options and epoch match an earlier one (overridden or not) shares its
-// entries.
-func (e *Engine) cachedSelectorFor(sel ctxsel.Selector, opt Options, tag string) ctxsel.Selector {
-	if e.cache == nil {
-		return sel
-	}
-	pfx := fmt.Sprintf("%s|%s|w%d|d%v|s%d",
-		sel.Name(), tag, opt.Walks, opt.Damping, opt.Seed)
-	return cachedSelector{cache: e.cache, inner: sel, pfx: pfx}
 }
 
 // coreOptionsFor translates opt — the engine's options with any
@@ -778,17 +681,21 @@ func (e *Engine) coreOptionsFor(opt Options, view *kg.View) core.Options {
 		Policy:      policy,
 		Parallelism: opt.Parallelism,
 		Seed:        opt.Seed,
-		CacheTag:    st.tag,
-		TestCache:   e.cache,
+		Cache:       st.cache,
 		Obs:         e.met.stage,
 	}
 }
 
 // Context returns only the top-k similar nodes for a query, against the
-// current graph epoch.
+// current graph epoch, through the same selector layer as Do.
 func (e *Engine) Context(query []NodeID, k int) []ContextItem {
+	if k <= 0 {
+		return []ContextItem{}
+	}
 	view := e.vg.View()
-	return ctxsel.Select(context.Background(), e.stateFor(e.opt, view).sel, view.G, query, k)
+	copt := e.coreOptionsFor(e.opt, view)
+	copt.ContextSize = k
+	return core.Contexts(context.Background(), view.G, [][]NodeID{query}, copt, nil)[0]
 }
 
 // DoCompare runs only the distribution-comparison stage against an

@@ -2,9 +2,10 @@ package notable
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
-	"repro/internal/ctxsel"
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/kg"
 	"repro/internal/qcache"
@@ -37,6 +38,12 @@ func (c countingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]k
 	return out
 }
 
+// selectOne resolves one query's context through core.Contexts at size k.
+func selectOne(copt core.Options, g *Graph, query []NodeID, k int) []ContextItem {
+	copt.ContextSize = k
+	return core.Contexts(context.Background(), g, [][]NodeID{query}, copt, nil)[0]
+}
+
 func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{})
@@ -45,12 +52,12 @@ func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	scored := 0
-	cs := e.cachedSelectorFor(countingSelector{&scored}, e.opt, "e0")
+	copt := selectorLayer(e, countingSelector{&scored})
 	ctx := context.Background()
-	a := ctxsel.Select(ctx, cs, g, query, 5)
-	b := ctxsel.Select(ctx, cs, g, query, 5)
+	a := selectOne(copt, g, query, 5)
+	b := selectOne(copt, g, query, 5)
 	// Permuted queries canonicalize to the same entry.
-	c := ctxsel.Select(ctx, cs, g, []NodeID{query[1], query[0]}, 5)
+	c := selectOne(copt, g, []NodeID{query[1], query[0]}, 5)
 	if scored != 1 {
 		t.Fatalf("scoring ran %d times across three selects, want 1", scored)
 	}
@@ -62,18 +69,18 @@ func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 			t.Fatalf("cached select differs at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	// A different k reuses the cached score vector too.
-	if d := ctxsel.Select(ctx, cs, g, query, 3); len(d) != 3 || scored != 1 {
+	// A different k reuses the cached context too.
+	if d := selectOne(copt, g, query, 3); len(d) != 3 || scored != 1 {
 		t.Fatalf("k=3 select: len %d, scoring ran %d times", len(d), scored)
 	}
 	// So does every batch mode: a barriered batch and a stream holding the
 	// warm query plus one new query score only the new one.
 	other := []NodeID{query[0]}
-	if got := cs.Scores(ctx, g, [][]NodeID{query, other}, nil); len(got) != 2 || scored != 2 {
-		t.Fatalf("barriered batch: %d vectors, scoring ran %d times, want 2 and 2", len(got), scored)
+	if got := core.Contexts(ctx, g, [][]NodeID{query, other}, copt, nil); len(got) != 2 || scored != 2 {
+		t.Fatalf("barriered batch: %d contexts, scoring ran %d times, want 2 and 2", len(got), scored)
 	}
 	released := 0
-	cs.Scores(ctx, g, [][]NodeID{other, query, {query[1]}}, func(int, []float64) { released++ })
+	core.Contexts(ctx, g, [][]NodeID{other, query, {query[1]}}, copt, func(int, []ContextItem) { released++ })
 	if released != 3 || scored != 3 {
 		t.Fatalf("stream: %d released, scoring ran %d times, want 3 and 3", released, scored)
 	}
@@ -91,9 +98,9 @@ func TestCachedSelectorBypassesDuplicateQueries(t *testing.T) {
 	}
 	dup := []NodeID{query[0], query[0], query[1]}
 	scored := 0
-	cs := e.cachedSelectorFor(countingSelector{&scored}, e.opt, "e0")
-	ctxsel.Select(context.Background(), cs, g, dup, 5)
-	ctxsel.Select(context.Background(), cs, g, dup, 5)
+	copt := selectorLayer(e, countingSelector{&scored})
+	selectOne(copt, g, dup, 5)
+	selectOne(copt, g, dup, 5)
 	if st := e.CacheStats(); scored != 2 || st.Size != 0 {
 		t.Fatalf("duplicate-node query must bypass the cache: scored %d times, %d entries stored",
 			scored, st.Size)
@@ -169,9 +176,87 @@ func TestEngineContextSharesCacheWithSearch(t *testing.T) {
 	}
 }
 
+// TestWarmHitContextIsPrivate: a warm hit hands out its own copy of the
+// cached context, so a caller mutating it cannot change the next hit.
+func TestWarmHitContextIsPrivate(t *testing.T) {
+	e := NewEngine(buildLeaders(), Options{ContextSize: 8, Walks: 20000, Seed: 3})
+	names := []string{"Angela Merkel", "Barack Obama"}
+	cold, err := doNames(e, names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := doNames(e, names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(warm.Context) == 0 {
+		t.Fatal("empty context")
+	}
+	for i := range warm.Context {
+		warm.Context[i] = ContextItem{ID: 1 << 30, Score: -1}
+	}
+	again, err := doNames(e, names...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again.Context, cold.Context) {
+		t.Fatalf("a caller's mutation reached the cache: %v, want %v", again.Context, cold.Context)
+	}
+}
+
+// TestSelectorLayerHoldsRankedPrefix: on G_small, where every RandomWalk
+// vector is dense, a selector entry is the ranked context cut at
+// max(k, 100) — 16 bytes per item, not 8 per graph node — and serves every
+// k up to its cut; a larger k solves again, replaces the entry, and from
+// then on hits. Every answer equals a cache-disabled engine's.
+func TestSelectorLayerHoldsRankedPrefix(t *testing.T) {
+	g := gen.YAGOLike(gen.YAGOConfig{Seed: 1, Scale: 1}).Graph
+	opt := Options{Selector: SelectorRandomWalk, Seed: 1}
+	e := NewEngine(g, opt)
+	opt.CacheSize = -1
+	ref := NewEngine(g, opt)
+	actors, err := e.Resolve(gen.Table1["actors"]...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries [][]NodeID
+	for i := range actors {
+		queries = append(queries, []NodeID{actors[i], actors[(i+1)%len(actors)]})
+	}
+	for _, q := range queries {
+		if got := e.Context(q, 100); len(got) != 100 || !reflect.DeepEqual(got, ref.Context(q, 100)) {
+			t.Fatalf("cold context of %v differs from the uncached one", q)
+		}
+	}
+	// Per entry: 100 items, the key (prefix plus two IDs) and a fixed
+	// overhead — where a score vector alone would be 8·NumNodes bytes.
+	const keyMax, overhead = 64, 128
+	sel := e.CacheStats().Layers[qcache.LayerSelector]
+	if limit := int64(len(queries)) * (16*100 + keyMax + overhead); sel.Bytes == 0 || sel.Bytes > limit {
+		t.Fatalf("selector layer holds %d bytes for %d queries, want (0, %d]; a vector is %d bytes",
+			sel.Bytes, len(queries), limit, 8*g.NumNodes())
+	}
+
+	q := queries[0]
+	for _, step := range []struct {
+		k    int
+		miss bool
+	}{{10, false}, {100, false}, {150, true}, {120, false}, {150, false}} {
+		before := e.CacheStats().Layers[qcache.LayerSelector]
+		got := e.Context(q, step.k)
+		after := e.CacheStats().Layers[qcache.LayerSelector]
+		if !reflect.DeepEqual(got, ref.Context(q, step.k)) {
+			t.Fatalf("k=%d: context differs from the uncached one", step.k)
+		}
+		if missed := after.Misses > before.Misses || after.Bytes != before.Bytes; missed != step.miss {
+			t.Fatalf("k=%d: solved again = %v, want %v (%+v -> %+v)", step.k, missed, step.miss, before, after)
+		}
+	}
+}
+
 // TestEngineWarmSearchSkipsTestingStage: a warm repeated Do serves
 // the selector AND every label test from the cache — exactly one hit per
-// tested label plus one for the score vector, and zero new misses.
+// tested label plus one for the ranked context, and zero new misses.
 func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{ContextSize: 8, Walks: 20000, Seed: 3})
@@ -223,17 +308,16 @@ func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 // BenchmarkEngineWarmSearch measures repeated Resolve + Engine.Do on the
 // half-scale YAGO-like graph: the warm path (default cache) skips mining,
 // walking, distribution building, and testing entirely; the cold path
-// (cache disabled) repeats all of them every query.
+// (cache disabled) repeats all of them every query. big is the warm
+// RandomWalk hit on a YAGO-like graph with 24× the ambient population
+// (≈140k nodes, the benchmark's G_big), where a hit copies its cached
+// context instead of re-ranking a 140k-float vector.
 func BenchmarkEngineWarmSearch(b *testing.B) {
-	ds := gen.YAGOLike(gen.YAGOConfig{Seed: 42, Scale: 0.5})
 	names := gen.Table1["actors"][:5]
-	run := func(b *testing.B, cacheSize int) {
-		engine := NewEngine(ds.Graph, Options{
-			ContextSize: 100,
-			Walks:       60000,
-			Seed:        42,
-			CacheSize:   cacheSize,
-		})
+	run := func(b *testing.B, g *Graph, opt Options) {
+		b.ReportAllocs()
+		opt.ContextSize, opt.Walks, opt.Seed = 100, 60000, 42
+		engine := NewEngine(g, opt)
 		if _, err := doNames(engine, names...); err != nil {
 			b.Fatal(err)
 		}
@@ -244,6 +328,14 @@ func BenchmarkEngineWarmSearch(b *testing.B) {
 			}
 		}
 	}
-	b.Run("warm", func(b *testing.B) { run(b, 0) })
-	b.Run("cold", func(b *testing.B) { run(b, -1) })
+	g := gen.YAGOLike(gen.YAGOConfig{Seed: 42, Scale: 0.5}).Graph
+	b.Run("warm", func(b *testing.B) { run(b, g, Options{}) })
+	b.Run("cold", func(b *testing.B) { run(b, g, Options{CacheSize: -1}) })
+	b.Run("big", func(b *testing.B) {
+		big := gen.YAGOLike(gen.YAGOConfig{Seed: 42, Scale: 1, AmbientScale: 24}).Graph
+		if big.NumNodes() < 100_000 {
+			b.Fatalf("big graph has %d nodes, want at least 100k", big.NumNodes())
+		}
+		run(b, big, Options{Selector: SelectorRandomWalk})
+	})
 }

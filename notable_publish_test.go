@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/ctxsel"
 	"repro/internal/kg"
 	"repro/internal/qcache"
 )
@@ -134,32 +133,11 @@ func TestPublishPurgesEpochKeyedLayers(t *testing.T) {
 	})
 }
 
-// publishingSelector lets an ingest land inside a request: before the
-// inner selector runs (between the pin and selection) or after it
-// (between selection and comparison).
-type publishingSelector struct {
-	inner         ctxsel.Selector
-	before, after func()
-}
-
-func (p publishingSelector) Name() string { return p.inner.Name() }
-
-func (p publishingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(int, []float64)) [][]float64 {
-	if p.before != nil {
-		p.before()
-	}
-	out := p.inner.Scores(ctx, g, queries, ready)
-	if p.after != nil {
-		p.after()
-	}
-	return out
-}
-
 // TestPinnedRequestSurvivesPurge: a request pinned to epoch N whose cache
 // entries are purged mid-flight by the publish of N+1 — cold or warm,
-// before selection or between selection and comparison — still returns
-// the from-scratch answer at epoch N bit for bit; what it stores after
-// the purge is unaddressable and goes at the next publish.
+// between the pin and selection or between selection and comparison —
+// still returns the from-scratch answer at epoch N bit for bit; what it
+// stores after the purge is unaddressable and goes at the next publish.
 func TestPinnedRequestSurvivesPurge(t *testing.T) {
 	ctx := context.Background()
 	for _, sel := range []string{SelectorContextRW, SelectorRandomWalk} {
@@ -185,14 +163,16 @@ func TestPinnedRequestSurvivesPurge(t *testing.T) {
 						t.Error(err)
 					}
 				}
-				ps := publishingSelector{inner: copt.Selector}
+				var got Result
 				if when == "before selection" {
-					ps.before = publish
+					publish()
+					got, err = core.FindNC(ctx, view.G, query, copt)
 				} else {
-					ps.after = publish
+					// FindNC's two stages by hand, with the publish between them.
+					got = Result{Query: query, Context: core.Contexts(ctx, view.G, [][]NodeID{query}, copt, nil)[0]}
+					publish()
+					got.Characteristics, err = core.CompareSets(ctx, view.G, query, got.ContextIDs(), copt)
 				}
-				copt.Selector = ps
-				got, err := core.FindNC(ctx, view.G, query, copt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -108,7 +108,7 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 
 // TestEngineRefinePermutation pins the permuted-revisit semantics: a
 // warm engine answers a permutation of a cached query from the selector
-// layer with the entity set's canonical score vector, so the context and
+// layer with the entity set's canonical ranked context, so the context and
 // characteristics match the original order's result exactly (only the
 // echoed Query order differs). The seed layer alone — selector caching
 // off is not directly expressible, so this is asserted against the first

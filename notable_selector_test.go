@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/ctxsel"
 	"repro/internal/kg"
 	"repro/internal/qcache"
@@ -12,9 +13,12 @@ import (
 
 // TestSelectorsModesAndCacheStatesBitwise: every selector, reached in
 // every request mode (single Do, barriered DoBatch, streaming DoStream)
-// and every cache state (cold, warm repeat on the same engine, cache
-// disabled), returns for each query exactly the Result — context
-// included — of a solo Do on a fresh cache-disabled engine.
+// and every cache state (cold, warm repeat on the same engine, warm at a
+// smaller and at a larger context size than the one that filled the
+// cache, cache disabled), returns for each query exactly the Result —
+// context included — of a solo Do on a fresh cache-disabled engine. Every
+// leaders query has fewer non-zero candidates than the selector layer's
+// cut, so its entries are complete and serve the larger size too.
 func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 	g := buildLeaders()
 	ctx := context.Background()
@@ -57,8 +61,18 @@ func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 		off := opt
 		off.CacheSize = -1
 		ref := NewEngine(g, off)
-		qs := asQueries(leaderQueries(t, ref, 6))
-		want := modes[0].run(ref, qs)
+		nodes := leaderQueries(t, ref, 6)
+		// Requests and solo uncached answers at the filling size and at a
+		// smaller and a larger one.
+		sized := func(k int) []Query {
+			qs := asQueries(nodes)
+			for i := range qs {
+				qs[i].ContextSize = k
+			}
+			return qs
+		}
+		qs, small, large := sized(opt.ContextSize), sized(3), sized(12)
+		want, wantSmall, wantLarge := modes[0].run(ref, qs), modes[0].run(ref, small), modes[0].run(ref, large)
 		for i, q := range qs {
 			if got := ref.Context(q.Nodes, opt.ContextSize); !reflect.DeepEqual(got, want[i].Context) {
 				t.Fatalf("%s: Context(%d) differs from the Do context", sel, i)
@@ -66,12 +80,28 @@ func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 		}
 		for _, mode := range modes {
 			cached := NewEngine(g, opt)
+			var filled qcache.LayerStats
 			for _, state := range []struct {
 				name string
 				e    *Engine
-			}{{"cold", cached}, {"warm", cached}, {"cache off", NewEngine(g, off)}} {
-				if got := mode.run(state.e, qs); !reflect.DeepEqual(got, want) {
+				qs   []Query
+				want []Result
+			}{
+				{"cold", cached, qs, want},
+				{"warm", cached, qs, want},
+				{"warm smaller", cached, small, wantSmall},
+				{"warm larger", cached, large, wantLarge},
+				{"cache off", NewEngine(g, off), qs, want},
+			} {
+				if got := mode.run(state.e, state.qs); !reflect.DeepEqual(got, state.want) {
 					t.Fatalf("%s %s %s: results differ from solo uncached Do", sel, mode.name, state.name)
+				}
+				st := cached.CacheStats().Layers[qcache.LayerSelector]
+				if state.name == "cold" {
+					filled = st
+				} else if st.Misses != filled.Misses {
+					t.Fatalf("%s %s %s: the selector layer missed after the cold pass: %+v -> %+v",
+						sel, mode.name, state.name, filled, st)
 				}
 			}
 			if st := cached.CacheStats(); st.Layers[qcache.LayerSelector].Hits == 0 {
@@ -81,12 +111,22 @@ func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 	}
 }
 
-// TestCachedSelectorCancelled drives the engine's cache wrapper around the
-// RandomWalk selector (selector layer over seed layer) through a cut at
-// every probe depth in every mode: a pre-cancelled call leaves both
-// layers empty, no vector is released after the cut, every released
-// vector is complete, and whatever the aborted calls stored is whole — a
-// live call over the same cache returns the uncached bits.
+// selectorLayer returns the core options e's requests run under, with sel
+// in place of the configured selector: e's selector layer, keyed as the
+// engine keys it, in front of sel.
+func selectorLayer(e *Engine, sel ctxsel.Selector) core.Options {
+	copt := e.coreOptionsFor(e.opt, e.vg.View())
+	copt.Selector = sel
+	return copt
+}
+
+// TestCachedSelectorCancelled drives the selector layer (core.Contexts
+// under the engine's cache) in front of the RandomWalk selector — so over
+// the seed layer too — through a cut at every probe depth in every mode: a
+// pre-cancelled call leaves every layer empty, no context is released
+// after the cut, every released context is complete, and whatever the
+// aborted calls stored is whole — a live call over the same cache returns
+// the uncached bits.
 func TestCachedSelectorCancelled(t *testing.T) {
 	g := buildLeaders()
 	opt := Options{Selector: SelectorRandomWalk, Seed: 3}
@@ -94,29 +134,29 @@ func TestCachedSelectorCancelled(t *testing.T) {
 	off.CacheSize = -1
 	ref := NewEngine(g, off)
 	queries := leaderQueries(t, ref, 6)
-	want := ref.selectorFor(ref.opt, "e0").Scores(context.Background(), g, queries, nil)
+	want := core.Contexts(context.Background(), g, queries, ref.coreOptionsFor(ref.opt, ref.vg.View()), nil)
 
 	modes := []struct {
 		name string
-		run  func(ctx context.Context, sel ctxsel.Selector, ready func(int, []float64))
+		run  func(ctx context.Context, copt core.Options, ready func(int, []ContextItem))
 	}{
-		{"single", func(ctx context.Context, sel ctxsel.Selector, _ func(int, []float64)) {
+		{"single", func(ctx context.Context, copt core.Options, _ func(int, []ContextItem)) {
 			for _, q := range queries {
-				sel.Scores(ctx, g, [][]NodeID{q}, nil)
+				core.Contexts(ctx, g, [][]NodeID{q}, copt, nil)
 			}
 		}},
-		{"barriered", func(ctx context.Context, sel ctxsel.Selector, _ func(int, []float64)) {
-			sel.Scores(ctx, g, queries, nil)
+		{"barriered", func(ctx context.Context, copt core.Options, _ func(int, []ContextItem)) {
+			core.Contexts(ctx, g, queries, copt, nil)
 		}},
-		{"stream", func(ctx context.Context, sel ctxsel.Selector, ready func(int, []float64)) {
-			sel.Scores(ctx, g, queries, ready)
+		{"stream", func(ctx context.Context, copt core.Options, ready func(int, []ContextItem)) {
+			core.Contexts(ctx, g, queries, copt, ready)
 		}},
 	}
 	for _, mode := range modes {
-		selectorOf := func(e *Engine) ctxsel.Selector { return e.stateFor(e.opt, e.vg.View()).sel }
+		optionsOf := func(e *Engine) core.Options { return e.coreOptionsFor(e.opt, e.vg.View()) }
 		const budget = int64(1 << 30)
 		probe := newCountdownCtx(budget)
-		mode.run(probe, selectorOf(NewEngine(g, opt)), func(int, []float64) {})
+		mode.run(probe, optionsOf(NewEngine(g, opt)), func(int, []ContextItem) {})
 		total := budget - probe.left.Load()
 		if total < 4 {
 			t.Fatalf("%s: only %d ctx probes; cut points too coarse", mode.name, total)
@@ -125,12 +165,12 @@ func TestCachedSelectorCancelled(t *testing.T) {
 		for k := int64(0); k < total; k += 1 + total/16 {
 			for _, e := range []*Engine{NewEngine(g, opt), scarred} {
 				ctx := newCountdownCtx(k)
-				mode.run(ctx, selectorOf(e), func(i int, scores []float64) {
+				mode.run(ctx, optionsOf(e), func(i int, items []ContextItem) {
 					if ctx.left.Load() < 0 {
 						t.Fatalf("%s cut %d: query %d released after the cut", mode.name, k, i)
 					}
-					if !reflect.DeepEqual(scores, want[i]) {
-						t.Fatalf("%s cut %d: released vector %d is not the complete one", mode.name, k, i)
+					if !reflect.DeepEqual(items, want[i]) {
+						t.Fatalf("%s cut %d: released context %d is not the complete one", mode.name, k, i)
 					}
 				})
 				if st := e.CacheStats(); k == 0 && e != scarred && st.Size != 0 {
@@ -138,17 +178,15 @@ func TestCachedSelectorCancelled(t *testing.T) {
 				}
 			}
 		}
-		got := selectorOf(scarred).Scores(context.Background(), g, queries, nil)
-		for i := range queries {
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Fatalf("%s: vector %d after cancelled calls differs — a partial entry was stored", mode.name, i)
-			}
+		got := core.Contexts(context.Background(), g, queries, optionsOf(scarred), nil)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: contexts after cancelled calls differ — a partial entry was stored", mode.name)
 		}
 	}
 }
 
 // releaseAllSelector is a streaming selector that releases one vector per
-// query without ever probing ctx, leaving the cut to its wrapper.
+// query without ever probing ctx, leaving the cut to its caller.
 type releaseAllSelector struct{}
 
 func (releaseAllSelector) Name() string { return "release-all" }
@@ -160,16 +198,16 @@ func (releaseAllSelector) Scores(_ context.Context, g *kg.Graph, queries [][]Nod
 	return nil
 }
 
-// TestCachedSelectorWithholdsReleaseAfterCut: the cache wrapper's own ctx
-// probe sees the cut before the second release, so that vector is neither
-// stored nor handed to the caller.
+// TestCachedSelectorWithholdsReleaseAfterCut: the selector layer's own
+// ctx probe sees the cut before the second release, so that context is
+// neither stored nor handed to the caller.
 func TestCachedSelectorWithholdsReleaseAfterCut(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{})
-	sel := e.cachedSelectorFor(releaseAllSelector{}, e.opt, "e0")
+	copt := selectorLayer(e, releaseAllSelector{})
 	ctx := newCountdownCtx(1)
 	var released []int
-	sel.Scores(ctx, g, leaderQueries(t, e, 2), func(i int, _ []float64) {
+	core.Contexts(ctx, g, leaderQueries(t, e, 2), copt, func(i int, _ []ContextItem) {
 		if ctx.left.Load() < 0 {
 			t.Fatalf("query %d released after the cut", i)
 		}
@@ -179,6 +217,6 @@ func TestCachedSelectorWithholdsReleaseAfterCut(t *testing.T) {
 		t.Fatalf("released %v, want only query 0", released)
 	}
 	if n := e.CacheStats().Size; n != 1 {
-		t.Fatalf("cache holds %d entries, want query 0's vector alone", n)
+		t.Fatalf("cache holds %d entries, want query 0's context alone", n)
 	}
 }

@@ -155,7 +155,8 @@ type Outcome struct {
 // distribution comparison) for q.Nodes under q's overrides. A cancelled
 // ctx aborts the search within one PageRank sweep or one label test and
 // returns ctx.Err(); the engine's caches are never corrupted by an
-// abandoned request (only complete vectors and records are stored).
+// abandoned request (only complete contexts, vectors and records are
+// stored).
 //
 // With q.Degrade set, a cut that lands in the comparison stage returns
 // the partial Result (context + labels tested so far, TopK-trimmed)
