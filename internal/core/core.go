@@ -9,10 +9,11 @@
 //  3. A label is notable iff either test rejects at the significance
 //     level; its score is δ = max(δ_Inst, δ_Card) ∈ (0.95, 1].
 //
-// Labels are tested concurrently on a bounded worker pool (optionally
-// memoized through Options.Cache); results are deterministic for a
-// fixed seed because every randomized component takes an explicit seed
-// and each label's record lands at a fixed slot before the final sort.
+// Labels are tested concurrently on a bounded worker pool (the finished
+// report optionally memoized through Options.Cache); results are
+// deterministic for a fixed seed because every randomized component takes
+// an explicit seed and each label's record lands at a fixed slot before
+// the final sort.
 //
 // Every entry point is request-scoped: it takes a context.Context,
 // threads it through context selection (the PageRank loops check it
@@ -122,8 +123,8 @@ type Options struct {
 	// Seed drives every randomized component.
 	Seed int64
 	// Cache, when non-nil, memoizes ranked contexts (see Contexts) and
-	// per-label test records (see CompareSets) across calls. A pointer for
-	// the same reason as Obs.
+	// finished comparison reports, one per (query, context, test options)
+	// (see CompareSets), across calls. A pointer for the same reason as Obs.
 	Cache *Cache
 
 	// Obs, when non-nil, receives per-stage wall times: one Select
@@ -142,8 +143,9 @@ type Options struct {
 // layers' key prefixes, built once per (graph epoch, effective options).
 type Cache struct {
 	Store *qcache.Cache // the entries; required
-	// Tag leads every test-layer key: the graph epoch, for a mutable graph.
-	Tag string
+	// TestPrefix leads every test-layer key: TestKeyPrefix of the graph
+	// epoch and the options, or "" to render it on every call.
+	TestPrefix string
 	// SelectorPrefix leads every selector-layer key: it must identify
 	// Options.Selector, every setting that changes its scores, and the epoch.
 	SelectorPrefix string
@@ -441,8 +443,12 @@ var testLabelHook func()
 // per-label slots before the final sort, so the output is deterministic
 // for every worker count. Workers check ctx between labels: a cancelled
 // request abandons the stage within one label test and returns ctx.Err().
-// A label test already running completes — its record is whole — so the
-// shared test cache only ever holds complete entries, cancelled or not.
+//
+// With opt.Cache the whole sorted report is one test-layer entry, keyed by
+// the query multiset, the ranked context and every option that can change
+// it: a warm call is one lookup and a private copy, skipping even the
+// label list. A done ctx skips the lookup; only a run that tested every
+// label is stored.
 func CompareSets(ctx context.Context, g *kg.Graph, query, cset []kg.NodeID, opt Options) ([]Characteristic, error) {
 	if opt.Obs == nil {
 		return compareSetsUntimed(ctx, g, query, cset, opt)
@@ -459,6 +465,29 @@ func compareSetsUntimed(ctx context.Context, g *kg.Graph, query, cset []kg.NodeI
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
+	var key string
+	if opt.Cache != nil && ctx.Err() == nil {
+		key = opt.Cache.testKey(query, cset, opt)
+		if v, ok := opt.Cache.Store.GetLayer(key, qcache.LayerTest); ok {
+			return copyReport(v.([]Characteristic)), nil
+		}
+	}
+	out, err := testLabels(ctx, g, query, cset, opt)
+	if key != "" && err == nil {
+		master := copyReport(out)
+		bytes := int64(len(key))
+		for _, c := range master {
+			bytes += c.cacheFootprint()
+		}
+		opt.Cache.Store.PutSized(key, master, qcache.LayerTest, bytes)
+	}
+	return out, err
+}
+
+// testLabels tests every label of query ∪ cset on the label pool and
+// returns the sorted report — or, once ctx is done, ctx.Err(), or under
+// Partial the sorted prefix tested so far with a *PartialError.
+func testLabels(ctx context.Context, g *kg.Graph, query, cset []kg.NodeID, opt Options) ([]Characteristic, error) {
 	both := make([]kg.NodeID, 0, len(query)+len(cset))
 	both = append(both, query...)
 	both = append(both, cset...)
@@ -473,10 +502,6 @@ func compareSetsUntimed(ctx context.Context, g *kg.Graph, query, cset []kg.NodeI
 		labels = kept
 	}
 
-	var keyBase string
-	if opt.Cache != nil {
-		keyBase = testKeyBase(query, cset, opt)
-	}
 	out := make([]Characteristic, len(labels))
 	// Completion tracking costs an allocation, so only degradable calls
 	// pay for it; without it a cut simply discards out.
@@ -500,7 +525,7 @@ func compareSetsUntimed(ctx context.Context, g *kg.Graph, query, cset []kg.NodeI
 			if testLabelHook != nil {
 				testLabelHook()
 			}
-			out[i] = testLabelCached(g, labels[i], query, cset, opt, keyBase, &s)
+			out[i] = testLabel(g, labels[i], query, cset, opt.Test, opt.Policy, &s)
 			// Claimed slots are always finished (workers abort only between
 			// claims), so the done set is a prefix of the claim order. Each
 			// slot has exactly one writer and is read only after the pool's
@@ -570,56 +595,66 @@ type labelScratch struct {
 	cardPi []float64
 }
 
-// testKeyBase builds the cache-key prefix shared by every label of one
-// CompareSets call: the query as a sorted multiset (counting is
-// order-independent but multiplicity-sensitive), the ranked context
-// hashed compactly, and every option that can change a test outcome.
-// opt must already carry defaults.
-func testKeyBase(query, cset []kg.NodeID, opt Options) string {
-	prefix := fmt.Sprintf("mt|%s|a%v|el%d|mc%d|s%d|pol%d|c%x",
-		opt.Cache.Tag, opt.Test.Alpha, opt.Test.ExactLimit, opt.Test.Samples, opt.Test.Seed,
-		opt.Policy, qcache.HashIDs(cset))
-	return qcache.MultisetKey(prefix, query)
+// TestKeyPrefix renders Cache.TestPrefix for tag (the graph epoch) and
+// every option that can change a report — the test's Alpha, ExactLimit,
+// Samples and Seed, Policy and SkipInverse — once per (epoch, options).
+func TestKeyPrefix(tag string, opt Options) string {
+	opt = opt.withDefaults()
+	return fmt.Sprintf("mt|%s|a%v|el%d|mc%d|s%d|pol%d|inv%t|c",
+		tag, opt.Test.Alpha, opt.Test.ExactLimit, opt.Test.Samples, opt.Test.Seed, opt.Policy, opt.SkipInverse)
 }
 
-// testLabelCached consults the test layer of opt.Cache around testLabel,
-// keyed on (label, query multiset, ranked context, test options, policy):
-// a warm hit skips distribution building and the multinomial test
-// outright. The stored master record is never handed out: hits and
-// misses alike return a record with private distribution slices,
-// preserving the uncached contract that callers own (and may mutate)
-// everything they receive.
-func testLabelCached(g *kg.Graph, l kg.LabelID, query, cset []kg.NodeID, opt Options, keyBase string, s *labelScratch) Characteristic {
-	if opt.Cache == nil {
-		return testLabel(g, l, query, cset, opt.Test, opt.Policy, s)
+// testKey is one request's test-layer key: the options prefix (rendered
+// here when TestPrefix is empty), the ranked context hashed compactly, and
+// the query as a sorted multiset. opt must already carry defaults.
+func (c *Cache) testKey(query, cset []kg.NodeID, opt Options) string {
+	prefix := c.TestPrefix
+	if prefix == "" {
+		prefix = TestKeyPrefix("", opt)
 	}
-	key := keyBase + "|l" + strconv.FormatUint(uint64(l), 10)
-	if v, ok := opt.Cache.Store.GetLayer(key, qcache.LayerTest); ok {
-		return v.(Characteristic).clone()
-	}
-	c := testLabel(g, l, query, cset, opt.Test, opt.Policy, s)
-	opt.Cache.Store.PutSized(key, c, qcache.LayerTest, c.cacheFootprint()+int64(len(key)))
-	return c.clone()
+	return qcache.MultisetKey(prefix+strconv.FormatUint(qcache.HashIDs(cset), 16), query)
 }
 
 // cacheFootprint estimates the record's resident bytes for the cache's
 // byte accounting: the fixed fields plus the distribution slices.
 func (c Characteristic) cacheFootprint() int64 {
 	const fixed = 160 // struct, string header, slice headers
-	return fixed + int64(len(c.Name)) +
-		4*int64(len(c.Inst.Values)) +
+	return fixed + int64(len(c.Name)) + 4*int64(len(c.Inst.Values)) +
 		8*int64(len(c.Inst.Query)+len(c.Inst.Context)+len(c.Card.Query)+len(c.Card.Context))
 }
 
-// clone copies the record's distribution slices so the returned value
-// shares nothing mutable with the cached master.
-func (c Characteristic) clone() Characteristic {
-	c.Inst.Values = append([]kg.NodeID(nil), c.Inst.Values...)
-	c.Inst.Query = append([]int(nil), c.Inst.Query...)
-	c.Inst.Context = append([]int(nil), c.Inst.Context...)
-	c.Card.Query = append([]int(nil), c.Card.Query...)
-	c.Card.Context = append([]int(nil), c.Card.Context...)
-	return c
+// copyReport returns a copy of report that shares nothing mutable with it,
+// in three allocations: the records, every Inst.Values, and every count
+// slice. Each sub-slice is capped at its length, so an append to one
+// reallocates rather than reaching its neighbour.
+func copyReport(report []Characteristic) []Characteristic {
+	out := slices.Clone(report)
+	var nv, nc int
+	for _, c := range report {
+		nv += len(c.Inst.Values)
+		nc += len(c.Inst.Query) + len(c.Inst.Context) + len(c.Card.Query) + len(c.Card.Context)
+	}
+	values, counts := make([]kg.NodeID, 0, nv), make([]int, 0, nc)
+	for i := range out {
+		c := &out[i]
+		c.Inst.Values, values = carve(values, c.Inst.Values)
+		c.Inst.Query, counts = carve(counts, c.Inst.Query)
+		c.Inst.Context, counts = carve(counts, c.Inst.Context)
+		c.Card.Query, counts = carve(counts, c.Card.Query)
+		c.Card.Context, counts = carve(counts, c.Card.Context)
+	}
+	return out
+}
+
+// carve appends src to buf, which has room for it, and returns the copy
+// capped at its length along with the grown buf. A nil src stays nil.
+func carve[T any](buf, src []T) (dst, rest []T) {
+	if src == nil {
+		return nil, buf
+	}
+	n := len(buf)
+	buf = append(buf, src...)
+	return buf[n:len(buf):len(buf)], buf
 }
 
 // testLabel builds both distributions for l and applies the multinomial

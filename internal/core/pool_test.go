@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -69,8 +70,9 @@ func TestCompareSetsEmptyInput(t *testing.T) {
 	}
 }
 
-// TestCompareSetsTestCache: a warm repeat serves every label from the
-// memo (hit counters prove it) and returns the identical report.
+// TestCompareSetsTestCache: a warm repeat serves the whole report from the
+// memo — one test-layer miss cold, one hit warm, and no label tested — and
+// returns the identical report.
 func TestCompareSetsTestCache(t *testing.T) {
 	g, query := leadersGraph()
 	ctx := peerContext(g)
@@ -78,13 +80,22 @@ func TestCompareSetsTestCache(t *testing.T) {
 	opt := Options{Seed: 7, Cache: &Cache{Store: cache}}
 	cold := compareSets(t, g, query, ctx, opt)
 	st := cache.Stats()
-	if st.Hits != 0 || st.Misses != uint64(len(cold)) {
-		t.Fatalf("cold run: %+v, want %d misses and no hits", st, len(cold))
+	if st.Hits != 0 || st.Misses != 1 || st.Layers[qcache.LayerTest].Misses != 1 {
+		t.Fatalf("cold run: %+v, want one test-layer miss and no hits", st)
 	}
+	var tested atomic.Int64
+	testLabelHook = func() { tested.Add(1) }
 	warm := compareSets(t, g, query, ctx, opt)
+	testLabelHook = nil
 	st = cache.Stats()
-	if st.Hits != uint64(len(cold)) || st.Misses != uint64(len(cold)) {
-		t.Fatalf("warm run: %+v, want %d hits", st, len(cold))
+	if st.Hits != 1 || st.Misses != 1 || st.Layers[qcache.LayerTest].Hits != 1 {
+		t.Fatalf("warm run: %+v, want one test-layer hit", st)
+	}
+	if n := tested.Load(); n != 0 {
+		t.Fatalf("warm run tested %d labels, want 0", n)
+	}
+	if !reflect.DeepEqual(warm, cold) {
+		t.Fatal("warm report is not DeepEqual to the cold one")
 	}
 	for i := range cold {
 		a, b := cold[i], warm[i]
@@ -95,7 +106,7 @@ func TestCompareSetsTestCache(t *testing.T) {
 	// A permuted query is the same multiset: still fully warm.
 	perm := []uint32{query[1], query[0]}
 	compareSets(t, g, perm, ctx, opt)
-	if st = cache.Stats(); st.Hits != 2*uint64(len(cold)) {
+	if st = cache.Stats(); st.Hits != 2 {
 		t.Fatalf("permuted query missed the memo: %+v", st)
 	}
 }

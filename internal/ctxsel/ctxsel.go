@@ -19,6 +19,7 @@ package ctxsel
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/kg"
@@ -92,17 +93,21 @@ func scoreEach(ctx context.Context, queries [][]kg.NodeID, ready func(i int, sco
 // excluding the query nodes and zero scores — the shared selection step of
 // every score-based selector. The order is total (score, then ID), so the
 // cut at k is a prefix of the cut at any K ≥ k; no k allocates past n.
+//
+// Query membership is checked only for a node that would enter the heap:
+// ids ascend, so once the heap is full a node enters only with a score
+// strictly above its root's (a tie keeps the smaller, earlier id).
 func TopKFromScores(scores []float64, query []kg.NodeID, k int) []topk.Item {
-	skip := make(map[uint32]bool, len(query))
-	for _, q := range query {
-		skip[q] = true
-	}
+	skip := slices.Clone(query)
+	slices.Sort(skip)
 	sel := topk.New(min(k, len(scores)))
 	for id, sc := range scores {
-		if sc == 0 || skip[uint32(id)] {
+		if root, full := sel.Threshold(); sc == 0 || full && !(sc > root) {
 			continue
 		}
-		sel.Offer(uint32(id), sc)
+		if _, isQuery := slices.BinarySearch(skip, uint32(id)); !isQuery {
+			sel.Offer(uint32(id), sc)
+		}
 	}
 	return sel.Ranked()
 }

@@ -30,6 +30,7 @@ package kg
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -272,19 +273,25 @@ func (g *Graph) WeightedOutDegree(n NodeID) float64 {
 }
 
 // LabelsOf returns the distinct edge labels present on the out-edges of the
-// given nodes — L restricted to the set, per Definition 3.
+// given nodes, ascending — L restricted to the set, per Definition 3.
 func (g *Graph) LabelsOf(nodes []NodeID) []LabelID {
-	seen := make(map[LabelID]struct{})
+	seen := make([]uint64, (g.NumLabels()+63)/64)
+	count := 0
 	for _, n := range nodes {
 		for _, e := range g.OutEdges(n) {
-			seen[e.Label] = struct{}{}
+			w, bit := e.Label/64, uint64(1)<<(e.Label%64)
+			if seen[w]&bit == 0 {
+				seen[w] |= bit
+				count++
+			}
 		}
 	}
-	out := make([]LabelID, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
+	out := make([]LabelID, 0, count)
+	for w, word := range seen {
+		for ; word != 0; word &= word - 1 {
+			out = append(out, LabelID(w*64+bits.TrailingZeros64(word)))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

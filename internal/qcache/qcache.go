@@ -7,12 +7,13 @@
 //
 // One cache holds entries from several pipeline stages, distinguished by
 // a Layer tag for per-layer accounting and budgeting: ranked selector
-// contexts (LayerSelector), per-label test records
-// (LayerTest), single-seed PageRank vectors (LayerSeed), and Monte-Carlo
-// null distributions (LayerNull). The cache itself treats layer values
-// opaquely; layers exist so Stats can report residency and hit rates per
-// stage and so a deployment can bound the big layers (seed vectors are
-// ~8 bytes per graph node each) independently of the total budget.
+// contexts (LayerSelector), finished comparison reports, one per (query,
+// context, test options) (LayerTest), single-seed PageRank vectors
+// (LayerSeed), and Monte-Carlo null distributions (LayerNull). The cache
+// itself treats layer values opaquely; layers exist so Stats can report
+// residency and hit rates per stage and so a deployment can bound the big
+// layers (seed vectors are ~8 bytes per graph node each) independently of
+// the total budget.
 //
 // # Sharding
 //
@@ -70,7 +71,7 @@ package qcache
 import (
 	"container/list"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -84,7 +85,8 @@ const (
 	// LayerSelector holds ranked selector contexts — small entries, 16
 	// bytes per context item whatever the graph size.
 	LayerSelector Layer = iota
-	// LayerTest holds per-label test records — small entries.
+	// LayerTest holds finished comparison reports — every tested label's
+	// record for one (query, context, test options), a few KB each.
 	LayerTest
 	// LayerSeed holds single-seed PageRank vectors — the per-seed store
 	// behind interactive-refinement reuse; large entries, up to ~8 bytes
@@ -490,32 +492,24 @@ func (c *Cache) Stats() Stats {
 // duplicates — such queries are not canonicalizable (see the package
 // comment) and must bypass the cache.
 func Key(prefix string, ids []uint32) (key string, ok bool) {
-	sorted := make([]uint32, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b []byte
-	b = append(b, prefix...)
-	for i, id := range sorted {
-		if i > 0 && id == sorted[i-1] {
-			return "", false
-		}
-		b = append(b, '|')
-		b = strconv.AppendUint(b, uint64(id), 10)
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	if len(slices.Compact(sorted)) < len(ids) {
+		return "", false
 	}
-	return string(b), true
+	return MultisetKey(prefix, sorted), true
 }
 
 // MultisetKey canonicalizes ids under prefix like Key, but keeps
-// duplicates: IDs are sorted ascending with multiplicity. The comparison
-// stage's per-label keys use it because distribution counting is
+// duplicates: IDs are sorted ascending with multiplicity. The test
+// layer's keys use it because distribution counting is
 // order-independent yet multiplicity-sensitive — a node listed twice
 // contributes its counts twice — so duplicate queries are perfectly
 // cacheable there, unlike in the selector layer.
 func MultisetKey(prefix string, ids []uint32) string {
-	sorted := make([]uint32, len(ids))
-	copy(sorted, ids)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var b []byte
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	b := make([]byte, 0, len(prefix)+11*len(ids))
 	b = append(b, prefix...)
 	for _, id := range sorted {
 		b = append(b, '|')

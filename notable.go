@@ -51,10 +51,11 @@
 // optionally sharded via Options.CacheShards for concurrent traffic).
 // The selector layer caches each query's ranked context (the best
 // max(k, 100) nodes — never the score vector), so a warm query skips
-// mining, walking and ranking; the comparison layer caches per-label test
-// records, so it also skips distribution building and multinomial
-// testing — a fully warm repeated Do copies cached values and recomputes
-// only the label list of query and context. Two more layers serve the
+// mining, walking and ranking; the comparison layer caches each request's
+// finished report — every tested label's record, keyed by the query, the
+// ranked context and the test options — so it also skips the label list,
+// distribution building and multinomial testing: a fully warm repeated Do
+// is two lookups and a copy of the cached values. Two more layers serve the
 // interactive-refinement workload, where consecutive queries overlap
 // rather than repeat: the seed layer (Options.SeedCacheBytes) keeps
 // single-seed PageRank vectors, so adding or removing one entity from a
@@ -114,8 +115,9 @@
 //
 // Malformed requests fail fast with typed errors: ErrBadQuery (errors.Is)
 // rejects out-of-range overrides — negative TopK, ContextSize, or
-// TestSamples, Alpha outside (0, 1) — naming the offending field, before
-// any graph work runs. Query.Degrade opts a Do call into
+// TestSamples, Alpha outside (0, 1) — and node IDs past the pinned
+// graph's NumNodes, naming the offending field, before any graph work
+// runs. Query.Degrade opts a Do call into
 // deadline-degraded mode: when its ctx expires during the comparison
 // stage, the call returns the labels tested so far (always a
 // prefix-consistent subset of the full report, each record bitwise equal
@@ -137,6 +139,7 @@ package notable
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -237,17 +240,17 @@ type Options struct {
 	Parallelism int
 	// CacheSize bounds the engine's query cache: the number of memoized
 	// entries across all four cache layers — ranked selector contexts,
-	// per-label test records, per-seed PageRank vectors, and Monte-Carlo
-	// null distributions (see internal/qcache). 0 selects
-	// DefaultCacheSize; negative disables caching. Caching never changes
-	// results — every randomized component is seeded — it only skips
-	// repeated work: a warm repeat of a query skips metapath mining,
+	// comparison reports (one per query and context), per-seed PageRank
+	// vectors, and Monte-Carlo null distributions (see internal/qcache).
+	// 0 selects DefaultCacheSize; negative disables caching. Caching never
+	// changes results — every randomized component is seeded — it only
+	// skips repeated work: a warm repeat of a query skips metapath mining,
 	// walking, distribution building, and multinomial testing entirely,
 	// and an overlapping query re-solves only its new seeds.
 	CacheSize int
 	// CacheBytes optionally bounds the query cache by estimated resident
 	// bytes alongside the entry cap. Selector entries weigh 16 bytes per
-	// context item and test records are small; seed vectors (8 bytes per
+	// context item and reports a few KB; seed vectors (8 bytes per
 	// graph node) are the big entries. 0 means no byte bound; CacheStats
 	// reports per-layer residency, so a budget can be sized from load.
 	CacheBytes int64
@@ -290,13 +293,13 @@ type Options struct {
 }
 
 // DefaultCacheSize is the query-cache capacity used when Options.CacheSize
-// is zero. A warm query occupies one selector entry plus one entry per
-// tested label, so size CacheSize to roughly (hot queries) × (labels per
-// query + 1) — the default keeps a few hundred fully-warm queries on
-// typical label counts. Selector and test entries are small; the big
+// is zero. A warm query occupies two entries — its ranked context and its
+// comparison report — so size CacheSize to roughly 2 × (hot queries) plus
+// the seed and null entries; the default keeps about 500 fully-warm
+// queries. Selector and test entries are small (a few KB at most); the big
 // ones, seed-layer n-float vectors, are bounded by the per-layer budgets
 // below, and Options.CacheBytes bounds the total.
-const DefaultCacheSize = 4096
+const DefaultCacheSize = 1024
 
 // DefaultSeedCacheBytes bounds the seed-vector layer when
 // Options.SeedCacheBytes is zero: 64 MiB keeps tens of hot entities
@@ -335,11 +338,12 @@ type Engine struct {
 	// skippedCkpts counts checkpoint files boot recovery discarded.
 	recovered    int
 	skippedCkpts int
-	// selMemo caches the request-derived state — selector, epoch tag,
-	// selector-layer key prefix — for one (epoch, effective options)
-	// pair, so the steady-state serving path (same options, unchanged
-	// graph) builds no strings per request. Misses (an epoch bump or an
-	// override mix) just rebuild; correctness never depends on a hit.
+	// selMemo caches the request-derived state — the core options with
+	// their selector and both cache-key prefixes — for one (epoch,
+	// effective options) pair, so the steady-state serving path (same
+	// options, unchanged graph) builds no strings per request. Misses (an
+	// epoch bump or an override mix) just rebuild; correctness never
+	// depends on a hit.
 	selMemo atomic.Pointer[optState]
 	// met is the engine's always-on metrics bundle: per-stage and
 	// end-to-end latency histograms registered once here so the serving
@@ -394,8 +398,7 @@ func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 type optState struct {
 	epoch uint64
 	opt   Options
-	sel   ctxsel.Selector
-	cache *core.Cache // nil when caching is disabled
+	copt  core.Options
 }
 
 // NewEngine prepares an engine (including the entity-name index) for g,
@@ -555,11 +558,11 @@ func (e *Engine) Compact() { e.vg.Compact() }
 // CacheStats reports the query cache's counters, aggregated over all
 // shards and broken down per layer (Stats.Layers): the selector layer
 // (one ranked context per query, 16 bytes per item), the comparison layer
-// (one small entry per tested label), the seed layer (one PageRank vector
-// per hot entity), and the null layer (one
+// (one finished report per query, context and test options), the seed
+// layer (one PageRank vector per hot entity), and the null layer (one
 // Monte-Carlo null distribution per distinct context distribution). A
-// fully warm repeated Do performs exactly one selector hit plus one hit
-// per tested label and zero misses; a refinement step shows seed-layer
+// fully warm repeated Do performs exactly one selector hit and one
+// comparison hit and zero misses; a refinement step shows seed-layer
 // hits for the retained entities and null-layer hits for the labels whose
 // context distribution survived. A cache-disabled engine reports zeros.
 func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
@@ -636,40 +639,29 @@ func (e *Engine) selectorFor(opt Options, tag string) ctxsel.Selector {
 	}
 }
 
-// stateFor resolves the memoized request-derived state for opt at view's
-// epoch, rebuilding (and re-memoizing) on any miss. The selector-layer
-// prefix folds the epoch and every effective option that can change a
-// score vector (selector, Walks, Damping, Seed), overridden or not.
-func (e *Engine) stateFor(opt Options, view *kg.View) *optState {
-	if st := e.selMemo.Load(); st != nil && st.epoch == view.Epoch && st.opt == opt {
-		return st
-	}
-	tag := epochTag(view)
-	sel := e.selectorFor(opt, tag)
-	st := &optState{epoch: view.Epoch, opt: opt, sel: sel}
-	if e.cache != nil {
-		st.cache = &core.Cache{Store: e.cache, Tag: tag,
-			SelectorPrefix: fmt.Sprintf("%s|%s|w%d|d%v|s%d", sel.Name(), tag, opt.Walks, opt.Damping, opt.Seed)}
-	}
-	e.selMemo.Store(st)
-	return st
-}
-
 // coreOptionsFor translates opt — the engine's options with any
 // per-request overrides already applied — into the core pipeline's
 // options, for a request pinned to view. The caches stay engine-level:
 // overrides never fork cache state, they only reconfigure one request's
 // pipeline, and the view's epoch rides in every cache key so entries
 // from different graph versions never mix.
+//
+// The translation is memoized per (epoch, opt) and rebuilt on any miss.
+// Both key prefixes fold the epoch: the selector layer's every effective
+// option that can change a score vector (selector, Walks, Damping, Seed),
+// the test layer's every one that can change a report (core.TestKeyPrefix).
 func (e *Engine) coreOptionsFor(opt Options, view *kg.View) core.Options {
+	if st := e.selMemo.Load(); st != nil && st.epoch == view.Epoch && st.opt == opt {
+		return st.copt
+	}
 	policy := dist.UnseenStrict
 	if opt.Policy == PolicyPooled {
 		policy = dist.UnseenPooled
 	}
-	st := e.stateFor(opt, view)
-	return core.Options{
+	tag := epochTag(view)
+	copt := core.Options{
 		ContextSize: opt.ContextSize,
-		Selector:    st.sel,
+		Selector:    e.selectorFor(opt, tag),
 		Test: stats.Multinomial{
 			Alpha:      opt.Alpha,
 			Seed:       opt.Seed,
@@ -681,18 +673,24 @@ func (e *Engine) coreOptionsFor(opt Options, view *kg.View) core.Options {
 		Policy:      policy,
 		Parallelism: opt.Parallelism,
 		Seed:        opt.Seed,
-		Cache:       st.cache,
 		Obs:         e.met.stage,
 	}
+	if e.cache != nil {
+		copt.Cache = &core.Cache{Store: e.cache, TestPrefix: core.TestKeyPrefix(tag, copt),
+			SelectorPrefix: fmt.Sprintf("%s|%s|w%d|d%v|s%d", copt.Selector.Name(), tag, opt.Walks, opt.Damping, opt.Seed)}
+	}
+	e.selMemo.Store(&optState{epoch: view.Epoch, opt: opt, copt: copt})
+	return copt
 }
 
 // Context returns only the top-k similar nodes for a query, against the
-// current graph epoch, through the same selector layer as Do.
+// current graph epoch, through the same selector layer as Do. A k ≤ 0, or
+// a query naming a node ID the graph does not have, selects nothing.
 func (e *Engine) Context(query []NodeID, k int) []ContextItem {
-	if k <= 0 {
+	view := e.vg.View()
+	if k <= 0 || checkNodes(view.G, "query", query) != nil {
 		return []ContextItem{}
 	}
-	view := e.vg.View()
 	copt := e.coreOptionsFor(e.opt, view)
 	copt.ContextSize = k
 	return core.Contexts(context.Background(), view.G, [][]NodeID{query}, copt, nil)[0]
@@ -701,13 +699,17 @@ func (e *Engine) Context(query []NodeID, k int) []ContextItem {
 // DoCompare runs only the distribution-comparison stage against an
 // explicit context set (bring-your-own-context), under q's per-request
 // overrides — including the TopK payload cut (q.Nodes and ContextSize
-// are ignored; pass Query{} for engine defaults). Cancellation stops the
+// are ignored; pass Query{} for engine defaults). A node ID the graph does
+// not have, in either set, is an ErrBadQuery. Cancellation stops the
 // label pool within one test and returns ctx.Err().
 func (e *Engine) DoCompare(ctx context.Context, query, contextSet []NodeID, q Query) ([]Characteristic, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	view := e.vg.View()
+	if err := cmp.Or(checkNodes(view.G, "query", query), checkNodes(view.G, "context", contextSet)); err != nil {
+		return nil, err
+	}
 	out, err := core.CompareSets(ctx, view.G, query, contextSet, e.coreOptionsFor(e.opt.apply(q), view))
 	if err != nil {
 		return nil, err

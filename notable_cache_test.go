@@ -2,6 +2,7 @@ package notable
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -254,9 +255,9 @@ func TestSelectorLayerHoldsRankedPrefix(t *testing.T) {
 	}
 }
 
-// TestEngineWarmSearchSkipsTestingStage: a warm repeated Do serves
-// the selector AND every label test from the cache — exactly one hit per
-// tested label plus one for the ranked context, and zero new misses.
+// TestEngineWarmSearchSkipsTestingStage: a warm repeated Do serves the
+// selector AND the whole comparison report from the cache — exactly one
+// selector-layer hit and one test-layer hit, and zero new misses.
 func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{ContextSize: 8, Walks: 20000, Seed: 3})
@@ -265,11 +266,13 @@ func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(cold.Characteristics) < 2 {
+		t.Fatalf("cold search tested %d labels, want several", len(cold.Characteristics))
+	}
 	st := e.CacheStats()
-	labels := uint64(len(cold.Characteristics))
-	if st.Misses != labels+1 || st.Hits != 0 {
-		t.Fatalf("cold search stats %+v, want %d misses (selector + labels), 0 hits",
-			st, labels+1)
+	sel, test := st.Layers[qcache.LayerSelector], st.Layers[qcache.LayerTest]
+	if st.Misses != 2 || st.Hits != 0 || sel.Misses != 1 || test.Misses != 1 {
+		t.Fatalf("cold search stats %+v, want one selector and one test miss, 0 hits", st)
 	}
 	warm, err := doNames(e, names...)
 	if err != nil {
@@ -279,9 +282,8 @@ func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 	if st2.Misses != st.Misses {
 		t.Fatalf("warm search recomputed something: %+v -> %+v", st, st2)
 	}
-	if st2.Hits != labels+1 {
-		t.Fatalf("warm search hits = %d, want %d (selector + every label)",
-			st2.Hits, labels+1)
+	if sel, test := st2.Layers[qcache.LayerSelector], st2.Layers[qcache.LayerTest]; st2.Hits != 2 || sel.Hits != 1 || test.Hits != 1 {
+		t.Fatalf("warm search stats %+v, want one selector and one test hit", st2)
 	}
 	for i := range cold.Characteristics {
 		a, b := cold.Characteristics[i], warm.Characteristics[i]
@@ -302,6 +304,35 @@ func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 	after := e.CacheStats()
 	if after.Misses != before.Misses {
 		t.Fatalf("DoCompare against the searched context missed: %+v -> %+v", before, after)
+	}
+}
+
+// TestWarmEntryCancelledCtx: a request whose ctx is already done fails with
+// ctx.Err() even when every layer it needs is warm — from Do, with or
+// without Degrade, and from DoCompare.
+func TestWarmEntryCancelledCtx(t *testing.T) {
+	e := NewEngine(buildLeaders(), Options{ContextSize: 8, Walks: 20000, Seed: 3})
+	query, err := e.Resolve("Angela Merkel", "Barack Obama")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Do(context.Background(), Query{Nodes: query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.DoCompare(context.Background(), query, res.ContextIDs(), Query{}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, q := range []Query{{Nodes: query}, {Nodes: query, Degrade: true}} {
+		if got, err := e.Do(ctx, q); !errors.Is(err, context.Canceled) || got.Characteristics != nil {
+			t.Fatalf("Do (Degrade %v) on a warm entry with a done ctx: %d records, err %v; want context.Canceled",
+				q.Degrade, len(got.Characteristics), err)
+		}
+	}
+	if got, err := e.DoCompare(ctx, query, res.ContextIDs(), Query{}); !errors.Is(err, context.Canceled) || got != nil {
+		t.Fatalf("DoCompare on a warm entry with a done ctx: %d records, err %v; want context.Canceled", len(got), err)
 	}
 }
 

@@ -3,6 +3,7 @@ package notable
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
@@ -481,6 +482,43 @@ func TestQueryValidation(t *testing.T) {
 		if bad := o.Index == 1; bad != errors.Is(o.Err, ErrBadQuery) {
 			t.Fatalf("stream outcome %d err = %v", o.Index, o.Err)
 		}
+	}
+
+	// A node ID past the graph is ErrBadQuery naming index and value under
+	// every selector and entry point — never a panic in a selector or a
+	// PageRank worker.
+	n := NodeID(g.NumNodes())
+	outside := []NodeID{nodes[0], n + 7}
+	const named = "Nodes[1] = "
+	for _, sel := range []string{SelectorContextRW, SelectorRandomWalk, SelectorJaccard, SelectorSimRank} {
+		bad := Query{Nodes: outside, Selector: sel}
+		if _, err := e.Do(ctx, bad); !errors.Is(err, ErrBadQuery) || !contains(err.Error(), named+fmt.Sprint(n+7)) {
+			t.Fatalf("%s: Do err = %v, want ErrBadQuery naming %s%d", sel, err, named, n+7)
+		}
+		if _, err := e.DoBatch(ctx, []Query{{Nodes: nodes, Selector: sel}, bad}); !errors.Is(err, ErrBadQuery) ||
+			!contains(err.Error(), "batch index 1") || !contains(err.Error(), named) {
+			t.Fatalf("%s: DoBatch err = %v, want ErrBadQuery naming index 1", sel, err)
+		}
+		for o := range e.DoStream(ctx, []Query{bad, {Nodes: nodes, Selector: sel}}) {
+			if isBad := o.Index == 0; isBad != errors.Is(o.Err, ErrBadQuery) || (!isBad && len(o.Result.Characteristics) == 0) {
+				t.Fatalf("%s: stream outcome %d = %+v", sel, o.Index, o)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		query, cset   []NodeID
+		wantInMessage string
+	}{
+		{"query", outside, nodes, "query[1] = "},
+		{"context", nodes, []NodeID{n}, "context[0] = "},
+	} {
+		if _, err := e.DoCompare(ctx, tc.query, tc.cset, Query{}); !errors.Is(err, ErrBadQuery) || !contains(err.Error(), tc.wantInMessage) {
+			t.Fatalf("DoCompare with a bad %s: err = %v, want ErrBadQuery naming %q", tc.name, err, tc.wantInMessage)
+		}
+	}
+	if got := e.Context(outside, 3); len(got) != 0 {
+		t.Fatalf("Context of a query past the graph = %v, want empty", got)
 	}
 }
 

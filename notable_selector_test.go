@@ -15,7 +15,9 @@ import (
 // every request mode (single Do, barriered DoBatch, streaming DoStream)
 // and every cache state (cold, warm repeat on the same engine, warm at a
 // smaller and at a larger context size than the one that filled the
-// cache, cache disabled), returns for each query exactly the Result —
+// cache, Alpha and Policy overrides and IncludeInverse toggled over the
+// same store — each first cold in the test layer, then warm — and cache
+// disabled), returns for each query exactly the Result —
 // context included — of a solo Do on a fresh cache-disabled engine. Every
 // leaders query has fewer non-zero candidates than the selector layer's
 // cut, so its entries are complete and serve the larger size too.
@@ -78,30 +80,70 @@ func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 				t.Fatalf("%s: Context(%d) differs from the Do context", sel, i)
 			}
 		}
+		// Test-option overrides and the inverse-label toggle, each of which
+		// changes the report and so must key a test-layer entry of its own.
+		overridden := func(set func(*Query)) []Query {
+			out := asQueries(nodes)
+			for i := range out {
+				set(&out[i])
+			}
+			return out
+		}
+		alpha := overridden(func(q *Query) { q.Alpha = 0.001 })
+		pooled := overridden(func(q *Query) { q.Policy = PolicyPooled })
+		invOff := off
+		invOff.IncludeInverse = true
+		wantAlpha, wantPooled, wantInv := modes[0].run(ref, alpha), modes[0].run(ref, pooled), modes[0].run(NewEngine(g, invOff), qs)
+		for name, w := range map[string][]Result{"alpha": wantAlpha, "pooled": wantPooled, "inverse": wantInv} {
+			if reflect.DeepEqual(w, want) {
+				t.Fatalf("%s: the %s variant reports what the base does; the fixture cannot tell them apart", sel, name)
+			}
+		}
 		for _, mode := range modes {
 			cached := NewEngine(g, opt)
+			// inverse shares cached's store, so only the key tells its
+			// reports from cached's.
+			invOpt := opt
+			invOpt.IncludeInverse = true
+			inverse := NewEngine(g, invOpt)
+			inverse.cache = cached.cache
 			var filled qcache.LayerStats
+			var tests uint64
 			for _, state := range []struct {
 				name string
 				e    *Engine
 				qs   []Query
 				want []Result
+				warm bool // every report is already in the test layer
 			}{
-				{"cold", cached, qs, want},
-				{"warm", cached, qs, want},
-				{"warm smaller", cached, small, wantSmall},
-				{"warm larger", cached, large, wantLarge},
-				{"cache off", NewEngine(g, off), qs, want},
+				{"cold", cached, qs, want, false},
+				{"warm", cached, qs, want, true},
+				{"warm smaller", cached, small, wantSmall, false},
+				{"warm larger", cached, large, wantLarge, false},
+				{"alpha", cached, alpha, wantAlpha, false},
+				{"warm alpha", cached, alpha, wantAlpha, true},
+				{"pooled", cached, pooled, wantPooled, false},
+				{"warm pooled", cached, pooled, wantPooled, true},
+				{"inverse", inverse, qs, wantInv, false},
+				{"warm inverse", inverse, qs, wantInv, true},
+				{"warm again", cached, qs, want, true},
+				{"cache off", NewEngine(g, off), qs, want, false},
 			} {
 				if got := mode.run(state.e, state.qs); !reflect.DeepEqual(got, state.want) {
 					t.Fatalf("%s %s %s: results differ from solo uncached Do", sel, mode.name, state.name)
 				}
-				st := cached.CacheStats().Layers[qcache.LayerSelector]
+				layers := cached.CacheStats().Layers
+				st := layers[qcache.LayerSelector]
 				if state.name == "cold" {
 					filled = st
 				} else if st.Misses != filled.Misses {
 					t.Fatalf("%s %s %s: the selector layer missed after the cold pass: %+v -> %+v",
 						sel, mode.name, state.name, filled, st)
+				}
+				if misses := layers[qcache.LayerTest].Misses; state.warm && misses != tests {
+					t.Fatalf("%s %s %s: the test layer missed %d times on a warm pass", sel, mode.name, state.name, misses-tests)
+				} else {
+					tests = misses
 				}
 			}
 			if st := cached.CacheStats(); st.Layers[qcache.LayerSelector].Hits == 0 {

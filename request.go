@@ -70,11 +70,12 @@ type Query struct {
 }
 
 // validate rejects override values no engine configuration could make
-// valid. Zero values are never errors — they mean "inherit the engine's
-// option" — so validation only fires on explicit nonsense: negative
-// sizes/counts, significance levels outside (0, 1), and selector names
-// other than the four Selector* constants.
-func (q Query) validate() error {
+// valid, and node IDs g does not have. Zero values are never errors — they
+// mean "inherit the engine's option" — so validation only fires on
+// explicit nonsense: negative sizes/counts, significance levels outside
+// (0, 1), selector names other than the four Selector* constants, and
+// node IDs past g.NumNodes().
+func (q Query) validate(g *kg.Graph) error {
 	if len(q.Nodes) == 0 {
 		return ErrEmptyQuery
 	}
@@ -94,10 +95,23 @@ func (q Query) validate() error {
 	}
 	switch q.Selector {
 	case "", SelectorContextRW, SelectorRandomWalk, SelectorSimRank, SelectorJaccard:
-		return nil
+	default:
+		return fmt.Errorf("%w: Selector %q is none of %q, %q, %q, %q", ErrBadQuery, q.Selector,
+			SelectorContextRW, SelectorRandomWalk, SelectorSimRank, SelectorJaccard)
 	}
-	return fmt.Errorf("%w: Selector %q is none of %q, %q, %q, %q", ErrBadQuery, q.Selector,
-		SelectorContextRW, SelectorRandomWalk, SelectorSimRank, SelectorJaccard)
+	return checkNodes(g, "Nodes", q.Nodes)
+}
+
+// checkNodes rejects the first of ids that is not a node of g, naming the
+// list, the index and the value.
+func checkNodes(g *kg.Graph, list string, ids []NodeID) error {
+	n := g.NumNodes()
+	for i, id := range ids {
+		if int(id) >= n {
+			return fmt.Errorf("%w: %s[%d] = %d is not a node (the graph has %d)", ErrBadQuery, list, i, id, n)
+		}
+	}
+	return nil
 }
 
 // apply returns o with q's non-zero overrides folded in.
@@ -173,10 +187,10 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := q.validate(); err != nil {
+	view := e.vg.View() // pin: the whole request runs on this epoch
+	if err := q.validate(view.G); err != nil {
 		return Result{}, err
 	}
-	view := e.vg.View() // pin: the whole request runs on this epoch
 	copt := e.coreOptionsFor(e.opt.apply(q), view)
 	copt.Partial = q.Degrade
 	res, err := core.FindNC(ctx, view.G, q.Nodes, copt)
@@ -200,8 +214,9 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 // and Parallelism. Batches whose overrides differ are grouped by
 // effective options; deduplication applies within each group.
 //
-// Validation is up-front: any empty query fails the whole batch with an
-// error wrapping ErrEmptyQuery and naming the index. A cancelled ctx
+// Validation is up-front: any malformed query — empty, a bad override, a
+// node ID the graph lacks — fails the whole batch with an error wrapping
+// ErrEmptyQuery or ErrBadQuery and naming the index. A cancelled ctx
 // stops every group within one sweep or label test and returns ctx.Err().
 func (e *Engine) DoBatch(ctx context.Context, qs []Query) ([]Result, error) {
 	start := time.Now()
@@ -247,25 +262,25 @@ func (e *Engine) doBatch(ctx context.Context, qs []Query) ([]Result, error) {
 // label test; queries not yet completed are flushed with Err = ctx.Err()
 // and the channel closes. The channel is buffered for the whole batch,
 // so a consumer that stops receiving (with or without cancelling) never
-// blocks or leaks the workers. Malformed queries (empty node sets) yield
-// an Outcome with Err wrapping ErrEmptyQuery instead of failing the
-// batch.
+// blocks or leaks the workers. Malformed queries (empty node sets, bad
+// overrides, node IDs the graph lacks) yield an Outcome with Err wrapping
+// ErrEmptyQuery or ErrBadQuery instead of failing the batch.
 func (e *Engine) DoStream(ctx context.Context, qs []Query) <-chan Outcome {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	ch := make(chan Outcome, len(qs))
+	view := e.vg.View() // pin: the stream's queries all run on this epoch
 	valid := make([]Query, 0, len(qs))
 	origIdx := make([]int, 0, len(qs)) // maps valid-slice position → qs index
 	for i, q := range qs {
-		if err := q.validate(); err != nil {
+		if err := q.validate(view.G); err != nil {
 			ch <- Outcome{Index: i, Err: fmt.Errorf("%w (batch index %d)", err, i)}
 			continue
 		}
 		valid = append(valid, q)
 		origIdx = append(origIdx, i)
 	}
-	view := e.vg.View()                       // pin: the stream's queries all run on this epoch
 	groups, _ := e.groupRequests(valid, view) // already validated: err impossible
 	start := time.Now()
 	go func() {
@@ -309,7 +324,7 @@ func (e *Engine) groupRequests(qs []Query, view *kg.View) ([]*requestGroup, erro
 	byOpt := make(map[Options]*requestGroup)
 	var groups []*requestGroup
 	for i, q := range qs {
-		if err := q.validate(); err != nil {
+		if err := q.validate(view.G); err != nil {
 			return nil, fmt.Errorf("%w (batch index %d)", err, i)
 		}
 		eff := e.opt.apply(q)
