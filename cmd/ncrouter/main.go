@@ -13,8 +13,9 @@
 //
 // Endpoints: the serving read API (/v1/search, /v1/batch, /v1/stream)
 // and /v1/ingest proxied across the fleet, plus the router's own
-// /healthz (200 while ≥1 backend is routable) and /statsz (per-backend
-// health, breaker, epoch, served counts).
+// /healthz (200 while ≥1 backend is routable), and /metrics and /statsz
+// (per-backend health, breaker, epoch, served counts and try latency, as
+// Prometheus text and as JSON).
 package main
 
 import (

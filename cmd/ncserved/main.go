@@ -36,9 +36,10 @@
 //	                  or draining (with current/target epochs)
 //	GET  /livez       liveness: 200 whenever the process can answer
 //	GET  /v1/repl/stream, /v1/repl/snapshot  replication feed (-wal-dir)
-//	GET  /statsz      cache layers, executor load, in-flight gauge,
+//	GET  /metrics     cache layers, executor load, in-flight gauge,
 //	                  graph epoch + overlay/compaction counters,
-//	                  WAL/checkpoint gauges under -wal-dir
+//	                  WAL/checkpoint gauges, latency histograms
+//	GET  /statsz      the same series as JSON
 //	     /debug/pprof with -pprof
 //
 // SIGTERM or SIGINT begins a graceful drain: the listener closes,

@@ -2,7 +2,7 @@
 // workload — warm repeats, cold cache-missing searches, refined
 // variants, batches, NDJSON streams, and (against a primary) live
 // ingest — at a target request rate for a fixed duration, sampling the
-// server's /statsz as it goes, and exits nonzero when the run shows a
+// server's /metrics as it goes, and exits nonzero when the run shows a
 // leak or drift: goroutines that do not return to their post-warmup
 // baseline, RSS growth past a budget, request errors past a budget, or
 // request counters on /metrics failing to parse or to increase.
@@ -48,7 +48,7 @@ func main() {
 		maxGoro   = flag.Int("max-goroutine-growth", 12, "fail when final goroutines exceed the post-warmup baseline by more than this")
 		maxRSSMB  = flag.Int("max-rss-growth-mb", 256, "fail when RSS grows past this over the run (0 disables; skipped when the server reports no RSS)")
 		maxErrPct = flag.Float64("max-err-pct", 1.0, "fail when more than this percent of requests error")
-		sample    = flag.Duration("sample", 2*time.Second, "/statsz sampling period")
+		sample    = flag.Duration("sample", 2*time.Second, "/metrics sampling period")
 	)
 	flag.Parse()
 
@@ -81,21 +81,16 @@ func main() {
 	fmt.Printf("ncsoak: warmup %v against %s\n", *warmup, base)
 	s.drive(*warmup, *qps)
 	s.wait()
-	baseline, err := s.statsz()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncsoak: baseline statsz:", err)
-		os.Exit(2)
-	}
-	metricsBefore, err := s.scrapeRequestTotal()
+	baseline, err := s.scrape()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ncsoak: baseline /metrics:", err)
 		os.Exit(1)
 	}
 
-	// Measured phase, with a /statsz sampler running alongside.
+	// Measured phase, with a /metrics sampler running alongside.
 	fmt.Printf("ncsoak: soaking %v at %.0f qps (workers=%d, ingest=%v)\n", *duration, *qps, *workers, *ingest)
 	stopSample := make(chan struct{})
-	var samples []statszView
+	var samples []map[string]float64
 	var sampleWG sync.WaitGroup
 	sampleWG.Add(1)
 	go func() {
@@ -107,7 +102,7 @@ func main() {
 			case <-stopSample:
 				return
 			case <-t.C:
-				if sv, err := s.statsz(); err == nil {
+				if sv, err := s.scrape(); err == nil {
 					samples = append(samples, sv)
 				}
 			}
@@ -123,12 +118,7 @@ func main() {
 	// can actually exit.
 	client.CloseIdleConnections()
 	time.Sleep(*cooldown)
-	final, err := s.statsz()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "ncsoak: final statsz:", err)
-		os.Exit(2)
-	}
-	metricsAfter, err := s.scrapeRequestTotal()
+	final, err := s.scrape()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ncsoak: final /metrics:", err)
 		os.Exit(1)
@@ -137,12 +127,12 @@ func main() {
 	s.report(baseline, final, samples)
 
 	var failures []string
-	if growth := final.Goroutines - baseline.Goroutines; growth > *maxGoro {
-		failures = append(failures, fmt.Sprintf("goroutines grew %d over baseline %d (budget %d)",
-			growth, baseline.Goroutines, *maxGoro))
+	if growth := final[goroutines] - baseline[goroutines]; growth > float64(*maxGoro) {
+		failures = append(failures, fmt.Sprintf("goroutines grew %.0f over baseline %.0f (budget %d)",
+			growth, baseline[goroutines], *maxGoro))
 	}
-	if *maxRSSMB > 0 && baseline.RSSBytes > 0 && final.RSSBytes > 0 {
-		if growMB := (final.RSSBytes - baseline.RSSBytes) >> 20; growMB > int64(*maxRSSMB) {
+	if *maxRSSMB > 0 && baseline[rss] > 0 && final[rss] > 0 {
+		if growMB := int64(final[rss]-baseline[rss]) >> 20; growMB > int64(*maxRSSMB) {
 			failures = append(failures, fmt.Sprintf("RSS grew %d MiB (budget %d MiB)", growMB, *maxRSSMB))
 		}
 	}
@@ -150,8 +140,8 @@ func main() {
 	if errs := s.errors.Load(); total > 0 && float64(errs)*100/float64(total) > *maxErrPct {
 		failures = append(failures, fmt.Sprintf("%d/%d requests errored (budget %.1f%%)", errs, total, *maxErrPct))
 	}
-	if metricsAfter <= metricsBefore {
-		failures = append(failures, fmt.Sprintf("nc_http_requests_total did not increase (%d -> %d)", metricsBefore, metricsAfter))
+	if before, after := requestTotal(baseline), requestTotal(final); after <= before {
+		failures = append(failures, fmt.Sprintf("nc_http_requests_total did not increase (%.0f -> %.0f)", before, after))
 	}
 	if len(failures) > 0 {
 		for _, f := range failures {
@@ -318,47 +308,29 @@ func (s *soak) post(path string, body any) (int, error) {
 	return resp.StatusCode, nil
 }
 
-// statszView is the slice of /statsz the soak run watches.
-type statszView struct {
-	Goroutines int            `json:"goroutines"`
-	RSSBytes   int64          `json:"rss_bytes"`
-	InFlight   int64          `json:"in_flight"`
-	Shed       int64          `json:"shed_total"`
-	GraphEpoch uint64         `json:"graph_epoch"`
-	Cache      map[string]any `json:"cache"`
-}
+// The server series the leak checks and the report read.
+const (
+	goroutines = "nc_process_goroutines"
+	rss        = "nc_process_rss_bytes"
+	epoch      = "nc_graph_epoch"
+)
 
-func (s *soak) statsz() (statszView, error) {
-	var v statszView
-	resp, err := s.client.Get(s.base + "/statsz")
-	if err != nil {
-		return v, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return v, fmt.Errorf("/statsz: %s", resp.Status)
-	}
-	err = json.NewDecoder(resp.Body).Decode(&v)
-	return v, err
-}
-
-// scrapeRequestTotal fetches /metrics, checks the exposition parses
-// line-by-line, and returns the summed nc_http_requests_total — the
-// monotonicity witness.
-func (s *soak) scrapeRequestTotal() (int64, error) {
+// scrape fetches /metrics, checks the exposition parses line by line,
+// and returns every sample as series name → value.
+func (s *soak) scrape() (map[string]float64, error) {
 	resp, err := s.client.Get(s.base + "/metrics")
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("/metrics: %s", resp.Status)
+		return nil, fmt.Errorf("/metrics: %s", resp.Status)
 	}
 	body, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	var total int64
+	out := make(map[string]float64)
 	for ln, line := range strings.Split(string(body), "\n") {
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
@@ -366,20 +338,30 @@ func (s *soak) scrapeRequestTotal() (int64, error) {
 		// Every sample line is "name{labels} value" or "name value".
 		i := strings.LastIndexByte(line, ' ')
 		if i <= 0 {
-			return 0, fmt.Errorf("/metrics line %d unparseable: %q", ln+1, line)
+			return nil, fmt.Errorf("/metrics line %d unparseable: %q", ln+1, line)
 		}
 		var val float64
 		if _, err := fmt.Sscanf(line[i+1:], "%g", &val); err != nil {
-			return 0, fmt.Errorf("/metrics line %d has bad value: %q", ln+1, line)
+			return nil, fmt.Errorf("/metrics line %d has bad value: %q", ln+1, line)
 		}
-		if strings.HasPrefix(line, "nc_http_requests_total") {
-			total += int64(val)
+		out[line[:i]] = val
+	}
+	if requestTotal(out) == 0 {
+		return nil, fmt.Errorf("/metrics carries no nc_http_requests_total samples")
+	}
+	return out, nil
+}
+
+// requestTotal sums nc_http_requests_total over every path and status
+// class — the monotonicity witness.
+func requestTotal(m map[string]float64) float64 {
+	var total float64
+	for series, v := range m {
+		if strings.HasPrefix(series, "nc_http_requests_total{") {
+			total += v
 		}
 	}
-	if total == 0 {
-		return 0, fmt.Errorf("/metrics carries no nc_http_requests_total samples")
-	}
-	return total, nil
+	return total
 }
 
 // waitReady polls /healthz until the server is taking traffic.
@@ -400,7 +382,7 @@ func (s *soak) waitReady(d time.Duration) error {
 
 // report prints the run: per-op counts, errors and client-side latency,
 // then the resource trajectory.
-func (s *soak) report(baseline, final statszView, samples []statszView) {
+func (s *soak) report(baseline, final map[string]float64, samples []map[string]float64) {
 	fmt.Printf("\nncsoak: %d requests, %d errors, %d ticks skipped\n",
 		s.done.Load(), s.errors.Load(), s.skipped.Load())
 	fmt.Printf("%-8s %8s %7s %10s %10s %10s\n", "op", "count", "errors", "p50", "p95", "p99")
@@ -414,19 +396,15 @@ func (s *soak) report(baseline, final statszView, samples []statszView) {
 			op, s.byOp[op], s.errBy[op], sum.P50MS, sum.P95MS, sum.P99MS)
 	}
 	s.mu.Unlock()
-	peakGoro, peakRSS := baseline.Goroutines, baseline.RSSBytes
+	peakGoro, peakRSS := baseline[goroutines], baseline[rss]
 	for _, sv := range samples {
-		if sv.Goroutines > peakGoro {
-			peakGoro = sv.Goroutines
-		}
-		if sv.RSSBytes > peakRSS {
-			peakRSS = sv.RSSBytes
-		}
+		peakGoro = max(peakGoro, sv[goroutines])
+		peakRSS = max(peakRSS, sv[rss])
 	}
-	fmt.Printf("goroutines: baseline %d, peak %d, final %d\n", baseline.Goroutines, peakGoro, final.Goroutines)
-	if baseline.RSSBytes > 0 {
-		fmt.Printf("rss: baseline %d MiB, peak %d MiB, final %d MiB\n",
-			baseline.RSSBytes>>20, peakRSS>>20, final.RSSBytes>>20)
+	fmt.Printf("goroutines: baseline %.0f, peak %.0f, final %.0f\n", baseline[goroutines], peakGoro, final[goroutines])
+	if baseline[rss] > 0 {
+		fmt.Printf("rss: baseline %.0f MiB, peak %.0f MiB, final %.0f MiB\n",
+			baseline[rss]/(1<<20), peakRSS/(1<<20), final[rss]/(1<<20))
 	}
-	fmt.Printf("epoch: %d -> %d\n", baseline.GraphEpoch, final.GraphEpoch)
+	fmt.Printf("epoch: %.0f -> %.0f\n", baseline[epoch], final[epoch])
 }

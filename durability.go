@@ -75,7 +75,7 @@ type DurabilityStats struct {
 	WALBytes   int64
 	WALRecords int64
 	// LastFsync is the duration of the most recent log fsync — the
-	// disk-health signal behind /statsz's wal_last_fsync_ms.
+	// disk-health signal behind nc_wal_last_fsync_seconds.
 	LastFsync time.Duration
 	// CheckpointEpoch is the newest durable checkpoint's epoch.
 	CheckpointEpoch uint64

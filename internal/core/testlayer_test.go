@@ -99,8 +99,8 @@ func TestTestLayerDegradedCutStoresNothing(t *testing.T) {
 	if !errors.As(err, &pe) || pe.Tested >= pe.Total {
 		t.Fatalf("err = %v, want a *PartialError short of every label", err)
 	}
-	if st := cache.Stats(); st.Size != 0 || st.TestBytes != 0 {
-		t.Fatalf("a degraded cut stored %d entries, %d bytes", st.Size, st.TestBytes)
+	if st := cache.Stats(); st.Size != 0 || st.Layers[qcache.LayerTest].Bytes != 0 {
+		t.Fatalf("a degraded cut stored %d entries, %d bytes", st.Size, st.Layers[qcache.LayerTest].Bytes)
 	}
 	if got := compareSets(t, g, query, cset, opt); !reflect.DeepEqual(got, want) {
 		t.Fatal("the full run after a degraded cut differs from the uncached one")

@@ -1,8 +1,9 @@
 // Package obs is the serving stack's dependency-free metrics subsystem:
-// lock-cheap counters and gauges, fixed-bucket latency histograms whose
-// hot path is a pair of atomic adds, an allocation-free structured
-// access-log ring buffer, and a Prometheus-text-format exposition
-// registry.
+// lock-cheap counters, scrape-time counter and gauge funcs, fixed-bucket
+// latency histograms whose hot path is a pair of atomic adds, an
+// allocation-free structured access-log ring buffer, and a registry
+// whose series render both as Prometheus text (GET /metrics) and as
+// JSON (GET /statsz).
 //
 // The design splits cost asymmetrically. Instrumented code — the PPR
 // solve, the comparison stage, every HTTP request — holds direct
@@ -14,9 +15,9 @@
 // are irrelevant.
 //
 // Histograms use fixed exponential buckets (see DefaultLatencyBounds)
-// shared by every latency metric, so any two snapshots merge bucket by
-// bucket — across stages, across scrapes, across processes — and
-// quantiles come from linear interpolation within the bucket holding
+// shared by every latency metric, so a scraper can sum any two series
+// bucket by bucket — across stages, across scrapes, across processes —
+// and quantiles come from linear interpolation within the bucket holding
 // the target rank: exact at bucket boundaries, bounded by the bucket's
 // width everywhere else.
 //
@@ -47,27 +48,11 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a settable 64-bit level. The zero value is ready to use.
-// For values computed on demand (goroutine counts, heap bytes), register
-// a GaugeFunc instead.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current level.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // DefaultLatencyBounds are the shared histogram bucket upper bounds, in
 // seconds: exponential ×2 from 10µs to ~84s, 24 finite buckets. Wide
 // enough that a WAL fsync (~ms), a warm cache hit (~50µs), and a cold
 // 90ms solve all land mid-range with ≤2× relative quantile error, and
-// identical across every histogram so snapshots merge bucket by bucket.
+// identical across every histogram so series sum bucket by bucket.
 var DefaultLatencyBounds = func() []float64 {
 	b := make([]float64, 24)
 	v := 10e-6
@@ -131,8 +116,8 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 
 // Snapshot captures the histogram's current state. The per-bucket reads
 // are individually atomic; a snapshot taken mid-Observe may be one
-// observation short in count vs. buckets, which Merge and Quantile
-// tolerate (quantile ranks derive from the bucket counts themselves).
+// observation short in count vs. buckets, which Quantile tolerates
+// (quantile ranks derive from the bucket counts themselves).
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Bounds:   h.bounds,
@@ -162,38 +147,6 @@ type HistSnapshot struct {
 	Counts   []int64
 	Count    int64
 	SumNanos int64
-}
-
-// Merge returns the bucket-wise sum of s and o. Both must share bounds
-// (every histogram built on DefaultLatencyBounds does); mismatched
-// shapes panic — merging histograms of different scales is a bug, not a
-// runtime condition.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	if len(s.Counts) == 0 {
-		return o.clone()
-	}
-	if len(o.Counts) == 0 {
-		return s.clone()
-	}
-	if len(s.Counts) != len(o.Counts) {
-		panic("obs: merging histograms with different bucket shapes")
-	}
-	m := HistSnapshot{
-		Bounds:   s.Bounds,
-		Counts:   make([]int64, len(s.Counts)),
-		Count:    s.Count + o.Count,
-		SumNanos: s.SumNanos + o.SumNanos,
-	}
-	for i := range s.Counts {
-		m.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
-	return m
-}
-
-func (s HistSnapshot) clone() HistSnapshot {
-	c := s
-	c.Counts = append([]int64(nil), s.Counts...)
-	return c
 }
 
 // Quantile returns the q-quantile (q in [0, 1]) in seconds, linearly
@@ -249,8 +202,8 @@ func (s HistSnapshot) Mean() float64 {
 	return float64(s.SumNanos) / 1e9 / float64(s.Count)
 }
 
-// Summary condenses a snapshot to the fields a JSON gauge endpoint
-// (statsz's "metrics" key) or a soak harness wants: count and
+// Summary condenses a snapshot to the fields a JSON endpoint (the
+// "histograms" key of /statsz) or a soak harness wants: count, mean and
 // interpolated p50/p95/p99 in milliseconds.
 type Summary struct {
 	Count  int64   `json:"count"`

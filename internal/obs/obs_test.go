@@ -89,29 +89,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	}
 }
 
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(nil), NewHistogram(nil)
-	for i := 0; i < 10; i++ {
-		a.Observe(time.Millisecond)
-		b.Observe(100 * time.Millisecond)
-	}
-	m := a.Snapshot().Merge(b.Snapshot())
-	if m.Count != 20 {
-		t.Fatalf("merged count: got %d want 20", m.Count)
-	}
-	wantSum := 10*int64(time.Millisecond) + 10*int64(100*time.Millisecond)
-	if m.SumNanos != wantSum {
-		t.Errorf("merged sum: got %d want %d", m.SumNanos, wantSum)
-	}
-	// Merge with the empty snapshot is identity.
-	if got := a.Snapshot().Merge(HistSnapshot{}); got.Count != 10 {
-		t.Errorf("merge with empty: got count %d want 10", got.Count)
-	}
-	if got := (HistSnapshot{}).Merge(a.Snapshot()); got.Count != 10 {
-		t.Errorf("empty merge: got count %d want 10", got.Count)
-	}
-}
-
 func TestHistogramConcurrent(t *testing.T) {
 	// Concurrent observers racing snapshot readers: run under -race in
 	// CI. Every observation must be accounted for at the end, and every
@@ -165,11 +142,22 @@ func TestCounterGauge(t *testing.T) {
 	if c.Value() != 5 {
 		t.Errorf("counter: got %d want 5", c.Value())
 	}
-	var g Gauge
-	g.Set(7)
-	g.Add(-3)
-	if g.Value() != 4 {
-		t.Errorf("gauge: got %d want 4", g.Value())
+	// Func series are read at every scrape, not at registration.
+	r := NewRegistry()
+	level, total := 7.0, 1e7
+	r.NewGaugeFunc("nc_level", "Level.", func() float64 { return level })
+	r.NewCounterFunc("nc_done_total", "Done.", func() float64 { return total })
+	level, total = 4, 12345678
+	var buf bytes.Buffer
+	if err := r.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Counters print every digit; an exponent would be a different string
+	// for the same count.
+	for _, want := range []string{"nc_level 4\n", "# TYPE nc_done_total counter", "nc_done_total 12345678\n"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, buf.String())
+		}
 	}
 }
 
@@ -179,8 +167,7 @@ func TestRegistryExposition(t *testing.T) {
 	c.Add(3)
 	c2 := r.NewCounter("nc_requests_total", "Requests served.", "endpoint", "search", "status", "5xx")
 	c2.Inc()
-	g := r.NewGauge("nc_things", "Things.")
-	g.Set(42)
+	r.NewCounterFunc("nc_things_total", "Things.", func() float64 { return 42 })
 	r.NewGaugeFunc(
 		"nc_computed", "Computed gauge.", func() float64 { return 1.5 })
 	h := r.NewHistogram("nc_stage_seconds", "Stage latency.", "stage", "ppr_solve")
@@ -198,8 +185,8 @@ func TestRegistryExposition(t *testing.T) {
 		"# TYPE nc_requests_total counter",
 		`nc_requests_total{endpoint="search",status="2xx"} 3`,
 		`nc_requests_total{endpoint="search",status="5xx"} 1`,
-		"# TYPE nc_things gauge",
-		"nc_things 42",
+		"# TYPE nc_things_total counter",
+		"nc_things_total 42",
 		"nc_computed 1.5",
 		"# TYPE nc_stage_seconds histogram",
 		`nc_stage_seconds_bucket{stage="ppr_solve",le="+Inf"} 2`,
@@ -235,10 +222,33 @@ func TestRegistryExposition(t *testing.T) {
 		}
 	}
 
-	// Histograms() merges series under a name.
-	hs := r.Histograms()
-	if hs["nc_stage_seconds"].Count != 2 {
-		t.Errorf("Histograms(): got %+v", hs["nc_stage_seconds"])
+}
+
+// TestCollect: the JSON rendering carries exactly the exposition's
+// counter and gauge samples under their exposition names, and one
+// summary per histogram series — never one merged across a family.
+func TestCollect(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("nc_requests_total", "Requests.", "code", "2xx").Add(3)
+	r.NewGaugeFunc("nc_level", "Level.", func() float64 { return 0.25 })
+	fast := r.NewHistogram("nc_stage_seconds", "Stage latency.", "stage", "fast")
+	slow := r.NewHistogram("nc_stage_seconds", "Stage latency.", "stage", "slow")
+	fast.Observe(time.Millisecond)
+	slow.Observe(time.Second)
+	slow.Observe(time.Second)
+	other := NewRegistry()
+	other.NewHistogram("nc_other_seconds", "Other.")
+
+	st := Collect(r, other)
+	if len(st.Series) != 2 || st.Series[`nc_requests_total{code="2xx"}`] != 3 || st.Series["nc_level"] != 0.25 {
+		t.Errorf("series: %v", st.Series)
+	}
+	f, s := st.Histograms[`nc_stage_seconds{stage="fast"}`], st.Histograms[`nc_stage_seconds{stage="slow"}`]
+	if len(st.Histograms) != 3 || f.Count != 1 || s.Count != 2 || f.P50MS >= 2 || s.P50MS < 500 {
+		t.Errorf("histograms: %+v", st.Histograms)
+	}
+	if _, ok := st.Histograms["nc_other_seconds"]; !ok {
+		t.Errorf("second registry's histogram missing: %+v", st.Histograms)
 	}
 }
 

@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -11,9 +10,11 @@ import (
 // A Registry holds named metric families and renders them in Prometheus
 // text exposition format. Registration happens once, at construction
 // time of whatever owns the metrics (engine, server, router); the hot
-// path never touches the registry — it holds the Counter/Gauge/
-// Histogram pointers registration returned. The registry is only walked
-// at scrape time, under a mutex that instrumented code never contends.
+// path never touches the registry — it holds the Counter/Histogram
+// pointers registration returned, or the registry reads a total the
+// owner already keeps through a scrape-time func. The registry is only
+// walked at scrape time, under a mutex that instrumented code never
+// contends.
 //
 // Label sets are prerendered at registration: a series registered as
 // NewCounter("nc_requests_total", help, "endpoint", "search", "status",
@@ -47,14 +48,13 @@ type family struct {
 	series []*series
 }
 
-// series is one labeled instance within a family. Exactly one of
-// counter/gauge/gaugeFn/hist is set, per the family's kind.
+// series is one labeled instance within a family: value for counters and
+// gauges (read at scrape time — a held Counter's load, or a caller's
+// func), hist for histograms.
 type series struct {
-	labels  string // prerendered `{k="v",...}` or "" for unlabeled
-	counter *Counter
-	gauge   *Gauge
-	gaugeFn func() float64
-	hist    *Histogram
+	labels string // prerendered `{k="v",...}` or "" for unlabeled
+	value  func() float64
+	hist   *Histogram
 }
 
 // renderLabels formats alternating key/value pairs into the canonical
@@ -105,99 +105,102 @@ func escapeLabel(v string) string {
 	return string(out)
 }
 
-func (r *Registry) familyFor(name, help string, kind metricKind) *family {
+// register appends s to the family name, creating it on first use.
+func (r *Registry) register(name, help string, kind metricKind, labelPairs []string, s *series) {
+	s.labels = renderLabels(labelPairs)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	f := r.byName[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind}
 		r.byName[name] = f
 		r.fams = append(r.fams, f)
-		return f
-	}
-	if f.kind != kind {
+	} else if f.kind != kind {
 		panic("obs: metric " + name + " re-registered with a different type")
 	}
-	return f
+	f.series = append(f.series, s)
 }
 
 // NewCounter registers and returns a counter series. labelPairs is an
 // alternating key/value list; series under one name must use it
 // consistently. Call once at construction and keep the pointer.
 func (r *Registry) NewCounter(name, help string, labelPairs ...string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := &Counter{}
-	f := r.familyFor(name, help, kindCounter)
-	f.series = append(f.series, &series{labels: renderLabels(labelPairs), counter: c})
+	r.register(name, help, kindCounter, labelPairs, &series{value: func() float64 { return float64(c.Value()) }})
 	return c
 }
 
-// NewGauge registers and returns a settable gauge series.
-func (r *Registry) NewGauge(name, help string, labelPairs ...string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g := &Gauge{}
-	f := r.familyFor(name, help, kindGauge)
-	f.series = append(f.series, &series{labels: renderLabels(labelPairs), gauge: g})
-	return g
+// NewCounterFunc registers a counter whose value fn reads at each scrape
+// from a total someone else already keeps (cache hits, WAL records), so
+// the code that counts pays nothing extra. fn must be monotone and safe
+// to call from the scrape goroutine.
+func (r *Registry) NewCounterFunc(name, help string, fn func() float64, labelPairs ...string) {
+	r.register(name, help, kindCounter, labelPairs, &series{value: fn})
 }
 
 // NewGaugeFunc registers a gauge whose value is computed by fn at each
 // scrape (runtime.NumGoroutine, heap bytes, follower lag). fn must be
 // safe to call from the scrape goroutine.
 func (r *Registry) NewGaugeFunc(name, help string, fn func() float64, labelPairs ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindGauge)
-	f.series = append(f.series, &series{labels: renderLabels(labelPairs), gaugeFn: fn})
+	r.register(name, help, kindGauge, labelPairs, &series{value: fn})
 }
 
 // NewHistogram registers and returns a latency histogram series on
 // DefaultLatencyBounds.
 func (r *Registry) NewHistogram(name, help string, labelPairs ...string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := NewHistogram(nil)
-	f := r.familyFor(name, help, kindHistogram)
-	f.series = append(f.series, &series{labels: renderLabels(labelPairs), hist: h})
+	r.register(name, help, kindHistogram, labelPairs, &series{hist: h})
 	return h
 }
 
-// RegisterHistogram attaches an externally constructed histogram (e.g.
-// one owned by an engine but exposed through a server registry) as a
-// series of name.
-func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labelPairs ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindHistogram)
-	f.series = append(f.series, &series{labels: renderLabels(labelPairs), hist: h})
+// Bool renders a flag as a gauge value: 1 for true, 0 for false.
+func Bool(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
-// RegisterCounter attaches an externally constructed counter.
-func (r *Registry) RegisterCounter(name, help string, c *Counter, labelPairs ...string) {
+// families copies the family list and each family's series slice under
+// the lock, so a scrape racing a late registration (a follower arming
+// its gauges) walks a consistent prefix.
+func (r *Registry) families() []family {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyFor(name, help, kindCounter)
-	f.series = append(f.series, &series{labels: renderLabels(labelPairs), counter: c})
-}
-
-// Histograms returns the name → merged-snapshot map of every histogram
-// family (series under one name merged bucket-wise). Used by statsz
-// summaries and the soak harness; not on any hot path.
-func (r *Registry) Histograms() map[string]HistSnapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]HistSnapshot)
-	for _, f := range r.fams {
-		if f.kind != kindHistogram {
-			continue
-		}
-		var merged HistSnapshot
-		for _, s := range f.series {
-			merged = merged.Merge(s.hist.Snapshot())
-		}
-		out[f.name] = merged
+	out := make([]family, len(r.fams))
+	for i, f := range r.fams {
+		out[i] = *f
 	}
 	return out
+}
+
+// Stats is the JSON rendering of one or more registries — the GET
+// /statsz document. Every counter and gauge sample, and every histogram
+// series' Summary, is keyed by the series name the text exposition
+// prints (family name plus label block), so /statsz and /metrics are two
+// renderings of one set of series and cannot disagree on a name or a
+// value.
+type Stats struct {
+	Series     map[string]float64 `json:"series"`
+	Histograms map[string]Summary `json:"histograms"`
+}
+
+// Collect renders regs into one Stats. Series names must be disjoint
+// across regs (a later duplicate would overwrite an earlier one).
+func Collect(regs ...*Registry) Stats {
+	st := Stats{Series: make(map[string]float64), Histograms: make(map[string]Summary)}
+	for _, r := range regs {
+		for _, f := range r.families() {
+			for _, s := range f.series {
+				if f.kind == kindHistogram {
+					st.Histograms[f.name+s.labels] = s.hist.Snapshot().Summarize()
+				} else {
+					st.Series[f.name+s.labels] = s.value()
+				}
+			}
+		}
+	}
+	return st
 }
 
 // WritePrometheus renders every family in Prometheus text exposition
@@ -207,12 +210,7 @@ func (r *Registry) Histograms() map[string]HistSnapshot {
 // Families render in registration order (stable scrape diffs); an
 // explicit trailing newline ends the payload as the format requires.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
-	r.mu.Unlock()
-
-	for _, f := range fams {
+	for _, f := range r.families() {
 		var typ string
 		switch f.kind {
 		case kindCounter:
@@ -226,7 +224,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			return err
 		}
 		for _, s := range f.series {
-			if err := writeSeries(w, f, s); err != nil {
+			if err := writeSeries(w, &f, s); err != nil {
 				return err
 			}
 		}
@@ -237,16 +235,11 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 func writeSeries(w io.Writer, f *family, s *series) error {
 	switch f.kind {
 	case kindCounter:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.counter.Value())
+		// Counters are whole numbers: print every digit, never an exponent.
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, strconv.FormatFloat(s.value(), 'f', -1, 64))
 		return err
 	case kindGauge:
-		var v float64
-		if s.gaugeFn != nil {
-			v = s.gaugeFn()
-		} else {
-			v = float64(s.gauge.Value())
-		}
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(v))
+		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, formatFloat(s.value()))
 		return err
 	case kindHistogram:
 		snap := s.hist.Snapshot()
@@ -286,17 +279,4 @@ func spliceLabel(labels, k, v string) string {
 // exponent where possible.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortedFamilyNames returns the registered family names, sorted — handy
-// for tests and docs generation.
-func (r *Registry) SortedFamilyNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.fams))
-	for _, f := range r.fams {
-		names = append(names, f.name)
-	}
-	sort.Strings(names)
-	return names
 }

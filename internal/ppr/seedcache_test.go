@@ -92,7 +92,7 @@ func TestPersonalizedSumSeedCacheDense(t *testing.T) {
 	for i, q := range seq {
 		assertSameBits(t, "dense", PersonalizedSumCtx(context.Background(), g, q, cached), want[i])
 	}
-	if st := cached.SeedCache.Stats(); st.SeedBytes == 0 || st.Layers[qcache.LayerSeed].Hits == 0 {
+	if st := cached.SeedCache.Stats(); st.Layers[qcache.LayerSeed].Bytes == 0 || st.Layers[qcache.LayerSeed].Hits == 0 {
 		t.Fatalf("dense vectors not cached: %+v", st)
 	}
 }

@@ -10,13 +10,13 @@ func TestPutSizedAccounting(t *testing.T) {
 	c.PutSized("b", 2, LayerTest, 7)
 	c.PutSized("c", 3, LayerTest, 5)
 	st := c.Stats()
-	if st.SelectorBytes != 100 || st.TestBytes != 12 || st.Bytes != 112 {
+	if st.Layers[LayerSelector].Bytes != 100 || st.Layers[LayerTest].Bytes != 12 || st.Bytes != 112 {
 		t.Fatalf("accounting off: %+v", st)
 	}
 	// Refreshing a key replaces its hint — and may move it across layers.
 	c.PutSized("a", 4, LayerTest, 40)
 	st = c.Stats()
-	if st.SelectorBytes != 0 || st.TestBytes != 52 {
+	if st.Layers[LayerSelector].Bytes != 0 || st.Layers[LayerTest].Bytes != 52 {
 		t.Fatalf("refresh accounting off: %+v", st)
 	}
 	if v, ok := c.Get("a"); !ok || v.(int) != 4 {

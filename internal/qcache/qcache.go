@@ -442,9 +442,9 @@ type Stats struct {
 	// Size is the current entry count, Capacity the bound, Shards the
 	// shared-nothing shard count (0 for the nil cache).
 	Size, Capacity, Shards int
-	// SelectorBytes, TestBytes, SeedBytes, and NullBytes sum the resident
-	// size hints per layer; Bytes is their total.
-	SelectorBytes, TestBytes, SeedBytes, NullBytes, Bytes int64
+	// Bytes sums the resident size hints over every layer (per layer:
+	// Layers[l].Bytes).
+	Bytes int64
 	// ByteBudget is the configured total byte bound (0 = none).
 	ByteBudget int64
 	// Layers breaks hits, misses, residency, and budget down by layer,
@@ -479,10 +479,6 @@ func (c *Cache) Stats() Stats {
 		st.Misses += st.Layers[l].Misses
 		st.Bytes += st.Layers[l].Bytes
 	}
-	st.SelectorBytes = st.Layers[LayerSelector].Bytes
-	st.TestBytes = st.Layers[LayerTest].Bytes
-	st.SeedBytes = st.Layers[LayerSeed].Bytes
-	st.NullBytes = st.Layers[LayerNull].Bytes
 	return st
 }
 

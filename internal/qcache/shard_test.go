@@ -102,7 +102,7 @@ func TestGetLayerAttribution(t *testing.T) {
 	if st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("aggregate must total the layers: %+v", st)
 	}
-	if st.SeedBytes != 10 || st.Layers[LayerSeed].Bytes != 10 {
+	if st.Layers[LayerSeed].Bytes != 10 {
 		t.Fatalf("seed bytes: %+v", st)
 	}
 }
@@ -124,7 +124,7 @@ func TestLayerBudgetEvictsOwnLayerOnly(t *testing.T) {
 		t.Fatal("t1 (other layer) must survive a seed-layer eviction")
 	}
 	st := c.Stats()
-	if st.SeedBytes != 60 || st.TestBytes != 1000 {
+	if st.Layers[LayerSeed].Bytes != 60 || st.Layers[LayerTest].Bytes != 1000 {
 		t.Fatalf("layer bytes after eviction: %+v", st)
 	}
 	if st.Layers[LayerSeed].ByteBudget != 100 {
@@ -135,7 +135,7 @@ func TestLayerBudgetEvictsOwnLayerOnly(t *testing.T) {
 	if _, ok := c.Get("s4"); !ok {
 		t.Fatal("oversized newest seed entry must still cache")
 	}
-	if st := c.Stats(); st.SeedBytes != 500 {
+	if st := c.Stats(); st.Layers[LayerSeed].Bytes != 500 {
 		t.Fatalf("oversized entry accounting: %+v", st)
 	}
 }
@@ -167,7 +167,7 @@ func TestLayerChangeOnRefresh(t *testing.T) {
 	c.PutSized("k", 1, LayerSelector, 100)
 	c.PutSized("k", 2, LayerNull, 40)
 	st := c.Stats()
-	if st.SelectorBytes != 0 || st.NullBytes != 40 {
+	if st.Layers[LayerSelector].Bytes != 0 || st.Layers[LayerNull].Bytes != 40 {
 		t.Fatalf("layer move accounting: %+v", st)
 	}
 	if v, ok := c.Get("k"); !ok || v.(int) != 2 {
@@ -216,10 +216,10 @@ func TestPurgeDropsNamedLayersOnly(t *testing.T) {
 
 		c.Purge(LayerSelector, LayerTest, LayerSeed)
 		st := c.Stats()
-		if st.SelectorBytes != 0 || st.TestBytes != 0 || st.SeedBytes != 0 {
+		if st.Layers[LayerSelector].Bytes != 0 || st.Layers[LayerTest].Bytes != 0 || st.Layers[LayerSeed].Bytes != 0 {
 			t.Fatalf("shards=%d: purged layers still hold bytes: %+v", shards, st)
 		}
-		if st.NullBytes != before.NullBytes || st.Bytes != before.NullBytes || st.Size != 40 || c.Len() != 40 {
+		if st.Layers[LayerNull].Bytes != before.Layers[LayerNull].Bytes || st.Bytes != before.Layers[LayerNull].Bytes || st.Size != 40 || c.Len() != 40 {
 			t.Fatalf("shards=%d: null layer disturbed: before %+v after %+v", shards, before, st)
 		}
 		if st.Purged != 120 || st.Evictions != before.Evictions {
@@ -246,7 +246,7 @@ func TestPurgeDropsNamedLayersOnly(t *testing.T) {
 			c.PutSized(fmt.Sprintf("refill-%d", i), i, LayerSeed, 8)
 		}
 		st = c.Stats()
-		if st.Size > 400+shards || st.SeedBytes == 0 || st.Evictions == before.Evictions || st.Purged != 120 {
+		if st.Size > 400+shards || st.Layers[LayerSeed].Bytes == 0 || st.Evictions == before.Evictions || st.Purged != 120 {
 			t.Fatalf("shards=%d: cache unhealthy after refill: %+v", shards, st)
 		}
 		c.Purge() // no layers named: nothing happens
@@ -324,7 +324,7 @@ func TestConcurrentShardedBytesNeverNegative(t *testing.T) {
 				t.Fatalf("shards=%d layer %d bytes negative after run: %+v", shards, l, st)
 			}
 		}
-		if st.Bytes != st.SelectorBytes+st.TestBytes+st.SeedBytes+st.NullBytes {
+		if st.Bytes != st.Layers[LayerSelector].Bytes+st.Layers[LayerTest].Bytes+st.Layers[LayerSeed].Bytes+st.Layers[LayerNull].Bytes {
 			t.Fatalf("shards=%d aggregate bytes mismatch: %+v", shards, st)
 		}
 	}

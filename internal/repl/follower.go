@@ -154,12 +154,7 @@ func (f *Follower) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(f.applied.Load()) })
 	reg.NewGaugeFunc("nc_repl_ready",
 		"Follower readiness (1 = serving, 0 = catching up, resyncing, or diverged).",
-		func() float64 {
-			if f.ready.Load() {
-				return 1
-			}
-			return 0
-		})
+		func() float64 { return obs.Bool(f.ready.Load()) })
 }
 
 // Engine returns the replica engine, nil until the first bootstrap

@@ -84,13 +84,14 @@ type Router struct {
 	cfg     RouterConfig
 	ring    *Ring
 	by      map[string]*backendState
-	order   []*backendState // constructor order, for probes and statsz
+	order   []*backendState // constructor order, for probes and /healthz
 	primary *backendState   // nil when cfg.Primary == ""
 
-	// met is the router's own registry behind GET /metrics: per-backend
-	// try latency (whose _count is the per-backend try total), plus
-	// hedge and all-replicas-failed counters. Series are registered at
-	// NewRouter; the proxy path only touches held pointers.
+	// met is the router's own registry behind GET /metrics and GET
+	// /statsz: per-backend try latency (whose _count is the per-backend
+	// try total), serves and health gauges, plus hedge and
+	// all-replicas-failed counters. Series are registered at NewRouter;
+	// the proxy path only touches held pointers.
 	met       *obs.Registry
 	hedges    *obs.Counter
 	exhausted *obs.Counter
@@ -168,6 +169,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 		// Optimistic until the first probe round: a cold router must not
 		// refuse the whole fleet for a probe interval.
 		bs.healthy.Store(true)
+		rt.registerBackend(bs, b.Name == cfg.Primary)
 		rt.by[b.Name] = bs
 		rt.order = append(rt.order, bs)
 		names = append(names, b.Name)
@@ -556,40 +558,31 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// routerBackendStats is one backend's row in /statsz.
-type routerBackendStats struct {
-	Name        string `json:"name"`
-	URL         string `json:"url"`
-	Healthy     bool   `json:"healthy"`
-	BreakerOpen bool   `json:"breaker_open"`
-	ProbeFails  int32  `json:"probe_fails"`
-	Epoch       uint64 `json:"epoch"`
-	Served      int64  `json:"served"`
+// registerBackend adds b's health ledger to the router registry as
+// scrape-time gauges; the probe and proxy paths keep writing only their
+// atomics.
+func (rt *Router) registerBackend(b *backendState, primary bool) {
+	rt.met.NewGaugeFunc("nc_router_backend_healthy", "1 while the backend passes its /healthz probes.",
+		func() float64 { return obs.Bool(b.healthy.Load()) }, "backend", b.name)
+	rt.met.NewGaugeFunc("nc_router_backend_breaker_open", "1 while the backend's circuit breaker is open.",
+		func() float64 { return obs.Bool(time.Now().UnixNano() < b.breakerUntil.Load()) }, "backend", b.name)
+	rt.met.NewGaugeFunc("nc_router_backend_probe_fails", "Consecutive failed /healthz probes.",
+		func() float64 { return float64(b.probeFails.Load()) }, "backend", b.name)
+	rt.met.NewGaugeFunc("nc_router_backend_epoch", "Graph epoch the backend last reported on /healthz.",
+		func() float64 { return float64(b.epoch.Load()) }, "backend", b.name)
+	rt.met.NewGaugeFunc("nc_router_backend_primary", "1 for the backend that takes /v1/ingest.",
+		func() float64 { return obs.Bool(primary) }, "backend", b.name)
 }
 
+// handleStatsz is GET /statsz: the JSON rendering of the series GET
+// /metrics exposes.
 func (rt *Router) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	rows := make([]routerBackendStats, 0, len(rt.order))
-	for _, b := range rt.order {
-		rows = append(rows, routerBackendStats{
-			Name:        b.name,
-			URL:         b.url,
-			Healthy:     b.healthy.Load(),
-			BreakerOpen: time.Now().UnixNano() < b.breakerUntil.Load(),
-			ProbeFails:  b.probeFails.Load(),
-			Epoch:       b.epoch.Load(),
-			Served:      b.served.Value(),
-		})
-	}
-	primary := ""
-	if rt.primary != nil {
-		primary = rt.primary.name
-	}
-	writeRouterJSON(w, http.StatusOK, map[string]any{"primary": primary, "backends": rows})
+	writeRouterJSON(w, http.StatusOK, obs.Collect(rt.met))
 }
 
-// Metrics returns the router's registry (per-backend try latency,
-// hedge/exhausted counters) for embedding or tests; GET /metrics
-// exposes it in Prometheus text form.
+// Metrics returns the router's registry (per-backend health and try
+// latency, hedge/exhausted counters) for embedding or tests; GET
+// /metrics exposes it in Prometheus text form, GET /statsz as JSON.
 func (rt *Router) Metrics() *obs.Registry { return rt.met }
 
 // handleMetrics is GET /metrics for the router process itself.

@@ -10,6 +10,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // fakeReplica is a scriptable stand-in for one serving node: per-path
@@ -318,23 +320,16 @@ func TestBreakerOpensOnConsecutiveFailures(t *testing.T) {
 
 	// statsz reports the open circuit.
 	rec := doRouter(rt, http.MethodGet, "/statsz", "", nil)
-	var stats struct {
-		Backends []routerBackendStats `json:"backends"`
-	}
+	var stats obs.Stats
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatalf("statsz: %v", err)
 	}
-	found := false
-	for _, row := range stats.Backends {
-		if row.Name == order[0] {
-			found = true
-			if !row.BreakerOpen {
-				t.Fatal("statsz does not report the open breaker")
-			}
-		}
+	open, ok := stats.Series[`nc_router_backend_breaker_open{backend="`+order[0]+`"}`]
+	if !ok {
+		t.Fatalf("statsz missing backend %s: %v", order[0], stats.Series)
 	}
-	if !found {
-		t.Fatalf("statsz missing backend %s", order[0])
+	if open != 1 {
+		t.Fatal("statsz does not report the open breaker")
 	}
 }
 

@@ -39,8 +39,8 @@ func TestIngestRefusedWhileDraining(t *testing.T) {
 		t.Fatalf("no error body: %s", data)
 	}
 	// The refused batch must not have touched the graph.
-	if st := getStatsz(t, ts); st.GraphEpoch != 0 {
-		t.Fatalf("refused ingest moved the epoch to %d", st.GraphEpoch)
+	if st := getStatsz(t, ts); st.Series["nc_graph_epoch"] != 0 {
+		t.Fatalf("refused ingest moved the epoch to %v", st.Series["nc_graph_epoch"])
 	}
 	// Reads are still served while draining (they ride the drain window).
 	resp, data = postJSON(t, ts.Client(), ts.URL+"/v1/search", map[string]any{
@@ -66,8 +66,8 @@ func TestStatszWALGauges(t *testing.T) {
 	s := New(eng, quietCfg())
 	ts := httptest.NewServer(s.Handler())
 
-	if st := getStatsz(t, ts); !st.WALEnabled || st.WALRecords != 0 {
-		t.Fatalf("fresh durable engine: %+v", st)
+	if st := getStatsz(t, ts); st.Series["nc_wal_enabled"] != 1 || st.Series["nc_wal_records"] != 0 {
+		t.Fatalf("fresh durable engine: %v", st.Series)
 	}
 	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", map[string]any{
 		"adds": []map[string]string{{"s": "Angela Merkel", "p": "awarded", "o": "Nobel Prize"}},
@@ -76,8 +76,8 @@ func TestStatszWALGauges(t *testing.T) {
 		t.Fatalf("ingest: status %d: %s", resp.StatusCode, data)
 	}
 	st := getStatsz(t, ts)
-	if st.WALRecords != 1 || st.WALBytes == 0 || st.RecoveredRecords != 0 {
-		t.Fatalf("after one durable ingest: %+v", st)
+	if st.Series["nc_wal_records"] != 1 || st.Series["nc_wal_bytes"] == 0 || st.Series["nc_wal_recovered_records"] != 0 {
+		t.Fatalf("after one durable ingest: %v", st.Series)
 	}
 	ts.Close()
 	if err := eng.Close(); err != nil {
@@ -100,15 +100,15 @@ func TestStatszWALGauges(t *testing.T) {
 	ts2 := httptest.NewServer(s2.Handler())
 	defer ts2.Close()
 	st = getStatsz(t, ts2)
-	if !st.WALEnabled || st.RecoveredRecords != 1 || st.GraphEpoch != 1 {
-		t.Fatalf("statsz after restart: %+v", st)
+	if st.Series["nc_wal_enabled"] != 1 || st.Series["nc_wal_recovered_records"] != 1 || st.Series["nc_graph_epoch"] != 1 {
+		t.Fatalf("statsz after restart: %v", st.Series)
 	}
 
 	// Non-durable engines report the gauges off.
 	s3 := New(testEngine(notable.Options{}), quietCfg())
 	ts3 := httptest.NewServer(s3.Handler())
 	defer ts3.Close()
-	if st := getStatsz(t, ts3); st.WALEnabled || st.WALBytes != 0 {
-		t.Fatalf("non-durable engine reports WAL gauges: %+v", st)
+	if st := getStatsz(t, ts3); st.Series["nc_wal_enabled"] != 0 || st.Series["nc_wal_bytes"] != 0 {
+		t.Fatalf("non-durable engine reports WAL gauges: %v", st.Series)
 	}
 }

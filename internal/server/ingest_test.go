@@ -12,16 +12,18 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/obs"
 )
 
-func getStatsz(t *testing.T, ts *httptest.Server) statszResponse {
+// getStatsz GETs /statsz and decodes its series and histogram summaries.
+func getStatsz(t *testing.T, ts *httptest.Server) obs.Stats {
 	t.Helper()
 	resp, err := ts.Client().Get(ts.URL + "/statsz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st statszResponse
+	var st obs.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +37,8 @@ func TestIngestEndpoint(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if st := getStatsz(t, ts); st.GraphEpoch != 0 {
-		t.Fatalf("fresh server at epoch %d", st.GraphEpoch)
+	if st := getStatsz(t, ts); st.Series["nc_graph_epoch"] != 0 {
+		t.Fatalf("fresh server at epoch %v", st.Series["nc_graph_epoch"])
 	}
 	resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", map[string]any{
 		"adds": []map[string]string{
@@ -55,8 +57,8 @@ func TestIngestEndpoint(t *testing.T) {
 		t.Fatalf("ingest response = %+v", ir)
 	}
 	st := getStatsz(t, ts)
-	if st.GraphEpoch != 1 || st.OverlayAdds == 0 {
-		t.Fatalf("statsz after ingest = epoch %d, overlay_adds %d", st.GraphEpoch, st.OverlayAdds)
+	if st.Series["nc_graph_epoch"] != 1 || st.Series["nc_graph_overlay_adds"] == 0 {
+		t.Fatalf("statsz after ingest = epoch %v, overlay_adds %v", st.Series["nc_graph_epoch"], st.Series["nc_graph_overlay_adds"])
 	}
 
 	// The new label is part of the very next search's report.
@@ -97,8 +99,8 @@ func TestIngestEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("delete ingest status %d: %s", resp.StatusCode, data)
 	}
-	if st := getStatsz(t, ts); st.GraphEpoch != 2 {
-		t.Fatalf("epoch after delete = %d, want 2", st.GraphEpoch)
+	if st := getStatsz(t, ts); st.Series["nc_graph_epoch"] != 2 {
+		t.Fatalf("epoch after delete = %v, want 2", st.Series["nc_graph_epoch"])
 	}
 }
 
@@ -128,8 +130,8 @@ func TestIngestErrorMapping(t *testing.T) {
 			t.Fatalf("%s: status %d, want 400: %s", tc.name, resp.StatusCode, data)
 		}
 	}
-	if st := getStatsz(t, ts); st.GraphEpoch != 0 {
-		t.Fatalf("rejected batches moved the epoch to %d", st.GraphEpoch)
+	if st := getStatsz(t, ts); st.Series["nc_graph_epoch"] != 0 {
+		t.Fatalf("rejected batches moved the epoch to %v", st.Series["nc_graph_epoch"])
 	}
 
 	// GET is not allowed.
@@ -194,7 +196,7 @@ func TestIngestConcurrentWithSearch(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if st := getStatsz(t, ts); st.GraphEpoch != 5 {
-		t.Fatalf("epoch after 5 ingests = %d", st.GraphEpoch)
+	if st := getStatsz(t, ts); st.Series["nc_graph_epoch"] != 5 {
+		t.Fatalf("epoch after 5 ingests = %v", st.Series["nc_graph_epoch"])
 	}
 }

@@ -351,7 +351,7 @@ func TestLoadShedding(t *testing.T) {
 	if elapsed > time.Second {
 		t.Fatalf("shedding took %v, want an immediate rejection", elapsed)
 	}
-	if n := s.shed.Load(); n == 0 {
+	if n := s.met.shed.Value(); n == 0 {
 		t.Fatal("shed counter did not move")
 	}
 

@@ -1,17 +1,21 @@
 // Server-side observability: per-endpoint request counters and latency
-// histograms, the access-log ring, and the GET /metrics + GET /v1/logz
-// handlers that expose them.
+// histograms, the process and admission gauges, the access-log ring, and
+// the GET /metrics, GET /statsz and GET /v1/logz handlers that expose
+// them.
 //
 // Every series is registered once at construction; the per-request path
 // resolves its endpointMetrics with a string switch (no map lookup, no
-// allocation) and pays a few atomic adds. The registry is only walked at
-// scrape time.
+// allocation) and pays a few atomic adds. Gauges read the server's own
+// atomics at scrape time. The registry is only walked at scrape time.
 package server
 
 import (
 	"net/http"
+	"runtime"
 	"strconv"
+	"time"
 
+	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -118,18 +122,62 @@ func (m *serverMetrics) endpoint(path string) *endpointMetrics {
 	}
 }
 
+// registerState adds the process, admission and executor gauges to the
+// server registry. They are read at scrape time, so nothing is added to
+// the request path; a booting server reports them before its engine
+// exists.
+func (s *Server) registerState() {
+	reg := s.met.reg
+	reg.NewGaugeFunc("nc_process_uptime_seconds", "Seconds since the server was constructed.",
+		func() float64 { return time.Since(s.start).Seconds() })
+	reg.NewGaugeFunc("nc_process_goroutines", "Goroutines in the process.",
+		func() float64 { return float64(runtime.NumGoroutine()) })
+	reg.NewGaugeFunc("nc_process_rss_bytes", "Resident set size from /proc/self/statm (0 where unavailable).",
+		func() float64 { return float64(readRSSBytes()) })
+	reg.NewGaugeFunc("nc_server_draining", "1 once graceful shutdown has begun.",
+		func() float64 { return obs.Bool(s.draining.Load()) })
+	reg.NewGaugeFunc("nc_server_in_flight", "Admitted engine requests being served.",
+		func() float64 { return float64(s.inflight.Load()) })
+	reg.NewGaugeFunc("nc_server_max_in_flight", "Admission-gate size.",
+		func() float64 { return float64(s.cfg.MaxInFlight) })
+	reg.NewGaugeFunc("nc_server_read_only", "1 when ingest is refused (follower stance).",
+		func() float64 { return obs.Bool(s.cfg.ReadOnly) })
+	reg.NewGaugeFunc("nc_server_booting", "1 while the engine is still being built.",
+		func() float64 { return obs.Bool(s.engine() == nil) })
+	reg.NewGaugeFunc("nc_server_ready", "1 when an engine is armed and readiness does not gate it.",
+		func() float64 {
+			rd := s.readiness.Load()
+			return obs.Bool(s.engine() != nil && (rd == nil || rd.Ready))
+		})
+	reg.NewGaugeFunc("nc_exec_workers", "Shared executor worker goroutines.",
+		func() float64 { return float64(exec.Default().Stats().Workers) })
+	reg.NewGaugeFunc("nc_exec_busy", "Shared executor tasks running on workers.",
+		func() float64 { return float64(exec.Default().Stats().Busy) })
+	reg.NewCounterFunc("nc_exec_inline_runs_total", "Group tasks run inline because every worker was busy.",
+		func() float64 { return float64(exec.Default().Stats().InlineRuns) })
+}
+
 // Metrics returns the server's own registry — request counters, latency
-// histograms, shed counter — so callers (ncserved wires follower lag
-// here) can register process-level series for exposition on /metrics.
+// histograms, shed counter, process gauges — so callers (ncserved wires
+// follower lag here) can register process-level series for exposition
+// on /metrics and /statsz.
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
 // AccessLog returns the server's ring of recent requests.
 func (s *Server) AccessLog() *obs.AccessLog { return s.accessLog }
 
+// registries lists what GET /metrics and GET /statsz render: the server
+// registry, then the engine's once armed. Family names are disjoint by
+// construction, so the concatenation is one well-formed exposition.
+func (s *Server) registries() []*obs.Registry {
+	if eng := s.engine(); eng != nil {
+		return []*obs.Registry{s.met.reg, eng.Metrics()}
+	}
+	return []*obs.Registry{s.met.reg}
+}
+
 // handleMetrics is GET /metrics: Prometheus text exposition of the
-// server registry followed by the engine's (when armed). Family names
-// are disjoint by construction (nc_http_* vs nc_stage_*/nc_request_*),
-// so concatenating the two registries yields a well-formed exposition.
+// server registry followed by the engine's (when armed).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -138,12 +186,21 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Header().Set("Cache-Control", "no-store")
-	if err := s.met.reg.WritePrometheus(w); err != nil {
-		return // client went away mid-scrape; nothing to salvage
+	for _, reg := range s.registries() {
+		if err := reg.WritePrometheus(w); err != nil {
+			return // client went away mid-scrape; nothing to salvage
+		}
 	}
-	if eng := s.engine(); eng != nil {
-		_ = eng.Metrics().WritePrometheus(w)
-	}
+}
+
+// handleStatsz is GET /statsz: the JSON rendering of exactly the series
+// GET /metrics exposes — the server's own, plus the engine's once armed
+// (a booting process still reports its process gauges).
+func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
+	// Stats are point-in-time: an intermediary caching them would feed
+	// tuning loops stale gauges.
+	w.Header().Set("Cache-Control", "no-store")
+	writeJSON(w, http.StatusOK, obs.Collect(s.registries()...))
 }
 
 // logzResponse is the GET /v1/logz payload: the ring's recent requests,
@@ -179,26 +236,4 @@ func (s *Server) handleLogz(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Cache-Control", "no-store")
 	writeJSON(w, http.StatusOK, logzResponse{Total: s.accessLog.Total(), Records: recs})
-}
-
-// metricsSummaries flattens every histogram the process exposes —
-// server registry plus the engine's when armed — into name → summary
-// for the /statsz JSON view. Same-name families across the two
-// registries (none today) would merge.
-func (s *Server) metricsSummaries() map[string]obs.Summary {
-	snaps := s.met.reg.Histograms()
-	if eng := s.engine(); eng != nil {
-		for name, snap := range eng.Metrics().Histograms() {
-			if have, ok := snaps[name]; ok {
-				snaps[name] = have.Merge(snap)
-			} else {
-				snaps[name] = snap
-			}
-		}
-	}
-	out := make(map[string]obs.Summary, len(snaps))
-	for name, snap := range snaps {
-		out[name] = snap.Summarize()
-	}
-	return out
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro"
 	"repro/internal/obs"
+	"repro/internal/repl"
 )
 
 // scrape GETs /metrics and returns the body, failing on any non-200 or
@@ -191,8 +192,9 @@ func TestLogzEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatszMetricsKey: /statsz carries the histogram summaries under
-// "metrics" and the no-store header.
+// TestStatszMetricsKey: /statsz carries one summary per histogram
+// series under "histograms" — the compare stage apart from ctx_select,
+// each request op apart — and the no-store header.
 func TestStatszMetricsKey(t *testing.T) {
 	s := New(testEngine(notable.Options{}), quietCfg())
 	ts := httptest.NewServer(s.Handler())
@@ -209,20 +211,192 @@ func TestStatszMetricsKey(t *testing.T) {
 	if cc := resp.Header.Get("Cache-Control"); cc != "no-store" {
 		t.Fatalf("statsz Cache-Control %q", cc)
 	}
-	var body struct {
-		Metrics map[string]obs.Summary `json:"metrics"`
-	}
+	var body obs.Stats
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	do, ok := body.Metrics["nc_request_seconds"]
+	do, ok := body.Histograms[`nc_request_seconds{op="do"}`]
 	if !ok {
-		t.Fatalf("statsz metrics missing nc_request_seconds: %v", body.Metrics)
+		t.Fatalf("statsz histograms missing nc_request_seconds{op=\"do\"}: %v", body.Histograms)
 	}
-	if do.Count < 1 || do.P50MS <= 0 {
+	if do.Count != 1 || do.P50MS <= 0 {
 		t.Fatalf("implausible summary after one search: %+v", do)
 	}
-	if _, ok := body.Metrics["nc_http_request_seconds"]; !ok {
-		t.Fatal("statsz metrics missing the server-side nc_http_request_seconds")
+	if batch := body.Histograms[`nc_request_seconds{op="do_batch"}`]; batch.Count != 0 {
+		t.Fatalf("do_batch summary counts the search: %+v", batch)
 	}
+	if cmp := body.Histograms[`nc_stage_seconds{stage="compare"}`]; cmp.Count != 1 {
+		t.Fatalf("compare stage summary = %+v, want its own count of 1", cmp)
+	}
+	if _, merged := body.Histograms["nc_stage_seconds"]; merged {
+		t.Fatal("statsz merges the stage family into one summary")
+	}
+	if _, ok := body.Histograms[`nc_http_request_seconds{path="/v1/search"}`]; !ok {
+		t.Fatal("statsz histograms missing the server-side nc_http_request_seconds")
+	}
+}
+
+// volatileSeries move between any two reads of a live process (the
+// executor is process-wide, shared with whatever else runs); the
+// equivalence check requires them on both surfaces but not equal.
+var volatileSeries = map[string]bool{
+	"nc_process_uptime_seconds": true,
+	"nc_process_goroutines":     true,
+	"nc_process_rss_bytes":      true,
+	"nc_exec_busy":              true,
+	"nc_exec_inline_runs_total": true,
+}
+
+// parseExposition splits a text scrape into counter and gauge samples
+// (series name → value) and histogram series (series name → _count).
+func parseExposition(t *testing.T, body string) (samples, hists map[string]float64) {
+	t.Helper()
+	samples, hists = map[string]float64{}, map[string]float64{}
+	types := map[string]string{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		i := strings.LastIndexByte(line, ' ')
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("bad sample line %q: %v", line, err)
+		}
+		series := line[:i]
+		name, labels := series, ""
+		if j := strings.IndexByte(series, '{'); j >= 0 {
+			name, labels = series[:j], series[j:]
+		}
+		switch {
+		case types[name] == "counter" || types[name] == "gauge":
+			samples[series] = v
+		case strings.HasSuffix(name, "_count") && types[strings.TrimSuffix(name, "_count")] == "histogram":
+			hists[strings.TrimSuffix(name, "_count")+labels] = v
+		case strings.HasSuffix(name, "_bucket") || strings.HasSuffix(name, "_sum"):
+		default:
+			t.Fatalf("sample %q belongs to no declared family", line)
+		}
+	}
+	return samples, hists
+}
+
+// sameSeries fails unless a quiescent /metrics scrape and /statsz
+// document carry exactly the same series: every counter and gauge sample
+// under the same name with the same value, every histogram series with
+// its own summary of the same count.
+func sameSeries(t *testing.T, h http.Handler) {
+	t.Helper()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s status %d", path, rec.Code)
+		}
+		return rec
+	}
+	samples, hists := parseExposition(t, get("/metrics").Body.String())
+	var st obs.Stats
+	if err := json.Unmarshal(get("/statsz").Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(samples) == 0 || len(hists) == 0 {
+		t.Fatalf("scrape carries %d samples and %d histograms", len(samples), len(hists))
+	}
+	for name, v := range samples {
+		got, ok := st.Series[name]
+		if !ok {
+			t.Errorf("/statsz lacks %s", name)
+		} else if got != v && !volatileSeries[name] {
+			t.Errorf("%s: /metrics %v, /statsz %v", name, v, got)
+		}
+	}
+	for name := range st.Series {
+		if _, ok := samples[name]; !ok {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	for name, n := range hists {
+		if sum, ok := st.Histograms[name]; !ok || float64(sum.Count) != n {
+			t.Errorf("%s: /metrics count %v, /statsz summary %+v (present %v)", name, n, sum, ok)
+		}
+	}
+	for name := range st.Histograms {
+		if _, ok := hists[name]; !ok {
+			t.Errorf("/metrics lacks histogram %s", name)
+		}
+	}
+}
+
+// scrapeOnly routes GET /metrics and GET /statsz straight to the server's
+// handlers, past the middleware that would count each scrape between
+// the two reads.
+func scrapeOnly(s *Server) http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/metrics", s.handleMetrics)
+	mux.HandleFunc("/statsz", s.handleStatsz)
+	return mux
+}
+
+// TestStatszMatchesMetrics: /statsz and /metrics are two renderings of
+// one set of series — on a booting server, on servers over an in-memory
+// and a durable engine, and on the router.
+func TestStatszMatchesMetrics(t *testing.T) {
+	search := func(t *testing.T, s *Server) {
+		ts := httptest.NewServer(s.Handler())
+		defer ts.Close()
+		if resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/search", map[string]any{
+			"entities": []string{"Angela Merkel", "Barack Obama"},
+		}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("search status %d: %s", resp.StatusCode, data)
+		}
+	}
+	t.Run("booting", func(t *testing.T) {
+		sameSeries(t, scrapeOnly(NewPending(quietCfg())))
+	})
+	t.Run("memory", func(t *testing.T) {
+		s := New(testEngine(notable.Options{}), quietCfg())
+		search(t, s)
+		sameSeries(t, scrapeOnly(s))
+	})
+	t.Run("durable", func(t *testing.T) {
+		eng, _, err := notable.NewDurableEngine(testGraph(), notable.Options{ContextSize: 6, Walks: 5000, Seed: 3},
+			notable.Durability{WALDir: t.TempDir(), Logf: func(string, ...any) {}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng.Close()
+		s := New(eng, quietCfg())
+		ts := httptest.NewServer(s.Handler())
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/ingest", map[string]any{
+			"adds": []map[string]string{{"s": "Angela Merkel", "p": "awarded", "o": "Nobel Prize"}},
+		})
+		ts.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status %d: %s", resp.StatusCode, data)
+		}
+		search(t, s)
+		sameSeries(t, scrapeOnly(s))
+	})
+	t.Run("router", func(t *testing.T) {
+		backend := New(testEngine(notable.Options{}), quietCfg())
+		ts := httptest.NewServer(backend.Handler())
+		defer ts.Close()
+		rt, err := repl.NewRouter(repl.RouterConfig{
+			Backends: []repl.Backend{{Name: "b0", URL: ts.URL}}, Primary: "b0", Client: ts.Client(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := rt.Handler()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/search",
+			strings.NewReader(`{"entities":["Angela Merkel","Barack Obama"]}`)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("routed search status %d: %s", rec.Code, rec.Body)
+		}
+		sameSeries(t, h)
+	})
 }

@@ -155,7 +155,6 @@ func (s *Server) engineEndpoint(h http.HandlerFunc) http.Handler {
 		select {
 		case s.admit <- struct{}{}:
 		default:
-			s.shed.Add(1)
 			s.met.shed.Inc()
 			w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.RetryAfter))
 			writeJSON(w, http.StatusServiceUnavailable, errorResponse{

@@ -106,7 +106,7 @@ func TestLivenessVsReadiness(t *testing.T) {
 
 // TestPendingEngineEndpoints: engine traffic against a booting server
 // sheds with 503 + Retry-After instead of hanging or crashing, and
-// /statsz still serves process gauges with booting:true.
+// /statsz still serves process gauges with nc_server_booting at 1.
 func TestPendingEngineEndpoints(t *testing.T) {
 	s := NewPending(quietCfg())
 	ts := httptest.NewServer(s.Handler())
@@ -121,9 +121,8 @@ func TestPendingEngineEndpoints(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("no Retry-After on booting 503")
 	}
-	code, body := getJSON(t, ts, "/statsz")
-	if code != http.StatusOK || body["booting"] != true {
-		t.Fatalf("statsz while booting: %d %v", code, body)
+	if st := getStatsz(t, ts).Series; st["nc_server_booting"] != 1 || st["nc_server_ready"] != 0 {
+		t.Fatalf("statsz while booting: %v", st)
 	}
 }
 

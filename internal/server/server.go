@@ -37,10 +37,11 @@
 // publishes a new graph epoch without a restart, while in-flight
 // searches finish on the epoch they pinned; refused with 503 +
 // Retry-After once draining — a node about to exit takes no new writes),
-// GET /healthz (flips 503 while draining), GET /statsz (cache layers,
+// GET /healthz (flips 503 while draining), GET /metrics and GET /statsz
+// (one set of series — request counters, stage latencies, cache layers,
 // executor load, in-flight gauge, graph epoch and overlay/compaction
-// counters, WAL/checkpoint gauges on durable engines), and
-// net/http/pprof under /debug/pprof/ when enabled.
+// counters, WAL/checkpoint gauges on durable engines — as Prometheus text
+// and as JSON), and net/http/pprof under /debug/pprof/ when enabled.
 package server
 
 import (
@@ -58,7 +59,6 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -68,7 +68,6 @@ import (
 	"repro"
 	"repro/internal/exec"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 )
 
 // Config tunes the serving layer. The zero value serves on :8080 with
@@ -165,7 +164,6 @@ type Server struct {
 	drainCh    chan struct{}
 	drainStart atomic.Int64 // unix nanos; 0 until draining
 	inflight   atomic.Int64
-	shed       atomic.Int64
 	admit      chan struct{}
 
 	// readiness is the serving-fitness signal behind /healthz (nil means
@@ -226,6 +224,7 @@ func NewPending(cfg Config) *Server {
 		met:        newServerMetrics(),
 		accessLog:  obs.NewAccessLog(1024),
 	}
+	s.registerState()
 	s.http = &http.Server{
 		Addr:    cfg.Addr,
 		Handler: s.Handler(),
@@ -407,108 +406,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // routing decisions key off /healthz.
 func (s *Server) handleLivez(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "alive"})
-}
-
-// statszResponse is the /statsz payload: the metrics-lite JSON view of
-// the process — cache residency per layer, executor load, and the serving
-// gauges an admission-tuning loop needs.
-type statszResponse struct {
-	UptimeSeconds float64 `json:"uptime_seconds"`
-	Draining      bool    `json:"draining"`
-	InFlight      int64   `json:"in_flight"`
-	MaxInFlight   int     `json:"max_in_flight"`
-	Shed          int64   `json:"shed_total"`
-	Goroutines    int     `json:"goroutines"`
-	// RSSBytes is the process's resident set size read from
-	// /proc/self/statm; 0 where procfs is unavailable. The soak harness
-	// keys its leak thresholds off this.
-	RSSBytes int64 `json:"rss_bytes"`
-	// Live-graph gauges: the current epoch, the overlay's applied
-	// add/delete counts since the last base rebuild, completed rebuilds,
-	// and the last compaction's wall-clock.
-	GraphEpoch       uint64  `json:"graph_epoch"`
-	OverlayAdds      int     `json:"overlay_adds"`
-	OverlayDels      int     `json:"overlay_dels"`
-	BaseRebuilds     uint64  `json:"base_rebuilds"`
-	LastCompactionMS float64 `json:"last_compaction_ms"`
-	Compacting       bool    `json:"compacting"`
-	// Durability gauges (all zero when the engine runs without a WAL):
-	// log size, durable record count, the most recent fsync's duration
-	// (disk-health canary), the newest checkpoint's epoch, and how many
-	// records boot-time recovery replayed.
-	WALEnabled       bool    `json:"wal_enabled"`
-	WALBytes         int64   `json:"wal_bytes"`
-	WALRecords       int64   `json:"wal_records"`
-	WALLastFsyncMS   float64 `json:"wal_last_fsync_ms"`
-	CheckpointEpoch  uint64  `json:"checkpoint_epoch"`
-	RecoveredRecords int     `json:"recovered_records"`
-	// SnapshotsSkipped counts checkpoint files boot recovery discarded as
-	// unreadable — non-zero means the durability dir is limping on its
-	// fallback checkpoint, a state health probes should surface, not just
-	// a boot-time log line.
-	SnapshotsSkipped int `json:"snapshots_skipped"`
-	// Serving-topology gauges: whether this process takes writes, whether
-	// readiness currently gates it, and the engine's replication state.
-	ReadOnly     bool           `json:"read_only"`
-	Ready        bool           `json:"ready"`
-	Booting      bool           `json:"booting"`
-	DurableEpoch uint64         `json:"durable_epoch"`
-	Executor     exec.PoolStats `json:"executor"`
-	Cache        qcache.Stats   `json:"cache"`
-	// Metrics summarizes every latency histogram the process exposes
-	// (count, mean, p50/p95/p99 in milliseconds) — the JSON-side view of
-	// what GET /metrics exposes in full.
-	Metrics map[string]obs.Summary `json:"metrics"`
-}
-
-func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	resp := statszResponse{
-		UptimeSeconds: time.Since(s.start).Seconds(),
-		Draining:      s.draining.Load(),
-		InFlight:      s.inflight.Load(),
-		MaxInFlight:   s.cfg.MaxInFlight,
-		Shed:          s.shed.Load(),
-		Goroutines:    runtime.NumGoroutine(),
-		RSSBytes:      readRSSBytes(),
-		ReadOnly:      s.cfg.ReadOnly,
-		Executor:      exec.Default().Stats(),
-		Metrics:       s.metricsSummaries(),
-	}
-	// Stats are point-in-time: an intermediary caching them would feed
-	// tuning loops stale gauges.
-	w.Header().Set("Cache-Control", "no-store")
-	eng := s.engine()
-	if eng == nil {
-		// Still booting: serve the process-level gauges rather than refuse —
-		// an operator watching a long WAL replay wants these.
-		resp.Booting = true
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	vs := eng.VersionStats()
-	ds := eng.DurabilityStats()
-	resp.GraphEpoch = vs.Epoch
-	resp.OverlayAdds = vs.OverlayAdds
-	resp.OverlayDels = vs.OverlayDels
-	resp.BaseRebuilds = vs.Rebuilds
-	resp.LastCompactionMS = float64(vs.LastCompaction.Microseconds()) / 1000
-	resp.Compacting = vs.Compacting
-	resp.WALEnabled = ds.Enabled
-	resp.WALBytes = ds.WALBytes
-	resp.WALRecords = ds.WALRecords
-	resp.WALLastFsyncMS = float64(ds.LastFsync.Microseconds()) / 1000
-	resp.CheckpointEpoch = ds.CheckpointEpoch
-	resp.RecoveredRecords = ds.RecoveredRecords
-	resp.SnapshotsSkipped = ds.SkippedCheckpoints
-	resp.Cache = eng.CacheStats()
-	resp.Ready = true
-	if rd := s.readiness.Load(); rd != nil {
-		resp.Ready = rd.Ready
-	}
-	if de, err := eng.DurableEpoch(); err == nil {
-		resp.DurableEpoch = de
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // readRSSBytes returns the resident set size from /proc/self/statm

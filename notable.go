@@ -390,9 +390,74 @@ func newEngineMetrics() *engineMetrics {
 
 // Metrics returns the engine's metrics registry — stage histograms
 // (ppr_solve, ctx_select, compare), end-to-end request histograms,
-// ingest and WAL-fsync latency — for exposition alongside a server's
-// own registry (internal/server merges it into GET /metrics).
+// ingest and WAL-fsync latency, and the cache, graph and WAL state
+// series — for exposition alongside a server's own registry
+// (internal/server renders both on GET /metrics and GET /statsz).
 func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
+
+// registerState adds the engine's point-in-time state to its registry as
+// scrape-time series read through CacheStats, VersionStats and
+// DurabilityStats: query-cache traffic and residency, the live graph's
+// epoch and compaction counters, and the write-ahead log. Nothing is
+// added to the request or ingest path.
+func (e *Engine) registerState() {
+	reg := e.met.reg
+	for l, layer := range qcache.LayerNames {
+		reg.NewCounterFunc("nc_cache_hits_total", "Query-cache hits, by layer.",
+			func() float64 { return float64(e.CacheStats().Layers[l].Hits) }, "layer", layer)
+		reg.NewCounterFunc("nc_cache_misses_total", "Query-cache misses, by layer.",
+			func() float64 { return float64(e.CacheStats().Layers[l].Misses) }, "layer", layer)
+		reg.NewGaugeFunc("nc_cache_bytes", "Resident query-cache bytes (size hints), by layer.",
+			func() float64 { return float64(e.CacheStats().Layers[l].Bytes) }, "layer", layer)
+		reg.NewGaugeFunc("nc_cache_layer_budget_bytes", "Query-cache byte budget, by layer (0 = none).",
+			func() float64 { return float64(e.CacheStats().Layers[l].ByteBudget) }, "layer", layer)
+	}
+	reg.NewGaugeFunc("nc_cache_budget_bytes", "Query-cache total byte budget (0 = none).",
+		func() float64 { return float64(e.CacheStats().ByteBudget) })
+	reg.NewGaugeFunc("nc_cache_entries", "Query-cache entries resident.",
+		func() float64 { return float64(e.CacheStats().Size) })
+	reg.NewGaugeFunc("nc_cache_capacity_entries", "Query-cache entry bound.",
+		func() float64 { return float64(e.CacheStats().Capacity) })
+	reg.NewGaugeFunc("nc_cache_shards", "Query-cache shards.",
+		func() float64 { return float64(e.CacheStats().Shards) })
+	reg.NewCounterFunc("nc_cache_evictions_total", "Query-cache entries evicted to make room.",
+		func() float64 { return float64(e.CacheStats().Evictions) })
+	reg.NewCounterFunc("nc_cache_purged_total", "Query-cache entries dropped by epoch purges.",
+		func() float64 { return float64(e.CacheStats().Purged) })
+
+	reg.NewGaugeFunc("nc_graph_epoch", "Current graph epoch.",
+		func() float64 { return float64(e.VersionStats().Epoch) })
+	reg.NewGaugeFunc("nc_graph_overlay_adds", "Edges added in the overlay since the last base rebuild.",
+		func() float64 { return float64(e.VersionStats().OverlayAdds) })
+	reg.NewGaugeFunc("nc_graph_overlay_dels", "Edges deleted in the overlay since the last base rebuild.",
+		func() float64 { return float64(e.VersionStats().OverlayDels) })
+	reg.NewCounterFunc("nc_graph_rebuilds_total", "Base CSR rebuilds (compactions) completed.",
+		func() float64 { return float64(e.VersionStats().Rebuilds) })
+	reg.NewGaugeFunc("nc_graph_last_compaction_seconds", "Duration of the most recent compaction (0 if none).",
+		func() float64 { return e.VersionStats().LastCompaction.Seconds() })
+	reg.NewGaugeFunc("nc_graph_compacting", "1 while a background compaction runs.",
+		func() float64 { return obs.Bool(e.VersionStats().Compacting) })
+
+	reg.NewGaugeFunc("nc_wal_enabled", "1 when the engine has a write-ahead log.",
+		func() float64 { return obs.Bool(e.DurabilityStats().Enabled) })
+	reg.NewGaugeFunc("nc_wal_bytes", "Size of the current log file.",
+		func() float64 { return float64(e.DurabilityStats().WALBytes) })
+	reg.NewGaugeFunc("nc_wal_records", "Records in the current log file.",
+		func() float64 { return float64(e.DurabilityStats().WALRecords) })
+	reg.NewGaugeFunc("nc_wal_last_fsync_seconds", "Duration of the most recent log fsync.",
+		func() float64 { return e.DurabilityStats().LastFsync.Seconds() })
+	reg.NewGaugeFunc("nc_wal_checkpoint_epoch", "Epoch of the newest durable checkpoint.",
+		func() float64 { return float64(e.DurabilityStats().CheckpointEpoch) })
+	reg.NewGaugeFunc("nc_wal_recovered_records", "Log records boot recovery replayed.",
+		func() float64 { return float64(e.DurabilityStats().RecoveredRecords) })
+	reg.NewGaugeFunc("nc_wal_snapshots_skipped", "Unreadable checkpoint files boot recovery discarded.",
+		func() float64 { return float64(e.DurabilityStats().SkippedCheckpoints) })
+	reg.NewGaugeFunc("nc_wal_durable_epoch", "Newest epoch guaranteed to survive a crash (0 without a log).",
+		func() float64 {
+			de, _ := e.DurableEpoch() // ErrNotDurable: no log, report 0
+			return float64(de)
+		})
+}
 
 // optState is one memoized translation of effective options at an epoch.
 type optState struct {
@@ -448,6 +513,7 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 		OnCompact: e.checkpointView,
 	})
 	e.idx.Store(search.NewIndex(g))
+	e.registerState()
 	return e
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/qcache"
 )
 
 // leaderQueries builds n deterministic, heavily overlapping queries over
@@ -153,10 +154,14 @@ func TestEngineCacheByteBudget(t *testing.T) {
 	queries := leaderQueries(t, unbounded, 6)
 	searchSequential(t, unbounded, queries)
 	full := unbounded.CacheStats()
-	if full.SelectorBytes == 0 || full.TestBytes == 0 || full.SeedBytes == 0 {
+	if full.Layers[qcache.LayerSelector].Bytes == 0 || full.Layers[qcache.LayerTest].Bytes == 0 || full.Layers[qcache.LayerSeed].Bytes == 0 {
 		t.Fatalf("expected the selector, test, and seed layers to report bytes: %+v", full)
 	}
-	if full.Bytes != full.SelectorBytes+full.TestBytes+full.SeedBytes+full.NullBytes {
+	var sum int64
+	for _, l := range full.Layers {
+		sum += l.Bytes
+	}
+	if full.Bytes != sum {
 		t.Fatalf("Bytes must total the layers: %+v", full)
 	}
 

@@ -48,9 +48,9 @@ func requirePurged(t *testing.T, what string, before, after qcache.Stats) {
 			t.Fatalf("%s: %s layer still holds %d bytes", what, l, after.Layers[l].Bytes)
 		}
 	}
-	if after.NullBytes != before.NullBytes || after.NullBytes != after.Bytes {
+	if after.Layers[qcache.LayerNull].Bytes != before.Layers[qcache.LayerNull].Bytes || after.Layers[qcache.LayerNull].Bytes != after.Bytes {
 		t.Fatalf("%s: null layer %d -> %d bytes (total %d), want it untouched and alone",
-			what, before.NullBytes, after.NullBytes, after.Bytes)
+			what, before.Layers[qcache.LayerNull].Bytes, after.Layers[qcache.LayerNull].Bytes, after.Bytes)
 	}
 	if dropped := uint64(before.Size - after.Size); dropped == 0 || after.Purged-before.Purged != dropped {
 		t.Fatalf("%s: %d entries gone, Purged %d -> %d", what, dropped, before.Purged, after.Purged)
@@ -189,7 +189,7 @@ func TestPinnedRequestSurvivesPurge(t *testing.T) {
 
 				// The pinned request stored epoch-0 entries after the purge; a
 				// request at epoch 1 never sees them and the next publish drops them.
-				if st := e.CacheStats(); st.TestBytes == 0 {
+				if st := e.CacheStats(); st.Layers[qcache.LayerTest].Bytes == 0 {
 					t.Fatalf("%s: pinned request stored nothing after the purge: %+v", what, st)
 				}
 				live := mustDo(t, e, Query{Nodes: query})
@@ -199,7 +199,7 @@ func TestPinnedRequestSurvivesPurge(t *testing.T) {
 				if _, err := e.ApplyTriples(ctx, []Triple{{S: "Barack Obama", P: "visited", O: "Atlantis"}}, nil); err != nil {
 					t.Fatal(err)
 				}
-				if st := e.CacheStats(); st.SelectorBytes+st.TestBytes+st.SeedBytes != 0 {
+				if st := e.CacheStats(); st.Layers[qcache.LayerSelector].Bytes+st.Layers[qcache.LayerTest].Bytes+st.Layers[qcache.LayerSeed].Bytes != 0 {
 					t.Fatalf("%s: stale entries outlived the next publish: %+v", what, st)
 				}
 			}

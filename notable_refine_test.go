@@ -78,7 +78,7 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 			seed := st.Layers[qcache.LayerSeed]
 			switch name {
 			case "disabled":
-				if seed.Hits+seed.Misses != 0 || st.SeedBytes != 0 {
+				if seed.Hits+seed.Misses != 0 || st.Layers[qcache.LayerSeed].Bytes != 0 {
 					t.Fatalf("par=%d: disabled seed layer saw traffic: %+v", par, st)
 				}
 			case "tiny":

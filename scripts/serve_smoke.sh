@@ -39,9 +39,11 @@ case "$RESULT" in
   *) echo "smoke: search response carries no characteristics" >&2; exit 1 ;;
 esac
 
+# /statsz renders the same series as /metrics, as JSON: sample values
+# under "series", one summary per histogram series under "histograms".
 STATS=$(curl -sf "http://$ADDR/statsz")
-case "$STATS" in *'"in_flight"'*) ;; *) echo "smoke: bad statsz" >&2; exit 1 ;; esac
-case "$STATS" in *'"metrics"'*) ;; *) echo "smoke: statsz carries no metrics key" >&2; exit 1 ;; esac
+case "$STATS" in *'"nc_server_in_flight"'*) ;; *) echo "smoke: bad statsz" >&2; exit 1 ;; esac
+case "$STATS" in *'"histograms"'*) ;; *) echo "smoke: statsz carries no histograms key" >&2; exit 1 ;; esac
 
 # /metrics leg: the exposition must parse (every sample line is
 # "name[{labels}] value") and the search counter must be monotone across
@@ -69,8 +71,8 @@ for FAM in nc_stage_seconds nc_request_seconds nc_http_request_seconds; do
   esac
 done
 case "$STATS" in
-  *'"graph_epoch":0'*) ;;
-  *) echo "smoke: statsz should start at graph_epoch 0: $STATS" >&2; exit 1 ;;
+  *'"nc_graph_epoch":0'[,}]*) ;;
+  *) echo "smoke: statsz should start at nc_graph_epoch 0: $STATS" >&2; exit 1 ;;
 esac
 
 # Live ingest: POST a triple batch, require the epoch to advance and the
@@ -86,7 +88,7 @@ esac
 
 STATS=$(curl -sf "http://$ADDR/statsz")
 case "$STATS" in
-  *'"graph_epoch":1'*) ;;
+  *'"nc_graph_epoch":1'[,}]*) ;;
   *) echo "smoke: statsz epoch did not advance: $STATS" >&2; exit 1 ;;
 esac
 
@@ -151,7 +153,7 @@ case "$INGEST" in
 esac
 STATS=$(curl -sf "http://$ADDR2/statsz")
 case "$STATS" in
-  *'"wal_enabled":true'*) ;;
+  *'"nc_wal_enabled":1'[,}]*) ;;
   *) echo "smoke: statsz does not report the WAL: $STATS" >&2; exit 1 ;;
 esac
 
@@ -165,11 +167,11 @@ wait_up "$PID"
 
 STATS=$(curl -sf "http://$ADDR2/statsz")
 case "$STATS" in
-  *'"graph_epoch":1'*) ;;
+  *'"nc_graph_epoch":1'[,}]*) ;;
   *) echo "smoke: recovered epoch is not 1: $STATS" >&2; exit 1 ;;
 esac
 case "$STATS" in
-  *'"recovered_records":1'*) ;;
+  *'"nc_wal_recovered_records":1'[,}]*) ;;
   *) echo "smoke: statsz does not report the replayed record: $STATS" >&2; exit 1 ;;
 esac
 RESULT=$(curl -sf "http://$ADDR2/v1/search" -d '{"entities":["Angela Merkel","Barack Obama"]}')
