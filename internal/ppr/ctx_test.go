@@ -50,11 +50,12 @@ func TestPersonalizedSumCtxLiveMatchesPlain(t *testing.T) {
 // before the cut may be stored — those vectors are complete — but a cut
 // before any solve completes stores nothing, and whatever an aborted run
 // left behind, a subsequent live run over the same cache must return the
-// exact cacheless bits (a partial vector in the cache would break this).
+// exact bits of the workspace fold (a partial vector in the cache would
+// break this).
 func TestPersonalizedSumCtxCancelledMidSolve(t *testing.T) {
 	g := randomGraph(400, 1600, 17)
 	seeds := []kg.NodeID{3, 7, 11, 19}
-	want := PersonalizedSumCtx(context.Background(), g, seeds, Options{})
+	want := refPersonalizedSum(g, seeds, Options{})
 
 	const budget = int64(1 << 30)
 	full := newCountdownCtx(budget)

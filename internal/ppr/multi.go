@@ -149,7 +149,7 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 	// many of each query's seeds are still unsolved. seedQueries is
 	// deduplicated per query (a duplicated seed must decrement its query
 	// once, not twice), via a per-query stamp over the unique-seed index.
-	solves := make([]perSeed, len(uniq))
+	solves := make([]*seedVec, len(uniq))
 	seedQueries := make([][]int, len(uniq))
 	remaining := make([]int, len(queries))
 	stamp := make([]int, len(uniq))
@@ -167,18 +167,20 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 			remaining[qi]++
 		}
 	}
-	// foldAndEmit materializes one query's sum with the exact per-seed
-	// fold loops PersonalizedSumCtx runs, so sums carry the same bits
-	// whenever they are released.
+	// foldAndEmit materializes one query's sum with PersonalizedSumCtx's
+	// seed-list-order fold, so sums carry the same bits whenever they are
+	// released.
 	foldAndEmit := func(qi int) {
 		sum := make([]float64, n)
 		for _, s := range queries[qi] {
-			solves[index[s]].foldInto(sum, n)
+			solves[index[s]].foldInto(sum)
 		}
 		ready(qi, sum)
 	}
-	// markResolved releases every query whose last unsolved seed is i.
-	markResolved := func(i int) {
+	// resolve records seed i's vector and releases every query whose last
+	// unsolved seed it was.
+	resolve := func(i int, v *seedVec) {
+		solves[i] = v
 		for _, qi := range seedQueries[i] {
 			remaining[qi]--
 			if remaining[qi] == 0 {
@@ -187,51 +189,43 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 		}
 	}
 
-	// Seed-cache consult: unique seeds with a cached vector skip solving
-	// entirely; the rest (all of them, with no cache) enter the solve.
-	var prefix string
-	toSolve := make([]int, 0, len(uniq))
-	if opt.SeedCache != nil {
-		prefix = seedKeyPrefix(opt)
-		for i, s := range uniq {
-			if v, hit := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed); hit {
-				solves[i].cv = v.(*seedVec)
-				continue
-			}
-			toSolve = append(toSolve, i)
-		}
-	} else {
-		for i := range uniq {
-			toSolve = append(toSolve, i)
-		}
-	}
-	// Queries with no seeds release immediately (a zero vector), and
-	// queries fully served by the cache release before any solving starts
-	// — the streaming fast path for warm overlap.
-	unresolved := make([]bool, len(uniq))
-	for _, i := range toSolve {
-		unresolved[i] = true
-	}
+	// Queries with no seeds release immediately (a zero vector).
 	for qi := range queries {
 		if remaining[qi] == 0 {
 			foldAndEmit(qi)
 		}
 	}
-	for i := range uniq {
-		if !unresolved[i] {
-			// Cache hit: resolve now, releasing queries whose other seeds
-			// were hits too.
-			markResolved(i)
+	// Seed-cache consult: unique seeds with a cached vector resolve now,
+	// so queries fully served by the cache release before any solving
+	// starts — the streaming fast path for warm overlap. The rest (all of
+	// them, with no cache) enter the solve.
+	prefix := seedKeyPrefix(opt)
+	toSolve := make([]int, 0, len(uniq))
+	for i, s := range uniq {
+		if v, hit := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed); hit {
+			resolve(i, v.(*seedVec))
+			continue
 		}
+		toSolve = append(toSolve, i)
+	}
+	if len(toSolve) == 0 {
+		return
 	}
 
-	// Every abandonment path must hand the outstanding workspaces back to
-	// the pool; the blocked kernel nils ws as it absorbs columns.
+	// ws is the scratch workspace of every solve that finishes outside the
+	// blocked kernel; a solve parked at its dense switch point takes it
+	// along until its dense tail runs. Every abandonment path must hand the
+	// outstanding workspaces back to the pool; the blocked kernel nils the
+	// ones it absorbs.
+	ws := getWorkspace(n)
+	var pending []pendingSolve
 	defer func() {
-		for i := range solves {
-			if solves[i].ws != nil {
-				solves[i].ws.release()
-				solves[i].ws = nil
+		if ws != nil {
+			ws.release()
+		}
+		for _, ps := range pending {
+			if ps.ws != nil {
+				ps.ws.release()
 			}
 		}
 	}()
@@ -247,15 +241,14 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 			if ctx.Err() != nil {
 				return
 			}
-			ws := getWorkspace(n)
-			solves[i].ws = ws
 			personalizedInto(ctx, g, uniq[i:i+1], opt, ws)
 			if ctx.Err() != nil {
 				return
 			}
-			markResolved(i)
+			v := extractSeedVec(ws, n)
+			resolve(i, &v)
 		}
-		storeSolvedSeeds(toSolve, solves, uniq, opt, prefix, n)
+		storeSolvedSeeds(toSolve, solves, uniq, opt, prefix)
 		return
 	}
 
@@ -263,22 +256,24 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 	// solo run would execute it. Solves whose frontier never saturates
 	// finish — and release their queries — here; the rest park at their
 	// dense switch point.
-	var pending []pendingSolve
 	for _, i := range toSolve {
 		if ctx.Err() != nil {
 			return
 		}
-		ws := getWorkspace(n)
+		if ws == nil {
+			ws = getWorkspace(n)
+		}
 		ws.init(g, uniq[i:i+1])
 		it := ws.sparsePhase(ctx, g, tr, opt, opt.Iterations)
-		solves[i].ws = ws
 		if ctx.Err() != nil {
 			return
 		}
 		if it < opt.Iterations {
 			pending = append(pending, pendingSolve{ws: ws, rem: opt.Iterations - it, idx: i})
+			ws = nil
 		} else {
-			markResolved(i)
+			v := extractSeedVec(ws, n)
+			resolve(i, &v)
 		}
 	}
 
@@ -293,11 +288,8 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 		// together, so block repacks are rare.
 		sort.SliceStable(pending, func(a, b int) bool { return pending[a].rem > pending[b].rem })
 		for base := 0; base < len(pending); base += kg.MaxGatherBlock {
-			end := base + kg.MaxGatherBlock
-			if end > len(pending) {
-				end = len(pending)
-			}
-			solveDenseBlock(ctx, tr, pending[base:end], solves, opt, n, markResolved)
+			end := min(base+kg.MaxGatherBlock, len(pending))
+			solveDenseBlock(ctx, tr, pending[base:end], opt, n, resolve)
 			if ctx.Err() != nil {
 				return
 			}
@@ -310,76 +302,22 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 				}
 				ps.ws.denseStep(g, tr, opt)
 			}
-			markResolved(ps.idx)
+			v := extractSeedVec(ps.ws, n)
+			resolve(ps.idx, &v)
 		}
 	}
 
-	storeSolvedSeeds(toSolve, solves, uniq, opt, prefix, n)
+	storeSolvedSeeds(toSolve, solves, uniq, opt, prefix)
 }
 
-// storeSolvedSeeds hands every freshly solved vector to the seed cache:
-// workspace results are materialized (the blocked kernel already
-// extracted its columns), so the next overlapping batch or refinement
-// hits. Callers only reach it with a live ctx — the solve loops bail out
-// first under cancellation, so only complete vectors are ever stored. A
-// nil SeedCache makes it a no-op.
-func storeSolvedSeeds(toSolve []int, solves []perSeed, uniq []kg.NodeID, opt Options, prefix string, n int) {
-	if opt.SeedCache == nil {
-		return
-	}
+// storeSolvedSeeds hands every freshly solved vector to the seed cache, so
+// the next overlapping batch or refinement hits. Callers only reach it
+// with a live ctx — the solve loops bail out first under cancellation, so
+// only complete vectors are ever stored. A nil SeedCache stores nothing.
+func storeSolvedSeeds(toSolve []int, solves []*seedVec, uniq []kg.NodeID, opt Options, prefix string) {
 	for _, i := range toSolve {
-		var v *seedVec
-		if solves[i].vec != nil {
-			v = &seedVec{dense: solves[i].vec}
-		} else {
-			v = extractSeedVec(solves[i].ws, n)
-			solves[i].ws.release()
-			solves[i].ws = nil
-		}
-		solves[i].cv = v
 		key := seedKey(prefix, uniq[i])
-		opt.SeedCache.PutSized(key, v, qcache.LayerSeed, v.footprint(len(key)))
-	}
-}
-
-// perSeed holds one unique seed's finished vector: still inside its
-// workspace (sparse support list or dense), extracted to a plain vector
-// by the blocked kernel path, or materialized as a cached seedVec (hits
-// and — once stored — fresh solves, when the seed cache is on).
-type perSeed struct {
-	ws  *workspace
-	vec []float64
-	cv  *seedVec
-}
-
-// foldInto accumulates the seed's vector into sum, mirroring
-// PersonalizedSumCtx's fold: touched-list order for sparse results, an
-// ascending nonzero sweep for dense ones. Slot orders across distinct
-// indices never affect bits — each slot receives one add per seed.
-func (ps *perSeed) foldInto(sum []float64, n int) {
-	if ps.cv != nil {
-		ps.cv.foldInto(sum)
-		return
-	}
-	if ps.vec != nil {
-		for i, x := range ps.vec {
-			if x != 0 {
-				sum[i] += x
-			}
-		}
-		return
-	}
-	ws := ps.ws
-	if ws.dense {
-		for i, x := range ws.p[:n] {
-			if x != 0 {
-				sum[i] += x
-			}
-		}
-		return
-	}
-	for _, u := range ws.touched {
-		sum[u] += ws.p[u]
+		opt.SeedCache.PutSized(key, solves[i], qcache.LayerSeed, solves[i].footprint(len(key)))
 	}
 }
 
@@ -409,10 +347,11 @@ type denseCol struct {
 // iteration is one gather over the shared edge stream plus a per-column
 // teleport; a column retires when its iterations are done. Retiring
 // repacks the block to the narrower stride, preserving column order, and
-// reports the finished seed through onRetire — the streaming release hook (pass a no-op for
-// barriered callers). Cancellation is checked between gathers; abandoned
-// columns simply never retire.
-func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSolve, solves []perSeed, opt Options, n int, onRetire func(idx int)) {
+// hands the finished seed's vector to onRetire. The block's workspaces go
+// back to the pool once their columns are packed (blk's ws fields are
+// nilled). Cancellation is checked between gathers; abandoned columns
+// simply never retire.
+func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSolve, opt Options, n int, onRetire func(idx int, v *seedVec)) {
 	b := len(blk)
 	pm := make([]float64, n*b)
 	nextM := make([]float64, n*b)
@@ -426,7 +365,7 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 			pm[x*b+j] = ws.p[x]
 		}
 		cols[j] = denseCol{rem: ps.rem, idx: ps.idx, seed: ws.seeds[0]}
-		solves[ps.idx].ws = nil
+		blk[j].ws = nil
 		ws.release()
 	}
 	c := opt.Damping
@@ -456,15 +395,13 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 		// mid-block, while the surviving columns keep iterating.
 		kept := cols[:0]
 		keptJ := make([]int, 0, b)
-		var done []int
 		for j := range cols {
 			if cols[j].rem == 0 {
 				v := make([]float64, n)
 				for x := 0; x < n; x++ {
 					v[x] = pm[x*b+j]
 				}
-				solves[cols[j].idx].vec = v
-				done = append(done, cols[j].idx)
+				onRetire(cols[j].idx, &seedVec{dense: v})
 			} else {
 				kept = append(kept, cols[j])
 				keptJ = append(keptJ, j)
@@ -480,8 +417,5 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 		}
 		cols = kept
 		b = nb
-		for _, idx := range done {
-			onRetire(idx)
-		}
 	}
 }

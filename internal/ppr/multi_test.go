@@ -28,10 +28,11 @@ func batchQueries(rng *rand.Rand, nq, maxLen, nodes int) [][]kg.NodeID {
 	return queries
 }
 
-// TestPersonalizedSumMultiMatchesSequentialBitwise: the batched solve must
-// reproduce per-query PersonalizedSum bit for bit — across graph shapes
-// (sparse-only and saturating solves), batch sizes, duplicate seeds within
-// a query, shared seeds across queries, and every Parallelism setting.
+// TestPersonalizedSumMultiMatchesSequentialBitwise: the batched solve and
+// per-query PersonalizedSumCtx must both reproduce the workspace fold
+// (refPersonalizedSum) bit for bit — across graph shapes (sparse-only and
+// saturating solves), batch sizes, duplicate seeds within a query, shared
+// seeds across queries, and every Parallelism setting.
 func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 	shapes := []struct{ nodes, edges int }{
 		{40, 80},      // tiny: saturates instantly
@@ -57,13 +58,14 @@ func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 						t.Fatalf("%d nodes nq=%d: %d results", sh.nodes, nq, len(got))
 					}
 					for qi, q := range queries {
-						want := PersonalizedSumCtx(context.Background(), g, q, opt)
+						want := refPersonalizedSum(g, q, opt)
 						for i := range want {
 							if got[qi][i] != want[i] {
 								t.Fatalf("%d nodes nq=%d par=%d kernel=%v query %d node %d: batch %v != sequential %v",
 									sh.nodes, nq, par, kernel, qi, i, got[qi][i], want[i])
 							}
 						}
+						assertSameBits(t, "single", PersonalizedSumCtx(context.Background(), g, q, opt), want)
 					}
 				}
 			}
@@ -79,7 +81,8 @@ func TestPersonalizedSumMultiUniform(t *testing.T) {
 	opt := Options{Uniform: true}
 	got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 	for qi, q := range queries {
-		want := PersonalizedSumCtx(context.Background(), g, q, opt)
+		want := refPersonalizedSum(g, q, opt)
+		assertSameBits(t, "uniform single", PersonalizedSumCtx(context.Background(), g, q, opt), want)
 		for i := range want {
 			if got[qi][i] != want[i] {
 				t.Fatalf("uniform query %d node %d: %v != %v", qi, i, got[qi][i], want[i])
@@ -101,7 +104,7 @@ func TestPersonalizedSumMultiEdgeCases(t *testing.T) {
 			t.Fatalf("empty query node %d = %v, want 0", i, x)
 		}
 	}
-	want := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3}, Options{})
+	want := refPersonalizedSum(g, []kg.NodeID{3}, Options{})
 	for i := range want {
 		if got[1][i] != want[i] {
 			t.Fatalf("node %d: %v != %v", i, got[1][i], want[i])
@@ -126,7 +129,7 @@ func TestPersonalizedSumMultiLongRun(t *testing.T) {
 	opt := Options{Iterations: 300}
 	got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 	for qi, q := range queries {
-		want := PersonalizedSumCtx(context.Background(), g, q, opt)
+		want := refPersonalizedSum(g, q, opt)
 		for i := range want {
 			if got[qi][i] != want[i] {
 				t.Fatalf("query %d node %d: %v != %v", qi, i, got[qi][i], want[i])
@@ -151,7 +154,7 @@ func TestPersonalizedSumMultiYago(t *testing.T) {
 	}
 	got := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
 	for qi, q := range queries {
-		want := PersonalizedSumCtx(context.Background(), g, q, Options{})
+		want := refPersonalizedSum(g, q, Options{})
 		for i := range want {
 			if got[qi][i] != want[i] {
 				t.Fatalf("query %d node %d: batch %v != sequential %v", qi, i, got[qi][i], want[i])

@@ -31,25 +31,21 @@
 // from the graph's precomputed kg.TransitionCSR rather than recomputing
 // w(l)/wdeg per edge per iteration, and the teleport term is applied
 // sparsely over the seeds. Scratch vectors are recycled through a
-// sync.Pool and cleared sparsely, so a steady-state Personalized call
-// allocates only its result slice.
+// sync.Pool and cleared sparsely, so a steady-state solve allocates only
+// its result.
 //
-// PersonalizedSumCtx processes seeds in blocks on a bounded worker pool:
-// memory is O(workers·n) rather than O(seeds·n), and per-seed vectors are
-// folded into the running sum in ascending seed order, so results are
-// bitwise identical for every Parallelism setting.
+// A PageRank sum is a fold of single-seed vectors (seedvec.go): every
+// distinct seed is solved once — in blocks on a bounded worker pool — or
+// served from Options.SeedCache, and the vectors are folded into the sum
+// in seed-list order, so results are bitwise identical for every
+// Parallelism setting and every cache state. The cache is what makes a
+// query overlapping an earlier one — interactive refinement, the
+// add-one-entity/re-search loop — solve only its new seeds.
 //
 // PersonalizedSumMultiCtx (multi.go) batches many queries into one
 // multi-source solve — unique seeds solved once, dense tails blocked
 // through the multi-vector gather kernel — bitwise identical to per-query
 // PersonalizedSumCtx calls.
-//
-// Options.SeedCache (seedcache.go) extends the same amortization across
-// sequential calls: single-seed vectors are memoized in a byte-budgeted
-// store, so a query overlapping an earlier one — interactive refinement,
-// the add-one-entity/re-search loop — solves only its new seeds. Cache
-// state, like batching and parallelism, never changes a bit of any
-// result.
 package ppr
 
 import (
@@ -82,15 +78,15 @@ type Options struct {
 	// for every setting.
 	Parallelism int
 
-	// SeedCache, when non-nil, memoizes single-seed PageRank vectors
-	// across PersonalizedSumCtx and multi-source calls (stored under
+	// SeedCache memoizes single-seed PageRank vectors across
+	// PersonalizedSumCtx and multi-source calls (stored under
 	// qcache.LayerSeed, byte-accounted): each distinct seed consults the
 	// cache first and only the misses are solved, so sequential
 	// overlapping queries — interactive refinement — pay one solve per
-	// new seed instead of one per query seed. Caching never changes
-	// results: cached and fresh vectors carry identical bits and fold in
-	// the same order (see seedcache.go). Keys fold Damping, Iterations,
-	// Uniform, and CacheTag.
+	// new seed instead of one per query seed. Nil, the no-op cache, makes
+	// every seed a miss. Caching never changes results: cached and fresh
+	// vectors are the same seedVec values folded in the same order (see
+	// seedvec.go). Keys fold Damping, Iterations, Uniform, and CacheTag.
 	SeedCache *qcache.Cache
 
 	// CacheTag is folded verbatim into every seed-cache key. Callers
@@ -377,27 +373,14 @@ func Personalized(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 		return make([]float64, n)
 	}
 	ws := getWorkspace(n)
+	defer ws.release()
 	personalizedInto(context.Background(), g, seeds, opt, ws)
-	if ws.dense && len(ws.p) == n {
-		// Steal the dense result and hand the workspace a fresh zero
-		// vector in its place — cheaper than copying it out and clearing
-		// it back to zero.
-		out := ws.p
-		ws.p = make([]float64, n)
-		clear(ws.next[:n])
-		ws.dense = false
-		ws.release()
-		return out
-	}
-	out := make([]float64, n)
 	if ws.dense {
-		copy(out, ws.p[:n])
-	} else {
-		for _, u := range ws.touched {
-			out[u] = ws.p[u]
-		}
+		return extractSeedVec(ws, n).dense
 	}
-	ws.release()
+	// Folding a sparse result into zeros writes its support verbatim.
+	out := make([]float64, n)
+	ws.foldInto(out)
 	return out
 }
 
@@ -405,14 +388,12 @@ func Personalized(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 // "the PageRank starting from each node in the query ... individually")
 // and returns the element-wise sum of the resulting vectors.
 //
-// Seeds are processed in blocks of Parallelism workers, each folding its
-// per-seed vector into the sum in ascending seed order, so the result is
-// bitwise identical for every Parallelism setting while peak memory stays
-// at O(workers·n). With Options.SeedCache set, per-seed vectors are
-// served from the cache when present and stored after solving, and only
-// the missing seeds enter the pool — the interactive-refinement fast
-// path; the fold replicates the cacheless additions exactly, so every
-// cache state returns the same bits.
+// Each distinct seed is served from Options.SeedCache or solved — the
+// misses in blocks of Parallelism workers — and the per-seed vectors are
+// folded into the sum in seed-list order as each block completes, so the
+// result is bitwise identical for every Parallelism setting and cache
+// state. Without a seed cache, peak memory stays at O(workers·n) plus one
+// vector per seed the list repeats (see foldSeedSum).
 //
 // Every solve checks ctx between power-iteration sweeps, so a dropped
 // request stops burning CPU within one sweep. Once ctx is done the
@@ -437,70 +418,13 @@ func personalizedSumCtx(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt
 	if n == 0 || len(seeds) == 0 {
 		return sum
 	}
-	budget := opt.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if opt.SeedCache != nil {
-		vecs := resolveSeedVecs(ctx, g, seeds, opt, budget)
-		if ctx.Err() != nil {
-			// Some claimed entries may be nil (their solve was abandoned);
-			// the caller discards the sum anyway.
-			return sum
-		}
-		// Fold in seed-list order — the same per-slot addition sequence as
-		// the workspace fold below, whichever mix of cached and fresh
-		// vectors resolved.
-		for _, s := range seeds {
-			vecs[s].foldInto(sum)
-		}
-		return sum
-	}
-	workers := budget
-	if workers > len(seeds) {
-		workers = len(seeds)
-	}
-	// Cores left over by a small seed set go to the dense gather inside
-	// each run; seed workers × gather workers stays within the budget.
-	opt.gatherWorkers = budget / workers
-	wss := make([]*workspace, workers)
-	for i := range wss {
-		wss[i] = getWorkspace(n)
-	}
-	for base := 0; base < len(seeds) && ctx.Err() == nil; base += workers {
-		m := len(seeds) - base
-		if m > workers {
-			m = workers
-		}
-		runSeedBlock(ctx, g, seeds[base:base+m], opt, wss[:m])
-		// Fold in ascending seed order: addition order per element is the
-		// same as a sequential loop, for any worker count.
-		for j := 0; j < m; j++ {
-			ws := wss[j]
-			if ws.dense {
-				for i, x := range ws.p[:n] {
-					if x != 0 {
-						sum[i] += x
-					}
-				}
-			} else {
-				for _, u := range ws.touched {
-					sum[u] += ws.p[u]
-				}
-			}
-			ws.reset()
-		}
-	}
-	for _, ws := range wss {
-		ws.release()
-	}
+	foldSeedSum(ctx, g, seeds, opt, sum)
 	return sum
 }
 
 // runSeedBlock solves one single-seed run per seed concurrently, each
-// into its own workspace — the worker block shared by the cacheless pool
-// and the seed-cache miss path. Cancellation leaves partial workspaces;
-// callers check ctx before extracting or caching anything from them.
+// into its own workspace. Cancellation leaves partial workspaces; callers
+// check ctx before extracting or caching anything from them.
 func runSeedBlock(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options, wss []*workspace) {
 	var wg sync.WaitGroup
 	wg.Add(len(seeds))

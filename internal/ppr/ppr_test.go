@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -131,9 +132,12 @@ func TestWeightingPrefersRareLabel(t *testing.T) {
 	}
 }
 
+// TestPersonalizedSumMatchesSequential: the parallel sum is bit for bit
+// the sequential loop over per-seed Personalized vectors — each slot's
+// additions run in seed-list order, and adding a zero slot changes no bit.
 func TestPersonalizedSumMatchesSequential(t *testing.T) {
 	g := randomGraph(500, 2000, 77)
-	seeds := []kg.NodeID{1, 5, 9, 13}
+	seeds := []kg.NodeID{1, 5, 9, 13, 5}
 	sum := PersonalizedSumCtx(context.Background(), g, seeds, Options{})
 	want := make([]float64, g.NumNodes())
 	for _, s := range seeds {
@@ -142,11 +146,7 @@ func TestPersonalizedSumMatchesSequential(t *testing.T) {
 			want[i] += sc
 		}
 	}
-	for i := range want {
-		if math.Abs(sum[i]-want[i]) > 1e-12 {
-			t.Fatalf("node %d: parallel %v vs sequential %v", i, sum[i], want[i])
-		}
-	}
+	assertSameBits(t, "parallel vs sequential", sum, want)
 }
 
 func TestPersonalizedSumParallelismBound(t *testing.T) {
@@ -159,6 +159,44 @@ func TestPersonalizedSumParallelismBound(t *testing.T) {
 			t.Fatalf("parallelism changed results at node %d", i)
 		}
 	}
+}
+
+// TestPersonalizedSumCachelessMemoryBound: without a seed cache, a sum
+// over many saturating seeds allocates O(workers·n), not one dense vector
+// per seed: each solve folds straight out of its workspace.
+func TestPersonalizedSumCachelessMemoryBound(t *testing.T) {
+	g := randomGraph(5000, 40000, 123)
+	n := g.NumNodes()
+	seeds := make([]kg.NodeID, 80)
+	for i := range seeds {
+		seeds[i] = kg.NodeID(i * 61)
+	}
+	opt := Options{Parallelism: 2}
+	if p := Personalized(g, seeds[:1], opt); countNonzero(p)*denseSwitchDivisor < n {
+		t.Fatal("test graph must saturate a single-seed solve")
+	}
+	PersonalizedSumCtx(context.Background(), g, seeds, opt) // warm the workspace pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := PersonalizedSumCtx(context.Background(), g, seeds, opt)
+	runtime.ReadMemStats(&after)
+	// The sum is 8n. Workspaces come from a pool, which a GC (or the race
+	// detector, at random) may empty, so a few more vectors of 8n can be
+	// allocated; one vector per seed is 80·8n.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(20*8*n) {
+		t.Fatalf("cacheless sum of %d seeds allocated %d bytes, want ≤ %d", len(seeds), alloc, 20*8*n)
+	}
+	assertSameBits(t, "cacheless", got, refPersonalizedSum(g, seeds, opt))
+}
+
+func countNonzero(v []float64) int {
+	c := 0
+	for _, x := range v {
+		if x != 0 {
+			c++
+		}
+	}
+	return c
 }
 
 // Property: PageRank mass is conserved (sums to ~1) on arbitrary graphs.

@@ -44,16 +44,16 @@ func refinementSequence() [][]kg.NodeID {
 }
 
 // TestPersonalizedSumSeedCacheBitwise: for every seed-cache budget
-// (disabled, tiny — evicting mid-sequence — and ample) and Parallelism
-// {1, 4}, a refinement sequence returns exactly the cacheless bits at
-// every step.
+// (tiny — evicting mid-sequence — and ample) and Parallelism {1, 4}, a
+// refinement sequence returns exactly the workspace fold's bits at every
+// step.
 func TestPersonalizedSumSeedCacheBitwise(t *testing.T) {
 	g := randomGraph(400, 1600, 12)
 	seq := refinementSequence()
 	for _, par := range []int{1, 4} {
 		want := make([][]float64, len(seq))
 		for i, q := range seq {
-			want[i] = PersonalizedSumCtx(context.Background(), g, q, Options{Parallelism: par})
+			want[i] = refPersonalizedSum(g, q, Options{Parallelism: par})
 		}
 		for name, budget := range map[string]int64{"tiny": 6000, "ample": 0} {
 			cache := seedCacheOf(budget)
@@ -85,7 +85,7 @@ func TestPersonalizedSumSeedCacheDense(t *testing.T) {
 	seq := [][]kg.NodeID{{1, 2}, {1, 2, 3}, {2, 3}}
 	want := make([][]float64, len(seq))
 	for i, q := range seq {
-		want[i] = PersonalizedSumCtx(context.Background(), g, q, opt)
+		want[i] = refPersonalizedSum(g, q, opt)
 	}
 	cached := opt
 	cached.SeedCache = seedCacheOf(0)
@@ -99,18 +99,21 @@ func TestPersonalizedSumSeedCacheDense(t *testing.T) {
 
 // TestPersonalizedSumMultiSeedCacheBitwise: the batched solve consults
 // and fills the same per-seed store — a batch after a warm-up solves only
-// unseen seeds and returns the cacheless bits, and a subsequent
+// unseen seeds and returns the workspace fold's bits, and a subsequent
 // PersonalizedSum hits vectors the batch stored (cross-path reuse).
 func TestPersonalizedSumMultiSeedCacheBitwise(t *testing.T) {
 	g := randomGraph(400, 1600, 77)
 	queries := [][]kg.NodeID{{3, 7, 11}, {7, 19}, {11, 19, 23}, {3}}
-	want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
+	want := make([][]float64, len(queries))
+	for i, q := range queries {
+		want[i] = refPersonalizedSum(g, q, Options{})
+	}
 	for _, par := range []int{1, 4} {
 		cache := seedCacheOf(0)
 		opt := Options{Parallelism: par, SeedCache: cache}
 		// Warm two seeds through the solo path first.
 		warmSolo := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3, 7}, opt)
-		assertSameBits(t, "warm-solo", warmSolo, PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3, 7}, Options{}))
+		assertSameBits(t, "warm-solo", warmSolo, refPersonalizedSum(g, []kg.NodeID{3, 7}, Options{}))
 		got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
 		for i := range want {
 			assertSameBits(t, "multi", got[i], want[i])
@@ -123,7 +126,7 @@ func TestPersonalizedSumMultiSeedCacheBitwise(t *testing.T) {
 		// And a refinement over seeds the batch introduced is all hits.
 		misses := st.Layers[qcache.LayerSeed].Misses
 		refined := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{11, 19, 23}, opt)
-		assertSameBits(t, "refine-after-batch", refined, PersonalizedSumCtx(context.Background(), g, []kg.NodeID{11, 19, 23}, Options{}))
+		assertSameBits(t, "refine-after-batch", refined, refPersonalizedSum(g, []kg.NodeID{11, 19, 23}, Options{}))
 		if st2 := cache.Stats(); st2.Layers[qcache.LayerSeed].Misses != misses {
 			t.Fatalf("par=%d: refinement after batch missed: %+v", par, st2)
 		}
@@ -173,7 +176,7 @@ func TestSeedCacheKeySeparatesOptions(t *testing.T) {
 		plain := opt
 		plain.SeedCache = nil
 		got := PersonalizedSumCtx(context.Background(), g, q, opt)
-		assertSameBits(t, "options", got, PersonalizedSumCtx(context.Background(), g, q, plain))
+		assertSameBits(t, "options", got, refPersonalizedSum(g, q, plain))
 		same := true
 		for i := range got {
 			if got[i] != base[i] {

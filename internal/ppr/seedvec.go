@@ -1,0 +1,226 @@
+// Single-seed vectors: the one path every PageRank sum takes.
+//
+// PersonalizedSumCtx is a fold of independent single-seed solves, and so
+// is each query of PersonalizedSumMultiCtx. Every sum folds its seeds'
+// vectors in seed-list order, whether a vector came out of a workspace,
+// out of the blocked multi-vector kernel, or out of Options.SeedCache, and
+// each fold makes the same additions for every source (seedVec.foldInto,
+// workspace.foldInto). Cache state therefore never changes a bit of the
+// output, only how much of it is recomputed: with a cache, the expensive
+// half of a query that overlaps an earlier one — re-running {A, B, C}
+// after {A, B} — is served per seed (qcache.LayerSeed) and only the
+// misses are solved; with a nil cache every seed is a miss.
+//
+// A seedVec keeps its solve's natural shape: a solve that stayed
+// frontier-sparse keeps its support list and values (often far below
+// 8·n bytes), a saturated solve the dense vector. Cached entries are
+// byte-accounted against the seed layer's budget; keys fold damping,
+// iterations, the uniform flag, and the caller's CacheTag — the graph
+// epoch when the cache serves a live-mutable graph, so entries solved
+// against one epoch are never replayed against another (the same
+// epoch-keying contract as every other qcache layer).
+package ppr
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"strconv"
+
+	"repro/internal/kg"
+	"repro/internal/qcache"
+)
+
+// seedVec is one seed's materialized PageRank vector, in sparse
+// (support + values) or dense form. Immutable once built.
+type seedVec struct {
+	idx   []kg.NodeID // sparse support, nil when dense
+	val   []float64   // sparse values aligned with idx
+	dense []float64   // full vector, nil when sparse
+}
+
+// foldInto accumulates the vector into sum: touched-list order for sparse
+// vectors, an ascending nonzero sweep for dense ones. Each slot receives
+// one add per folded vector either way, so a sum's bits depend only on the
+// order in which vectors are folded, never on their shape.
+func (v *seedVec) foldInto(sum []float64) {
+	if v.dense != nil {
+		for i, x := range v.dense {
+			if x != 0 {
+				sum[i] += x
+			}
+		}
+		return
+	}
+	for i, u := range v.idx {
+		sum[u] += v.val[i]
+	}
+}
+
+// footprint estimates the entry's resident bytes for the cache's byte
+// accounting.
+func (v *seedVec) footprint(keyLen int) int64 {
+	if v.dense != nil {
+		return 8*int64(len(v.dense)) + int64(keyLen) + 64
+	}
+	return 12*int64(len(v.idx)) + int64(keyLen) + 64
+}
+
+// foldInto accumulates the workspace's finished vector into sum with the
+// additions seedVec.foldInto would make for the vector extractSeedVec cuts
+// from it, so folding a solve with or without extracting it gives the same
+// bits.
+func (ws *workspace) foldInto(sum []float64) {
+	if ws.dense {
+		for i, x := range ws.p[:ws.n] {
+			if x != 0 {
+				sum[i] += x
+			}
+		}
+		return
+	}
+	for _, u := range ws.touched {
+		sum[u] += ws.p[u]
+	}
+}
+
+// extractSeedVec converts a finished workspace into a seedVec — stealing
+// the dense vector when the run saturated, copying the sparse support
+// otherwise — and resets the workspace for reuse.
+func extractSeedVec(ws *workspace, n int) seedVec {
+	var v seedVec
+	if ws.dense {
+		if len(ws.p) == n {
+			// Steal the dense result and hand the workspace a fresh zero
+			// vector — cheaper than copying it out and clearing it back.
+			v.dense = ws.p
+			ws.p = make([]float64, n)
+			clear(ws.next[:n])
+			ws.dense = false
+		} else {
+			v.dense = make([]float64, n)
+			copy(v.dense, ws.p[:n])
+		}
+	} else {
+		v.idx = append([]kg.NodeID(nil), ws.touched...)
+		v.val = make([]float64, len(v.idx))
+		for i, u := range v.idx {
+			v.val[i] = ws.p[u]
+		}
+	}
+	ws.reset()
+	return v
+}
+
+// seedKeyPrefix folds every option that can change a single-seed vector
+// into the cache-key prefix, plus the caller's CacheTag (the graph epoch
+// for mutable graphs). opt must already carry defaults.
+func seedKeyPrefix(opt Options) string {
+	return fmt.Sprintf("ppr|%s|d%v|i%d|u%t", opt.CacheTag, opt.Damping, opt.Iterations, opt.Uniform)
+}
+
+// seedKey is the cache key of one seed's vector under prefix.
+func seedKey(prefix string, s kg.NodeID) string {
+	return prefix + "|" + strconv.FormatUint(uint64(s), 10)
+}
+
+// foldSeedSum adds every seed's single-seed vector into sum in seed-list
+// order. Cache hits fold as stored. Misses are solved in blocks of up to
+// Options.Parallelism distinct seeds, taken in order of first appearance,
+// each solve replaying exactly its solo schedule, and every block is
+// folded as far as the list allows before the next block runs. A solved
+// vector becomes a seedVec only when something keeps it: the seed cache,
+// or a later occurrence of the same seed in the list. Otherwise it folds
+// straight out of its workspace, which the next block reuses. Live memory
+// is therefore the workers' workspaces plus the kept vectors: O(workers·n)
+// with a nil SeedCache and no repeated seed. opt must carry defaults.
+//
+// Cancellation never corrupts the cache: a block whose solves were cut
+// short by ctx is neither stored nor folded (the check runs after the
+// block's goroutines have all returned), and the sum is left partial;
+// callers bail on ctx.Err().
+func foldSeedSum(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options, sum []float64) {
+	prefix := seedKeyPrefix(opt)
+	left := make(map[kg.NodeID]int, len(seeds)) // occurrences not yet folded
+	kept := make(map[kg.NodeID]*seedVec)
+	var missing []kg.NodeID
+	for _, s := range seeds {
+		left[s]++
+		if left[s] > 1 {
+			continue
+		}
+		if v, hit := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed); hit {
+			kept[s] = v.(*seedVec)
+			continue
+		}
+		missing = append(missing, s)
+	}
+	var wss []*workspace
+	if len(missing) > 0 {
+		wss = seedWorkspaces(g.NumNodes(), len(missing), &opt)
+		defer func() {
+			for _, ws := range wss {
+				ws.release()
+			}
+		}()
+	}
+	fresh := make(map[kg.NodeID]*workspace) // solved, folded once, not kept
+	pos, base := 0, 0
+	for {
+		// Fold up to the first seed not yet solved: the first seed of the
+		// next block, since missing is in order of first appearance.
+		for ; pos < len(seeds); pos++ {
+			s := seeds[pos]
+			if v := kept[s]; v != nil {
+				v.foldInto(sum)
+			} else if ws := fresh[s]; ws != nil {
+				ws.foldInto(sum)
+				ws.reset()
+				delete(fresh, s)
+			} else {
+				break
+			}
+			if left[s]--; left[s] == 0 {
+				delete(kept, s)
+			}
+		}
+		if pos == len(seeds) {
+			break
+		}
+		m := min(len(wss), len(missing)-base)
+		block := missing[base : base+m]
+		base += m
+		runSeedBlock(ctx, g, block, opt, wss[:m])
+		if ctx.Err() != nil {
+			return
+		}
+		for j, s := range block {
+			if opt.SeedCache == nil && left[s] == 1 {
+				fresh[s] = wss[j]
+				continue
+			}
+			v := extractSeedVec(wss[j], g.NumNodes())
+			kept[s] = &v
+			key := seedKey(prefix, s)
+			opt.SeedCache.PutSized(key, &v, qcache.LayerSeed, v.footprint(len(key)))
+		}
+	}
+}
+
+// seedWorkspaces returns one pooled workspace per seed worker for solving
+// misses seeds, and sets opt's gather parallelism: cores left over by a
+// small miss set go to the dense gather inside each run, so seed workers ×
+// gather workers stays within the Parallelism budget.
+func seedWorkspaces(n, misses int, opt *Options) []*workspace {
+	budget := opt.Parallelism
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
+	}
+	workers := min(budget, misses)
+	opt.gatherWorkers = budget / workers
+	wss := make([]*workspace, workers)
+	for i := range wss {
+		wss[i] = getWorkspace(n)
+	}
+	return wss
+}

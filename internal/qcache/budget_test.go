@@ -24,10 +24,18 @@ func TestPutSizedAccounting(t *testing.T) {
 	}
 }
 
-// TestByteBudgetEvicts: exceeding the byte budget evicts from the LRU end
-// until the total fits, even with the entry cap far away.
+// budgeted returns a single-shard cache of capacity entries whose layer
+// is bounded to bytes.
+func budgeted(capacity int, layer Layer, bytes int64) *Cache {
+	cfg := Config{Capacity: capacity}
+	cfg.LayerBudgets[layer] = bytes
+	return NewSharded(cfg)
+}
+
+// TestByteBudgetEvicts: exceeding a layer's byte budget evicts from the
+// LRU end until the layer fits, even with the entry cap far away.
 func TestByteBudgetEvicts(t *testing.T) {
-	c := NewBudget(1000, 100)
+	c := budgeted(1000, LayerSelector, 100)
 	c.PutSized("a", 1, LayerSelector, 60)
 	c.PutSized("b", 2, LayerSelector, 30)
 	c.PutSized("c", 3, LayerSelector, 30) // 120 > 100: "a" (LRU) must go
@@ -38,7 +46,7 @@ func TestByteBudgetEvicts(t *testing.T) {
 		t.Fatal("b should have survived")
 	}
 	st := c.Stats()
-	if st.Bytes != 60 || st.Evictions != 1 || st.ByteBudget != 100 {
+	if st.Bytes != 60 || st.Evictions != 1 || st.Layers[LayerSelector].ByteBudget != 100 {
 		t.Fatalf("post-eviction stats: %+v", st)
 	}
 	// Recency protects: touching "b" then overflowing evicts "c".
@@ -52,12 +60,13 @@ func TestByteBudgetEvicts(t *testing.T) {
 	}
 }
 
-// TestByteBudgetOversizedEntry: a single entry larger than the whole
-// budget still caches (evicting everything else) instead of thrashing.
+// TestByteBudgetOversizedEntry: a single entry larger than its layer's
+// whole budget still caches (evicting the rest of the layer) instead of
+// thrashing.
 func TestByteBudgetOversizedEntry(t *testing.T) {
-	c := NewBudget(10, 100)
-	c.PutSized("small", 1, LayerTest, 10)
-	c.PutSized("huge", 2, LayerSelector, 500)
+	c := budgeted(10, LayerSeed, 100)
+	c.PutSized("small", 1, LayerSeed, 10)
+	c.PutSized("huge", 2, LayerSeed, 500)
 	if _, ok := c.Get("huge"); !ok {
 		t.Fatal("oversized entry must still cache")
 	}
@@ -69,10 +78,10 @@ func TestByteBudgetOversizedEntry(t *testing.T) {
 	}
 }
 
-// TestEntryCapStillHolds: the byte budget composes with, not replaces,
-// the entry cap.
+// TestEntryCapStillHolds: a layer's byte budget composes with, not
+// replaces, the entry cap.
 func TestEntryCapStillHolds(t *testing.T) {
-	c := NewBudget(2, 1<<30)
+	c := budgeted(2, LayerTest, 1<<30)
 	c.PutSized("a", 1, LayerTest, 1)
 	c.PutSized("b", 2, LayerTest, 1)
 	c.PutSized("c", 3, LayerTest, 1)
@@ -86,7 +95,7 @@ func TestEntryCapStillHolds(t *testing.T) {
 
 // TestPlainPutZeroBytes: the unsized Put never trips a byte budget.
 func TestPlainPutZeroBytes(t *testing.T) {
-	c := NewBudget(10, 5)
+	c := budgeted(10, LayerSelector, 5)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if st := c.Stats(); st.Bytes != 0 || st.Size != 2 || st.Evictions != 0 {

@@ -11,27 +11,27 @@
 // context, test options) (LayerTest), single-seed PageRank vectors
 // (LayerSeed), and Monte-Carlo null distributions (LayerNull). The cache
 // itself treats layer values opaquely; layers exist so Stats can report
-// residency and hit rates per stage and so a deployment can bound the big
-// layers (seed vectors are ~8 bytes per graph node each) independently of
-// the total budget.
+// residency and hit rates per stage and so the big layers (seed vectors
+// are ~8 bytes per graph node each) can be bounded by bytes while the
+// small ones are bounded by the entry cap alone.
 //
 // # Sharding
 //
 // The cache is optionally sharded shared-nothing: keys hash over 2^p
 // shards, each with its own mutex, recency lists, and slice of every
-// byte budget, so concurrent serving traffic from many goroutines does
+// layer budget, so concurrent serving traffic from many goroutines does
 // not serialize on one lock. Stats aggregates over the shards. Sharding
 // trades exactness for concurrency: LRU order and budget enforcement are
-// per shard, so a tight byte budget split over many shards can briefly
+// per shard, so a tight layer budget split over many shards can briefly
 // exceed the global bound when an entry is larger than one shard's
 // slice (each shard keeps its newest entry rather than thrashing). The
 // default of one shard keeps the seed's exact single-LRU semantics;
 // concurrent serving deployments opt in via the engine's CacheShards.
 //
 // Within one shard the recency order across layers is exact: each entry
-// carries a monotone sequence number, and capacity/byte-budget eviction
-// removes the globally least-recently-used entry regardless of layer
-// (per-layer budgets evict within their own layer only).
+// carries a monotone sequence number, and entry-cap eviction removes the
+// globally least-recently-used entry regardless of layer (per-layer byte
+// budgets evict within their own layer only).
 //
 // # Key scheme
 //
@@ -129,15 +129,13 @@ type Config struct {
 	// keeps one entry rather than thrashing — so a Capacity below the
 	// shard count can round up in practice.
 	Capacity int
-	// ByteBudget, when > 0, bounds the total of all size hints, split
-	// evenly across shards. Eviction is LRU within each shard.
-	ByteBudget int64
 	// Shards is the shard count, rounded up to a power of two; 0 or 1
 	// selects the single exact LRU.
 	Shards int
-	// LayerBudgets optionally bounds individual layers by bytes (0 = no
-	// per-layer bound). Like ByteBudget, each is split across shards, and
-	// exceeding one evicts least-recently-used entries of that layer only.
+	// LayerBudgets optionally bounds individual layers by the sum of their
+	// size hints (0 = no byte bound). Each is split evenly across shards,
+	// and exceeding one evicts least-recently-used entries of that layer
+	// only.
 	LayerBudgets [NumLayers]int64
 }
 
@@ -152,18 +150,17 @@ type Cache struct {
 // shard is one shared-nothing slice of the cache: its own lock, items,
 // per-layer recency lists, counters, and split of every budget.
 type shard struct {
-	mu         sync.Mutex
-	capacity   int
-	byteBudget int64 // 0 = entries-only bound
-	layerMax   [numLayers]int64
-	seq        uint64 // monotone recency stamp, shared by all layers
-	ll         [numLayers]*list.List
-	items      map[string]*list.Element
-	bytes      [numLayers]int64
-	hits       [numLayers]uint64
-	misses     [numLayers]uint64
-	evictions  uint64
-	purged     uint64
+	mu        sync.Mutex
+	capacity  int
+	layerMax  [numLayers]int64 // 0 = no byte bound on the layer
+	seq       uint64           // monotone recency stamp, shared by all layers
+	ll        [numLayers]*list.List
+	items     map[string]*list.Element
+	bytes     [numLayers]int64
+	hits      [numLayers]uint64
+	misses    [numLayers]uint64
+	evictions uint64
+	purged    uint64
 }
 
 // entry is one cached key/value pair, stored in its layer's recency list.
@@ -185,18 +182,9 @@ func New(capacity int) *Cache {
 	return NewSharded(Config{Capacity: capacity})
 }
 
-// NewBudget returns a cache bounded to capacity entries and, when
-// byteBudget > 0, to byteBudget total bytes of size hints: a Put whose
-// hint would push the total past the budget evicts from the LRU end
-// first, exactly as the entry cap does. capacity <= 0 returns nil, the
-// no-op cache.
-func NewBudget(capacity int, byteBudget int64) *Cache {
-	return NewSharded(Config{Capacity: capacity, ByteBudget: byteBudget})
-}
-
 // NewSharded returns a cache for cfg — the general constructor behind
-// New and NewBudget, and the only one exposing sharding and per-layer
-// budgets. cfg.Capacity <= 0 returns nil, the no-op cache.
+// New, and the only one exposing sharding and per-layer budgets.
+// cfg.Capacity <= 0 returns nil, the no-op cache.
 func NewSharded(cfg Config) *Cache {
 	if cfg.Capacity <= 0 {
 		return nil
@@ -211,9 +199,8 @@ func NewSharded(cfg Config) *Cache {
 			capacity++
 		}
 		sh := &shard{
-			capacity:   capacity,
-			byteBudget: ceilDiv64(cfg.ByteBudget, int64(n)),
-			items:      make(map[string]*list.Element),
+			capacity: capacity,
+			items:    make(map[string]*list.Element),
 		}
 		for l := range sh.ll {
 			sh.ll[l] = list.New()
@@ -306,7 +293,7 @@ func (c *Cache) Put(key string, val any) {
 
 // PutSized stores val under key, attributing bytes to layer for the
 // per-layer accounting, and evicts least-recently-used entries while the
-// cache exceeds its entry cap, its byte budget, or the layer's budget.
+// cache exceeds its entry cap or the layer's byte budget.
 // The hint is the caller's estimate of the value's footprint; the cache
 // never inspects values. Storing an existing key refreshes its value,
 // hint, layer, and recency.
@@ -342,20 +329,19 @@ func (c *Cache) PutSized(key string, val any, layer Layer, bytes int64) {
 
 // evictOver drops LRU entries until every bound holds: first each
 // over-budget layer sheds its own least-recently-used entries, then the
-// entry cap and total byte budget shed the globally least-recently-used
-// entry across layers (the minimum recency stamp over the list backs —
-// exact LRU, since the globally oldest entry is necessarily the back of
-// its layer's list). The newest entry of a list is never dropped: a
-// single value larger than the whole budget still caches (and evicts
-// everything else) rather than thrashing on every Put.
+// entry cap sheds the globally least-recently-used entry across layers
+// (the minimum recency stamp over the list backs — exact LRU, since the
+// globally oldest entry is necessarily the back of its layer's list). The
+// newest entry of a list is never dropped: a single value larger than its
+// layer's whole budget still caches (and evicts the rest of the layer)
+// rather than thrashing on every Put.
 func (sh *shard) evictOver() {
 	for l := range sh.ll {
 		for sh.layerMax[l] > 0 && sh.bytes[l] > sh.layerMax[l] && sh.ll[l].Len() > 1 {
 			sh.remove(sh.ll[l].Back())
 		}
 	}
-	for len(sh.items) > 1 &&
-		(len(sh.items) > sh.capacity || (sh.byteBudget > 0 && sh.totalBytes() > sh.byteBudget)) {
+	for len(sh.items) > 1 && len(sh.items) > sh.capacity {
 		var oldest *list.Element
 		oseq := uint64(math.MaxUint64)
 		for l := range sh.ll {
@@ -401,14 +387,6 @@ func (c *Cache) Purge(layers ...Layer) {
 	}
 }
 
-func (sh *shard) totalBytes() int64 {
-	var t int64
-	for _, b := range sh.bytes {
-		t += b
-	}
-	return t
-}
-
 // Len returns the number of cached entries across all shards.
 func (c *Cache) Len() int {
 	if c == nil {
@@ -445,8 +423,6 @@ type Stats struct {
 	// Bytes sums the resident size hints over every layer (per layer:
 	// Layers[l].Bytes).
 	Bytes int64
-	// ByteBudget is the configured total byte bound (0 = none).
-	ByteBudget int64
 	// Layers breaks hits, misses, residency, and budget down by layer,
 	// indexed by the Layer constants.
 	Layers [NumLayers]LayerStats
@@ -465,7 +441,6 @@ func (c *Cache) Stats() Stats {
 		st.Purged += sh.purged
 		st.Size += len(sh.items)
 		st.Capacity += sh.capacity
-		st.ByteBudget += sh.byteBudget
 		for l := 0; l < NumLayers; l++ {
 			st.Layers[l].Hits += sh.hits[l]
 			st.Layers[l].Misses += sh.misses[l]

@@ -178,15 +178,18 @@ func TestLayerChangeOnRefresh(t *testing.T) {
 	}
 }
 
-// TestShardedByteBudget: the total budget splits across shards; residency
+// TestShardedByteBudget: a layer's budget splits across shards; residency
 // converges under the bound once entries are spread, and per-shard LRU
 // eviction keeps every shard within its slice.
 func TestShardedByteBudget(t *testing.T) {
-	c := NewSharded(Config{Capacity: 1000, ByteBudget: 800, Shards: 4})
+	c := NewSharded(Config{Capacity: 1000, Shards: 4, LayerBudgets: [NumLayers]int64{LayerSeed: 800}})
 	for i := 0; i < 100; i++ {
-		c.PutSized(fmt.Sprintf("k%d", i), i, LayerSelector, 100)
+		c.PutSized(fmt.Sprintf("k%d", i), i, LayerSeed, 100)
 	}
 	st := c.Stats()
+	if st.Layers[LayerSeed].ByteBudget != 800 {
+		t.Fatalf("split layer budget sums to %d, want 800", st.Layers[LayerSeed].ByteBudget)
+	}
 	// Each shard holds ceil(800/4)=200 bytes → at most 2 entries; 4 shards
 	// → at most 800 bytes total.
 	if st.Bytes > 800 {
@@ -267,8 +270,8 @@ func TestPurgeDropsNamedLayersOnly(t *testing.T) {
 // counters cannot drift no matter how Put/evict interleave.)
 func TestConcurrentShardedBytesNeverNegative(t *testing.T) {
 	for _, shards := range []int{1, 8} {
-		c := NewSharded(Config{Capacity: 64, ByteBudget: 4096, Shards: shards,
-			LayerBudgets: [NumLayers]int64{LayerSeed: 1024}})
+		c := NewSharded(Config{Capacity: 64, Shards: shards,
+			LayerBudgets: [NumLayers]int64{LayerSeed: 1024, LayerNull: 512}})
 		var wg, readerWg sync.WaitGroup
 		stop := make(chan struct{})
 		// A stats reader runs concurrently, checking invariants mid-flight.

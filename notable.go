@@ -46,9 +46,10 @@
 //
 // # Caching and determinism
 //
-// An Engine memoizes four layers of repeated work in one bounded LRU
-// (Options.CacheSize, optionally byte-budgeted via Options.CacheBytes,
-// optionally sharded via Options.CacheShards for concurrent traffic).
+// An Engine memoizes four layers of repeated work in one LRU bounded by
+// Options.CacheSize entries (optionally sharded via Options.CacheShards
+// for concurrent traffic), whose two big layers carry fixed byte bounds
+// (SeedLayerBytes, NullLayerBytes).
 // The selector layer caches each query's ranked context (the best
 // max(k, 100) nodes — never the score vector), so a warm query skips
 // mining, walking and ranking; the comparison layer caches each request's
@@ -57,9 +58,9 @@
 // distribution building and multinomial testing: a fully warm repeated Do
 // is two lookups and a copy of the cached values. Two more layers serve the
 // interactive-refinement workload, where consecutive queries overlap
-// rather than repeat: the seed layer (Options.SeedCacheBytes) keeps
-// single-seed PageRank vectors, so adding or removing one entity from a
-// RandomWalk-selected query re-solves only the new entity; and the null
+// rather than repeat: the seed layer keeps single-seed PageRank vectors,
+// so adding or removing one entity from a RandomWalk-selected query
+// re-solves only the new entity; and the null
 // layer keeps the multinomial test's Monte-Carlo null distributions,
 // which depend only on the context distribution — labels whose context
 // counts survive a refinement skip the sampling loop outright.
@@ -246,14 +247,10 @@ type Options struct {
 	// changes results — every randomized component is seeded — it only
 	// skips repeated work: a warm repeat of a query skips metapath mining,
 	// walking, distribution building, and multinomial testing entirely,
-	// and an overlapping query re-solves only its new seeds.
+	// and an overlapping query re-solves only its new seeds. The two big
+	// layers are further bounded by bytes: SeedLayerBytes and
+	// NullLayerBytes.
 	CacheSize int
-	// CacheBytes optionally bounds the query cache by estimated resident
-	// bytes alongside the entry cap. Selector entries weigh 16 bytes per
-	// context item and reports a few KB; seed vectors (8 bytes per
-	// graph node) are the big entries. 0 means no byte bound; CacheStats
-	// reports per-layer residency, so a budget can be sized from load.
-	CacheBytes int64
 	// TestSamples overrides the multinomial test's Monte-Carlo sample
 	// count (default 20000). Lower is faster and coarser: the sampling
 	// error of a p-value scales with 1/√samples. A serving deployment
@@ -263,20 +260,12 @@ type Options struct {
 	// TestExactLimit overrides the outcome-composition count up to which
 	// the test enumerates exactly instead of sampling (default 200000).
 	TestExactLimit int
-	// SeedCacheBytes bounds the seed-vector cache layer: single-seed
-	// PageRank vectors memoized across searches (RandomWalk selection),
-	// so a query overlapping an earlier one — interactive refinement —
-	// solves only its new entities. Vectors weigh up to ~8 bytes per
-	// graph node each (less while a solve stays frontier-sparse). 0
-	// selects DefaultSeedCacheBytes; negative disables the layer. Like
-	// every cache layer it never changes results, only repeated work.
-	SeedCacheBytes int64
 	// CacheShards splits the query cache into 2^⌈log₂ shards⌉
-	// shared-nothing shards (per-shard lock and LRU, budgets split
-	// evenly) to cut mutex pressure under concurrent serving traffic.
-	// 0 or 1 keeps the single exact LRU — the default, whose byte-budget
-	// enforcement is exact; see internal/qcache for the (slight) budget
-	// slack sharding introduces.
+	// shared-nothing shards (per-shard lock and LRU, entry cap and layer
+	// byte bounds split evenly) to cut mutex pressure under concurrent
+	// serving traffic. 0 or 1 keeps the single exact LRU — the default,
+	// whose byte-bound enforcement is exact; see internal/qcache for the
+	// (slight) slack sharding introduces.
 	CacheShards int
 	// TypePredicate names the predicate that ApplyTriples routes to node
 	// types instead of edges — it should match the predicate the graph
@@ -297,22 +286,24 @@ type Options struct {
 // comparison report — so size CacheSize to roughly 2 × (hot queries) plus
 // the seed and null entries; the default keeps about 500 fully-warm
 // queries. Selector and test entries are small (a few KB at most); the big
-// ones, seed-layer n-float vectors, are bounded by the per-layer budgets
-// below, and Options.CacheBytes bounds the total.
+// ones are bounded by bytes as well, per layer: SeedLayerBytes and
+// NullLayerBytes.
 const DefaultCacheSize = 1024
 
-// DefaultSeedCacheBytes bounds the seed-vector layer when
-// Options.SeedCacheBytes is zero: 64 MiB keeps tens of hot entities
-// resident on million-node graphs (a dense vector is 8·n bytes) without
-// letting an entity sweep displace the rest of the cache.
-const DefaultSeedCacheBytes = 64 << 20
+// SeedLayerBytes bounds the seed layer: single-seed PageRank vectors
+// memoized across RandomWalk searches, so a query overlapping an earlier
+// one — interactive refinement — solves only its new entities. A vector
+// weighs up to 8 bytes per graph node (less while a solve stays
+// frontier-sparse), so 64 MiB keeps tens of hot entities resident on
+// million-node graphs without letting an entity sweep displace the rest
+// of the cache.
+const SeedLayerBytes = 64 << 20
 
-// DefaultNullCacheBytes bounds the comparison stage's Monte-Carlo
+// NullLayerBytes bounds the comparison stage's Monte-Carlo
 // null-distribution layer (~8 bytes per test sample per distinct context
 // distribution): 32 MiB holds thousands of memoized distributions at the
-// default sample count. Not separately configurable — Options.CacheBytes
-// bounds the total when set.
-const DefaultNullCacheBytes = 32 << 20
+// default sample count.
+const NullLayerBytes = 32 << 20
 
 // Engine runs searches against one live graph. Create with NewEngine;
 // safe for concurrent use once constructed, including concurrent
@@ -412,8 +403,6 @@ func (e *Engine) registerState() {
 		reg.NewGaugeFunc("nc_cache_layer_budget_bytes", "Query-cache byte budget, by layer (0 = none).",
 			func() float64 { return float64(e.CacheStats().Layers[l].ByteBudget) }, "layer", layer)
 	}
-	reg.NewGaugeFunc("nc_cache_budget_bytes", "Query-cache total byte budget (0 = none).",
-		func() float64 { return float64(e.CacheStats().ByteBudget) })
 	reg.NewGaugeFunc("nc_cache_entries", "Query-cache entries resident.",
 		func() float64 { return float64(e.CacheStats().Size) })
 	reg.NewGaugeFunc("nc_cache_capacity_entries", "Query-cache entry bound.",
@@ -485,15 +474,9 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 	if size == 0 {
 		size = DefaultCacheSize
 	}
-	cfg := qcache.Config{Capacity: size, ByteBudget: opt.CacheBytes, Shards: opt.CacheShards}
-	cfg.LayerBudgets[qcache.LayerNull] = DefaultNullCacheBytes
-	if opt.SeedCacheBytes >= 0 {
-		seedBudget := opt.SeedCacheBytes
-		if seedBudget == 0 {
-			seedBudget = DefaultSeedCacheBytes
-		}
-		cfg.LayerBudgets[qcache.LayerSeed] = seedBudget
-	}
+	cfg := qcache.Config{Capacity: size, Shards: opt.CacheShards}
+	cfg.LayerBudgets[qcache.LayerSeed] = SeedLayerBytes
+	cfg.LayerBudgets[qcache.LayerNull] = NullLayerBytes
 	typePred := opt.TypePredicate
 	if typePred == "-" {
 		typePred = ""
@@ -667,16 +650,6 @@ func (e *Engine) index() *search.Index {
 	return idx
 }
 
-// seedCache returns the cache the RandomWalk selector's per-seed PageRank
-// vectors memoize through — the engine cache, unless the layer (or
-// caching altogether) is disabled.
-func (e *Engine) seedCache() *qcache.Cache {
-	if e.opt.SeedCacheBytes < 0 {
-		return nil
-	}
-	return e.cache
-}
-
 // epochTag renders a view's epoch as the cache tag folded into every
 // graph-derived cache key, so entries computed against one epoch are
 // never served at another.
@@ -692,7 +665,7 @@ func (e *Engine) selectorFor(opt Options, tag string) ctxsel.Selector {
 	case SelectorRandomWalk:
 		return ctxsel.RandomWalk{Opt: ppr.Options{
 			Damping:   opt.Damping,
-			SeedCache: e.seedCache(),
+			SeedCache: e.cache,
 			CacheTag:  tag,
 			SolveObs:  e.met.solve,
 		}}

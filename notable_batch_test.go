@@ -146,14 +146,23 @@ func TestSearchBatchEmptyQuery(t *testing.T) {
 	}
 }
 
-// TestEngineCacheByteBudget: the facade's CacheBytes bound evicts under
-// byte pressure and CacheStats reports per-layer residency.
+// TestEngineCacheByteBudget: the engine's cache carries the two fixed
+// layer bounds, CacheStats reports per-layer residency, and a seed-layer
+// bound below the working set evicts under byte pressure without
+// changing any result.
 func TestEngineCacheByteBudget(t *testing.T) {
 	g := buildLeaders()
-	unbounded := NewEngine(g, Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 500})
+	opt := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 500}
+	unbounded := NewEngine(g, opt)
 	queries := leaderQueries(t, unbounded, 6)
 	searchSequential(t, unbounded, queries)
 	full := unbounded.CacheStats()
+	wantBudget := [qcache.NumLayers]int64{qcache.LayerSeed: SeedLayerBytes, qcache.LayerNull: NullLayerBytes}
+	for l, ls := range full.Layers {
+		if ls.ByteBudget != wantBudget[l] {
+			t.Fatalf("%s layer budget = %d, want %d", qcache.Layer(l), ls.ByteBudget, wantBudget[l])
+		}
+	}
 	if full.Layers[qcache.LayerSelector].Bytes == 0 || full.Layers[qcache.LayerTest].Bytes == 0 || full.Layers[qcache.LayerSeed].Bytes == 0 {
 		t.Fatalf("expected the selector, test, and seed layers to report bytes: %+v", full)
 	}
@@ -165,25 +174,26 @@ func TestEngineCacheByteBudget(t *testing.T) {
 		t.Fatalf("Bytes must total the layers: %+v", full)
 	}
 
-	budget := full.Bytes / 4
-	bounded := NewEngine(g, Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3,
-		TestSamples: 500, CacheBytes: budget})
+	budget := full.Layers[qcache.LayerSeed].Bytes / 4
+	bounded := withSeedLayerBytes(NewEngine(g, opt), budget)
 	searchSequential(t, bounded, queries)
 	st := bounded.CacheStats()
-	if st.ByteBudget != budget {
-		t.Fatalf("ByteBudget = %d, want %d", st.ByteBudget, budget)
+	if st.Layers[qcache.LayerSeed].ByteBudget != budget {
+		t.Fatalf("seed layer budget = %d, want %d", st.Layers[qcache.LayerSeed].ByteBudget, budget)
 	}
-	if st.Bytes > budget {
-		t.Fatalf("resident %d bytes exceeds budget %d", st.Bytes, budget)
+	// One shard, and every leaders seed vector is far below a quarter of
+	// the working set, so the bound holds exactly.
+	if st.Layers[qcache.LayerSeed].Bytes > budget {
+		t.Fatalf("resident seed bytes %d exceed the bound %d", st.Layers[qcache.LayerSeed].Bytes, budget)
 	}
 	if st.Evictions == 0 {
-		t.Fatal("byte budget at a quarter of working set must evict")
+		t.Fatal("a seed bound at a quarter of the working set must evict")
 	}
-	// And the budget must not change any result.
+	// And the bound must not change any result.
 	want := searchSequential(t, unbounded, queries)
 	got := searchSequential(t, bounded, queries)
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("byte-budgeted engine returned different results")
+		t.Fatal("byte-bounded engine returned different results")
 	}
 }
 

@@ -35,13 +35,24 @@ func refineSteps(t testing.TB, e *Engine) [][]NodeID {
 	}
 }
 
+// withSeedLayerBytes replaces e's cache, before e has served anything, by
+// one whose seed layer is bounded to bytes instead of SeedLayerBytes — a
+// bound small enough to evict on the test graphs.
+func withSeedLayerBytes(e *Engine, bytes int64) *Engine {
+	cfg := qcache.Config{Capacity: DefaultCacheSize}
+	cfg.LayerBudgets[qcache.LayerSeed] = bytes
+	cfg.LayerBudgets[qcache.LayerNull] = NullLayerBytes
+	e.cache = qcache.NewSharded(cfg)
+	return e
+}
+
 // TestEngineRefineMatchesColdSearch is the refinement fast path's
 // acceptance invariant: walking an interactive session on one warm
 // engine returns, at every step, exactly — DeepEqual on the full Result —
 // what a cache-disabled engine computes cold, for every Parallelism and
-// seed-cache budget combination: disabled (negative), tiny (forcing
-// evictions mid-sequence), and ample (the default). Monte-Carlo testing
-// is forced so the null-distribution memo is exercised end to end too.
+// seed-layer bound: tiny (forcing evictions mid-sequence) and the fixed
+// SeedLayerBytes. Monte-Carlo testing is forced so the null-distribution
+// memo is exercised end to end too.
 func TestEngineRefineMatchesColdSearch(t *testing.T) {
 	g := buildLeaders()
 	base := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3,
@@ -61,10 +72,11 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 			}
 			want[i] = r
 		}
-		for name, budget := range map[string]int64{"disabled": -1, "tiny": 600, "ample": 0} {
-			wopt := opt
-			wopt.SeedCacheBytes = budget
-			warm := NewEngine(g, wopt)
+		for _, name := range []string{"tiny", "ample"} {
+			warm := NewEngine(g, opt)
+			if name == "tiny" {
+				warm = withSeedLayerBytes(warm, 600)
+			}
 			for i, q := range steps {
 				got, err := warm.Do(context.Background(), Query{Nodes: q})
 				if err != nil {
@@ -77,10 +89,6 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 			st := warm.CacheStats()
 			seed := st.Layers[qcache.LayerSeed]
 			switch name {
-			case "disabled":
-				if seed.Hits+seed.Misses != 0 || st.Layers[qcache.LayerSeed].Bytes != 0 {
-					t.Fatalf("par=%d: disabled seed layer saw traffic: %+v", par, st)
-				}
 			case "tiny":
 				if st.Evictions == 0 {
 					t.Fatalf("par=%d: tiny seed budget must evict mid-sequence: %+v", par, st)
