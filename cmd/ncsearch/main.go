@@ -371,10 +371,3 @@ func loadGraph(path, dataset string, seed int64) (*notable.Graph, error) {
 		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -81,10 +81,3 @@ func numbered(prefix string, n int) []string {
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

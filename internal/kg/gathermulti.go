@@ -1,11 +1,5 @@
 package kg
 
-import (
-	"sort"
-
-	"repro/internal/exec"
-)
-
 // MaxGatherBlock is the widest vector block GatherStepMulti accepts. Eight
 // float64 columns are exactly one 64-byte cache line per node, so a block
 // walks the edge stream once while every per-node probability read lands
@@ -122,46 +116,17 @@ func (t *TransitionCSR) gatherRowsMulti8(next, p []float64, c float64, rowLo, ro
 	}
 }
 
-// GatherStepMultiParallel is GatherStepMulti with rows partitioned over up
-// to workers shards through the shared executor, exactly like
-// GatherStepParallel: every row block is written by one shard and the
-// dangling sums stay serial, so the result is bitwise identical to the
-// serial blocked kernel — and therefore to b independent serial
-// GatherStep calls — for every worker count.
+// GatherStepMultiParallel is GatherStepMulti with its rows split over up
+// to workers shards, exactly like GatherStepParallel: every row block is
+// written by one shard and the dangling sums stay serial, so the result is
+// bitwise identical to the serial blocked kernel — and therefore to b
+// independent serial GatherStep calls — for every worker count. The
+// per-edge work is b-fold, so the serial threshold counts edge visits.
 func (t *TransitionCSR) GatherStepMultiParallel(next, p []float64, c float64, b int, dangling []float64, workers int) {
-	n := t.g.NumNodes()
-	edges := int64(len(t.tFrom))
-	if workers > n {
-		workers = n
-	}
-	// The per-edge work is b-fold, so the serial-fallback threshold
-	// applies to edge visits, not edges.
-	if workers <= 1 || edges*int64(b) < parallelGatherMinEdges {
-		t.GatherStepMulti(next, p, c, b, dangling)
+	if workers = t.gatherWorkers(workers, b); workers > 1 {
+		t.gatherShards(workers, func(lo, hi int) { t.gatherRowsMulti(next, p, c, b, lo, hi) })
+		t.danglingMulti(p, b, dangling)
 		return
 	}
-	g := exec.NewGroup(exec.Default())
-	prev := 0
-	for w := 1; w <= workers; w++ {
-		bound := n
-		if w < workers {
-			target := edges * int64(w) / int64(workers)
-			bound = sort.Search(n, func(r int) bool { return t.tOff[r] >= target })
-			if bound < prev {
-				bound = prev
-			}
-		}
-		if bound == prev {
-			continue
-		}
-		lo, hi := prev, bound
-		prev = bound
-		if w == workers {
-			t.gatherRowsMulti(next, p, c, b, lo, hi) // last shard on the caller
-			break
-		}
-		g.Go(func() { t.gatherRowsMulti(next, p, c, b, lo, hi) })
-	}
-	g.Wait()
-	t.danglingMulti(p, b, dangling)
+	t.GatherStepMulti(next, p, c, b, dangling)
 }

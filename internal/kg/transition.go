@@ -108,6 +108,11 @@ func (t *TransitionCSR) Probs(n NodeID) []float64 {
 // least NumNodes entries.
 func (t *TransitionCSR) GatherStep(next, p []float64, c float64) (dangling float64) {
 	t.gatherRows(next, p, c, 0, t.g.NumNodes())
+	return t.danglingMass(p)
+}
+
+// danglingMass sums p over the dangling nodes in node order.
+func (t *TransitionCSR) danglingMass(p []float64) (dangling float64) {
 	for _, d := range t.dangling {
 		dangling += p[d]
 	}
@@ -142,28 +147,45 @@ func (t *TransitionCSR) gatherRows(next, p []float64, c float64, rowLo, rowHi in
 	}
 }
 
-// parallelGatherMinEdges is the edge count below which GatherStepParallel
-// runs serially: a full gather over fewer edges completes in tens of
-// microseconds, comparable to the cost of scheduling the workers.
+// parallelGatherMinEdges is the edge visit count below which a parallel
+// gather runs serially: a full gather over fewer edges completes in tens
+// of microseconds, comparable to the cost of scheduling the workers.
 const parallelGatherMinEdges = 1 << 14
 
-// GatherStepParallel is GatherStep with rows partitioned over up to
-// workers shards run through the shared executor (the last shard on the
-// calling goroutine). Rows are independent — each next[x] is written by
-// exactly one worker, and the dangling sum is accumulated serially — so
-// the result is bitwise identical to the serial GatherStep for every
-// worker count. Partitions balance in-edge counts via the transpose
-// offsets, not row counts, so one hub-heavy shard cannot serialize the
-// step. workers <= 1 (or a small graph) degrades to the serial kernel.
+// GatherStepParallel is GatherStep with its rows split over up to workers
+// shards (see gatherShards). Each next[x] is written by exactly one shard
+// and the dangling sum stays serial, so the result is bitwise identical to
+// the serial GatherStep for every worker count. workers <= 1 (or a small
+// graph) runs the serial kernel.
 func (t *TransitionCSR) GatherStepParallel(next, p []float64, c float64, workers int) (dangling float64) {
+	// The closure is built only once the step is known to run in parallel:
+	// created up front it would escape, and allocate, on the serial path too.
+	if workers = t.gatherWorkers(workers, 1); workers > 1 {
+		t.gatherShards(workers, func(lo, hi int) { t.gatherRows(next, p, c, lo, hi) })
+		return t.danglingMass(p)
+	}
+	return t.GatherStep(next, p, c)
+}
+
+// gatherWorkers returns how many shards a gather step whose per-edge work
+// is b-fold should use: 1 (serial) for a single worker or when the step's
+// edge visits fall below parallelGatherMinEdges, otherwise workers capped
+// at one row per shard.
+func (t *TransitionCSR) gatherWorkers(workers, b int) int {
+	if workers <= 1 || int64(len(t.tFrom))*int64(b) < parallelGatherMinEdges {
+		return 1
+	}
+	return min(workers, t.g.NumNodes())
+}
+
+// gatherShards partitions the rows [0, n) into up to workers contiguous
+// shards and runs rows(lo, hi) once per shard through the shared executor,
+// the last shard on the calling goroutine. Shards balance in-edge counts
+// via the transpose offsets, not row counts, so one hub-heavy shard cannot
+// serialize the step.
+func (t *TransitionCSR) gatherShards(workers int, rows func(lo, hi int)) {
 	n := t.g.NumNodes()
 	edges := int64(len(t.tFrom))
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || edges < parallelGatherMinEdges {
-		return t.GatherStep(next, p, c)
-	}
 	g := exec.NewGroup(exec.Default())
 	prev := 0
 	for w := 1; w <= workers; w++ {
@@ -172,10 +194,7 @@ func (t *TransitionCSR) GatherStepParallel(next, p []float64, c float64, workers
 			// Shard w ends at the first row starting at or beyond the next
 			// equal-edge boundary.
 			target := edges * int64(w) / int64(workers)
-			bound = sort.Search(n, func(r int) bool { return t.tOff[r] >= target })
-			if bound < prev {
-				bound = prev
-			}
+			bound = max(prev, sort.Search(n, func(r int) bool { return t.tOff[r] >= target }))
 		}
 		if bound == prev {
 			continue
@@ -183,14 +202,10 @@ func (t *TransitionCSR) GatherStepParallel(next, p []float64, c float64, workers
 		lo, hi := prev, bound
 		prev = bound
 		if w == workers {
-			t.gatherRows(next, p, c, lo, hi) // last shard runs on the caller
+			rows(lo, hi)
 			break
 		}
-		g.Go(func() { t.gatherRows(next, p, c, lo, hi) })
+		g.Go(func() { rows(lo, hi) })
 	}
 	g.Wait()
-	for _, d := range t.dangling {
-		dangling += p[d]
-	}
-	return dangling
 }

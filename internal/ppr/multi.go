@@ -34,7 +34,6 @@ import (
 	"time"
 
 	"repro/internal/kg"
-	"repro/internal/obs"
 	"repro/internal/qcache"
 )
 
@@ -49,13 +48,12 @@ import (
 // cache; callers must treat ctx.Err() != nil as "no result".
 func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) [][]float64 {
 	out := make([][]float64, len(queries))
-	obsH := observedMultiStart(&opt)
 	start := time.Now()
 	personalizedSumMultiStream(ctx, g, queries, opt, false, func(qi int, sum []float64) {
 		out[qi] = sum
 	})
-	if obsH != nil {
-		obsH.Observe(time.Since(start))
+	if opt.SolveObs != nil {
+		opt.SolveObs.Observe(time.Since(start))
 	}
 	return out
 }
@@ -79,23 +77,12 @@ func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.No
 // release granularity. Barriered callers (PersonalizedSumMultiCtx) keep
 // the kernel.
 func PersonalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(qi int, sum []float64)) error {
-	obsH := observedMultiStart(&opt)
 	start := time.Now()
 	personalizedSumMultiStream(ctx, g, queries, opt, true, ready)
-	if obsH != nil {
-		obsH.Observe(time.Since(start))
+	if opt.SolveObs != nil {
+		opt.SolveObs.Observe(time.Since(start))
 	}
 	return ctx.Err()
-}
-
-// observedMultiStart detaches opt's solve histogram so the batch is
-// observed exactly once at the entry point — the uniform-ablation path
-// inside personalizedSumMultiStream delegates to PersonalizedSumCtx per
-// query, which would otherwise also observe each delegate.
-func observedMultiStart(opt *Options) *obs.Histogram {
-	h := opt.SolveObs
-	opt.SolveObs = nil
-	return h
 }
 
 // personalizedSumMultiStream is the shared engine behind the barriered
@@ -108,19 +95,6 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 	if n == 0 {
 		for i := range queries {
 			ready(i, make([]float64, 0))
-		}
-		return
-	}
-	if opt.Uniform {
-		// The uniform ablation's dense sweep is scatter-based with no
-		// blocked kernel; batch it query by query, releasing each as it
-		// completes.
-		for i, q := range queries {
-			sum := PersonalizedSumCtx(ctx, g, q, opt)
-			if ctx.Err() != nil {
-				return
-			}
-			ready(i, sum)
 		}
 		return
 	}
@@ -241,7 +215,7 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 			if ctx.Err() != nil {
 				return
 			}
-			personalizedInto(ctx, g, uniq[i:i+1], opt, ws)
+			personalizedInto(ctx, g, uniq[i], opt, ws)
 			if ctx.Err() != nil {
 				return
 			}
@@ -263,7 +237,7 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 		if ws == nil {
 			ws = getWorkspace(n)
 		}
-		ws.init(g, uniq[i:i+1])
+		ws.init(g, uniq[i])
 		it := ws.sparsePhase(ctx, g, tr, opt, opt.Iterations)
 		if ctx.Err() != nil {
 			return
@@ -300,7 +274,7 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 				if ctx.Err() != nil {
 					return
 				}
-				ps.ws.denseStep(g, tr, opt)
+				ps.ws.denseStep(tr, opt)
 			}
 			v := extractSeedVec(ps.ws, n)
 			resolve(ps.idx, &v)
@@ -339,7 +313,7 @@ type pendingSolve struct {
 type denseCol struct {
 	rem  int
 	idx  int       // unique-seed index
-	seed kg.NodeID // single seed; its personalization mass is 1
+	seed kg.NodeID // the column's seed, where its restart mass lands
 }
 
 // solveDenseBlock runs the remaining dense iterations of up to
@@ -364,7 +338,7 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 		for x := 0; x < n; x++ {
 			pm[x*b+j] = ws.p[x]
 		}
-		cols[j] = denseCol{rem: ps.rem, idx: ps.idx, seed: ws.seeds[0]}
+		cols[j] = denseCol{rem: ps.rem, idx: ps.idx, seed: ws.seed}
 		blk[j].ws = nil
 		ws.release()
 	}
@@ -376,10 +350,8 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 		tr.GatherStepMultiParallel(nextM[:n*b], pm[:n*b], c, b, dangling, opt.gatherWorkers)
 		retired := false
 		for j := range cols {
-			// Teleport: single seed with mass 1, so the full restart mass
-			// lands on the seed — restart·v[s] with v[s] = 1.
-			restart := (1 - c) + c*dangling[j]
-			nextM[int(cols[j].seed)*b+j] += restart * 1
+			// Teleport: the full restart mass lands on the column's seed.
+			nextM[int(cols[j].seed)*b+j] += (1 - c) + c*dangling[j]
 			cols[j].rem--
 			if cols[j].rem == 0 {
 				retired = true

@@ -73,24 +73,6 @@ func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
-// TestPersonalizedSumMultiUniform: the uniform ablation takes the
-// per-query fallback and must still match exactly.
-func TestPersonalizedSumMultiUniform(t *testing.T) {
-	g := randomGraph(300, 1200, 5)
-	queries := [][]kg.NodeID{{1, 2}, {2, 3, 3}, {7}}
-	opt := Options{Uniform: true}
-	got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
-	for qi, q := range queries {
-		want := refPersonalizedSum(g, q, opt)
-		assertSameBits(t, "uniform single", PersonalizedSumCtx(context.Background(), g, q, opt), want)
-		for i := range want {
-			if got[qi][i] != want[i] {
-				t.Fatalf("uniform query %d node %d: %v != %v", qi, i, got[qi][i], want[i])
-			}
-		}
-	}
-}
-
 // TestPersonalizedSumMultiEdgeCases: empty batch, empty queries, and an
 // empty graph must mirror the sequential behavior.
 func TestPersonalizedSumMultiEdgeCases(t *testing.T) {

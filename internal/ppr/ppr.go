@@ -13,7 +13,11 @@
 //
 // This is the paper's RandomWalk baseline for context selection: one full
 // PageRank per query node (v = e_n for each n ∈ Q individually), summed,
-// then the top-k nodes excluding the query form the context.
+// then the top-k nodes excluding the query form the context. That is the
+// only solve the package runs: every PageRank is one weighted walk from
+// one seed, whose teleport puts the whole restart mass back on the seed.
+// Sums, batches and streams are folds of such single-seed vectors; there
+// is no multi-seed personalization and no uniform (unweighted) walk.
 //
 // # Implementation
 //
@@ -29,10 +33,9 @@
 // — rows are independent, so every worker count produces bitwise
 // identical vectors. Both regimes read per-edge transition probabilities
 // from the graph's precomputed kg.TransitionCSR rather than recomputing
-// w(l)/wdeg per edge per iteration, and the teleport term is applied
-// sparsely over the seeds. Scratch vectors are recycled through a
-// sync.Pool and cleared sparsely, so a steady-state solve allocates only
-// its result.
+// w(l)/wdeg per edge per iteration, and the teleport is one add at the
+// seed. Scratch vectors are recycled through a sync.Pool and cleared
+// sparsely, so a steady-state solve allocates nothing per iteration.
 //
 // A PageRank sum is a fold of single-seed vectors (seedvec.go): every
 // distinct seed is solved once — in blocks on a bounded worker pool — or
@@ -50,7 +53,6 @@ package ppr
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"time"
 
@@ -68,9 +70,6 @@ type Options struct {
 	Damping float64
 	// Iterations of power iteration. The paper uses 10. Default 10.
 	Iterations int
-	// Uniform disables informativeness weighting and walks uniformly over
-	// out-edges — the ablation of Eq. 1's weighting.
-	Uniform bool
 	// Parallelism bounds the total worker budget: PersonalizedSumCtx's
 	// per-seed pool, and within each run the row-partitioned parallel
 	// gather of the saturated dense regime (seed workers × gather workers
@@ -86,7 +85,7 @@ type Options struct {
 	// new seed instead of one per query seed. Nil, the no-op cache, makes
 	// every seed a miss. Caching never changes results: cached and fresh
 	// vectors are the same seedVec values folded in the same order (see
-	// seedvec.go). Keys fold Damping, Iterations, Uniform, and CacheTag.
+	// seedvec.go). Keys fold Damping, Iterations, and CacheTag.
 	SeedCache *qcache.Cache
 
 	// CacheTag is folded verbatim into every seed-cache key. Callers
@@ -118,16 +117,15 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// workspace holds the dense iteration state of one PageRank run. All
-// slices are zero outside the recorded touched/seed lists (the whole
+// workspace holds the dense iteration state of one single-seed PageRank
+// run. Both vectors are zero outside the recorded touched list (the whole
 // vector once dense is set), an invariant maintained by reset so pooled
 // workspaces start clean.
 type workspace struct {
 	p, next []float64
-	v       []float64   // personalization, nonzero only at seeds
 	touched []kg.NodeID // nodes with p != 0 (unused once dense)
 	nextT   []kg.NodeID // nodes with next != 0 (scratch for the sweep)
-	seeds   []kg.NodeID // deduplicated seed list
+	seed    kg.NodeID   // the personalization: all restart mass lands here
 	n       int         // graph size of the current run
 	dense   bool        // the run saturated and switched to dense sweeps
 }
@@ -143,7 +141,6 @@ func getWorkspace(n int) *workspace {
 	if len(ws.p) < n {
 		ws.p = make([]float64, n)
 		ws.next = make([]float64, n)
-		ws.v = make([]float64, n)
 	}
 	return ws
 }
@@ -162,12 +159,8 @@ func (ws *workspace) reset() {
 			ws.p[u] = 0
 		}
 	}
-	for _, s := range ws.seeds {
-		ws.v[s] = 0
-	}
 	ws.touched = ws.touched[:0]
 	ws.nextT = ws.nextT[:0]
-	ws.seeds = ws.seeds[:0]
 }
 
 // release resets the workspace and returns it to the pool.
@@ -181,14 +174,15 @@ func (ws *workspace) release() {
 // sweep costs O(E) regardless of support, while the sparse sweep pays
 // several times more per frontier edge for its bookkeeping (zero checks,
 // touched appends, scattered writes), so the crossover sits well below
-// half the graph. Support only grows (the teleport re-injects the seeds
+// half the graph. Support only grows (the teleport re-injects the seed
 // every iteration), so the switch is one-way.
 const denseSwitchDivisor = 6
 
-// personalizedInto runs the hybrid power iteration, leaving the final
-// vector in ws.p — with its support in ws.touched, or dense (ws.dense)
-// if the frontier saturated. opt must already carry defaults; the caller
-// owns ws and must reset or release it after consuming the result.
+// personalizedInto runs the hybrid power iteration from seed, leaving the
+// final vector in ws.p — with its support in ws.touched, or dense
+// (ws.dense) if the frontier saturated. opt must already carry defaults;
+// the caller owns ws and must reset or release it after consuming the
+// result.
 //
 // The run is two phases: the sparse phase walks the frontier until it
 // saturates (or the iteration budget runs out), then every remaining
@@ -199,36 +193,24 @@ const denseSwitchDivisor = 6
 // Cancellation is checked between sweeps: once ctx is done the run stops
 // mid-schedule and leaves a partial vector in ws, so callers must consult
 // ctx.Err() before using (or caching) the result.
-func personalizedInto(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options, ws *workspace) {
-	ws.init(g, seeds)
-	var tr *kg.TransitionCSR
-	if !opt.Uniform {
-		tr = g.Transitions()
-	}
+func personalizedInto(ctx context.Context, g *kg.Graph, seed kg.NodeID, opt Options, ws *workspace) {
+	ws.init(g, seed)
+	tr := g.Transitions()
 	it := ws.sparsePhase(ctx, g, tr, opt, opt.Iterations)
 	for ; it < opt.Iterations; it++ {
 		if ctx.Err() != nil {
 			return
 		}
-		ws.denseStep(g, tr, opt)
+		ws.denseStep(tr, opt)
 	}
 }
 
-// init distributes the personalization mass over the (deduplicated) seeds
-// and plants the initial frontier.
-func (ws *workspace) init(g *kg.Graph, seeds []kg.NodeID) {
+// init puts the whole starting mass on seed, the initial frontier.
+func (ws *workspace) init(g *kg.Graph, seed kg.NodeID) {
 	ws.n = g.NumNodes()
-	mass := 1 / float64(len(seeds))
-	for _, s := range seeds {
-		if ws.v[s] == 0 {
-			ws.seeds = append(ws.seeds, s)
-		}
-		ws.v[s] += mass
-	}
-	for _, s := range ws.seeds {
-		ws.p[s] = ws.v[s]
-		ws.touched = append(ws.touched, s)
-	}
+	ws.seed = seed
+	ws.p[seed] = 1
+	ws.touched = append(ws.touched, seed)
 }
 
 // sparsePhase runs power iterations in the frontier-sparse regime until
@@ -250,16 +232,14 @@ func (ws *workspace) sparsePhase(ctx context.Context, g *kg.Graph, tr *kg.Transi
 			ws.dense = true
 			break
 		}
-		dangling := sparseSweep(g, tr, p, next, touched, &nextT, c, opt.Uniform)
-		// Teleport: restart mass plus mass stranded on dangling nodes,
-		// distributed over the personalization — only seeds are nonzero.
+		dangling := sparseSweep(g, tr, p, next, touched, &nextT, c)
+		// Teleport: restart mass plus mass stranded on dangling nodes, all
+		// of it back to the seed.
 		restart := (1 - c) + c*dangling
-		for _, s := range ws.seeds {
-			if next[s] == 0 {
-				nextT = append(nextT, s)
-			}
-			next[s] += restart * ws.v[s]
+		if next[ws.seed] == 0 {
+			nextT = append(nextT, ws.seed)
 		}
+		next[ws.seed] += restart
 		for _, u := range touched {
 			p[u] = 0
 		}
@@ -271,35 +251,21 @@ func (ws *workspace) sparsePhase(ctx context.Context, g *kg.Graph, tr *kg.Transi
 	return it
 }
 
-// denseStep runs one saturated iteration — a full gather (or accumulate
-// sweep for the uniform ablation) plus the teleport — leaving the new
-// vector in ws.p. ws.touched is not maintained in the dense regime.
-func (ws *workspace) denseStep(g *kg.Graph, tr *kg.TransitionCSR, opt Options) {
+// denseStep runs one saturated iteration — a full gather plus the
+// teleport — leaving the new vector in ws.p. The gather overwrites next
+// outright, so stale values need no clearing; ws.touched is not
+// maintained in the dense regime.
+func (ws *workspace) denseStep(tr *kg.TransitionCSR, opt Options) {
 	c := opt.Damping
-	var dangling float64
-	if opt.Uniform {
-		dangling = ws.uniformDenseSweep(g, ws.p, ws.next, c)
-	} else {
-		// Gather overwrites next outright — no pre-zeroing needed.
-		dangling = tr.GatherStepParallel(ws.next, ws.p, c, opt.gatherWorkers)
-	}
-	restart := (1 - c) + c*dangling
-	for _, s := range ws.seeds {
-		ws.next[s] += restart * ws.v[s]
-	}
-	if opt.Uniform {
-		// The uniform dense sweep accumulates, so the vector it will
-		// reuse as next must go back to zero. Weighted dense sweeps
-		// overwrite: stale p is reused as-is.
-		clear(ws.p[:ws.n])
-	}
+	dangling := tr.GatherStepParallel(ws.next, ws.p, c, opt.gatherWorkers)
+	ws.next[ws.seed] += (1 - c) + c*dangling
 	ws.p, ws.next = ws.next, ws.p
 }
 
 // sparseSweep propagates one step over the frontier only, appending the
 // support of next to *nextT. Used while the walk touches a small fraction
 // of the graph.
-func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched []kg.NodeID, nextT *[]kg.NodeID, c float64, uniform bool) float64 {
+func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched []kg.NodeID, nextT *[]kg.NodeID, c float64) float64 {
 	nt := *nextT
 	dangling := 0.0
 	for _, from := range touched {
@@ -310,16 +276,6 @@ func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched [
 			continue
 		}
 		cpf := c * pf
-		if uniform {
-			share := cpf / float64(len(adj))
-			for _, e := range adj {
-				if next[e.To] == 0 {
-					nt = append(nt, e.To)
-				}
-				next[e.To] += share
-			}
-			continue
-		}
 		probs := tr.Probs(from)
 		for i, e := range adj {
 			share := cpf * probs[i]
@@ -336,57 +292,10 @@ func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched [
 	return dangling
 }
 
-// uniformDenseSweep propagates one uniform-walk step with a full
-// accumulate sweep — the saturated regime of the Uniform ablation; the
-// weighted saturated regime uses kg.TransitionCSR.GatherStep instead.
-func (ws *workspace) uniformDenseSweep(g *kg.Graph, p, next []float64, c float64) float64 {
-	dangling := 0.0
-	for from := 0; from < ws.n; from++ {
-		pf := p[from]
-		if pf == 0 {
-			continue
-		}
-		adj := g.OutEdges(kg.NodeID(from))
-		if len(adj) == 0 {
-			dangling += pf
-			continue
-		}
-		share := c * pf / float64(len(adj))
-		for _, e := range adj {
-			next[e.To] += share
-		}
-	}
-	return dangling
-}
-
-// Personalized computes the PageRank vector for a single personalization
-// distribution v given as a sparse set of seed nodes with uniform mass.
-// The returned slice has one score per node.
-func Personalized(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
-	opt = opt.withDefaults()
-	opt.gatherWorkers = opt.Parallelism
-	if opt.gatherWorkers <= 0 {
-		opt.gatherWorkers = runtime.GOMAXPROCS(0)
-	}
-	n := g.NumNodes()
-	if n == 0 || len(seeds) == 0 {
-		return make([]float64, n)
-	}
-	ws := getWorkspace(n)
-	defer ws.release()
-	personalizedInto(context.Background(), g, seeds, opt, ws)
-	if ws.dense {
-		return extractSeedVec(ws, n).dense
-	}
-	// Folding a sparse result into zeros writes its support verbatim.
-	out := make([]float64, n)
-	ws.foldInto(out)
-	return out
-}
-
-// PersonalizedSumCtx runs Personalized once per seed (the paper computes
-// "the PageRank starting from each node in the query ... individually")
-// and returns the element-wise sum of the resulting vectors.
+// PersonalizedSumCtx runs one weighted PageRank per seed (the paper
+// computes "the PageRank starting from each node in the query ...
+// individually") and returns the element-wise sum of the resulting
+// vectors. A one-seed list returns that seed's PageRank vector.
 //
 // Each distinct seed is served from Options.SeedCache or solved — the
 // misses in blocks of Parallelism workers — and the per-seed vectors are
@@ -431,7 +340,7 @@ func runSeedBlock(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Optio
 	for j := range seeds {
 		go func(j int) {
 			defer wg.Done()
-			personalizedInto(ctx, g, seeds[j:j+1], opt, wss[j])
+			personalizedInto(ctx, g, seeds[j], opt, wss[j])
 		}(j)
 	}
 	wg.Wait()

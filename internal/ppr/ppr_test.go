@@ -20,19 +20,15 @@ func chain() *kg.Graph {
 	return b.Build()
 }
 
-// star builds hub -p-> leaf0..leaf4.
-func star() *kg.Graph {
-	b := kg.NewBuilder(8)
-	for _, leaf := range []string{"l0", "l1", "l2", "l3", "l4"} {
-		b.AddEdge("hub", "p", leaf)
-	}
-	return b.Build()
+// solo is the PageRank vector of the single seed s: the one-seed sum.
+func solo(g *kg.Graph, s kg.NodeID, opt Options) []float64 {
+	return PersonalizedSumCtx(context.Background(), g, []kg.NodeID{s}, opt)
 }
 
 func TestMassConservation(t *testing.T) {
 	g := chain()
 	a, _ := g.NodeByName("a")
-	p := Personalized(g, []kg.NodeID{a}, Options{})
+	p := solo(g, a, Options{})
 	sum := 0.0
 	for _, s := range p {
 		sum += s
@@ -45,7 +41,7 @@ func TestMassConservation(t *testing.T) {
 func TestSeedHasHighestScoreWithStrongRestart(t *testing.T) {
 	g := chain()
 	a, _ := g.NodeByName("a")
-	p := Personalized(g, []kg.NodeID{a}, Options{Damping: 0.2})
+	p := solo(g, a, Options{Damping: 0.2})
 	for i, s := range p {
 		if kg.NodeID(i) != a && s >= p[a] {
 			t.Fatalf("node %d score %v >= seed score %v", i, s, p[a])
@@ -58,7 +54,7 @@ func TestProximityOrdering(t *testing.T) {
 	a, _ := g.NodeByName("a")
 	bn, _ := g.NodeByName("b")
 	d, _ := g.NodeByName("d")
-	p := Personalized(g, []kg.NodeID{a}, Options{})
+	p := solo(g, a, Options{})
 	if p[bn] <= p[d] {
 		t.Fatalf("nearer node b (%v) should outrank far node d (%v)", p[bn], p[d])
 	}
@@ -66,11 +62,11 @@ func TestProximityOrdering(t *testing.T) {
 
 func TestEmptySeedsAndEmptyGraph(t *testing.T) {
 	g := chain()
-	if p := Personalized(g, nil, Options{}); len(p) != g.NumNodes() {
+	if p := PersonalizedSumCtx(context.Background(), g, nil, Options{}); len(p) != g.NumNodes() {
 		t.Fatal("empty seeds should return zero vector of graph size")
 	}
 	empty := kg.NewBuilder(0).Build()
-	if p := Personalized(empty, nil, Options{}); len(p) != 0 {
+	if p := PersonalizedSumCtx(context.Background(), empty, nil, Options{}); len(p) != 0 {
 		t.Fatal("empty graph should return empty vector")
 	}
 }
@@ -81,7 +77,7 @@ func TestIsolatedSeedKeepsMass(t *testing.T) {
 	b.AddEdge("a", "p", "b")
 	g := b.Build()
 	loner, _ := g.NodeByName("loner")
-	p := Personalized(g, []kg.NodeID{loner}, Options{})
+	p := solo(g, loner, Options{})
 	sum := 0.0
 	for _, s := range p {
 		sum += s
@@ -91,19 +87,6 @@ func TestIsolatedSeedKeepsMass(t *testing.T) {
 	}
 	if math.Abs(p[loner]-1) > 1e-9 {
 		t.Fatalf("isolated seed score = %v, want 1", p[loner])
-	}
-}
-
-func TestStarDistributesEvenlyUnderUniform(t *testing.T) {
-	g := star()
-	hub, _ := g.NodeByName("hub")
-	p := Personalized(g, []kg.NodeID{hub}, Options{Uniform: true})
-	l0, _ := g.NodeByName("l0")
-	for _, name := range []string{"l1", "l2", "l3", "l4"} {
-		n, _ := g.NodeByName(name)
-		if math.Abs(p[n]-p[l0]) > 1e-12 {
-			t.Fatalf("leaf %s score %v != leaf l0 score %v", name, p[n], p[l0])
-		}
 	}
 }
 
@@ -119,29 +102,23 @@ func TestWeightingPrefersRareLabel(t *testing.T) {
 	hub, _ := g.NodeByName("hub")
 	special, _ := g.NodeByName("special")
 	ordinary, _ := g.NodeByName(nodeName(0))
-	p := Personalized(g, []kg.NodeID{hub}, Options{})
+	p := solo(g, hub, Options{})
 	if p[special] <= p[ordinary] {
 		t.Fatalf("rare-label target %v should outrank common-label target %v",
 			p[special], p[ordinary])
 	}
-	// Under uniform walking they should tie instead.
-	pu := Personalized(g, []kg.NodeID{hub}, Options{Uniform: true})
-	if math.Abs(pu[special]-pu[ordinary]) > 1e-12 {
-		t.Fatalf("uniform walk should not prefer rare label: %v vs %v",
-			pu[special], pu[ordinary])
-	}
 }
 
 // TestPersonalizedSumMatchesSequential: the parallel sum is bit for bit
-// the sequential loop over per-seed Personalized vectors — each slot's
-// additions run in seed-list order, and adding a zero slot changes no bit.
+// the sequential loop over per-seed vectors — each slot's additions run
+// in seed-list order, and adding a zero slot changes no bit.
 func TestPersonalizedSumMatchesSequential(t *testing.T) {
 	g := randomGraph(500, 2000, 77)
 	seeds := []kg.NodeID{1, 5, 9, 13, 5}
 	sum := PersonalizedSumCtx(context.Background(), g, seeds, Options{})
 	want := make([]float64, g.NumNodes())
 	for _, s := range seeds {
-		p := Personalized(g, []kg.NodeID{s}, Options{})
+		p := solo(g, s, Options{})
 		for i, sc := range p {
 			want[i] += sc
 		}
@@ -172,7 +149,7 @@ func TestPersonalizedSumCachelessMemoryBound(t *testing.T) {
 		seeds[i] = kg.NodeID(i * 61)
 	}
 	opt := Options{Parallelism: 2}
-	if p := Personalized(g, seeds[:1], opt); countNonzero(p)*denseSwitchDivisor < n {
+	if p := solo(g, seeds[0], opt); countNonzero(p)*denseSwitchDivisor < n {
 		t.Fatal("test graph must saturate a single-seed solve")
 	}
 	PersonalizedSumCtx(context.Background(), g, seeds, opt) // warm the workspace pool
@@ -205,7 +182,7 @@ func TestMassConservationProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(3+rng.Intn(60), 1+rng.Intn(200), seed)
 		s := kg.NodeID(rng.Intn(g.NumNodes()))
-		p := Personalized(g, []kg.NodeID{s}, Options{})
+		p := solo(g, s, Options{})
 		sum := 0.0
 		for _, sc := range p {
 			sum += sc
@@ -223,7 +200,7 @@ func TestNonNegativeProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGraph(3+rng.Intn(40), 1+rng.Intn(100), seed+1)
 		s := kg.NodeID(rng.Intn(g.NumNodes()))
-		for _, sc := range Personalized(g, []kg.NodeID{s}, Options{}) {
+		for _, sc := range solo(g, s, Options{}) {
 			if sc < 0 {
 				return false
 			}
@@ -258,7 +235,7 @@ func BenchmarkPersonalized(b *testing.B) {
 	g := randomGraph(5000, 40000, 123)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Personalized(g, []kg.NodeID{kg.NodeID(i % 5000)}, Options{})
+		solo(g, kg.NodeID(i%5000), Options{})
 	}
 }
 

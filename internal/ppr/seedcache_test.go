@@ -162,7 +162,7 @@ func TestPersonalizedSumMultiSeedCacheBlockedKernel(t *testing.T) {
 }
 
 // TestSeedCacheKeySeparatesOptions: vectors cached under one option set
-// must not serve another (damping, iterations, uniform all change bits).
+// must not serve another (damping and iterations both change bits).
 func TestSeedCacheKeySeparatesOptions(t *testing.T) {
 	g := randomGraph(200, 800, 31)
 	cache := seedCacheOf(0)
@@ -171,7 +171,6 @@ func TestSeedCacheKeySeparatesOptions(t *testing.T) {
 	for _, opt := range []Options{
 		{Damping: 0.2, SeedCache: cache},
 		{Iterations: 5, SeedCache: cache},
-		{Uniform: true, SeedCache: cache},
 	} {
 		plain := opt
 		plain.SeedCache = nil

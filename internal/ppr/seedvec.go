@@ -1,6 +1,8 @@
 // Single-seed vectors: the one path every PageRank sum takes.
 //
-// PersonalizedSumCtx is a fold of independent single-seed solves, and so
+// A solve is always one weighted walk from one seed, so a seed's vector
+// depends only on the seed, the damping, the iteration count and the
+// graph. PersonalizedSumCtx is a fold of such independent solves, and so
 // is each query of PersonalizedSumMultiCtx. Every sum folds its seeds'
 // vectors in seed-list order, whether a vector came out of a workspace,
 // out of the blocked multi-vector kernel, or out of Options.SeedCache, and
@@ -15,7 +17,7 @@
 // frontier-sparse keeps its support list and values (often far below
 // 8·n bytes), a saturated solve the dense vector. Cached entries are
 // byte-accounted against the seed layer's budget; keys fold damping,
-// iterations, the uniform flag, and the caller's CacheTag — the graph
+// iterations, and the caller's CacheTag — the graph
 // epoch when the cache serves a live-mutable graph, so entries solved
 // against one epoch are never replayed against another (the same
 // epoch-keying contract as every other qcache layer).
@@ -116,7 +118,7 @@ func extractSeedVec(ws *workspace, n int) seedVec {
 // into the cache-key prefix, plus the caller's CacheTag (the graph epoch
 // for mutable graphs). opt must already carry defaults.
 func seedKeyPrefix(opt Options) string {
-	return fmt.Sprintf("ppr|%s|d%v|i%d|u%t", opt.CacheTag, opt.Damping, opt.Iterations, opt.Uniform)
+	return fmt.Sprintf("ppr|%s|d%v|i%d", opt.CacheTag, opt.Damping, opt.Iterations)
 }
 
 // seedKey is the cache key of one seed's vector under prefix.
