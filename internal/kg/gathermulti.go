@@ -39,66 +39,56 @@ func (t *TransitionCSR) danglingMulti(p []float64, b int, dangling []float64) {
 	}
 }
 
-// gatherRowsMulti computes rows [rowLo, rowHi) of one blocked gather step.
-// As with gatherRows, a row is produced entirely by one call, so any row
-// partition yields the same bits as a full serial sweep.
+// gatherRowsMulti computes transpose rows [rowLo, rowHi) of one blocked
+// gather step, writing node tRow[i]'s block for each row i. Columns are
+// swept one at a time inside each row with the serial kernel's four
+// register accumulators; the row's edge list, probabilities, and the
+// source blocks' cache lines stay hot across the b column passes, so the
+// memory system sees each line once per block rather than once per
+// vector. As with gatherRows, a row is produced entirely by one call, so
+// any row partition yields the same bits as a full serial sweep.
 func (t *TransitionCSR) gatherRowsMulti(next, p []float64, c float64, b int, rowLo, rowHi int) {
 	if b == MaxGatherBlock {
 		t.gatherRowsMulti8(next, p, c, rowLo, rowHi)
 		return
 	}
-	var accBuf [4 * MaxGatherBlock]float64
-	acc := accBuf[:4*b]
 	lo := int(t.tOff[rowLo])
-	for x := rowLo; x < rowHi; x++ {
-		hi := int(t.tOff[x+1])
+	offs := t.tOff[rowLo+1 : rowHi+1]
+	for i, x := range t.tRow[rowLo:rowHi] {
+		hi := int(offs[i])
 		row := t.tFrom[lo:hi]
 		pr := t.tProb[lo:hi:hi][:len(row)]
-		clear(acc)
-		k := 0
-		for ; k+3 < len(row); k += 4 {
-			i0, w0 := int(row[k])*b, pr[k]
-			i1, w1 := int(row[k+1])*b, pr[k+1]
-			i2, w2 := int(row[k+2])*b, pr[k+2]
-			i3, w3 := int(row[k+3])*b, pr[k+3]
-			for j := 0; j < b; j++ {
-				a := acc[4*j : 4*j+4 : 4*j+4]
-				a[0] += p[i0+j] * w0
-				a[1] += p[i1+j] * w1
-				a[2] += p[i2+j] * w2
-				a[3] += p[i3+j] * w3
+		out := next[int(x)*b : int(x)*b+b : int(x)*b+b]
+		for j := range out {
+			var acc0, acc1, acc2, acc3 float64
+			k := 0
+			for ; k+3 < len(row); k += 4 {
+				acc0 += p[int(row[k])*b+j] * pr[k]
+				acc1 += p[int(row[k+1])*b+j] * pr[k+1]
+				acc2 += p[int(row[k+2])*b+j] * pr[k+2]
+				acc3 += p[int(row[k+3])*b+j] * pr[k+3]
 			}
-		}
-		for ; k < len(row); k++ {
-			i0, w0 := int(row[k])*b, pr[k]
-			for j := 0; j < b; j++ {
-				acc[4*j] += p[i0+j] * w0
+			for ; k < len(row); k++ {
+				acc0 += p[int(row[k])*b+j] * pr[k]
 			}
-		}
-		out := next[x*b : x*b+b]
-		for j := 0; j < b; j++ {
-			out[j] = c * ((acc[4*j] + acc[4*j+1]) + (acc[4*j+2] + acc[4*j+3]))
+			out[j] = c * ((acc0 + acc1) + (acc2 + acc3))
 		}
 		lo = hi
 	}
 }
 
-// gatherRowsMulti8 is gatherRowsMulti specialized to the full block width.
-// Columns are swept one at a time inside each row with the serial kernel's
-// four register accumulators; the row's edge list, probabilities, and the
-// source blocks' cache lines stay hot across the eight column passes, so
-// the memory system sees each line once per block rather than once per
-// vector. The per-column arithmetic is identical to the generic path and
-// to GatherStep, only dispatched statically.
+// gatherRowsMulti8 is gatherRowsMulti at the full block width, where the
+// constant stride turns every source-block index into a shift.
 func (t *TransitionCSR) gatherRowsMulti8(next, p []float64, c float64, rowLo, rowHi int) {
 	const b = MaxGatherBlock
 	lo := int(t.tOff[rowLo])
-	for x := rowLo; x < rowHi; x++ {
-		hi := int(t.tOff[x+1])
+	offs := t.tOff[rowLo+1 : rowHi+1]
+	for i, x := range t.tRow[rowLo:rowHi] {
+		hi := int(offs[i])
 		row := t.tFrom[lo:hi]
 		pr := t.tProb[lo:hi:hi][:len(row)]
-		out := next[x*b : x*b+b : x*b+b]
-		for j := 0; j < b; j++ {
+		out := next[int(x)*b : int(x)*b+b : int(x)*b+b]
+		for j := range out {
 			var acc0, acc1, acc2, acc3 float64
 			k := 0
 			for ; k+3 < len(row); k += 4 {

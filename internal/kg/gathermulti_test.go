@@ -2,7 +2,6 @@ package kg
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -107,53 +106,4 @@ func TestGatherStepMultiParallelBitwiseIdentical(t *testing.T) {
 			}
 		}
 	}
-}
-
-// BenchmarkGatherStepMulti pits one blocked step serving 8 vectors
-// against 8 serial steps — the amortization claim of the batched cold
-// path, measured at the kernel level.
-func BenchmarkGatherStepMulti(b *testing.B) {
-	g := transitionGraph(42, 20000, 200000)
-	tr := g.Transitions()
-	n := g.NumNodes()
-	rng := rand.New(rand.NewSource(1))
-	const width = MaxGatherBlock
-	pm := make([]float64, n*width)
-	for i := range pm {
-		pm[i] = rng.Float64()
-	}
-	nextM := make([]float64, n*width)
-	dangling := make([]float64, width)
-	// The serial baseline cycles 8 distinct vectors, as 8 independent
-	// queries would — re-reading one cached vector 8 times would flatter
-	// it.
-	ps := make([][]float64, width)
-	for v := range ps {
-		ps[v] = make([]float64, n)
-		for x := range ps[v] {
-			ps[v][x] = pm[x*width+v]
-		}
-	}
-	next := make([]float64, n)
-	b.Run("multi8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr.GatherStepMulti(nextM, pm, 0.8, width, dangling)
-		}
-	})
-	b.Run("serial8", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for v := 0; v < width; v++ {
-				tr.GatherStep(next, ps[v], 0.8)
-			}
-		}
-	})
-	b.Run("parallel8", func(b *testing.B) {
-		b.ReportAllocs()
-		workers := runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			tr.GatherStepMultiParallel(nextM, pm, 0.8, width, dangling, workers)
-		}
-	})
 }

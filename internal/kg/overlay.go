@@ -7,9 +7,11 @@ import "sync"
 // from it. A node appears in patched iff a mutation ever touched it; its
 // slice is the node's complete, merged adjacency (sorted by (Label, To)
 // and deduplicated, exactly the order Builder.Build would produce), so
-// reads are a single map probe, not a merge. Nodes and labels created
-// after the base was built live in the extraNames layers; deletes remove
-// edges but never nodes, so IDs stay dense and append-only.
+// reads are at most one map probe, not a merge; patchedBits marks the
+// patched nodes, so that reads of untouched nodes skip the probe. Nodes
+// and labels created after the base was built live in the extraNames
+// layers; deletes remove edges but never nodes, so IDs stay dense and
+// append-only.
 //
 // All fields are frozen once the owning Graph is published. The only
 // lazily materialized piece is wdeg — every entry changes on every
@@ -22,8 +24,9 @@ type overlay struct {
 	n int // total nodes, base + new
 	m int // total edges after patches
 
-	patched   map[NodeID][]Edge
-	typePatch map[NodeID]TypeID
+	patched     map[NodeID][]Edge
+	patchedBits []uint64 // bit v set iff patched holds node v
+	typePatch   map[NodeID]TypeID
 
 	nodeX  *extraNames
 	labelX *extraNames
@@ -39,11 +42,17 @@ type overlay struct {
 
 // outEdges returns node n's effective adjacency.
 func (o *overlay) outEdges(n NodeID) []Edge {
-	if adj, ok := o.patched[n]; ok {
-		return adj
+	return patchedAdjacency(o.base, o.patched, o.patchedBits, n)
+}
+
+// patchedAdjacency returns node n's adjacency in patched when its bit is
+// set in bits, and otherwise its adjacency in the flat base graph.
+func patchedAdjacency(base *Graph, patched map[NodeID][]Edge, bits []uint64, n NodeID) []Edge {
+	if w := int(n / 64); w < len(bits) && bits[w]&(1<<(n%64)) != 0 {
+		return patched[n]
 	}
-	if int(n) < o.base.NumNodes() {
-		return o.base.edges[o.base.offsets[n]:o.base.offsets[n+1]]
+	if int(n) < base.NumNodes() {
+		return base.edges[base.offsets[n]:base.offsets[n+1]]
 	}
 	return nil
 }
@@ -64,66 +73,6 @@ func (o *overlay) wdegs() []float64 {
 		o.wdeg = wd
 	})
 	return o.wdeg
-}
-
-// buildTransitions is the overlay flavor of Graph.Transitions: the same
-// probabilities and transpose layout as the base builder, computed over
-// the effective adjacency. Enumeration order per node matches the base
-// CSR order, so the resulting arrays are bitwise identical to those of a
-// from-scratch graph at this epoch.
-func (o *overlay) buildTransitions() *TransitionCSR {
-	g := o.g
-	n := o.n
-	wdeg := o.wdegs()
-	t := &TransitionCSR{
-		g:    g,
-		prob: make([]float64, o.m),
-		off:  make([]int64, n+1),
-	}
-	for v := 0; v < n; v++ {
-		adj := o.outEdges(NodeID(v))
-		lo := t.off[v]
-		hi := lo + int64(len(adj))
-		t.off[v+1] = hi
-		if lo == hi {
-			t.dangling = append(t.dangling, NodeID(v))
-			continue
-		}
-		if wd := wdeg[v]; wd > 0 {
-			inv := 1 / wd
-			for i, e := range adj {
-				t.prob[lo+int64(i)] = g.weight[e.Label] * inv
-			}
-		} else {
-			u := 1 / float64(hi-lo)
-			for i := lo; i < hi; i++ {
-				t.prob[i] = u
-			}
-		}
-	}
-	// Transpose by counting sort on edge targets, in the same
-	// row-major enumeration order as the base builder.
-	t.tOff = make([]int64, n+1)
-	t.tFrom = make([]NodeID, o.m)
-	t.tProb = make([]float64, o.m)
-	for v := 0; v < n; v++ {
-		for _, e := range o.outEdges(NodeID(v)) {
-			t.tOff[e.To+1]++
-		}
-	}
-	for v := 1; v <= n; v++ {
-		t.tOff[v] += t.tOff[v-1]
-	}
-	cursor := make([]int64, n)
-	for from := 0; from < n; from++ {
-		for i, e := range o.outEdges(NodeID(from)) {
-			pos := t.tOff[e.To] + cursor[e.To]
-			t.tFrom[pos] = NodeID(from)
-			t.tProb[pos] = t.prob[t.off[from]+int64(i)]
-			cursor[e.To]++
-		}
-	}
-	return t
 }
 
 // extraNames is an immutable append-only extension of a frozen base

@@ -25,11 +25,15 @@ type TransitionCSR struct {
 	prob []float64 // len NumEdges, aligned with the graph's edge enumeration
 	off  []int64   // row offsets into prob; shares the base CSR offsets when possible
 
-	// Transpose layout for gather-style power iteration: the in-edges of
-	// node x are tFrom[tOff[x]:tOff[x+1]] with matching arrival
-	// probabilities in tProb — tProb entries are the forward transition
-	// probabilities of the corresponding source edges, reordered by
-	// target.
+	// Transpose layout for gather-style power iteration. Row i holds the
+	// in-edges of node tRow[i]: sources tFrom[tOff[i]:tOff[i+1]] with
+	// matching arrival probabilities in tProb, the forward transition
+	// probabilities of the source edges. Rows are stored in ascending
+	// in-degree order, ties broken by node ID, so that consecutive rows
+	// have equal lengths and the gather's loop exits predict; within a
+	// row, in-edges keep the order a row-major sweep of the forward CSR
+	// meets them, which fixes every gathered sum's operation order.
+	tRow  []NodeID
 	tOff  []int64
 	tFrom []NodeID
 	tProb []float64
@@ -42,54 +46,88 @@ type TransitionCSR struct {
 // on first call. Safe for concurrent use; the result is shared and must
 // not be modified.
 func (g *Graph) Transitions() *TransitionCSR {
-	g.transOnce.Do(func() {
-		if g.ov != nil {
-			g.trans = g.ov.buildTransitions()
-			return
-		}
-		n := g.NumNodes()
-		t := &TransitionCSR{g: g, prob: make([]float64, len(g.edges)), off: g.offsets}
-		for v := 0; v < n; v++ {
-			lo, hi := g.offsets[v], g.offsets[v+1]
-			if lo == hi {
-				t.dangling = append(t.dangling, NodeID(v))
-				continue
-			}
-			if wd := g.wdeg[v]; wd > 0 {
-				inv := 1 / wd
-				for i := lo; i < hi; i++ {
-					t.prob[i] = g.weight[g.edges[i].Label] * inv
-				}
-			} else {
-				u := 1 / float64(hi-lo)
-				for i := lo; i < hi; i++ {
-					t.prob[i] = u
-				}
-			}
-		}
-		// Transpose by counting sort on edge targets.
-		t.tOff = make([]int64, n+1)
-		t.tFrom = make([]NodeID, len(g.edges))
-		t.tProb = make([]float64, len(g.edges))
-		for _, e := range g.edges {
-			t.tOff[e.To+1]++
-		}
-		for v := 1; v <= n; v++ {
-			t.tOff[v] += t.tOff[v-1]
-		}
-		cursor := make([]int64, n)
-		for from := 0; from < n; from++ {
-			for i := g.offsets[from]; i < g.offsets[from+1]; i++ {
-				to := g.edges[i].To
-				pos := t.tOff[to] + cursor[to]
-				t.tFrom[pos] = NodeID(from)
-				t.tProb[pos] = t.prob[i]
-				cursor[to]++
-			}
-		}
-		g.trans = t
-	})
+	g.transOnce.Do(func() { g.trans = buildTransitions(g) })
 	return g.trans
+}
+
+// buildTransitions computes the probabilities and the transpose of g's
+// effective adjacency: a flat CSR or an overlay view, which enumerate
+// each node's edges in the same order, so an overlay's matrix is bitwise
+// identical to that of a from-scratch graph at its epoch.
+func buildTransitions(g *Graph) *TransitionCSR {
+	n, m := g.NumNodes(), g.NumEdges()
+	t := &TransitionCSR{g: g, prob: make([]float64, m), off: g.offsets}
+	wdeg := g.wdeg
+	if g.ov != nil {
+		t.off = make([]int64, n+1)
+		wdeg = g.ov.wdegs()
+	}
+	// inDeg counts each node's in-edges in this pass and becomes the fill
+	// cursor of the node's row below.
+	inDeg := make([]int64, n)
+	lo := int64(0)
+	for v := 0; v < n; v++ {
+		adj := g.OutEdges(NodeID(v))
+		hi := lo + int64(len(adj))
+		if g.ov != nil {
+			t.off[v+1] = hi
+		}
+		for _, e := range adj {
+			inDeg[e.To]++
+		}
+		switch wd := wdeg[v]; {
+		case lo == hi:
+			t.dangling = append(t.dangling, NodeID(v))
+		case wd > 0:
+			inv := 1 / wd
+			for i, e := range adj {
+				t.prob[lo+int64(i)] = g.weight[e.Label] * inv
+			}
+		default:
+			u := 1 / float64(hi-lo)
+			for i := lo; i < hi; i++ {
+				t.prob[i] = u
+			}
+		}
+		lo = hi
+	}
+	// Order rows by in-degree with a stable counting sort over node IDs:
+	// the rows of in-degree d are rows [first[d], first[d+1]).
+	maxDeg := int64(0)
+	for _, d := range inDeg {
+		maxDeg = max(maxDeg, d)
+	}
+	first := make([]int, maxDeg+2)
+	for _, d := range inDeg {
+		first[d+1]++
+	}
+	t.tOff = make([]int64, n+1)
+	for d := int64(0); d <= maxDeg; d++ {
+		first[d+1] += first[d]
+		for r := first[d]; r < first[d+1]; r++ {
+			t.tOff[r+1] = t.tOff[r] + d
+		}
+	}
+	t.tRow = make([]NodeID, n)
+	for v, d := range inDeg {
+		r := first[d]
+		first[d]++
+		t.tRow[r] = NodeID(v)
+		inDeg[v] = t.tOff[r]
+	}
+	// Scatter the forward edges into their target rows in row-major order.
+	t.tFrom = make([]NodeID, m)
+	t.tProb = make([]float64, m)
+	for from := 0; from < n; from++ {
+		probs := t.prob[t.off[from]:t.off[from+1]]
+		for i, e := range g.OutEdges(NodeID(from)) {
+			pos := inDeg[e.To]
+			t.tFrom[pos] = NodeID(from)
+			t.tProb[pos] = probs[i]
+			inDeg[e.To]++
+		}
+	}
+	return t
 }
 
 // Probs returns the transition probabilities of node n's out-edges,
@@ -102,10 +140,11 @@ func (t *TransitionCSR) Probs(n NodeID) []float64 {
 // GatherStep computes one damped power-iteration step, next = c·Ã·p, as a
 // gather over the transpose layout, and returns the probability mass
 // sitting on dangling (out-degree-zero) nodes. It is the saturated-
-// frontier kernel of the ppr package: next is written sequentially and
-// overwritten outright (no pre-zeroing), in-edge lists and probabilities
-// stream linearly, and only the reads of p are random. next must have at
-// least NumNodes entries.
+// frontier kernel of the ppr package: every entry of next is overwritten
+// outright (no pre-zeroing), in row order, so the writes follow the
+// in-degree ordering of the rows rather than node order; in-edge lists and
+// probabilities stream linearly, and the reads of p are random. next must
+// have at least NumNodes entries.
 func (t *TransitionCSR) GatherStep(next, p []float64, c float64) (dangling float64) {
 	t.gatherRows(next, p, c, 0, t.g.NumNodes())
 	return t.danglingMass(p)
@@ -119,14 +158,15 @@ func (t *TransitionCSR) danglingMass(p []float64) (dangling float64) {
 	return dangling
 }
 
-// gatherRows computes next[rowLo:rowHi) of one gather step: the row range
-// is the unit of parallelism, and every row is produced entirely by one
-// call, so any partition of [0, n) yields the same bits as a full serial
-// sweep.
+// gatherRows computes transpose rows [rowLo, rowHi) of one gather step,
+// writing next[tRow[i]] for each row i: the row range is the unit of
+// parallelism, and every row is produced entirely by one call, so any
+// partition of [0, n) yields the same bits as a full serial sweep.
 func (t *TransitionCSR) gatherRows(next, p []float64, c float64, rowLo, rowHi int) {
 	lo := int(t.tOff[rowLo])
-	for x := rowLo; x < rowHi; x++ {
-		hi := int(t.tOff[x+1])
+	offs := t.tOff[rowLo+1 : rowHi+1]
+	for i, x := range t.tRow[rowLo:rowHi] {
+		hi := int(offs[i])
 		row := t.tFrom[lo:hi]
 		pr := t.tProb[lo:hi:hi][:len(row)]
 		// Four running sums break the accumulator dependency chain (the
@@ -178,11 +218,11 @@ func (t *TransitionCSR) gatherWorkers(workers, b int) int {
 	return min(workers, t.g.NumNodes())
 }
 
-// gatherShards partitions the rows [0, n) into up to workers contiguous
-// shards and runs rows(lo, hi) once per shard through the shared executor,
-// the last shard on the calling goroutine. Shards balance in-edge counts
-// via the transpose offsets, not row counts, so one hub-heavy shard cannot
-// serialize the step.
+// gatherShards partitions the transpose rows [0, n) into up to workers
+// contiguous shards and runs rows(lo, hi) once per shard through the
+// shared executor, the last shard on the calling goroutine. Shards balance
+// in-edge counts via the transpose offsets, not row counts, so the shard
+// holding the hubs' rows (the last rows) cannot serialize the step.
 func (t *TransitionCSR) gatherShards(workers int, rows func(lo, hi int)) {
 	n := t.g.NumNodes()
 	edges := int64(len(t.tFrom))

@@ -1,9 +1,9 @@
 package kg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 )
 
@@ -132,50 +132,50 @@ func TestGatherStepParallelBitwiseIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkGatherStep measures the dense gather kernel serial vs
-// row-partitioned parallel on a graph big enough to clear the fallback
-// threshold.
-func BenchmarkGatherStep(b *testing.B) {
-	g := transitionGraph(42, 20000, 200000)
-	tr := g.Transitions()
-	n := g.NumNodes()
-	rng := rand.New(rand.NewSource(1))
-	p := make([]float64, n)
-	for i := range p {
-		p[i] = rng.Float64()
-	}
-	next := make([]float64, n)
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tr.GatherStep(next, p, 0.8)
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		workers := runtime.GOMAXPROCS(0)
-		for i := 0; i < b.N; i++ {
-			tr.GatherStepParallel(next, p, 0.8, workers)
-		}
-	})
-}
-
+// TestGatherStepOverwritesStaleNext: every gather kernel overwrites next
+// outright, so stale contents never leak into a step — on a small graph
+// and on one that clears the parallel threshold.
 func TestGatherStepOverwritesStaleNext(t *testing.T) {
-	g := transitionGraph(9, 20, 60)
-	tr := g.Transitions()
-	n := g.NumNodes()
-	p := make([]float64, n)
-	p[0] = 1
-	a := make([]float64, n)
-	tr.GatherStep(a, p, 0.8)
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = 42 // stale garbage that must not leak through
-	}
-	tr.GatherStep(b, p, 0.8)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("node %d: %v vs %v — GatherStep accumulated instead of overwriting", i, a[i], b[i])
+	for _, g := range []*Graph{transitionGraph(9, 20, 60), transitionGraph(9, 3000, 12000)} {
+		tr := g.Transitions()
+		n := g.NumNodes()
+		type kernel struct {
+			name string
+			b    int
+			run  func(next, p []float64)
+		}
+		kernels := []kernel{
+			{"GatherStep", 1, func(next, p []float64) { tr.GatherStep(next, p, 0.8) }},
+			{"GatherStepParallel", 1, func(next, p []float64) { tr.GatherStepParallel(next, p, 0.8, 4) }},
+		}
+		for b := 1; b <= MaxGatherBlock; b++ {
+			dangling := make([]float64, b)
+			kernels = append(kernels,
+				kernel{fmt.Sprintf("GatherStepMulti(b=%d)", b), b, func(next, p []float64) {
+					tr.GatherStepMulti(next, p, 0.8, b, dangling)
+				}},
+				kernel{fmt.Sprintf("GatherStepMultiParallel(b=%d)", b), b, func(next, p []float64) {
+					tr.GatherStepMultiParallel(next, p, 0.8, b, dangling, 4)
+				}})
+		}
+		for _, k := range kernels {
+			p := make([]float64, n*k.b)
+			for j := 0; j < k.b; j++ {
+				p[j] = float64(j + 1) // all mass on node 0, a different amount per column
+			}
+			a := make([]float64, n*k.b)
+			k.run(a, p)
+			stale := make([]float64, n*k.b)
+			for i := range stale {
+				stale[i] = 42 // stale garbage that must not leak through
+			}
+			k.run(stale, p)
+			for i := range a {
+				if a[i] != stale[i] {
+					t.Fatalf("%d nodes %s: slot %d: %v vs %v — accumulated instead of overwriting",
+						n, k.name, i, a[i], stale[i])
+				}
+			}
 		}
 	}
 }

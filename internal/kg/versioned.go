@@ -2,6 +2,7 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -260,8 +261,9 @@ type mutator struct {
 
 	n, m int
 
-	patched   map[NodeID][]Edge
-	typePatch map[NodeID]TypeID
+	patched     map[NodeID][]Edge
+	patchedBits []uint64
+	typePatch   map[NodeID]TypeID
 
 	nodeX  *extraNames
 	labelX *extraNames
@@ -283,6 +285,7 @@ func newMutator(prev *Graph) *mutator {
 		for k, vv := range o.patched {
 			m.patched[k] = vv
 		}
+		m.patchedBits = slices.Clone(o.patchedBits)
 		m.typePatch = make(map[NodeID]TypeID, len(o.typePatch)+1)
 		for k, vv := range o.typePatch {
 			m.typePatch[k] = vv
@@ -382,13 +385,16 @@ func (m *mutator) typeID(name string) TypeID {
 
 // adjOf returns the effective adjacency of node v in the working state.
 func (m *mutator) adjOf(v NodeID) []Edge {
-	if adj, ok := m.patched[v]; ok {
-		return adj
+	return patchedAdjacency(m.base, m.patched, m.patchedBits, v)
+}
+
+// patch replaces node v's adjacency in the working state.
+func (m *mutator) patch(v NodeID, adj []Edge) {
+	m.patched[v] = adj
+	if w := int(v / 64); w >= len(m.patchedBits) {
+		m.patchedBits = append(m.patchedBits, make([]uint64, w+1-len(m.patchedBits))...)
 	}
-	if int(v) < m.base.NumNodes() {
-		return m.base.edges[m.base.offsets[v]:m.base.offsets[v+1]]
-	}
-	return nil
+	m.patchedBits[v/64] |= 1 << (v % 64)
 }
 
 // insertEdge inserts (from, l, to) at its sorted position, reporting
@@ -406,7 +412,7 @@ func (m *mutator) insertEdge(from NodeID, l LabelID, to NodeID) bool {
 	na = append(na, adj[:i]...)
 	na = append(na, Edge{Label: l, To: to})
 	na = append(na, adj[i:]...)
-	m.patched[from] = na
+	m.patch(from, na)
 	m.m++
 	m.labelCount[l]++
 	m.dirty = true
@@ -427,7 +433,7 @@ func (m *mutator) removeEdge(from NodeID, l LabelID, to NodeID) bool {
 	na := make([]Edge, 0, len(adj)-1)
 	na = append(na, adj[:i]...)
 	na = append(na, adj[i+1:]...)
-	m.patched[from] = na
+	m.patch(from, na)
 	m.m--
 	m.labelCount[l]--
 	m.dirty = true
@@ -514,17 +520,18 @@ func (m *mutator) graph() *Graph {
 		weight:     weight,
 	}
 	g.ov = &overlay{
-		g:         g,
-		base:      m.base,
-		n:         m.n,
-		m:         m.m,
-		patched:   m.patched,
-		typePatch: m.typePatch,
-		nodeX:     m.nodeX,
-		labelX:    m.labelX,
-		typeX:     m.typeX,
-		adds:      m.adds,
-		dels:      m.dels,
+		g:           g,
+		base:        m.base,
+		n:           m.n,
+		m:           m.m,
+		patched:     m.patched,
+		patchedBits: m.patchedBits,
+		typePatch:   m.typePatch,
+		nodeX:       m.nodeX,
+		labelX:      m.labelX,
+		typeX:       m.typeX,
+		adds:        m.adds,
+		dels:        m.dels,
 	}
 	return g
 }

@@ -126,8 +126,9 @@ func (r *refState) build() *Graph {
 }
 
 // requireSameGraph asserts bitwise equality of two graphs under the
-// whole public read API, including transition probabilities and one
-// serial + one parallel gather step.
+// whole public read API, including transition probabilities, one serial
+// and one parallel gather step, and one serial and one parallel blocked
+// step at every block width.
 func requireSameGraph(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() ||
@@ -198,6 +199,23 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 	gd = gt.GatherStepParallel(gn, p, 0.8, 4)
 	if gd != wd || !reflect.DeepEqual(gn, wn) {
 		t.Fatalf("parallel gather step mismatch")
+	}
+	for b := 1; b <= MaxGatherBlock; b++ {
+		pm := make([]float64, len(p)*b)
+		for i := range pm {
+			pm[i] = 1 / float64(i+b)
+		}
+		gm, wm := make([]float64, len(pm)), make([]float64, len(pm))
+		gdm, wdm := make([]float64, b), make([]float64, b)
+		wt.GatherStepMulti(wm, pm, 0.8, b, wdm)
+		gt.GatherStepMulti(gm, pm, 0.8, b, gdm)
+		if !reflect.DeepEqual(gdm, wdm) || !reflect.DeepEqual(gm, wm) {
+			t.Fatalf("blocked gather step mismatch at b=%d", b)
+		}
+		gt.GatherStepMultiParallel(gm, pm, 0.8, b, gdm, 4)
+		if !reflect.DeepEqual(gdm, wdm) || !reflect.DeepEqual(gm, wm) {
+			t.Fatalf("parallel blocked gather step mismatch at b=%d", b)
+		}
 	}
 }
 

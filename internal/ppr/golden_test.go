@@ -29,6 +29,61 @@ var goldenPPRDigests = map[[2]float64]string{
 	{0.8, 10}: "6ecd1d6cce69435e8f7856ee77a093df593d6f1df5f5fd623a4c1ffdc2603e4a",
 }
 
+// goldenOverlayDigests pins the same sums on goldenOverlay's view of the
+// graph, whose transition matrix is rebuilt from the overlay adjacency.
+// The values were recorded from the row-major transpose layout, before
+// transpose rows were ordered by in-degree.
+var goldenOverlayDigests = map[[2]float64]string{
+	{0.2, 10}: "061cb0655317a74375e5f2ebfe1dba61f8741458011bca0e0ce66f29e988da68",
+	{0.5, 5}:  "079366d1a635b6a291e213279fbe0f1e58c651f1e3135ff1e32c063110ea8d07",
+	{0.8, 10}: "c9001f55ad4a3c976d25b6b021338b3a754e778a1db0ebe27a77093ea1995046",
+}
+
+// goldenOverlay applies one fixed batch to g without compacting: adds
+// between existing nodes and to new ones, deletes of existing edges, and
+// every edge of two low-degree nodes deleted so that they turn dangling.
+func goldenOverlay(t *testing.T, g *kg.Graph) *kg.Graph {
+	rng := rand.New(rand.NewSource(2))
+	node := func() kg.NodeID { return kg.NodeID(rng.Intn(g.NumNodes())) }
+	triple := func(s kg.NodeID, e kg.Edge) kg.Triple {
+		return kg.Triple{S: g.NodeName(s), P: g.LabelName(e.Label), O: g.NodeName(e.To)}
+	}
+	var adds, dels []kg.Triple
+	for i := 0; i < 96; i++ {
+		s := node()
+		adj := g.OutEdges(s)
+		if len(adj) == 0 {
+			continue
+		}
+		e := adj[rng.Intn(len(adj))]
+		switch i % 3 {
+		case 0:
+			dels = append(dels, triple(s, e))
+		case 1:
+			adds = append(adds, triple(s, kg.Edge{Label: e.Label, To: node()}))
+		default:
+			adds = append(adds, kg.Triple{S: g.NodeName(s), P: g.LabelName(e.Label), O: fmt.Sprintf("golden-new-%d", i%7)})
+		}
+	}
+	for emptied := 0; emptied < 2; {
+		s := node()
+		if adj := g.OutEdges(s); len(adj) == 1 || len(adj) == 2 {
+			for _, e := range adj {
+				dels = append(dels, triple(s, e))
+			}
+			emptied++
+		}
+	}
+	view, err := kg.NewVersioned(g, kg.VersionedOptions{CompactThreshold: -1}).Apply(adds, dels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if view.Adds == 0 || view.Dels == 0 {
+		t.Fatalf("golden batch applied %d adds and %d deletes", view.Adds, view.Dels)
+	}
+	return view.G
+}
+
 // goldenQueries draws 12 queries from d: actor-scenario seeds, random
 // nodes, an empty query, and duplicate seeds within a query.
 func goldenQueries(t *testing.T, d *gen.Dataset) [][]kg.NodeID {
@@ -77,14 +132,23 @@ func digestVectors(vs [][]float64) string {
 // TestPPRGoldenDigests: PersonalizedSumCtx, PersonalizedSumMultiCtx and
 // PersonalizedSumMultiStream return the recorded bits at Parallelism 1, 2
 // and 4, with and without a seed cache (cold, then warm), through both the
-// per-seed dense tail and the blocked multi-vector kernel.
+// per-seed dense tail and the blocked multi-vector kernel, on the flat
+// graph and on an overlay view of it.
 func TestPPRGoldenDigests(t *testing.T) {
 	if raceEnabled {
-		t.Skip("108 batches of 12 queries take minutes under the race detector")
+		t.Skip("216 batches of 12 queries take minutes under the race detector")
 	}
 	d := gen.YAGOLike(gen.YAGOConfig{Seed: 1, Scale: 1})
-	g := d.Graph
 	queries := goldenQueries(t, d)
+	t.Run("flat", func(t *testing.T) { checkGoldenDigests(t, d.Graph, queries, goldenPPRDigests) })
+	t.Run("overlay", func(t *testing.T) {
+		checkGoldenDigests(t, goldenOverlay(t, d.Graph), queries, goldenOverlayDigests)
+	})
+}
+
+// checkGoldenDigests runs every sum entry point on g under every setting
+// of golden and compares the digests.
+func checkGoldenDigests(t *testing.T, g *kg.Graph, queries [][]kg.NodeID, golden map[[2]float64]string) {
 	ctx := context.Background()
 	entries := map[string]func(Options) [][]float64{
 		"sum": func(opt Options) [][]float64 {
@@ -114,7 +178,7 @@ func TestPPRGoldenDigests(t *testing.T) {
 		} else {
 			multiDenseMinEdges = 1 << 62
 		}
-		for setting, want := range goldenPPRDigests {
+		for setting, want := range golden {
 			for name, run := range entries {
 				for _, par := range []int{1, 2, 4} {
 					for _, cached := range []bool{false, true} {

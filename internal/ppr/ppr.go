@@ -29,9 +29,12 @@
 // (kg.TransitionCSR.GatherStep) once the frontier saturates past
 // NumNodes/denseSwitchDivisor (see that constant for the crossover
 // rationale), where frontier bookkeeping costs more than it saves. The
-// saturated gather runs row-partitioned over Options.Parallelism workers
-// — rows are independent, so every worker count produces bitwise
-// identical vectors. Both regimes read per-edge transition probabilities
+// saturated gather walks the transpose's rows, which are stored in
+// ascending in-degree order so that consecutive rows run the same number
+// of inner-loop trips, and writes each row's node; it runs
+// row-partitioned over Options.Parallelism workers — rows are
+// independent, so every worker count produces bitwise identical vectors.
+// Both regimes read per-edge transition probabilities
 // from the graph's precomputed kg.TransitionCSR rather than recomputing
 // w(l)/wdeg per edge per iteration, and the teleport is one add at the
 // seed. Scratch vectors are recycled through a sync.Pool and cleared
@@ -47,8 +50,9 @@
 //
 // PersonalizedSumMultiCtx (multi.go) batches many queries into one
 // multi-source solve — unique seeds solved once, dense tails blocked
-// through the multi-vector gather kernel — bitwise identical to per-query
-// PersonalizedSumCtx calls.
+// through the multi-vector gather kernel, which sweeps each row's columns
+// one at a time with the serial kernel's arithmetic at every block width —
+// bitwise identical to per-query PersonalizedSumCtx calls.
 package ppr
 
 import (
