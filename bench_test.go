@@ -327,27 +327,6 @@ func BenchmarkAblationSelectors(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationScoring compares the multinomial test against the
-// χ²-test scoring path on the same distributions.
-func BenchmarkAblationScoring(b *testing.B) {
-	a := benchActorsCase(b)
-	created, ok := a.FindNC.ByName("created")
-	if !ok {
-		b.Fatal("created missing")
-	}
-	pi := stats.Normalize(dist.ContextFloats(created.Inst.Context))
-	obs := created.Inst.Query
-	m := stats.Multinomial{Seed: benchSeed}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			m.Test(pi, obs)
-		} else {
-			stats.ChiSquare(pi, obs)
-		}
-	}
-}
-
 // BenchmarkAblationDistKinds compares notable counts when only the
 // instance test, only the cardinality test, or the paper's max rule is
 // applied.

@@ -68,6 +68,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ncsearch: unknown -selector %q (want contextrw | randomwalk | simrank | jaccard)\n", *selector)
 		os.Exit(2)
 	}
+	switch *policy {
+	case notable.PolicyStrict, notable.PolicyPooled:
+	default:
+		fmt.Fprintf(os.Stderr, "ncsearch: unknown -policy %q (want strict | pooled)\n", *policy)
+		os.Exit(2)
+	}
 
 	if *queryStr == "" && *queryFile == "" && !*refine {
 		fmt.Fprintln(os.Stderr, "ncsearch: -q, -queries, or -refine is required")

@@ -232,7 +232,7 @@ func TestDurableCompactionCheckpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	applyBatches(t, e, 4)
-	e.Compact()
+	e.vg.Compact()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}

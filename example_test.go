@@ -79,31 +79,3 @@ func ExampleEngine_DoStream() {
 	// Output:
 	// true true
 }
-
-// ExampleEngine_DoCompare tests an explicit query against an explicit
-// context, skipping context selection entirely.
-func ExampleEngine_DoCompare() {
-	b := notable.NewBuilder(16)
-	b.AddEdge("alice", "hasDegree", "PhD")
-	b.AddEdge("alice", "worksAt", "Acme")
-	b.AddEdge("bob", "worksAt", "Acme")
-	b.AddEdge("carol", "worksAt", "Acme")
-	b.AddEdge("dave", "worksAt", "Acme")
-	g := b.Build()
-
-	engine := notable.NewEngine(g, notable.Options{Seed: 1})
-	query, _ := engine.Resolve("alice")
-	peers, _ := engine.Resolve("bob", "carol", "dave")
-	chars, err := engine.DoCompare(context.Background(), query, peers, notable.Query{})
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	for _, c := range chars {
-		if c.Notable() {
-			fmt.Printf("%s is notable\n", c.Name)
-		}
-	}
-	// Output:
-	// hasDegree is notable
-}

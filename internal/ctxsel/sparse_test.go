@@ -34,7 +34,7 @@ func scoresWithPathsReference(s ContextRW, g *kg.Graph, query []kg.NodeID, mined
 		}
 		var share []float64
 		for _, q := range query {
-			counts := metapath.CountPaths(g, q, mp.Path)
+			counts, _ := metapath.CountPathsInto(g, q, mp.Path, &metapath.Scratch{})
 			denom := 0.0
 			for id, c := range counts {
 				if c != 0 && !inQuery[kg.NodeID(id)] {

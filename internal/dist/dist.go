@@ -79,23 +79,18 @@ func (d Instance) CategoryName(g *kg.Graph, i int) string {
 	return g.NodeName(d.Values[i-1])
 }
 
-// TestVectors returns the context distribution (as floats, unnormalized)
-// and the query observation aligned with it, applying the unseen-value
-// policy. Under UnseenPooled the returned vectors cover the kept
-// categories (None plus values with at least two owners) followed by one
-// pooled category summing the idiosyncratic values; under UnseenStrict
-// they alias the distribution's own count slices. Both policies return π
-// and the observation with equal lengths — Query and Context share one
-// category space by construction, so the vectors cannot diverge (pinned
-// by TestTestVectorsAlwaysAligned).
-func (d Instance) TestVectors(policy UnseenPolicy) ([]float64, []int) {
-	return d.TestVectorsScratch(policy, nil)
-}
-
-// TestVectorsScratch is TestVectors building π (and, under UnseenPooled,
-// the observation) into s's reusable buffers. The returned slices are
-// valid until the next call with the same Scratch; s may be nil, which
-// allocates freshly.
+// TestVectorsScratch returns the context distribution (as floats,
+// unnormalized) and the query observation aligned with it, applying the
+// unseen-value policy. Under UnseenPooled the returned vectors cover the
+// kept categories (None plus values with at least two owners) followed by
+// one pooled category summing the idiosyncratic values; under UnseenStrict
+// they alias the distribution's own count slices. Both policies return π and
+// the observation with equal lengths — Query and Context share one category
+// space by construction, so the vectors cannot diverge (pinned by
+// TestTestVectorsAlwaysAligned). It builds π (and, under UnseenPooled, the
+// observation) into s's reusable buffers. The returned slices are valid
+// until the next call with the same Scratch; s may be nil, which allocates
+// freshly.
 func (d Instance) TestVectorsScratch(policy UnseenPolicy, s *Scratch) ([]float64, []int) {
 	if s == nil {
 		s = &Scratch{}
@@ -125,17 +120,13 @@ func (d Instance) TestVectorsScratch(policy UnseenPolicy, s *Scratch) ([]float64
 	return pi, obs
 }
 
-// Instances builds the instance distribution of label l over the query
-// and context node sets. Each node contributes one count per distinct
-// l-edge value, or one None count if it has no l-edge.
-func Instances(g *kg.Graph, l kg.LabelID, query, context []kg.NodeID) Instance {
-	return InstancesScratch(g, l, query, context, nil)
-}
-
-// InstancesScratch is Instances reusing s's category-index map across
-// calls — the dominant allocation when testing many labels over one node
-// set. The returned Instance owns fresh count and value slices either
-// way; only internal lookup state is recycled. s may be nil.
+// InstancesScratch builds the instance distribution of label l over the
+// query and context node sets. Each node contributes one count per distinct
+// l-edge value, or one None count if it has no l-edge. It reuses s's
+// category-index map across calls — the dominant allocation when testing
+// many labels over one node set. The returned Instance owns fresh count
+// and value slices either way; only internal lookup state is recycled. s
+// may be nil.
 func InstancesScratch(g *kg.Graph, l kg.LabelID, query, context []kg.NodeID, s *Scratch) Instance {
 	var index map[kg.NodeID]int
 	if s != nil {

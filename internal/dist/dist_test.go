@@ -58,7 +58,7 @@ func catCount(t *testing.T, g *kg.Graph, d Instance, name string, counts []int) 
 
 func TestInstancesCountsAndNone(t *testing.T) {
 	g, query, context := smallWorld(t)
-	d := Instances(g, label(t, g, "studied"), query, context)
+	d := InstancesScratch(g, label(t, g, "studied"), query, context, nil)
 	if d.NumCategories() != 3 { // None, Physics, Law
 		t.Fatalf("NumCategories = %d, want 3", d.NumCategories())
 	}
@@ -85,8 +85,8 @@ func TestInstancesCountsAndNone(t *testing.T) {
 
 func TestInstancesDeterministicCategories(t *testing.T) {
 	g, query, context := smallWorld(t)
-	a := Instances(g, label(t, g, "studied"), query, context)
-	b := Instances(g, label(t, g, "studied"), query, context)
+	a := InstancesScratch(g, label(t, g, "studied"), query, context, nil)
+	b := InstancesScratch(g, label(t, g, "studied"), query, context, nil)
 	if len(a.Values) != len(b.Values) {
 		t.Fatal("value sets differ")
 	}
@@ -102,8 +102,8 @@ func TestInstancesDeterministicCategories(t *testing.T) {
 
 func TestTestVectorsStrictUnseenIsImpossible(t *testing.T) {
 	g, query, context := smallWorld(t)
-	d := Instances(g, label(t, g, "studied"), query, context)
-	pi, obs := d.TestVectors(UnseenStrict)
+	d := InstancesScratch(g, label(t, g, "studied"), query, context, nil)
+	pi, obs := d.TestVectorsScratch(UnseenStrict, nil)
 	if len(pi) != len(obs) || len(pi) != d.NumCategories() {
 		t.Fatalf("vector lengths: pi=%d obs=%d cats=%d", len(pi), len(obs), d.NumCategories())
 	}
@@ -117,8 +117,8 @@ func TestTestVectorsStrictUnseenIsImpossible(t *testing.T) {
 
 func TestTestVectorsPooledMergesIdiosyncratic(t *testing.T) {
 	g, query, context := smallWorld(t)
-	d := Instances(g, label(t, g, "created"), query, context)
-	pi, obs := d.TestVectors(UnseenPooled)
+	d := InstancesScratch(g, label(t, g, "created"), query, context, nil)
+	pi, obs := d.TestVectorsScratch(UnseenPooled, nil)
 	// Every work has exactly one owner, so pooling leaves None + pooled.
 	if len(pi) != 2 || len(obs) != 2 {
 		t.Fatalf("pooled vectors: pi=%v obs=%v", pi, obs)
@@ -133,7 +133,7 @@ func TestTestVectorsPooledMergesIdiosyncratic(t *testing.T) {
 		t.Fatal("pooled policy still treats unique values as impossible")
 	}
 	// Shared values (Law) survive pooling for the studied label.
-	dp, _ := Instances(g, label(t, g, "studied"), query, context).TestVectors(UnseenPooled)
+	dp, _ := InstancesScratch(g, label(t, g, "studied"), query, context, nil).TestVectorsScratch(UnseenPooled, nil)
 	if len(dp) != 3 { // None, Law, pooled(Physics)
 		t.Fatalf("studied pooled pi = %v", dp)
 	}

@@ -13,7 +13,7 @@ func TestInstancesScratchMatchesFresh(t *testing.T) {
 	var s Scratch
 	for _, name := range []string{"studied", "created", "studied"} {
 		l := label(t, g, name)
-		fresh := Instances(g, l, query, context)
+		fresh := InstancesScratch(g, l, query, context, nil)
 		reused := InstancesScratch(g, l, query, context, &s)
 		if len(fresh.Values) != len(reused.Values) {
 			t.Fatalf("%s: %d values vs %d", name, len(fresh.Values), len(reused.Values))
@@ -38,13 +38,13 @@ func TestInstancesScratchMatchesFresh(t *testing.T) {
 func TestTestVectorsAlwaysAligned(t *testing.T) {
 	g, query, context := smallWorld(t)
 	for _, name := range []string{"studied", "created"} {
-		d := Instances(g, label(t, g, name), query, context)
+		d := InstancesScratch(g, label(t, g, name), query, context, nil)
 		if len(d.Query) != len(d.Context) {
 			t.Fatalf("%s: distribution slices disagree: %d vs %d",
 				name, len(d.Query), len(d.Context))
 		}
 		for _, policy := range []UnseenPolicy{UnseenStrict, UnseenPooled} {
-			pi, obs := d.TestVectors(policy)
+			pi, obs := d.TestVectorsScratch(policy, nil)
 			if len(pi) != len(obs) {
 				t.Fatalf("%s policy %d: π length %d != observation length %d",
 					name, policy, len(pi), len(obs))
@@ -70,7 +70,7 @@ func TestTestVectorsAlwaysAligned(t *testing.T) {
 func TestTestVectorsScratchReuse(t *testing.T) {
 	g, query, context := smallWorld(t)
 	var s Scratch
-	d := Instances(g, label(t, g, "studied"), query, context)
+	d := InstancesScratch(g, label(t, g, "studied"), query, context, nil)
 	pi1, _ := d.TestVectorsScratch(UnseenStrict, &s)
 	pi2, _ := d.TestVectorsScratch(UnseenStrict, &s)
 	if &pi1[0] != &pi2[0] {

@@ -224,14 +224,6 @@ func (g *Graph) OutEdges(n NodeID) []Edge {
 	return g.edges[g.offsets[n]:g.offsets[n+1]]
 }
 
-// OutDegree returns the number of outgoing edges of n (inverses included).
-func (g *Graph) OutDegree(n NodeID) int {
-	if g.ov != nil {
-		return len(g.ov.outEdges(n))
-	}
-	return int(g.offsets[n+1] - g.offsets[n])
-}
-
 // OutEdgesByLabel returns the contiguous sub-slice of n's adjacency whose
 // label is l. The slice is owned by the graph and must not be modified.
 func (g *Graph) OutEdgesByLabel(n NodeID, l LabelID) []Edge {
@@ -241,24 +233,8 @@ func (g *Graph) OutEdgesByLabel(n NodeID, l LabelID) []Edge {
 	return adj[lo:hi]
 }
 
-// HasEdge reports whether the edge (n, l, to) exists.
-func (g *Graph) HasEdge(n NodeID, l LabelID, to NodeID) bool {
-	adj := g.OutEdgesByLabel(n, l)
-	i := sort.Search(len(adj), func(i int) bool { return adj[i].To >= to })
-	return i < len(adj) && adj[i].To == to
-}
-
 // LabelCount returns |E_l|, the number of edges labeled l.
 func (g *Graph) LabelCount(l LabelID) int64 { return g.labelCount[l] }
-
-// LabelFrequency returns |E_l| / |E|.
-func (g *Graph) LabelFrequency(l LabelID) float64 {
-	m := g.NumEdges()
-	if m == 0 {
-		return 0
-	}
-	return float64(g.labelCount[l]) / float64(m)
-}
 
 // LabelWeight returns the informativeness weight 1 − |E_l|/|E| of Eq. 1.
 func (g *Graph) LabelWeight(l LabelID) float64 { return g.weight[l] }

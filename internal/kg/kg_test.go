@@ -60,7 +60,7 @@ func TestReverseEdgesExist(t *testing.T) {
 	merkel, _ := g.NodeByName("Merkel")
 	studied, _ := g.LabelByName("studied")
 	inv := g.InverseLabel(studied)
-	if !g.HasEdge(physics, inv, merkel) {
+	if !hasEdge(g, physics, inv, merkel) {
 		t.Fatal("reverse edge Physics --studied⁻¹--> Merkel missing")
 	}
 	if g.InverseLabel(inv) != studied {
@@ -85,7 +85,7 @@ func TestSymmetricLabel(t *testing.T) {
 	}
 	a, _ := g.NodeByName("a")
 	bn, _ := g.NodeByName("b")
-	if !g.HasEdge(bn, spouse, a) {
+	if !hasEdge(g, bn, spouse, a) {
 		t.Fatal("mirrored symmetric edge missing")
 	}
 	if g.NumEdges() != 2 {
@@ -140,8 +140,8 @@ func TestLabelFrequencyAndWeight(t *testing.T) {
 	// 10 of 30 edges are hasChild. Compare against the same runtime float
 	// expression the graph uses (constant folding is more precise).
 	wantFreq := float64(10) / float64(30)
-	if got := g.LabelFrequency(hasChild); got != wantFreq {
-		t.Fatalf("LabelFrequency(hasChild) = %v, want 1/3", got)
+	if got := float64(g.LabelCount(hasChild)) / float64(g.NumEdges()); got != wantFreq {
+		t.Fatalf("|E_hasChild|/|E| = %v, want 1/3", got)
 	}
 	if got := g.LabelWeight(hasChild); got != 1-wantFreq {
 		t.Fatalf("LabelWeight(hasChild) = %v", got)
@@ -204,16 +204,26 @@ func TestLabelsOf(t *testing.T) {
 	}
 }
 
+// hasEdge reports whether the edge (n, l, to) exists.
+func hasEdge(g *Graph, n NodeID, l LabelID, to NodeID) bool {
+	for _, e := range g.OutEdgesByLabel(n, l) {
+		if e.To == to {
+			return true
+		}
+	}
+	return false
+}
+
 func TestHasEdge(t *testing.T) {
 	g := figure1()
 	merkel, _ := g.NodeByName("Merkel")
 	physics, _ := g.NodeByName("Physics")
 	law, _ := g.NodeByName("Law")
 	studied, _ := g.LabelByName("studied")
-	if !g.HasEdge(merkel, studied, physics) {
+	if !hasEdge(g, merkel, studied, physics) {
 		t.Fatal("Merkel studied Physics missing")
 	}
-	if g.HasEdge(merkel, studied, law) {
+	if hasEdge(g, merkel, studied, law) {
 		t.Fatal("Merkel studied Law should not exist")
 	}
 }
@@ -227,8 +237,8 @@ func TestIsolatedNode(t *testing.T) {
 	if !ok {
 		t.Fatal("loner not interned")
 	}
-	if g.OutDegree(loner) != 0 {
-		t.Fatalf("loner degree = %d", g.OutDegree(loner))
+	if len(g.OutEdges(loner)) != 0 {
+		t.Fatalf("loner degree = %d", len(g.OutEdges(loner)))
 	}
 	if g.WeightedOutDegree(loner) != 0 {
 		t.Fatal("loner weighted degree should be 0")
@@ -258,7 +268,7 @@ func TestInverseInvolutionProperty(t *testing.T) {
 		g := b.Build()
 		for n := 0; n < g.NumNodes(); n++ {
 			for _, e := range g.OutEdges(NodeID(n)) {
-				if !g.HasEdge(e.To, g.InverseLabel(e.Label), NodeID(n)) {
+				if !hasEdge(g, e.To, g.InverseLabel(e.Label), NodeID(n)) {
 					return false
 				}
 				if g.InverseLabel(g.InverseLabel(e.Label)) != e.Label {
@@ -285,7 +295,7 @@ func TestWeightBoundsProperty(t *testing.T) {
 		g := b.Build()
 		for l := 0; l < g.NumLabels(); l++ {
 			w := g.LabelWeight(LabelID(l))
-			fq := g.LabelFrequency(LabelID(l))
+			fq := float64(g.LabelCount(LabelID(l))) / float64(g.NumEdges())
 			if w < 0 || w >= 1 || w+fq != 1 {
 				return false
 			}

@@ -331,7 +331,7 @@ func TestVersionedSymmetricLabelMirrorsUnderSameLabel(t *testing.T) {
 	c, _ := g.NodeByName("C")
 	d, _ := g.NodeByName("D")
 	sp, _ := g.LabelByName("spouse")
-	if !g.HasEdge(d, sp, c) {
+	if !hasEdge(g, d, sp, c) {
 		t.Fatalf("symmetric mirror (D, spouse, C) missing")
 	}
 

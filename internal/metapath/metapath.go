@@ -10,13 +10,12 @@
 // favoring informative (rare) labels like the weighted PageRank does —
 // until a query node is reached or the length budget is exhausted. Each
 // successful walk contributes one occurrence of its label sequence. The
-// mined metapaths therefore point *toward* the query; Reverse turns one
-// into the equivalent query-outward metapath over inverse labels.
+// mined metapaths therefore point *toward* the query.
 //
 // Counting: CountPathsInto propagates path counts along the label sequence
 // with one sparse frontier sweep per step, giving |{n ⇝m x}| for every x in
 // one pass — the quantity σ of Section 3.1 needs — into reusable Scratch
-// buffers; CountPaths is its allocating convenience form.
+// buffers.
 package metapath
 
 import (
@@ -67,16 +66,6 @@ func (p Path) String(g *kg.Graph) string {
 		s += g.LabelName(l)
 	}
 	return s
-}
-
-// Reverse returns the inverse metapath: labels inverted and order flipped,
-// so that a path n ⇝p q corresponds one-to-one to a path q ⇝Reverse(p) n.
-func (p Path) Reverse(g *kg.Graph) Path {
-	out := make(Path, len(p))
-	for i, l := range p {
-		out[len(p)-1-i] = g.InverseLabel(l)
-	}
-	return out
 }
 
 // Mined is a metapath with its occurrence count from mining.
@@ -314,26 +303,6 @@ func (d draws) float64() float64 {
 	}
 }
 
-// Top keeps the m highest-count metapaths (the paper's |M| parameter).
-func Top(mined []Mined, m int) []Mined {
-	if m < 0 {
-		m = 0
-	}
-	if len(mined) > m {
-		mined = mined[:m]
-	}
-	return mined
-}
-
-// TotalCount sums the counts of a metapath set; Pr(m) = Count/TotalCount.
-func TotalCount(mined []Mined) int64 {
-	var t int64
-	for _, mp := range mined {
-		t += mp.Count
-	}
-	return t
-}
-
 // Scratch holds the reusable dense buffers of a path-counting sweep. One
 // Scratch serves any number of sequential CountPathsInto calls (it clears
 // the previous call's support sparsely on entry); it is not safe for
@@ -343,13 +312,6 @@ type Scratch struct {
 	cur, next   []float64
 	curT, nextT []kg.NodeID
 }
-
-// NewScratch returns an empty Scratch.
-func NewScratch() *Scratch { return &Scratch{} }
-
-// scratchPool recycles Scratch buffers for the allocating CountPaths
-// wrapper.
-var scratchPool = sync.Pool{New: func() any { return NewScratch() }}
 
 // CountPathsInto computes, for every node x, the number of paths
 // start ⇝m x that follow the label sequence m, using sc's reusable
@@ -401,18 +363,4 @@ func CountPathsInto(g *kg.Graph, start kg.NodeID, m Path, sc *Scratch) ([]float6
 	sc.cur, sc.next = cur, next
 	sc.curT, sc.nextT = curT, spareT
 	return cur, curT
-}
-
-// CountPaths is the allocating convenience form of CountPathsInto: it
-// returns a fresh count vector the caller owns, recycling internal
-// buffers through a pool.
-func CountPaths(g *kg.Graph, start kg.NodeID, m Path) []float64 {
-	sc := scratchPool.Get().(*Scratch)
-	counts, touched := CountPathsInto(g, start, m, sc)
-	out := make([]float64, g.NumNodes())
-	for _, v := range touched {
-		out[v] = counts[v]
-	}
-	scratchPool.Put(sc)
-	return out
 }

@@ -87,15 +87,6 @@ func (r *Ring) Order(key string) []string {
 	return out
 }
 
-// Pick returns key's owning backend ("" on an empty ring).
-func (r *Ring) Pick(key string) string {
-	o := r.Order(key)
-	if len(o) == 0 {
-		return ""
-	}
-	return o[0]
-}
-
 // hash64 is FNV-1a over s with a splitmix64-style finalizer. Raw
 // FNV-1a barely diffuses the last bytes into the high bits, so
 // near-identical strings ("key-1", "key-2", vnode labels) cluster in

@@ -117,7 +117,7 @@ func TestGracefulDrain(t *testing.T) {
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	waitUntil(t, 5*time.Second, "server to start draining", s.Draining)
+	waitUntil(t, 5*time.Second, "server to start draining", s.draining.Load)
 
 	// /healthz answers draining so load balancers stop routing.
 	rec := httptest.NewRecorder()
@@ -136,8 +136,8 @@ func TestGracefulDrain(t *testing.T) {
 		c.Close()
 		return false
 	})
-	if s.InFlight() != 1 {
-		t.Fatalf("in-flight gauge = %d during drain, want 1", s.InFlight())
+	if s.inflight.Load() != 1 {
+		t.Fatalf("in-flight gauge = %d during drain, want 1", s.inflight.Load())
 	}
 
 	// Let the in-flight request finish: it must complete normally.
@@ -169,8 +169,8 @@ func TestGracefulDrain(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after drain")
 	}
-	if s.InFlight() != 0 {
-		t.Fatalf("in-flight gauge = %d after drain", s.InFlight())
+	if s.inflight.Load() != 0 {
+		t.Fatalf("in-flight gauge = %d after drain", s.inflight.Load())
 	}
 }
 
@@ -430,7 +430,7 @@ func TestStreamDisconnectCancels(t *testing.T) {
 	// Everything spawned for the request — conn goroutine, DoStream
 	// producer, comparison workers — winds down.
 	waitUntil(t, 10*time.Second, "request to leave the in-flight gauge", func() bool {
-		return s.InFlight() == 0
+		return s.inflight.Load() == 0
 	})
 	waitUntil(t, 10*time.Second, "goroutines to settle after disconnect", func() bool {
 		return runtime.NumGoroutine() <= before+2

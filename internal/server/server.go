@@ -350,13 +350,6 @@ func (s *Server) drain(errc chan error) error {
 	return nil
 }
 
-// Draining reports whether the server has begun shutting down.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
-// InFlight returns the number of admitted engine requests currently being
-// served.
-func (s *Server) InFlight() int64 { return s.inflight.Load() }
-
 // healthzResponse is the /healthz (readiness) body: ready or not, why,
 // and — when the process is catching up — how far along it is.
 type healthzResponse struct {

@@ -180,6 +180,7 @@ func TestErrorMapping(t *testing.T) {
 		{"bad override", "/v1/search", `{"entities":["Angela Merkel"],"top_k":-1}`, http.StatusBadRequest},
 		{"bad alpha", "/v1/search", `{"entities":["Angela Merkel"],"alpha":1.5}`, http.StatusBadRequest},
 		{"unknown selector", "/v1/search", `{"entities":["Angela Merkel"],"selector":"RandomWalk"}`, http.StatusBadRequest},
+		{"unknown policy", "/v1/search", `{"entities":["Angela Merkel"],"policy":"pooledd"}`, http.StatusBadRequest},
 		{"node id out of range", "/v1/search", `{"nodes":[999999]}`, http.StatusBadRequest},
 		{"empty batch", "/v1/batch", `{"queries":[]}`, http.StatusBadRequest},
 		{"oversized body", "/v1/search", `{"entities":["` + strings.Repeat("x", 600) + `"]}`, http.StatusRequestEntityTooLarge},

@@ -3,9 +3,9 @@ package stats
 import "math"
 
 // The paper (Section 3.2) discusses and rejects several distribution
-// comparison measures before settling on the multinomial test. They are
-// implemented here as scoring baselines for the Section 4.2 metrics
-// comparison and the ablation benches:
+// comparison measures before settling on the multinomial test. Two of them
+// are implemented here as scoring baselines for the Section 4.2 metrics
+// comparison:
 //
 //   - KL divergence "cannot be used" unsmoothed because the query
 //     distribution is full of zeros; we add-ε smooth it to make it
@@ -14,8 +14,11 @@ import "math"
 //     not defined for Inst"; for cardinality histograms the natural unit
 //     ground distance applies, and for instance histograms we substitute
 //     total variation (EMD under the discrete 0/1 metric).
-//   - The χ² and z tests "require either a Gaussian distribution or a
-//     minimum size of the sample"; they are provided for completeness.
+//
+// The χ² and z tests "require either a Gaussian distribution or a minimum
+// size of the sample"; the paper rejects them, so neither is a baseline.
+// The package's tests keep a χ² goodness-of-fit helper for checking the
+// samplers.
 
 // KLDivergence returns D(P‖Q) = Σ p_i·ln(p_i/q_i) between two count
 // vectors, after add-ε smoothing (ε = 1e-9 of each distribution's mass)
@@ -108,152 +111,4 @@ func pad(v []float64, n int) []float64 {
 	out := make([]float64, n)
 	copy(out, v)
 	return out
-}
-
-// ChiSquare performs Pearson's χ² goodness-of-fit test of observation x
-// against expected proportions pi, returning the p-value. Categories with
-// zero expectation and zero observation are dropped; a positive
-// observation in a zero-expectation category yields p = 0.
-func ChiSquare(pi []float64, x []int) float64 {
-	n := 0
-	for _, xi := range x {
-		n += xi
-	}
-	if n == 0 {
-		return 1
-	}
-	p := normalizeProbs(pi, len(x))
-	stat := 0.0
-	df := -1 // k−1 degrees of freedom accumulated per retained category
-	for i, xi := range x {
-		e := float64(n) * p[i]
-		if e == 0 {
-			if xi > 0 {
-				return 0
-			}
-			continue
-		}
-		d := float64(xi) - e
-		stat += d * d / e
-		df++
-	}
-	if df <= 0 {
-		return 1
-	}
-	return chiSquareSurvival(stat, float64(df))
-}
-
-// chiSquareSurvival returns P(X ≥ stat) for X ~ χ²(df): the regularized
-// upper incomplete gamma Q(df/2, stat/2).
-func chiSquareSurvival(stat, df float64) float64 {
-	if stat <= 0 {
-		return 1
-	}
-	return upperIncompleteGammaReg(df/2, stat/2)
-}
-
-// upperIncompleteGammaReg computes Q(a, x) = Γ(a, x)/Γ(a) via the series
-// for x < a+1 and the continued fraction otherwise (Numerical Recipes
-// style, stdlib-only).
-func upperIncompleteGammaReg(a, x float64) float64 {
-	if x < 0 || a <= 0 {
-		return math.NaN()
-	}
-	if x == 0 {
-		return 1
-	}
-	if x < a+1 {
-		return 1 - lowerSeries(a, x)
-	}
-	return upperContinuedFraction(a, x)
-}
-
-// lowerSeries computes P(a, x) by series expansion.
-func lowerSeries(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	ap := a
-	sum := 1 / a
-	del := sum
-	for i := 0; i < 500; i++ {
-		ap++
-		del *= x / ap
-		sum += del
-		if math.Abs(del) < math.Abs(sum)*1e-15 {
-			break
-		}
-	}
-	return sum * math.Exp(-x+a*math.Log(x)-lg)
-}
-
-// upperContinuedFraction computes Q(a, x) by Lentz's continued fraction.
-func upperContinuedFraction(a, x float64) float64 {
-	lg, _ := math.Lgamma(a)
-	const tiny = 1e-300
-	b := x + 1 - a
-	c := 1 / tiny
-	d := 1 / b
-	h := d
-	for i := 1; i < 500; i++ {
-		an := -float64(i) * (float64(i) - a)
-		b += 2
-		d = an*d + b
-		if math.Abs(d) < tiny {
-			d = tiny
-		}
-		c = b + an/c
-		if math.Abs(c) < tiny {
-			c = tiny
-		}
-		d = 1 / d
-		del := d * c
-		h *= del
-		if math.Abs(del-1) < 1e-15 {
-			break
-		}
-	}
-	return math.Exp(-x+a*math.Log(x)-lg) * h
-}
-
-// ZTestTwoSample performs a two-sample z-test on the means of two samples
-// given their counts as histograms over values 0..len-1 (the cardinality
-// distributions), returning the two-sided p-value. Degenerate inputs
-// (empty or zero-variance on both sides) return 1.
-func ZTestTwoSample(p, q []float64) float64 {
-	mp, vp, np := histMoments(p)
-	mq, vq, nq := histMoments(q)
-	if np == 0 || nq == 0 {
-		return 1
-	}
-	se := math.Sqrt(vp/np + vq/nq)
-	if se == 0 {
-		if mp == mq {
-			return 1
-		}
-		return 0
-	}
-	z := math.Abs(mp-mq) / se
-	return math.Erfc(z / math.Sqrt2)
-}
-
-// histMoments returns the mean, variance, and total count of a histogram
-// whose bin i holds the count of value i.
-func histMoments(h []float64) (mean, variance, n float64) {
-	for i, c := range h {
-		if c > 0 {
-			n += c
-			mean += c * float64(i)
-		}
-	}
-	if n == 0 {
-		return 0, 0, 0
-	}
-	mean /= n
-	for i, c := range h {
-		if c > 0 {
-			d := float64(i) - mean
-			variance += c * d * d
-		}
-	}
-	variance /= n
-	return mean, variance, n
 }

@@ -118,50 +118,19 @@ func TestChiSquareKnownCritical(t *testing.T) {
 
 func TestChiSquareGoodnessOfFit(t *testing.T) {
 	// Perfectly proportional observation: statistic 0, p = 1.
-	if p := ChiSquare([]float64{0.5, 0.5}, []int{50, 50}); math.Abs(p-1) > 1e-9 {
+	if p := chiSquare([]float64{0.5, 0.5}, []int{50, 50}); math.Abs(p-1) > 1e-9 {
 		t.Fatalf("balanced χ² p = %v, want 1", p)
 	}
 	// Heavily skewed observation: tiny p.
-	if p := ChiSquare([]float64{0.5, 0.5}, []int{100, 0}); p > 1e-6 {
+	if p := chiSquare([]float64{0.5, 0.5}, []int{100, 0}); p > 1e-6 {
 		t.Fatalf("skewed χ² p = %v, want ~0", p)
 	}
 	// Observation in zero-probability category: p = 0.
-	if p := ChiSquare([]float64{1, 0}, []int{5, 1}); p != 0 {
+	if p := chiSquare([]float64{1, 0}, []int{5, 1}); p != 0 {
 		t.Fatalf("impossible χ² p = %v, want 0", p)
 	}
 	// Empty observation: p = 1.
-	if p := ChiSquare([]float64{1, 1}, []int{0, 0}); p != 1 {
+	if p := chiSquare([]float64{1, 1}, []int{0, 0}); p != 1 {
 		t.Fatalf("empty χ² p = %v, want 1", p)
-	}
-}
-
-func TestZTest(t *testing.T) {
-	// Same histograms: p = 1-ish (identical means).
-	same := []float64{0, 10, 10}
-	if p := ZTestTwoSample(same, same); p < 0.99 {
-		t.Fatalf("identical z-test p = %v", p)
-	}
-	// Very different means with tight spread: p ~ 0.
-	a := []float64{100, 0, 0, 0, 0, 0}
-	b := []float64{0, 0, 0, 0, 0, 100}
-	if p := ZTestTwoSample(a, b); p > 1e-6 {
-		t.Fatalf("distinct z-test p = %v", p)
-	}
-	// Degenerate inputs.
-	if p := ZTestTwoSample(nil, a); p != 1 {
-		t.Fatalf("empty z-test p = %v", p)
-	}
-}
-
-func TestHistMoments(t *testing.T) {
-	mean, variance, n := histMoments([]float64{0, 4, 0, 4})
-	if n != 8 {
-		t.Fatalf("n = %v", n)
-	}
-	if mean != 2 {
-		t.Fatalf("mean = %v, want 2", mean)
-	}
-	if variance != 1 {
-		t.Fatalf("variance = %v, want 1", variance)
 	}
 }

@@ -133,7 +133,7 @@ func (m Multinomial) TestScratch(pi []float64, x []int, s *Scratch) Result {
 	}
 	// Note: len(pi) == 0 with a nonzero observation is NOT the trivial
 	// case — every observed category is impossible under an empty
-	// distribution, so normalizeProbs yields all zeros and the impossible
+	// distribution, so normalizeProbsInto yields all zeros and the impossible
 	// branch below reports P = 0, maximal notability.
 	s.p = grow(s.p, len(x))
 	p := normalizeProbsInto(s.p, pi)
@@ -366,41 +366,6 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scrat
 	return float64(hits+1) / float64(m.Samples+1)
 }
 
-// logMultinomialProb returns ln Pr(X = x) for X ~ Mult(n, p). Uncached
-// variant for one-off callers; the test loops use logMultinomialProbCached.
-func logMultinomialProb(p []float64, x []int, n int) float64 {
-	lp := lgammaInt(n + 1)
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		t := termLog(pIndex(p, i), xi)
-		if math.IsInf(t, -1) {
-			return math.Inf(-1)
-		}
-		lp += t
-	}
-	return lp
-}
-
-// termLog returns ln(p^c / c!) with the 0^0 = 1 convention.
-func termLog(p float64, c int) float64 {
-	if c == 0 {
-		return 0
-	}
-	if p <= 0 {
-		return math.Inf(-1)
-	}
-	return float64(c)*math.Log(p) - lgammaInt(c+1)
-}
-
-func pIndex(p []float64, i int) float64 {
-	if i >= len(p) {
-		return 0
-	}
-	return p[i]
-}
-
 // logMultinomialProbCached returns ln Pr(X = x) for X ~ Mult(n, p), with
 // logp the cached element-wise ln(p).
 func logMultinomialProbCached(p, logp []float64, x []int, n int) float64 {
@@ -456,16 +421,11 @@ func lgammaInt(n int) float64 {
 	return v
 }
 
-// normalizeProbs rescales pi to sum to 1 and pads/truncates to length k:
-// categories of pi beyond k are dropped (their mass is renormalized away),
-// and missing trailing categories become zero-probability. The length of
-// the observation vector x is authoritative — see the pinning tests.
-func normalizeProbs(pi []float64, k int) []float64 {
-	return normalizeProbsInto(make([]float64, k), pi)
-}
-
-// normalizeProbsInto is normalizeProbs writing into out (whose length is
-// the target k). Every entry of out is overwritten.
+// normalizeProbsInto rescales pi to sum to 1 into out, padded or truncated
+// to out's length k: categories of pi beyond k are dropped (their mass is
+// renormalized away), and missing trailing categories become
+// zero-probability. The length of the observation vector x is
+// authoritative — see the pinning tests. Every entry of out is overwritten.
 func normalizeProbsInto(out, pi []float64) []float64 {
 	sum := 0.0
 	for i := range out {

@@ -85,16 +85,6 @@ func (s *Selector) Ranked() []Item {
 	return out
 }
 
-// RankedIDs returns just the IDs of Ranked().
-func (s *Selector) RankedIDs() []uint32 {
-	ranked := s.Ranked()
-	ids := make([]uint32, len(ranked))
-	for i, it := range ranked {
-		ids[i] = it.ID
-	}
-	return ids
-}
-
 // minHeap implements heap.Interface ordered by less.
 type minHeap []Item
 

@@ -34,9 +34,9 @@ func TestFewerThanK(t *testing.T) {
 	if _, ok := s.Threshold(); ok {
 		t.Fatal("Threshold should not be ok before k items")
 	}
-	got := s.RankedIDs()
-	if got[0] != 2 || got[1] != 1 {
-		t.Fatalf("RankedIDs = %v", got)
+	got := s.Ranked()
+	if got[0].ID != 2 || got[1].ID != 1 {
+		t.Fatalf("Ranked = %v", got)
 	}
 }
 
@@ -58,8 +58,8 @@ func TestTieBreakBySmallerID(t *testing.T) {
 	s.Offer(9, 0.5)
 	s.Offer(3, 0.5)
 	s.Offer(7, 0.5)
-	got := s.RankedIDs()
-	if got[0] != 3 || got[1] != 7 {
+	got := s.Ranked()
+	if got[0].ID != 3 || got[1].ID != 7 {
 		t.Fatalf("tie break got %v, want [3 7]", got)
 	}
 }

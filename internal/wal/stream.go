@@ -41,22 +41,18 @@ func HeartbeatFrame() []byte { return heartbeatFrame[:] }
 
 // FrameReader incrementally decodes framed records from a replication
 // stream. Unlike ReadRecord it consumes an io.Reader — a follower feeds
-// it the chunked HTTP body — and it tolerates (counts and skips) the
-// heartbeat frames a primary emits on idle streams. Arbitrary input
-// never panics; see FuzzFrameReader.
+// it the chunked HTTP body — and it skips the heartbeat frames a primary
+// emits on idle streams. Arbitrary input never panics; see
+// FuzzFrameReader.
 type FrameReader struct {
-	r          *bufio.Reader
-	buf        []byte
-	heartbeats int64
+	r   *bufio.Reader
+	buf []byte
 }
 
 // NewFrameReader wraps r for incremental frame decoding.
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: bufio.NewReader(r)}
 }
-
-// Heartbeats reports how many keepalive frames Next has skipped.
-func (fr *FrameReader) Heartbeats() int64 { return fr.heartbeats }
 
 // Next returns the next record on the stream, skipping heartbeats. A
 // clean end of stream (between frames) is io.EOF; a stream cut inside a
@@ -82,7 +78,6 @@ func (fr *FrameReader) Next() (Record, error) {
 			if binary.LittleEndian.Uint32(crc[:]) != 0 {
 				return Record{}, fmt.Errorf("%w: empty frame with nonzero checksum", ErrCorrupt)
 			}
-			fr.heartbeats++
 			continue
 		}
 		if n > maxRecordLen {

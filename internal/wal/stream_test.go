@@ -37,7 +37,7 @@ func readAllFrames(t *testing.T, fr *FrameReader) []Record {
 
 // TestFrameReaderRoundTrip: a stream of frames decodes to exactly the
 // records that were encoded, with heartbeats interleaved anywhere being
-// counted and skipped.
+// skipped.
 func TestFrameReaderRoundTrip(t *testing.T) {
 	var stream []byte
 	stream = append(stream, HeartbeatFrame()...)
@@ -54,9 +54,6 @@ func TestFrameReaderRoundTrip(t *testing.T) {
 		if want := testRecord(uint64(i + 1)); !reflect.DeepEqual(rec, want) {
 			t.Fatalf("record %d: got %+v, want %+v", i, rec, want)
 		}
-	}
-	if fr.Heartbeats() != 4 {
-		t.Fatalf("counted %d heartbeats, want 4", fr.Heartbeats())
 	}
 }
 

@@ -140,7 +140,6 @@ package notable
 
 import (
 	"bufio"
-	"cmp"
 	"context"
 	"fmt"
 	"io"
@@ -212,7 +211,8 @@ func NewBuilder(nEdges int) *Builder { return kg.NewBuilder(nEdges) }
 
 // Options configures an Engine. The zero value reproduces the paper's
 // defaults: ContextRW selection, context size 100, significance 0.05,
-// strict unseen-value policy.
+// strict unseen-value policy. Reports never carry the auto-generated
+// inverse labels (l⁻¹): the paper's figures show forward labels only.
 type Options struct {
 	// ContextSize is k, the number of context nodes (default 100).
 	ContextSize int
@@ -230,8 +230,6 @@ type Options struct {
 	Alpha float64
 	// Policy is PolicyStrict or PolicyPooled (default strict).
 	Policy string
-	// IncludeInverse keeps the auto-generated l⁻¹ labels in reports.
-	IncludeInverse bool
 	// Seed drives all randomized components (default 1).
 	Seed int64
 	// Parallelism bounds the workers a search draws from the shared
@@ -598,12 +596,6 @@ func (e *Engine) Epoch() uint64 { return e.vg.View().Epoch }
 // the last compaction's duration.
 func (e *Engine) VersionStats() VersionStats { return e.vg.Stats() }
 
-// Compact synchronously folds any accumulated overlay into a fresh flat
-// base CSR at the current epoch. Results are unchanged bit for bit;
-// reads return to base speed. Normally the background compactor does
-// this on its own past Options.CompactThreshold.
-func (e *Engine) Compact() { e.vg.Compact() }
-
 // CacheStats reports the query cache's counters, aggregated over all
 // shards and broken down per layer (Stats.Layers): the selector layer
 // (one ranked context per query, 16 bytes per item), the comparison layer
@@ -708,7 +700,7 @@ func (e *Engine) coreOptionsFor(opt Options, view *kg.View) core.Options {
 			ExactLimit: opt.TestExactLimit,
 			Nulls:      e.cache,
 		},
-		SkipInverse: !opt.IncludeInverse,
+		SkipInverse: true,
 		Policy:      policy,
 		Parallelism: opt.Parallelism,
 		Seed:        opt.Seed,
@@ -733,30 +725,6 @@ func (e *Engine) Context(query []NodeID, k int) []ContextItem {
 	copt := e.coreOptionsFor(e.opt, view)
 	copt.ContextSize = k
 	return core.Contexts(context.Background(), view.G, [][]NodeID{query}, copt, nil)[0]
-}
-
-// DoCompare runs only the distribution-comparison stage against an
-// explicit context set (bring-your-own-context), under q's per-request
-// overrides — including the TopK payload cut (q.Nodes and ContextSize
-// are ignored; pass Query{} for engine defaults). A node ID the graph does
-// not have, in either set, is an ErrBadQuery. Cancellation stops the
-// label pool within one test and returns ctx.Err().
-func (e *Engine) DoCompare(ctx context.Context, query, contextSet []NodeID, q Query) ([]Characteristic, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	view := e.vg.View()
-	if err := cmp.Or(checkNodes(view.G, "query", query), checkNodes(view.G, "context", contextSet)); err != nil {
-		return nil, err
-	}
-	out, err := core.CompareSets(ctx, view.G, query, contextSet, e.coreOptionsFor(e.opt.apply(q), view))
-	if err != nil {
-		return nil, err
-	}
-	if q.TopK > 0 && len(out) > q.TopK {
-		out = out[:q.TopK:q.TopK]
-	}
-	return out, nil
 }
 
 // LoadGraph reads triples (N-Triples subset or TSV) from r and builds a

@@ -291,36 +291,18 @@ func TestEngineWarmSearchSkipsTestingStage(t *testing.T) {
 			t.Fatalf("warm result differs at %d: %+v vs %+v", i, a, b)
 		}
 	}
-	// DoCompare shares the memo: an explicit-context run against the same
-	// ranked context is fully warm too.
-	before := e.CacheStats()
-	query, err := e.Resolve(names...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.DoCompare(context.Background(), query, cold.ContextIDs(), Query{}); err != nil {
-		t.Fatal(err)
-	}
-	after := e.CacheStats()
-	if after.Misses != before.Misses {
-		t.Fatalf("DoCompare against the searched context missed: %+v -> %+v", before, after)
-	}
 }
 
 // TestWarmEntryCancelledCtx: a request whose ctx is already done fails with
 // ctx.Err() even when every layer it needs is warm — from Do, with or
-// without Degrade, and from DoCompare.
+// without Degrade.
 func TestWarmEntryCancelledCtx(t *testing.T) {
 	e := NewEngine(buildLeaders(), Options{ContextSize: 8, Walks: 20000, Seed: 3})
 	query, err := e.Resolve("Angela Merkel", "Barack Obama")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Do(context.Background(), Query{Nodes: query})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.DoCompare(context.Background(), query, res.ContextIDs(), Query{}); err != nil {
+	if _, err := e.Do(context.Background(), Query{Nodes: query}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -330,9 +312,6 @@ func TestWarmEntryCancelledCtx(t *testing.T) {
 			t.Fatalf("Do (Degrade %v) on a warm entry with a done ctx: %d records, err %v; want context.Canceled",
 				q.Degrade, len(got.Characteristics), err)
 		}
-	}
-	if got, err := e.DoCompare(ctx, query, res.ContextIDs(), Query{}); !errors.Is(err, context.Canceled) || got != nil {
-		t.Fatalf("DoCompare on a warm entry with a done ctx: %d records, err %v; want context.Canceled", len(got), err)
 	}
 }
 

@@ -71,7 +71,7 @@ func TestApplyTriplesMatchesFromScratch(t *testing.T) {
 			}
 			// Compaction changes no bits and keeps the epoch.
 			epoch := e.Epoch()
-			e.Compact()
+			e.vg.Compact()
 			if e.Epoch() != epoch {
 				t.Fatalf("compaction moved the epoch: %d -> %d", epoch, e.Epoch())
 			}
@@ -304,7 +304,7 @@ func TestConcurrentQueriesDuringApplyAndCompaction(t *testing.T) {
 	resultsAtLeast(2*batches + 2)
 	close(stop)
 	wg.Wait()
-	e.Compact()
+	e.vg.Compact()
 	if st := e.VersionStats(); st.Rebuilds == 0 {
 		t.Fatal("compaction never ran despite threshold 4")
 	}

@@ -80,7 +80,7 @@ func TestPublishPurgesEpochKeyedLayers(t *testing.T) {
 		if ep, err := e.ApplyTriples(ctx, []Triple{{S: "Angela Merkel", P: "studied", O: "Physics"}}, nil); err != nil || ep != 0 {
 			t.Fatalf("no-op batch: epoch %d, err %v", ep, err)
 		}
-		e.Compact()
+		e.vg.Compact()
 		if st := e.CacheStats(); st.Purged != 0 || st.Size != warm.Size || st.Bytes != warm.Bytes {
 			t.Fatalf("no-op batch or compaction dropped cache entries: %+v -> %+v", warm, st)
 		}
@@ -93,7 +93,7 @@ func TestPublishPurgesEpochKeyedLayers(t *testing.T) {
 		// Compaction of the now non-empty overlay republishes the same epoch:
 		// entries computed since the bump stay.
 		rewarm := warmAllLayers(t, e)
-		e.Compact()
+		e.vg.Compact()
 		if st := e.CacheStats(); st.Purged != rewarm.Purged || st.Size != rewarm.Size {
 			t.Fatalf("compaction dropped cache entries: %+v -> %+v", rewarm, st)
 		}

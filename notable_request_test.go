@@ -317,46 +317,6 @@ func TestDoCancelledMidFlight(t *testing.T) {
 	}
 }
 
-// TestDoCompareMatchesCompare: the bring-your-own-context comparison
-// stage, handed the context a full request selected, reports exactly that
-// request's characteristics — and honors overrides.
-func TestDoCompareMatchesCompare(t *testing.T) {
-	g := buildLeaders()
-	e := NewEngine(g, Options{ContextSize: 6, Walks: 20000, Seed: 3, TestSamples: 500})
-	nodes, err := e.Resolve("Angela Merkel", "Barack Obama")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := e.Do(context.Background(), Query{Nodes: nodes, ContextSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids := full.ContextIDs()
-	want := full.Characteristics
-	got, err := e.DoCompare(context.Background(), nodes, ids, Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("DoCompare differs from the full request's characteristics")
-	}
-	// TopK is honored as a payload cut on the ranked characteristics.
-	if len(want) >= 2 {
-		cut, err := e.DoCompare(context.Background(), nodes, ids, Query{TopK: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(cut) != 1 || !reflect.DeepEqual(cut[0], want[0]) {
-			t.Fatalf("DoCompare TopK=1 returned %d records (head mismatch %v)", len(cut), len(cut) > 0)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.DoCompare(ctx, nodes, ids, Query{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled DoCompare: %v", err)
-	}
-}
-
 // TestLoadGraphFileSniffsSnapshot: a snapshot without the .kgsnap
 // extension loads via magic-byte sniffing instead of failing as a triple
 // parse, and non-snapshot files still parse as triples.
@@ -440,6 +400,7 @@ func TestQueryValidation(t *testing.T) {
 		// ctxsel.RandomWalk's Name(), not the Selector* constant.
 		{"Selector", Query{Nodes: nodes, Selector: "RandomWalk"}},
 		{"Selector", Query{Nodes: nodes, Selector: "pagerank"}},
+		{"Policy", Query{Nodes: nodes, Policy: "pooledd"}},
 	}
 	for _, tc := range cases {
 		_, err := e.Do(ctx, tc.q)
@@ -503,18 +464,6 @@ func TestQueryValidation(t *testing.T) {
 			if isBad := o.Index == 0; isBad != errors.Is(o.Err, ErrBadQuery) || (!isBad && len(o.Result.Characteristics) == 0) {
 				t.Fatalf("%s: stream outcome %d = %+v", sel, o.Index, o)
 			}
-		}
-	}
-	for _, tc := range []struct {
-		name          string
-		query, cset   []NodeID
-		wantInMessage string
-	}{
-		{"query", outside, nodes, "query[1] = "},
-		{"context", nodes, []NodeID{n}, "context[0] = "},
-	} {
-		if _, err := e.DoCompare(ctx, tc.query, tc.cset, Query{}); !errors.Is(err, ErrBadQuery) || !contains(err.Error(), tc.wantInMessage) {
-			t.Fatalf("DoCompare with a bad %s: err = %v, want ErrBadQuery naming %q", tc.name, err, tc.wantInMessage)
 		}
 	}
 	if got := e.Context(outside, 3); len(got) != 0 {

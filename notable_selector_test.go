@@ -15,8 +15,8 @@ import (
 // every request mode (single Do, barriered DoBatch, streaming DoStream)
 // and every cache state (cold, warm repeat on the same engine, warm at a
 // smaller and at a larger context size than the one that filled the
-// cache, Alpha and Policy overrides and IncludeInverse toggled over the
-// same store — each first cold in the test layer, then warm — and cache
+// cache, Alpha and Policy overrides over the same store — each first cold
+// in the test layer, then warm — and cache
 // disabled), returns for each query exactly the Result —
 // context included — of a solo Do on a fresh cache-disabled engine. Every
 // leaders query has fewer non-zero candidates than the selector layer's
@@ -80,8 +80,8 @@ func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 				t.Fatalf("%s: Context(%d) differs from the Do context", sel, i)
 			}
 		}
-		// Test-option overrides and the inverse-label toggle, each of which
-		// changes the report and so must key a test-layer entry of its own.
+		// Test-option overrides, each of which changes the report and so
+		// must key a test-layer entry of its own.
 		overridden := func(set func(*Query)) []Query {
 			out := asQueries(nodes)
 			for i := range out {
@@ -91,22 +91,14 @@ func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 		}
 		alpha := overridden(func(q *Query) { q.Alpha = 0.001 })
 		pooled := overridden(func(q *Query) { q.Policy = PolicyPooled })
-		invOff := off
-		invOff.IncludeInverse = true
-		wantAlpha, wantPooled, wantInv := modes[0].run(ref, alpha), modes[0].run(ref, pooled), modes[0].run(NewEngine(g, invOff), qs)
-		for name, w := range map[string][]Result{"alpha": wantAlpha, "pooled": wantPooled, "inverse": wantInv} {
+		wantAlpha, wantPooled := modes[0].run(ref, alpha), modes[0].run(ref, pooled)
+		for name, w := range map[string][]Result{"alpha": wantAlpha, "pooled": wantPooled} {
 			if reflect.DeepEqual(w, want) {
 				t.Fatalf("%s: the %s variant reports what the base does; the fixture cannot tell them apart", sel, name)
 			}
 		}
 		for _, mode := range modes {
 			cached := NewEngine(g, opt)
-			// inverse shares cached's store, so only the key tells its
-			// reports from cached's.
-			invOpt := opt
-			invOpt.IncludeInverse = true
-			inverse := NewEngine(g, invOpt)
-			inverse.cache = cached.cache
 			var filled qcache.LayerStats
 			var tests uint64
 			for _, state := range []struct {
@@ -124,8 +116,6 @@ func TestSelectorsModesAndCacheStatesBitwise(t *testing.T) {
 				{"warm alpha", cached, alpha, wantAlpha, true},
 				{"pooled", cached, pooled, wantPooled, false},
 				{"warm pooled", cached, pooled, wantPooled, true},
-				{"inverse", inverse, qs, wantInv, false},
-				{"warm inverse", inverse, qs, wantInv, true},
 				{"warm again", cached, qs, want, true},
 				{"cache off", NewEngine(g, off), qs, want, false},
 			} {

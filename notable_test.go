@@ -2,6 +2,7 @@ package notable
 
 import (
 	"context"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -85,23 +86,43 @@ func TestEngineSelectors(t *testing.T) {
 	}
 }
 
+// TestEngineCompare: every entry point — Do, DoBatch and DoStream —
+// reports characteristics and leaves the auto-generated inverse labels
+// (l⁻¹) out of them.
 func TestEngineCompare(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{Seed: 5})
 	query, _ := e.Resolve("Angela Merkel", "Barack Obama")
-	cset, _ := e.Resolve("Vladimir Putin", "Matteo Renzi", "François Hollande",
-		"David Cameron", "Xi Jinping", "Justin Trudeau", "Shinzo Abe", "Dilma Rousseff")
-	chars, err := e.DoCompare(context.Background(), query, cset, Query{})
+	ctx := context.Background()
+	check := func(how string, res Result) {
+		t.Helper()
+		if len(res.Characteristics) == 0 {
+			t.Fatalf("%s: no characteristics", how)
+		}
+		for _, c := range res.Characteristics {
+			if strings.HasSuffix(c.Name, "⁻¹") {
+				t.Fatalf("%s: inverse label %s leaked into default report", how, c.Name)
+			}
+		}
+	}
+	res, err := e.Do(ctx, Query{Nodes: query})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chars) == 0 {
-		t.Fatal("no characteristics")
+	check("Do", res)
+	qs := []Query{{Nodes: query, ContextSize: 5}, {Nodes: query, Policy: PolicyPooled}}
+	batch, err := e.DoBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range chars {
-		if strings.HasSuffix(c.Name, "⁻¹") {
-			t.Fatalf("inverse label %s leaked into default report", c.Name)
+	for i, res := range batch {
+		check(fmt.Sprintf("DoBatch[%d]", i), res)
+	}
+	for o := range e.DoStream(ctx, qs) {
+		if o.Err != nil {
+			t.Fatal(o.Err)
 		}
+		check(fmt.Sprintf("DoStream[%d]", o.Index), o.Result)
 	}
 }
 
@@ -109,9 +130,8 @@ func TestEnginePolicyOption(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{Policy: PolicyPooled, Seed: 5})
 	query, _ := e.Resolve("Angela Merkel", "Barack Obama")
-	cset, _ := e.Resolve("Vladimir Putin", "Matteo Renzi", "François Hollande")
-	if chars, err := e.DoCompare(context.Background(), query, cset, Query{}); err != nil || len(chars) == 0 {
-		t.Fatalf("pooled policy comparison failed: %d records, err %v", len(chars), err)
+	if res, err := e.Do(context.Background(), Query{Nodes: query}); err != nil || len(res.Characteristics) == 0 {
+		t.Fatalf("pooled policy search failed: %d records, err %v", len(res.Characteristics), err)
 	}
 }
 

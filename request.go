@@ -73,8 +73,9 @@ type Query struct {
 // valid, and node IDs g does not have. Zero values are never errors — they
 // mean "inherit the engine's option" — so validation only fires on
 // explicit nonsense: negative sizes/counts, significance levels outside
-// (0, 1), selector names other than the four Selector* constants, and
-// node IDs past g.NumNodes().
+// (0, 1), selector names other than the four Selector* constants, policy
+// names other than the two Policy* constants, and node IDs past
+// g.NumNodes().
 func (q Query) validate(g *kg.Graph) error {
 	if len(q.Nodes) == 0 {
 		return ErrEmptyQuery
@@ -98,6 +99,11 @@ func (q Query) validate(g *kg.Graph) error {
 	default:
 		return fmt.Errorf("%w: Selector %q is none of %q, %q, %q, %q", ErrBadQuery, q.Selector,
 			SelectorContextRW, SelectorRandomWalk, SelectorSimRank, SelectorJaccard)
+	}
+	switch q.Policy {
+	case "", PolicyStrict, PolicyPooled:
+	default:
+		return fmt.Errorf("%w: Policy %q is neither %q nor %q", ErrBadQuery, q.Policy, PolicyStrict, PolicyPooled)
 	}
 	return checkNodes(g, "Nodes", q.Nodes)
 }
