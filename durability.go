@@ -108,7 +108,7 @@ type DurabilityStats struct {
 // silently lost acknowledged writes.
 //
 // Checkpoints ride compaction: whenever the store folds its overlay into
-// a flat base (past Options.CompactThreshold, or via Compact), the flat
+// a flat base (past kg.DefaultCompactThreshold changes), the flat
 // graph is also written as a checkpoint snapshot and the log truncated
 // behind it, bounding both recovery time and disk growth. Call Close on
 // shutdown to flush and release the log.

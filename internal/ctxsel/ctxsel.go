@@ -126,8 +126,9 @@ func (RandomWalk) Name() string { return "RandomWalk" }
 // first-appearance order so queries release as their last seed resolves;
 // one barriered query sums its seeds on the per-seed worker pool; a
 // barriered batch solves its distinct seeds once and shares the blocked
-// multi-vector gather across their dense tails. All three produce the
-// same bits per query.
+// multi-vector gather across their dense tails. Every gather step runs on
+// the goroutine that owns its solve, so the per-seed pool of one query is
+// the only parallelism. All three produce the same bits per query.
 func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
 	switch {
 	case ready != nil:

@@ -26,9 +26,8 @@ func TestGroupCtxCancelledDropsTasks(t *testing.T) {
 	}
 }
 
-// TestRunWorkersCtx: a live ctx behaves like RunWorkers (the claim loop
-// drains everything); a pre-cancelled ctx runs nothing, including the
-// inline share.
+// TestRunWorkersCtx: under a live ctx the claim loop drains everything; a
+// pre-cancelled ctx runs nothing, including the inline share.
 func TestRunWorkersCtx(t *testing.T) {
 	var next, done atomic.Int64
 	const items = 50
@@ -52,14 +51,6 @@ func TestRunWorkersCtx(t *testing.T) {
 	RunWorkersCtx(ctx, 4, func() { ran.Add(1) })
 	if ran.Load() != 0 {
 		t.Fatalf("cancelled RunWorkersCtx executed %d workers", ran.Load())
-	}
-
-	// nil ctx must behave exactly like RunWorkers.
-	next.Store(0)
-	done.Store(0)
-	RunWorkersCtx(nil, 4, run)
-	if done.Load() != items {
-		t.Fatalf("nil ctx drained %d of %d items", done.Load(), items)
 	}
 }
 

@@ -1,7 +1,7 @@
-// Package exec provides the process-wide bounded executor shared by every
-// parallel stage of the search pipeline: the row-partitioned PageRank
-// gather, the comparison stage's label pool, and the batch search's
-// per-query fan-out.
+// Package exec provides the process-wide bounded executor shared by the
+// parallel stages of the search pipeline: the comparison stage's label
+// pool and the batch search's per-query fan-out. (PageRank does not use
+// it: every step of a solve runs on the goroutine that owns the solve.)
 //
 // Before this package each parallel call site spawned its own goroutines —
 // fine for one query, but a serving host running hundreds of concurrent
@@ -125,19 +125,13 @@ func Default() *Pool {
 	return defaultPool
 }
 
-// Group tracks a set of tasks submitted to one pool, à la sync.WaitGroup.
-// The zero value submits every task inline (a nil-pool group is valid and
-// simply serial); use NewGroup for pooled execution. A Group must not be
-// copied and is not reusable after Wait returns.
+// Group tracks a set of tasks submitted to one pool under a cancellation
+// context, à la sync.WaitGroup. Construct with NewGroupCtx; a Group must
+// not be copied and is not reusable after Wait returns.
 type Group struct {
 	pool *Pool
 	ctx  context.Context
 	wg   sync.WaitGroup
-}
-
-// NewGroup returns a Group submitting to p.
-func NewGroup(p *Pool) *Group {
-	return &Group{pool: p}
 }
 
 // NewGroupCtx returns a Group submitting to p whose Go becomes a no-op
@@ -155,11 +149,7 @@ func NewGroupCtx(ctx context.Context, p *Pool) *Group {
 // submitting N shards typically submit N−1 and run the last themselves,
 // so the inline case costs nothing extra.
 func (g *Group) Go(task func()) {
-	if g.ctx != nil && g.ctx.Err() != nil {
-		return
-	}
-	if g.pool == nil {
-		task()
+	if g.ctx.Err() != nil {
 		return
 	}
 	g.wg.Add(1)
@@ -178,35 +168,18 @@ func (g *Group) Wait() {
 	g.wg.Wait()
 }
 
-// RunWorkers runs `run` on up to workers concurrent executions drawn from
-// the default pool — workers−1 submitted, one inline on the caller — and
-// returns when all have finished. It is the worker-fan idiom shared by
+// RunWorkersCtx runs `run` on up to workers concurrent executions drawn
+// from the default pool — workers−1 submitted, one inline on the caller —
+// and returns when all have finished. It is the worker-fan idiom shared by
 // the comparison stage and the batch search: run is a self-scheduling
-// worker (typically draining an atomic claim counter), so executing it
-// fewer times than requested, or entirely inline on a busy pool, only
-// reduces concurrency, never the work done. workers <= 1 runs serially.
-func RunWorkers(workers int, run func()) {
-	g := NewGroup(Default())
-	for w := 1; w < workers; w++ {
-		g.Go(run)
-	}
-	run()
-	g.Wait()
-}
-
-// RunWorkersCtx is RunWorkers under a cancellation context: workers not
-// yet launched when ctx is cancelled never start, and the inline
-// execution is skipped when ctx is already done. run is expected to check
-// ctx itself between work items (the claim-loop idiom), so cancellation
-// stops the fan within one item's latency; a nil ctx behaves exactly like
-// RunWorkers. Like RunWorkers, fewer executions only reduce concurrency —
-// under cancellation the caller abandons the output entirely, so dropped
-// workers never corrupt a result.
+// worker (typically draining an atomic claim counter) that checks ctx
+// between work items, so executing it fewer times than requested, or
+// entirely inline on a busy pool, only reduces concurrency, never the work
+// done. Workers not yet launched when ctx is cancelled never start, and
+// the inline execution is skipped when ctx is already done; under
+// cancellation the caller abandons the output entirely, so dropped
+// workers never corrupt a result. workers <= 1 runs serially.
 func RunWorkersCtx(ctx context.Context, workers int, run func()) {
-	if ctx == nil {
-		RunWorkers(workers, run)
-		return
-	}
 	g := NewGroupCtx(ctx, Default())
 	for w := 1; w < workers; w++ {
 		g.Go(run)

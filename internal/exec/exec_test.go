@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +16,7 @@ func TestPoolConcurrencyBound(t *testing.T) {
 	const workers = 3
 	p := NewPool(workers)
 	var inFlight, peak atomic.Int64
-	g := NewGroup(p)
+	g := NewGroupCtx(context.Background(), p)
 	for i := 0; i < 50; i++ {
 		g.Go(func() {
 			cur := inFlight.Add(1)
@@ -40,7 +41,7 @@ func TestPoolConcurrencyBound(t *testing.T) {
 func TestGroupRunsEveryTask(t *testing.T) {
 	p := NewPool(2)
 	var ran atomic.Int64
-	g := NewGroup(p)
+	g := NewGroupCtx(context.Background(), p)
 	for i := 0; i < 1000; i++ {
 		g.Go(func() { ran.Add(1) })
 	}
@@ -58,10 +59,10 @@ func TestNestedGroupsNoDeadlock(t *testing.T) {
 	var ran atomic.Int64
 	done := make(chan struct{})
 	go func() {
-		outer := NewGroup(p)
+		outer := NewGroupCtx(context.Background(), p)
 		for i := 0; i < 8; i++ {
 			outer.Go(func() {
-				inner := NewGroup(p)
+				inner := NewGroupCtx(context.Background(), p)
 				for j := 0; j < 8; j++ {
 					inner.Go(func() { ran.Add(1) })
 				}
@@ -81,23 +82,6 @@ func TestNestedGroupsNoDeadlock(t *testing.T) {
 	}
 }
 
-// TestNilPoolGroupIsSerial: the zero-value / nil-pool group runs tasks
-// inline in submission order.
-func TestNilPoolGroupIsSerial(t *testing.T) {
-	var g Group
-	var order []int
-	for i := 0; i < 5; i++ {
-		i := i
-		g.Go(func() { order = append(order, i) })
-	}
-	g.Wait()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("inline order %v, want ascending", order)
-		}
-	}
-}
-
 // TestGroupsShareOnePool: many concurrent groups over one pool all
 // complete and never lose a task.
 func TestGroupsShareOnePool(t *testing.T) {
@@ -108,7 +92,7 @@ func TestGroupsShareOnePool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g := NewGroup(p)
+			g := NewGroupCtx(context.Background(), p)
 			for i := 0; i < 100; i++ {
 				g.Go(func() { ran.Add(1) })
 			}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -39,7 +40,7 @@ func TestPoolStats(t *testing.T) {
 
 	// A Group task submitted against the saturated pool runs inline on its
 	// submitter and bumps the spill counter.
-	g := NewGroup(p)
+	g := NewGroupCtx(context.Background(), p)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -3,7 +3,6 @@ package kg_test
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -39,8 +38,8 @@ func benchVector(n, b int) []float64 {
 	return p
 }
 
-// BenchmarkGatherStep measures the dense gather kernel serial vs
-// row-partitioned parallel, reporting ns per edge.
+// BenchmarkGatherStep measures the dense gather kernel, reporting ns per
+// edge.
 func BenchmarkGatherStep(b *testing.B) {
 	for _, gg := range gatherGraphs {
 		b.Run(gg.name, func(b *testing.B) {
@@ -51,14 +50,6 @@ func BenchmarkGatherStep(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					tr.GatherStep(next, p, 0.8)
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edges, "ns/edge")
-			})
-			b.Run("parallel", func(b *testing.B) {
-				b.ReportAllocs()
-				workers := runtime.GOMAXPROCS(0)
-				for i := 0; i < b.N; i++ {
-					tr.GatherStepParallel(next, p, 0.8, workers)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edges, "ns/edge")
 			})
@@ -104,13 +95,6 @@ func BenchmarkGatherStepMulti(b *testing.B) {
 					for v := 0; v < width; v++ {
 						tr.GatherStep(next, ps[v], 0.8)
 					}
-				}
-			})
-			b.Run("parallel8", func(b *testing.B) {
-				b.ReportAllocs()
-				workers := runtime.GOMAXPROCS(0)
-				for i := 0; i < b.N; i++ {
-					tr.GatherStepMultiParallel(nextM, pm, 0.8, width, dangling, workers)
 				}
 			})
 		})

@@ -24,12 +24,11 @@ const MaxGatherBlock = 8
 // b must be in [1, MaxGatherBlock]; next and p must hold NumNodes()*b
 // entries.
 func (t *TransitionCSR) GatherStepMulti(next, p []float64, c float64, b int, dangling []float64) {
-	t.gatherRowsMulti(next, p, c, b, 0, t.g.NumNodes())
-	t.danglingMulti(p, b, dangling)
-}
-
-// danglingMulti accumulates the per-column dangling mass.
-func (t *TransitionCSR) danglingMulti(p []float64, b int, dangling []float64) {
+	if b == MaxGatherBlock {
+		t.gatherRowsMulti8(next, p, c)
+	} else {
+		t.gatherRowsMulti(next, p, c, b)
+	}
 	clear(dangling[:b])
 	for _, d := range t.dangling {
 		blk := p[int(d)*b : int(d)*b+b]
@@ -39,22 +38,16 @@ func (t *TransitionCSR) danglingMulti(p []float64, b int, dangling []float64) {
 	}
 }
 
-// gatherRowsMulti computes transpose rows [rowLo, rowHi) of one blocked
-// gather step, writing node tRow[i]'s block for each row i. Columns are
-// swept one at a time inside each row with the serial kernel's four
-// register accumulators; the row's edge list, probabilities, and the
-// source blocks' cache lines stay hot across the b column passes, so the
-// memory system sees each line once per block rather than once per
-// vector. As with gatherRows, a row is produced entirely by one call, so
-// any row partition yields the same bits as a full serial sweep.
-func (t *TransitionCSR) gatherRowsMulti(next, p []float64, c float64, b int, rowLo, rowHi int) {
-	if b == MaxGatherBlock {
-		t.gatherRowsMulti8(next, p, c, rowLo, rowHi)
-		return
-	}
-	lo := int(t.tOff[rowLo])
-	offs := t.tOff[rowLo+1 : rowHi+1]
-	for i, x := range t.tRow[rowLo:rowHi] {
+// gatherRowsMulti computes every transpose row of one blocked gather step,
+// writing node tRow[i]'s block for each row i. Columns are swept one at a
+// time inside each row with the serial kernel's four register
+// accumulators; the row's edge list, probabilities, and the source blocks'
+// cache lines stay hot across the b column passes, so the memory system
+// sees each line once per block rather than once per vector.
+func (t *TransitionCSR) gatherRowsMulti(next, p []float64, c float64, b int) {
+	lo := 0
+	offs := t.tOff[1:]
+	for i, x := range t.tRow {
 		hi := int(offs[i])
 		row := t.tFrom[lo:hi]
 		pr := t.tProb[lo:hi:hi][:len(row)]
@@ -79,11 +72,11 @@ func (t *TransitionCSR) gatherRowsMulti(next, p []float64, c float64, b int, row
 
 // gatherRowsMulti8 is gatherRowsMulti at the full block width, where the
 // constant stride turns every source-block index into a shift.
-func (t *TransitionCSR) gatherRowsMulti8(next, p []float64, c float64, rowLo, rowHi int) {
+func (t *TransitionCSR) gatherRowsMulti8(next, p []float64, c float64) {
 	const b = MaxGatherBlock
-	lo := int(t.tOff[rowLo])
-	offs := t.tOff[rowLo+1 : rowHi+1]
-	for i, x := range t.tRow[rowLo:rowHi] {
+	lo := 0
+	offs := t.tOff[1:]
+	for i, x := range t.tRow {
 		hi := int(offs[i])
 		row := t.tFrom[lo:hi]
 		pr := t.tProb[lo:hi:hi][:len(row)]
@@ -104,19 +97,4 @@ func (t *TransitionCSR) gatherRowsMulti8(next, p []float64, c float64, rowLo, ro
 		}
 		lo = hi
 	}
-}
-
-// GatherStepMultiParallel is GatherStepMulti with its rows split over up
-// to workers shards, exactly like GatherStepParallel: every row block is
-// written by one shard and the dangling sums stay serial, so the result is
-// bitwise identical to the serial blocked kernel — and therefore to b
-// independent serial GatherStep calls — for every worker count. The
-// per-edge work is b-fold, so the serial threshold counts edge visits.
-func (t *TransitionCSR) GatherStepMultiParallel(next, p []float64, c float64, b int, dangling []float64, workers int) {
-	if workers = t.gatherWorkers(workers, b); workers > 1 {
-		t.gatherShards(workers, func(lo, hi int) { t.gatherRowsMulti(next, p, c, b, lo, hi) })
-		t.danglingMulti(p, b, dangling)
-		return
-	}
-	t.GatherStepMulti(next, p, c, b, dangling)
 }

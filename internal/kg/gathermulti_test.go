@@ -61,49 +61,3 @@ func TestGatherStepMultiMatchesSerialBitwise(t *testing.T) {
 		}
 	}
 }
-
-// TestGatherStepMultiParallelBitwiseIdentical: the row-partitioned blocked
-// kernel matches the serial blocked kernel for every worker count, above
-// and below the serial-fallback threshold.
-func TestGatherStepMultiParallelBitwiseIdentical(t *testing.T) {
-	shapes := []struct{ nodes, edges int }{
-		{60, 300},
-		{3000, 12000},
-		{5000, 40000},
-	}
-	for _, sh := range shapes {
-		g := transitionGraph(13, sh.nodes, sh.edges)
-		tr := g.Transitions()
-		n := g.NumNodes()
-		rng := rand.New(rand.NewSource(29))
-		for _, b := range []int{1, 3, MaxGatherBlock} {
-			pm := make([]float64, n*b)
-			for i := range pm {
-				pm[i] = rng.Float64()
-			}
-			want := make([]float64, n*b)
-			wantDangling := make([]float64, b)
-			tr.GatherStepMulti(want, pm, 0.8, b, wantDangling)
-			for _, workers := range []int{1, 2, 3, 7, 16, n + 1} {
-				next := make([]float64, n*b)
-				for i := range next {
-					next[i] = -1
-				}
-				dangling := make([]float64, b)
-				tr.GatherStepMultiParallel(next, pm, 0.8, b, dangling, workers)
-				for j := 0; j < b; j++ {
-					if dangling[j] != wantDangling[j] {
-						t.Fatalf("%d nodes b=%d workers=%d: dangling col %d differs",
-							sh.nodes, b, workers, j)
-					}
-				}
-				for i := range want {
-					if next[i] != want[i] {
-						t.Fatalf("%d nodes b=%d workers=%d: slot %d = %v, serial %v",
-							sh.nodes, b, workers, i, next[i], want[i])
-					}
-				}
-			}
-		}
-	}
-}

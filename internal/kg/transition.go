@@ -1,11 +1,5 @@
 package kg
 
-import (
-	"sort"
-
-	"repro/internal/exec"
-)
-
 // TransitionCSR is the informativeness-weighted transition matrix of Eq. 1
 // in compressed sparse row form: one probability per edge, laid out in the
 // exact order of the graph's CSR edge slice, so that Probs(n)[i] is the
@@ -143,29 +137,23 @@ func (t *TransitionCSR) Probs(n NodeID) []float64 {
 // frontier kernel of the ppr package: every entry of next is overwritten
 // outright (no pre-zeroing), in row order, so the writes follow the
 // in-degree ordering of the rows rather than node order; in-edge lists and
-// probabilities stream linearly, and the reads of p are random. next must
-// have at least NumNodes entries.
+// probabilities stream linearly, and the reads of p are random. The
+// dangling sum runs in node order. next must have at least NumNodes
+// entries.
 func (t *TransitionCSR) GatherStep(next, p []float64, c float64) (dangling float64) {
-	t.gatherRows(next, p, c, 0, t.g.NumNodes())
-	return t.danglingMass(p)
-}
-
-// danglingMass sums p over the dangling nodes in node order.
-func (t *TransitionCSR) danglingMass(p []float64) (dangling float64) {
+	t.gatherRows(next, p, c)
 	for _, d := range t.dangling {
 		dangling += p[d]
 	}
 	return dangling
 }
 
-// gatherRows computes transpose rows [rowLo, rowHi) of one gather step,
-// writing next[tRow[i]] for each row i: the row range is the unit of
-// parallelism, and every row is produced entirely by one call, so any
-// partition of [0, n) yields the same bits as a full serial sweep.
-func (t *TransitionCSR) gatherRows(next, p []float64, c float64, rowLo, rowHi int) {
-	lo := int(t.tOff[rowLo])
-	offs := t.tOff[rowLo+1 : rowHi+1]
-	for i, x := range t.tRow[rowLo:rowHi] {
+// gatherRows computes every transpose row of one gather step, writing
+// next[tRow[i]] for each row i.
+func (t *TransitionCSR) gatherRows(next, p []float64, c float64) {
+	lo := 0
+	offs := t.tOff[1:]
+	for i, x := range t.tRow {
 		hi := int(offs[i])
 		row := t.tFrom[lo:hi]
 		pr := t.tProb[lo:hi:hi][:len(row)]
@@ -185,67 +173,4 @@ func (t *TransitionCSR) gatherRows(next, p []float64, c float64, rowLo, rowHi in
 		next[x] = c * ((acc0 + acc1) + (acc2 + acc3))
 		lo = hi
 	}
-}
-
-// parallelGatherMinEdges is the edge visit count below which a parallel
-// gather runs serially: a full gather over fewer edges completes in tens
-// of microseconds, comparable to the cost of scheduling the workers.
-const parallelGatherMinEdges = 1 << 14
-
-// GatherStepParallel is GatherStep with its rows split over up to workers
-// shards (see gatherShards). Each next[x] is written by exactly one shard
-// and the dangling sum stays serial, so the result is bitwise identical to
-// the serial GatherStep for every worker count. workers <= 1 (or a small
-// graph) runs the serial kernel.
-func (t *TransitionCSR) GatherStepParallel(next, p []float64, c float64, workers int) (dangling float64) {
-	// The closure is built only once the step is known to run in parallel:
-	// created up front it would escape, and allocate, on the serial path too.
-	if workers = t.gatherWorkers(workers, 1); workers > 1 {
-		t.gatherShards(workers, func(lo, hi int) { t.gatherRows(next, p, c, lo, hi) })
-		return t.danglingMass(p)
-	}
-	return t.GatherStep(next, p, c)
-}
-
-// gatherWorkers returns how many shards a gather step whose per-edge work
-// is b-fold should use: 1 (serial) for a single worker or when the step's
-// edge visits fall below parallelGatherMinEdges, otherwise workers capped
-// at one row per shard.
-func (t *TransitionCSR) gatherWorkers(workers, b int) int {
-	if workers <= 1 || int64(len(t.tFrom))*int64(b) < parallelGatherMinEdges {
-		return 1
-	}
-	return min(workers, t.g.NumNodes())
-}
-
-// gatherShards partitions the transpose rows [0, n) into up to workers
-// contiguous shards and runs rows(lo, hi) once per shard through the
-// shared executor, the last shard on the calling goroutine. Shards balance
-// in-edge counts via the transpose offsets, not row counts, so the shard
-// holding the hubs' rows (the last rows) cannot serialize the step.
-func (t *TransitionCSR) gatherShards(workers int, rows func(lo, hi int)) {
-	n := t.g.NumNodes()
-	edges := int64(len(t.tFrom))
-	g := exec.NewGroup(exec.Default())
-	prev := 0
-	for w := 1; w <= workers; w++ {
-		bound := n
-		if w < workers {
-			// Shard w ends at the first row starting at or beyond the next
-			// equal-edge boundary.
-			target := edges * int64(w) / int64(workers)
-			bound = max(prev, sort.Search(n, func(r int) bool { return t.tOff[r] >= target }))
-		}
-		if bound == prev {
-			continue
-		}
-		lo, hi := prev, bound
-		prev = bound
-		if w == workers {
-			rows(lo, hi)
-			break
-		}
-		g.Go(func() { rows(lo, hi) })
-	}
-	g.Wait()
 }

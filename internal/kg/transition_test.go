@@ -90,51 +90,9 @@ func TestGatherStepMatchesScatter(t *testing.T) {
 	}
 }
 
-// TestGatherStepParallelBitwiseIdentical: every row of next is produced
-// entirely by one worker and the dangling sum is accumulated serially, so
-// the parallel gather must reproduce the serial kernel bit for bit at any
-// worker count — above and below the serial-fallback threshold.
-func TestGatherStepParallelBitwiseIdentical(t *testing.T) {
-	shapes := []struct{ nodes, edges int }{
-		{60, 300},     // below parallelGatherMinEdges: falls back to serial
-		{3000, 12000}, // builder inverses put this just above the threshold
-		{5000, 40000}, // comfortably parallel
-	}
-	for _, sh := range shapes {
-		g := transitionGraph(11, sh.nodes, sh.edges)
-		tr := g.Transitions()
-		n := g.NumNodes()
-		rng := rand.New(rand.NewSource(7))
-		p := make([]float64, n)
-		for i := range p {
-			p[i] = rng.Float64()
-		}
-		const c = 0.8
-		want := make([]float64, n)
-		wantDangling := tr.GatherStep(want, p, c)
-		for _, workers := range []int{1, 2, 3, 4, 7, 8, 16, n + 1} {
-			next := make([]float64, n)
-			for i := range next {
-				next[i] = -1 // stale garbage every shard must overwrite
-			}
-			dangling := tr.GatherStepParallel(next, p, c, workers)
-			if dangling != wantDangling {
-				t.Fatalf("%d nodes, workers=%d: dangling %v != %v",
-					sh.nodes, workers, dangling, wantDangling)
-			}
-			for i := range want {
-				if next[i] != want[i] {
-					t.Fatalf("%d nodes, workers=%d: row %d = %v, serial %v",
-						sh.nodes, workers, i, next[i], want[i])
-				}
-			}
-		}
-	}
-}
-
 // TestGatherStepOverwritesStaleNext: every gather kernel overwrites next
 // outright, so stale contents never leak into a step — on a small graph
-// and on one that clears the parallel threshold.
+// and on a larger one.
 func TestGatherStepOverwritesStaleNext(t *testing.T) {
 	for _, g := range []*Graph{transitionGraph(9, 20, 60), transitionGraph(9, 3000, 12000)} {
 		tr := g.Transitions()
@@ -146,16 +104,12 @@ func TestGatherStepOverwritesStaleNext(t *testing.T) {
 		}
 		kernels := []kernel{
 			{"GatherStep", 1, func(next, p []float64) { tr.GatherStep(next, p, 0.8) }},
-			{"GatherStepParallel", 1, func(next, p []float64) { tr.GatherStepParallel(next, p, 0.8, 4) }},
 		}
 		for b := 1; b <= MaxGatherBlock; b++ {
 			dangling := make([]float64, b)
 			kernels = append(kernels,
 				kernel{fmt.Sprintf("GatherStepMulti(b=%d)", b), b, func(next, p []float64) {
 					tr.GatherStepMulti(next, p, 0.8, b, dangling)
-				}},
-				kernel{fmt.Sprintf("GatherStepMultiParallel(b=%d)", b), b, func(next, p []float64) {
-					tr.GatherStepMultiParallel(next, p, 0.8, b, dangling, 4)
 				}})
 		}
 		for _, k := range kernels {

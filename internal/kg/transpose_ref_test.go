@@ -245,10 +245,10 @@ func refOverlay(t *testing.T, rng *rand.Rand, g *Graph, steps int) *Graph {
 	return v.View().G
 }
 
-// TestGatherMatchesRowMajorReference: every gather entry point — serial,
-// parallel at 1, 2 and 4 workers, blocked at every width, serial and
-// parallel — reproduces the row-major reference kernels bit for bit, over
-// the next vector's stale contents, on flat graphs and on overlay views.
+// TestGatherMatchesRowMajorReference: both gather entry points —
+// GatherStep, and GatherStepMulti at every block width — reproduce the
+// row-major reference kernels bit for bit, over the next vector's stale
+// contents, on flat graphs and on overlay views.
 func TestGatherMatchesRowMajorReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	type shape struct {
@@ -314,10 +314,6 @@ func requireGatherMatchesRef(t *testing.T, label string, g *Graph, rng *rand.Ran
 	}
 	next := stale(n)
 	check("GatherStep", next, tr.GatherStep(next, p, c))
-	for _, w := range []int{1, 2, 4} {
-		next = stale(n)
-		check(fmt.Sprintf("GatherStepParallel(%d)", w), next, tr.GatherStepParallel(next, p, c, w))
-	}
 	for b := 1; b <= MaxGatherBlock; b++ {
 		pm := make([]float64, n*b)
 		for i := range pm {
@@ -326,24 +322,16 @@ func requireGatherMatchesRef(t *testing.T, label string, g *Graph, rng *rand.Ran
 		wantM := make([]float64, n*b)
 		wantDM := make([]float64, b)
 		ref.gatherStepMulti(wantM, pm, c, b, wantDM)
-		for _, w := range []int{0, 1, 2, 4} {
-			kernel := fmt.Sprintf("GatherStepMulti(b=%d)", b)
-			nextM, d := stale(n*b), stale(b)
-			if w == 0 {
-				tr.GatherStepMulti(nextM, pm, c, b, d)
-			} else {
-				kernel = fmt.Sprintf("GatherStepMultiParallel(b=%d, %d)", b, w)
-				tr.GatherStepMultiParallel(nextM, pm, c, b, d, w)
+		nextM, d := stale(n*b), stale(b)
+		tr.GatherStepMulti(nextM, pm, c, b, d)
+		for j := 0; j < b; j++ {
+			if d[j] != wantDM[j] {
+				t.Fatalf("%s GatherStepMulti(b=%d): dangling col %d = %v, reference %v", label, b, j, d[j], wantDM[j])
 			}
-			for j := 0; j < b; j++ {
-				if d[j] != wantDM[j] {
-					t.Fatalf("%s %s: dangling col %d = %v, reference %v", label, kernel, j, d[j], wantDM[j])
-				}
-			}
-			for i := range wantM {
-				if nextM[i] != wantM[i] {
-					t.Fatalf("%s %s: slot %d = %v, reference %v", label, kernel, i, nextM[i], wantM[i])
-				}
+		}
+		for i := range wantM {
+			if nextM[i] != wantM[i] {
+				t.Fatalf("%s GatherStepMulti(b=%d): slot %d = %v, reference %v", label, b, i, nextM[i], wantM[i])
 			}
 		}
 	}

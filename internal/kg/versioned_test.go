@@ -126,9 +126,8 @@ func (r *refState) build() *Graph {
 }
 
 // requireSameGraph asserts bitwise equality of two graphs under the
-// whole public read API, including transition probabilities, one serial
-// and one parallel gather step, and one serial and one parallel blocked
-// step at every block width.
+// whole public read API, including transition probabilities, one gather
+// step, and one blocked step at every block width.
 func requireSameGraph(t *testing.T, got, want *Graph) {
 	t.Helper()
 	if got.NumNodes() != want.NumNodes() || got.NumEdges() != want.NumEdges() ||
@@ -196,10 +195,6 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 	if gd != wd || !reflect.DeepEqual(gn, wn) {
 		t.Fatalf("gather step mismatch: dangling %v vs %v", gd, wd)
 	}
-	gd = gt.GatherStepParallel(gn, p, 0.8, 4)
-	if gd != wd || !reflect.DeepEqual(gn, wn) {
-		t.Fatalf("parallel gather step mismatch")
-	}
 	for b := 1; b <= MaxGatherBlock; b++ {
 		pm := make([]float64, len(p)*b)
 		for i := range pm {
@@ -211,10 +206,6 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 		gt.GatherStepMulti(gm, pm, 0.8, b, gdm)
 		if !reflect.DeepEqual(gdm, wdm) || !reflect.DeepEqual(gm, wm) {
 			t.Fatalf("blocked gather step mismatch at b=%d", b)
-		}
-		gt.GatherStepMultiParallel(gm, pm, 0.8, b, gdm, 4)
-		if !reflect.DeepEqual(gdm, wdm) || !reflect.DeepEqual(gm, wm) {
-			t.Fatalf("parallel blocked gather step mismatch at b=%d", b)
 		}
 	}
 }
@@ -481,7 +472,7 @@ func TestVersionedConcurrentReaders(t *testing.T) {
 					p[i] = 1 / float64(len(p))
 				}
 				next := make([]float64, len(p))
-				tr.GatherStepParallel(next, p, 0.8, 2)
+				tr.GatherStep(next, p, 0.8)
 			}
 		}()
 	}

@@ -28,7 +28,6 @@ func refPersonalizedSum(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 	if workers > len(seeds) {
 		workers = len(seeds)
 	}
-	opt.gatherWorkers = budget / workers
 	wss := make([]*workspace, workers)
 	for i := range wss {
 		wss[i] = getWorkspace(n)

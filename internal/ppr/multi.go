@@ -29,7 +29,6 @@ package ppr
 
 import (
 	"context"
-	"runtime"
 	"sort"
 	"time"
 
@@ -98,13 +97,6 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 		}
 		return
 	}
-	budget := opt.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	// The blocked dense phase is one solve at a time, so the whole budget
-	// goes to the row-partitioned gather inside each step.
-	opt.gatherWorkers = budget
 	tr := g.Transitions()
 
 	// Unique seeds across the batch, in first-appearance order.
@@ -347,7 +339,7 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 		if ctx.Err() != nil {
 			return
 		}
-		tr.GatherStepMultiParallel(nextM[:n*b], pm[:n*b], c, b, dangling, opt.gatherWorkers)
+		tr.GatherStepMulti(nextM[:n*b], pm[:n*b], c, b, dangling)
 		retired := false
 		for j := range cols {
 			// Teleport: the full restart mass lands on the column's seed.

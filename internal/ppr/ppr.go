@@ -31,14 +31,14 @@
 // rationale), where frontier bookkeeping costs more than it saves. The
 // saturated gather walks the transpose's rows, which are stored in
 // ascending in-degree order so that consecutive rows run the same number
-// of inner-loop trips, and writes each row's node; it runs
-// row-partitioned over Options.Parallelism workers — rows are
-// independent, so every worker count produces bitwise identical vectors.
-// Both regimes read per-edge transition probabilities
-// from the graph's precomputed kg.TransitionCSR rather than recomputing
-// w(l)/wdeg per edge per iteration, and the teleport is one add at the
-// seed. Scratch vectors are recycled through a sync.Pool and cleared
-// sparsely, so a steady-state solve allocates nothing per iteration.
+// of inner-loop trips, and writes each row's node. Every step of a solve
+// runs on the goroutine that owns the solve: the parallelism of a sum is
+// its per-seed pool, never a split of one step. Both regimes read
+// per-edge transition probabilities from the graph's precomputed
+// kg.TransitionCSR rather than recomputing w(l)/wdeg per edge per
+// iteration, and the teleport is one add at the seed. Scratch vectors are
+// recycled through a sync.Pool and cleared sparsely, so a steady-state
+// solve allocates nothing per iteration.
 //
 // A PageRank sum is a fold of single-seed vectors (seedvec.go): every
 // distinct seed is solved once — in blocks on a bounded worker pool — or
@@ -74,11 +74,11 @@ type Options struct {
 	Damping float64
 	// Iterations of power iteration. The paper uses 10. Default 10.
 	Iterations int
-	// Parallelism bounds the total worker budget: PersonalizedSumCtx's
-	// per-seed pool, and within each run the row-partitioned parallel
-	// gather of the saturated dense regime (seed workers × gather workers
-	// never exceeds it). 0 uses GOMAXPROCS. Results are bitwise identical
-	// for every setting.
+	// Parallelism bounds PersonalizedSumCtx's per-seed pool: how many
+	// single-seed solves run at once, each on its own goroutine. The
+	// multi-source entry points solve on the calling goroutine and ignore
+	// it. 0 uses GOMAXPROCS. Results are bitwise identical for every
+	// setting.
 	Parallelism int
 
 	// SeedCache memoizes single-seed PageRank vectors across
@@ -104,10 +104,6 @@ type Options struct {
 	// cached resolve is still a solve the caller waited on). Observation
 	// is a few atomic adds; nil costs one branch.
 	SolveObs *obs.Histogram
-
-	// gatherWorkers is the resolved per-run gather parallelism, set by the
-	// exported entry points before personalizedInto runs.
-	gatherWorkers int
 }
 
 // withDefaults fills unset fields with the paper's parameters.
@@ -261,7 +257,7 @@ func (ws *workspace) sparsePhase(ctx context.Context, g *kg.Graph, tr *kg.Transi
 // maintained in the dense regime.
 func (ws *workspace) denseStep(tr *kg.TransitionCSR, opt Options) {
 	c := opt.Damping
-	dangling := tr.GatherStepParallel(ws.next, ws.p, c, opt.gatherWorkers)
+	dangling := tr.GatherStep(ws.next, ws.p, c)
 	ws.next[ws.seed] += (1 - c) + c*dangling
 	ws.p, ws.next = ws.next, ws.p
 }

@@ -159,7 +159,7 @@ func foldSeedSum(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Option
 	}
 	var wss []*workspace
 	if len(missing) > 0 {
-		wss = seedWorkspaces(g.NumNodes(), len(missing), &opt)
+		wss = seedWorkspaces(g.NumNodes(), len(missing), opt.Parallelism)
 		defer func() {
 			for _, ws := range wss {
 				ws.release()
@@ -210,17 +210,12 @@ func foldSeedSum(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Option
 }
 
 // seedWorkspaces returns one pooled workspace per seed worker for solving
-// misses seeds, and sets opt's gather parallelism: cores left over by a
-// small miss set go to the dense gather inside each run, so seed workers ×
-// gather workers stays within the Parallelism budget.
-func seedWorkspaces(n, misses int, opt *Options) []*workspace {
-	budget := opt.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
+// misses seeds: at most Parallelism (GOMAXPROCS when unset) workers.
+func seedWorkspaces(n, misses, parallelism int) []*workspace {
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
 	}
-	workers := min(budget, misses)
-	opt.gatherWorkers = budget / workers
-	wss := make([]*workspace, workers)
+	wss := make([]*workspace, min(parallelism, misses))
 	for i := range wss {
 		wss[i] = getWorkspace(n)
 	}

@@ -122,11 +122,10 @@ func TestPersonalizedSumParallelismIdentical(t *testing.T) {
 	}
 }
 
-// TestPersonalizedParallelGatherIdentical: Options.Parallelism also
-// drives the row-partitioned dense gather, which must leave results
-// bitwise identical for every worker count. The graph is sized past the
-// gather kernel's serial-fallback threshold and iterated enough to
-// saturate the frontier into the dense regime.
+// TestPersonalizedParallelGatherIdentical: solves that saturate into dense
+// gathers leave results bitwise identical for every Parallelism, both for
+// one seed and through the multi-seed pool. The graph is iterated enough
+// to saturate the frontier into the dense regime.
 func TestPersonalizedParallelGatherIdentical(t *testing.T) {
 	g := randomGraph(2000, 12000, 21)
 	seeds := []kg.NodeID{4, 9}
@@ -141,8 +140,7 @@ func TestPersonalizedParallelGatherIdentical(t *testing.T) {
 			}
 		}
 	}
-	// The same holds through the multi-seed pool, where leftover budget
-	// flows to the gather.
+	// The same holds through the multi-seed pool.
 	wantSum := PersonalizedSumCtx(context.Background(), g, seeds, Options{Iterations: 12, Parallelism: 1})
 	for _, par := range []int{2, 6, 0} {
 		got := PersonalizedSumCtx(context.Background(), g, seeds, Options{Iterations: 12, Parallelism: par})
@@ -180,22 +178,23 @@ func TestPersonalizedConcurrentCallers(t *testing.T) {
 
 // TestPersonalizedAllocs: a single-seed sum whose solve saturates into
 // dense gathers allocates a fixed handful of objects per call — the result
-// and the fold's bookkeeping — never one per power-iteration step.
-// Parallelism 1 pins the serial gather, which must not build (and so
-// allocate) the parallel path's row closure.
+// and the fold's bookkeeping — never one per power-iteration step, at
+// every Parallelism: each dense step runs on the solve's own goroutine.
 func TestPersonalizedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its caches under the race detector; alloc counts are meaningless")
 	}
 	g := randomGraph(2000, 12000, 55)
 	const seed = kg.NodeID(17)
-	opt := Options{Parallelism: 1}
-	if countNonzero(solo(g, seed, opt))*denseSwitchDivisor < g.NumNodes() { // also builds the CSR
+	if countNonzero(solo(g, seed, Options{}))*denseSwitchDivisor < g.NumNodes() { // also builds the CSR
 		t.Fatal("test graph must saturate the solve into dense steps")
 	}
-	allocs := testing.AllocsPerRun(50, func() { solo(g, seed, opt) })
-	if allocs > 8 {
-		t.Fatalf("single-seed sum allocates %v/op, want <= 8", allocs)
+	for _, par := range []int{1, 2, 4} {
+		opt := Options{Parallelism: par}
+		allocs := testing.AllocsPerRun(50, func() { solo(g, seed, opt) })
+		if allocs > 8 {
+			t.Fatalf("Parallelism %d: single-seed sum allocates %v/op, want <= 8", par, allocs)
+		}
 	}
 }
 

@@ -271,32 +271,45 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.toResponse(res, de, time.Since(start), requestIDFrom(r.Context()), floor))
 }
 
-// handleBatch serves POST /v1/batch: the whole batch in one deduplicated
-// pass, all-or-nothing (use /v1/stream for per-query failure isolation).
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+// batchPrelude runs the steps /v1/batch and /v1/stream share before any
+// query runs: decode the body, reject an empty batch, wait for the
+// X-Min-Epoch floor, resolve every query, and derive the batch's timeout
+// ctx from the request's. A nil engine means the error response is
+// already written; otherwise the caller owns cancel.
+func (s *Server) batchPrelude(w http.ResponseWriter, r *http.Request) (*notable.Engine, []notable.Query, context.Context, context.CancelFunc) {
 	var req batchRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeError(w, r, err)
-		return
+		return nil, nil, nil, nil
 	}
 	if len(req.Queries) == 0 {
 		s.writeError(w, r, badRequestf("empty batch"))
-		return
+		return nil, nil, nil, nil
 	}
 	eng := s.engine()
 	if !s.awaitMinEpoch(w, r, eng) {
-		return
+		return nil, nil, nil, nil
 	}
 	qs := make([]notable.Query, len(req.Queries))
 	for i, wq := range req.Queries {
 		q, err := toQuery(eng, wq)
 		if err != nil {
 			s.writeError(w, r, badRequestf("query %d: %v", i, err))
-			return
+			return nil, nil, nil, nil
 		}
 		qs[i] = q
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
+	return eng, qs, ctx, cancel
+}
+
+// handleBatch serves POST /v1/batch: the whole batch in one deduplicated
+// pass, all-or-nothing (use /v1/stream for per-query failure isolation).
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	eng, qs, ctx, cancel := s.batchPrelude(w, r)
+	if eng == nil {
+		return
+	}
 	defer cancel()
 	floor := eng.Epoch()
 	start := time.Now()
@@ -418,31 +431,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // or label test and the remaining outcomes are dropped with the
 // connection.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeError(w, r, err)
+	eng, qs, ctx, cancel := s.batchPrelude(w, r)
+	if eng == nil {
 		return
 	}
-	if len(req.Queries) == 0 {
-		s.writeError(w, r, badRequestf("empty batch"))
-		return
-	}
-	eng := s.engine()
-	if !s.awaitMinEpoch(w, r, eng) {
-		return
-	}
-	qs := make([]notable.Query, len(req.Queries))
-	for i, wq := range req.Queries {
-		q, err := toQuery(eng, wq)
-		if err != nil {
-			s.writeError(w, r, badRequestf("query %d: %v", i, err))
-			return
-		}
-		qs[i] = q
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
 	defer cancel()
-
 	floor := eng.Epoch()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)

@@ -149,7 +149,7 @@ func TestIngestErrorMapping(t *testing.T) {
 // the full HTTP stack: every search must answer 200 with a non-empty
 // result whichever epoch it pinned.
 func TestIngestConcurrentWithSearch(t *testing.T) {
-	s := New(testEngine(notable.Options{CompactThreshold: 4}), quietCfg())
+	s := New(testEngine(notable.Options{}), quietCfg())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

@@ -168,22 +168,30 @@ func TestErrorMapping(t *testing.T) {
 	defer ts.Close()
 	client := ts.Client()
 
+	// unresolved1 is a batch whose query 1 names an unknown entity.
+	const unresolved1 = `{"queries":[{"entities":["Angela Merkel"]},{"entities":["Zzyzx Nobody"]}]}`
 	cases := []struct {
 		name   string
 		path   string
 		body   string
 		status int
+		msg    string // a substring the error body must carry, if set
 	}{
-		{"malformed JSON", "/v1/search", `{"entities": [`, http.StatusBadRequest},
-		{"unknown field", "/v1/search", `{"entitees": ["X"]}`, http.StatusBadRequest},
-		{"empty query", "/v1/search", `{}`, http.StatusBadRequest},
-		{"bad override", "/v1/search", `{"entities":["Angela Merkel"],"top_k":-1}`, http.StatusBadRequest},
-		{"bad alpha", "/v1/search", `{"entities":["Angela Merkel"],"alpha":1.5}`, http.StatusBadRequest},
-		{"unknown selector", "/v1/search", `{"entities":["Angela Merkel"],"selector":"RandomWalk"}`, http.StatusBadRequest},
-		{"unknown policy", "/v1/search", `{"entities":["Angela Merkel"],"policy":"pooledd"}`, http.StatusBadRequest},
-		{"node id out of range", "/v1/search", `{"nodes":[999999]}`, http.StatusBadRequest},
-		{"empty batch", "/v1/batch", `{"queries":[]}`, http.StatusBadRequest},
-		{"oversized body", "/v1/search", `{"entities":["` + strings.Repeat("x", 600) + `"]}`, http.StatusRequestEntityTooLarge},
+		{"malformed JSON", "/v1/search", `{"entities": [`, http.StatusBadRequest, ""},
+		{"unknown field", "/v1/search", `{"entitees": ["X"]}`, http.StatusBadRequest, ""},
+		{"empty query", "/v1/search", `{}`, http.StatusBadRequest, ""},
+		{"bad override", "/v1/search", `{"entities":["Angela Merkel"],"top_k":-1}`, http.StatusBadRequest, ""},
+		{"bad alpha", "/v1/search", `{"entities":["Angela Merkel"],"alpha":1.5}`, http.StatusBadRequest, ""},
+		{"unknown selector", "/v1/search", `{"entities":["Angela Merkel"],"selector":"RandomWalk"}`, http.StatusBadRequest, ""},
+		{"unknown policy", "/v1/search", `{"entities":["Angela Merkel"],"policy":"pooledd"}`, http.StatusBadRequest, ""},
+		{"node id out of range", "/v1/search", `{"nodes":[999999]}`, http.StatusBadRequest, ""},
+		{"empty batch", "/v1/batch", `{"queries":[]}`, http.StatusBadRequest, "empty batch"},
+		{"unresolved entity in batch query 1", "/v1/batch", unresolved1, http.StatusBadRequest, "query 1:"},
+		{"bad override in batch", "/v1/batch", `{"queries":[{"entities":["Angela Merkel"],"top_k":-1}]}`, http.StatusBadRequest, "TopK"},
+		{"empty stream", "/v1/stream", `{"queries":[]}`, http.StatusBadRequest, "empty batch"},
+		{"unknown field in stream", "/v1/stream", `{"querys":[]}`, http.StatusBadRequest, "querys"},
+		{"unresolved entity in stream query 1", "/v1/stream", unresolved1, http.StatusBadRequest, "query 1:"},
+		{"oversized body", "/v1/search", `{"entities":["` + strings.Repeat("x", 600) + `"]}`, http.StatusRequestEntityTooLarge, ""},
 	}
 	for _, tc := range cases {
 		resp, err := client.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
@@ -194,6 +202,9 @@ func TestErrorMapping(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.status {
 			t.Fatalf("%s: status %d want %d (%s)", tc.name, resp.StatusCode, tc.status, data)
+		}
+		if !strings.Contains(string(data), tc.msg) {
+			t.Fatalf("%s: body %s lacks %q", tc.name, data, tc.msg)
 		}
 	}
 

@@ -90,10 +90,10 @@
 // and run against it end to end, so concurrent Do/DoBatch/DoStream
 // calls never observe a torn graph; results at any epoch are bitwise
 // identical to a from-scratch engine on the equivalent graph. Past
-// Options.CompactThreshold accumulated changes, a background compactor
-// folds the overlay into a fresh flat base — same epoch, same bits,
-// base-speed reads. Epoch, overlay sizes, and compaction counters are
-// exposed via VersionStats; see docs/mutability.md for the model.
+// kg.DefaultCompactThreshold (4096) accumulated changes, a background
+// compactor folds the overlay into a fresh flat base — same epoch, same
+// bits, base-speed reads. Epoch, overlay sizes, and compaction counters
+// are exposed via VersionStats; see docs/mutability.md for the model.
 //
 // # Batching and streaming
 //
@@ -132,10 +132,10 @@
 //
 // Neither caching, batching, nor parallelism changes results: every
 // randomized component takes an explicit seed, label tests run on a
-// bounded worker pool writing to fixed per-label slots, the dense
-// PageRank gather is row-partitioned, and every batched stage replicates
-// its sequential arithmetic, so every cache state, batch size, and worker
-// count produces bitwise-identical output.
+// bounded worker pool writing to fixed per-label slots, PageRank solves
+// run one seed per goroutine and fold in seed-list order, and every
+// batched stage replicates its sequential arithmetic, so every cache
+// state, batch size, and worker count produces bitwise-identical output.
 package notable
 
 import (
@@ -265,18 +265,6 @@ type Options struct {
 	// whose byte-bound enforcement is exact; see internal/qcache for the
 	// (slight) slack sharding introduces.
 	CacheShards int
-	// TypePredicate names the predicate that ApplyTriples routes to node
-	// types instead of edges — it should match the predicate the graph
-	// was loaded with (LoadGraphFile uses "type", the default here).
-	// Set "-" to treat every ingested predicate as an edge label.
-	TypePredicate string
-	// CompactThreshold is the live-ingest overlay size (applied adds +
-	// deletes since the last base CSR) past which a background compactor
-	// folds the overlay into a fresh flat base. 0 selects the kg-level
-	// default (4096); negative disables automatic compaction. Compaction
-	// keeps the epoch and changes no result bits — it only restores
-	// base-speed reads.
-	CompactThreshold int
 }
 
 // DefaultCacheSize is the query-cache capacity used when Options.CacheSize
@@ -453,6 +441,10 @@ type optState struct {
 	copt  core.Options
 }
 
+// typePredicate is the predicate whose triples assign node types instead
+// of edges, both in LoadGraphFile and in ApplyTriples.
+const typePredicate = "type"
+
 // NewEngine prepares an engine (including the entity-name index) for g,
 // which becomes epoch 0 of the engine's live graph store. Applied
 // triples live only in memory; NewDurableEngine adds a write-ahead log
@@ -465,9 +457,6 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
-	if opt.TypePredicate == "" {
-		opt.TypePredicate = "type"
-	}
 	size := opt.CacheSize
 	if size == 0 {
 		size = DefaultCacheSize
@@ -475,19 +464,14 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 	cfg := qcache.Config{Capacity: size, Shards: opt.CacheShards}
 	cfg.LayerBudgets[qcache.LayerSeed] = SeedLayerBytes
 	cfg.LayerBudgets[qcache.LayerNull] = NullLayerBytes
-	typePred := opt.TypePredicate
-	if typePred == "-" {
-		typePred = ""
-	}
 	e := &Engine{
 		opt:   opt,
 		cache: qcache.NewSharded(cfg),
 		met:   newEngineMetrics(),
 	}
 	e.vg = kg.NewVersioned(g, kg.VersionedOptions{
-		TypePredicate:    typePred,
-		CompactThreshold: opt.CompactThreshold,
-		StartEpoch:       startEpoch,
+		TypePredicate: typePredicate,
+		StartEpoch:    startEpoch,
 		// Compaction produces exactly what a checkpoint wants — a flat
 		// graph at a known epoch — so durable engines piggyback on it. A
 		// no-op for non-durable engines (wal stays nil).
@@ -504,7 +488,7 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 // they pinned, requests arriving afterwards see the new graph. Deletes
 // remove an edge and its inverse mirror (unknown names and absent edges
 // are no-ops); adds intern new nodes and labels on first sight; triples
-// whose predicate equals Options.TypePredicate assign node types. A
+// whose predicate is "type" assign node types, as in LoadGraphFile. A
 // batch with no effect keeps the current epoch, so warm caches stay
 // warm. Returns the epoch now current.
 //
@@ -512,8 +496,8 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 // scratch with the mutation applied — cache layers are epoch-keyed, and
 // the superseded epoch's entries are dropped as the new one is
 // published, so nothing stale is ever served — and when the accumulated
-// overlay crosses Options.CompactThreshold a background compactor folds
-// it into a fresh base without changing the epoch or any result bits.
+// overlay crosses kg.DefaultCompactThreshold (4096 applied adds and
+// deletes) a background compactor folds it into a fresh base without changing the epoch or any result bits.
 //
 // On a durable engine (NewDurableEngine), an effective batch is appended
 // to the write-ahead log and fsync'd (per the configured sync policy)
@@ -764,7 +748,7 @@ func LoadGraphFile(path string) (*Graph, error) {
 	if head, err := br.Peek(len(kg.SnapshotMagic)); err == nil && string(head) == kg.SnapshotMagic {
 		return kg.ReadSnapshot(br)
 	}
-	return LoadGraph(br, "type")
+	return LoadGraph(br, typePredicate)
 }
 
 // SaveSnapshotFile writes the graph's binary snapshot to path.

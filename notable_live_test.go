@@ -216,13 +216,13 @@ func TestApplyTriplesErrorsAndEpochs(t *testing.T) {
 }
 
 // TestConcurrentQueriesDuringApplyAndCompaction races Do and DoStream
-// against a mutating writer with a tiny compaction threshold, each batch
-// dropping the epoch-keyed cache layers mid-request: every result must be
-// error-free and bitwise equal to the from-scratch result of SOME
-// published epoch — a torn graph, or a cache entry served across epochs,
-// would produce a result matching none.
+// against a mutating writer that starts a compaction after every batch,
+// each batch dropping the epoch-keyed cache layers mid-request: every
+// result must be error-free and bitwise equal to the from-scratch result
+// of SOME published epoch — a torn graph, or a cache entry served across
+// epochs, would produce a result matching none.
 func TestConcurrentQueriesDuringApplyAndCompaction(t *testing.T) {
-	opt := Options{ContextSize: 6, Walks: 5000, Seed: 2, CompactThreshold: 4}
+	opt := Options{ContextSize: 6, Walks: 5000, Seed: 2}
 	e := NewEngine(buildLeaders(), opt)
 	query, err := e.Resolve("Angela Merkel", "Barack Obama")
 	if err != nil {
@@ -243,7 +243,7 @@ func TestConcurrentQueriesDuringApplyAndCompaction(t *testing.T) {
 		mu.Unlock()
 	}
 
-	var wg sync.WaitGroup
+	var wg, compactions sync.WaitGroup
 	stop := make(chan struct{})
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
@@ -300,13 +300,20 @@ func TestConcurrentQueriesDuringApplyAndCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		epochGraphs = append(epochGraphs, e.Graph())
+		// Fold the overlay off-thread while the readers and the next
+		// batch run, as the background compactor would.
+		compactions.Add(1)
+		go func() {
+			defer compactions.Done()
+			e.vg.Compact()
+		}()
 	}
 	resultsAtLeast(2*batches + 2)
 	close(stop)
 	wg.Wait()
-	e.vg.Compact()
+	compactions.Wait()
 	if st := e.VersionStats(); st.Rebuilds == 0 {
-		t.Fatal("compaction never ran despite threshold 4")
+		t.Fatal("compaction never ran")
 	}
 	// Every batch also purged the epoch-keyed cache layers under the
 	// readers' feet; the comparison below holds them to the bits anyway.

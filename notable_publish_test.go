@@ -66,7 +66,7 @@ func requirePurged(t *testing.T, what string, before, after qcache.Stats) {
 // null layer; a no-op batch and a compaction publish nothing and drop
 // nothing.
 func TestPublishPurgesEpochKeyedLayers(t *testing.T) {
-	opt := Options{ContextSize: 8, Walks: 15000, Seed: 3, TestExactLimit: 1, CompactThreshold: -1}
+	opt := Options{ContextSize: 8, Walks: 15000, Seed: 3, TestExactLimit: 1}
 	ctx := context.Background()
 
 	t.Run("ApplyTriples", func(t *testing.T) {
@@ -89,6 +89,9 @@ func TestPublishPurgesEpochKeyedLayers(t *testing.T) {
 			t.Fatal(err)
 		}
 		requirePurged(t, "effective batch", warm, e.CacheStats())
+		if st := e.VersionStats(); st.Rebuilds != 0 {
+			t.Fatalf("one small batch compacted the store: %+v", st)
+		}
 
 		// Compaction of the now non-empty overlay republishes the same epoch:
 		// entries computed since the bump stay.
@@ -96,6 +99,9 @@ func TestPublishPurgesEpochKeyedLayers(t *testing.T) {
 		e.vg.Compact()
 		if st := e.CacheStats(); st.Purged != rewarm.Purged || st.Size != rewarm.Size {
 			t.Fatalf("compaction dropped cache entries: %+v -> %+v", rewarm, st)
+		}
+		if st := e.VersionStats(); st.Rebuilds != 1 {
+			t.Fatalf("explicit compaction: %+v", st)
 		}
 	})
 
@@ -143,7 +149,7 @@ func TestPinnedRequestSurvivesPurge(t *testing.T) {
 	for _, sel := range []string{SelectorContextRW, SelectorRandomWalk} {
 		for _, warm := range []bool{false, true} {
 			for _, when := range []string{"before selection", "after selection"} {
-				opt := Options{ContextSize: 8, Walks: 15000, Seed: 3, Selector: sel, CompactThreshold: -1}
+				opt := Options{ContextSize: 8, Walks: 15000, Seed: 3, Selector: sel}
 				e := NewEngine(buildLeaders(), opt)
 				query, err := e.Resolve("Angela Merkel", "Barack Obama")
 				if err != nil {
@@ -201,6 +207,9 @@ func TestPinnedRequestSurvivesPurge(t *testing.T) {
 				}
 				if st := e.CacheStats(); st.Layers[qcache.LayerSelector].Bytes+st.Layers[qcache.LayerTest].Bytes+st.Layers[qcache.LayerSeed].Bytes != 0 {
 					t.Fatalf("%s: stale entries outlived the next publish: %+v", what, st)
+				}
+				if st := e.VersionStats(); st.Rebuilds != 0 {
+					t.Fatalf("%s: two small batches compacted the store: %+v", what, st)
 				}
 			}
 		}
