@@ -6,12 +6,12 @@
 //	ncserved -follow http://primary:8080 -addr :8081
 //
 // With -wal-dir, ingest is durable: every acknowledged /v1/ingest batch
-// is fsync'd to a write-ahead log before the 200 goes out (-wal-sync
-// batch|interval picks per-batch fsync vs. group commit), compactions
-// persist checkpoint snapshots, and a restart over the same directory
-// recovers the exact acknowledged epoch — replaying the log tail over
-// the newest checkpoint, truncating a torn final record, and refusing
-// to start on mid-log corruption rather than silently losing writes.
+// is fsync'd to a write-ahead log before the 200 goes out (concurrent
+// ingests share one fsync), compactions persist checkpoint snapshots,
+// and a restart over the same directory recovers the exact acknowledged
+// epoch — replaying the log tail over the newest checkpoint, truncating
+// a torn final record, and refusing to start on mid-log corruption
+// rather than silently losing writes.
 // The -graph/-dataset flags then only seed a fresh directory (keep them
 // identical across restarts). See docs/durability.md.
 //
@@ -84,8 +84,6 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 0, "admission gate: concurrent engine requests before shedding (0 = 4x executor workers)")
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory for durable ingest (empty = in-memory only)")
-		walSync     = flag.String("wal-sync", "batch", "WAL fsync policy: batch (per-ingest fsync) | interval (group commit)")
-		walInterval = flag.Duration("wal-sync-interval", 2*time.Millisecond, "group-commit flush period under -wal-sync interval")
 		follow      = flag.String("follow", "", "primary base URL to replicate from (follower mode: read-only, in-memory)")
 	)
 	flag.Parse()
@@ -155,7 +153,7 @@ func main() {
 		go func() { _ = f.Run(ctx) }()
 	} else {
 		go func() {
-			eng, err := bootEngine(*graphPath, *dataset, *seed, opt, *walDir, *walSync, *walInterval)
+			eng, err := bootEngine(*graphPath, *dataset, *seed, opt, *walDir)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "ncserved:", err)
 				bootFailed.Store(true)
@@ -185,7 +183,7 @@ func main() {
 
 // bootEngine loads the graph and builds the (possibly durable) engine —
 // the potentially slow part of startup, run behind the live listener.
-func bootEngine(graphPath, dataset string, seed int64, opt notable.Options, walDir, walSync string, walInterval time.Duration) (*notable.Engine, error) {
+func bootEngine(graphPath, dataset string, seed int64, opt notable.Options, walDir string) (*notable.Engine, error) {
 	g, err := loadGraph(graphPath, dataset, seed)
 	if err != nil {
 		return nil, err
@@ -193,11 +191,7 @@ func bootEngine(graphPath, dataset string, seed int64, opt notable.Options, walD
 	var engine *notable.Engine
 	if walDir != "" {
 		var recov *notable.RecoveryInfo
-		engine, recov, err = notable.NewDurableEngine(g, opt, notable.Durability{
-			WALDir:              walDir,
-			Sync:                walSync,
-			GroupCommitInterval: walInterval,
-		})
+		engine, recov, err = notable.NewDurableEngine(g, opt, notable.Durability{WALDir: walDir})
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,6 @@
 // Durable ingest: the facade over internal/wal that makes an Engine's
 // acknowledged ApplyTriples batches survive process death. See
-// docs/durability.md for the log format, the sync policies, and the
+// docs/durability.md for the log format, the fsync policy, and the
 // recovery semantics; the mechanics live in internal/wal.
 package notable
 
@@ -14,29 +14,20 @@ import (
 	"repro/internal/wal"
 )
 
-// Sync policy names accepted by Durability.Sync.
-const (
-	// SyncBatch fsyncs the log inside every ApplyTriples call (the
-	// default): minimum loss window, one fsync per acknowledged batch.
-	SyncBatch = "batch"
-	// SyncInterval group-commits: the log is fsync'd at most once per
-	// Durability.GroupCommitInterval and every ApplyTriples landed since
-	// the previous flush blocks for — and shares — that one fsync. Higher
-	// ingest throughput at (bounded) added latency; an acknowledged batch
-	// is still always durable.
-	SyncInterval = "interval"
-)
+// SyncBatch names the one fsync policy: the log is fsync'd inside every
+// ApplyTriples call whose batch no earlier fsync or checkpoint already
+// covered. It and Durability.Sync remain only because the benchmark
+// harness sets them.
+const SyncBatch = "batch"
 
 // Durability configures a durable engine's write-ahead log.
 type Durability struct {
 	// WALDir is the directory holding the log and its checkpoints.
 	// Required; created if absent. One engine per directory.
 	WALDir string
-	// Sync is SyncBatch (default when empty) or SyncInterval.
+	// Sync is "" or SyncBatch; anything else is refused. Kept for the
+	// benchmark harness, which sets it.
 	Sync string
-	// GroupCommitInterval is the flush period under SyncInterval
-	// (default 2ms). Ignored under SyncBatch.
-	GroupCommitInterval time.Duration
 	// Logf receives recovery, checkpoint, and checkpoint-failure lines
 	// (default log.Printf).
 	Logf func(format string, args ...any)
@@ -119,22 +110,16 @@ func NewDurableEngine(bootstrap *Graph, opt Options, d Durability) (*Engine, *Re
 	if d.Logf == nil {
 		d.Logf = log.Printf
 	}
-	var policy wal.SyncPolicy
-	switch d.Sync {
-	case "", SyncBatch:
-		policy = wal.SyncEveryBatch
-	case SyncInterval:
-		policy = wal.SyncEveryInterval
-	default:
-		return nil, nil, fmt.Errorf("notable: unknown sync policy %q (want %q or %q)", d.Sync, SyncBatch, SyncInterval)
+	if d.Sync != "" && d.Sync != SyncBatch {
+		return nil, nil, fmt.Errorf("notable: unknown sync policy %q (want %q)", d.Sync, SyncBatch)
 	}
 
 	g := bootstrap
+	met := newEngineMetrics()
 	l, recov, err := wal.Open(d.WALDir, wal.Options{
-		FS:           d.fs,
-		Sync:         policy,
-		SyncInterval: d.GroupCommitInterval,
-		Logf:         d.Logf,
+		FS:       d.fs,
+		Logf:     d.Logf,
+		FsyncObs: met.fsync,
 	}, func(epoch uint64, payload io.Reader) error {
 		cg, err := kg.ReadSnapshot(payload)
 		if err != nil {
@@ -147,12 +132,8 @@ func NewDurableEngine(bootstrap *Graph, opt Options, d Durability) (*Engine, *Re
 		return nil, nil, err
 	}
 
-	e := newEngine(g, opt, recov.CheckpointEpoch)
+	e := newEngine(g, opt, recov.CheckpointEpoch, met)
 	e.walLogf = d.Logf
-	// The engine's registry (and so its fsync histogram) only exists now
-	// that recovery has produced the boot graph; arm the log with it so
-	// every post-boot fsync lands in nc_wal_fsync_seconds.
-	l.SetFsyncObs(e.met.fsync)
 	// Replay before arming the log: these batches are already in it, and
 	// re-applying them must republish the exact epochs they carried. A
 	// mismatch means the durable state does not reproduce what was

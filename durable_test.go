@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/wal"
@@ -87,10 +88,13 @@ func TestDurableEngineConfigErrors(t *testing.T) {
 	if _, _, err := NewDurableEngine(buildLeaders(), durOpt(), Durability{}); err == nil {
 		t.Fatal("empty WALDir accepted")
 	}
-	d := quietDur(t.TempDir())
-	d.Sync = "always"
-	if _, _, err := NewDurableEngine(buildLeaders(), durOpt(), d); err == nil {
-		t.Fatal("unknown sync policy accepted")
+	// "batch" is the one fsync policy; "interval" names none.
+	for _, sync := range []string{"always", "interval"} {
+		d := quietDur(t.TempDir())
+		d.Sync = sync
+		if _, _, err := NewDurableEngine(buildLeaders(), durOpt(), d); err == nil || !strings.Contains(err.Error(), "unknown sync policy") {
+			t.Fatalf("sync policy %q: err %v, want unknown sync policy", sync, err)
+		}
 	}
 	// A non-durable engine reports durability off and no-ops Checkpoint
 	// and Close.
@@ -108,62 +112,61 @@ func TestDurableEngineConfigErrors(t *testing.T) {
 
 // TestDurableRestartMatchesFromScratch: a restart over the WAL directory
 // recovers the acknowledged epoch, and its search results are bitwise
-// identical to a from-scratch engine — under both sync policies.
+// identical to a from-scratch engine.
 func TestDurableRestartMatchesFromScratch(t *testing.T) {
-	for _, sync := range []string{SyncBatch, SyncInterval} {
-		t.Run(sync, func(t *testing.T) {
-			dir := t.TempDir()
-			opt := durOpt()
-			d := quietDur(dir)
-			d.Sync = sync
-			e, info, err := NewDurableEngine(buildLeaders(), opt, d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if info.Epoch != 0 || info.HasCheckpoint || info.RecordsReplayed != 0 {
-				t.Fatalf("fresh directory recovered %+v", info)
-			}
-			applyBatches(t, e, 3)
-			want := durableDo(t, e)
-			if err := e.Close(); err != nil {
-				t.Fatal(err)
-			}
-			// Serving survives Close; ingest does not.
-			if got := durableDo(t, e); !reflect.DeepEqual(got, want) {
-				t.Fatal("reads differ after Close")
-			}
-			if _, err := e.ApplyTriples(context.Background(), []Triple{{S: "a", P: "b", O: "c"}}, nil); !errors.Is(err, ErrDurability) {
-				t.Fatalf("ingest after Close: %v, want ErrDurability", err)
-			}
+	// Under SyncBatch, the one fsync policy.
+	t.Run(SyncBatch, func(t *testing.T) {
+		dir := t.TempDir()
+		opt := durOpt()
+		d := quietDur(dir)
+		d.Sync = SyncBatch
+		e, info, err := NewDurableEngine(buildLeaders(), opt, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Epoch != 0 || info.HasCheckpoint || info.RecordsReplayed != 0 {
+			t.Fatalf("fresh directory recovered %+v", info)
+		}
+		applyBatches(t, e, 3)
+		want := durableDo(t, e)
+		if err := e.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Serving survives Close; ingest does not.
+		if got := durableDo(t, e); !reflect.DeepEqual(got, want) {
+			t.Fatal("reads differ after Close")
+		}
+		if _, err := e.ApplyTriples(context.Background(), []Triple{{S: "a", P: "b", O: "c"}}, nil); !errors.Is(err, ErrDurability) {
+			t.Fatalf("ingest after Close: %v, want ErrDurability", err)
+		}
 
-			e2, info2, err := NewDurableEngine(buildLeaders(), opt, quietDur(dir))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e2.Close()
-			if info2.Epoch != 3 || info2.RecordsReplayed != 3 || info2.HasCheckpoint {
-				t.Fatalf("restart recovered %+v", info2)
-			}
-			if e2.Epoch() != 3 {
-				t.Fatalf("engine epoch %d after recovery", e2.Epoch())
-			}
-			got := durableDo(t, e2)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatal("recovered result differs from the pre-restart engine")
-			}
-			if oracle := oracleResult(t, opt, 3); !reflect.DeepEqual(got, oracle) {
-				t.Fatal("recovered result differs from a from-scratch engine")
-			}
-			if ds := e2.DurabilityStats(); !ds.Enabled || ds.RecoveredRecords != 3 {
-				t.Fatalf("stats after recovery: %+v", ds)
-			}
-			// Ingest resumes on the recovered epoch sequence.
-			adds, dels := durableBatch(3)
-			if ep, err := e2.ApplyTriples(context.Background(), adds, dels); err != nil || ep != 4 {
-				t.Fatalf("post-recovery batch: epoch %d, err %v", ep, err)
-			}
-		})
-	}
+		e2, info2, err := NewDurableEngine(buildLeaders(), opt, quietDur(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e2.Close()
+		if info2.Epoch != 3 || info2.RecordsReplayed != 3 || info2.HasCheckpoint {
+			t.Fatalf("restart recovered %+v", info2)
+		}
+		if e2.Epoch() != 3 {
+			t.Fatalf("engine epoch %d after recovery", e2.Epoch())
+		}
+		got := durableDo(t, e2)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatal("recovered result differs from the pre-restart engine")
+		}
+		if oracle := oracleResult(t, opt, 3); !reflect.DeepEqual(got, oracle) {
+			t.Fatal("recovered result differs from a from-scratch engine")
+		}
+		if ds := e2.DurabilityStats(); !ds.Enabled || ds.RecoveredRecords != 3 {
+			t.Fatalf("stats after recovery: %+v", ds)
+		}
+		// Ingest resumes on the recovered epoch sequence.
+		adds, dels := durableBatch(3)
+		if ep, err := e2.ApplyTriples(context.Background(), adds, dels); err != nil || ep != 4 {
+			t.Fatalf("post-recovery batch: epoch %d, err %v", ep, err)
+		}
+	})
 }
 
 // TestDurableCheckpointLifecycle: explicit checkpoints persist the flat
@@ -445,7 +448,7 @@ func TestDurableMidLogCorruption(t *testing.T) {
 }
 
 // BenchmarkIngestDurable prices the durability tax on ApplyTriples: no
-// WAL, per-batch fsync, and interval group commit. Each iteration is an
+// WAL against per-batch fsync. Each iteration is an
 // effective single-triple batch (alternating add/delete of the same
 // edge, so the overlay stays bounded without compaction noise).
 func BenchmarkIngestDurable(b *testing.B) {
@@ -487,5 +490,4 @@ func BenchmarkIngestDurable(b *testing.B) {
 	}
 	b.Run("off", func(b *testing.B) { run(b, "") })
 	b.Run("batch", func(b *testing.B) { run(b, SyncBatch) })
-	b.Run("interval", func(b *testing.B) { run(b, SyncInterval) })
 }

@@ -76,7 +76,7 @@ func TestCompareSetsEmptyInput(t *testing.T) {
 func TestCompareSetsTestCache(t *testing.T) {
 	g, query := leadersGraph()
 	ctx := peerContext(g)
-	cache := qcache.New(1024)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 1024})
 	opt := Options{Seed: 7, Cache: &Cache{Store: cache}}
 	cold := compareSets(t, g, query, ctx, opt)
 	st := cache.Stats()
@@ -117,7 +117,7 @@ func TestCompareSetsTestCache(t *testing.T) {
 func TestCompareSetsTestCacheCallerOwnsSlices(t *testing.T) {
 	g, query := leadersGraph()
 	ctx := peerContext(g)
-	opt := Options{Seed: 7, Cache: &Cache{Store: qcache.New(1024)}}
+	opt := Options{Seed: 7, Cache: &Cache{Store: qcache.NewSharded(qcache.Config{Capacity: 1024})}}
 	first := compareSets(t, g, query, ctx, opt)
 	for i := range first {
 		for j := range first[i].Inst.Query {
@@ -147,7 +147,7 @@ func TestCompareSetsTestCacheCallerOwnsSlices(t *testing.T) {
 func TestCompareSetsTestCacheKeying(t *testing.T) {
 	g, query := leadersGraph()
 	ctx := peerContext(g)
-	cache := qcache.New(4096)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 4096})
 	base := Options{Seed: 7, Cache: &Cache{Store: cache}}
 	compareSets(t, g, query, ctx, base)
 	miss0 := cache.Stats().Misses
@@ -193,7 +193,7 @@ func BenchmarkCompareSets(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		b.ReportAllocs()
-		opt := Options{Seed: 1, Cache: &Cache{Store: qcache.New(1024)}}
+		opt := Options{Seed: 1, Cache: &Cache{Store: qcache.NewSharded(qcache.Config{Capacity: 1024})}}
 		compareSets(b, g, query, ctx, opt)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

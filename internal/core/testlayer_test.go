@@ -18,7 +18,7 @@ import (
 func TestTestLayerWarmHitIsPrivate(t *testing.T) {
 	g, query := leadersGraph()
 	cset := peerContext(g)
-	opt := Options{Seed: 7, Cache: &Cache{Store: qcache.New(64)}}
+	opt := Options{Seed: 7, Cache: &Cache{Store: qcache.NewSharded(qcache.Config{Capacity: 64})}}
 	cold := compareSets(t, g, query, cset, opt)
 	hit := compareSets(t, g, query, cset, opt)
 	if !reflect.DeepEqual(hit, cold) {
@@ -57,7 +57,7 @@ func TestTestLayerWarmHitIsPrivate(t *testing.T) {
 func TestTestLayerDoneCtxSkipsLookup(t *testing.T) {
 	g, query := leadersGraph()
 	cset := peerContext(g)
-	cache := qcache.New(64)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 64})
 	opt := Options{Seed: 7, Cache: &Cache{Store: cache}}
 	warm := compareSets(t, g, query, cset, opt)
 	before := cache.Stats()
@@ -83,7 +83,7 @@ func TestTestLayerDegradedCutStoresNothing(t *testing.T) {
 	g, query := leadersGraph()
 	cset := peerContext(g)
 	want := compareSets(t, g, query, cset, Options{Seed: 7})
-	cache := qcache.New(64)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 64})
 	opt := Options{Seed: 7, Parallelism: 1, Partial: true, Cache: &Cache{Store: cache}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -112,7 +112,7 @@ func TestTestLayerDegradedCutStoresNothing(t *testing.T) {
 func TestTestLayerEntryBytes(t *testing.T) {
 	g, query := leadersGraph()
 	cset := peerContext(g)
-	cache := qcache.New(64)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 64})
 	opt := Options{Seed: 7, Cache: &Cache{Store: cache}}
 	var total int64
 	for _, c := range []struct{ query, cset []uint32 }{{query, cset}, {query[:1], cset[:3]}} {
@@ -156,7 +156,7 @@ func TestTestLayerKeysEveryOption(t *testing.T) {
 		}
 	}
 	for _, prefixed := range []bool{false, true} {
-		cache := qcache.New(64)
+		cache := qcache.NewSharded(qcache.Config{Capacity: 64})
 		for pass := 0; pass < 2; pass++ {
 			for i, v := range variants {
 				want := compareSets(t, g, query, cset, v)

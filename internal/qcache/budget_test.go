@@ -5,7 +5,7 @@ import "testing"
 // TestPutSizedAccounting: per-layer byte totals track inserts, refreshes,
 // and evictions exactly.
 func TestPutSizedAccounting(t *testing.T) {
-	c := New(10)
+	c := NewSharded(Config{Capacity: 10})
 	c.PutSized("a", 1, LayerSelector, 100)
 	c.PutSized("b", 2, LayerTest, 7)
 	c.PutSized("c", 3, LayerTest, 5)
@@ -85,8 +85,8 @@ func TestEntryCapStillHolds(t *testing.T) {
 	c.PutSized("a", 1, LayerTest, 1)
 	c.PutSized("b", 2, LayerTest, 1)
 	c.PutSized("c", 3, LayerTest, 1)
-	if c.Len() != 2 {
-		t.Fatalf("entry cap ignored: %d entries", c.Len())
+	if c.Stats().Size != 2 {
+		t.Fatalf("entry cap ignored: %d entries", c.Stats().Size)
 	}
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("a should have been evicted by the entry cap")
@@ -96,8 +96,8 @@ func TestEntryCapStillHolds(t *testing.T) {
 // TestPlainPutZeroBytes: the unsized Put never trips a byte budget.
 func TestPlainPutZeroBytes(t *testing.T) {
 	c := budgeted(10, LayerSelector, 5)
-	c.Put("a", 1)
-	c.Put("b", 2)
+	c.PutSized("a", 1, LayerSelector, 0)
+	c.PutSized("b", 2, LayerSelector, 0)
 	if st := c.Stats(); st.Bytes != 0 || st.Size != 2 || st.Evictions != 0 {
 		t.Fatalf("unsized puts must be byte-free: %+v", st)
 	}

@@ -141,7 +141,7 @@ type Config struct {
 
 // Cache is a bounded, sharded LRU map with hit/miss/eviction counters and
 // per-layer byte accounting. A nil *Cache is a valid no-op cache: Get
-// always misses and Put does nothing.
+// always misses and PutSized does nothing.
 type Cache struct {
 	shards []*shard
 	mask   uint64
@@ -167,7 +167,7 @@ type shard struct {
 // The size hint is stored with the entry, so eviction and refresh adjust
 // the per-layer totals from the recorded value rather than recomputing a
 // caller-side estimate — the invariant behind Stats bytes never going
-// negative under concurrent Put/evict.
+// negative under concurrent PutSized/evict.
 type entry struct {
 	key   string
 	val   any
@@ -176,14 +176,7 @@ type entry struct {
 	seq   uint64
 }
 
-// New returns a cache bounded to capacity entries. capacity <= 0 returns
-// nil, the no-op cache.
-func New(capacity int) *Cache {
-	return NewSharded(Config{Capacity: capacity})
-}
-
-// NewSharded returns a cache for cfg — the general constructor behind
-// New, and the only one exposing sharding and per-layer budgets.
+// NewSharded returns a cache for cfg — the only constructor.
 // cfg.Capacity <= 0 returns nil, the no-op cache.
 func NewSharded(cfg Config) *Cache {
 	if cfg.Capacity <= 0 {
@@ -285,12 +278,6 @@ func (c *Cache) GetLayer(key string, layer Layer) (any, bool) {
 	return e.val, true
 }
 
-// Put stores val under key with a zero size hint in the selector layer —
-// entry-cap semantics only. Callers that account bytes use PutSized.
-func (c *Cache) Put(key string, val any) {
-	c.PutSized(key, val, LayerSelector, 0)
-}
-
 // PutSized stores val under key, attributing bytes to layer for the
 // per-layer accounting, and evicts least-recently-used entries while the
 // cache exceeds its entry cap or the layer's byte budget.
@@ -334,7 +321,7 @@ func (c *Cache) PutSized(key string, val any, layer Layer, bytes int64) {
 // globally oldest entry is necessarily the back of its layer's list). The
 // newest entry of a list is never dropped: a single value larger than its
 // layer's whole budget still caches (and evicts the rest of the layer)
-// rather than thrashing on every Put.
+// rather than thrashing on every PutSized.
 func (sh *shard) evictOver() {
 	for l := range sh.ll {
 		for sh.layerMax[l] > 0 && sh.bytes[l] > sh.layerMax[l] && sh.ll[l].Len() > 1 {
@@ -385,20 +372,6 @@ func (c *Cache) Purge(layers ...Layer) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// Len returns the number of cached entries across all shards.
-func (c *Cache) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		n += len(sh.items)
-		sh.mu.Unlock()
-	}
-	return n
 }
 
 // LayerStats is one layer's slice of a Stats snapshot.

@@ -7,14 +7,14 @@ import (
 )
 
 func TestPutGetAndLRUEviction(t *testing.T) {
-	c := New(2)
-	c.Put("a", 1)
-	c.Put("b", 2)
+	c := NewSharded(Config{Capacity: 2})
+	c.PutSized("a", 1, LayerSelector, 0)
+	c.PutSized("b", 2, LayerSelector, 0)
 	if v, ok := c.Get("a"); !ok || v.(int) != 1 {
 		t.Fatalf("Get(a) = %v, %v", v, ok)
 	}
 	// "b" is now least recently used; inserting "c" evicts it.
-	c.Put("c", 3)
+	c.PutSized("c", 3, LayerSelector, 0)
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted")
 	}
@@ -31,11 +31,11 @@ func TestPutGetAndLRUEviction(t *testing.T) {
 }
 
 func TestPutRefreshesExistingKey(t *testing.T) {
-	c := New(2)
-	c.Put("a", 1)
-	c.Put("a", 10)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after double Put", c.Len())
+	c := NewSharded(Config{Capacity: 2})
+	c.PutSized("a", 1, LayerSelector, 0)
+	c.PutSized("a", 10, LayerSelector, 0)
+	if c.Stats().Size != 1 {
+		t.Fatalf("Size = %d after double Put", c.Stats().Size)
 	}
 	if v, _ := c.Get("a"); v.(int) != 10 {
 		t.Fatalf("refreshed value = %v", v)
@@ -43,9 +43,9 @@ func TestPutRefreshesExistingKey(t *testing.T) {
 }
 
 func TestHitMissCounters(t *testing.T) {
-	c := New(4)
+	c := NewSharded(Config{Capacity: 4})
 	c.Get("nope")
-	c.Put("a", 1)
+	c.PutSized("a", 1, LayerSelector, 0)
 	c.Get("a")
 	c.Get("a")
 	st := c.Stats()
@@ -56,14 +56,14 @@ func TestHitMissCounters(t *testing.T) {
 
 func TestNilCacheIsNoOp(t *testing.T) {
 	var c *Cache
-	c.Put("a", 1)
+	c.PutSized("a", 1, LayerSelector, 0)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("nil cache returned a hit")
 	}
-	if c.Len() != 0 || c.Stats() != (Stats{}) {
+	if c.Stats() != (Stats{}) {
 		t.Fatal("nil cache reports non-zero state")
 	}
-	if New(0) != nil || New(-3) != nil {
+	if NewSharded(Config{Capacity: 0}) != nil || NewSharded(Config{Capacity: -3}) != nil {
 		t.Fatal("non-positive capacity should return the nil cache")
 	}
 }
@@ -142,7 +142,7 @@ func TestHashIDs(t *testing.T) {
 }
 
 func TestConcurrentAccess(t *testing.T) {
-	c := New(16)
+	c := NewSharded(Config{Capacity: 16})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -150,13 +150,13 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				key := fmt.Sprintf("k%d", (w+i)%32)
-				c.Put(key, i)
+				c.PutSized(key, i, LayerSelector, 0)
 				c.Get(key)
 			}
 		}(w)
 	}
 	wg.Wait()
-	if c.Len() > 16 {
-		t.Fatalf("cache exceeded capacity: %d", c.Len())
+	if c.Stats().Size > 16 {
+		t.Fatalf("cache exceeded capacity: %d", c.Stats().Size)
 	}
 }

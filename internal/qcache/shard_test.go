@@ -29,17 +29,17 @@ func TestShardCountRounding(t *testing.T) {
 func TestShardedBasicOps(t *testing.T) {
 	c := NewSharded(Config{Capacity: 64, Shards: 8})
 	for i := 0; i < 32; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		c.PutSized(fmt.Sprintf("k%d", i), i, LayerSelector, 0)
 	}
-	if c.Len() != 32 {
-		t.Fatalf("Len = %d, want 32", c.Len())
+	if c.Stats().Size != 32 {
+		t.Fatalf("Size = %d, want 32", c.Stats().Size)
 	}
 	for i := 0; i < 32; i++ {
 		if v, ok := c.Get(fmt.Sprintf("k%d", i)); !ok || v.(int) != i {
 			t.Fatalf("Get(k%d) = %v, %v", i, v, ok)
 		}
 	}
-	c.Put("k3", 333)
+	c.PutSized("k3", 333, LayerSelector, 0)
 	if v, _ := c.Get("k3"); v.(int) != 333 {
 		t.Fatalf("refresh lost: %v", v)
 	}
@@ -55,9 +55,9 @@ func TestShardedBasicOps(t *testing.T) {
 func TestShardedEntryCap(t *testing.T) {
 	c := NewSharded(Config{Capacity: 16, Shards: 4})
 	for i := 0; i < 200; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		c.PutSized(fmt.Sprintf("k%d", i), i, LayerSelector, 0)
 	}
-	if n := c.Len(); n > 16 {
+	if n := c.Stats().Size; n > 16 {
 		t.Fatalf("sharded cache holds %d entries, cap 16", n)
 	}
 	if st := c.Stats(); st.Evictions == 0 {
@@ -75,9 +75,9 @@ func TestShardedCapacityExact(t *testing.T) {
 		t.Fatalf("split capacity sums to %d, want 10", got)
 	}
 	for i := 0; i < 500; i++ {
-		c.Put(fmt.Sprintf("k%d", i), i)
+		c.PutSized(fmt.Sprintf("k%d", i), i, LayerSelector, 0)
 	}
-	if n := c.Len(); n > 10 {
+	if n := c.Stats().Size; n > 10 {
 		t.Fatalf("resident %d entries, cap 10", n)
 	}
 }
@@ -86,7 +86,7 @@ func TestShardedCapacityExact(t *testing.T) {
 // misses against the caller-declared layer, and the aggregate counters
 // total the layers.
 func TestGetLayerAttribution(t *testing.T) {
-	c := New(16)
+	c := NewSharded(Config{Capacity: 16})
 	c.PutSized("seed", 1, LayerSeed, 10)
 	c.GetLayer("seed", LayerSeed)
 	c.GetLayer("seed", LayerTest) // hit: attributed to LayerSeed regardless
@@ -144,7 +144,7 @@ func TestLayerBudgetEvictsOwnLayerOnly(t *testing.T) {
 // globally least-recently-used entry regardless of which layer it lives
 // in — the per-layer lists plus recency stamps reproduce one exact LRU.
 func TestCrossLayerLRUExact(t *testing.T) {
-	c := New(3)
+	c := NewSharded(Config{Capacity: 3})
 	c.PutSized("a", 1, LayerSelector, 0)
 	c.PutSized("b", 2, LayerTest, 0)
 	c.PutSized("c", 3, LayerSeed, 0)
@@ -163,7 +163,7 @@ func TestCrossLayerLRUExact(t *testing.T) {
 // TestLayerChangeOnRefresh: re-Putting a key under a different layer
 // moves its bytes and recency to the new layer.
 func TestLayerChangeOnRefresh(t *testing.T) {
-	c := New(10)
+	c := NewSharded(Config{Capacity: 10})
 	c.PutSized("k", 1, LayerSelector, 100)
 	c.PutSized("k", 2, LayerNull, 40)
 	st := c.Stats()
@@ -222,7 +222,7 @@ func TestPurgeDropsNamedLayersOnly(t *testing.T) {
 		if st.Layers[LayerSelector].Bytes != 0 || st.Layers[LayerTest].Bytes != 0 || st.Layers[LayerSeed].Bytes != 0 {
 			t.Fatalf("shards=%d: purged layers still hold bytes: %+v", shards, st)
 		}
-		if st.Layers[LayerNull].Bytes != before.Layers[LayerNull].Bytes || st.Bytes != before.Layers[LayerNull].Bytes || st.Size != 40 || c.Len() != 40 {
+		if st.Layers[LayerNull].Bytes != before.Layers[LayerNull].Bytes || st.Bytes != before.Layers[LayerNull].Bytes || st.Size != 40 || c.Stats().Size != 40 {
 			t.Fatalf("shards=%d: null layer disturbed: before %+v after %+v", shards, before, st)
 		}
 		if st.Purged != 120 || st.Evictions != before.Evictions {

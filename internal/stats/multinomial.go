@@ -165,17 +165,6 @@ func (m Multinomial) TestScratch(pi []float64, x []int, s *Scratch) Result {
 	return Result{P: m.monteCarlo(p, logp, logX, n, s), Exact: false, LogProbX: logX}
 }
 
-// Score is the MT score of the paper: 1 − Pr_s when the test rejects at
-// Alpha, and 0 otherwise (the characteristic is not notable).
-func (m Multinomial) Score(pi []float64, x []int) float64 {
-	m = m.withDefaults()
-	r := m.Test(pi, x)
-	if r.P <= m.Alpha {
-		return 1 - r.P
-	}
-	return 0
-}
-
 // exact enumerates the compositions of n into k parts, accumulating the
 // probability of outcomes at most as likely as logX. Probability terms are
 // pure arithmetic over the cached category logs and the ln-factorial

@@ -375,7 +375,7 @@ func TestNullMemoMatchesReference(t *testing.T) {
 	for _, sh := range monteCarloShapes[2:5] {
 		pi, x := shapeCase(sh.k, sh.n, 4, "mid")
 		_, x2 := shapeCase(sh.k, sh.n, 5, "mid")
-		m := Multinomial{Seed: 9, Samples: 2000, Nulls: qcache.New(8)}
+		m := Multinomial{Seed: 9, Samples: 2000, Nulls: qcache.NewSharded(qcache.Config{Capacity: 8})}
 		if got, want := m.Test(pi, x), m.refTest(pi, x); got != want {
 			t.Fatalf("k=%d memo fill: %+v != reference %+v", sh.k, got, want)
 		}

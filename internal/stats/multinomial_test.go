@@ -55,8 +55,8 @@ func TestImpossibleObservation(t *testing.T) {
 	if !math.IsInf(r.LogProbX, -1) {
 		t.Fatal("LogProbX should be -Inf")
 	}
-	if got := m.Score([]float64{1, 0}, []int{0, 1}); got != 1 {
-		t.Fatalf("Score = %v, want 1", got)
+	if r.P > DefaultAlpha {
+		t.Fatalf("P = %v not notable at alpha %v", r.P, DefaultAlpha)
 	}
 }
 
@@ -66,21 +66,20 @@ func TestEmptyObservation(t *testing.T) {
 	if r.P != 1 {
 		t.Fatalf("P = %v, want 1 for empty observation", r.P)
 	}
-	if m.Score([]float64{0.5, 0.5}, []int{0, 0}) != 0 {
-		t.Fatal("empty observation should score 0")
+	if r.P <= DefaultAlpha {
+		t.Fatal("empty observation should not be notable")
 	}
 }
 
 func TestScoreThreshold(t *testing.T) {
 	m := Multinomial{}
 	// P = 0.0625 > 0.05: not notable.
-	if got := m.Score([]float64{0.5, 0.5}, []int{5, 0}); got != 0 {
-		t.Fatalf("Score = %v, want 0 at P=0.0625", got)
+	if p := m.Test([]float64{0.5, 0.5}, []int{5, 0}).P; p <= DefaultAlpha || math.Abs(p-0.0625) > 1e-12 {
+		t.Fatalf("P = %v, want 0.0625 (not notable at %v)", p, DefaultAlpha)
 	}
-	// One more observation: P = 2/128 ≈ 0.0156 ≤ 0.05: notable.
-	got := m.Score([]float64{0.5, 0.5}, []int{6, 0})
-	if got <= 0.9 {
-		t.Fatalf("Score = %v, want ≈ 1-2/128", got)
+	// One more observation: P = 2/64 ≈ 0.031 ≤ 0.05: notable.
+	if p := m.Test([]float64{0.5, 0.5}, []int{6, 0}).P; p > DefaultAlpha || math.Abs(p-2.0/64) > 1e-12 {
+		t.Fatalf("P = %v, want 2/64 (notable at %v)", p, DefaultAlpha)
 	}
 }
 

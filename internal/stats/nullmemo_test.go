@@ -16,7 +16,7 @@ const forceMCLimit = 1
 // on the miss that fills the memo AND on every hit after it, including
 // hits probed with different observations under the same π and n.
 func TestNullMemoBitwiseIdentical(t *testing.T) {
-	cache := qcache.New(256)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 256})
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 40; trial++ {
 		k := 2 + rng.Intn(6)
@@ -67,7 +67,7 @@ func TestNullMemoBitwiseIdentical(t *testing.T) {
 // entry through the same key the test uses and comparing slice identity
 // across repeated tests.
 func TestNullMemoReferenceEquality(t *testing.T) {
-	cache := qcache.New(16)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 16})
 	m := Multinomial{ExactLimit: forceMCLimit, Samples: 300, Seed: 5, Nulls: cache}
 	pi := []float64{0.5, 0.3, 0.2}
 	obs := []int{4, 2, 1}
@@ -106,7 +106,7 @@ func TestNullMemoReferenceEquality(t *testing.T) {
 // TestNullMemoKeySensitivity: changing n, Samples, Seed, or any bit of π
 // must reach a different entry (or verify-miss), never a stale p-value.
 func TestNullMemoKeySensitivity(t *testing.T) {
-	cache := qcache.New(64)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 64})
 	base := Multinomial{ExactLimit: forceMCLimit, Samples: 200, Seed: 3, Nulls: cache}
 	pi := []float64{0.6, 0.25, 0.15}
 	obs := []int{3, 3, 1}
@@ -139,7 +139,7 @@ func TestNullMemoKeySensitivity(t *testing.T) {
 // the wrong π (what a 64-bit hash collision would leave) is detected by
 // the bitwise verification and recomputed, not served.
 func TestNullMemoCollisionRecovers(t *testing.T) {
-	cache := qcache.New(16)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 16})
 	m := Multinomial{ExactLimit: forceMCLimit, Samples: 200, Seed: 3, Nulls: cache}
 	pi := []float64{0.7, 0.2, 0.1}
 	obs := []int{2, 2, 2}
@@ -163,7 +163,7 @@ func TestNullMemoCollisionRecovers(t *testing.T) {
 // its float accumulation is order-dependent, so there is nothing legal to
 // reuse — and stores nothing.
 func TestNullMemoExactPathUntouched(t *testing.T) {
-	cache := qcache.New(16)
+	cache := qcache.NewSharded(qcache.Config{Capacity: 16})
 	m := Multinomial{Samples: 200, Seed: 3, Nulls: cache}
 	res := m.Test([]float64{0.5, 0.5}, []int{3, 2})
 	if !res.Exact {

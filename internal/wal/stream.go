@@ -154,11 +154,6 @@ func (l *Log) TailSince(from uint64) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, durable, fmt.Errorf("wal: reading log for tail: %w", err)
 	}
-	// Only the synced prefix is durable; bytes past it may rewind in a
-	// crash and must never reach a follower.
-	if int64(len(data)) > l.synced {
-		data = data[:l.synced]
-	}
 	var out []byte
 	for off := headerLen; off < len(data); {
 		r, n, err := ReadRecord(data[off:])

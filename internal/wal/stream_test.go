@@ -233,26 +233,24 @@ func TestOpenCheckpoint(t *testing.T) {
 	}
 }
 
-// TestTailSinceGroupCommitCap: under interval sync, bytes appended but
-// not yet fsync'd must not appear in a tail — a follower may never hold
+// TestTailSinceGroupCommitCap: a record appended but not yet committed
+// (so not fsync'd) must not appear in a tail — a follower may never hold
 // epochs a primary crash would disown.
 func TestTailSinceGroupCommitCap(t *testing.T) {
-	opt := quietOpt(nil)
-	opt.Sync = SyncEveryInterval
-	opt.SyncInterval = time.Hour // flusher effectively off: sync only on demand
-	l, _, err := Open(t.TempDir(), opt, testLoad(nil))
+	l, _, err := Open(t.TempDir(), quietOpt(nil), testLoad(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if _, err := l.Append(testRecord(1)); err != nil {
+	appendAll(t, l, 1, 2)
+	if _, err := l.Append(testRecord(3)); err != nil {
 		t.Fatal(err)
 	}
 	tail, durable, err := l.TailSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if durable != 0 || len(tail) != 0 {
-		t.Fatalf("unsynced append leaked into tail: durable %d, %d byte(s)", durable, len(tail))
+	if durable != 2 || !bytes.Equal(tail, frames(1, 2)) {
+		t.Fatalf("tail with epoch 3 uncommitted: durable %d, %d byte(s); want epochs 1..2 only", durable, len(tail))
 	}
 }

@@ -13,12 +13,12 @@
 //	*.tmp                in-flight writes; removed on open
 //
 // Durability protocol. Appends go to an append-only handle; a record is
-// acknowledged only after an fsync covering it returns — either inline
-// per batch (SyncEveryBatch) or by the next group-commit tick
-// (SyncEveryInterval), where every append landed since the previous tick
-// rides one fsync. Because records enter the file in epoch order, any
-// fsync durably commits a *prefix* of the epoch sequence: recovery never
-// sees epoch N without N-1.
+// acknowledged only after its Commit returns, and a Commit fsyncs inline
+// unless an earlier fsync or checkpoint rewrite already covered its epoch
+// (concurrent committers share one fsync that way). Because records
+// enter the file in epoch order, any fsync durably commits a *prefix* of
+// the epoch sequence: recovery never sees epoch N without N-1, and one
+// durable epoch watermark says exactly what survives a crash.
 //
 // Checkpoints. Checkpoint writes the payload to a temp file, fsyncs it,
 // atomically renames it into place, fsyncs the directory, and only then
@@ -74,36 +74,22 @@ const (
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: closed")
 
-// SyncPolicy selects when appended records are fsync'd — which is when
-// their Commit returns and the write may be acknowledged.
+// SyncPolicy names the log's fsync policy. There is one, SyncEveryBatch;
+// the type and Options.Sync remain only because the benchmark harness
+// sets them.
 type SyncPolicy int
 
-const (
-	// SyncEveryBatch fsyncs inline on every Commit: minimum loss window,
-	// one fsync per batch (concurrent commits still share one fsync —
-	// whoever syncs first covers everyone written before them).
-	SyncEveryBatch SyncPolicy = iota
-	// SyncEveryInterval group-commits: a background flusher fsyncs at most
-	// once per Options.SyncInterval and every Commit landed since the
-	// previous flush waits for — and shares — that one fsync. Throughput
-	// over latency; the durability contract is unchanged (Commit still
-	// returns only once the record is on disk).
-	SyncEveryInterval
-)
-
-// DefaultSyncInterval is the group-commit flush period when
-// Options.SyncInterval is zero.
-const DefaultSyncInterval = 2 * time.Millisecond
+// SyncEveryBatch fsyncs inline on every Commit whose epoch is not yet
+// durable: one fsync per batch at most, shared by concurrent commits.
+const SyncEveryBatch SyncPolicy = 0
 
 // Options configures a Log.
 type Options struct {
 	// FS is the filesystem seam; nil selects the os-backed one.
 	FS FS
-	// Sync is the fsync policy (default SyncEveryBatch).
+	// Sync is the fsync policy; SyncEveryBatch is the only one. Kept for
+	// the benchmark harness, which sets it.
 	Sync SyncPolicy
-	// SyncInterval is the group-commit flush period under
-	// SyncEveryInterval (default DefaultSyncInterval).
-	SyncInterval time.Duration
 	// Logf receives recovery and checkpoint log lines (default
 	// log.Printf; tests pass t.Logf or a no-op).
 	Logf func(format string, args ...any)
@@ -118,9 +104,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.FS == nil {
 		o.FS = OSFS()
-	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = DefaultSyncInterval
 	}
 	if o.Logf == nil {
 		o.Logf = log.Printf
@@ -164,10 +147,10 @@ type Stats struct {
 	CheckpointEpoch uint64
 }
 
-// Commit blocks until the record whose Append returned it is durable
-// under the log's sync policy, and reports the outcome. A non-nil error
-// means the record's durability is unknown at best — the log is sticky-
-// failed and every later Append and Commit returns the same error.
+// Commit blocks until the record whose Append returned it is durable,
+// and reports the outcome. A non-nil error means the record's
+// durability is unknown at best — the log is sticky-failed and every
+// later Append and Commit returns the same error.
 type Commit func() error
 
 // Log is an open write-ahead log. Safe for concurrent use; appends are
@@ -178,10 +161,8 @@ type Log struct {
 	opt Options
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	f         File  // append handle
 	size      int64 // bytes in the log file (valid prefix)
-	synced    int64 // bytes covered by a completed fsync
 	records   int64
 	lastEpoch uint64 // epoch of the newest record (or checkpoint, if newer)
 	ckptEpoch uint64 // newest checkpoint
@@ -190,8 +171,9 @@ type Log struct {
 	err       error // sticky: first write/fsync/truncate failure
 	closed    bool
 
-	// Replication watermarks (stream.go). durableEpoch trails lastEpoch
-	// until an fsync covers it; oldestInLog is the epoch of the oldest
+	// Durability and replication watermarks (stream.go). durableEpoch
+	// trails lastEpoch until an fsync or log rewrite covers it; Commit
+	// and TailSince both read it. oldestInLog is the epoch of the oldest
 	// record still in the file (0 when the file holds none) — TailSince's
 	// gone-detection floor; notifyCh is close-and-replaced on every
 	// durable advance, sticky failure, or close.
@@ -199,9 +181,7 @@ type Log struct {
 	oldestInLog  uint64
 	notifyCh     chan struct{}
 
-	flushStop chan struct{}
-	flushDone chan struct{}
-	buf       []byte // append encode scratch, guarded by mu
+	buf []byte // append encode scratch, guarded by mu
 }
 
 // Open opens (creating if necessary) the WAL in dir and recovers its
@@ -272,7 +252,6 @@ func Open(dir string, opt Options, load func(epoch uint64, payload io.Reader) er
 	}
 
 	l := &Log{dir: dir, opt: opt, ckptEpoch: rec.CheckpointEpoch, lastEpoch: rec.CheckpointEpoch}
-	l.cond = sync.NewCond(&l.mu)
 	l.notifyCh = make(chan struct{})
 	if rec.HasCheckpoint {
 		// The retained-older-checkpoint floor restarts at the loaded one:
@@ -284,11 +263,6 @@ func Open(dir string, opt Options, load func(epoch uint64, payload io.Reader) er
 	}
 	// Everything recovery accepted is on disk by definition.
 	l.durableEpoch = l.lastEpoch
-	if opt.Sync == SyncEveryInterval {
-		l.flushStop = make(chan struct{})
-		l.flushDone = make(chan struct{})
-		go l.flusher()
-	}
 	return l, rec, nil
 }
 
@@ -358,7 +332,6 @@ func (l *Log) recoverLog(rec *Recovery) error {
 		l.lastEpoch = prev
 	}
 	l.size = int64(off)
-	l.synced = l.size
 	f, err := fs.OpenAppend(path)
 	if err != nil {
 		return fmt.Errorf("wal: opening log for append: %w", err)
@@ -390,15 +363,14 @@ func (l *Log) createLog() error {
 	}
 	l.f = f
 	l.size = int64(headerLen)
-	l.synced = l.size
 	return nil
 }
 
 // Append writes rec to the log and returns a Commit that blocks until
-// the record is durable under the sync policy. The record's epoch must
-// be exactly one past the log's newest (checkpoint or record): the log
-// is the serialization of the epoch sequence, and a gap here is an
-// ordering bug upstream, reported loudly rather than persisted.
+// the record is durable. The record's epoch must be exactly one past the
+// log's newest (checkpoint or record): the log is the serialization of
+// the epoch sequence, and a gap here is an ordering bug upstream,
+// reported loudly rather than persisted.
 //
 // Errors are sticky: after any write or fsync failure the log refuses
 // every further Append with the original error, because a record it
@@ -431,30 +403,19 @@ func (l *Log) Append(rec Record) (Commit, error) {
 	if l.oldestInLog == 0 {
 		l.oldestInLog = rec.Epoch
 	}
-	end := l.size
-	return func() error { return l.commitWait(end) }, nil
+	epoch := rec.Epoch
+	return func() error { return l.commit(epoch) }, nil
 }
 
-// commitWait blocks until the log's synced watermark covers end.
-func (l *Log) commitWait(end int64) error {
+// commit fsyncs unless the durable watermark already covers epoch — an
+// earlier commit's fsync, a checkpoint's log rewrite, or Close did.
+func (l *Log) commit(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.opt.Sync == SyncEveryBatch {
-		if l.err == nil && l.synced < end {
-			l.syncLocked()
-		}
-		return l.err
+	if l.err == nil && l.durableEpoch < epoch {
+		l.syncLocked()
 	}
-	for l.err == nil && l.synced < end && !l.closed {
-		l.cond.Wait()
-	}
-	if l.err != nil {
-		return l.err
-	}
-	if l.synced < end {
-		return ErrClosed
-	}
-	return nil
+	return l.err
 }
 
 // syncLocked fsyncs the append handle and advances the watermark.
@@ -470,48 +431,17 @@ func (l *Log) syncLocked() {
 		l.fail(fmt.Errorf("wal: fsync: %w", err))
 		return
 	}
-	l.synced = l.size
 	l.durableEpoch = l.lastEpoch
-	l.cond.Broadcast()
 	l.bumpLocked()
 }
 
-// SetFsyncObs attaches (or replaces) the fsync latency histogram after
-// Open — for callers whose metrics registry is built from recovered
-// state and therefore after the log itself (NewDurableEngine). Safe
-// against concurrent syncs; observations start with the next fsync.
-func (l *Log) SetFsyncObs(h *obs.Histogram) {
-	l.mu.Lock()
-	l.opt.FsyncObs = h
-	l.mu.Unlock()
-}
-
-// fail records the sticky error and wakes every waiter. Caller holds l.mu.
+// fail records the sticky error and wakes every Changed subscriber.
+// Caller holds l.mu.
 func (l *Log) fail(err error) {
 	if l.err == nil {
 		l.err = err
 	}
-	l.cond.Broadcast()
 	l.bumpLocked()
-}
-
-// flusher is the SyncEveryInterval group-commit loop.
-func (l *Log) flusher() {
-	defer close(l.flushDone)
-	t := time.NewTicker(l.opt.SyncInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-l.flushStop:
-			return
-		case <-t.C:
-			l.mu.Lock()
-			if !l.closed && l.err == nil && l.synced < l.size {
-				l.syncLocked()
-			}
-			l.mu.Unlock()
-		}
-	}
 }
 
 // Checkpoint durably persists a state snapshot for epoch: write writes
@@ -668,14 +598,13 @@ func (l *Log) truncateLocked(floor uint64) error {
 	}
 	l.f = f
 	l.size = int64(len(out))
-	l.synced = l.size
 	l.records = kept
 	l.oldestInLog = oldest
-	// The rewrite fsync'd everything it kept — including records that were
-	// awaiting a group-commit tick — and the checkpoint that triggered it
-	// is durable, so the durable watermark catches up to the newest epoch.
+	// The rewrite fsync'd everything it kept — including records whose
+	// Commit has not run yet — and the checkpoint that triggered it is
+	// durable, so the durable watermark catches up to the newest epoch and
+	// those commits return without another fsync.
 	l.durableEpoch = l.lastEpoch
-	l.cond.Broadcast()
 	l.bumpLocked()
 	return nil
 }
@@ -707,7 +636,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if l.err == nil && l.synced < l.size {
+	if l.err == nil && l.durableEpoch < l.lastEpoch {
 		l.syncLocked()
 	}
 	err := l.err
@@ -716,13 +645,8 @@ func (l *Log) Close() error {
 			err = cerr
 		}
 	}
-	l.cond.Broadcast()
 	l.bumpLocked()
 	l.mu.Unlock()
-	if l.flushStop != nil {
-		close(l.flushStop)
-		<-l.flushDone
-	}
 	return err
 }
 

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/kg"
+	"repro/internal/obs"
 )
 
 // testRecord builds the record for an epoch: distinct content per epoch
@@ -120,13 +121,13 @@ func TestLogAppendOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestLogGroupCommit: under SyncEveryInterval, concurrent commits all
-// return durable, and a reopen sees every acknowledged record.
+// TestLogGroupCommit: concurrent commits all return durable, sharing
+// fsyncs (never more than one per record), and a reopen sees every
+// acknowledged record.
 func TestLogGroupCommit(t *testing.T) {
 	dir := t.TempDir()
 	opt := quietOpt(nil)
-	opt.Sync = SyncEveryInterval
-	opt.SyncInterval = time.Millisecond
+	opt.FsyncObs = obs.NewHistogram(nil)
 	l, _, err := Open(dir, opt, testLoad(nil))
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +152,9 @@ func TestLogGroupCommit(t *testing.T) {
 		}(i, c)
 	}
 	wg.Wait()
+	if got := opt.FsyncObs.Count(); got < 1 || got > n {
+		t.Fatalf("%d commits ran %d fsyncs, want 1..%d", n, got, n)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +163,57 @@ func TestLogGroupCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(rec.Records) != n {
-		t.Fatalf("recovered %d of %d group-committed records", len(rec.Records), n)
+		t.Fatalf("recovered %d of %d concurrently committed records", len(rec.Records), n)
+	}
+}
+
+// TestCommitAfterCheckpointRewrite: a checkpoint's log rewrite fsyncs
+// every record it keeps, so a commit it already covered returns at once
+// without a second fsync — even though the rewrite shrank the log below
+// the byte offset the record was appended at.
+func TestCommitAfterCheckpointRewrite(t *testing.T) {
+	opt := quietOpt(nil)
+	opt.FsyncObs = obs.NewHistogram(nil)
+	l, _, err := Open(t.TempDir(), opt, testLoad(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ckpt := func(epoch uint64) {
+		t.Helper()
+		if err := l.Checkpoint(epoch, func(w io.Writer) error {
+			_, werr := io.WriteString(w, ckptPayload(epoch))
+			return werr
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	appendAll(t, l, 1, 3)
+	ckpt(3)
+	var last Commit
+	for e := uint64(4); e <= 6; e++ {
+		if last, err = l.Append(testRecord(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := l.Stats().Bytes
+	ckpt(6) // keeps 4..6, drops 1..3: the log shrinks
+	if after := l.Stats().Bytes; after >= before {
+		t.Fatalf("checkpoint rewrite did not shrink the log: %d -> %d bytes", before, after)
+	}
+	fsyncs := opt.FsyncObs.Count()
+	done := make(chan error, 1)
+	go func() { done <- last() }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("commit of epoch 6 after checkpoint: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit of epoch 6 hung after the checkpoint covered it")
+	}
+	if extra := opt.FsyncObs.Count() - fsyncs; extra != 0 {
+		t.Fatalf("commit already covered by the checkpoint rewrite ran %d fsync(s), want 0", extra)
 	}
 }
 

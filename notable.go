@@ -449,11 +449,15 @@ const typePredicate = "type"
 // which becomes epoch 0 of the engine's live graph store. Applied
 // triples live only in memory; NewDurableEngine adds a write-ahead log
 // so acknowledged batches survive process death.
-func NewEngine(g *Graph, opt Options) *Engine { return newEngine(g, opt, 0) }
+func NewEngine(g *Graph, opt Options) *Engine {
+	return newEngine(g, opt, 0, newEngineMetrics())
+}
 
 // newEngine is the shared constructor: g becomes epoch startEpoch of the
-// live store (non-zero only when recovering from a checkpoint).
-func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
+// live store (non-zero only when recovering from a checkpoint), and met
+// its metrics bundle (built before the WAL opens for durable engines, so
+// the log's fsyncs land in it from the start).
+func newEngine(g *Graph, opt Options, startEpoch uint64, met *engineMetrics) *Engine {
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
@@ -467,7 +471,7 @@ func newEngine(g *Graph, opt Options, startEpoch uint64) *Engine {
 	e := &Engine{
 		opt:   opt,
 		cache: qcache.NewSharded(cfg),
-		met:   newEngineMetrics(),
+		met:   met,
 	}
 	e.vg = kg.NewVersioned(g, kg.VersionedOptions{
 		TypePredicate: typePredicate,
@@ -531,7 +535,7 @@ func (e *Engine) applyTriples(ctx context.Context, adds, dels []Triple) (uint64,
 		// Effective batch: log it at its post-apply epoch while still
 		// holding ingestMu, so log order always equals epoch order. The
 		// fsync wait (commit) happens after unlock — concurrent batches
-		// group-commit instead of serializing on the disk.
+		// share fsyncs instead of serializing on the disk.
 		commit, err = l.Append(wal.Record{Epoch: view.Epoch, Adds: adds, Dels: dels})
 		if err != nil {
 			err = fmt.Errorf("%w: %v", ErrDurability, err)

@@ -36,7 +36,7 @@ var ErrEpochTruncated = errors.New("notable: epoch truncated from replication lo
 // primary's record stream from epoch+1 republishes the primary's exact
 // epoch sequence, bit for bit.
 func NewReplicaEngine(g *Graph, opt Options, epoch uint64) *Engine {
-	return newEngine(g, opt, epoch)
+	return newEngine(g, opt, epoch, newEngineMetrics())
 }
 
 // DurableEpoch returns the newest epoch whose batch is guaranteed to
