@@ -340,9 +340,9 @@ func printCacheStats(st qcache.Stats) {
 // walks an exploratory session over the actors cohort — each step adds or
 // removes one entity — against a cache-disabled engine paying the full
 // cold cost for the same queries. Testing runs in the Monte-Carlo regime
-// (the bounded-latency serving configuration), where the memoized null
-// distributions carry the comparison stage; the seed-vector layer carries
-// context selection. Results are bitwise identical on both sides.
+// (every label sampled, each test stopping once its answer is clear); the
+// seed-vector layer carries context selection. Results are bitwise
+// identical on both sides.
 func printRefine(ctx context.Context, d *gen.Dataset, cfg eval.Config) error {
 	fmt.Println("timing interactive refinement vs cold search (yago-like/actors ±1 sweep) ...")
 	g := d.Graph
@@ -413,12 +413,10 @@ func printRefine(ctx context.Context, d *gen.Dataset, cfg eval.Config) error {
 		warmTotal += wt
 		coldTotal += ct
 		st := warm.CacheStats()
-		fmt.Printf("  %-28s %12v %12v %7.2fx  (seed +%dh/+%dm, null +%dh/+%dm)\n",
+		fmt.Printf("  %-28s %12v %12v %7.2fx  (seed +%dh/+%dm)\n",
 			step.label, wt, ct, float64(ct)/float64(wt),
 			st.Layers[qcache.LayerSeed].Hits-prev.Layers[qcache.LayerSeed].Hits,
-			st.Layers[qcache.LayerSeed].Misses-prev.Layers[qcache.LayerSeed].Misses,
-			st.Layers[qcache.LayerNull].Hits-prev.Layers[qcache.LayerNull].Hits,
-			st.Layers[qcache.LayerNull].Misses-prev.Layers[qcache.LayerNull].Misses)
+			st.Layers[qcache.LayerSeed].Misses-prev.Layers[qcache.LayerSeed].Misses)
 		prev = st
 	}
 	fmt.Printf("  session: warm %v, cold %v — %.2fx over %d refinement steps\n",

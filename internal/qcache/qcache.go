@@ -8,8 +8,8 @@
 // One cache holds entries from several pipeline stages, distinguished by
 // a Layer tag for per-layer accounting and budgeting: ranked selector
 // contexts (LayerSelector), finished comparison reports, one per (query,
-// context, test options) (LayerTest), single-seed PageRank vectors
-// (LayerSeed), and Monte-Carlo null distributions (LayerNull). The cache
+// context, test options) (LayerTest), and single-seed PageRank vectors
+// (LayerSeed). The cache
 // itself treats layer values opaquely; layers exist so Stats can report
 // residency and hit rates per stage and so the big layers (seed vectors
 // are ~8 bytes per graph node each) can be bounded by bytes while the
@@ -61,11 +61,7 @@
 // entries, so the engine drops those three layers at publish time
 // (Purge) instead of letting dead entries crowd the LRU until capacity
 // pressure reaches them; a request still pinned to the old epoch simply
-// recomputes, and whatever it stores goes at the next publish. The null
-// layer is the exception by design: its keys are the context
-// distribution itself, the only input the memoized null depends on, so a
-// distribution that recurs across epochs legitimately reuses its entry —
-// and Purge is never asked to touch it.
+// recomputes, and whatever it stores goes at the next publish.
 package qcache
 
 import (
@@ -92,8 +88,9 @@ const (
 	// behind interactive-refinement reuse; large entries, up to ~8 bytes
 	// per graph node each (less when a solve stayed frontier-sparse).
 	LayerSeed
-	// LayerNull holds Monte-Carlo null distributions of the multinomial
-	// test — ~8 bytes per sample each.
+	// LayerNull is written by nothing. It stays only because the
+	// benchmark harness (bench/replay.go) names it when it reports
+	// per-layer counters; the shard tests use it as a generic layer.
 	LayerNull
 	numLayers
 )
@@ -470,22 +467,6 @@ func HashIDs(ids []uint32) uint64 {
 	for _, id := range ids {
 		for shift := 0; shift < 32; shift += 8 {
 			h = fnvByte(h, byte(id>>shift))
-		}
-	}
-	return h
-}
-
-// HashFloats returns the 64-bit FNV-1a hash of the IEEE-754 bits of vals
-// in order — the compact stand-in for probability vectors inside cache
-// keys (the multinomial null-distribution memo). Callers needing
-// correctness against the 2^-64 collision odds store the vector alongside
-// the value and verify bitwise equality on a hit.
-func HashFloats(vals []float64) uint64 {
-	h := fnvOffset64
-	for _, v := range vals {
-		bits := math.Float64bits(v)
-		for shift := 0; shift < 64; shift += 8 {
-			h = fnvByte(h, byte(bits>>shift))
 		}
 	}
 	return h

@@ -7,7 +7,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -255,7 +254,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
+	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 	// The epoch floor travels in the response: Do pins a view at least
 	// this new (epochs only grow), so the result is correct at some epoch
@@ -268,7 +267,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, s.toResponse(res, de, time.Since(start), requestIDFrom(r.Context()), floor))
+	resp := s.toResponse(res, de, time.Since(start), requestIDFrom(r.Context()), floor)
+	writeAppended(w, &resp, func(b []byte) ([]byte, bool) { return appendSearchResponse(b, &resp) })
 }
 
 // batchPrelude runs the steps /v1/batch and /v1/stream share before any
@@ -299,7 +299,7 @@ func (s *Server) batchPrelude(w http.ResponseWriter, r *http.Request) (*notable.
 		}
 		qs[i] = q
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
+	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	return eng, qs, ctx, cancel
 }
 
@@ -325,7 +325,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		resp.Results[i] = s.toResponse(res, nil, elapsed, "", floor)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writeAppended(w, &resp, func(b []byte) ([]byte, bool) { return appendBatchResponse(b, &resp) })
 }
 
 // wireTriple is one (subject, predicate, object) fact on the wire.
@@ -407,7 +407,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, r, badRequestf("empty ingest: no adds or dels"))
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutMS))
+	ctx, cancel := s.requestCtx(r, req.TimeoutMS)
 	defer cancel()
 	start := time.Now()
 	epoch, err := eng.ApplyTriples(ctx, toTriples(req.Adds), toTriples(req.Dels))
@@ -440,7 +440,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w) // Encode appends the NDJSON newline
+	var buf []byte // one line's encoding, reused across lines
 	start := time.Now()
 	for o := range eng.DoStream(ctx, qs) {
 		line := streamOutcome{Index: o.Index}
@@ -450,7 +450,15 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			resp := s.toResponse(o.Result, nil, time.Since(start), "", floor)
 			line.Result = &resp
 		}
-		if err := enc.Encode(line); err != nil {
+		var ok bool
+		buf, ok = appendStreamOutcome(buf[:0], &line)
+		if !ok {
+			// A NaN or infinite float, which JSON cannot carry: the stream
+			// ends here, as the client-gone path below ends it.
+			cancel()
+			return
+		}
+		if _, err := w.Write(buf); err != nil {
 			// The client is gone. Cancel the batch — the engine stops within
 			// one sweep or label test — and walk away: DoStream's channel is
 			// fully buffered, so an abandoned consumer leaks nothing.

@@ -17,6 +17,7 @@ import (
 	"os/signal"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -382,13 +383,26 @@ func TestLoadShedding(t *testing.T) {
 	}
 }
 
+// holdCtx parks every engine ctx probe of its request until the request
+// ctx is done, so the request stays mid-flight for as long as the test
+// needs, whatever the host's speed. Its first probe closes held.
+type holdCtx struct {
+	context.Context
+	once *sync.Once
+	held chan struct{}
+}
+
+func (c holdCtx) Err() error {
+	c.once.Do(func() { close(c.held) })
+	<-c.Done()
+	return c.Context.Err()
+}
+
 // TestStreamDisconnectCancels: a streaming client that drops mid-batch
 // cancels the request context, the engine work winds down, and no
 // goroutines leak.
 func TestStreamDisconnectCancels(t *testing.T) {
-	// Heavy Monte-Carlo engine: each query runs for seconds, so the
-	// disconnect reliably lands while the first query is still computing.
-	eng := testEngine(notable.Options{TestExactLimit: 1, TestSamples: 3_000_000, Parallelism: 2})
+	eng := testEngine(notable.Options{Parallelism: 2})
 	s := New(eng, quietCfg())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -400,6 +414,10 @@ func TestStreamDisconnectCancels(t *testing.T) {
 		default:
 		}
 	})
+	// The engine's first ctx probe parks until the disconnect cancels the
+	// request, so the disconnect always lands mid-batch.
+	held, once := make(chan struct{}), new(sync.Once)
+	setEngineCtx(t, func(ctx context.Context) context.Context { return holdCtx{ctx, once, held} })
 
 	before := runtime.NumGoroutine()
 
@@ -407,19 +425,36 @@ func TestStreamDisconnectCancels(t *testing.T) {
 		{"entities":["Angela Merkel","Barack Obama"]},
 		{"entities":["Vladimir Putin","Xi Jinping"]},
 		{"entities":["Justin Trudeau","Shinzo Abe"]}]}`
-	resp, err := http.Post(ts.URL+"/v1/stream", "application/json", strings.NewReader(body))
+	clientCtx, disconnect := context.WithCancel(context.Background())
+	defer disconnect()
+	req, err := http.NewRequestWithContext(clientCtx, http.MethodPost, ts.URL+"/v1/stream", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("Content-Type", "application/json")
+	posted := make(chan struct{})
+	go func() {
+		defer close(posted)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+		}
+	}()
 	var rctx context.Context
 	select {
 	case rctx = <-ctxCh:
 	case <-time.After(5 * time.Second):
 		t.Fatal("hook never saw the stream request")
 	}
+	select {
+	case <-held:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the stream request never reached the engine")
+	}
 
 	// Drop the connection while the batch is mid-flight.
-	resp.Body.Close()
+	disconnect()
+	<-posted
 
 	select {
 	case <-rctx.Done():

@@ -181,17 +181,24 @@ func (s *Server) engineEndpoint(h http.HandlerFunc) http.Handler {
 // read it with no other synchronization against the test's store.
 var testRequestHook atomic.Pointer[func(*http.Request)]
 
-// requestTimeout resolves a request's deadline: timeout_ms from the body
-// when given (clamped to MaxTimeout), Config.RequestTimeout otherwise.
-func (s *Server) requestTimeout(ms int64) time.Duration {
-	if ms <= 0 {
-		return s.cfg.RequestTimeout
+// testEngineCtx, when non-nil, wraps the ctx every engine call runs under
+// — the test seam that cuts a request after a fixed number of ctx probes,
+// or holds it mid-flight, whatever the host's speed.
+var testEngineCtx atomic.Pointer[func(context.Context) context.Context]
+
+// requestCtx is the ctx a handler runs the engine under: r's, bounded by
+// timeout_ms from the body when given (clamped to MaxTimeout),
+// Config.RequestTimeout otherwise.
+func (s *Server) requestCtx(r *http.Request, ms int64) (context.Context, context.CancelFunc) {
+	d := s.cfg.RequestTimeout
+	if ms > 0 {
+		d = min(time.Duration(ms)*time.Millisecond, s.cfg.MaxTimeout)
 	}
-	d := time.Duration(ms) * time.Millisecond
-	if d > s.cfg.MaxTimeout {
-		return s.cfg.MaxTimeout
+	ctx, cancel := context.WithTimeout(r.Context(), d)
+	if wrap := testEngineCtx.Load(); wrap != nil {
+		ctx = (*wrap)(ctx)
 	}
-	return d
+	return ctx, cancel
 }
 
 // decodeBody decodes the request body into v, mapping the failure shapes

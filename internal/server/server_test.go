@@ -3,11 +3,13 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -326,30 +328,63 @@ func TestStatszEndpoint(t *testing.T) {
 	}
 }
 
+// countdownCtx is a ctx whose Err reports context.DeadlineExceeded — what
+// an expired request deadline reports — from its (k+1)-th probe on: the
+// engine probes its ctx between sweeps and label tests, so a countdown
+// cuts a request at a fixed point of its work, whatever the host's speed.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.DeadlineExceeded
+	}
+	return c.Context.Err()
+}
+
+// setEngineCtx installs wrap as the engine-ctx test seam for the rest of
+// the test.
+func setEngineCtx(t *testing.T, wrap func(context.Context) context.Context) {
+	t.Helper()
+	testEngineCtx.Store(&wrap)
+	t.Cleanup(func() { testEngineCtx.Store(nil) })
+}
+
+// countdownAfter cuts every engine call from now on at its (k+1)-th ctx
+// probe, and returns the countdown last installed, for reading its count.
+func countdownAfter(t *testing.T, k int64) *atomic.Pointer[countdownCtx] {
+	var last atomic.Pointer[countdownCtx]
+	setEngineCtx(t, func(ctx context.Context) context.Context {
+		c := &countdownCtx{Context: ctx}
+		c.left.Store(k)
+		last.Store(c)
+		return c
+	})
+	return &last
+}
+
 // TestDegradedHTTP: a deadline that lands mid-comparison yields HTTP 200
 // with degraded=true and a non-empty prefix of the full report — and with
 // "degrade": false, a 504 instead.
 func TestDegradedHTTP(t *testing.T) {
-	// Force every label test through Monte-Carlo sampling with a heavy
-	// budget so the comparison stage dwarfs selection, and test labels one
-	// at a time so the claim order is the label order. The deadline is a
-	// quarter of the uncut request's measured wall time, whatever the
-	// host's speed: late enough that the first label is claimed, early
-	// enough that the last one is not.
-	opt := notable.Options{TestExactLimit: 1, TestSamples: 3_000_000, Parallelism: 1}
+	// Test labels one at a time, so the claim order is the label order and
+	// each claim is one ctx probe. The deadline is a countdown of ctx
+	// probes, so where it lands does not depend on how long any stage
+	// takes on this host.
+	opt := notable.Options{Parallelism: 1}
 	eng := testEngine(opt)
-	cfg := quietCfg()
-	cfg.RequestTimeout = 2 * time.Minute // the uncut request must stay uncut, race detector or not
-	s := New(eng, cfg)
+	s := New(eng, quietCfg())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	// Full report size and wall time, measured without a deadline.
-	start := time.Now()
+	// Full report size and probe count, measured without a cut.
+	const uncut = 1 << 40
+	probe := countdownAfter(t, uncut)
 	full, data := postJSON(t, ts.Client(), ts.URL+"/v1/search", map[string]any{
 		"entities": []string{"Angela Merkel", "Barack Obama"},
 	})
-	timeoutMS := time.Since(start).Milliseconds() / 4
 	if full.StatusCode != http.StatusOK {
 		t.Fatalf("full: status %d: %s", full.StatusCode, data)
 	}
@@ -364,24 +399,44 @@ func TestDegradedHTTP(t *testing.T) {
 	for _, c := range fullResp.Characteristics {
 		fullByLabel[c.Label] = c
 	}
+	probes := uncut - probe.Load().left.Load()
 
-	// Cold-cache engine for the degraded run: the warm one would answer
-	// instantly. Same options, fresh process state.
-	eng2 := testEngine(opt)
-	s2 := New(eng2, quietCfg())
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
+	// coldSearch posts the query to a cold-cache engine (a warm one would
+	// answer from its cache): same options, fresh process state.
+	coldSearch := func(extra map[string]any) (*http.Response, []byte) {
+		ts := httptest.NewServer(New(testEngine(opt), quietCfg()).Handler())
+		defer ts.Close()
+		body := map[string]any{"entities": []string{"Angela Merkel", "Barack Obama"}}
+		for k, v := range extra {
+			body[k] = v
+		}
+		return postJSON(t, ts.Client(), ts.URL+"/v1/search", body)
+	}
 
-	resp, data := postJSON(t, ts2.Client(), ts2.URL+"/v1/search", map[string]any{
-		"entities":   []string{"Angela Merkel", "Barack Obama"},
-		"timeout_ms": timeoutMS,
-	})
+	// Walk the cut back from the uncut probe count until it lands before
+	// the last label's claim; the few probes after the comparison stage
+	// separate the two.
+	var (
+		resp *http.Response
+		dr   searchResponse
+		cut  int64
+	)
+	for cut = probes - 1; ; cut-- {
+		if cut < 0 {
+			t.Fatal("no cut left a label untested")
+		}
+		countdownAfter(t, cut)
+		resp, data = coldSearch(nil)
+		dr = searchResponse{}
+		if err := json.Unmarshal(data, &dr); err != nil {
+			t.Fatal(err)
+		}
+		if dr.Tested < dr.Total {
+			break
+		}
+	}
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("degraded: status %d: %s", resp.StatusCode, data)
-	}
-	var dr searchResponse
-	if err := json.Unmarshal(data, &dr); err != nil {
-		t.Fatal(err)
 	}
 	if !dr.Degraded {
 		t.Fatalf("deadline-cut response not degraded: %s", data)
@@ -403,15 +458,8 @@ func TestDegradedHTTP(t *testing.T) {
 	}
 
 	// Opting out of degradation turns the same cut into a 504.
-	eng3 := testEngine(opt)
-	s3 := New(eng3, quietCfg())
-	ts3 := httptest.NewServer(s3.Handler())
-	defer ts3.Close()
-	resp3, data3 := postJSON(t, ts3.Client(), ts3.URL+"/v1/search", map[string]any{
-		"entities":   []string{"Angela Merkel", "Barack Obama"},
-		"timeout_ms": timeoutMS,
-		"degrade":    false,
-	})
+	countdownAfter(t, cut)
+	resp3, data3 := coldSearch(map[string]any{"degrade": false})
 	if resp3.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("degrade=false: status %d: %s", resp3.StatusCode, data3)
 	}

@@ -9,9 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
-
-	"repro/internal/qcache"
 )
 
 // DefaultAlpha is the paper's significance level: a characteristic is
@@ -29,27 +26,21 @@ const DefaultAlpha = 0.05
 // over all outcomes y with the same total N — the probability of drawing
 // an outcome at most as likely as x. Small problems are enumerated
 // exactly; larger ones fall back to Monte-Carlo sampling (as the paper's
-// footnote prescribes).
+// footnote prescribes), which stops once the answer is clear (see
+// monteCarlo).
 type Multinomial struct {
 	// Alpha is the rejection threshold. Default DefaultAlpha.
 	Alpha float64
 	// ExactLimit bounds the number of outcome compositions enumerated
 	// exactly; beyond it Monte-Carlo is used. Default 200000.
 	ExactLimit int
-	// Samples is the Monte-Carlo sample count. Default 20000.
+	// Samples caps the Monte-Carlo sample count. Default 20000. A test
+	// stops earlier once seqHits samples are at most as likely as the
+	// observation, so only one with P below about seqHits/Samples draws
+	// all of them.
 	Samples int
 	// Seed makes Monte-Carlo runs deterministic.
 	Seed int64
-	// Nulls, when non-nil, memoizes Monte-Carlo null distributions per
-	// (π, n, Samples, Seed) across tests (qcache.LayerNull): the sampled
-	// statistics are observation-independent, so once one test has drawn
-	// the rng sequence for a context distribution and total, every later
-	// test against the same π and n — repeated contexts, the interactive
-	// refinement workload — skips sampling outright and reads its p-value
-	// off the stored order statistics. Memo hits are bitwise identical to
-	// fresh sampling (see nullDist); the exact-enumeration path never
-	// consults the memo.
-	Nulls *qcache.Cache
 }
 
 // Result reports a multinomial test outcome.
@@ -162,7 +153,7 @@ func (m Multinomial) TestScratch(pi []float64, x []int, s *Scratch) Result {
 	if comps, ok := compositionsUpTo(n, len(x), m.ExactLimit); ok && comps <= m.ExactLimit {
 		return Result{P: m.exact(p, logp, logX, n, len(x), s), Exact: true, LogProbX: logX}
 	}
-	return Result{P: m.monteCarlo(p, logp, logX, n, s), Exact: false, LogProbX: logX}
+	return Result{P: m.monteCarlo(p, logp, logX, n, seqHits, s), Exact: false, LogProbX: logX}
 }
 
 // exact enumerates the compositions of n into k parts, accumulating the
@@ -241,9 +232,24 @@ func guideBuckets(k int) int {
 	return g
 }
 
-// monteCarlo estimates Pr_s by sampling outcomes from Mult(n, p). The
-// standard +1 correction keeps the estimate strictly positive, matching
-// the convention that a Monte-Carlo p-value never claims impossibility.
+// seqHits is h of the sequential Monte-Carlo p-value (Besag & Clifford,
+// Biometrika 1991): sampling stops at the h-th outcome at most as likely
+// as the observation. The estimate's relative error is then about 1/√h.
+// A test rejects at α only with fewer than h hits in its first h/α
+// samples: at a true P of 0.07 and α = 0.05 that happens about 0.02 % of
+// the time (about 5 % at h = 20), where the full-budget test never
+// rejects.
+const seqHits = 100
+
+// monteCarlo estimates Pr_s by sampling outcomes from Mult(n, p), drawing
+// at most m.Samples of them. Once h samples are at most as likely as the
+// observation it stops and returns h/l, l being the samples drawn so far;
+// a test with fewer than h such samples at the cap returns the standard
+// +1-corrected (hits+1)/(Samples+1), which never claims impossibility.
+// Both are valid p-values. A test near α stops after about h/α samples;
+// only one with P below about h/Samples draws the whole budget and keeps
+// its full precision. The caller passes h = seqHits; an h above Samples
+// disables the stop.
 //
 // Each draw inverts the CDF through a guide table: bucket b pre-resolves
 // the short index range the answer lies in, collapsing the per-draw search
@@ -251,26 +257,8 @@ func guideBuckets(k int) int {
 // whose cumulative value exceeds u" question as a binary search of the
 // whole CDF, so the sampled category sequence — and therefore the estimate
 // — is bit-identical to that search's.
-//
-// With m.Nulls set, the sampled log-probabilities — which depend only on
-// (p, n, Samples, Seed), never on the observation — are memoized sorted;
-// a repeat of the same null distribution answers from the stored order
-// statistics (see nullPValue) without drawing a single sample.
-func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scratch) float64 {
+func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n, h int, s *Scratch) float64 {
 	threshold := logX + logProbTolerance
-	var key string
-	var rec []float64
-	if m.Nulls != nil {
-		key = nullKey(p, n, m.Samples, m.Seed)
-		if v, ok := m.Nulls.GetLayer(key, qcache.LayerNull); ok {
-			if nd := v.(*nullDist); nd.matches(p) {
-				return nullPValue(nd.lps, threshold, m.Samples)
-			}
-			// A 64-bit hash collision left a different π under this key:
-			// fall through, resample, and overwrite.
-		}
-		rec = make([]float64, 0, m.Samples)
-	}
 	// rand.NewSource documents that its result implements Source64; drawing
 	// from it directly yields rand.Rand.Float64's values without the wrappers.
 	src := rand.NewSource(m.Seed).(rand.Source64)
@@ -310,7 +298,7 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scrat
 		drawn[i] = 0
 	}
 	logN, perStep := lgammaInt(n+1), 1/step
-	for s := 0; s < m.Samples; s++ {
+	for l := 1; l <= m.Samples; l++ {
 		for j := 0; j < n; j++ {
 			f := 1.0
 			for f == 1 { // rand.Rand.Float64 redraws a quotient that rounds up to 1
@@ -341,16 +329,10 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n int, s *Scrat
 			drawn[w] = 0
 		}
 		if lp <= threshold {
-			hits++
+			if hits++; hits == h {
+				return float64(h) / float64(l)
+			}
 		}
-		if rec != nil {
-			rec = append(rec, lp)
-		}
-	}
-	if key != "" {
-		nd := &nullDist{p: append([]float64(nil), p...), lps: rec}
-		sort.Float64s(nd.lps)
-		m.Nulls.PutSized(key, nd, qcache.LayerNull, nd.footprint(len(key)))
 	}
 	return float64(hits+1) / float64(m.Samples+1)
 }

@@ -239,7 +239,7 @@ func TestNormalizeHelpers(t *testing.T) {
 // The benchmarks below run the two test regimes at the shapes a cold
 // ContextRW request produces (shapeCase): exact enumeration over a handful
 // of draws and tens-to-hundreds of categories, Monte-Carlo at n = 25–60
-// draws × the default 20 000 samples over up to 300 categories. Together
+// draws over up to 300 categories, sampled until the sequential stop. Together
 // they are the exact-vs-Monte-Carlo time split of the serving workload,
 // reproducible from this package alone.
 

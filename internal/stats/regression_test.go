@@ -137,8 +137,7 @@ func TestExactMonteCarloBoundaryProperty(t *testing.T) {
 		if !exact.Exact || mc.Exact {
 			return false
 		}
-		// MC error at 60k samples stays well inside 0.02 for these sizes.
-		return math.Abs(exact.P-mc.P) < 0.02
+		return sequentialWithin(mc.P, exact.P, 60000)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -46,25 +46,22 @@
 //
 // # Caching and determinism
 //
-// An Engine memoizes four layers of repeated work in one LRU bounded by
+// An Engine memoizes three layers of repeated work in one LRU bounded by
 // Options.CacheSize entries (optionally sharded via Options.CacheShards
-// for concurrent traffic), whose two big layers carry fixed byte bounds
-// (SeedLayerBytes, NullLayerBytes).
+// for concurrent traffic), whose big seed layer carries a fixed byte
+// bound (SeedLayerBytes).
 // The selector layer caches each query's ranked context (the best
 // max(k, 100) nodes — never the score vector), so a warm query skips
 // mining, walking and ranking; the comparison layer caches each request's
 // finished report — every tested label's record, keyed by the query, the
 // ranked context and the test options — so it also skips the label list,
 // distribution building and multinomial testing: a fully warm repeated Do
-// is two lookups and a copy of the cached values. Two more layers serve the
-// interactive-refinement workload, where consecutive queries overlap
-// rather than repeat: the seed layer keeps single-seed PageRank vectors,
-// so adding or removing one entity from a RandomWalk-selected query
-// re-solves only the new entity; and the null
-// layer keeps the multinomial test's Monte-Carlo null distributions,
-// which depend only on the context distribution — labels whose context
-// counts survive a refinement skip the sampling loop outright.
-// CacheStats exposes hit/miss counters and resident bytes per layer.
+// is two lookups and a copy of the cached values. The seed layer serves
+// the interactive-refinement workload, where consecutive queries overlap
+// rather than repeat: it keeps single-seed PageRank vectors, so adding or
+// removing one entity from a RandomWalk-selected query re-solves only the
+// new entity. CacheStats exposes hit/miss counters and resident bytes per
+// layer.
 //
 // Cache entries are epoch-keyed: every key derived from graph state
 // folds in the epoch of the view the request pinned, so an entry
@@ -72,14 +69,10 @@
 // post-mutation query recomputes against the new graph, while re-running
 // a query at an unchanged epoch still pure-hits. Entries of an epoch
 // that has been superseded can never be addressed again, so publishing
-// an epoch drops the three epoch-keyed layers (selector, comparison,
-// seed) on the spot instead of leaving them to the LRU; a request still
-// pinned to the old epoch recomputes, bit for bit. A no-op mutation
-// batch keeps the epoch, and compaction keeps it too, so warm caches
-// survive both. The null layer is keyed by the context distribution
-// itself rather than the epoch — a distribution that happens to survive
-// a mutation legitimately reuses its null, since the test depends on
-// nothing else — and is never purged.
+// an epoch drops all three layers on the spot instead of leaving them to
+// the LRU; a request still pinned to the old epoch recomputes, bit for
+// bit. A no-op mutation batch keeps the epoch, and compaction keeps it
+// too, so warm caches survive both.
 //
 // # Live mutation
 //
@@ -238,22 +231,21 @@ type Options struct {
 	// knob here it never changes results, only wall-clock.
 	Parallelism int
 	// CacheSize bounds the engine's query cache: the number of memoized
-	// entries across all four cache layers — ranked selector contexts,
-	// comparison reports (one per query and context), per-seed PageRank
-	// vectors, and Monte-Carlo null distributions (see internal/qcache).
+	// entries across all three cache layers — ranked selector contexts,
+	// comparison reports (one per query and context), and per-seed
+	// PageRank vectors (see internal/qcache).
 	// 0 selects DefaultCacheSize; negative disables caching. Caching never
 	// changes results — every randomized component is seeded — it only
 	// skips repeated work: a warm repeat of a query skips metapath mining,
 	// walking, distribution building, and multinomial testing entirely,
-	// and an overlapping query re-solves only its new seeds. The two big
-	// layers are further bounded by bytes: SeedLayerBytes and
-	// NullLayerBytes.
+	// and an overlapping query re-solves only its new seeds. The big seed
+	// layer is further bounded by bytes: SeedLayerBytes.
 	CacheSize int
-	// TestSamples overrides the multinomial test's Monte-Carlo sample
-	// count (default 20000). Lower is faster and coarser: the sampling
-	// error of a p-value scales with 1/√samples. A serving deployment
-	// trading test resolution for latency sets this explicitly; results
-	// remain deterministic for any value.
+	// TestSamples overrides the cap on the multinomial test's Monte-Carlo
+	// sample count (default 20000). A test stops sampling once 100 samples
+	// are at most as likely as the observation, so only a test with P
+	// below about 100/TestSamples reaches the cap; a lower cap coarsens
+	// exactly those p-values. Results remain deterministic for any value.
 	TestSamples int
 	// TestExactLimit overrides the outcome-composition count up to which
 	// the test enumerates exactly instead of sampling (default 200000).
@@ -270,10 +262,9 @@ type Options struct {
 // DefaultCacheSize is the query-cache capacity used when Options.CacheSize
 // is zero. A warm query occupies two entries — its ranked context and its
 // comparison report — so size CacheSize to roughly 2 × (hot queries) plus
-// the seed and null entries; the default keeps about 500 fully-warm
-// queries. Selector and test entries are small (a few KB at most); the big
-// ones are bounded by bytes as well, per layer: SeedLayerBytes and
-// NullLayerBytes.
+// the seed entries; the default keeps about 500 fully-warm queries.
+// Selector and test entries are small (a few KB at most); the big seed
+// vectors are bounded by bytes as well: SeedLayerBytes.
 const DefaultCacheSize = 1024
 
 // SeedLayerBytes bounds the seed layer: single-seed PageRank vectors
@@ -284,12 +275,6 @@ const DefaultCacheSize = 1024
 // million-node graphs without letting an entity sweep displace the rest
 // of the cache.
 const SeedLayerBytes = 64 << 20
-
-// NullLayerBytes bounds the comparison stage's Monte-Carlo
-// null-distribution layer (~8 bytes per test sample per distinct context
-// distribution): 32 MiB holds thousands of memoized distributions at the
-// default sample count.
-const NullLayerBytes = 32 << 20
 
 // Engine runs searches against one live graph. Create with NewEngine;
 // safe for concurrent use once constructed, including concurrent
@@ -467,7 +452,6 @@ func newEngine(g *Graph, opt Options, startEpoch uint64, met *engineMetrics) *En
 	}
 	cfg := qcache.Config{Capacity: size, Shards: opt.CacheShards}
 	cfg.LayerBudgets[qcache.LayerSeed] = SeedLayerBytes
-	cfg.LayerBudgets[qcache.LayerNull] = NullLayerBytes
 	e := &Engine{
 		opt:   opt,
 		cache: qcache.NewSharded(cfg),
@@ -567,10 +551,9 @@ func (e *Engine) applyTriples(ctx context.Context, adds, dels []Triple) (uint64,
 	return view.Epoch, nil
 }
 
-// purgeEpochKeyed drops the three cache layers keyed by graph epoch, run
-// wherever an epoch is published: no later request can address the old
-// epoch's entries (see "Caching and determinism"). The content-keyed null
-// layer stays.
+// purgeEpochKeyed drops the three cache layers, all keyed by graph epoch,
+// run wherever an epoch is published: no later request can address the
+// old epoch's entries (see "Caching and determinism").
 func (e *Engine) purgeEpochKeyed() {
 	e.cache.Purge(qcache.LayerSelector, qcache.LayerTest, qcache.LayerSeed)
 }
@@ -588,12 +571,10 @@ func (e *Engine) VersionStats() VersionStats { return e.vg.Stats() }
 // shards and broken down per layer (Stats.Layers): the selector layer
 // (one ranked context per query, 16 bytes per item), the comparison layer
 // (one finished report per query, context and test options), the seed
-// layer (one PageRank vector per hot entity), and the null layer (one
-// Monte-Carlo null distribution per distinct context distribution). A
-// fully warm repeated Do performs exactly one selector hit and one
-// comparison hit and zero misses; a refinement step shows seed-layer
-// hits for the retained entities and null-layer hits for the labels whose
-// context distribution survived. A cache-disabled engine reports zeros.
+// layer (one PageRank vector per hot entity). A fully warm repeated Do
+// performs exactly one selector hit and one comparison hit and zero
+// misses; a refinement step shows seed-layer hits for the retained
+// entities. A cache-disabled engine reports zeros.
 func (e *Engine) CacheStats() qcache.Stats { return e.cache.Stats() }
 
 // Graph returns the engine's current graph — the epoch published by the
@@ -686,7 +667,6 @@ func (e *Engine) coreOptionsFor(opt Options, view *kg.View) core.Options {
 			Seed:       opt.Seed,
 			Samples:    opt.TestSamples,
 			ExactLimit: opt.TestExactLimit,
-			Nulls:      e.cache,
 		},
 		SkipInverse: true,
 		Policy:      policy,

@@ -157,7 +157,7 @@ func TestEngineCacheByteBudget(t *testing.T) {
 	queries := leaderQueries(t, unbounded, 6)
 	searchSequential(t, unbounded, queries)
 	full := unbounded.CacheStats()
-	wantBudget := [qcache.NumLayers]int64{qcache.LayerSeed: SeedLayerBytes, qcache.LayerNull: NullLayerBytes}
+	wantBudget := [qcache.NumLayers]int64{qcache.LayerSeed: SeedLayerBytes}
 	for l, ls := range full.Layers {
 		if ls.ByteBudget != wantBudget[l] {
 			t.Fatalf("%s layer budget = %d, want %d", qcache.Layer(l), ls.ByteBudget, wantBudget[l])

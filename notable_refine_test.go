@@ -41,7 +41,6 @@ func refineSteps(t testing.TB, e *Engine) [][]NodeID {
 func withSeedLayerBytes(e *Engine, bytes int64) *Engine {
 	cfg := qcache.Config{Capacity: DefaultCacheSize}
 	cfg.LayerBudgets[qcache.LayerSeed] = bytes
-	cfg.LayerBudgets[qcache.LayerNull] = NullLayerBytes
 	e.cache = qcache.NewSharded(cfg)
 	return e
 }
@@ -51,8 +50,8 @@ func withSeedLayerBytes(e *Engine, bytes int64) *Engine {
 // engine returns, at every step, exactly — DeepEqual on the full Result —
 // what a cache-disabled engine computes cold, for every Parallelism and
 // seed-layer bound: tiny (forcing evictions mid-sequence) and the fixed
-// SeedLayerBytes. Monte-Carlo testing is forced so the null-distribution
-// memo is exercised end to end too.
+// SeedLayerBytes. Monte-Carlo testing is forced so the sampler is
+// exercised end to end too.
 func TestEngineRefineMatchesColdSearch(t *testing.T) {
 	g := buildLeaders()
 	base := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3,
@@ -105,9 +104,6 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 				// budget (the revisit and permutation are pure hits).
 				if seed.Misses > 6 {
 					t.Fatalf("par=%d: ample budget re-solved a seed: %+v", par, st)
-				}
-				if st.Layers[qcache.LayerNull].Hits == 0 {
-					t.Fatalf("par=%d: null-distribution memo never hit: %+v", par, st)
 				}
 			}
 		}
@@ -179,12 +175,9 @@ func TestEngineRefineSearchBatchConsistency(t *testing.T) {
 // engine (cold). Every iteration refines with a different entity (cycling
 // a 1024-node pool, far beyond any -benchtime used here), so the refined
 // query itself is never served from the selector layer — the fast path
-// under test is the per-seed vector reuse plus the null-distribution
-// memo, not query repetition. Testing runs in the Monte-Carlo regime
-// (TestExactLimit 1), the bounded-latency serving configuration the
-// null memo targets; exact enumeration is order-dependent and legally
-// unmemoizable, so it dilutes both sides equally. Acceptance: refine
-// ≥3x lower ns/op than cold.
+// under test is the per-seed vector reuse, not query repetition. Testing
+// runs in the Monte-Carlo regime (TestExactLimit 1), which costs both
+// sides the same. Acceptance: refine ≥3x lower ns/op than cold.
 func BenchmarkEngineRefineSearch(b *testing.B) {
 	d := gen.YAGOLike(gen.YAGOConfig{Seed: benchSeed, Scale: benchScale})
 	g := d.Graph
@@ -219,7 +212,7 @@ func BenchmarkEngineRefineSearch(b *testing.B) {
 	b.Run("refine", func(b *testing.B) {
 		e := NewEngine(g, opt)
 		if _, err := e.Do(context.Background(), Query{Nodes: base}); err != nil {
-			b.Fatal(err) // warm the 3 base seeds and their null distributions
+			b.Fatal(err) // warm the 3 base seeds
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
