@@ -143,7 +143,7 @@ func BenchmarkFig4QuerySize(b *testing.B) {
 func BenchmarkFig5ContextTimeContextRW(b *testing.B) {
 	yago, _, cfg := benchSetup(b)
 	q := queryOfSize(b, yago, 5)
-	sel := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed, Parallelism: 1}
+	sel := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctxsel.Select(context.Background(), sel, yago.Graph, q, 100)
@@ -167,7 +167,7 @@ func BenchmarkFig5ContextTimeRandomWalk(b *testing.B) {
 func BenchmarkFig6PathLength(b *testing.B) {
 	yago, _, cfg := benchSetup(b)
 	q := queryOfSize(b, yago, 3)
-	sel := ctxsel.ContextRW{Walks: cfg.Walks / 4, Seed: cfg.Seed, MaxLength: 20, Parallelism: 1}
+	sel := ctxsel.ContextRW{Walks: cfg.Walks / 4, Seed: cfg.Seed, MaxLength: 20}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ctxsel.Select(context.Background(), sel, yago.Graph, q, 100)

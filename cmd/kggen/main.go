@@ -28,8 +28,18 @@ func main() {
 		scale   = flag.Float64("scale", 1, "dataset scale factor")
 	)
 	flag.Parse()
+	var f ntriples.Format
+	switch *format {
+	case "tsv":
+		f = ntriples.FormatTSV
+	case "nt":
+		f = ntriples.FormatNT
+	default:
+		fmt.Fprintf(os.Stderr, "kggen: unknown -format %q (want tsv | nt)\n", *format)
+		os.Exit(2)
+	}
 
-	g, err := build(*dataset, *seed, *scale)
+	g, err := gen.Named(*dataset, *seed, *scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kggen:", err)
 		os.Exit(1)
@@ -55,33 +65,12 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	f := ntriples.FormatTSV
-	if *format == "nt" {
-		f = ntriples.FormatNT
-	}
 	n, err := dumpGraph(g, w, f)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kggen:", err)
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %d statements\n", n)
-}
-
-func build(dataset string, seed int64, scale float64) (*kg.Graph, error) {
-	switch dataset {
-	case "yago":
-		return gen.YAGOLike(gen.YAGOConfig{Seed: seed, Scale: scale}).Graph, nil
-	case "lmdb":
-		return gen.LinkedMDBLike(gen.LMDBConfig{Seed: seed, Scale: scale}).Graph, nil
-	case "authors":
-		return gen.Authors(seed).Graph, nil
-	case "products":
-		return gen.Products(seed).Graph, nil
-	case "figure1":
-		return gen.Figure1().Graph, nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
-	}
 }
 
 // dumpGraph writes the forward (non-inverse) edges plus type statements.

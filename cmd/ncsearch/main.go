@@ -20,12 +20,12 @@
 // line — against a single warm engine, the intended exploratory loop:
 // add or remove one entity and re-search. Each answer reports its
 // latency and the per-layer cache-hit deltas, so the fast path (seed
-// vectors with -selector randomwalk, memoized null distributions, warm
-// selector entries) is directly observable from the terminal.
+// vectors with -selector randomwalk, warm selector entries, cached
+// comparison reports) is directly observable from the terminal.
 //
 // Searches run under an interrupt-cancelled context: Ctrl-C aborts an
-// in-flight search cleanly (the workers stop within one PageRank sweep
-// or label test) instead of leaving it burning CPU.
+// in-flight search cleanly (it stops within one PageRank sweep, mining
+// stride or label test) instead of leaving it burning CPU.
 package main
 
 import (
@@ -360,20 +360,8 @@ func runRefine(ctx context.Context, engine *notable.Engine, r io.Reader) error {
 }
 
 func loadGraph(path, dataset string, seed int64) (*notable.Graph, error) {
-	switch {
-	case path != "":
+	if path != "" {
 		return notable.LoadGraphFile(path)
-	case dataset == "yago" || dataset == "":
-		return gen.YAGOLike(gen.YAGOConfig{Seed: seed}).Graph, nil
-	case dataset == "lmdb":
-		return gen.LinkedMDBLike(gen.LMDBConfig{Seed: seed}).Graph, nil
-	case dataset == "authors":
-		return gen.Authors(seed).Graph, nil
-	case dataset == "products":
-		return gen.Products(seed).Graph, nil
-	case dataset == "figure1":
-		return gen.Figure1().Graph, nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
+	return gen.Named(dataset, seed, 0)
 }

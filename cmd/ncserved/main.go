@@ -204,23 +204,11 @@ func bootEngine(graphPath, dataset string, seed int64, opt notable.Options, walD
 	return engine, nil
 }
 
-// loadGraph mirrors ncsearch: explicit file first, then a built-in
-// generator.
+// loadGraph reads the -graph file when one is given, else builds the named
+// built-in dataset.
 func loadGraph(path, dataset string, seed int64) (*notable.Graph, error) {
-	switch {
-	case path != "":
+	if path != "" {
 		return notable.LoadGraphFile(path)
-	case dataset == "yago" || dataset == "":
-		return gen.YAGOLike(gen.YAGOConfig{Seed: seed}).Graph, nil
-	case dataset == "lmdb":
-		return gen.LinkedMDBLike(gen.LMDBConfig{Seed: seed}).Graph, nil
-	case dataset == "authors":
-		return gen.Authors(seed).Graph, nil
-	case dataset == "products":
-		return gen.Products(seed).Graph, nil
-	case dataset == "figure1":
-		return gen.Figure1().Graph, nil
-	default:
-		return nil, fmt.Errorf("unknown dataset %q", dataset)
 	}
+	return gen.Named(dataset, seed, 0)
 }

@@ -327,7 +327,7 @@ const cachedContextFloor = 100
 // private copy of the entry's first k items; an entry shorter than its
 // cut holds every candidate and serves any k, while a larger k than a
 // full entry holds solves again and replaces it (the lookup still counts
-// as a hit). Queries listing a node twice bypass the layer (qcache.Key).
+// as a hit). Entries are keyed by the query list as given (qcache.Key).
 //
 // ready == nil is the barriered call: it returns every context in query
 // order, or nil once ctx is done. ready != nil is the streaming call:
@@ -356,7 +356,7 @@ func Contexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Optio
 	for i, q := range queries {
 		var key string
 		if opt.Cache != nil {
-			key, _ = qcache.Key(opt.Cache.SelectorPrefix, q)
+			key = qcache.Key(opt.Cache.SelectorPrefix, q)
 		}
 		if items, ok := opt.Cache.lookup(key, k); ok {
 			deliver(i, items)

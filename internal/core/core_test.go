@@ -247,7 +247,7 @@ func TestCharacteristicRecordConsistency(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	g, query := leadersGraph()
 	opt := Options{
-		Selector:    ctxsel.ContextRW{Walks: 20000, Seed: 42, Parallelism: 3},
+		Selector:    ctxsel.ContextRW{Walks: 20000, Seed: 42},
 		ContextSize: 8,
 		Seed:        42,
 	}

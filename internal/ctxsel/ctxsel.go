@@ -124,11 +124,10 @@ func (RandomWalk) Name() string { return "RandomWalk" }
 // Scores implements Selector, picking the PageRank schedule from the
 // call's shape: a stream runs each deduplicated seed to completion in
 // first-appearance order so queries release as their last seed resolves;
-// one barriered query sums its seeds on the per-seed worker pool; a
-// barriered batch solves its distinct seeds once and shares the blocked
-// multi-vector gather across their dense tails. Every gather step runs on
-// the goroutine that owns its solve, so the per-seed pool of one query is
-// the only parallelism. All three produce the same bits per query.
+// one barriered query sums its seeds one solve after another; a barriered
+// batch solves its distinct seeds once and shares the blocked multi-vector
+// gather across their dense tails. All three run on the calling goroutine
+// and produce the same bits per query.
 func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
 	switch {
 	case ready != nil:
@@ -156,8 +155,6 @@ type ContextRW struct {
 	Uniform bool
 	// Seed fixes mining randomness.
 	Seed int64
-	// Parallelism bounds mining workers; 0 uses the miner default.
-	Parallelism int
 }
 
 // Name implements Selector.
@@ -184,11 +181,10 @@ func (s ContextRW) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeI
 	s = s.withDefaults()
 	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
 		mined := metapath.MineCtx(ctx, g, query, metapath.MineOptions{
-			Walks:       s.Walks,
-			MaxLength:   s.MaxLength,
-			Uniform:     s.Uniform,
-			Seed:        s.Seed,
-			Parallelism: s.Parallelism,
+			Walks:     s.Walks,
+			MaxLength: s.MaxLength,
+			Uniform:   s.Uniform,
+			Seed:      s.Seed,
 		})
 		if ctx.Err() != nil {
 			return nil

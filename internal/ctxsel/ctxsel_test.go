@@ -1,8 +1,11 @@
 package ctxsel
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/kg"
@@ -87,7 +90,7 @@ func TestContextRWExcludesQuery(t *testing.T) {
 
 func TestContextRWDeterministic(t *testing.T) {
 	g, query, _ := communityGraph()
-	s := ContextRW{Walks: 10000, Seed: 99, Parallelism: 3}
+	s := ContextRW{Walks: 10000, Seed: 99}
 	a := Select(context.Background(), s, g, query, 10)
 	b := Select(context.Background(), s, g, query, 10)
 	if len(a) != len(b) {
@@ -96,6 +99,47 @@ func TestContextRWDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("results differ at %d: %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// probeCtx records the goroutine of every Err probe.
+type probeCtx struct {
+	context.Context
+	mu     sync.Mutex
+	probes map[string]int
+}
+
+func (c *probeCtx) Err() error {
+	c.mu.Lock()
+	c.probes[goroutineID()]++
+	c.mu.Unlock()
+	return c.Context.Err()
+}
+
+// goroutineID is the calling goroutine's number, read off the first line
+// of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	buf := make([]byte, 64)
+	return string(bytes.Fields(buf[:runtime.Stack(buf, false)])[1])
+}
+
+// TestSelectionRunsOnCallersGoroutine: a RandomWalk selection over several
+// seeds and a ContextRW selection probe ctx only from the calling
+// goroutine — neither fans a solve or a mining walk out to workers.
+func TestSelectionRunsOnCallersGoroutine(t *testing.T) {
+	g, query, _ := communityGraph()
+	if len(query) < 2 {
+		t.Fatal("the query must hold several seeds")
+	}
+	for _, sel := range []Selector{RandomWalk{}, ContextRW{Walks: 10000, Seed: 7}} {
+		ctx := &probeCtx{Context: context.Background(), probes: map[string]int{}}
+		if got := Select(ctx, sel, g, query, 10); len(got) == 0 {
+			t.Fatalf("%s: empty context", sel.Name())
+		}
+		self := goroutineID()
+		if len(ctx.probes) != 1 || ctx.probes[self] == 0 {
+			t.Fatalf("%s: ctx probed from goroutines %v, want only the caller's (%s)", sel.Name(), ctx.probes, self)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/ctxsel"
 	"repro/internal/gen"
 	"repro/internal/metapath"
-	"repro/internal/ppr"
 )
 
 // Fig2Result reproduces Figure 2: F1 vs context size for each query-size
@@ -150,8 +149,9 @@ type Fig5Result struct {
 	Seconds map[string][]float64
 }
 
-// Fig5 measures selection times. Both algorithms run single-threaded so
-// the comparison matches the paper's sequential Java implementation.
+// Fig5 measures selection times. Both selectors run on the calling
+// goroutine, so the comparison matches the paper's sequential Java
+// implementation.
 func Fig5(d *gen.Dataset, domain string, cfg Config) (Fig5Result, error) {
 	cfg = cfg.WithDefaults()
 	sc := d.Scenario(domain)
@@ -164,12 +164,12 @@ func Fig5(d *gen.Dataset, domain string, cfg Config) (Fig5Result, error) {
 		res.Sizes = append(res.Sizes, size)
 
 		start := time.Now()
-		crw := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed, Parallelism: 1}
+		crw := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed}
 		ctxsel.Select(context.Background(), crw, d.Graph, query, 100)
 		res.Seconds[AlgContextRW] = append(res.Seconds[AlgContextRW], time.Since(start).Seconds())
 
 		start = time.Now()
-		rw := ctxsel.RandomWalk{Opt: ppr.Options{Parallelism: 1}}
+		rw := ctxsel.RandomWalk{}
 		ctxsel.Select(context.Background(), rw, d.Graph, query, 100)
 		res.Seconds[AlgRandomWalk] = append(res.Seconds[AlgRandomWalk], time.Since(start).Seconds())
 	}
@@ -221,9 +221,7 @@ func Fig6(d *gen.Dataset, domain string, cfg Config) (Fig6Result, error) {
 		var times []float64
 		for _, maxLen := range res.Lengths {
 			start := time.Now()
-			sel := ctxsel.ContextRW{
-				Walks: cfg.Walks, Seed: cfg.Seed, MaxLength: maxLen, Parallelism: 1,
-			}
+			sel := ctxsel.ContextRW{Walks: cfg.Walks, Seed: cfg.Seed, MaxLength: maxLen}
 			ctxsel.Select(context.Background(), sel, d.Graph, query, 100)
 			times = append(times, time.Since(start).Seconds())
 		}

@@ -1,7 +1,7 @@
 // Package exec provides the process-wide bounded executor shared by the
 // parallel stages of the search pipeline: the comparison stage's label
-// pool and the batch search's per-query fan-out. (PageRank does not use
-// it: every step of a solve runs on the goroutine that owns the solve.)
+// pool and the batch search's per-query fan-out. (Context selection does
+// not use it: PageRank and path mining run on the request's goroutine.)
 //
 // Before this package each parallel call site spawned its own goroutines —
 // fine for one query, but a serving host running hundreds of concurrent

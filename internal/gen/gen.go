@@ -25,6 +25,26 @@ import (
 	"repro/internal/kg"
 )
 
+// Named builds the graph of the built-in dataset called name at seed: yago
+// (also the empty name), lmdb, authors, products or figure1. scale
+// multiplies the yago and lmdb populations (0 means 1); the other datasets
+// have one size.
+func Named(name string, seed int64, scale float64) (*kg.Graph, error) {
+	switch name {
+	case "yago", "":
+		return YAGOLike(YAGOConfig{Seed: seed, Scale: scale}).Graph, nil
+	case "lmdb":
+		return LinkedMDBLike(LMDBConfig{Seed: seed, Scale: scale}).Graph, nil
+	case "authors":
+		return Authors(seed).Graph, nil
+	case "products":
+		return Products(seed).Graph, nil
+	case "figure1":
+		return Figure1().Graph, nil
+	}
+	return nil, fmt.Errorf("unknown dataset %q", name)
+}
+
 // Scenario bundles a query domain with its entities and planted ground
 // truth, mirroring one row block of the paper's Table 1.
 type Scenario struct {

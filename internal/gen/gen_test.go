@@ -276,3 +276,27 @@ func BenchmarkYAGOLikeFullScale(b *testing.B) {
 		}
 	}
 }
+
+// TestNamed: every dataset name builds its generator's graph, the empty
+// name is yago, and an unknown name is an error.
+func TestNamed(t *testing.T) {
+	for name, want := range map[string]*kg.Graph{
+		"yago":     YAGOLike(YAGOConfig{Seed: 3, Scale: 0.25}).Graph,
+		"":         YAGOLike(YAGOConfig{Seed: 3, Scale: 0.25}).Graph,
+		"lmdb":     LinkedMDBLike(LMDBConfig{Seed: 3, Scale: 0.25}).Graph,
+		"authors":  Authors(3).Graph,
+		"products": Products(3).Graph,
+		"figure1":  Figure1().Graph,
+	} {
+		g, err := Named(name, 3, 0.25)
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
+		}
+		if g.Stats() != want.Stats() {
+			t.Fatalf("%q built %s, want %s", name, g.Stats(), want.Stats())
+		}
+	}
+	if _, err := Named("yago2", 3, 1); err == nil || !strings.Contains(err.Error(), `"yago2"`) {
+		t.Fatalf("unknown dataset: err = %v", err)
+	}
+}

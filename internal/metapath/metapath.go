@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"sort"
-	"sync"
 
 	"repro/internal/kg"
 )
@@ -86,38 +85,42 @@ type MineOptions struct {
 	Uniform bool
 	// Seed makes mining deterministic.
 	Seed int64
-	// Parallelism bounds worker goroutines; 0 uses 4.
-	Parallelism int
 }
 
 func (o MineOptions) withDefaults() MineOptions {
 	if o.MaxLength == 0 {
 		o.MaxLength = 5
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 4
-	}
 	return o
 }
 
 // Mine runs PathMining: it samples opt.Walks random walks from uniform
 // start nodes in V \ query and records the label sequence of every walk
-// that reaches a query node within opt.MaxLength steps. Results are merged
-// across workers and sorted by descending count (ties by shorter path, then
-// lexicographic key, so output is deterministic for a fixed seed).
+// that reaches a query node within opt.MaxLength steps. The walks are drawn
+// as mineStreams seeded streams, one after another on the calling
+// goroutine, and the paths are sorted by descending count (ties by shorter
+// path, then lexicographic key, so output is deterministic for a fixed
+// seed).
 func Mine(g *kg.Graph, query []kg.NodeID, opt MineOptions) []Mined {
 	return MineCtx(context.Background(), g, query, opt)
 }
 
-// mineCheckInterval is how many walks a mining worker runs between ctx
+// mineStreams is the number of walk streams a mine splits its budget
+// into: stream w draws from seed Seed + w·0x9e3779b9 and runs Walks/4
+// walks, plus one for w < Walks%4. The split fixes the mined sample to the
+// layout four concurrent workers once drew, uneven budgets and Walks < 4
+// included.
+const mineStreams = 4
+
+// mineCheckInterval is how many walks a mining stream runs between ctx
 // probes: frequent enough that a large budget (the paper's 1M walks)
 // aborts in well under a walk-batch, rare enough that the probe is free.
 const mineCheckInterval = 4096
 
-// MineCtx is Mine under a cancellation context: workers check ctx every
-// mineCheckInterval walks and stop early once it is done. A cancelled
-// mine returns a truncated (meaningless) path set — callers must consult
-// ctx.Err() before using it; a live ctx changes nothing.
+// MineCtx is Mine under a cancellation context: it checks ctx every
+// mineCheckInterval walks of a stream and returns nil once it is done —
+// callers must consult ctx.Err() before using the result; a live ctx
+// changes nothing.
 func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOptions) []Mined {
 	opt = opt.withDefaults()
 	n := g.NumNodes()
@@ -142,62 +145,32 @@ func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOption
 		}
 	}
 
-	workers := opt.Parallelism
-	if workers > opt.Walks {
-		workers = opt.Walks
-	}
-	type shard struct {
-		counts map[string]int64
-		paths  map[string]Path
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			d := newDraws(opt.Seed + int64(w)*0x9e3779b9)
-			sh := shard{
-				counts: make(map[string]int64),
-				paths:  make(map[string]Path),
+	found := make(map[string]*Mined)
+	labels := make(Path, 0, opt.MaxLength)
+	for w := 0; w < mineStreams; w++ {
+		d := newDraws(opt.Seed + int64(w)*0x9e3779b9)
+		walks := opt.Walks / mineStreams
+		if w < opt.Walks%mineStreams {
+			walks++
+		}
+		for i := 0; i < walks; i++ {
+			if i%mineCheckInterval == 0 && ctx.Err() != nil {
+				return nil
 			}
-			walks := opt.Walks / workers
-			if w < opt.Walks%workers {
-				walks++
-			}
-			labels := make(Path, 0, opt.MaxLength)
-			for i := 0; i < walks; i++ {
-				if i%mineCheckInterval == 0 && ctx.Err() != nil {
-					break
+			if p := wk.once(d, labels[:0]); p != nil {
+				k := p.Key()
+				m := found[k]
+				if m == nil {
+					m = &Mined{Path: append(Path(nil), p...)}
+					found[k] = m
 				}
-				if p := wk.once(d, labels[:0]); p != nil {
-					k := p.Key()
-					if _, ok := sh.paths[k]; !ok {
-						cp := make(Path, len(p))
-						copy(cp, p)
-						sh.paths[k] = cp
-					}
-					sh.counts[k]++
-				}
-			}
-			shards[w] = sh
-		}(w)
-	}
-	wg.Wait()
-
-	merged := make(map[string]int64)
-	paths := make(map[string]Path)
-	for _, sh := range shards {
-		for k, c := range sh.counts {
-			merged[k] += c
-			if _, ok := paths[k]; !ok {
-				paths[k] = sh.paths[k]
+				m.Count++
 			}
 		}
 	}
-	out := make([]Mined, 0, len(merged))
-	for k, c := range merged {
-		out = append(out, Mined{Path: paths[k], Count: c})
+	out := make([]Mined, 0, len(found))
+	for _, m := range found {
+		out = append(out, *m)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {

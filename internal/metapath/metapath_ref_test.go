@@ -17,6 +17,9 @@ import (
 // map[NodeID]bool membership — and MineCtx must reproduce their output
 // exactly: the same paths with the same counts in the same order.
 
+// refWorkers is refMine's fan-out: four goroutines, one walk stream each.
+const refWorkers = 4
+
 func refMine(g *kg.Graph, query []kg.NodeID, opt MineOptions) []Mined {
 	opt = opt.withDefaults()
 	n := g.NumNodes()
@@ -31,7 +34,7 @@ func refMine(g *kg.Graph, query []kg.NodeID, opt MineOptions) []Mined {
 		return nil // no start nodes available
 	}
 
-	workers := opt.Parallelism
+	workers := refWorkers
 	if workers > opt.Walks {
 		workers = opt.Walks
 	}
@@ -200,8 +203,7 @@ func refQueries(t *testing.T, name string, g *kg.Graph) [][]kg.NodeID {
 }
 
 // TestMineMatchesReference: MineCtx equals refMine exactly — paths, counts
-// and order — across graphs, query shapes, seeds, worker counts and both
-// step policies.
+// and order — across graphs, query shapes, seeds and both step policies.
 func TestMineMatchesReference(t *testing.T) {
 	for name, g := range refGraphs(t) {
 		walks := 20000
@@ -209,18 +211,16 @@ func TestMineMatchesReference(t *testing.T) {
 			walks = 2000
 		}
 		for qi, query := range refQueries(t, name, g) {
-			for _, par := range []int{1, 2, 4} {
-				for _, uniform := range []bool{false, true} {
-					for seed := int64(0); seed < 2; seed++ {
-						opt := MineOptions{Walks: walks, Seed: seed*7919 - 1, Parallelism: par, Uniform: uniform}
-						got, want := Mine(g, query, opt), refMine(g, query, opt)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s query %d par=%d uniform=%v seed=%d: mined paths differ from the reference\n got %v\nwant %v",
-								name, qi, par, uniform, opt.Seed, got, want)
-						}
-						if qi == 1 && len(want) == 0 {
-							t.Fatalf("%s: reference mined nothing — the comparison is vacuous", name)
-						}
+			for _, uniform := range []bool{false, true} {
+				for seed := int64(0); seed < 2; seed++ {
+					opt := MineOptions{Walks: walks, Seed: seed*7919 - 1, Uniform: uniform}
+					got, want := Mine(g, query, opt), refMine(g, query, opt)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s query %d uniform=%v seed=%d: mined paths differ from the reference\n got %v\nwant %v",
+							name, qi, uniform, opt.Seed, got, want)
+					}
+					if qi == 1 && len(want) == 0 {
+						t.Fatalf("%s: reference mined nothing — the comparison is vacuous", name)
 					}
 				}
 			}
@@ -228,10 +228,10 @@ func TestMineMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMineMatchesReferenceEdges covers the option and guard corners: odd
-// walk counts split unevenly over workers, more workers than walks, a
-// one-step length budget, and the no-start-node guard, which must count
-// distinct query nodes (duplicates do not exhaust the graph).
+// TestMineMatchesReferenceEdges covers the option and guard corners: walk
+// counts that split unevenly over the four streams, fewer walks than
+// streams, a one-step length budget, and the no-start-node guard, which
+// must count distinct query nodes (duplicates do not exhaust the graph).
 func TestMineMatchesReferenceEdges(t *testing.T) {
 	g := chainWithBranch()
 	q := nodeID(t, g, "q")
@@ -244,8 +244,11 @@ func TestMineMatchesReferenceEdges(t *testing.T) {
 		query []kg.NodeID
 		opt   MineOptions
 	}{
-		{"uneven split", []kg.NodeID{q}, MineOptions{Walks: 1001, Seed: 5, Parallelism: 4}},
-		{"workers > walks", []kg.NodeID{q}, MineOptions{Walks: 3, Seed: 5, Parallelism: 4}},
+		{"uneven split", []kg.NodeID{q}, MineOptions{Walks: 1001, Seed: 5}},
+		{"streams > walks", []kg.NodeID{q}, MineOptions{Walks: 3, Seed: 5}},
+		{"one walk", []kg.NodeID{q}, MineOptions{Walks: 1, Seed: 5}},
+		{"one walk per stream", []kg.NodeID{q}, MineOptions{Walks: 4, Seed: 5}},
+		{"one stream one walk ahead", []kg.NodeID{q}, MineOptions{Walks: 5, Seed: 5}},
 		{"length 1", []kg.NodeID{q}, MineOptions{Walks: 500, MaxLength: 1, Seed: 2}},
 		{"whole graph", all, MineOptions{Walks: 100, Seed: 1}},
 		{"all but one", all[1:], MineOptions{Walks: 400, Seed: 1}},

@@ -1,7 +1,6 @@
 package metapath
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -216,7 +215,7 @@ func TestMineFindsDominantMetapath(t *testing.T) {
 func TestMineDeterministicForSeed(t *testing.T) {
 	g := chainWithBranch()
 	q := nodeID(t, g, "q")
-	opt := MineOptions{Walks: 5000, MaxLength: 3, Seed: 42, Parallelism: 3}
+	opt := MineOptions{Walks: 5000, MaxLength: 3, Seed: 42}
 	a := Mine(g, []kg.NodeID{q}, opt)
 	b := Mine(g, []kg.NodeID{q}, opt)
 	if len(a) != len(b) {
@@ -327,12 +326,8 @@ func BenchmarkMine(b *testing.B) {
 		}
 		query = append(query, q)
 	}
-	for _, par := range []int{1, 4} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				Mine(g, query, MineOptions{Walks: 200000, MaxLength: 5, Seed: int64(i), Parallelism: par})
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		Mine(g, query, MineOptions{Walks: 200000, MaxLength: 5, Seed: int64(i)})
 	}
 }
 

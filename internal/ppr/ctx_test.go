@@ -122,7 +122,7 @@ func TestPersonalizedSumMultiCtxCancelled(t *testing.T) {
 
 // TestPersonalizedSumMultiStreamBitwise: the stream releases every query
 // exactly once with bitwise the barriered batch's vectors — across the
-// serial and blocked dense paths, cache states, and parallelism.
+// serial and blocked dense paths and cache states.
 func TestPersonalizedSumMultiStreamBitwise(t *testing.T) {
 	defer func(v int64) { multiDenseMinEdges = v }(multiDenseMinEdges)
 	for _, kernel := range []bool{false, true} {
@@ -134,44 +134,42 @@ func TestPersonalizedSumMultiStreamBitwise(t *testing.T) {
 		g := randomGraph(400, 1600, 17)
 		rng := rand.New(rand.NewSource(41))
 		queries := batchQueries(rng, 8, 4, g.NumNodes())
-		for _, par := range []int{1, 4} {
-			for _, cached := range []bool{false, true} {
-				opt := Options{Parallelism: par}
-				if cached {
-					opt.SeedCache = seedCacheOf(0)
+		for _, cached := range []bool{false, true} {
+			opt := Options{}
+			if cached {
+				opt.SeedCache = seedCacheOf(0)
+			}
+			want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
+			got := make([][]float64, len(queries))
+			calls := 0
+			err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
+				calls++
+				if got[qi] != nil {
+					t.Fatalf("query %d released twice", qi)
 				}
-				want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{Parallelism: par})
-				got := make([][]float64, len(queries))
-				calls := 0
-				err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
-					calls++
-					if got[qi] != nil {
-						t.Fatalf("query %d released twice", qi)
-					}
-					got[qi] = sum
-				})
-				if err != nil {
+				got[qi] = sum
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if calls != len(queries) {
+				t.Fatalf("kernel=%v cached=%v: %d releases for %d queries",
+					kernel, cached, calls, len(queries))
+			}
+			for qi := range queries {
+				assertSameBits(t, "stream", got[qi], want[qi])
+			}
+			if cached {
+				// A second streamed pass is all cache hits, released
+				// before any solving, same bits.
+				again := make([][]float64, len(queries))
+				if err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
+					again[qi] = sum
+				}); err != nil {
 					t.Fatal(err)
 				}
-				if calls != len(queries) {
-					t.Fatalf("kernel=%v par=%d cached=%v: %d releases for %d queries",
-						kernel, par, cached, calls, len(queries))
-				}
 				for qi := range queries {
-					assertSameBits(t, "stream", got[qi], want[qi])
-				}
-				if cached {
-					// A second streamed pass is all cache hits, released
-					// before any solving, same bits.
-					again := make([][]float64, len(queries))
-					if err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
-						again[qi] = sum
-					}); err != nil {
-						t.Fatal(err)
-					}
-					for qi := range queries {
-						assertSameBits(t, "stream-warm", again[qi], want[qi])
-					}
+					assertSameBits(t, "stream-warm", again[qi], want[qi])
 				}
 			}
 		}

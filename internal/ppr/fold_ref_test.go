@@ -2,10 +2,14 @@ package ppr
 
 import (
 	"context"
-	"runtime"
+	"sync"
 
 	"repro/internal/kg"
 )
+
+// refWorkers is the reference fold's fan-out: solves run in blocks of
+// four goroutines, the way the per-seed pool once ran them.
+const refWorkers = 4
 
 // refPersonalizedSum is the workspace fold PersonalizedSumCtx ran without
 // a seed cache before every sum went through seedVecs, kept verbatim as
@@ -20,11 +24,7 @@ func refPersonalizedSum(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 	if n == 0 || len(seeds) == 0 {
 		return sum
 	}
-	budget := opt.Parallelism
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	workers := budget
+	workers := refWorkers
 	if workers > len(seeds) {
 		workers = len(seeds)
 	}
@@ -37,7 +37,7 @@ func refPersonalizedSum(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 		if m > workers {
 			m = workers
 		}
-		runSeedBlock(ctx, g, seeds[base:base+m], opt, wss[:m])
+		refRunSeedBlock(ctx, g, seeds[base:base+m], opt, wss[:m])
 		for j := 0; j < m; j++ {
 			ws := wss[j]
 			if ws.dense {
@@ -58,4 +58,18 @@ func refPersonalizedSum(g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 		ws.release()
 	}
 	return sum
+}
+
+// refRunSeedBlock solves one single-seed run per seed concurrently, each
+// into its own workspace.
+func refRunSeedBlock(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options, wss []*workspace) {
+	var wg sync.WaitGroup
+	wg.Add(len(seeds))
+	for j := range seeds {
+		go func(j int) {
+			defer wg.Done()
+			personalizedInto(ctx, g, seeds[j], opt, wss[j])
+		}(j)
+	}
+	wg.Wait()
 }

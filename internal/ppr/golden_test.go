@@ -130,13 +130,13 @@ func digestVectors(vs [][]float64) string {
 }
 
 // TestPPRGoldenDigests: PersonalizedSumCtx, PersonalizedSumMultiCtx and
-// PersonalizedSumMultiStream return the recorded bits at Parallelism 1, 2
-// and 4, with and without a seed cache (cold, then warm), through both the
+// PersonalizedSumMultiStream return the recorded bits with and without a
+// seed cache (cold, then warm), through both the
 // per-seed dense tail and the blocked multi-vector kernel, on the flat
 // graph and on an overlay view of it.
 func TestPPRGoldenDigests(t *testing.T) {
 	if raceEnabled {
-		t.Skip("216 batches of 12 queries take minutes under the race detector")
+		t.Skip("72 batches of 12 queries take minutes under the race detector")
 	}
 	d := gen.YAGOLike(gen.YAGOConfig{Seed: 1, Scale: 1})
 	queries := goldenQueries(t, d)
@@ -180,20 +180,18 @@ func checkGoldenDigests(t *testing.T, g *kg.Graph, queries [][]kg.NodeID, golden
 		}
 		for setting, want := range golden {
 			for name, run := range entries {
-				for _, par := range []int{1, 2, 4} {
-					for _, cached := range []bool{false, true} {
-						opt := Options{Damping: setting[0], Iterations: int(setting[1]), Parallelism: par}
-						runs := 1
-						if cached {
-							opt.SeedCache = seedCacheOf(0)
-							runs = 2
-						}
-						for r := 0; r < runs; r++ {
-							label := fmt.Sprintf("blocked=%v setting=%v %s par=%d cached=%v run=%d",
-								blocked, setting, name, par, cached, r)
-							if got := digestVectors(run(opt)); got != want {
-								t.Errorf("%s: digest %s, want %s", label, got, want)
-							}
+				for _, cached := range []bool{false, true} {
+					opt := Options{Damping: setting[0], Iterations: int(setting[1])}
+					runs := 1
+					if cached {
+						opt.SeedCache = seedCacheOf(0)
+						runs = 2
+					}
+					for r := 0; r < runs; r++ {
+						label := fmt.Sprintf("blocked=%v setting=%v %s cached=%v run=%d",
+							blocked, setting, name, cached, r)
+						if got := digestVectors(run(opt)); got != want {
+							t.Errorf("%s: digest %s, want %s", label, got, want)
 						}
 					}
 				}

@@ -31,8 +31,8 @@ func batchQueries(rng *rand.Rand, nq, maxLen, nodes int) [][]kg.NodeID {
 // TestPersonalizedSumMultiMatchesSequentialBitwise: the batched solve and
 // per-query PersonalizedSumCtx must both reproduce the workspace fold
 // (refPersonalizedSum) bit for bit — across graph shapes (sparse-only and
-// saturating solves), batch sizes, duplicate seeds within a query, shared
-// seeds across queries, and every Parallelism setting.
+// saturating solves), batch sizes, duplicate seeds within a query, and
+// seeds shared across queries.
 func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 	shapes := []struct{ nodes, edges int }{
 		{40, 80},      // tiny: saturates instantly
@@ -51,22 +51,20 @@ func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(sh.nodes)))
 			for _, nq := range []int{1, 3, 16} {
 				queries := batchQueries(rng, nq, 4, g.NumNodes())
-				for _, par := range []int{1, 4} {
-					opt := Options{Parallelism: par}
-					got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
-					if len(got) != len(queries) {
-						t.Fatalf("%d nodes nq=%d: %d results", sh.nodes, nq, len(got))
-					}
-					for qi, q := range queries {
-						want := refPersonalizedSum(g, q, opt)
-						for i := range want {
-							if got[qi][i] != want[i] {
-								t.Fatalf("%d nodes nq=%d par=%d kernel=%v query %d node %d: batch %v != sequential %v",
-									sh.nodes, nq, par, kernel, qi, i, got[qi][i], want[i])
-							}
+				opt := Options{}
+				got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
+				if len(got) != len(queries) {
+					t.Fatalf("%d nodes nq=%d: %d results", sh.nodes, nq, len(got))
+				}
+				for qi, q := range queries {
+					want := refPersonalizedSum(g, q, opt)
+					for i := range want {
+						if got[qi][i] != want[i] {
+							t.Fatalf("%d nodes nq=%d kernel=%v query %d node %d: batch %v != sequential %v",
+								sh.nodes, nq, kernel, qi, i, got[qi][i], want[i])
 						}
-						assertSameBits(t, "single", PersonalizedSumCtx(context.Background(), g, q, opt), want)
 					}
+					assertSameBits(t, "single", PersonalizedSumCtx(context.Background(), g, q, opt), want)
 				}
 			}
 		}

@@ -32,8 +32,9 @@
 // saturated gather walks the transpose's rows, which are stored in
 // ascending in-degree order so that consecutive rows run the same number
 // of inner-loop trips, and writes each row's node. Every step of a solve
-// runs on the goroutine that owns the solve: the parallelism of a sum is
-// its per-seed pool, never a split of one step. Both regimes read
+// runs on the calling goroutine: a sum solves its seeds one after another,
+// never a split of one step, and the concurrency lives above the package,
+// one request per goroutine. Both regimes read
 // per-edge transition probabilities from the graph's precomputed
 // kg.TransitionCSR rather than recomputing w(l)/wdeg per edge per
 // iteration, and the teleport is one add at the seed. Scratch vectors are
@@ -41,10 +42,9 @@
 // solve allocates nothing per iteration.
 //
 // A PageRank sum is a fold of single-seed vectors (seedvec.go): every
-// distinct seed is solved once — in blocks on a bounded worker pool — or
-// served from Options.SeedCache, and the vectors are folded into the sum
-// in seed-list order, so results are bitwise identical for every
-// Parallelism setting and every cache state. The cache is what makes a
+// distinct seed is solved once or served from Options.SeedCache, and the
+// vectors are folded into the sum in seed-list order, so results are
+// bitwise identical for every cache state. The cache is what makes a
 // query overlapping an earlier one — interactive refinement, the
 // add-one-entity/re-search loop — solve only its new seeds.
 //
@@ -74,13 +74,6 @@ type Options struct {
 	Damping float64
 	// Iterations of power iteration. The paper uses 10. Default 10.
 	Iterations int
-	// Parallelism bounds PersonalizedSumCtx's per-seed pool: how many
-	// single-seed solves run at once, each on its own goroutine. The
-	// multi-source entry points solve on the calling goroutine and ignore
-	// it. 0 uses GOMAXPROCS. Results are bitwise identical for every
-	// setting.
-	Parallelism int
-
 	// SeedCache memoizes single-seed PageRank vectors across
 	// PersonalizedSumCtx and multi-source calls (stored under
 	// qcache.LayerSeed, byte-accounted): each distinct seed consults the
@@ -297,11 +290,10 @@ func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched [
 // individually") and returns the element-wise sum of the resulting
 // vectors. A one-seed list returns that seed's PageRank vector.
 //
-// Each distinct seed is served from Options.SeedCache or solved — the
-// misses in blocks of Parallelism workers — and the per-seed vectors are
-// folded into the sum in seed-list order as each block completes, so the
-// result is bitwise identical for every Parallelism setting and cache
-// state. Without a seed cache, peak memory stays at O(workers·n) plus one
+// Each distinct seed is served from Options.SeedCache or solved on the
+// calling goroutine, and the per-seed vectors are folded into the sum in
+// seed-list order, so the result is bitwise identical for every cache
+// state. Without a seed cache, peak memory stays at one workspace plus one
 // vector per seed the list repeats (see foldSeedSum).
 //
 // Every solve checks ctx between power-iteration sweeps, so a dropped
@@ -329,19 +321,4 @@ func personalizedSumCtx(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt
 	}
 	foldSeedSum(ctx, g, seeds, opt, sum)
 	return sum
-}
-
-// runSeedBlock solves one single-seed run per seed concurrently, each
-// into its own workspace. Cancellation leaves partial workspaces; callers
-// check ctx before extracting or caching anything from them.
-func runSeedBlock(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options, wss []*workspace) {
-	var wg sync.WaitGroup
-	wg.Add(len(seeds))
-	for j := range seeds {
-		go func(j int) {
-			defer wg.Done()
-			personalizedInto(ctx, g, seeds[j], opt, wss[j])
-		}(j)
-	}
-	wg.Wait()
 }

@@ -109,8 +109,8 @@ func TestWeightingPrefersRareLabel(t *testing.T) {
 	}
 }
 
-// TestPersonalizedSumMatchesSequential: the parallel sum is bit for bit
-// the sequential loop over per-seed vectors — each slot's additions run
+// TestPersonalizedSumMatchesSequential: the sum is bit for bit the
+// sequential loop over per-seed vectors — each slot's additions run
 // in seed-list order, and adding a zero slot changes no bit.
 func TestPersonalizedSumMatchesSequential(t *testing.T) {
 	g := randomGraph(500, 2000, 77)
@@ -123,24 +123,12 @@ func TestPersonalizedSumMatchesSequential(t *testing.T) {
 			want[i] += sc
 		}
 	}
-	assertSameBits(t, "parallel vs sequential", sum, want)
-}
-
-func TestPersonalizedSumParallelismBound(t *testing.T) {
-	g := randomGraph(100, 300, 3)
-	seeds := []kg.NodeID{0, 1, 2, 3, 4, 5}
-	a := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: 1})
-	b := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: 2})
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatalf("parallelism changed results at node %d", i)
-		}
-	}
+	assertSameBits(t, "sum vs sequential", sum, want)
 }
 
 // TestPersonalizedSumCachelessMemoryBound: without a seed cache, a sum
-// over many saturating seeds allocates O(workers·n), not one dense vector
-// per seed: each solve folds straight out of its workspace.
+// over many saturating seeds allocates O(n), not one dense vector per
+// seed: each solve folds straight out of the one workspace.
 func TestPersonalizedSumCachelessMemoryBound(t *testing.T) {
 	g := randomGraph(5000, 40000, 123)
 	n := g.NumNodes()
@@ -148,7 +136,7 @@ func TestPersonalizedSumCachelessMemoryBound(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = kg.NodeID(i * 61)
 	}
-	opt := Options{Parallelism: 2}
+	opt := Options{}
 	if p := solo(g, seeds[0], opt); countNonzero(p)*denseSwitchDivisor < n {
 		t.Fatal("test graph must saturate a single-seed solve")
 	}

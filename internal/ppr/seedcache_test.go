@@ -44,34 +44,31 @@ func refinementSequence() [][]kg.NodeID {
 }
 
 // TestPersonalizedSumSeedCacheBitwise: for every seed-cache budget
-// (tiny — evicting mid-sequence — and ample) and Parallelism {1, 4}, a
-// refinement sequence returns exactly the workspace fold's bits at every
-// step.
+// (tiny — evicting mid-sequence — and ample), a refinement sequence
+// returns exactly the workspace fold's bits at every step.
 func TestPersonalizedSumSeedCacheBitwise(t *testing.T) {
 	g := randomGraph(400, 1600, 12)
 	seq := refinementSequence()
-	for _, par := range []int{1, 4} {
-		want := make([][]float64, len(seq))
+	want := make([][]float64, len(seq))
+	for i, q := range seq {
+		want[i] = refPersonalizedSum(g, q, Options{})
+	}
+	for name, budget := range map[string]int64{"tiny": 6000, "ample": 0} {
+		cache := seedCacheOf(budget)
+		opt := Options{SeedCache: cache}
 		for i, q := range seq {
-			want[i] = refPersonalizedSum(g, q, Options{Parallelism: par})
+			got := PersonalizedSumCtx(context.Background(), g, q, opt)
+			assertSameBits(t, name, got, want[i])
 		}
-		for name, budget := range map[string]int64{"tiny": 6000, "ample": 0} {
-			cache := seedCacheOf(budget)
-			opt := Options{Parallelism: par, SeedCache: cache}
-			for i, q := range seq {
-				got := PersonalizedSumCtx(context.Background(), g, q, opt)
-				assertSameBits(t, name, got, want[i])
-			}
-			st := cache.Stats()
-			if st.Layers[qcache.LayerSeed].Hits == 0 {
-				t.Fatalf("par=%d budget=%s: seed cache never hit: %+v", par, name, st)
-			}
-			if name == "tiny" && st.Evictions == 0 {
-				t.Fatalf("par=%d: tiny budget must evict mid-sequence: %+v", par, st)
-			}
-			if name == "ample" && st.Evictions != 0 {
-				t.Fatalf("par=%d: ample budget must not evict: %+v", par, st)
-			}
+		st := cache.Stats()
+		if st.Layers[qcache.LayerSeed].Hits == 0 {
+			t.Fatalf("budget=%s: seed cache never hit: %+v", name, st)
+		}
+		if name == "tiny" && st.Evictions == 0 {
+			t.Fatalf("tiny budget must evict mid-sequence: %+v", st)
+		}
+		if name == "ample" && st.Evictions != 0 {
+			t.Fatalf("ample budget must not evict: %+v", st)
 		}
 	}
 }
@@ -108,28 +105,26 @@ func TestPersonalizedSumMultiSeedCacheBitwise(t *testing.T) {
 	for i, q := range queries {
 		want[i] = refPersonalizedSum(g, q, Options{})
 	}
-	for _, par := range []int{1, 4} {
-		cache := seedCacheOf(0)
-		opt := Options{Parallelism: par, SeedCache: cache}
-		// Warm two seeds through the solo path first.
-		warmSolo := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3, 7}, opt)
-		assertSameBits(t, "warm-solo", warmSolo, refPersonalizedSum(g, []kg.NodeID{3, 7}, Options{}))
-		got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
-		for i := range want {
-			assertSameBits(t, "multi", got[i], want[i])
-		}
-		st := cache.Stats()
-		// The batch must have hit the two warmed seeds.
-		if st.Layers[qcache.LayerSeed].Hits < 2 {
-			t.Fatalf("par=%d: batch ignored warm seeds: %+v", par, st)
-		}
-		// And a refinement over seeds the batch introduced is all hits.
-		misses := st.Layers[qcache.LayerSeed].Misses
-		refined := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{11, 19, 23}, opt)
-		assertSameBits(t, "refine-after-batch", refined, refPersonalizedSum(g, []kg.NodeID{11, 19, 23}, Options{}))
-		if st2 := cache.Stats(); st2.Layers[qcache.LayerSeed].Misses != misses {
-			t.Fatalf("par=%d: refinement after batch missed: %+v", par, st2)
-		}
+	cache := seedCacheOf(0)
+	opt := Options{SeedCache: cache}
+	// Warm two seeds through the solo path first.
+	warmSolo := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{3, 7}, opt)
+	assertSameBits(t, "warm-solo", warmSolo, refPersonalizedSum(g, []kg.NodeID{3, 7}, Options{}))
+	got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
+	for i := range want {
+		assertSameBits(t, "multi", got[i], want[i])
+	}
+	st := cache.Stats()
+	// The batch must have hit the two warmed seeds.
+	if st.Layers[qcache.LayerSeed].Hits < 2 {
+		t.Fatalf("batch ignored warm seeds: %+v", st)
+	}
+	// And a refinement over seeds the batch introduced is all hits.
+	misses := st.Layers[qcache.LayerSeed].Misses
+	refined := PersonalizedSumCtx(context.Background(), g, []kg.NodeID{11, 19, 23}, opt)
+	assertSameBits(t, "refine-after-batch", refined, refPersonalizedSum(g, []kg.NodeID{11, 19, 23}, Options{}))
+	if st2 := cache.Stats(); st2.Layers[qcache.LayerSeed].Misses != misses {
+		t.Fatalf("refinement after batch missed: %+v", st2)
 	}
 }
 

@@ -26,7 +26,6 @@ package ppr
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strconv"
 
 	"repro/internal/kg"
@@ -127,97 +126,60 @@ func seedKey(prefix string, s kg.NodeID) string {
 }
 
 // foldSeedSum adds every seed's single-seed vector into sum in seed-list
-// order. Cache hits fold as stored. Misses are solved in blocks of up to
-// Options.Parallelism distinct seeds, taken in order of first appearance,
-// each solve replaying exactly its solo schedule, and every block is
-// folded as far as the list allows before the next block runs. A solved
-// vector becomes a seedVec only when something keeps it: the seed cache,
-// or a later occurrence of the same seed in the list. Otherwise it folds
-// straight out of its workspace, which the next block reuses. Live memory
-// is therefore the workers' workspaces plus the kept vectors: O(workers·n)
-// with a nil SeedCache and no repeated seed. opt must carry defaults.
+// order, on the calling goroutine. Every distinct seed consults the seed
+// cache first, in order of first appearance; a miss is solved in one
+// workspace when the list first reaches it, replaying exactly its solo
+// schedule. A solved vector becomes a seedVec only when something keeps
+// it: the seed cache, or a later occurrence of the same seed in the list.
+// Otherwise it folds straight out of the workspace, which the next miss
+// reuses. Live memory is therefore one workspace plus the kept vectors:
+// O(n) with a nil SeedCache and no repeated seed. opt must carry defaults.
 //
-// Cancellation never corrupts the cache: a block whose solves were cut
-// short by ctx is neither stored nor folded (the check runs after the
-// block's goroutines have all returned), and the sum is left partial;
-// callers bail on ctx.Err().
+// Cancellation never corrupts the cache: a solve cut short by ctx is
+// neither stored nor folded, and the sum is left partial; callers bail on
+// ctx.Err().
 func foldSeedSum(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options, sum []float64) {
 	prefix := seedKeyPrefix(opt)
 	left := make(map[kg.NodeID]int, len(seeds)) // occurrences not yet folded
 	kept := make(map[kg.NodeID]*seedVec)
-	var missing []kg.NodeID
 	for _, s := range seeds {
-		left[s]++
-		if left[s] > 1 {
+		if left[s]++; left[s] > 1 {
 			continue
 		}
 		if v, hit := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed); hit {
 			kept[s] = v.(*seedVec)
-			continue
 		}
-		missing = append(missing, s)
 	}
-	var wss []*workspace
-	if len(missing) > 0 {
-		wss = seedWorkspaces(g.NumNodes(), len(missing), opt.Parallelism)
-		defer func() {
-			for _, ws := range wss {
-				ws.release()
+	var ws *workspace
+	defer func() {
+		if ws != nil {
+			ws.release()
+		}
+	}()
+	for _, s := range seeds {
+		v := kept[s]
+		if v == nil {
+			if ws == nil {
+				ws = getWorkspace(g.NumNodes())
 			}
-		}()
-	}
-	fresh := make(map[kg.NodeID]*workspace) // solved, folded once, not kept
-	pos, base := 0, 0
-	for {
-		// Fold up to the first seed not yet solved: the first seed of the
-		// next block, since missing is in order of first appearance.
-		for ; pos < len(seeds); pos++ {
-			s := seeds[pos]
-			if v := kept[s]; v != nil {
-				v.foldInto(sum)
-			} else if ws := fresh[s]; ws != nil {
+			personalizedInto(ctx, g, s, opt, ws)
+			if ctx.Err() != nil {
+				return
+			}
+			if opt.SeedCache == nil && left[s] == 1 {
 				ws.foldInto(sum)
 				ws.reset()
-				delete(fresh, s)
-			} else {
-				break
-			}
-			if left[s]--; left[s] == 0 {
-				delete(kept, s)
-			}
-		}
-		if pos == len(seeds) {
-			break
-		}
-		m := min(len(wss), len(missing)-base)
-		block := missing[base : base+m]
-		base += m
-		runSeedBlock(ctx, g, block, opt, wss[:m])
-		if ctx.Err() != nil {
-			return
-		}
-		for j, s := range block {
-			if opt.SeedCache == nil && left[s] == 1 {
-				fresh[s] = wss[j]
 				continue
 			}
-			v := extractSeedVec(wss[j], g.NumNodes())
-			kept[s] = &v
+			solved := extractSeedVec(ws, g.NumNodes())
+			v = &solved
 			key := seedKey(prefix, s)
-			opt.SeedCache.PutSized(key, &v, qcache.LayerSeed, v.footprint(len(key)))
+			opt.SeedCache.PutSized(key, v, qcache.LayerSeed, v.footprint(len(key)))
+			kept[s] = v
+		}
+		v.foldInto(sum)
+		if left[s]--; left[s] == 0 {
+			delete(kept, s)
 		}
 	}
-}
-
-// seedWorkspaces returns one pooled workspace per seed worker for solving
-// misses seeds: at most Parallelism (GOMAXPROCS when unset) workers.
-func seedWorkspaces(n, misses, parallelism int) []*workspace {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	wss := make([]*workspace, min(parallelism, misses))
-	for i := range wss {
-		wss[i] = getWorkspace(n)
-	}
-	return wss
 }

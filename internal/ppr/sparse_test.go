@@ -104,52 +104,31 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 	}
 }
 
-// TestPersonalizedSumParallelismIdentical: the worker pool folds per-seed
-// vectors in ascending seed order, so every Parallelism setting yields the
-// exact same bits.
+// TestPersonalizedSumParallelismIdentical: the sum solved one seed after
+// another on the calling goroutine has exactly the bits of the reference
+// fold, which solves its seeds in blocks of four concurrent goroutines.
 func TestPersonalizedSumParallelismIdentical(t *testing.T) {
 	g := randomGraph(400, 1600, 99)
 	seeds := []kg.NodeID{3, 7, 11, 19, 23, 29, 31, 37, 41}
-	want := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: 1})
-	for _, par := range []int{2, 3, 4, len(seeds), len(seeds) + 5, 0} {
-		got := PersonalizedSumCtx(context.Background(), g, seeds, Options{Parallelism: par})
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("Parallelism=%d differs at node %d: %v vs %v",
-					par, i, got[i], want[i])
-			}
-		}
-	}
+	assertSameBits(t, "sum", PersonalizedSumCtx(context.Background(), g, seeds, Options{}), refPersonalizedSum(g, seeds, Options{}))
 }
 
 // TestPersonalizedParallelGatherIdentical: solves that saturate into dense
-// gathers leave results bitwise identical for every Parallelism, both for
-// one seed and through the multi-seed pool. The graph is iterated enough
-// to saturate the frontier into the dense regime.
+// gathers match the concurrent reference fold bit for bit, both for one
+// seed and for a multi-seed sum. The graph is iterated enough to saturate
+// the frontier into the dense regime.
 func TestPersonalizedParallelGatherIdentical(t *testing.T) {
 	g := randomGraph(2000, 12000, 21)
 	seeds := []kg.NodeID{4, 9}
+	opt := Options{Iterations: 12}
 	for _, s := range seeds {
-		want := solo(g, s, Options{Iterations: 12, Parallelism: 1})
-		for _, par := range []int{2, 3, 5, 8, 0} {
-			got := solo(g, s, Options{Iterations: 12, Parallelism: par})
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d Parallelism=%d differs at node %d: %v vs %v", s, par, i, got[i], want[i])
-				}
-			}
+		want := refPersonalizedSum(g, []kg.NodeID{s}, opt)
+		if countNonzero(want)*denseSwitchDivisor < g.NumNodes() {
+			t.Fatalf("seed %d: test graph must saturate the solve into dense steps", s)
 		}
+		assertSameBits(t, "solo", solo(g, s, opt), want)
 	}
-	// The same holds through the multi-seed pool.
-	wantSum := PersonalizedSumCtx(context.Background(), g, seeds, Options{Iterations: 12, Parallelism: 1})
-	for _, par := range []int{2, 6, 0} {
-		got := PersonalizedSumCtx(context.Background(), g, seeds, Options{Iterations: 12, Parallelism: par})
-		for i := range wantSum {
-			if got[i] != wantSum[i] {
-				t.Fatalf("Sum Parallelism=%d differs at node %d", par, i)
-			}
-		}
-	}
+	assertSameBits(t, "sum", PersonalizedSumCtx(context.Background(), g, seeds, opt), refPersonalizedSum(g, seeds, opt))
 }
 
 // TestPersonalizedConcurrentCallers: pooled workspaces must not be shared
@@ -178,8 +157,7 @@ func TestPersonalizedConcurrentCallers(t *testing.T) {
 
 // TestPersonalizedAllocs: a single-seed sum whose solve saturates into
 // dense gathers allocates a fixed handful of objects per call — the result
-// and the fold's bookkeeping — never one per power-iteration step, at
-// every Parallelism: each dense step runs on the solve's own goroutine.
+// and the fold's bookkeeping — never one per power-iteration step.
 func TestPersonalizedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool bypasses its caches under the race detector; alloc counts are meaningless")
@@ -189,12 +167,8 @@ func TestPersonalizedAllocs(t *testing.T) {
 	if countNonzero(solo(g, seed, Options{}))*denseSwitchDivisor < g.NumNodes() { // also builds the CSR
 		t.Fatal("test graph must saturate the solve into dense steps")
 	}
-	for _, par := range []int{1, 2, 4} {
-		opt := Options{Parallelism: par}
-		allocs := testing.AllocsPerRun(50, func() { solo(g, seed, opt) })
-		if allocs > 8 {
-			t.Fatalf("Parallelism %d: single-seed sum allocates %v/op, want <= 8", par, allocs)
-		}
+	if allocs := testing.AllocsPerRun(50, func() { solo(g, seed, Options{}) }); allocs > 8 {
+		t.Fatalf("single-seed sum allocates %v/op, want <= 8", allocs)
 	}
 }
 

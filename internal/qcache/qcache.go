@@ -1,5 +1,5 @@
 // Package qcache provides the engine-level query cache: a bounded,
-// thread-safe LRU keyed by canonicalized query strings, memoizing the
+// thread-safe LRU keyed by rendered query strings, memoizing the
 // expensive stages of a notable-characteristics search so repeated and
 // overlapping queries — the heavy-traffic case — skip recomputation.
 //
@@ -38,12 +38,12 @@
 // A cache key is built by Key: a selector/options prefix (anything that
 // changes the cached value must be folded into it — selector name, walk
 // budget, damping, seed, epoch; not k, one ranked entry serves every k up
-// to its cut) followed by the query node IDs sorted ascending and
-// deduplicated, so that permutations of one entity set share an entry.
-// Queries listing the same node twice are not canonicalizable (duplicate
-// seeds change PageRank's personalization mass) — callers bypass the
-// cache for those. MultisetKey keeps duplicates for the order-independent
-// but multiplicity-sensitive comparison stage.
+// to its cut) followed by the query node IDs exactly as listed, order and
+// duplicates included: a selector's score vector depends on the list in
+// its last bits (RandomWalk folds its seeds in list order, ContextRW
+// accumulates path shares in query order), so only the same list may
+// share an entry. MultisetKey sorts the IDs, keeping duplicates, for the
+// order-independent but multiplicity-sensitive comparison stage.
 //
 // Values are opaque to the cache and treated as immutable once cached.
 //
@@ -427,36 +427,27 @@ func (c *Cache) Stats() Stats {
 	return st
 }
 
-// Key canonicalizes a query node set under an options prefix: IDs are
-// sorted ascending and deduplicated, so every permutation of one entity
-// set maps to the same key. ok is false (and key empty) when ids contains
-// duplicates — such queries are not canonicalizable (see the package
-// comment) and must bypass the cache.
-func Key(prefix string, ids []uint32) (key string, ok bool) {
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
-	if len(slices.Compact(sorted)) < len(ids) {
-		return "", false
-	}
-	return MultisetKey(prefix, sorted), true
-}
-
-// MultisetKey canonicalizes ids under prefix like Key, but keeps
-// duplicates: IDs are sorted ascending with multiplicity. The test
-// layer's keys use it because distribution counting is
-// order-independent yet multiplicity-sensitive — a node listed twice
-// contributes its counts twice — so duplicate queries are perfectly
-// cacheable there, unlike in the selector layer.
-func MultisetKey(prefix string, ids []uint32) string {
-	sorted := slices.Clone(ids)
-	slices.Sort(sorted)
+// Key renders a query node list under an options prefix exactly as given:
+// every permutation of a node set, and every repetition of a node, has its
+// own key (see the package comment).
+func Key(prefix string, ids []uint32) string {
 	b := make([]byte, 0, len(prefix)+11*len(ids))
 	b = append(b, prefix...)
-	for _, id := range sorted {
+	for _, id := range ids {
 		b = append(b, '|')
 		b = strconv.AppendUint(b, uint64(id), 10)
 	}
 	return string(b)
+}
+
+// MultisetKey is Key over ids sorted ascending, duplicates kept. The test
+// layer's keys use it because distribution counting is order-independent
+// yet multiplicity-sensitive: a node listed twice contributes its counts
+// twice.
+func MultisetKey(prefix string, ids []uint32) string {
+	sorted := slices.Clone(ids)
+	slices.Sort(sorted)
+	return Key(prefix, sorted)
 }
 
 // HashIDs returns the 64-bit FNV-1a hash of ids in order — a compact

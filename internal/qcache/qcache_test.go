@@ -69,33 +69,30 @@ func TestNilCacheIsNoOp(t *testing.T) {
 }
 
 func TestKeyCanonicalization(t *testing.T) {
-	a, ok := Key("sel", []uint32{3, 1, 2})
-	if !ok {
-		t.Fatal("key rejected")
+	// The rendering is the list as given: order and duplicates count,
+	// because a selector's score bits depend on both.
+	a := Key("sel", []uint32{3, 1, 2})
+	if a != "sel|3|1|2" {
+		t.Fatalf("key = %q, want the list as given", a)
 	}
-	b, _ := Key("sel", []uint32{2, 3, 1})
-	if a != b {
-		t.Fatalf("permutations differ: %q vs %q", a, b)
+	if b := Key("sel", []uint32{2, 3, 1}); a == b {
+		t.Fatal("permutations share a key")
 	}
-	c, _ := Key("sel", []uint32{1, 2})
-	if a == c {
+	if dup := Key("sel", []uint32{1, 2, 2}); dup == Key("sel", []uint32{1, 2}) || dup != "sel|1|2|2" {
+		t.Fatalf("duplicate key = %q, want every repetition kept", dup)
+	}
+	if c := Key("sel", []uint32{1, 2}); a == c {
 		t.Fatal("different sets share a key")
 	}
-	d, _ := Key("other", []uint32{3, 1, 2})
-	if a == d {
+	if d := Key("other", []uint32{3, 1, 2}); a == d {
 		t.Fatal("different prefixes share a key")
 	}
 	// IDs that would concatenate ambiguously stay distinct.
-	e1, _ := Key("p", []uint32{1, 23})
-	e2, _ := Key("p", []uint32{12, 3})
-	if e1 == e2 {
+	if Key("p", []uint32{1, 23}) == Key("p", []uint32{12, 3}) {
 		t.Fatal("separator failed to disambiguate IDs")
 	}
-	if _, ok := Key("sel", []uint32{1, 2, 2}); ok {
-		t.Fatal("duplicate IDs must be rejected")
-	}
-	if empty, ok := Key("sel", nil); !ok || empty != "sel" {
-		t.Fatalf("empty id key = %q, %v", empty, ok)
+	if empty := Key("sel", nil); empty != "sel" {
+		t.Fatalf("empty id key = %q", empty)
 	}
 }
 

@@ -107,7 +107,8 @@ func hash64(s string) uint64 {
 
 // CanonicalKey renders a query's routing key: the parts of a request
 // that determine which cache entries serve it — entities and nodes
-// (order-insensitive, like the engine's own cache keys), the selector,
+// (sorted: the route only picks a replica, so order-insensitive even
+// though the engine's selector keys keep the list order), the selector,
 // and the override knobs that fork selector cache entries. Two requests
 // for the same logical query land on the same replica however the
 // client ordered its entities.

@@ -125,8 +125,10 @@
 //
 // Neither caching, batching, nor parallelism changes results: every
 // randomized component takes an explicit seed, label tests run on a
-// bounded worker pool writing to fixed per-label slots, PageRank solves
-// run one seed per goroutine and fold in seed-list order, and every
+// bounded worker pool writing to fixed per-label slots, a context
+// selection runs on its request's goroutine (PageRank solves one seed
+// after another and folds in seed-list order; path mining draws its
+// seeded walk streams in order), and every
 // batched stage replicates its sequential arithmetic, so every cache
 // state, batch size, and worker count produces bitwise-identical output.
 package notable

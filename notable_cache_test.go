@@ -57,10 +57,15 @@ func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 	ctx := context.Background()
 	a := selectOne(copt, g, query, 5)
 	b := selectOne(copt, g, query, 5)
-	// Permuted queries canonicalize to the same entry.
-	c := selectOne(copt, g, []NodeID{query[1], query[0]}, 5)
 	if scored != 1 {
-		t.Fatalf("scoring ran %d times across three selects, want 1", scored)
+		t.Fatalf("scoring ran %d times across two selects, want 1", scored)
+	}
+	// A permuted query is its own entry (its score bits may differ), and
+	// its repeat hits that entry.
+	perm := []NodeID{query[1], query[0]}
+	c := selectOne(copt, g, perm, 5)
+	if selectOne(copt, g, perm, 5); scored != 2 {
+		t.Fatalf("scoring ran %d times after a permuted query and its repeat, want 2", scored)
 	}
 	if len(a) != 5 || len(b) != 5 || len(c) != 5 {
 		t.Fatalf("select sizes: %d %d %d", len(a), len(b), len(c))
@@ -71,26 +76,29 @@ func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 		}
 	}
 	// A different k reuses the cached context too.
-	if d := selectOne(copt, g, query, 3); len(d) != 3 || scored != 1 {
+	if d := selectOne(copt, g, query, 3); len(d) != 3 || scored != 2 {
 		t.Fatalf("k=3 select: len %d, scoring ran %d times", len(d), scored)
 	}
 	// So does every batch mode: a barriered batch and a stream holding the
 	// warm query plus one new query score only the new one.
 	other := []NodeID{query[0]}
-	if got := core.Contexts(ctx, g, [][]NodeID{query, other}, copt, nil); len(got) != 2 || scored != 2 {
-		t.Fatalf("barriered batch: %d contexts, scoring ran %d times, want 2 and 2", len(got), scored)
+	if got := core.Contexts(ctx, g, [][]NodeID{query, other}, copt, nil); len(got) != 2 || scored != 3 {
+		t.Fatalf("barriered batch: %d contexts, scoring ran %d times, want 2 and 3", len(got), scored)
 	}
 	released := 0
 	core.Contexts(ctx, g, [][]NodeID{other, query, {query[1]}}, copt, func(int, []ContextItem) { released++ })
-	if released != 3 || scored != 3 {
-		t.Fatalf("stream: %d released, scoring ran %d times, want 3 and 3", released, scored)
+	if released != 3 || scored != 4 {
+		t.Fatalf("stream: %d released, scoring ran %d times, want 3 and 4", released, scored)
 	}
-	if st := e.CacheStats(); st.Hits < 6 || st.Misses != 3 {
+	if st := e.CacheStats(); st.Hits < 6 || st.Misses != 4 {
 		t.Fatalf("cache stats = %+v", st)
 	}
 }
 
-func TestCachedSelectorBypassesDuplicateQueries(t *testing.T) {
+// TestCachedSelectorKeysDuplicateQueriesExactly: a query listing a node
+// twice caches under its own exact key — its repeat hits, and the
+// deduplicated query is a different entry.
+func TestCachedSelectorKeysDuplicateQueriesExactly(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{})
 	query, err := e.Resolve("Angela Merkel", "Barack Obama")
@@ -100,11 +108,42 @@ func TestCachedSelectorBypassesDuplicateQueries(t *testing.T) {
 	dup := []NodeID{query[0], query[0], query[1]}
 	scored := 0
 	copt := selectorLayer(e, countingSelector{&scored})
-	selectOne(copt, g, dup, 5)
-	selectOne(copt, g, dup, 5)
-	if st := e.CacheStats(); scored != 2 || st.Size != 0 {
-		t.Fatalf("duplicate-node query must bypass the cache: scored %d times, %d entries stored",
-			scored, st.Size)
+	a := selectOne(copt, g, dup, 5)
+	b := selectOne(copt, g, dup, 5)
+	if st := e.CacheStats(); scored != 1 || st.Size != 1 || !reflect.DeepEqual(a, b) {
+		t.Fatalf("duplicate-node query: scored %d times, %d entries stored, repeat equal %v; want 1, 1, true",
+			scored, st.Size, reflect.DeepEqual(a, b))
+	}
+	if selectOne(copt, g, query, 5); scored != 2 {
+		t.Fatalf("deduplicated query shared the duplicate's entry: scored %d times, want 2", scored)
+	}
+}
+
+// TestCachedSelectorServesPermutedRepeatExactly: a selector's score bits
+// depend on the order of the query list (RandomWalk folds its seeds in
+// list order, ContextRW accumulates path shares in query order), so a
+// node set warmed in one order and then asked in another must get exactly
+// what a cache-disabled engine computes for the order asked — for both
+// paper selectors, on G_small.
+func TestCachedSelectorServesPermutedRepeatExactly(t *testing.T) {
+	g := gen.YAGOLike(gen.YAGOConfig{Seed: 1, Scale: 1}).Graph
+	for _, sel := range []string{SelectorRandomWalk, SelectorContextRW} {
+		opt := Options{Selector: sel, Seed: 1, Walks: 20000}
+		e := NewEngine(g, opt)
+		opt.CacheSize = -1
+		ref := NewEngine(g, opt)
+		actors, err := e.Resolve(gen.Table1["actors"]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+2 < len(actors); i += 3 {
+			a, b, c := actors[i], actors[i+1], actors[i+2]
+			e.Context([]NodeID{c, a, b}, 100)
+			q := []NodeID{a, b, c}
+			if got, want := e.Context(q, 100), ref.Context(q, 100); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: %v after warming %v differs from the uncached context", sel, q, []NodeID{c, a, b})
+			}
+		}
 	}
 }
 

@@ -111,12 +111,10 @@ func TestEngineRefineMatchesColdSearch(t *testing.T) {
 }
 
 // TestEngineRefinePermutation pins the permuted-revisit semantics: a
-// warm engine answers a permutation of a cached query from the selector
-// layer with the entity set's canonical ranked context, so the context and
-// characteristics match the original order's result exactly (only the
-// echoed Query order differs). The seed layer alone — selector caching
-// off is not directly expressible, so this is asserted against the first
-// order's warm result, which the cold-equality test already pinned.
+// warm engine answers a permutation of a cached query as its own query —
+// the seed layer serves every seed, but the selector and test layers are
+// keyed by the order asked — so the context and characteristics are
+// exactly a cold engine's for the permuted order.
 func TestEngineRefinePermutation(t *testing.T) {
 	g := buildLeaders()
 	e := NewEngine(g, Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 300})
@@ -124,19 +122,23 @@ func TestEngineRefinePermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := e.Do(context.Background(), Query{Nodes: []NodeID{ids[0], ids[1], ids[2]}})
+	if _, err := e.Do(context.Background(), Query{Nodes: []NodeID{ids[0], ids[1], ids[2]}}); err != nil {
+		t.Fatal(err)
+	}
+	permuted := Query{Nodes: []NodeID{ids[2], ids[0], ids[1]}}
+	perm, err := e.Do(context.Background(), permuted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perm, err := e.Do(context.Background(), Query{Nodes: []NodeID{ids[2], ids[0], ids[1]}})
+	cold, err := NewEngine(g, Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 300, CacheSize: -1}).Do(context.Background(), permuted)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(perm.Context, first.Context) {
-		t.Fatal("permuted revisit changed the context")
+	if !reflect.DeepEqual(perm.Context, cold.Context) {
+		t.Fatal("permuted revisit's context differs from a cold engine's")
 	}
-	if !reflect.DeepEqual(perm.Characteristics, first.Characteristics) {
-		t.Fatal("permuted revisit changed the characteristics")
+	if !reflect.DeepEqual(perm.Characteristics, cold.Characteristics) {
+		t.Fatal("permuted revisit's characteristics differ from a cold engine's")
 	}
 }
 
