@@ -121,13 +121,14 @@ type RandomWalk struct {
 // Name implements Selector.
 func (RandomWalk) Name() string { return "RandomWalk" }
 
-// Scores implements Selector, picking the PageRank schedule from the
-// call's shape: a stream runs each deduplicated seed to completion in
-// first-appearance order so queries release as their last seed resolves;
-// one barriered query sums its seeds one solve after another; a barriered
-// batch solves its distinct seeds once and shares the blocked multi-vector
-// gather across their dense tails. All three run on the calling goroutine
-// and produce the same bits per query.
+// Scores implements Selector, picking one of ppr's two PageRank schedules
+// from the call's shape. A stream and a single query take the per-seed
+// fold: each seed is solved to completion when the batch reaches it, and a
+// query is released as its last seed folds (a single query is a stream of
+// one). A barriered batch solves its distinct seeds once, shares the
+// blocked multi-vector gather across their dense tails, and folds every
+// query at the end. Both run on the calling goroutine and produce the same
+// bits per query.
 func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
 	switch {
 	case ready != nil:

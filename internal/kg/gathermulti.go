@@ -22,11 +22,15 @@ const MaxGatherBlock = 8
 // nodes, accumulated in the same node order as the serial kernel.
 //
 // b must be in [1, MaxGatherBlock]; next and p must hold NumNodes()*b
-// entries.
+// entries. A one-column block is a plain vector, so it runs the serial
+// kernel, which skips the column loop and the stride arithmetic.
 func (t *TransitionCSR) GatherStepMulti(next, p []float64, c float64, b int, dangling []float64) {
-	if b == MaxGatherBlock {
+	switch b {
+	case 1:
+		t.gatherRows(next, p, c)
+	case MaxGatherBlock:
 		t.gatherRowsMulti8(next, p, c)
-	} else {
+	default:
 		t.gatherRowsMulti(next, p, c, b)
 	}
 	clear(dangling[:b])

@@ -177,24 +177,29 @@ func (v *Versioned) maybeCompact(view *View) {
 	}()
 }
 
-// compactFrom folds view's overlay into a flat base off-thread and
-// swaps it in if the epoch has not moved on; a stale rebuild is
-// discarded (the next Apply past the threshold re-triggers).
-func (v *Versioned) compactFrom(view *View) {
+// compactFrom folds view's overlay into a flat base and publishes it at
+// the unchanged epoch: under mu it re-checks that view is still current,
+// stores the flat view, counts and times the rebuild, and then fires
+// OnCompact. Returns the published view, or nil when an Apply or Reset
+// moved on first and the rebuild is discarded (the next Apply past the
+// threshold re-triggers a background one).
+func (v *Versioned) compactFrom(view *View) *View {
 	start := time.Now()
 	flat := view.G.Materialize()
-	var published *View
 	v.mu.Lock()
-	if cur := v.cur.Load(); cur.Epoch == view.Epoch && cur.G == view.G {
-		published = &View{Epoch: cur.Epoch, G: flat}
-		v.cur.Store(published)
-		v.rebuilds.Add(1)
-		v.lastCompact.Store(int64(time.Since(start)))
+	if cur := v.cur.Load(); cur.Epoch != view.Epoch || cur.G != view.G {
+		v.mu.Unlock()
+		return nil
 	}
+	nv := &View{Epoch: view.Epoch, G: flat}
+	v.cur.Store(nv)
+	v.rebuilds.Add(1)
+	v.lastCompact.Store(int64(time.Since(start)))
 	v.mu.Unlock()
-	if published != nil && v.opt.OnCompact != nil {
-		v.opt.OnCompact(published)
+	if v.opt.OnCompact != nil {
+		v.opt.OnCompact(nv)
 	}
+	return nv
 }
 
 // Compact synchronously folds the current overlay into a fresh flat
@@ -208,21 +213,9 @@ func (v *Versioned) Compact() *View {
 		if view.G.ov == nil {
 			return view
 		}
-		start := time.Now()
-		flat := view.G.Materialize()
-		v.mu.Lock()
-		if cur := v.cur.Load(); cur.Epoch == view.Epoch && cur.G == view.G {
-			nv := &View{Epoch: cur.Epoch, G: flat}
-			v.cur.Store(nv)
-			v.rebuilds.Add(1)
-			v.lastCompact.Store(int64(time.Since(start)))
-			v.mu.Unlock()
-			if v.opt.OnCompact != nil {
-				v.opt.OnCompact(nv)
-			}
+		if nv := v.compactFrom(view); nv != nil {
 			return nv
 		}
-		v.mu.Unlock()
 	}
 }
 

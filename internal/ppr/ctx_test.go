@@ -84,96 +84,105 @@ func TestPersonalizedSumCtxCancelledMidSolve(t *testing.T) {
 // at every cut depth — no partial seed-cache stores, nil or complete
 // output rows only, and a fresh run over the same cache is bitwise right.
 func TestPersonalizedSumMultiCtxCancelled(t *testing.T) {
-	defer func(v int64) { multiDenseMinEdges = v }(multiDenseMinEdges)
-	for _, kernel := range []bool{false, true} {
-		if kernel {
-			multiDenseMinEdges = 0
-		} else {
-			multiDenseMinEdges = 1 << 62
-		}
-		g := randomGraph(400, 1600, 17)
-		rng := rand.New(rand.NewSource(29))
-		queries := batchQueries(rng, 6, 4, g.NumNodes())
-		want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
+	g := randomGraph(400, 1600, 17)
+	rng := rand.New(rand.NewSource(29))
+	queries := batchQueries(rng, 6, 4, g.NumNodes())
+	want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
 
-		const budget = int64(1 << 30)
-		full := newCountdownCtx(budget)
-		PersonalizedSumMultiCtx(full, g, queries, Options{})
-		total := full.probes(budget)
-		for k := int64(0); k < total; k += 1 + total/8 {
-			cache := seedCacheOf(0)
-			out := PersonalizedSumMultiCtx(newCountdownCtx(k), g, queries, Options{SeedCache: cache})
-			if st := cache.Stats(); st.Size != 0 {
-				t.Fatalf("kernel=%v cut %d: aborted batch stored %d entries", kernel, k, st.Size)
+	const budget = int64(1 << 30)
+	full := newCountdownCtx(budget)
+	PersonalizedSumMultiCtx(full, g, queries, Options{})
+	total := full.probes(budget)
+	for k := int64(0); k < total; k += 1 + total/8 {
+		cache := seedCacheOf(0)
+		out := PersonalizedSumMultiCtx(newCountdownCtx(k), g, queries, Options{SeedCache: cache})
+		if st := cache.Stats(); st.Size != 0 {
+			t.Fatalf("cut %d: aborted batch stored %d entries", k, st.Size)
+		}
+		// Rows released before the cut carry full results; the rest nil.
+		for qi := range out {
+			if out[qi] != nil {
+				assertSameBits(t, "released-before-cut", out[qi], want[qi])
 			}
-			// Rows released before the cut carry full results; the rest nil.
-			for qi := range out {
-				if out[qi] != nil {
-					assertSameBits(t, "released-before-cut", out[qi], want[qi])
-				}
-			}
-			got := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{SeedCache: cache})
-			for qi := range queries {
-				assertSameBits(t, "post-abort-batch", got[qi], want[qi])
-			}
+		}
+		got := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{SeedCache: cache})
+		for qi := range queries {
+			assertSameBits(t, "post-abort-batch", got[qi], want[qi])
 		}
 	}
 }
 
 // TestPersonalizedSumMultiStreamBitwise: the stream releases every query
-// exactly once with bitwise the barriered batch's vectors — across the
-// serial and blocked dense paths and cache states.
+// exactly once with bitwise the barriered batch's vectors, with and
+// without a seed cache.
 func TestPersonalizedSumMultiStreamBitwise(t *testing.T) {
-	defer func(v int64) { multiDenseMinEdges = v }(multiDenseMinEdges)
-	for _, kernel := range []bool{false, true} {
-		if kernel {
-			multiDenseMinEdges = 0
-		} else {
-			multiDenseMinEdges = 1 << 62
+	g := randomGraph(400, 1600, 17)
+	rng := rand.New(rand.NewSource(41))
+	queries := batchQueries(rng, 8, 4, g.NumNodes())
+	for _, cached := range []bool{false, true} {
+		opt := Options{}
+		if cached {
+			opt.SeedCache = seedCacheOf(0)
 		}
-		g := randomGraph(400, 1600, 17)
-		rng := rand.New(rand.NewSource(41))
-		queries := batchQueries(rng, 8, 4, g.NumNodes())
-		for _, cached := range []bool{false, true} {
-			opt := Options{}
-			if cached {
-				opt.SeedCache = seedCacheOf(0)
+		want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
+		got := make([][]float64, len(queries))
+		calls := 0
+		err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
+			calls++
+			if got[qi] != nil {
+				t.Fatalf("query %d released twice", qi)
 			}
-			want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
-			got := make([][]float64, len(queries))
-			calls := 0
-			err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
-				calls++
-				if got[qi] != nil {
-					t.Fatalf("query %d released twice", qi)
-				}
-				got[qi] = sum
-			})
-			if err != nil {
+			got[qi] = sum
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != len(queries) {
+			t.Fatalf("cached=%v: %d releases for %d queries", cached, calls, len(queries))
+		}
+		for qi := range queries {
+			assertSameBits(t, "stream", got[qi], want[qi])
+		}
+		if cached {
+			// A second streamed pass is all cache hits, released
+			// before any solving, same bits.
+			again := make([][]float64, len(queries))
+			if err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
+				again[qi] = sum
+			}); err != nil {
 				t.Fatal(err)
 			}
-			if calls != len(queries) {
-				t.Fatalf("kernel=%v cached=%v: %d releases for %d queries",
-					kernel, cached, calls, len(queries))
-			}
 			for qi := range queries {
-				assertSameBits(t, "stream", got[qi], want[qi])
-			}
-			if cached {
-				// A second streamed pass is all cache hits, released
-				// before any solving, same bits.
-				again := make([][]float64, len(queries))
-				if err := PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) {
-					again[qi] = sum
-				}); err != nil {
-					t.Fatal(err)
-				}
-				for qi := range queries {
-					assertSameBits(t, "stream-warm", again[qi], want[qi])
-				}
+				assertSameBits(t, "stream-warm", again[qi], want[qi])
 			}
 		}
 	}
+}
+
+// TestPersonalizedSumMultiStreamCachedFirst: under an already-cancelled
+// ctx the stream solves nothing, yet a query the seed cache serves whole
+// is still released — and only that one — with the barriered batch's
+// bits, while a query with an uncached seed is not.
+func TestPersonalizedSumMultiStreamCachedFirst(t *testing.T) {
+	g := randomGraph(400, 1600, 17)
+	queries := [][]kg.NodeID{{5, 9}, {3, 7}}
+	want := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{})
+	opt := Options{SeedCache: seedCacheOf(0)}
+	PersonalizedSumCtx(context.Background(), g, queries[1], opt) // caches 3 and 7
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var released []int
+	var sum []float64
+	err := PersonalizedSumMultiStream(ctx, g, queries, opt, func(qi int, s []float64) {
+		released, sum = append(released, qi), s
+	})
+	if err == nil {
+		t.Fatal("cancelled stream returned nil error")
+	}
+	if len(released) != 1 || released[0] != 1 {
+		t.Fatalf("released queries %v, want exactly [1]", released)
+	}
+	assertSameBits(t, "cached-whole", sum, want[1])
 }
 
 // TestPersonalizedSumMultiStreamCancelled: a cancelled stream returns

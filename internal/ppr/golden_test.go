@@ -171,28 +171,19 @@ func checkGoldenDigests(t *testing.T, g *kg.Graph, queries [][]kg.NodeID, golden
 			return out
 		},
 	}
-	defer func(v int64) { multiDenseMinEdges = v }(multiDenseMinEdges)
-	for _, blocked := range []bool{false, true} {
-		if blocked {
-			multiDenseMinEdges = 0
-		} else {
-			multiDenseMinEdges = 1 << 62
-		}
-		for setting, want := range golden {
-			for name, run := range entries {
-				for _, cached := range []bool{false, true} {
-					opt := Options{Damping: setting[0], Iterations: int(setting[1])}
-					runs := 1
-					if cached {
-						opt.SeedCache = seedCacheOf(0)
-						runs = 2
-					}
-					for r := 0; r < runs; r++ {
-						label := fmt.Sprintf("blocked=%v setting=%v %s cached=%v run=%d",
-							blocked, setting, name, cached, r)
-						if got := digestVectors(run(opt)); got != want {
-							t.Errorf("%s: digest %s, want %s", label, got, want)
-						}
+	for setting, want := range golden {
+		for name, run := range entries {
+			for _, cached := range []bool{false, true} {
+				opt := Options{Damping: setting[0], Iterations: int(setting[1])}
+				runs := 1
+				if cached {
+					opt.SeedCache = seedCacheOf(0)
+					runs = 2
+				}
+				for r := 0; r < runs; r++ {
+					label := fmt.Sprintf("setting=%v %s cached=%v run=%d", setting, name, cached, r)
+					if got := digestVectors(run(opt)); got != want {
+						t.Errorf("%s: digest %s, want %s", label, got, want)
 					}
 				}
 			}

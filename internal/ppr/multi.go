@@ -14,17 +14,16 @@
 //
 // Every per-seed solve follows the exact schedule of its solo run — the
 // same sparse iterations, the same switch point, dense steps whose
-// per-column arithmetic replicates the serial kernel — and per-query sums
-// fold in seed-list order exactly as PersonalizedSumCtx does, so the batch
-// output is bitwise identical to calling PersonalizedSumCtx per query.
+// per-column arithmetic replicates the serial kernel — and each query's
+// sum folds its seeds' vectors in seed-list order once every solve is
+// done, so the batch output is bitwise identical to calling
+// PersonalizedSumCtx per query.
 //
-// PersonalizedSumMultiStream exposes the same solve as a stream: each
-// query's summed vector is released through a callback the moment its
-// last seed resolves — cache hits before any solving, sparse-only solves
-// during phase one, saturated solves as their dense column retires —
-// instead of barriering the whole batch. The solve schedule is untouched;
-// streaming only moves the fold earlier, so every released vector carries
-// exactly the bits the barriered call would return.
+// This is one of the package's two schedules. The other, foldSeedSum
+// (seedvec.go), solves seed by seed and releases each query as soon as
+// its last seed folds; it serves PersonalizedSumCtx and
+// PersonalizedSumMultiStream, where the blocked kernel would barrier
+// every release behind the whole batch's dense work.
 package ppr
 
 import (
@@ -42,148 +41,66 @@ import (
 // O(MaxGatherBlock · n) for the active dense block.
 //
 // Solves check ctx between sweeps and the batch stops within one sweep of
-// cancellation. Once ctx is done the returned slice is partial —
-// unresolved queries hold nil — and nothing partial enters the seed
-// cache; callers must treat ctx.Err() != nil as "no result".
+// cancellation. A batch cut short returns nil vectors and stores nothing
+// in the seed cache; callers must treat ctx.Err() != nil as "no result".
 func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) [][]float64 {
-	out := make([][]float64, len(queries))
 	start := time.Now()
-	personalizedSumMultiStream(ctx, g, queries, opt, false, func(qi int, sum []float64) {
-		out[qi] = sum
-	})
+	out := make([][]float64, len(queries))
+	if solves, index := solveMulti(ctx, g, queries, opt.withDefaults()); index != nil {
+		for qi, q := range queries {
+			out[qi] = make([]float64, g.NumNodes())
+			for _, s := range q {
+				solves[index[s]].foldInto(out[qi])
+			}
+		}
+	}
 	if opt.SolveObs != nil {
 		opt.SolveObs.Observe(time.Since(start))
 	}
 	return out
 }
 
-// PersonalizedSumMultiStream runs the batched multi-source solve and
-// invokes ready(qi, sum) exactly once per query, as soon as that query's
-// last seed has resolved — before other queries' solves complete. ready
-// is called synchronously from the solving goroutine (offload expensive
-// consumers); released vectors are bitwise identical to per-query
-// PersonalizedSumCtx, whatever the release order. On cancellation the stream
-// stops within one sweep and queries not yet released never get a
-// callback; the returned error is ctx.Err().
+// PersonalizedSumMultiStream computes the same sums as
+// PersonalizedSumMultiCtx and invokes ready(qi, sum) exactly once per
+// query, as soon as that query's last seed has folded: queries the seed
+// cache serves whole first, before any solve, then the rest in batch
+// order. ready is called synchronously from the solving goroutine
+// (offload expensive consumers); released vectors are bitwise identical
+// to per-query PersonalizedSumCtx. On cancellation the stream stops within
+// one sweep and queries not yet released never get a callback; the
+// returned error is ctx.Err().
 //
-// The stream runs each deduplicated seed's solve to completion in
-// first-appearance order instead of handing dense tails to the blocked
-// multi-vector kernel: the kernel amortizes the edge stream across
-// columns but retires them together, which would barrier every release
-// behind the whole batch's dense work — the opposite of streaming. The
-// per-seed schedule is exactly PersonalizedSumCtx's, so the bits are
-// unchanged; only the batch's bandwidth amortization is traded for
-// release granularity. Barriered callers (PersonalizedSumMultiCtx) keep
-// the kernel.
+// The stream is foldSeedSum's schedule, not the blocked kernel's: each
+// distinct seed is solved to completion when the batch first reaches it,
+// so a release waits only for its own query's seeds, and without a seed
+// cache the stream holds one workspace plus the vectors a later query
+// shares.
 func PersonalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(qi int, sum []float64)) error {
 	start := time.Now()
-	personalizedSumMultiStream(ctx, g, queries, opt, true, ready)
+	foldSeedSum(ctx, g, queries, opt.withDefaults(), ready)
 	if opt.SolveObs != nil {
 		opt.SolveObs.Observe(time.Since(start))
 	}
 	return ctx.Err()
 }
 
-// personalizedSumMultiStream is the shared engine behind the barriered
-// and streaming multi-source entry points: seed dedup, cache consult,
-// release bookkeeping, and the store phase are common; streaming selects
-// the per-seed completion schedule over the blocked dense kernel.
-func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, streaming bool, ready func(qi int, sum []float64)) {
-	opt = opt.withDefaults()
+// solveMulti returns the vector of every distinct seed of the batch,
+// addressed through index: a seed-cache hit, or a miss solved as its
+// sparse prefix followed by a blocked dense tail. Fresh vectors are stored
+// in the seed cache once all of them are done. Under cancellation the
+// index is nil and nothing is stored. opt must carry defaults.
+func solveMulti(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([]*seedVec, map[kg.NodeID]int) {
 	n := g.NumNodes()
-	if n == 0 {
-		for i := range queries {
-			ready(i, make([]float64, 0))
-		}
-		return
-	}
 	tr := g.Transitions()
-
-	// Unique seeds across the batch, in first-appearance order.
-	index := make(map[kg.NodeID]int)
-	var uniq []kg.NodeID
-	for _, q := range queries {
-		for _, s := range q {
-			if _, ok := index[s]; !ok {
-				index[s] = len(uniq)
-				uniq = append(uniq, s)
-			}
-		}
-	}
-
-	// Release bookkeeping: which queries need which unique seeds, and how
-	// many of each query's seeds are still unsolved. seedQueries is
-	// deduplicated per query (a duplicated seed must decrement its query
-	// once, not twice), via a per-query stamp over the unique-seed index.
-	solves := make([]*seedVec, len(uniq))
-	seedQueries := make([][]int, len(uniq))
-	remaining := make([]int, len(queries))
-	stamp := make([]int, len(uniq))
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for qi, q := range queries {
-		for _, s := range q {
-			i := index[s]
-			if stamp[i] == qi {
-				continue
-			}
-			stamp[i] = qi
-			seedQueries[i] = append(seedQueries[i], qi)
-			remaining[qi]++
-		}
-	}
-	// foldAndEmit materializes one query's sum with PersonalizedSumCtx's
-	// seed-list-order fold, so sums carry the same bits whenever they are
-	// released.
-	foldAndEmit := func(qi int) {
-		sum := make([]float64, n)
-		for _, s := range queries[qi] {
-			solves[index[s]].foldInto(sum)
-		}
-		ready(qi, sum)
-	}
-	// resolve records seed i's vector and releases every query whose last
-	// unsolved seed it was.
-	resolve := func(i int, v *seedVec) {
-		solves[i] = v
-		for _, qi := range seedQueries[i] {
-			remaining[qi]--
-			if remaining[qi] == 0 {
-				foldAndEmit(qi)
-			}
-		}
-	}
-
-	// Queries with no seeds release immediately (a zero vector).
-	for qi := range queries {
-		if remaining[qi] == 0 {
-			foldAndEmit(qi)
-		}
-	}
-	// Seed-cache consult: unique seeds with a cached vector resolve now,
-	// so queries fully served by the cache release before any solving
-	// starts — the streaming fast path for warm overlap. The rest (all of
-	// them, with no cache) enter the solve.
 	prefix := seedKeyPrefix(opt)
-	toSolve := make([]int, 0, len(uniq))
-	for i, s := range uniq {
-		if v, hit := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed); hit {
-			resolve(i, v.(*seedVec))
-			continue
-		}
-		toSolve = append(toSolve, i)
-	}
-	if len(toSolve) == 0 {
-		return
-	}
+	index := make(map[kg.NodeID]int)
+	var solves []*seedVec
+	var misses []kg.NodeID // in first-appearance order
 
-	// ws is the scratch workspace of every solve that finishes outside the
-	// blocked kernel; a solve parked at its dense switch point takes it
-	// along until its dense tail runs. Every abandonment path must hand the
-	// outstanding workspaces back to the pool; the blocked kernel nils the
-	// ones it absorbs.
-	ws := getWorkspace(n)
+	// ws is the scratch workspace of the next solve; a solve parked at its
+	// dense switch point keeps its own until its block packs it. Every
+	// return hands the outstanding workspaces back to the pool.
+	var ws *workspace
 	var pending []pendingSolve
 	defer func() {
 		if ws != nil {
@@ -196,103 +113,59 @@ func personalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg
 		}
 	}()
 
-	if streaming {
-		// Streaming schedule: run each seed's full solve (sparse prefix +
-		// its own dense tail — PersonalizedSumCtx's exact schedule) in
-		// first-appearance order, releasing dependent queries the moment
-		// each completes. The blocked kernel below would retire all
-		// columns together and barrier every release behind the batch's
-		// whole dense phase.
-		for _, i := range toSolve {
-			if ctx.Err() != nil {
-				return
+	// Phase one: every distinct seed consults the cache in order of first
+	// appearance; a miss runs its frontier-sparse prefix exactly as its
+	// solo run would, finishing here if its frontier never saturates and
+	// parking at its dense switch point otherwise.
+	for _, q := range queries {
+		for _, s := range q {
+			if _, seen := index[s]; seen {
+				continue
 			}
-			personalizedInto(ctx, g, uniq[i], opt, ws)
-			if ctx.Err() != nil {
-				return
+			i := len(solves)
+			index[s] = i
+			v, _ := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed)
+			sv, _ := v.(*seedVec)
+			solves = append(solves, sv)
+			if sv != nil {
+				continue
 			}
-			v := extractSeedVec(ws, n)
-			resolve(i, &v)
+			misses = append(misses, s)
+			if ws == nil {
+				ws = getWorkspace(n)
+			}
+			ws.init(s)
+			it := ws.sparsePhase(ctx, g, tr, opt, opt.Iterations)
+			if ctx.Err() != nil {
+				return nil, nil
+			}
+			if it < opt.Iterations {
+				pending = append(pending, pendingSolve{ws: ws, rem: opt.Iterations - it, idx: i})
+				ws = nil
+			} else {
+				v := extractSeedVec(ws)
+				solves[i] = &v
+			}
 		}
-		storeSolvedSeeds(toSolve, solves, uniq, opt, prefix)
-		return
 	}
 
-	// Phase one: each solved seed's frontier-sparse prefix, exactly as its
-	// solo run would execute it. Solves whose frontier never saturates
-	// finish — and release their queries — here; the rest park at their
-	// dense switch point.
-	for _, i := range toSolve {
+	// Phase two: the dense tails, MaxGatherBlock columns at a time.
+	// Sorting by remaining iterations groups columns that retire together,
+	// so block repacks are rare.
+	sort.SliceStable(pending, func(a, b int) bool { return pending[a].rem > pending[b].rem })
+	for base := 0; base < len(pending); base += kg.MaxGatherBlock {
+		solveDenseBlock(ctx, tr, pending[base:min(base+kg.MaxGatherBlock, len(pending))], opt, n, solves)
 		if ctx.Err() != nil {
-			return
-		}
-		if ws == nil {
-			ws = getWorkspace(n)
-		}
-		ws.init(g, uniq[i])
-		it := ws.sparsePhase(ctx, g, tr, opt, opt.Iterations)
-		if ctx.Err() != nil {
-			return
-		}
-		if it < opt.Iterations {
-			pending = append(pending, pendingSolve{ws: ws, rem: opt.Iterations - it, idx: i})
-			ws = nil
-		} else {
-			v := extractSeedVec(ws, n)
-			resolve(i, &v)
+			return nil, nil
 		}
 	}
 
-	// Phase two: the dense tails. On graphs whose transpose stream dwarfs
-	// the cache the blocked multi-vector kernel walks it once per
-	// iteration for a whole block; small cache-resident graphs skip the
-	// blocked layout's packing and extra indexing and finish each solve
-	// with plain serial dense steps. Both paths produce identical bits —
-	// the dispatch is purely a performance choice.
-	if int64(g.NumEdges()) >= multiDenseMinEdges && len(pending) > 1 {
-		// Sorting by remaining iterations groups columns that retire
-		// together, so block repacks are rare.
-		sort.SliceStable(pending, func(a, b int) bool { return pending[a].rem > pending[b].rem })
-		for base := 0; base < len(pending); base += kg.MaxGatherBlock {
-			end := min(base+kg.MaxGatherBlock, len(pending))
-			solveDenseBlock(ctx, tr, pending[base:end], opt, n, resolve)
-			if ctx.Err() != nil {
-				return
-			}
-		}
-	} else {
-		for _, ps := range pending {
-			for it := 0; it < ps.rem; it++ {
-				if ctx.Err() != nil {
-					return
-				}
-				ps.ws.denseStep(tr, opt)
-			}
-			v := extractSeedVec(ps.ws, n)
-			resolve(ps.idx, &v)
-		}
+	for _, s := range misses {
+		key, v := seedKey(prefix, s), solves[index[s]]
+		opt.SeedCache.PutSized(key, v, qcache.LayerSeed, v.footprint(len(key)))
 	}
-
-	storeSolvedSeeds(toSolve, solves, uniq, opt, prefix)
+	return solves, index
 }
-
-// storeSolvedSeeds hands every freshly solved vector to the seed cache, so
-// the next overlapping batch or refinement hits. Callers only reach it
-// with a live ctx — the solve loops bail out first under cancellation, so
-// only complete vectors are ever stored. A nil SeedCache stores nothing.
-func storeSolvedSeeds(toSolve []int, solves []*seedVec, uniq []kg.NodeID, opt Options, prefix string) {
-	for _, i := range toSolve {
-		key := seedKey(prefix, uniq[i])
-		opt.SeedCache.PutSized(key, solves[i], qcache.LayerSeed, solves[i].footprint(len(key)))
-	}
-}
-
-// multiDenseMinEdges is the edge count below which the batched dense
-// phase runs per-seed serial solves instead of the blocked kernel: a
-// cache-resident transpose re-streams for free, so the blocked layout's
-// packing and wider indexing only add work. A variable so tests can force
-// the kernel path on small graphs.
-var multiDenseMinEdges int64 = 1 << 19
 
 // pendingSolve is one unique seed parked at its dense switch point.
 type pendingSolve struct {
@@ -313,11 +186,11 @@ type denseCol struct {
 // iteration is one gather over the shared edge stream plus a per-column
 // teleport; a column retires when its iterations are done. Retiring
 // repacks the block to the narrower stride, preserving column order, and
-// hands the finished seed's vector to onRetire. The block's workspaces go
+// stores the finished seed's vector in solves. The block's workspaces go
 // back to the pool once their columns are packed (blk's ws fields are
 // nilled). Cancellation is checked between gathers; abandoned columns
 // simply never retire.
-func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSolve, opt Options, n int, onRetire func(idx int, v *seedVec)) {
+func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSolve, opt Options, n int, solves []*seedVec) {
 	b := len(blk)
 	pm := make([]float64, n*b)
 	nextM := make([]float64, n*b)
@@ -354,9 +227,8 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 			continue
 		}
 		// Extract finished columns and repack the survivors to the
-		// narrower stride, in place and in order. Each extracted seed
-		// resolves immediately — queries waiting only on it release here,
-		// mid-block, while the surviving columns keep iterating.
+		// narrower stride, in place and in order, while the surviving
+		// columns keep iterating.
 		kept := cols[:0]
 		keptJ := make([]int, 0, b)
 		for j := range cols {
@@ -365,7 +237,7 @@ func solveDenseBlock(ctx context.Context, tr *kg.TransitionCSR, blk []pendingSol
 				for x := 0; x < n; x++ {
 					v[x] = pm[x*b+j]
 				}
-				onRetire(cols[j].idx, &seedVec{dense: v})
+				solves[cols[j].idx] = &seedVec{dense: v}
 			} else {
 				kept = append(kept, cols[j])
 				keptJ = append(keptJ, j)

@@ -37,35 +37,27 @@ func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 	shapes := []struct{ nodes, edges int }{
 		{40, 80},      // tiny: saturates instantly
 		{400, 1600},   // mixed sparse/dense switch points
-		{2000, 12000}, // clears the parallel-gather threshold when dense
+		{2000, 12000}, // every tail dense: full blocks narrowing to one column
 	}
-	defer func(v int64) { multiDenseMinEdges = v }(multiDenseMinEdges)
-	for _, kernel := range []bool{false, true} {
-		if kernel {
-			multiDenseMinEdges = 0 // force the blocked kernel on small graphs
-		} else {
-			multiDenseMinEdges = 1 << 62 // force the per-seed serial tail
-		}
-		for _, sh := range shapes {
-			g := randomGraph(sh.nodes, sh.edges, 17)
-			rng := rand.New(rand.NewSource(int64(sh.nodes)))
-			for _, nq := range []int{1, 3, 16} {
-				queries := batchQueries(rng, nq, 4, g.NumNodes())
-				opt := Options{}
-				got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
-				if len(got) != len(queries) {
-					t.Fatalf("%d nodes nq=%d: %d results", sh.nodes, nq, len(got))
-				}
-				for qi, q := range queries {
-					want := refPersonalizedSum(g, q, opt)
-					for i := range want {
-						if got[qi][i] != want[i] {
-							t.Fatalf("%d nodes nq=%d kernel=%v query %d node %d: batch %v != sequential %v",
-								sh.nodes, nq, kernel, qi, i, got[qi][i], want[i])
-						}
+	for _, sh := range shapes {
+		g := randomGraph(sh.nodes, sh.edges, 17)
+		rng := rand.New(rand.NewSource(int64(sh.nodes)))
+		for _, nq := range []int{1, 3, 16} {
+			queries := batchQueries(rng, nq, 4, g.NumNodes())
+			opt := Options{}
+			got := PersonalizedSumMultiCtx(context.Background(), g, queries, opt)
+			if len(got) != len(queries) {
+				t.Fatalf("%d nodes nq=%d: %d results", sh.nodes, nq, len(got))
+			}
+			for qi, q := range queries {
+				want := refPersonalizedSum(g, q, opt)
+				for i := range want {
+					if got[qi][i] != want[i] {
+						t.Fatalf("%d nodes nq=%d query %d node %d: batch %v != sequential %v",
+							sh.nodes, nq, qi, i, got[qi][i], want[i])
 					}
-					assertSameBits(t, "single", PersonalizedSumCtx(context.Background(), g, q, opt), want)
 				}
+				assertSameBits(t, "single", PersonalizedSumCtx(context.Background(), g, q, opt), want)
 			}
 		}
 	}
@@ -100,8 +92,6 @@ func TestPersonalizedSumMultiEdgeCases(t *testing.T) {
 // columns reach bitwise fixed points long before their budget runs out,
 // still equals the solo solve bit for bit.
 func TestPersonalizedSumMultiLongRun(t *testing.T) {
-	defer func(v int64) { multiDenseMinEdges = v }(multiDenseMinEdges)
-	multiDenseMinEdges = 0 // force the blocked kernel path
 	// A small dense-ish graph saturates early and converges well within
 	// the iteration budget.
 	g := randomGraph(60, 600, 3)

@@ -41,18 +41,22 @@
 // recycled through a sync.Pool and cleared sparsely, so a steady-state
 // solve allocates nothing per iteration.
 //
-// A PageRank sum is a fold of single-seed vectors (seedvec.go): every
-// distinct seed is solved once or served from Options.SeedCache, and the
-// vectors are folded into the sum in seed-list order, so results are
-// bitwise identical for every cache state. The cache is what makes a
-// query overlapping an earlier one — interactive refinement, the
-// add-one-entity/re-search loop — solve only its new seeds.
+// A PageRank sum is a fold of single-seed vectors: every distinct seed is
+// solved once or served from Options.SeedCache, and the vectors are folded
+// into the sum in seed-list order, so results are bitwise identical for
+// every cache state. The cache is what makes a query overlapping an
+// earlier one — interactive refinement, the add-one-entity/re-search loop
+// — solve only its new seeds.
 //
-// PersonalizedSumMultiCtx (multi.go) batches many queries into one
-// multi-source solve — unique seeds solved once, dense tails blocked
-// through the multi-vector gather kernel, which sweeps each row's columns
-// one at a time with the serial kernel's arithmetic at every block width —
-// bitwise identical to per-query PersonalizedSumCtx calls.
+// Two schedules produce those sums, with the same bits. The per-seed fold
+// (foldSeedSum, seedvec.go) serves PersonalizedSumCtx, a batch of one, and
+// PersonalizedSumMultiStream: it solves each seed to completion when the
+// batch first reaches it and releases each query as its last seed folds.
+// The blocked batch (PersonalizedSumMultiCtx, multi.go) solves the
+// batch's unique seeds, runs their dense tails through the multi-vector
+// gather kernel — which sweeps each row's columns one at a time with the
+// serial kernel's arithmetic at every block width — and folds every query
+// once at the end.
 package ppr
 
 import (
@@ -112,29 +116,32 @@ func (o Options) withDefaults() Options {
 
 // workspace holds the dense iteration state of one single-seed PageRank
 // run. Both vectors are zero outside the recorded touched list (the whole
-// vector once dense is set), an invariant maintained by reset so pooled
-// workspaces start clean.
+// vector once dense is set), up to their capacity, an invariant maintained
+// by reset so pooled workspaces start clean.
 type workspace struct {
 	p, next []float64
 	touched []kg.NodeID // nodes with p != 0 (unused once dense)
 	nextT   []kg.NodeID // nodes with next != 0 (scratch for the sweep)
 	seed    kg.NodeID   // the personalization: all restart mass lands here
-	n       int         // graph size of the current run
 	dense   bool        // the run saturated and switched to dense sweeps
 }
 
 var wsPool sync.Pool
 
-// getWorkspace returns a zeroed workspace with capacity for n nodes.
+// getWorkspace returns a zeroed workspace whose vectors are n long. A
+// workspace grows with an eighth of headroom, so a graph that gains a few
+// nodes per ingest batch keeps its pooled workspaces instead of dropping
+// every one after every batch.
 func getWorkspace(n int) *workspace {
 	ws, _ := wsPool.Get().(*workspace)
 	if ws == nil {
 		ws = &workspace{}
 	}
-	if len(ws.p) < n {
-		ws.p = make([]float64, n)
-		ws.next = make([]float64, n)
+	if cap(ws.p) < n {
+		ws.p = make([]float64, n, n+n/8)
+		ws.next = make([]float64, n, n+n/8)
 	}
+	ws.p, ws.next = ws.p[:n], ws.next[:n]
 	return ws
 }
 
@@ -144,8 +151,8 @@ func (ws *workspace) reset() {
 	if ws.dense {
 		// Gather sweeps overwrite instead of accumulate, so both vectors
 		// may hold stale values after a dense run.
-		clear(ws.p[:ws.n])
-		clear(ws.next[:ws.n])
+		clear(ws.p)
+		clear(ws.next)
 		ws.dense = false
 	} else {
 		for _, u := range ws.touched {
@@ -187,7 +194,7 @@ const denseSwitchDivisor = 6
 // mid-schedule and leaves a partial vector in ws, so callers must consult
 // ctx.Err() before using (or caching) the result.
 func personalizedInto(ctx context.Context, g *kg.Graph, seed kg.NodeID, opt Options, ws *workspace) {
-	ws.init(g, seed)
+	ws.init(seed)
 	tr := g.Transitions()
 	it := ws.sparsePhase(ctx, g, tr, opt, opt.Iterations)
 	for ; it < opt.Iterations; it++ {
@@ -199,8 +206,7 @@ func personalizedInto(ctx context.Context, g *kg.Graph, seed kg.NodeID, opt Opti
 }
 
 // init puts the whole starting mass on seed, the initial frontier.
-func (ws *workspace) init(g *kg.Graph, seed kg.NodeID) {
-	ws.n = g.NumNodes()
+func (ws *workspace) init(seed kg.NodeID) {
 	ws.seed = seed
 	ws.p[seed] = 1
 	ws.touched = append(ws.touched, seed)
@@ -221,7 +227,7 @@ func (ws *workspace) sparsePhase(ctx context.Context, g *kg.Graph, tr *kg.Transi
 		if ctx.Err() != nil {
 			break
 		}
-		if len(touched)*denseSwitchDivisor >= ws.n {
+		if len(touched)*denseSwitchDivisor >= len(p) {
 			ws.dense = true
 			break
 		}
@@ -290,35 +296,23 @@ func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched [
 // individually") and returns the element-wise sum of the resulting
 // vectors. A one-seed list returns that seed's PageRank vector.
 //
-// Each distinct seed is served from Options.SeedCache or solved on the
-// calling goroutine, and the per-seed vectors are folded into the sum in
-// seed-list order, so the result is bitwise identical for every cache
-// state. Without a seed cache, peak memory stays at one workspace plus one
-// vector per seed the list repeats (see foldSeedSum).
+// The sum is the per-seed fold of a batch of one (foldSeedSum): each
+// distinct seed is served from Options.SeedCache or solved on the calling
+// goroutine, and the per-seed vectors are folded into the sum in seed-list
+// order, so the result is bitwise identical for every cache state. Without
+// a seed cache, peak memory stays at one workspace plus one vector per
+// seed the list repeats.
 //
 // Every solve checks ctx between power-iteration sweeps, so a dropped
-// request stops burning CPU within one sweep. Once ctx is done the
-// returned vector is partial and meaningless — callers must treat
-// ctx.Err() != nil as "no result" — and nothing partial is ever stored in
-// the seed cache.
+// request stops burning CPU within one sweep. A sum cut short by ctx is
+// never returned: the result is nil — callers must treat ctx.Err() != nil
+// as "no result" — and nothing partial is ever stored in the seed cache.
 func PersonalizedSumCtx(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
-	if opt.SolveObs == nil {
-		return personalizedSumCtx(ctx, g, seeds, opt)
-	}
 	start := time.Now()
-	sum := personalizedSumCtx(ctx, g, seeds, opt)
-	opt.SolveObs.Observe(time.Since(start))
-	return sum
-}
-
-// personalizedSumCtx is PersonalizedSumCtx without the stage timer.
-func personalizedSumCtx(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
-	opt = opt.withDefaults()
-	n := g.NumNodes()
-	sum := make([]float64, n)
-	if n == 0 || len(seeds) == 0 {
-		return sum
+	var sum []float64
+	foldSeedSum(ctx, g, [][]kg.NodeID{seeds}, opt.withDefaults(), func(_ int, s []float64) { sum = s })
+	if opt.SolveObs != nil {
+		opt.SolveObs.Observe(time.Since(start))
 	}
-	foldSeedSum(ctx, g, seeds, opt, sum)
 	return sum
 }

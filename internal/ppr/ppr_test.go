@@ -154,6 +154,40 @@ func TestPersonalizedSumCachelessMemoryBound(t *testing.T) {
 	assertSameBits(t, "cacheless", got, refPersonalizedSum(g, seeds, opt))
 }
 
+// TestPersonalizedSumMultiStreamCachelessMemoryBound: a cacheless stream
+// over queries with no seed in common holds no solved vector past its
+// query's fold, so it allocates the released sums and O(n) besides — not
+// one dense vector per seed of the batch.
+func TestPersonalizedSumMultiStreamCachelessMemoryBound(t *testing.T) {
+	g := randomGraph(5000, 40000, 123)
+	n := g.NumNodes()
+	queries := make([][]kg.NodeID, 8)
+	for qi := range queries {
+		for j := 0; j < 10; j++ {
+			queries[qi] = append(queries[qi], kg.NodeID((qi*10+j)*61))
+		}
+	}
+	opt := Options{}
+	if p := solo(g, queries[0][0], opt); countNonzero(p)*denseSwitchDivisor < n {
+		t.Fatal("test graph must saturate a single-seed solve")
+	}
+	got := make([][]float64, len(queries))
+	ready := func(qi int, sum []float64) { got[qi] = sum }
+	PersonalizedSumMultiStream(context.Background(), g, queries, opt, ready) // warm the workspace pool
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	PersonalizedSumMultiStream(context.Background(), g, queries, opt, ready)
+	runtime.ReadMemStats(&after)
+	// The eight sums are 8·8n, plus pool refills as in the solo bound;
+	// keeping every solved vector would be 80·8n.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(20*8*n) {
+		t.Fatalf("cacheless stream of %d queries allocated %d bytes, want ≤ %d", len(queries), alloc, 20*8*n)
+	}
+	for qi, q := range queries {
+		assertSameBits(t, "cacheless-stream", got[qi], refPersonalizedSum(g, q, opt))
+	}
+}
+
 func countNonzero(v []float64) int {
 	c := 0
 	for _, x := range v {

@@ -128,13 +128,10 @@ func TestPersonalizedSumMultiSeedCacheBitwise(t *testing.T) {
 	}
 }
 
-// TestPersonalizedSumMultiSeedCacheBlockedKernel forces the blocked
+// TestPersonalizedSumMultiSeedCacheBlockedKernel runs the blocked
 // multi-vector kernel on a small graph and checks the extracted columns
 // are cached and bitwise identical on reuse.
 func TestPersonalizedSumMultiSeedCacheBlockedKernel(t *testing.T) {
-	old := multiDenseMinEdges
-	multiDenseMinEdges = 0
-	defer func() { multiDenseMinEdges = old }()
 	g := randomGraph(300, 6000, 9)
 	opt := Options{Iterations: 12}
 	queries := [][]kg.NodeID{{1, 2, 3}, {2, 4}, {5, 6}}

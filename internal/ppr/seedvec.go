@@ -1,17 +1,23 @@
-// Single-seed vectors: the one path every PageRank sum takes.
+// Single-seed vectors, and the per-seed fold: the first of the package's
+// two schedules.
 //
 // A solve is always one weighted walk from one seed, so a seed's vector
 // depends only on the seed, the damping, the iteration count and the
-// graph. PersonalizedSumCtx is a fold of such independent solves, and so
-// is each query of PersonalizedSumMultiCtx. Every sum folds its seeds'
-// vectors in seed-list order, whether a vector came out of a workspace,
-// out of the blocked multi-vector kernel, or out of Options.SeedCache, and
-// each fold makes the same additions for every source (seedVec.foldInto,
+// graph. Every sum is a fold of such independent solves in seed-list
+// order, whether a vector came out of a workspace, out of the blocked
+// multi-vector kernel, or out of Options.SeedCache, and each fold makes
+// the same additions for every source (seedVec.foldInto,
 // workspace.foldInto). Cache state therefore never changes a bit of the
 // output, only how much of it is recomputed: with a cache, the expensive
 // half of a query that overlaps an earlier one — re-running {A, B, C}
 // after {A, B} — is served per seed (qcache.LayerSeed) and only the
 // misses are solved; with a nil cache every seed is a miss.
+//
+// foldSeedSum, below, is the schedule of PersonalizedSumCtx and
+// PersonalizedSumMultiStream: one workspace, each seed solved to
+// completion when the batch reaches it, each query released as soon as
+// its last seed folds. PersonalizedSumMultiCtx (multi.go) is the other
+// schedule: the blocked batch that folds once at the end.
 //
 // A seedVec keeps its solve's natural shape: a solve that stayed
 // frontier-sparse keeps its support list and values (often far below
@@ -26,6 +32,7 @@ package ppr
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/kg"
@@ -59,10 +66,10 @@ func (v *seedVec) foldInto(sum []float64) {
 }
 
 // footprint estimates the entry's resident bytes for the cache's byte
-// accounting.
+// accounting; a stolen dense vector keeps its workspace's headroom.
 func (v *seedVec) footprint(keyLen int) int64 {
 	if v.dense != nil {
-		return 8*int64(len(v.dense)) + int64(keyLen) + 64
+		return 8*int64(cap(v.dense)) + int64(keyLen) + 64
 	}
 	return 12*int64(len(v.idx)) + int64(keyLen) + 64
 }
@@ -73,7 +80,7 @@ func (v *seedVec) footprint(keyLen int) int64 {
 // bits.
 func (ws *workspace) foldInto(sum []float64) {
 	if ws.dense {
-		for i, x := range ws.p[:ws.n] {
+		for i, x := range ws.p {
 			if x != 0 {
 				sum[i] += x
 			}
@@ -88,20 +95,16 @@ func (ws *workspace) foldInto(sum []float64) {
 // extractSeedVec converts a finished workspace into a seedVec — stealing
 // the dense vector when the run saturated, copying the sparse support
 // otherwise — and resets the workspace for reuse.
-func extractSeedVec(ws *workspace, n int) seedVec {
+func extractSeedVec(ws *workspace) seedVec {
 	var v seedVec
 	if ws.dense {
-		if len(ws.p) == n {
-			// Steal the dense result and hand the workspace a fresh zero
-			// vector — cheaper than copying it out and clearing it back.
-			v.dense = ws.p
-			ws.p = make([]float64, n)
-			clear(ws.next[:n])
-			ws.dense = false
-		} else {
-			v.dense = make([]float64, n)
-			copy(v.dense, ws.p[:n])
-		}
+		// Steal the dense result and hand the workspace a fresh zero
+		// vector of the same capacity — cheaper than copying it out and
+		// clearing it back.
+		v.dense = ws.p
+		ws.p = make([]float64, len(ws.next), cap(ws.next))
+		clear(ws.next)
+		ws.dense = false
 	} else {
 		v.idx = append([]kg.NodeID(nil), ws.touched...)
 		v.val = make([]float64, len(v.idx))
@@ -125,29 +128,44 @@ func seedKey(prefix string, s kg.NodeID) string {
 	return prefix + "|" + strconv.FormatUint(uint64(s), 10)
 }
 
-// foldSeedSum adds every seed's single-seed vector into sum in seed-list
-// order, on the calling goroutine. Every distinct seed consults the seed
-// cache first, in order of first appearance; a miss is solved in one
-// workspace when the list first reaches it, replaying exactly its solo
-// schedule. A solved vector becomes a seedVec only when something keeps
-// it: the seed cache, or a later occurrence of the same seed in the list.
-// Otherwise it folds straight out of the workspace, which the next miss
-// reuses. Live memory is therefore one workspace plus the kept vectors:
-// O(n) with a nil SeedCache and no repeated seed. opt must carry defaults.
+// foldSeedSum is the per-seed schedule behind PersonalizedSumCtx (a batch
+// of one) and PersonalizedSumMultiStream: it calls ready(qi, sum) once per
+// query, on the calling goroutine, with the query's seeds' vectors folded
+// in seed-list order. Every distinct seed consults the seed cache first,
+// in order of first appearance, and the queries the cache serves whole
+// release before any solve. The other queries follow in batch order, each
+// released once its last seed folds; a miss is solved in one workspace
+// when the batch first reaches it, replaying exactly its solo schedule. A
+// solved vector becomes a seedVec only when something keeps it: the seed
+// cache, or a later occurrence of the same seed in the batch. Otherwise it
+// folds straight out of the workspace, which the next miss reuses. Live
+// memory is therefore one workspace plus the kept vectors: O(n) per query
+// with a nil SeedCache and no shared seed. opt must carry defaults.
 //
 // Cancellation never corrupts the cache: a solve cut short by ctx is
-// neither stored nor folded, and the sum is left partial; callers bail on
-// ctx.Err().
-func foldSeedSum(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options, sum []float64) {
+// neither stored nor folded, and neither its query nor any later one is
+// released.
+func foldSeedSum(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(qi int, sum []float64)) {
+	n := g.NumNodes()
 	prefix := seedKeyPrefix(opt)
-	left := make(map[kg.NodeID]int, len(seeds)) // occurrences not yet folded
+	left := make(map[kg.NodeID]int) // occurrences not yet folded
 	kept := make(map[kg.NodeID]*seedVec)
-	for _, s := range seeds {
-		if left[s]++; left[s] > 1 {
-			continue
+	for _, q := range queries {
+		for _, s := range q {
+			if left[s]++; left[s] > 1 {
+				continue
+			}
+			if v, hit := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed); hit {
+				kept[s] = v.(*seedVec)
+			}
 		}
-		if v, hit := opt.SeedCache.GetLayer(seedKey(prefix, s), qcache.LayerSeed); hit {
-			kept[s] = v.(*seedVec)
+	}
+	order := make([]int, 0, len(queries)) // cache-whole queries first
+	for _, whole := range []bool{true, false} {
+		for qi, q := range queries {
+			if whole != slices.ContainsFunc(q, func(s kg.NodeID) bool { return kept[s] == nil }) {
+				order = append(order, qi)
+			}
 		}
 	}
 	var ws *workspace
@@ -156,30 +174,34 @@ func foldSeedSum(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Option
 			ws.release()
 		}
 	}()
-	for _, s := range seeds {
-		v := kept[s]
-		if v == nil {
-			if ws == nil {
-				ws = getWorkspace(g.NumNodes())
+	for _, qi := range order {
+		sum := make([]float64, n)
+		for _, s := range queries[qi] {
+			v := kept[s]
+			if v == nil {
+				if ws == nil {
+					ws = getWorkspace(n)
+				}
+				personalizedInto(ctx, g, s, opt, ws)
+				if ctx.Err() != nil {
+					return
+				}
+				if opt.SeedCache == nil && left[s] == 1 {
+					ws.foldInto(sum)
+					ws.reset()
+					continue
+				}
+				solved := extractSeedVec(ws)
+				v = &solved
+				key := seedKey(prefix, s)
+				opt.SeedCache.PutSized(key, v, qcache.LayerSeed, v.footprint(len(key)))
+				kept[s] = v
 			}
-			personalizedInto(ctx, g, s, opt, ws)
-			if ctx.Err() != nil {
-				return
+			v.foldInto(sum)
+			if left[s]--; left[s] == 0 {
+				delete(kept, s)
 			}
-			if opt.SeedCache == nil && left[s] == 1 {
-				ws.foldInto(sum)
-				ws.reset()
-				continue
-			}
-			solved := extractSeedVec(ws, g.NumNodes())
-			v = &solved
-			key := seedKey(prefix, s)
-			opt.SeedCache.PutSized(key, v, qcache.LayerSeed, v.footprint(len(key)))
-			kept[s] = v
 		}
-		v.foldInto(sum)
-		if left[s]--; left[s] == 0 {
-			delete(kept, s)
-		}
+		ready(qi, sum)
 	}
 }

@@ -172,6 +172,27 @@ func TestPersonalizedAllocs(t *testing.T) {
 	}
 }
 
+// TestWorkspaceGrowsWithHeadroom: a graph that gains a few nodes, as one
+// ingest batch interns them, keeps its pooled workspaces — one pooled at
+// n serves n + 6 without allocating.
+func TestWorkspaceGrowsWithHeadroom(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool bypasses its caches under the race detector; alloc counts are meaningless")
+	}
+	const n = 1000
+	getWorkspace(n).release()
+	allocs := testing.AllocsPerRun(50, func() {
+		ws := getWorkspace(n + 6)
+		if len(ws.p) != n+6 || len(ws.next) != n+6 {
+			t.Fatalf("workspace vectors %d/%d long, want %d", len(ws.p), len(ws.next), n+6)
+		}
+		ws.release()
+	})
+	if allocs != 0 {
+		t.Fatalf("growing a pooled workspace by 6 nodes allocates %v/op, want 0", allocs)
+	}
+}
+
 // BenchmarkPersonalizedYago compares the frontier-sparse solve against
 // the dense seed implementation on the half-scale YAGO-like graph — the
 // acceptance workload for the rewrite.
