@@ -75,7 +75,7 @@ func main() {
 		walks       = flag.Int("walks", 200000, "PathMining walk budget")
 		alpha       = flag.Float64("alpha", 0.05, "default significance level")
 		seed        = flag.Int64("seed", 1, "random seed")
-		parallelism = flag.Int("par", 0, "default per-request parallelism (0 = library default)")
+		parallelism = flag.Int("par", 0, "queries of one /v1/batch request compared at once (0 = library default)")
 		cacheShards = flag.Int("cache-shards", 8, "query-cache shards for concurrent traffic")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-drain deadline after SIGTERM")
 		reqTimeout  = flag.Duration("timeout", 30*time.Second, "default per-request timeout")

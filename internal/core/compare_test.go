@@ -4,65 +4,12 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/qcache"
 )
 
-// TestCompareSetsPoolBound verifies the comparison stage holds at most
-// Parallelism concurrent label tasks — a fixed worker pool, not a
-// goroutine per label gated by a semaphore.
-func TestCompareSetsPoolBound(t *testing.T) {
-	g, query := leadersGraph()
-	ctx := peerContext(g)
-	for _, par := range []int{1, 2, 3} {
-		var inFlight, peak atomic.Int64
-		testLabelHook = func() {
-			cur := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if cur <= old || peak.CompareAndSwap(old, cur) {
-					break
-				}
-			}
-			// Hold the slot long enough for would-be over-spawned workers
-			// to pile up observably.
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-		}
-		chars := compareSets(t, g, query, ctx, Options{Seed: 7, Parallelism: par})
-		testLabelHook = nil
-		if len(chars) == 0 {
-			t.Fatal("no characteristics tested")
-		}
-		if got := peak.Load(); got > int64(par) {
-			t.Fatalf("Parallelism=%d: %d concurrent label tasks observed", par, got)
-		}
-	}
-}
-
-// TestCompareSetsParallelismIdentical: every worker count produces the
-// exact same report — per-label slots plus a deterministic sort.
-func TestCompareSetsParallelismIdentical(t *testing.T) {
-	g, query := leadersGraph()
-	ctx := peerContext(g)
-	want := compareSets(t, g, query, ctx, Options{Seed: 7, Parallelism: 1})
-	for _, par := range []int{2, 4, 8, 64} {
-		got := compareSets(t, g, query, ctx, Options{Seed: 7, Parallelism: par})
-		if len(got) != len(want) {
-			t.Fatalf("Parallelism=%d: %d labels vs %d", par, len(got), len(want))
-		}
-		for i := range want {
-			a, b := want[i], got[i]
-			if a.Name != b.Name || a.Score != b.Score || a.InstP != b.InstP || a.CardP != b.CardP {
-				t.Fatalf("Parallelism=%d differs at %d: %+v vs %+v", par, i, a, b)
-			}
-		}
-	}
-}
-
-// TestCompareSetsEmptyInput: a query/context pair without labels must not
-// wedge or panic the pool.
+// TestCompareSetsEmptyInput: a query/context pair without labels yields
+// an empty report.
 func TestCompareSetsEmptyInput(t *testing.T) {
 	g, _ := leadersGraph()
 	if chars := compareSets(t, g, nil, nil, Options{Seed: 1}); len(chars) != 0 {

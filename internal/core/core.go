@@ -9,20 +9,21 @@
 //  3. A label is notable iff either test rejects at the significance
 //     level; its score is δ = max(δ_Inst, δ_Card) ∈ (0.95, 1].
 //
-// Labels are tested concurrently on a bounded worker pool (the finished
-// report optionally memoized through Options.Cache); results are
+// A search runs on its request's goroutine: the context is selected there
+// and the labels are then tested one after another in LabelsOf order (the
+// finished report optionally memoized through Options.Cache). Results are
 // deterministic for a fixed seed because every randomized component takes
-// an explicit seed and each label's record lands at a fixed slot before
-// the final sort.
+// an explicit seed. The one fan-out is FindNCBatch's, which compares the
+// queries of a batch at once through internal/exec.
 //
 // Every entry point is request-scoped: it takes a context.Context,
 // threads it through context selection (the PageRank loops check it
-// between sweeps) and the comparison stage's worker pool (checked between
-// label tests), and returns ctx.Err() once the request is cancelled — a
-// dropped request stops burning CPU mid-solve. Cancellation never
-// corrupts shared caches: only complete records and contexts are stored.
-// FindNCStream (stream.go) additionally releases each query of a batch as
-// it completes instead of barriering.
+// between sweeps) and the comparison stage (checked between label tests),
+// and returns ctx.Err() once the request is cancelled — a dropped request
+// stops burning CPU mid-solve. Cancellation never corrupts shared caches:
+// only complete records and contexts are stored. FindNCStream (stream.go)
+// additionally releases each query of a batch as it completes instead of
+// barriering.
 package core
 
 import (
@@ -106,9 +107,9 @@ type Options struct {
 	// far are returned — sorted, each bitwise identical to its slot in the
 	// uncut run — alongside a *PartialError instead of being discarded with
 	// a bare ctx.Err(). The tested set is always a prefix of the
-	// deterministic label enumeration order (workers drain a sequential
-	// claim counter and finish every claimed label), so a degraded response
-	// is a prefix-consistent subset of the full one. Cancellation before or
+	// deterministic label enumeration order (labels are tested in that
+	// order and a started test always finishes), so a degraded response is
+	// a prefix-consistent subset of the full one. Cancellation before or
 	// during context selection still fails whole — there is no context to
 	// be partial about. Batch entry points ignore Partial: a cancelled
 	// batch is abandoned outright.
@@ -116,9 +117,9 @@ type Options struct {
 	// Policy controls how query-only instance values are treated; see
 	// dist.UnseenPolicy. Default UnseenStrict (the paper's formula).
 	Policy dist.UnseenPolicy
-	// Parallelism bounds concurrent label tests; 0 means 4. CompareSets
-	// runs a fixed pool of exactly min(Parallelism, len(labels)) worker
-	// goroutines — never one per label.
+	// Parallelism bounds how many queries of a FindNCBatch are compared at
+	// once; 0 means 4. Every other entry point runs on its caller's
+	// goroutine.
 	Parallelism int
 	// Seed drives every randomized component.
 	Seed int64
@@ -128,14 +129,12 @@ type Options struct {
 	Cache *Cache
 
 	// Obs, when non-nil, receives per-stage wall times: one Select
-	// observation per FindNC call and per batch select phase (cache hits
-	// included — a warm hit is still the stage's latency as the caller
-	// experienced it), and one Compare observation per CompareSets call.
-	// Each observation is a few atomic adds; nil costs one branch. A
-	// single pointer rather than per-stage fields keeps Options within
-	// the 128-byte closure capture-by-value limit: the comparison pool's
-	// worker closure captures opt, and a larger Options would force a
-	// heap copy on every call.
+	// observation per FindNC call, per batch select phase and per
+	// FindNCStream call (cache hits included — a warm hit is still the
+	// stage's latency as the caller experienced it; a stream's is its
+	// streaming Contexts call minus the comparisons run inside it), and
+	// one Compare observation per CompareSets call. Each observation is a
+	// few atomic adds; nil costs one branch.
 	Obs *StageObs
 }
 
@@ -270,7 +269,8 @@ func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (R
 // selection is one barriered Contexts call for the whole batch, so a
 // selector with batch-wide kernels amortizes graph traversal across the
 // cache misses; the comparison stages then fan out per query through the
-// shared executor, each an independent CompareSets writing its own slot.
+// shared executor, up to Parallelism at once, each an independent
+// CompareSets writing its own slot.
 // Results are bitwise identical to calling FindNC per query for every
 // batch size and Parallelism setting. A cancelled ctx stops every stage
 // within one sweep or label test and returns ctx.Err().
@@ -428,8 +428,8 @@ func (c *Cache) lookup(key string, k int) ([]topk.Item, bool) {
 	return nil, false
 }
 
-// testLabelHook, when non-nil, runs at the start of every label task — a
-// test seam for asserting the pool's concurrency bound.
+// testLabelHook, when non-nil, runs at the start of every label test — a
+// test seam for cutting a comparison or timing it.
 var testLabelHook func()
 
 // CompareSets runs only the distribution-comparison stage (Section 3.2)
@@ -437,12 +437,10 @@ var testLabelHook func()
 // that reuse one context across parameter sweeps, and by the RWMult
 // baseline.
 //
-// Labels are drained from a shared counter by a fixed pool of
-// min(Parallelism, len(labels)) workers, each reusing its own
-// distribution and test scratch across labels. Results land at fixed
-// per-label slots before the final sort, so the output is deterministic
-// for every worker count. Workers check ctx between labels: a cancelled
-// request abandons the stage within one label test and returns ctx.Err().
+// Labels are tested one after another on the calling goroutine, in
+// LabelsOf order, reusing one distribution and test scratch. ctx is
+// checked between labels: a cancelled request abandons the stage within
+// one label test and returns ctx.Err().
 //
 // With opt.Cache the whole sorted report is one test-layer entry, keyed by
 // the query multiset, the ranked context and every option that can change
@@ -484,8 +482,8 @@ func compareSetsUntimed(ctx context.Context, g *kg.Graph, query, cset []kg.NodeI
 	return out, err
 }
 
-// testLabels tests every label of query ∪ cset on the label pool and
-// returns the sorted report — or, once ctx is done, ctx.Err(), or under
+// testLabels tests every label of query ∪ cset in order and returns the
+// sorted report — or, once ctx is done, ctx.Err(), or under
 // Partial the sorted prefix tested so far with a *PartialError.
 func testLabels(ctx context.Context, g *kg.Graph, query, cset []kg.NodeID, opt Options) ([]Characteristic, error) {
 	both := make([]kg.NodeID, 0, len(query)+len(cset))
@@ -503,60 +501,26 @@ func testLabels(ctx context.Context, g *kg.Graph, query, cset []kg.NodeID, opt O
 	}
 
 	out := make([]Characteristic, len(labels))
-	// Completion tracking costs an allocation, so only degradable calls
-	// pay for it; without it a cut simply discards out.
-	var done []bool
-	if opt.Partial {
-		done = make([]bool, len(labels))
-	}
-	var next atomic.Int64
-	run := func() {
-		// Each worker claims the next untested label until none remain,
-		// reusing one scratch for its whole run.
-		var s labelScratch
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(labels) {
-				return
-			}
-			if testLabelHook != nil {
-				testLabelHook()
-			}
-			out[i] = testLabel(g, labels[i], query, cset, opt.Test, opt.Policy, &s)
-			// Claimed slots are always finished (workers abort only between
-			// claims), so the done set is a prefix of the claim order. Each
-			// slot has exactly one writer and is read only after the pool's
-			// Wait, so the plain bool is race-free.
-			if done != nil {
-				done[i] = true
-			}
+	var s labelScratch
+	tested := 0
+	for _, l := range labels {
+		if ctx.Err() != nil {
+			break
 		}
+		if testLabelHook != nil {
+			testLabelHook()
+		}
+		out[tested] = testLabel(g, l, query, cset, opt.Test, opt.Policy, &s)
+		tested++
 	}
-	workers := opt.Parallelism
-	if workers > len(labels) {
-		workers = len(labels)
-	}
-	// Extra workers come from the shared executor rather than fresh
-	// goroutines; a busy pool degrades toward serial execution on the
-	// caller, never past the Parallelism bound.
-	exec.RunWorkersCtx(ctx, workers, run)
 	if err := ctx.Err(); err != nil {
 		if !opt.Partial {
 			return nil, err
 		}
-		partial := make([]Characteristic, 0, len(labels))
-		for i := range out {
-			if done[i] {
-				partial = append(partial, out[i])
-			}
-		}
-		sortCharacteristics(partial)
-		return partial, &PartialError{Cause: err, Tested: len(partial), Total: len(labels)}
+		out = out[:tested]
+		sortCharacteristics(out)
+		return out, &PartialError{Cause: err, Tested: tested, Total: len(labels)}
 	}
-
 	sortCharacteristics(out)
 	return out, nil
 }
@@ -585,7 +549,7 @@ func minP(c Characteristic) float64 {
 	return c.CardP
 }
 
-// labelScratch carries one worker's reusable buffers across labels: the
+// labelScratch carries one comparison's reusable buffers across labels: the
 // distribution builder's lookup state, the multinomial test's enumeration
 // and sampling buffers, and the float conversion buffer of the
 // cardinality π.

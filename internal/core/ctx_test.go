@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/ctxsel"
@@ -54,32 +52,25 @@ func TestCompareSetsPreCancelled(t *testing.T) {
 	}
 }
 
-// TestCompareSetsCancelledMidRun: cancelling after the first label test
-// stops the pool within one further test and returns ctx.Err(), for
-// every worker count.
+// TestCompareSetsCancelledMidRun: cancelling during the first label test
+// lets that test finish, stops before the next one, and returns ctx.Err().
 func TestCompareSetsCancelledMidRun(t *testing.T) {
 	g, query := leadersGraph()
-	cset := peerContext(g)
-	for _, par := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		var tested atomic.Int64
-		testLabelHook = func() {
-			if tested.Add(1) == 1 {
-				cancel()
-			}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tested := 0
+	testLabelHook = func() {
+		if tested++; tested == 1 {
+			cancel()
 		}
-		_, err := CompareSets(ctx, g, query, cset, Options{Seed: 7, Parallelism: par})
-		testLabelHook = nil
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("par=%d: err = %v, want context.Canceled", par, err)
-		}
-		// The claim loop checks ctx before each label: after the
-		// cancelling test, each of the par workers can have at most one
-		// label already past its check.
-		if n := tested.Load(); n > int64(1+par) {
-			t.Fatalf("par=%d: %d labels tested after cancellation", par, n)
-		}
-		cancel()
+	}
+	defer func() { testLabelHook = nil }()
+	_, err := CompareSets(ctx, g, query, peerContext(g), Options{Seed: 7})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if tested != 1 {
+		t.Fatalf("%d labels tested after cancellation, want 1", tested)
 	}
 }
 
@@ -115,49 +106,41 @@ func streamQueries(g *kg.Graph, query []kg.NodeID) [][]kg.NodeID {
 func TestFindNCStreamMatchesFindNC(t *testing.T) {
 	g, query := leadersGraph()
 	queries := streamQueries(g, query)
-	for _, par := range []int{1, 4} {
-		opt := Options{Selector: ctxsel.RandomWalk{}, ContextSize: 8, Seed: 3, Parallelism: par}
-		var mu sync.Mutex
-		got := make(map[int]Result)
-		emits := 0
-		FindNCStream(context.Background(), g, queries, opt, func(i int, res Result, err error) {
-			mu.Lock()
-			defer mu.Unlock()
-			emits++
-			if err != nil {
-				t.Errorf("query %d: %v", i, err)
-				return
-			}
-			if _, dup := got[i]; dup {
-				t.Errorf("query %d emitted twice", i)
-			}
-			got[i] = res
-		})
-		if emits != len(queries) {
-			t.Fatalf("par=%d: %d emits for %d queries", par, emits, len(queries))
+	opt := Options{Selector: ctxsel.RandomWalk{}, ContextSize: 8, Seed: 3}
+	got := make(map[int]Result)
+	emits := 0
+	FindNCStream(context.Background(), g, queries, opt, func(i int, res Result, err error) {
+		emits++
+		if err != nil {
+			t.Errorf("query %d: %v", i, err)
+			return
 		}
-		for i, q := range queries {
-			want := findNC(t, g, q, opt)
-			if !reflect.DeepEqual(got[i], want) {
-				t.Fatalf("par=%d: stream result %d differs from solo FindNC", par, i)
-			}
+		if _, dup := got[i]; dup {
+			t.Errorf("query %d emitted twice", i)
+		}
+		got[i] = res
+	})
+	if emits != len(queries) {
+		t.Fatalf("%d emits for %d queries", emits, len(queries))
+	}
+	for i, q := range queries {
+		want := findNC(t, g, q, opt)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("stream result %d differs from solo FindNC", i)
 		}
 	}
 }
 
 // TestFindNCStreamCancelled: cancelling mid-stream still emits every
 // index exactly once — completed queries with results, abandoned ones
-// with ctx.Err() — and FindNCStream returns (workers stopped).
+// with ctx.Err() — and FindNCStream returns.
 func TestFindNCStreamCancelled(t *testing.T) {
 	g, query := leadersGraph()
 	queries := streamQueries(g, query)
 	ctx, cancel := context.WithCancel(context.Background())
-	var mu sync.Mutex
 	seen := make(map[int]int)
 	failures := 0
 	FindNCStream(ctx, g, queries, Options{Selector: ctxsel.RandomWalk{}, ContextSize: 8, Seed: 3}, func(i int, res Result, err error) {
-		mu.Lock()
-		defer mu.Unlock()
 		seen[i]++
 		if err != nil {
 			failures++

@@ -29,78 +29,73 @@ func partialLabels(g *kg.Graph, query, cset []kg.NodeID, skipInverse bool) []kg.
 }
 
 // TestCompareSetsPartial: cancelling a Partial comparison returns the
-// labels tested so far — each record bitwise identical to its slot in the
-// uncut run, the tested set a prefix of the enumeration order — alongside
-// a *PartialError that unwraps to the ctx error.
+// labels tested so far — exactly the first Tested labels of the
+// enumeration order, each record bitwise identical to its slot in the
+// uncut run — alongside a *PartialError that unwraps to the ctx error.
 func TestCompareSetsPartial(t *testing.T) {
 	g, query := leadersGraph()
 	cset := peerContext(g)
-	opt := Options{Seed: 7, Partial: true}
 	full := compareSets(t, g, query, cset, Options{Seed: 7})
-	byLabel := make(map[kg.LabelID]Characteristic, len(full))
-	for _, c := range full {
-		byLabel[c.Label] = c
-	}
 	labels := partialLabels(g, query, cset, false)
 	if len(labels) < 3 {
 		t.Fatalf("test graph too small: %d labels", len(labels))
 	}
 
-	for _, par := range []int{1, 4} {
-		const cutAfter = 2
-		ctx, cancel := context.WithCancel(context.Background())
-		var tested atomic.Int64
-		testLabelHook = func() {
-			if tested.Add(1) == cutAfter {
-				cancel()
-			}
+	const cutAfter = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tested := 0
+	testLabelHook = func() {
+		if tested++; tested == cutAfter {
+			cancel()
 		}
-		o := opt
-		o.Parallelism = par
-		partial, err := CompareSets(ctx, g, query, cset, o)
-		testLabelHook = nil
-		cancel()
+	}
+	partial, err := CompareSets(ctx, g, query, cset, Options{Seed: 7, Partial: true})
+	testLabelHook = nil
 
-		var pe *PartialError
-		if !errors.As(err, &pe) {
-			t.Fatalf("par=%d: err = %v, want *PartialError", par, err)
+	var pe *PartialError
+	if !errors.As(err, &pe) {
+		t.Fatalf("err = %v, want *PartialError", err)
+	}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("PartialError does not unwrap to context.Canceled: %v", err)
+	}
+	if pe.Tested != cutAfter || pe.Total != len(labels) {
+		t.Fatalf("PartialError counts %d/%d, want %d/%d", pe.Tested, pe.Total, cutAfter, len(labels))
+	}
+	checkPrefix(t, partial, full, labels[:pe.Tested])
+}
+
+// checkPrefix fails unless partial holds exactly one record per label of
+// prefix, each DeepEqual to the full run's record for that label.
+func checkPrefix(t *testing.T, partial, full []Characteristic, prefix []kg.LabelID) {
+	t.Helper()
+	if len(partial) != len(prefix) {
+		t.Fatalf("%d partial records, want the first %d labels", len(partial), len(prefix))
+	}
+	byLabel := make(map[kg.LabelID]Characteristic, len(full))
+	for _, c := range full {
+		byLabel[c.Label] = c
+	}
+	seen := make(map[kg.LabelID]bool, len(partial))
+	for _, c := range partial {
+		seen[c.Label] = true
+		if !reflect.DeepEqual(c, byLabel[c.Label]) {
+			t.Fatalf("degraded record for %q differs from the uncut run", c.Name)
 		}
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("par=%d: PartialError does not unwrap to context.Canceled: %v", par, err)
-		}
-		if pe.Tested != len(partial) || pe.Total != len(labels) {
-			t.Fatalf("par=%d: PartialError counts %d/%d, want %d/%d",
-				par, pe.Tested, pe.Total, len(partial), len(labels))
-		}
-		if len(partial) == 0 || len(partial) >= len(labels) {
-			t.Fatalf("par=%d: %d partial records for %d labels, want a proper non-empty subset",
-				par, len(partial), len(labels))
-		}
-		// The tested set must be exactly the first len(partial) labels of
-		// the enumeration order, and each record identical to the full
-		// run's record for that label.
-		seen := make(map[kg.LabelID]bool, len(partial))
-		for _, c := range partial {
-			seen[c.Label] = true
-			want, ok := byLabel[c.Label]
-			if !ok {
-				t.Fatalf("par=%d: partial run tested label %q absent from the full run", par, c.Name)
-			}
-			if !reflect.DeepEqual(c, want) {
-				t.Fatalf("par=%d: degraded record for %q differs from the uncut run", par, c.Name)
-			}
-		}
-		for i, l := range labels[:len(partial)] {
-			if !seen[l] {
-				t.Fatalf("par=%d: tested set is not a prefix: enumeration slot %d (label %d) missing", par, i, l)
-			}
+	}
+	for i, l := range prefix {
+		if !seen[l] {
+			t.Fatalf("tested set is not a prefix: enumeration slot %d (label %d) missing", i, l)
 		}
 	}
 }
 
 // TestFindNCPartial: the full pipeline surfaces a comparison-stage cut as
-// a Result carrying the selected context plus the tested prefix and a
-// *PartialError; without Options.Partial the same cut stays all-or-nothing.
+// a Result carrying the selected context plus the tested prefix — exactly
+// the first Tested labels, each bitwise the full run's — and a
+// *PartialError; without Options.Partial the same cut stays
+// all-or-nothing.
 func TestFindNCPartial(t *testing.T) {
 	g, query := leadersGraph()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,7 +107,10 @@ func TestFindNCPartial(t *testing.T) {
 		}
 	}
 	defer func() { testLabelHook = nil }()
-	res, err := FindNC(ctx, g, query, Options{Seed: 7, ContextSize: 10, Partial: true, Parallelism: 1})
+	opt := Options{Seed: 7, ContextSize: 10}
+	partialOpt := opt
+	partialOpt.Partial = true
+	res, err := FindNC(ctx, g, query, partialOpt)
 	var pe *PartialError
 	if !errors.As(err, &pe) {
 		t.Fatalf("err = %v, want *PartialError", err)
@@ -120,9 +118,13 @@ func TestFindNCPartial(t *testing.T) {
 	if len(res.Context) == 0 {
 		t.Fatal("degraded Result lost its context")
 	}
-	if len(res.Characteristics) != pe.Tested {
-		t.Fatalf("%d characteristics but Tested=%d", len(res.Characteristics), pe.Tested)
+	if len(res.Characteristics) != pe.Tested || pe.Tested != 1 {
+		t.Fatalf("%d characteristics, Tested=%d, want 1", len(res.Characteristics), pe.Tested)
 	}
+	testLabelHook = nil
+	full := findNC(t, g, query, opt)
+	checkPrefix(t, res.Characteristics, full.Characteristics,
+		partialLabels(g, query, full.ContextIDs(), false)[:pe.Tested])
 
 	// Same cut without Partial: bare ctx error, no result.
 	ctx2, cancel2 := context.WithCancel(context.Background())
@@ -133,7 +135,7 @@ func TestFindNCPartial(t *testing.T) {
 			cancel2()
 		}
 	}
-	res2, err2 := FindNC(ctx2, g, query, Options{Seed: 7, ContextSize: 10, Parallelism: 1})
+	res2, err2 := FindNC(ctx2, g, query, opt)
 	if !errors.Is(err2, context.Canceled) || errors.As(err2, &pe) {
 		t.Fatalf("non-Partial err = %v, want bare context.Canceled", err2)
 	}

@@ -84,7 +84,7 @@ func TestTestLayerDegradedCutStoresNothing(t *testing.T) {
 	cset := peerContext(g)
 	want := compareSets(t, g, query, cset, Options{Seed: 7})
 	cache := qcache.NewSharded(qcache.Config{Capacity: 64})
-	opt := Options{Seed: 7, Parallelism: 1, Partial: true, Cache: &Cache{Store: cache}}
+	opt := Options{Seed: 7, Partial: true, Cache: &Cache{Store: cache}}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var tested atomic.Int64

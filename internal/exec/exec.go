@@ -1,13 +1,13 @@
-// Package exec provides the process-wide bounded executor shared by the
-// parallel stages of the search pipeline: the comparison stage's label
-// pool and the batch search's per-query fan-out. (Context selection does
-// not use it: PageRank and path mining run on the request's goroutine.)
+// Package exec provides the process-wide bounded executor behind the
+// search pipeline's one fan-out: core.FindNCBatch compares the queries of
+// a batch at once on it. Every other stage — context selection, and the
+// label tests of a single query or a stream — runs on its request's
+// goroutine.
 //
-// Before this package each parallel call site spawned its own goroutines —
-// fine for one query, but a serving host running hundreds of concurrent
-// searches multiplied every request by every stage's worker count. The
-// shared pool caps the process at one fixed set of workers; call sites
-// submit shards and keep one shard for themselves.
+// A serving host running hundreds of concurrent searches must not
+// multiply every batch by its worker count, so the shared pool caps the
+// process at one fixed set of workers; a caller submits shards and keeps
+// one shard for itself.
 //
 // # Design
 //
@@ -18,11 +18,10 @@
 //
 //   - No unbounded queue: total concurrency is workers + submitters, both
 //     bounded, and memory cannot grow with offered load.
-//   - No nesting deadlock: a stage running inside a pool worker (the batch
-//     path runs CompareSets inside a per-query task, and each CompareSets
-//     fans out its labels) can never wedge waiting for workers that are
-//     themselves waiting — a task that finds no idle worker simply runs
-//     inline, so progress is guaranteed by construction.
+//   - No nesting deadlock: a task that itself submits to the pool can
+//     never wedge waiting for workers that are themselves waiting — a
+//     task that finds no idle worker simply runs inline, so progress is
+//     guaranteed by construction.
 //
 // Correctness of callers does not depend on where a task runs: every call
 // site partitions work into independent shards writing disjoint outputs,
@@ -170,9 +169,8 @@ func (g *Group) Wait() {
 
 // RunWorkersCtx runs `run` on up to workers concurrent executions drawn
 // from the default pool — workers−1 submitted, one inline on the caller —
-// and returns when all have finished. It is the worker-fan idiom shared by
-// the comparison stage and the batch search: run is a self-scheduling
-// worker (typically draining an atomic claim counter) that checks ctx
+// and returns when all have finished. It is the batch search's worker
+// fan: run is a self-scheduling worker (typically draining an atomic claim counter) that checks ctx
 // between work items, so executing it fewer times than requested, or
 // entirely inline on a busy pool, only reduces concurrency, never the work
 // done. Workers not yet launched when ctx is cancelled never start, and

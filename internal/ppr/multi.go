@@ -64,11 +64,11 @@ func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.No
 // PersonalizedSumMultiCtx and invokes ready(qi, sum) exactly once per
 // query, as soon as that query's last seed has folded: queries the seed
 // cache serves whole first, before any solve, then the rest in batch
-// order. ready is called synchronously from the solving goroutine
-// (offload expensive consumers); released vectors are bitwise identical
-// to per-query PersonalizedSumCtx. On cancellation the stream stops within
-// one sweep and queries not yet released never get a callback; the
-// returned error is ctx.Err().
+// order. ready is called synchronously from the solving goroutine, and
+// the SolveObs observation leaves its time out; released vectors are
+// bitwise identical to per-query PersonalizedSumCtx. On cancellation the
+// stream stops within one sweep and queries not yet released never get a
+// callback; the returned error is ctx.Err().
 //
 // The stream is foldSeedSum's schedule, not the blocked kernel's: each
 // distinct seed is solved to completion when the batch first reaches it,
@@ -76,10 +76,15 @@ func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.No
 // cache the stream holds one workspace plus the vectors a later query
 // shares.
 func PersonalizedSumMultiStream(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(qi int, sum []float64)) error {
+	var inReady time.Duration // the caller's work, not the solve's
 	start := time.Now()
-	foldSeedSum(ctx, g, queries, opt.withDefaults(), ready)
+	foldSeedSum(ctx, g, queries, opt.withDefaults(), func(qi int, sum []float64) {
+		readyStart := time.Now()
+		ready(qi, sum)
+		inReady += time.Since(readyStart)
+	})
 	if opt.SolveObs != nil {
-		opt.SolveObs.Observe(time.Since(start))
+		opt.SolveObs.Observe(time.Since(start) - inReady)
 	}
 	return ctx.Err()
 }

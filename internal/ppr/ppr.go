@@ -96,10 +96,11 @@ type Options struct {
 	CacheTag string
 
 	// SolveObs, when non-nil, receives one observation per
-	// PersonalizedSumCtx call and one per multi-source batch solve —
+	// PersonalizedSumCtx call and one per multi-source batch or stream —
 	// the wall time of the whole solve, cache consults included (a fully
-	// cached resolve is still a solve the caller waited on). Observation
-	// is a few atomic adds; nil costs one branch.
+	// cached resolve is still a solve the caller waited on), minus the
+	// time a stream spends in its ready callbacks. Observation is a few
+	// atomic adds; nil costs one branch.
 	SolveObs *obs.Histogram
 }
 

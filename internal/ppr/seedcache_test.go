@@ -180,3 +180,47 @@ func TestSeedCacheKeySeparatesOptions(t *testing.T) {
 		}
 	}
 }
+
+// TestSeedCacheDenseVectorsExactSize: a cached dense vector is exactly n
+// long with no spare capacity, and the seed layer charges 8n plus the key
+// plus 64 bytes for it — the workspace's growth headroom never reaches the
+// cache, through either schedule.
+func TestSeedCacheDenseVectorsExactSize(t *testing.T) {
+	g := randomGraph(300, 6000, 5)
+	n := g.NumNodes()
+	opt := Options{Iterations: 12}
+	seeds := []kg.NodeID{1, 2, 3}
+	sums := map[string]func(Options){
+		"fold":    func(o Options) { PersonalizedSumCtx(context.Background(), g, seeds, o) },
+		"blocked": func(o Options) { PersonalizedSumMultiCtx(context.Background(), g, [][]kg.NodeID{seeds}, o) },
+	}
+	for name, sum := range sums {
+		cached := opt
+		cached.SeedCache = seedCacheOf(0)
+		sum(cached)
+		bytes := cached.SeedCache.Stats().Layers[qcache.LayerSeed].Bytes
+		prefix := seedKeyPrefix(cached.withDefaults())
+		var want int64
+		for _, s := range seeds {
+			key := seedKey(prefix, s)
+			e, ok := cached.SeedCache.GetLayer(key, qcache.LayerSeed)
+			if !ok {
+				t.Fatalf("%s: seed %d not cached", name, s)
+			}
+			v := e.(*seedVec)
+			if v.dense == nil {
+				t.Fatalf("%s: seed %d stayed sparse; the graph must saturate", name, s)
+			}
+			if len(v.dense) != n || cap(v.dense) != n {
+				t.Fatalf("%s: seed %d: dense vector len %d cap %d, want %d", name, s, len(v.dense), cap(v.dense), n)
+			}
+			if got, w := v.footprint(len(key)), 8*int64(n)+int64(len(key))+64; got != w {
+				t.Fatalf("%s: seed %d: footprint %d, want %d", name, s, got, w)
+			}
+			want += v.footprint(len(key))
+		}
+		if bytes != want {
+			t.Fatalf("%s: seed layer holds %d bytes, want %d", name, bytes, want)
+		}
+	}
+}

@@ -66,10 +66,10 @@ func (v *seedVec) foldInto(sum []float64) {
 }
 
 // footprint estimates the entry's resident bytes for the cache's byte
-// accounting; a stolen dense vector keeps its workspace's headroom.
+// accounting.
 func (v *seedVec) footprint(keyLen int) int64 {
 	if v.dense != nil {
-		return 8*int64(cap(v.dense)) + int64(keyLen) + 64
+		return 8*int64(len(v.dense)) + int64(keyLen) + 64
 	}
 	return 12*int64(len(v.idx)) + int64(keyLen) + 64
 }
@@ -92,19 +92,16 @@ func (ws *workspace) foldInto(sum []float64) {
 	}
 }
 
-// extractSeedVec converts a finished workspace into a seedVec — stealing
-// the dense vector when the run saturated, copying the sparse support
-// otherwise — and resets the workspace for reuse.
+// extractSeedVec converts a finished workspace into a seedVec — copying
+// the dense vector when the run saturated, the sparse support otherwise —
+// and resets the workspace for reuse. The dense copy is exactly n long:
+// the workspace's vector carries growth headroom (getWorkspace) that a
+// cached entry would hold dead for its whole life.
 func extractSeedVec(ws *workspace) seedVec {
 	var v seedVec
 	if ws.dense {
-		// Steal the dense result and hand the workspace a fresh zero
-		// vector of the same capacity — cheaper than copying it out and
-		// clearing it back.
-		v.dense = ws.p
-		ws.p = make([]float64, len(ws.next), cap(ws.next))
-		clear(ws.next)
-		ws.dense = false
+		v.dense = make([]float64, len(ws.p))
+		copy(v.dense, ws.p)
 	} else {
 		v.idx = append([]kg.NodeID(nil), ws.touched...)
 		v.val = make([]float64, len(v.idx))

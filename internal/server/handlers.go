@@ -29,7 +29,6 @@ type wireQuery struct {
 	TopK        int              `json:"top_k,omitempty"`
 	Policy      string           `json:"policy,omitempty"`
 	TestSamples int              `json:"test_samples,omitempty"`
-	Parallelism int              `json:"parallelism,omitempty"`
 	Walks       int              `json:"walks,omitempty"`
 	Damping     float64          `json:"damping,omitempty"`
 	// Degrade opts into deadline-degraded mode. Omitted means true: a
@@ -139,7 +138,6 @@ func toQuery(eng *notable.Engine, wq wireQuery) (notable.Query, error) {
 		TopK:        wq.TopK,
 		Policy:      wq.Policy,
 		TestSamples: wq.TestSamples,
-		Parallelism: wq.Parallelism,
 		Walks:       wq.Walks,
 		Damping:     wq.Damping,
 		Degrade:     degrade,

@@ -29,7 +29,7 @@
 //
 // Serving is request-scoped. A Query carries the query nodes plus
 // per-request overrides of the engine's Options (context size, selector,
-// significance level, unseen-value policy, test samples, parallelism,
+// significance level, unseen-value policy, test samples, walks, damping,
 // top-k cut) — zero values inherit the engine's defaults, so
 // Query{Nodes: q} reproduces engine-level configuration exactly.
 // Engine.Do serves one request, Engine.DoBatch a batch (amortizing the
@@ -95,13 +95,14 @@
 // multi-source PageRank solve (each distinct seed across the batch is
 // solved once, with dense iterations blocked through a multi-vector
 // gather kernel on large graphs), and the comparison stages fan out
-// through a process-wide bounded executor. Batches of overlapping cold
+// through a process-wide bounded executor, Options.Parallelism queries at
+// a time. Batches of overlapping cold
 // queries — eval sweeps, batch entity profiling, bursty traffic — run
 // severalfold faster than sequential Do calls with identical output.
 //
-// DoStream runs the same deduplicated batch but releases each query to
-// its comparison stage as soon as its PageRank sum folds, emitting
-// results in completion order: time-to-first-result drops from "the
+// DoStream runs the same deduplicated batch but runs each query's
+// comparison stage as soon as its PageRank sum folds, on the stream's own
+// goroutine, emitting results in completion order: time-to-first-result drops from "the
 // whole batch" to roughly "one query", while per-query results stay
 // bitwise identical to solo Do calls.
 //
@@ -124,13 +125,13 @@
 // docs/serving.md.
 //
 // Neither caching, batching, nor parallelism changes results: every
-// randomized component takes an explicit seed, label tests run on a
-// bounded worker pool writing to fixed per-label slots, a context
-// selection runs on its request's goroutine (PageRank solves one seed
-// after another and folds in seed-list order; path mining draws its
-// seeded walk streams in order), and every
-// batched stage replicates its sequential arithmetic, so every cache
-// state, batch size, and worker count produces bitwise-identical output.
+// randomized component takes an explicit seed, a search runs on its
+// request's goroutine (PageRank solves one seed after another and folds
+// in seed-list order; path mining draws its seeded walk streams in order;
+// labels are tested one after another), DoBatch's fan-out compares each
+// query independently into its own slot, and every batched stage
+// replicates its sequential arithmetic, so every cache state, batch size,
+// and worker count produces bitwise-identical output.
 package notable
 
 import (
@@ -227,10 +228,10 @@ type Options struct {
 	Policy string
 	// Seed drives all randomized components (default 1).
 	Seed int64
-	// Parallelism bounds the workers a search draws from the shared
-	// executor — label tests within one query, and queries within one
-	// DoBatch. 0 means the core default (4). Like every concurrency
-	// knob here it never changes results, only wall-clock.
+	// Parallelism bounds how many queries of one DoBatch are compared at
+	// once through the shared executor; 0 means the core default (4).
+	// Every other request runs on its caller's goroutine. It never
+	// changes results, only wall-clock.
 	Parallelism int
 	// CacheSize bounds the engine's query cache: the number of memoized
 	// entries across all three cache layers — ranked selector contexts,

@@ -52,34 +52,32 @@ func TestApplyTriplesMatchesFromScratch(t *testing.T) {
 		}},
 	}
 	for _, sel := range []string{SelectorContextRW, SelectorRandomWalk} {
-		for _, par := range []int{1, 4} {
-			opt := Options{ContextSize: 8, Walks: 15000, Seed: 3, Selector: sel, Parallelism: par}
-			e := NewEngine(buildLeaders(), opt)
-			query, err := e.Resolve("Angela Merkel", "Barack Obama")
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, b := range batches {
-				if _, err := e.ApplyTriples(context.Background(), b.adds, b.dels); err != nil {
-					t.Fatalf("%s/p%d %s: %v", sel, par, b.name, err)
-				}
-				got := mustDo(t, e, Query{Nodes: query})
-				want := mustDo(t, referenceEngine(e, opt), Query{Nodes: query})
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s/p%d after %q: live result differs from from-scratch rebuild", sel, par, b.name)
-				}
-			}
-			// Compaction changes no bits and keeps the epoch.
-			epoch := e.Epoch()
-			e.vg.Compact()
-			if e.Epoch() != epoch {
-				t.Fatalf("compaction moved the epoch: %d -> %d", epoch, e.Epoch())
+		opt := Options{ContextSize: 8, Walks: 15000, Seed: 3, Selector: sel}
+		e := NewEngine(buildLeaders(), opt)
+		query, err := e.Resolve("Angela Merkel", "Barack Obama")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			if _, err := e.ApplyTriples(context.Background(), b.adds, b.dels); err != nil {
+				t.Fatalf("%s %s: %v", sel, b.name, err)
 			}
 			got := mustDo(t, e, Query{Nodes: query})
 			want := mustDo(t, referenceEngine(e, opt), Query{Nodes: query})
 			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s/p%d after compaction: result differs from from-scratch rebuild", sel, par)
+				t.Fatalf("%s after %q: live result differs from from-scratch rebuild", sel, b.name)
 			}
+		}
+		// Compaction changes no bits and keeps the epoch.
+		epoch := e.Epoch()
+		e.vg.Compact()
+		if e.Epoch() != epoch {
+			t.Fatalf("compaction moved the epoch: %d -> %d", epoch, e.Epoch())
+		}
+		got := mustDo(t, e, Query{Nodes: query})
+		want := mustDo(t, referenceEngine(e, opt), Query{Nodes: query})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s after compaction: result differs from from-scratch rebuild", sel)
 		}
 	}
 }

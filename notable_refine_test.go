@@ -48,63 +48,59 @@ func withSeedLayerBytes(e *Engine, bytes int64) *Engine {
 // TestEngineRefineMatchesColdSearch is the refinement fast path's
 // acceptance invariant: walking an interactive session on one warm
 // engine returns, at every step, exactly — DeepEqual on the full Result —
-// what a cache-disabled engine computes cold, for every Parallelism and
-// seed-layer bound: tiny (forcing evictions mid-sequence) and the fixed
-// SeedLayerBytes. Monte-Carlo testing is forced so the sampler is
-// exercised end to end too.
+// what a cache-disabled engine computes cold, for every seed-layer bound:
+// tiny (forcing evictions mid-sequence) and the fixed SeedLayerBytes.
+// Monte-Carlo testing is forced so the sampler is exercised end to end
+// too.
 func TestEngineRefineMatchesColdSearch(t *testing.T) {
 	g := buildLeaders()
-	base := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3,
+	opt := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3,
 		TestSamples: 300, TestExactLimit: 1}
-	for _, par := range []int{1, 4} {
-		opt := base
-		opt.Parallelism = par
-		coldOpt := opt
-		coldOpt.CacheSize = -1
-		cold := NewEngine(g, coldOpt)
-		steps := refineSteps(t, cold)
-		want := make([]Result, len(steps))
+	coldOpt := opt
+	coldOpt.CacheSize = -1
+	cold := NewEngine(g, coldOpt)
+	steps := refineSteps(t, cold)
+	want := make([]Result, len(steps))
+	for i, q := range steps {
+		r, err := cold.Do(context.Background(), Query{Nodes: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = r
+	}
+	for _, name := range []string{"tiny", "ample"} {
+		warm := NewEngine(g, opt)
+		if name == "tiny" {
+			warm = withSeedLayerBytes(warm, 600)
+		}
 		for i, q := range steps {
-			r, err := cold.Do(context.Background(), Query{Nodes: q})
+			got, err := warm.Do(context.Background(), Query{Nodes: q})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[i] = r
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Fatalf("budget=%s: refinement step %d differs from cold search", name, i)
+			}
 		}
-		for _, name := range []string{"tiny", "ample"} {
-			warm := NewEngine(g, opt)
-			if name == "tiny" {
-				warm = withSeedLayerBytes(warm, 600)
+		st := warm.CacheStats()
+		seed := st.Layers[qcache.LayerSeed]
+		switch name {
+		case "tiny":
+			if st.Evictions == 0 {
+				t.Fatalf("tiny seed budget must evict mid-sequence: %+v", st)
 			}
-			for i, q := range steps {
-				got, err := warm.Do(context.Background(), Query{Nodes: q})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Fatalf("par=%d budget=%s: refinement step %d differs from cold search", par, name, i)
-				}
+			if seed.Hits == 0 {
+				t.Fatalf("tiny budget should still hit retained seeds: %+v", st)
 			}
-			st := warm.CacheStats()
-			seed := st.Layers[qcache.LayerSeed]
-			switch name {
-			case "tiny":
-				if st.Evictions == 0 {
-					t.Fatalf("par=%d: tiny seed budget must evict mid-sequence: %+v", par, st)
-				}
-				if seed.Hits == 0 {
-					t.Fatalf("par=%d: tiny budget should still hit retained seeds: %+v", par, st)
-				}
-			case "ample":
-				if seed.Hits == 0 || seed.Misses == 0 {
-					t.Fatalf("par=%d: seed layer not exercised: %+v", par, st)
-				}
-				// Six distinct entities appear across the session; each is
-				// solved at most once per appearance set under an ample
-				// budget (the revisit and permutation are pure hits).
-				if seed.Misses > 6 {
-					t.Fatalf("par=%d: ample budget re-solved a seed: %+v", par, st)
-				}
+		case "ample":
+			if seed.Hits == 0 || seed.Misses == 0 {
+				t.Fatalf("seed layer not exercised: %+v", st)
+			}
+			// Six distinct entities appear across the session; each is
+			// solved at most once per appearance set under an ample
+			// budget (the revisit and permutation are pure hits).
+			if seed.Misses > 6 {
+				t.Fatalf("ample budget re-solved a seed: %+v", st)
 			}
 		}
 	}

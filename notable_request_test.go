@@ -60,7 +60,6 @@ func TestDoOverridesMatchEngineOptions(t *testing.T) {
 		{"Alpha", Query{Alpha: 0.2}, func(o Options) Options { o.Alpha = 0.2; return o }},
 		{"Policy", Query{Policy: PolicyPooled}, func(o Options) Options { o.Policy = PolicyPooled; return o }},
 		{"TestSamples", Query{TestSamples: 750}, func(o Options) Options { o.TestSamples = 750; return o }},
-		{"Parallelism", Query{Parallelism: 2}, func(o Options) Options { o.Parallelism = 2; return o }},
 	}
 	for _, tc := range cases {
 		q := tc.q

@@ -1,9 +1,12 @@
 package notable
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -26,45 +29,81 @@ func collectStream(t *testing.T, ch <-chan Outcome) map[int]Outcome {
 
 // TestDoStreamMatchesSearchBitwise: the stream yields exactly one Outcome
 // per query, and every successful Result is bitwise identical to a solo
-// Do on a fresh engine — across batch sizes, parallelism, and cache
-// states (the duplicate-node query in the mix exercises the uncacheable
-// path).
+// Do on a fresh engine — across batch sizes and cache states (the
+// duplicate-node query in the mix exercises the uncacheable path).
 func TestDoStreamMatchesSearchBitwise(t *testing.T) {
 	g := buildLeaders()
 	base := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 500}
 	for _, batchSize := range []int{1, 3, 8} {
-		for _, par := range []int{1, 4} {
-			for _, cacheSize := range []int{0, -1} {
-				opt := base
-				opt.Parallelism = par
-				opt.CacheSize = cacheSize
-				seqEng := NewEngine(g, opt)
-				queries := leaderQueries(t, seqEng, batchSize)
-				want := searchSequential(t, seqEng, queries)
+		for _, cacheSize := range []int{0, -1} {
+			opt := base
+			opt.CacheSize = cacheSize
+			seqEng := NewEngine(g, opt)
+			queries := leaderQueries(t, seqEng, batchSize)
+			want := searchSequential(t, seqEng, queries)
 
-				qs := make([]Query, len(queries))
-				for i, q := range queries {
-					qs[i] = Query{Nodes: q}
+			qs := make([]Query, len(queries))
+			for i, q := range queries {
+				qs[i] = Query{Nodes: q}
+			}
+			streamEng := NewEngine(g, opt)
+			got := collectStream(t, streamEng.DoStream(context.Background(), qs))
+			if len(got) != len(qs) {
+				t.Fatalf("b=%d cache=%d: %d outcomes for %d queries",
+					batchSize, cacheSize, len(got), len(qs))
+			}
+			for i := range qs {
+				out := got[i]
+				if out.Err != nil {
+					t.Fatalf("b=%d cache=%d: query %d: %v", batchSize, cacheSize, i, out.Err)
 				}
-				streamEng := NewEngine(g, opt)
-				got := collectStream(t, streamEng.DoStream(context.Background(), qs))
-				if len(got) != len(qs) {
-					t.Fatalf("b=%d par=%d cache=%d: %d outcomes for %d queries",
-						batchSize, par, cacheSize, len(got), len(qs))
-				}
-				for i := range qs {
-					out := got[i]
-					if out.Err != nil {
-						t.Fatalf("b=%d par=%d cache=%d: query %d: %v", batchSize, par, cacheSize, i, out.Err)
-					}
-					if !reflect.DeepEqual(out.Result, want[i]) {
-						t.Fatalf("b=%d par=%d cache=%d: stream result %d differs from solo Do",
-							batchSize, par, cacheSize, i)
-					}
+				if !reflect.DeepEqual(out.Result, want[i]) {
+					t.Fatalf("b=%d cache=%d: stream result %d differs from solo Do",
+						batchSize, cacheSize, i)
 				}
 			}
 		}
 	}
+}
+
+// TestDoStreamObservesOneSelection: every DoStream call over one options
+// group adds exactly one observation to the ctx_select stage histogram.
+func TestDoStreamObservesOneSelection(t *testing.T) {
+	g := buildLeaders()
+	e := NewEngine(g, Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 500})
+	queries := leaderQueries(t, e, 3)
+	qs := make([]Query, len(queries))
+	for i, q := range queries {
+		qs[i] = Query{Nodes: q}
+	}
+	for call := 1; call <= 2; call++ {
+		collectStream(t, e.DoStream(context.Background(), qs))
+		if got := stageCount(t, e, "ctx_select"); got != call {
+			t.Fatalf("after %d DoStream calls: ctx_select count %d, want %d", call, got, call)
+		}
+	}
+}
+
+// stageCount reads nc_stage_seconds_count{stage=...} off the engine's
+// Prometheus exposition.
+func stageCount(t *testing.T, e *Engine, stage string) int {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	prefix := `nc_stage_seconds_count{stage="` + stage + `"} `
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, prefix); ok {
+			n, err := strconv.Atoi(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("no %s line in the exposition", prefix)
+	return 0
 }
 
 // TestDoStreamWarmEngine: a fully warm stream emits everything (cache

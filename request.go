@@ -47,8 +47,6 @@ type Query struct {
 	Policy string
 	// TestSamples overrides Options.TestSamples when > 0.
 	TestSamples int
-	// Parallelism overrides Options.Parallelism when > 0.
-	Parallelism int
 	// Walks overrides Options.Walks when > 0 (the ContextRW selector's
 	// PathMining budget). The override folds into the selector cache key,
 	// so results equal an engine configured with the same Walks — warm or
@@ -137,9 +135,6 @@ func (o Options) apply(q Query) Options {
 	if q.TestSamples > 0 {
 		o.TestSamples = q.TestSamples
 	}
-	if q.Parallelism > 0 {
-		o.Parallelism = q.Parallelism
-	}
 	if q.Walks > 0 {
 		o.Walks = q.Walks
 	}
@@ -215,10 +210,11 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 // (engine options + overrides; TopK excluded, it is a per-query
 // post-cut) share one deduplicated cold pass — per-query cache consults
 // first, one multi-source PageRank solve for the misses, comparison
-// stages fanned through the shared executor — and results are bitwise
-// identical to calling Do per query for every batch size, override mix,
-// and Parallelism. Batches whose overrides differ are grouped by
-// effective options; deduplication applies within each group.
+// stages fanned through the shared executor, up to Options.Parallelism
+// at once — and results are bitwise identical to calling Do per query for
+// every batch size, override mix, and Parallelism. Batches whose
+// overrides differ are grouped by effective options; deduplication
+// applies within each group.
 //
 // Validation is up-front: any malformed query — empty, a bad override, a
 // node ID the graph lacks — fails the whole batch with an error wrapping
@@ -302,10 +298,11 @@ func (e *Engine) DoStream(ctx context.Context, qs []Query) <-chan Outcome {
 				}
 				ch <- Outcome{Index: i, Result: res, Err: err}
 				// Yield so a consumer blocked on the channel observes the
-				// outcome now: on a saturated (or single-P) runtime the
-				// pipeline would otherwise keep every core and delay
-				// delivery of finished results until the batch drains —
-				// the barrier the stream exists to break.
+				// outcome now: the next query's solve and comparison run on
+				// this goroutine, and on a saturated (or single-P) runtime
+				// they would otherwise delay delivery of finished results
+				// until the batch drains — the barrier the stream exists to
+				// break.
 				runtime.Gosched()
 			})
 		}
