@@ -241,9 +241,10 @@ func (s *soak) one(op string, rng *rand.Rand) {
 		status, err = s.post("/v1/search", map[string]any{"entities": s.pickNames(rng, 2+rng.Intn(3))})
 	case "cold":
 		// Walks is a cache-key component: salting it with the sequence
-		// guarantees a miss and a full cold pipeline pass.
+		// guarantees a miss and a full cold pipeline pass. It stays below
+		// ncserved's default budget (200 000), which bounds it.
 		status, err = s.post("/v1/search", map[string]any{
-			"entities": s.pickNames(rng, 2), "walks": 60000 + int(s.seq.Add(1)),
+			"entities": s.pickNames(rng, 2), "walks": 60000 + int(s.seq.Add(1)%100000),
 		})
 	case "refine":
 		status, err = s.post("/v1/search", map[string]any{

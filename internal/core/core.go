@@ -35,6 +35,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/ctxsel"
 	"repro/internal/dist"
@@ -444,9 +445,9 @@ var testLabelHook func()
 //
 // With opt.Cache the whole sorted report is one test-layer entry, keyed by
 // the query multiset, the ranked context and every option that can change
-// it: a warm call is one lookup and a private copy, skipping even the
-// label list. A done ctx skips the lookup; only a run that tested every
-// label is stored.
+// it, and stored packed (packedReport): a warm call is one lookup and a
+// private unpacked copy, skipping even the label list. A done ctx skips
+// the lookup; only a run that tested every label is stored.
 func CompareSets(ctx context.Context, g *kg.Graph, query, cset []kg.NodeID, opt Options) ([]Characteristic, error) {
 	if opt.Obs == nil {
 		return compareSetsUntimed(ctx, g, query, cset, opt)
@@ -467,17 +468,14 @@ func compareSetsUntimed(ctx context.Context, g *kg.Graph, query, cset []kg.NodeI
 	if opt.Cache != nil && ctx.Err() == nil {
 		key = opt.Cache.testKey(query, cset, opt)
 		if v, ok := opt.Cache.Store.GetLayer(key, qcache.LayerTest); ok {
-			return copyReport(v.([]Characteristic)), nil
+			return v.(*packedReport).unpack(), nil
 		}
 	}
 	out, err := testLabels(ctx, g, query, cset, opt)
 	if key != "" && err == nil {
-		master := copyReport(out)
-		bytes := int64(len(key))
-		for _, c := range master {
-			bytes += c.cacheFootprint()
+		if p := packReport(out); p != nil {
+			opt.Cache.Store.PutSized(key, p, qcache.LayerTest, int64(len(key))+p.footprint())
 		}
-		opt.Cache.Store.PutSized(key, master, qcache.LayerTest, bytes)
 	}
 	return out, err
 }
@@ -579,46 +577,99 @@ func (c *Cache) testKey(query, cset []kg.NodeID, opt Options) string {
 	return qcache.MultisetKey(prefix+strconv.FormatUint(qcache.HashIDs(cset), 16), query)
 }
 
-// cacheFootprint estimates the record's resident bytes for the cache's
-// byte accounting: the fixed fields plus the distribution slices.
-func (c Characteristic) cacheFootprint() int64 {
-	const fixed = 160 // struct, string header, slice headers
-	return fixed + int64(len(c.Name)) + 4*int64(len(c.Inst.Values)) +
-		8*int64(len(c.Inst.Query)+len(c.Inst.Context)+len(c.Card.Query)+len(c.Card.Context))
+// packedReport is one test-layer entry: a finished report in three
+// arenas that share nothing with any caller. recs holds the records with
+// their distribution slices nil; values holds every record's Inst.Values
+// back to back; counts holds, per record in turn, the lengths of its five
+// slices (Inst.Values, Inst.Query, Inst.Context, Card.Query,
+// Card.Context; −1 for nil) and then the four count slices' entries.
+type packedReport struct {
+	recs   []Characteristic
+	values []kg.NodeID
+	counts []int32
 }
 
-// copyReport returns a copy of report that shares nothing mutable with it,
-// in three allocations: the records, every Inst.Values, and every count
-// slice. Each sub-slice is capped at its length, so an append to one
-// reallocates rather than reaching its neighbour.
-func copyReport(report []Characteristic) []Characteristic {
-	out := slices.Clone(report)
+// packReport packs report, or returns nil if a count overflows int32.
+func packReport(report []Characteristic) *packedReport {
 	var nv, nc int
 	for _, c := range report {
 		nv += len(c.Inst.Values)
-		nc += len(c.Inst.Query) + len(c.Inst.Context) + len(c.Card.Query) + len(c.Card.Context)
+		nc += 5 + len(c.Inst.Query) + len(c.Inst.Context) + len(c.Card.Query) + len(c.Card.Context)
 	}
-	values, counts := make([]kg.NodeID, 0, nv), make([]int, 0, nc)
+	p := &packedReport{recs: slices.Clone(report), values: make([]kg.NodeID, 0, nv), counts: make([]int32, 0, nc)}
+	for i := range p.recs {
+		c := &p.recs[i]
+		p.values = append(p.values, c.Inst.Values...)
+		p.counts = append(p.counts, sliceLen(c.Inst.Values))
+		for _, s := range countSlices(c) {
+			p.counts = append(p.counts, sliceLen(*s))
+		}
+		for _, s := range countSlices(c) {
+			for _, v := range *s {
+				if v != int(int32(v)) {
+					return nil
+				}
+				p.counts = append(p.counts, int32(v))
+			}
+			*s = nil
+		}
+		c.Inst.Values = nil
+	}
+	return p
+}
+
+// unpack returns a private copy of the packed report in three
+// allocations: the records, every Inst.Values, and every count slice.
+// Each sub-slice is capped at its length, so an append to one
+// reallocates rather than reaching its neighbour.
+func (p *packedReport) unpack() []Characteristic {
+	out := slices.Clone(p.recs)
+	values := slices.Clone(p.values)
+	counts := make([]int, len(p.counts)-5*len(out))
+	src := p.counts
 	for i := range out {
 		c := &out[i]
-		c.Inst.Values, values = carve(values, c.Inst.Values)
-		c.Inst.Query, counts = carve(counts, c.Inst.Query)
-		c.Inst.Context, counts = carve(counts, c.Inst.Context)
-		c.Card.Query, counts = carve(counts, c.Card.Query)
-		c.Card.Context, counts = carve(counts, c.Card.Context)
+		lens := src[:5]
+		src = src[5:]
+		if n := int(lens[0]); n >= 0 {
+			c.Inst.Values, values = values[:n:n], values[n:]
+		}
+		for k, s := range countSlices(c) {
+			n := int(lens[k+1])
+			if n < 0 {
+				continue
+			}
+			dst := counts[:n:n]
+			for j, v := range src[:n] {
+				dst[j] = int(v)
+			}
+			*s, counts, src = dst, counts[n:], src[n:]
+		}
 	}
 	return out
 }
 
-// carve appends src to buf, which has room for it, and returns the copy
-// capped at its length along with the grown buf. A nil src stays nil.
-func carve[T any](buf, src []T) (dst, rest []T) {
-	if src == nil {
-		return nil, buf
+// footprint is the entry's resident bytes for the cache's byte
+// accounting: the records and the two arenas.
+func (p *packedReport) footprint() int64 {
+	n := int64(len(p.recs))*int64(unsafe.Sizeof(Characteristic{})) + 4*int64(len(p.values)) + 4*int64(len(p.counts))
+	for _, c := range p.recs {
+		n += int64(len(c.Name))
 	}
-	n := len(buf)
-	buf = append(buf, src...)
-	return buf[n:len(buf):len(buf)], buf
+	return n
+}
+
+// countSlices returns pointers to c's four count slices in packing order.
+func countSlices(c *Characteristic) [4]*[]int {
+	return [4]*[]int{&c.Inst.Query, &c.Inst.Context, &c.Card.Query, &c.Card.Context}
+}
+
+// sliceLen is len(s), or −1 for a nil slice.
+func sliceLen[T any](s []T) int32 {
+	if s == nil {
+		return -1
+	}
+	return int32(len(s))
 }
 
 // testLabel builds both distributions for l and applies the multinomial

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/dist"
 	"repro/internal/qcache"
@@ -107,8 +108,9 @@ func TestTestLayerDegradedCutStoresNothing(t *testing.T) {
 	}
 }
 
-// TestTestLayerEntryBytes: an entry weighs its key plus the footprint of
-// every record it holds.
+// TestTestLayerEntryBytes: an entry weighs its key plus, per record, the
+// record struct, its name, and its values, counts and five slice lengths
+// at 4 bytes each (the packed layout).
 func TestTestLayerEntryBytes(t *testing.T) {
 	g, query := leadersGraph()
 	cset := peerContext(g)
@@ -119,7 +121,8 @@ func TestTestLayerEntryBytes(t *testing.T) {
 		report := compareSets(t, g, c.query, c.cset, opt)
 		want := int64(len(opt.Cache.testKey(c.query, c.cset, opt.withDefaults())))
 		for _, r := range report {
-			want += r.cacheFootprint()
+			counts := len(r.Inst.Query) + len(r.Inst.Context) + len(r.Card.Query) + len(r.Card.Context)
+			want += int64(unsafe.Sizeof(r)) + int64(len(r.Name)) + 4*int64(len(r.Inst.Values)+5+counts)
 		}
 		total += want
 		if got := cache.Stats().Layers[qcache.LayerTest].Bytes; got != total {

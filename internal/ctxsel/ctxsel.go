@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/kg"
 	"repro/internal/metapath"
+	"repro/internal/obs"
 	"repro/internal/ppr"
 	"repro/internal/topk"
 )
@@ -144,8 +145,12 @@ func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.Node
 
 // ContextRW is the paper's context selector (Section 3.1).
 type ContextRW struct {
-	// Walks is the PathMining sampling budget. The paper runs 1M walks;
-	// scale down for smaller graphs. Default 200000.
+	// Walks is the PathMining sampling budget: each query reads the first
+	// Walks walks of the graph's walk bank (metapath.MineOptions.Walks),
+	// which is built on the first query of a graph and sized by the
+	// largest budget asked of it, so Walks is a per-graph budget, not a
+	// per-query cost. The paper runs 1M walks; scale down for smaller
+	// graphs. Default 200000.
 	Walks int
 	// NumPaths is |M|, the number of retained metapaths. The paper finds
 	// F1 insensitive to it and suggests 5. Default 5.
@@ -156,6 +161,9 @@ type ContextRW struct {
 	Uniform bool
 	// Seed fixes mining randomness.
 	Seed int64
+	// BuildObs, when non-nil, receives the wall time of every walk-bank
+	// build a selection runs (metapath.MineOptions.BuildObs).
+	BuildObs *obs.Histogram
 }
 
 // Name implements Selector.
@@ -174,10 +182,10 @@ func (s ContextRW) withDefaults() ContextRW {
 	return s
 }
 
-// Scores implements Selector: per query, mine then score. The
-// walk-sampling budget — the bulk of a ContextRW selection — honors
-// cancellation via metapath.MineCtx; the (comparatively brief) scoring
-// pass runs only while ctx stays live.
+// Scores implements Selector: per query, mine then score. Mining reads
+// the graph's walk bank; the first selection on a graph builds it, and
+// that build — the one long step — honors cancellation via
+// metapath.MineCtx. The scoring pass runs only while ctx stays live.
 func (s ContextRW) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
 	s = s.withDefaults()
 	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
@@ -186,6 +194,7 @@ func (s ContextRW) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeI
 			MaxLength: s.MaxLength,
 			Uniform:   s.Uniform,
 			Seed:      s.Seed,
+			BuildObs:  s.BuildObs,
 		})
 		if ctx.Err() != nil {
 			return nil

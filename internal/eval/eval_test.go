@@ -141,7 +141,10 @@ func TestFig5And6Timings(t *testing.T) {
 			}
 		}
 	}
-	if !strings.Contains(f5.Render(), "Figure 5") {
+	if f5.BuildSeconds <= 0 {
+		t.Fatalf("Fig5 build time = %v", f5.BuildSeconds)
+	}
+	if r := f5.Render(); !strings.Contains(r, "Figure 5") || !strings.Contains(r, "build") {
 		t.Fatal("Fig5 render malformed")
 	}
 
@@ -151,8 +154,8 @@ func TestFig5And6Timings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f6.Lengths) != 4 || len(f6.Seconds) != 5 {
-		t.Fatalf("Fig6 shape: %d lengths, %d sizes", len(f6.Lengths), len(f6.Seconds))
+	if len(f6.Lengths) != 4 || len(f6.Seconds) != 5 || len(f6.BuildSeconds) != 4 {
+		t.Fatalf("Fig6 shape: %d lengths, %d sizes, %d builds", len(f6.Lengths), len(f6.Seconds), len(f6.BuildSeconds))
 	}
 	if !strings.Contains(f6.Render(), "Figure 6") {
 		t.Fatal("Fig6 render malformed")

@@ -33,6 +33,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node. IDs are dense: 0..NumNodes-1.
@@ -108,11 +109,22 @@ type Graph struct {
 	transOnce sync.Once
 	trans     *TransitionCSR
 
+	// walkBank is the metapath package's walk bank for this graph (see
+	// WalkBankSlot); derived data, never serialized.
+	walkBank atomic.Value
+
 	// ov, when non-nil, marks this graph as a copy-on-write view over
 	// ov.base. Base graphs leave it nil and never pay more than the nil
 	// check on the read path.
 	ov *overlay
 }
+
+// WalkBankSlot returns the graph's slot for the metapath package's walk
+// bank: data another package derives from the graph and caches on it, so
+// that it lives exactly as long as the graph — one epoch of a Versioned
+// store. kg never reads the slot. The stored value must not point back to
+// the graph, or a finalizer on it would keep the pair alive.
+func (g *Graph) WalkBankSlot() *atomic.Value { return &g.walkBank }
 
 // NumNodes returns |V|.
 func (g *Graph) NumNodes() int {

@@ -6,11 +6,17 @@
 // defines metapaths with node labels interleaved but its miner records "the
 // sequence of edge labels m encountered during the random walk").
 //
-// Mining: sample a start node uniformly from V \ Q and walk at random —
-// favoring informative (rare) labels like the weighted PageRank does —
-// until a query node is reached or the length budget is exhausted. Each
-// successful walk contributes one occurrence of its label sequence. The
-// mined metapaths therefore point *toward* the query.
+// Mining: the paper samples a start node uniformly from V \ Q and walks at
+// random — favoring informative (rare) labels like the weighted PageRank
+// does — until a query node is reached or the length budget is exhausted;
+// each successful walk contributes one occurrence of its label sequence.
+// The mined metapaths therefore point *toward* the query. A walk depends
+// on Q only through its start and its stop, so this package draws the
+// walks once per graph, without Q, into a walk bank (bank.go): uniform
+// starts in V, steps until a dead end or the length budget. A query drops
+// the bank's walks that start in Q and cuts every other walk at its first
+// Q node — the same law as the paper's per-query sampler, paid once per
+// graph epoch instead of once per query.
 //
 // Counting: CountPathsInto propagates path counts along the label sequence
 // with one sparse frontier sweep per step, giving |{n ⇝m x}| for every x in
@@ -22,9 +28,12 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 
 	"repro/internal/kg"
+	"repro/internal/obs"
 )
 
 // Path is a metapath: a sequence of edge-label IDs.
@@ -76,7 +85,11 @@ type Mined struct {
 // MineOptions configures PathMining. The zero value selects the paper's
 // defaults except for Walks, which must be set (the paper uses 1M).
 type MineOptions struct {
-	// Walks is the number of sampling walks to attempt.
+	// Walks is the number of sampling walks a query reads: the first Walks
+	// walks of the graph's walk bank, which is built once per graph and per
+	// (Seed, MaxLength, Uniform), and rebuilt larger when a call asks for
+	// more walks than it holds. It is thus a per-graph budget: the largest
+	// value a caller passes sets the bank's size.
 	Walks int
 	// MaxLength bounds the metapath length in edges. The paper finds 5 a
 	// reasonable choice. Default 5.
@@ -85,6 +98,9 @@ type MineOptions struct {
 	Uniform bool
 	// Seed makes mining deterministic.
 	Seed int64
+	// BuildObs, when non-nil, receives the wall time of every walk-bank
+	// build a call runs.
+	BuildObs *obs.Histogram
 }
 
 func (o MineOptions) withDefaults() MineOptions {
@@ -94,130 +110,140 @@ func (o MineOptions) withDefaults() MineOptions {
 	return o
 }
 
-// Mine runs PathMining: it samples opt.Walks random walks from uniform
-// start nodes in V \ query and records the label sequence of every walk
-// that reaches a query node within opt.MaxLength steps. The walks are drawn
-// as mineStreams seeded streams, one after another on the calling
-// goroutine, and the paths are sorted by descending count (ties by shorter
-// path, then lexicographic key, so output is deterministic for a fixed
-// seed).
+func (o MineOptions) bankKey() bankKey {
+	return bankKey{seed: o.Seed, maxLength: o.MaxLength, uniform: o.Uniform}
+}
+
+// Mine runs PathMining: of opt.Walks random walks from uniform start
+// nodes in V, it keeps those that do not start in query and reach a
+// query node within opt.MaxLength steps, and records the label sequence
+// up to the first such node. The walks come from the graph's walk bank
+// (see bank), and the paths are sorted by descending count (ties by
+// shorter path, then lexicographic key, so output is deterministic for a
+// fixed seed).
 func Mine(g *kg.Graph, query []kg.NodeID, opt MineOptions) []Mined {
 	return MineCtx(context.Background(), g, query, opt)
 }
 
-// mineStreams is the number of walk streams a mine splits its budget
-// into: stream w draws from seed Seed + w·0x9e3779b9 and runs Walks/4
-// walks, plus one for w < Walks%4. The split fixes the mined sample to the
-// layout four concurrent workers once drew, uneven budgets and Walks < 4
-// included.
+// mineStreams is the number of walk streams the walks are drawn from:
+// walk id i is the (i/4)-th walk of stream i mod 4, seeded
+// Seed + (i mod 4)·0x9e3779b9.
 const mineStreams = 4
 
-// mineCheckInterval is how many walks a mining stream runs between ctx
+// mineCheckInterval is how many walks a bank build runs between ctx
 // probes: frequent enough that a large budget (the paper's 1M walks)
 // aborts in well under a walk-batch, rare enough that the probe is free.
 const mineCheckInterval = 4096
 
-// MineCtx is Mine under a cancellation context: it checks ctx every
-// mineCheckInterval walks of a stream and returns nil once it is done —
-// callers must consult ctx.Err() before using the result; a live ctx
-// changes nothing.
+// MineCtx is Mine under a cancellation context. Only the first call on a
+// graph (for its Seed, MaxLength and Uniform, and its budget) builds the
+// walk bank and probes ctx, every mineCheckInterval walks; it returns nil
+// once ctx is done, and publishes nothing — callers must consult
+// ctx.Err() before using the result; a live ctx changes nothing. Every
+// other call reads only its query nodes' bank lists.
 func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOptions) []Mined {
 	opt = opt.withDefaults()
 	n := g.NumNodes()
 	if n == 0 || len(query) == 0 || opt.Walks <= 0 {
 		return nil
 	}
-	wk := walker{g: g, n: n, inQuery: make([]uint64, (n+63)/64), maxLength: opt.MaxLength}
-	distinct := 0
-	for _, q := range query {
-		if int(q) < n && !wk.isQuery(q) {
-			wk.inQuery[q>>6] |= 1 << (q & 63)
-			distinct++
+	q := make([]kg.NodeID, 0, len(query))
+	for _, v := range query {
+		if int(v) < n {
+			q = append(q, v)
 		}
 	}
-	if distinct >= n {
+	slices.Sort(q)
+	q = slices.Compact(q)
+	if len(q) >= n {
 		return nil // no start nodes available
 	}
-	if !opt.Uniform {
+	b := bankFor(ctx, g, opt.bankKey(), opt.Walks, opt.BuildObs)
+	if b == nil {
+		return nil
+	}
+	out := b.mine(q, opt.Walks)
+	runtime.KeepAlive(b)
+	return out
+}
+
+// Prepare builds g's walk bank for opt — Seed, MaxLength, Uniform and the
+// Walks budget — as the first MineCtx call would, and returns ctx.Err() if
+// the build was cut. Callers use it to pay the one-off build up front, or
+// to time it apart from the queries.
+func Prepare(ctx context.Context, g *kg.Graph, opt MineOptions) error {
+	opt = opt.withDefaults()
+	if g.NumNodes() == 0 || opt.Walks <= 0 {
+		return nil
+	}
+	bankFor(ctx, g, opt.bankKey(), opt.Walks, opt.BuildObs)
+	return ctx.Err()
+}
+
+// sortMined returns found's paths by descending count, ties by shorter
+// path, then lexicographic key.
+func sortMined(found map[string]*Mined) []Mined {
+	type keyed struct {
+		Mined
+		key string
+	}
+	ks := make([]keyed, 0, len(found))
+	for _, m := range found {
+		ks = append(ks, keyed{*m, m.Path.Key()})
+	}
+	sort.Slice(ks, func(i, j int) bool {
+		if ks[i].Count != ks[j].Count {
+			return ks[i].Count > ks[j].Count
+		}
+		if len(ks[i].Path) != len(ks[j].Path) {
+			return len(ks[i].Path) < len(ks[j].Path)
+		}
+		return ks[i].key < ks[j].key
+	})
+	out := make([]Mined, len(ks))
+	for i := range ks {
+		out[i] = ks[i].Mined
+	}
+	return out
+}
+
+// walker is what a bank build's walks share, read-only: the graph with
+// its node count and label weights read out once.
+type walker struct {
+	g         *kg.Graph
+	n         int
+	weight    []float64 // g.LabelWeight per label; nil steps uniformly
+	maxLength int
+}
+
+func newWalker(g *kg.Graph, key bankKey) *walker {
+	wk := &walker{g: g, n: g.NumNodes(), maxLength: key.maxLength}
+	if !key.uniform {
 		wk.weight = make([]float64, g.NumLabels())
 		for l := range wk.weight {
 			wk.weight[l] = g.LabelWeight(kg.LabelID(l))
 		}
 	}
-
-	found := make(map[string]*Mined)
-	labels := make(Path, 0, opt.MaxLength)
-	for w := 0; w < mineStreams; w++ {
-		d := newDraws(opt.Seed + int64(w)*0x9e3779b9)
-		walks := opt.Walks / mineStreams
-		if w < opt.Walks%mineStreams {
-			walks++
-		}
-		for i := 0; i < walks; i++ {
-			if i%mineCheckInterval == 0 && ctx.Err() != nil {
-				return nil
-			}
-			if p := wk.once(d, labels[:0]); p != nil {
-				k := p.Key()
-				m := found[k]
-				if m == nil {
-					m = &Mined{Path: append(Path(nil), p...)}
-					found[k] = m
-				}
-				m.Count++
-			}
-		}
-	}
-	out := make([]Mined, 0, len(found))
-	for _, m := range found {
-		out = append(out, *m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if len(out[i].Path) != len(out[j].Path) {
-			return len(out[i].Path) < len(out[j].Path)
-		}
-		return out[i].Path.Key() < out[j].Path.Key()
-	})
-	return out
+	return wk
 }
 
-// walker is what the walks of one MineCtx call share, read-only: the graph
-// with its node count and label weights read out once, and the query as a
-// node bitset.
-type walker struct {
-	g         *kg.Graph
-	n         int
-	inQuery   []uint64  // one bit per node
-	weight    []float64 // g.LabelWeight per label; nil steps uniformly
-	maxLength int
-}
-
-func (wk *walker) isQuery(v kg.NodeID) bool { return wk.inQuery[v>>6]>>(v&63)&1 != 0 }
-
-// once performs one mining walk and returns the label sequence if it
-// reached a query node, appending to the labels buffer.
-func (wk *walker) once(d draws, labels Path) Path {
-	// Uniform start in V \ Q by rejection; the query is tiny relative to V.
+// walk draws one walk from d: a uniform start in V, then picked steps
+// until a dead end or maxLength. It writes the nodes visited (start
+// first) to nodes and the labels taken to labels, and returns the steps.
+func (wk *walker) walk(d draws, nodes []kg.NodeID, labels []kg.LabelID) int {
 	cur := kg.NodeID(d.intn(wk.n))
-	for wk.isQuery(cur) {
-		cur = kg.NodeID(d.intn(wk.n))
-	}
+	nodes[0] = cur
 	for step := 0; step < wk.maxLength; step++ {
 		adj := wk.g.OutEdges(cur)
 		if len(adj) == 0 {
-			return nil
+			return step
 		}
 		e := wk.pick(cur, adj, d)
-		labels = append(labels, e.Label)
+		labels[step] = e.Label
 		cur = e.To
-		if wk.isQuery(cur) {
-			return labels
-		}
+		nodes[step+1] = cur
 	}
-	return nil
+	return wk.maxLength
 }
 
 // pick samples an out-edge proportionally to its label weight by

@@ -106,6 +106,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if got := metricValue(t, body, "nc_stage_seconds_count", `stage="compare"`); got < 1 {
 		t.Errorf("compare stage count = %v after one search", got)
 	}
+	// The first ContextRW search of the epoch built its walk bank, once.
+	if got := metricValue(t, body, "nc_stage_seconds_count", `stage="mine_bank_build"`); got != 1 {
+		t.Errorf("mine_bank_build stage count = %v after one ContextRW search, want 1", got)
+	}
+	if got := metricValue(t, body, "nc_mine_bank_bytes", ""); got <= 0 {
+		t.Errorf("nc_mine_bank_bytes = %v after a ContextRW search, want > 0", got)
+	}
 
 	before := metricValue(t, body, "nc_http_requests_total", `path="/v1/search"`)
 	if resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/search", map[string]any{

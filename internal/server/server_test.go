@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -187,6 +188,7 @@ func TestErrorMapping(t *testing.T) {
 		{"unknown selector", "/v1/search", `{"entities":["Angela Merkel"],"selector":"RandomWalk"}`, http.StatusBadRequest, ""},
 		{"unknown policy", "/v1/search", `{"entities":["Angela Merkel"],"policy":"pooledd"}`, http.StatusBadRequest, ""},
 		{"node id out of range", "/v1/search", `{"nodes":[999999]}`, http.StatusBadRequest, ""},
+		{"walks over the engine's budget", "/v1/search", `{"entities":["Angela Merkel"],"walks":5001}`, http.StatusBadRequest, "budget"},
 		{"empty batch", "/v1/batch", `{"queries":[]}`, http.StatusBadRequest, "empty batch"},
 		{"unresolved entity in batch query 1", "/v1/batch", unresolved1, http.StatusBadRequest, "query 1:"},
 		{"bad override in batch", "/v1/batch", `{"queries":[{"entities":["Angela Merkel"],"top_k":-1}]}`, http.StatusBadRequest, "TopK"},
@@ -234,6 +236,39 @@ func TestErrorMapping(t *testing.T) {
 	getResp.Body.Close()
 	if getResp.StatusCode != http.StatusMethodNotAllowed || getResp.Header.Get("Allow") != http.MethodPost {
 		t.Fatalf("GET: status %d allow %q", getResp.StatusCode, getResp.Header.Get("Allow"))
+	}
+}
+
+// TestWalksOverrideBound: a walks override above the engine's budget is a
+// 400, and one below it answers as an engine configured with that budget
+// does, bit for bit.
+func TestWalksOverrideBound(t *testing.T) {
+	search := func(e *notable.Engine, body map[string]any) (int, searchResponse) {
+		t.Helper()
+		ts := httptest.NewServer(New(e, quietCfg()).Handler())
+		defer ts.Close()
+		resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/search", body)
+		var sr searchResponse
+		if resp.StatusCode == http.StatusOK {
+			if err := json.Unmarshal(data, &sr); err != nil {
+				t.Fatal(err)
+			}
+			sr.RequestID, sr.ElapsedMS = "", 0
+		}
+		return resp.StatusCode, sr
+	}
+	entities := []string{"Angela Merkel", "Barack Obama"}
+	big := testEngine(notable.Options{Walks: 5000})
+	if code, _ := search(big, map[string]any{"entities": entities, "walks": 5001}); code != http.StatusBadRequest {
+		t.Fatalf("walks above the budget: status %d, want 400", code)
+	}
+	code, got := search(big, map[string]any{"entities": entities, "walks": 2000})
+	if code != http.StatusOK {
+		t.Fatalf("walks below the budget: status %d", code)
+	}
+	_, want := search(testEngine(notable.Options{Walks: 2000}), map[string]any{"entities": entities})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("walks 2000 on a 5000-walk engine:\n got %+v\nwant %+v (a 2000-walk engine)", got, want)
 	}
 }
 

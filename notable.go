@@ -150,6 +150,7 @@ import (
 	"repro/internal/ctxsel"
 	"repro/internal/dist"
 	"repro/internal/kg"
+	"repro/internal/metapath"
 	"repro/internal/ntriples"
 	"repro/internal/obs"
 	"repro/internal/ppr"
@@ -214,8 +215,11 @@ type Options struct {
 	ContextSize int
 	// Selector is one of the Selector* constants (default ContextRW).
 	Selector string
-	// Walks is the PathMining budget for ContextRW (default 200000).
-	// Overridable per request via Query.Walks.
+	// Walks is the PathMining budget for ContextRW (default
+	// DefaultWalks). Every query of a graph epoch reads the first Walks
+	// walks of one walk bank, built by the epoch's first ContextRW read,
+	// so Walks sizes that bank. A request may lower it via Query.Walks,
+	// never raise it.
 	Walks int
 	// Damping is the RandomWalk selector's PageRank restart parameter c
 	// (default 0.8; the paper also reports 0.2 for the baseline). Only
@@ -269,6 +273,9 @@ type Options struct {
 // Selector and test entries are small (a few KB at most); the big seed
 // vectors are bounded by bytes as well: SeedLayerBytes.
 const DefaultCacheSize = 1024
+
+// DefaultWalks is the ContextRW walk budget when Options.Walks is 0.
+const DefaultWalks = 200000
 
 // SeedLayerBytes bounds the seed layer: single-seed PageRank vectors
 // memoized across RandomWalk searches, so a query overlapping an earlier
@@ -326,6 +333,7 @@ type engineMetrics struct {
 	solve    *obs.Histogram // nc_stage_seconds{stage="ppr_solve"}
 	sel      *obs.Histogram // nc_stage_seconds{stage="ctx_select"}
 	compare  *obs.Histogram // nc_stage_seconds{stage="compare"}
+	bank     *obs.Histogram // nc_stage_seconds{stage="mine_bank_build"}
 	stage    *core.StageObs // sel+compare, threaded via core.Options.Obs
 	do       *obs.Histogram // nc_request_seconds{op="do"}
 	doBatch  *obs.Histogram // nc_request_seconds{op="do_batch"}
@@ -343,6 +351,7 @@ func newEngineMetrics() *engineMetrics {
 		solve:    reg.NewHistogram("nc_stage_seconds", stageHelp, "stage", "ppr_solve"),
 		sel:      reg.NewHistogram("nc_stage_seconds", stageHelp, "stage", "ctx_select"),
 		compare:  reg.NewHistogram("nc_stage_seconds", stageHelp, "stage", "compare"),
+		bank:     reg.NewHistogram("nc_stage_seconds", stageHelp, "stage", "mine_bank_build"),
 		do:       reg.NewHistogram("nc_request_seconds", reqHelp, "op", "do"),
 		doBatch:  reg.NewHistogram("nc_request_seconds", reqHelp, "op", "do_batch"),
 		doStream: reg.NewHistogram("nc_request_seconds", reqHelp, "op", "do_stream"),
@@ -354,10 +363,10 @@ func newEngineMetrics() *engineMetrics {
 }
 
 // Metrics returns the engine's metrics registry — stage histograms
-// (ppr_solve, ctx_select, compare), end-to-end request histograms,
-// ingest and WAL-fsync latency, and the cache, graph and WAL state
-// series — for exposition alongside a server's own registry
-// (internal/server renders both on GET /metrics and GET /statsz).
+// (ppr_solve, ctx_select, compare, mine_bank_build), end-to-end request
+// histograms, ingest and WAL-fsync latency, and the cache, graph, walk
+// bank and WAL state series — for exposition alongside a server's own
+// registry (internal/server renders both on GET /metrics and GET /statsz).
 func (e *Engine) Metrics() *obs.Registry { return e.met.reg }
 
 // registerState adds the engine's point-in-time state to its registry as
@@ -400,6 +409,8 @@ func (e *Engine) registerState() {
 		func() float64 { return e.VersionStats().LastCompaction.Seconds() })
 	reg.NewGaugeFunc("nc_graph_compacting", "1 while a background compaction runs.",
 		func() float64 { return obs.Bool(e.VersionStats().Compacting) })
+	reg.NewGaugeFunc("nc_mine_bank_bytes", "Bytes of the ContextRW walk bank the current graph epoch holds (0 until its first ContextRW read).",
+		func() float64 { return float64(metapath.BankBytes(e.vg.View().G)) })
 
 	reg.NewGaugeFunc("nc_wal_enabled", "1 when the engine has a write-ahead log.",
 		func() float64 { return obs.Bool(e.DurabilityStats().Enabled) })
@@ -638,7 +649,7 @@ func (e *Engine) selectorFor(opt Options, tag string) ctxsel.Selector {
 	case SelectorJaccard:
 		return ctxsel.Jaccard{}
 	default:
-		return ctxsel.ContextRW{Walks: opt.Walks, Seed: opt.Seed}
+		return ctxsel.ContextRW{Walks: opt.Walks, Seed: opt.Seed, BuildObs: e.met.bank}
 	}
 }
 

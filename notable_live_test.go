@@ -142,11 +142,11 @@ func TestQueryWalksDampingOverrideEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Run("walks", func(t *testing.T) {
-		base := Options{ContextSize: 8, Walks: 15000, Seed: 3}
+		base := Options{ContextSize: 8, Walks: 30000, Seed: 3}
 		a := NewEngine(g, base)
-		override := mustDo(t, a, Query{Nodes: query, Walks: 30000})
+		override := mustDo(t, a, Query{Nodes: query, Walks: 15000})
 		asOption := base
-		asOption.Walks = 30000
+		asOption.Walks = 15000
 		want := mustDo(t, NewEngine(g, asOption), Query{Nodes: query})
 		if !reflect.DeepEqual(override, want) {
 			t.Fatal("Walks override differs from an engine configured with the same Walks")
@@ -159,7 +159,7 @@ func TestQueryWalksDampingOverrideEquivalence(t *testing.T) {
 			t.Fatal("plain query polluted by a prior Walks override")
 		}
 		// And a warm repeat of the override serves the same bits.
-		if again := mustDo(t, a, Query{Nodes: query, Walks: 30000}); !reflect.DeepEqual(again, override) {
+		if again := mustDo(t, a, Query{Nodes: query, Walks: 15000}); !reflect.DeepEqual(again, override) {
 			t.Fatal("warm Walks override differs from its cold run")
 		}
 	})
@@ -186,6 +186,21 @@ func TestQueryWalksDampingOverrideEquivalence(t *testing.T) {
 		}
 		if _, err := e.Do(context.Background(), Query{Nodes: query, Damping: 1.5}); !errors.Is(err, ErrBadQuery) {
 			t.Fatalf("Damping 1.5: err = %v, want ErrBadQuery", err)
+		}
+		// The engine's budget bounds Walks, so its walk bank never grows
+		// past it: DefaultWalks here, Options.Walks when set.
+		if _, err := e.Do(context.Background(), Query{Nodes: query, Walks: DefaultWalks + 1}); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("Walks above DefaultWalks: err = %v, want ErrBadQuery", err)
+		}
+		small := NewEngine(g, Options{Walks: 1000})
+		for _, do := range []func(Query) error{
+			func(q Query) error { _, err := small.Do(context.Background(), q); return err },
+			func(q Query) error { _, err := small.DoBatch(context.Background(), []Query{q}); return err },
+			func(q Query) error { return (<-small.DoStream(context.Background(), []Query{q})).Err },
+		} {
+			if err := do(Query{Nodes: query, Walks: 1001}); !errors.Is(err, ErrBadQuery) {
+				t.Fatalf("Walks 1001 on a 1000-walk engine: err = %v, want ErrBadQuery", err)
+			}
 		}
 	})
 }

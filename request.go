@@ -48,9 +48,13 @@ type Query struct {
 	// TestSamples overrides Options.TestSamples when > 0.
 	TestSamples int
 	// Walks overrides Options.Walks when > 0 (the ContextRW selector's
-	// PathMining budget). The override folds into the selector cache key,
-	// so results equal an engine configured with the same Walks — warm or
-	// cold — and never collide with other budgets' entries.
+	// PathMining budget). It may only lower the budget: a value above the
+	// engine's Options.Walks (DefaultWalks when unset) is ErrBadQuery, so
+	// that the walk bank a graph epoch retains never grows past the
+	// configured size. The override reads a prefix of the same bank and
+	// folds into the selector cache key, so results equal an engine
+	// configured with the same Walks — warm or cold — and never collide
+	// with other budgets' entries.
 	Walks int
 	// Damping overrides Options.Damping when > 0 (the RandomWalk
 	// selector's restart parameter, valid in (0, 1)). Folded into the
@@ -68,13 +72,13 @@ type Query struct {
 }
 
 // validate rejects override values no engine configuration could make
-// valid, and node IDs g does not have. Zero values are never errors — they
-// mean "inherit the engine's option" — so validation only fires on
-// explicit nonsense: negative sizes/counts, significance levels outside
-// (0, 1), selector names other than the four Selector* constants, policy
-// names other than the two Policy* constants, and node IDs past
-// g.NumNodes().
-func (q Query) validate(g *kg.Graph) error {
+// valid, a Walks above maxWalks (the engine's budget), and node IDs g does
+// not have. Zero values are never errors — they mean "inherit the
+// engine's option" — so validation only fires on explicit nonsense:
+// negative sizes/counts, significance levels outside (0, 1), selector
+// names other than the four Selector* constants, policy names other than
+// the two Policy* constants, and node IDs past g.NumNodes().
+func (q Query) validate(g *kg.Graph, maxWalks int) error {
 	if len(q.Nodes) == 0 {
 		return ErrEmptyQuery
 	}
@@ -89,6 +93,8 @@ func (q Query) validate(g *kg.Graph) error {
 		return fmt.Errorf("%w: TestSamples %d < 0", ErrBadQuery, q.TestSamples)
 	case q.Walks < 0:
 		return fmt.Errorf("%w: Walks %d < 0", ErrBadQuery, q.Walks)
+	case q.Walks > maxWalks:
+		return fmt.Errorf("%w: Walks %d above the engine's budget %d", ErrBadQuery, q.Walks, maxWalks)
 	case q.Damping != 0 && (q.Damping <= 0 || q.Damping >= 1):
 		return fmt.Errorf("%w: Damping %v outside (0, 1)", ErrBadQuery, q.Damping)
 	}
@@ -104,6 +110,14 @@ func (q Query) validate(g *kg.Graph) error {
 		return fmt.Errorf("%w: Policy %q is neither %q nor %q", ErrBadQuery, q.Policy, PolicyStrict, PolicyPooled)
 	}
 	return checkNodes(g, "Nodes", q.Nodes)
+}
+
+// maxWalks is the largest Query.Walks the engine accepts: its own budget.
+func (e *Engine) maxWalks() int {
+	if e.opt.Walks > 0 {
+		return e.opt.Walks
+	}
+	return DefaultWalks
 }
 
 // checkNodes rejects the first of ids that is not a node of g, naming the
@@ -189,7 +203,7 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 		ctx = context.Background()
 	}
 	view := e.vg.View() // pin: the whole request runs on this epoch
-	if err := q.validate(view.G); err != nil {
+	if err := q.validate(view.G, e.maxWalks()); err != nil {
 		return Result{}, err
 	}
 	copt := e.coreOptionsFor(e.opt.apply(q), view)
@@ -276,7 +290,7 @@ func (e *Engine) DoStream(ctx context.Context, qs []Query) <-chan Outcome {
 	valid := make([]Query, 0, len(qs))
 	origIdx := make([]int, 0, len(qs)) // maps valid-slice position → qs index
 	for i, q := range qs {
-		if err := q.validate(view.G); err != nil {
+		if err := q.validate(view.G, e.maxWalks()); err != nil {
 			ch <- Outcome{Index: i, Err: fmt.Errorf("%w (batch index %d)", err, i)}
 			continue
 		}
@@ -327,7 +341,7 @@ func (e *Engine) groupRequests(qs []Query, view *kg.View) ([]*requestGroup, erro
 	byOpt := make(map[Options]*requestGroup)
 	var groups []*requestGroup
 	for i, q := range qs {
-		if err := q.validate(view.G); err != nil {
+		if err := q.validate(view.G, e.maxWalks()); err != nil {
 			return nil, fmt.Errorf("%w (batch index %d)", err, i)
 		}
 		eff := e.opt.apply(q)
