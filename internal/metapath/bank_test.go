@@ -131,13 +131,93 @@ func countBuilds(t *testing.T) *atomic.Int64 {
 	return &n
 }
 
-// TestBankMatchesNaive: MineCtx equals the naive bank bit for bit —
-// paths, counts and order — on the reference graphs and on random graphs
-// (dead ends, labels past 2⁸ and 2¹⁶), for one-node, duplicate,
-// out-of-range, all-node and all-but-one queries, MaxLength 1–20, budgets
-// not divisible by four, prefix budgets read from one bank, and a budget
-// that grows the bank.
-func TestBankMatchesNaive(t *testing.T) {
+// checkMineMatchesNaive asserts that Mine equals the naive bank bit for
+// bit — paths, counts and order — on g for every query, MaxLength 1–20,
+// both step policies, a budget not divisible by four and its prefix
+// budgets, all read from one bank build per key. It returns the number of
+// paths mined at the full budget, so a caller can rule out a vacuous run.
+func checkMineMatchesNaive(t *testing.T, builds *atomic.Int64, name string, g *kg.Graph, queries [][]kg.NodeID) int {
+	t.Helper()
+	mined := 0
+	for _, maxLen := range []int{1, 2, 5, 20} {
+		for _, uniform := range []bool{false, true} {
+			opt := MineOptions{Walks: 2003, MaxLength: maxLen, Uniform: uniform, Seed: int64(maxLen)*31 - 7}
+			nb := newNaiveBank(g, opt, opt.Walks)
+			before := builds.Load()
+			for qi, q := range queries {
+				for _, w := range []int{opt.Walks, 1, 2, 3, 5, 1001, opt.Walks - 1} {
+					o := opt
+					o.Walks = w
+					got, want := Mine(g, q, o), nb.mine(q, w)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s L=%d uniform=%v query %d walks %d:\n got %v\nwant %v", name, maxLen, uniform, qi, w, got, want)
+					}
+					if w == opt.Walks {
+						mined += len(want)
+					}
+				}
+			}
+			if got := builds.Load() - before; got != 1 {
+				t.Fatalf("%s L=%d uniform=%v: %d builds for one key and shrinking budgets, want 1", name, maxLen, uniform, got)
+			}
+		}
+	}
+	return mined
+}
+
+// TestMineMatchesReference: MineCtx equals the naive bank bit for bit on
+// the reference graphs (flat, overlay, zero-weight ring, fallback-heavy
+// clique, dead-end chain) for one-node, three-node and duplicate queries.
+func TestMineMatchesReference(t *testing.T) {
+	builds := countBuilds(t)
+	for name, g := range refGraphs(t) {
+		if checkMineMatchesNaive(t, builds, name, g, refQueries(t, name, g)) == 0 {
+			t.Fatalf("%s: the reference mined nothing — the comparison is vacuous", name)
+		}
+	}
+}
+
+// TestMineMatchesReferenceEdges covers the option and guard corners
+// against the naive bank: walk counts that split unevenly over the four
+// streams, fewer walks than streams, a one-step length budget, the
+// no-start-node guard (which counts distinct query nodes, so duplicates do
+// not exhaust the graph), out-of-range, all-node and all-but-one queries
+// on the reference graphs and on random graphs (dead ends, labels past 2⁸
+// and 2¹⁶), and a budget that grows the bank.
+func TestMineMatchesReferenceEdges(t *testing.T) {
+	builds := countBuilds(t)
+
+	chain := chainWithBranch()
+	q := nodeID(t, chain, "q")
+	all := make([]kg.NodeID, chain.NumNodes())
+	for i := range all {
+		all[i] = kg.NodeID(i)
+	}
+	cases := []struct {
+		name  string
+		query []kg.NodeID
+		opt   MineOptions
+	}{
+		{"uneven split", []kg.NodeID{q}, MineOptions{Walks: 1001, Seed: 5}},
+		{"streams > walks", []kg.NodeID{q}, MineOptions{Walks: 3, Seed: 5}},
+		{"one walk", []kg.NodeID{q}, MineOptions{Walks: 1, Seed: 5}},
+		{"one walk per stream", []kg.NodeID{q}, MineOptions{Walks: 4, Seed: 5}},
+		{"one stream one walk ahead", []kg.NodeID{q}, MineOptions{Walks: 5, Seed: 5}},
+		{"length 1", []kg.NodeID{q}, MineOptions{Walks: 500, MaxLength: 1, Seed: 2}},
+		{"whole graph", all, MineOptions{Walks: 100, Seed: 1}},
+		{"all but one", all[1:], MineOptions{Walks: 400, Seed: 1}},
+		{"duplicates, |query| ≥ n", append(append([]kg.NodeID{}, all[1:]...), all[1:]...), MineOptions{Walks: 400, Seed: 1}},
+	}
+	for _, c := range cases {
+		got, want := Mine(chain, c.query, c.opt), newNaiveBank(chain, c.opt, c.opt.Walks).mine(c.query, c.opt.Walks)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: got %v, want %v", c.name, got, want)
+		}
+	}
+	if got := Mine(chain, all, MineOptions{Walks: 100}); got != nil {
+		t.Fatalf("query covering the graph mined %v, want nil", got)
+	}
+
 	graphs := refGraphs(t)
 	graphs["random"] = randomGraph(1, 60, 150, 4, false)
 	graphs["random-inverses"] = randomGraph(2, 40, 120, 3, true)
@@ -146,7 +226,6 @@ func TestBankMatchesNaive(t *testing.T) {
 	if nl := graphs["random-66k-labels"].NumLabels(); nl <= 1<<16 {
 		t.Fatalf("the wide-label graph has %d labels, want > 2¹⁶", nl)
 	}
-	builds := countBuilds(t)
 	for name, g := range graphs {
 		n := g.NumNodes()
 		all := make([]kg.NodeID, n)
@@ -154,29 +233,7 @@ func TestBankMatchesNaive(t *testing.T) {
 			all[i] = kg.NodeID(i)
 		}
 		queries := [][]kg.NodeID{{0}, {kg.NodeID(n / 2), 1, kg.NodeID(n / 2)}, {3, kg.NodeID(n + 5), 3}, all, all[1:]}
-		if name == "yago" || name == "overlay" || name == "ring" || name == "clique" || name == "chain" {
-			queries = append(queries, refQueries(t, name, g)...)
-		}
-		for _, maxLen := range []int{1, 2, 5, 20} {
-			for _, uniform := range []bool{false, true} {
-				opt := MineOptions{Walks: 2003, MaxLength: maxLen, Uniform: uniform, Seed: int64(maxLen)*31 - 7}
-				nb := newNaiveBank(g, opt, opt.Walks)
-				before := builds.Load()
-				for qi, q := range queries {
-					for _, w := range []int{opt.Walks, 1, 2, 3, 5, 1001, opt.Walks - 1} {
-						o := opt
-						o.Walks = w
-						got, want := Mine(g, q, o), nb.mine(q, w)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s L=%d uniform=%v query %d walks %d:\n got %v\nwant %v", name, maxLen, uniform, qi, w, got, want)
-						}
-					}
-				}
-				if got := builds.Load() - before; got != 1 {
-					t.Fatalf("%s L=%d uniform=%v: %d builds for one key and shrinking budgets, want 1", name, maxLen, uniform, got)
-				}
-			}
-		}
+		checkMineMatchesNaive(t, builds, name, g, queries)
 	}
 
 	// A budget past the bank's rebuilds it larger; smaller ones keep reading it.
