@@ -152,6 +152,10 @@ type ContextRW struct {
 	// per-query cost. The paper runs 1M walks; scale down for smaller
 	// graphs. Default 200000.
 	Walks int
+	// BankWalks, when above Walks, sizes a walk bank the selection builds
+	// (metapath.MineOptions.BankWalks): a caller whose per-query budgets
+	// vary passes the largest, so one build serves every one of them.
+	BankWalks int
 	// NumPaths is |M|, the number of retained metapaths. The paper finds
 	// F1 insensitive to it and suggests 5. Default 5.
 	NumPaths int
@@ -191,6 +195,7 @@ func (s ContextRW) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeI
 	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
 		mined := metapath.MineCtx(ctx, g, query, metapath.MineOptions{
 			Walks:     s.Walks,
+			BankWalks: s.BankWalks,
 			MaxLength: s.MaxLength,
 			Uniform:   s.Uniform,
 			Seed:      s.Seed,

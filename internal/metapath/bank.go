@@ -89,11 +89,12 @@ func slotOf(g *kg.Graph) *bankSlot {
 }
 
 // bankFor returns a bank of g for key holding at least walks walks,
-// building it if the slot holds none, another key's, or a smaller one; a
-// new bank replaces the slot's. Concurrent callers wait for one build. It
-// returns nil once ctx is done, and a cancelled build publishes nothing.
+// building one of build walks (build ≥ walks) if the slot holds none,
+// another key's, or a smaller one; a new bank replaces the slot's.
+// Concurrent callers wait for one build. It returns nil once ctx is done,
+// and a cancelled build publishes nothing.
 // buildObs, when non-nil, receives the wall time of a build this call ran.
-func bankFor(ctx context.Context, g *kg.Graph, key bankKey, walks int, buildObs *obs.Histogram) *bank {
+func bankFor(ctx context.Context, g *kg.Graph, key bankKey, walks, build int, buildObs *obs.Histogram) *bank {
 	s := slotOf(g)
 	if b := s.cur.Load(); b.covers(key, walks) {
 		return b
@@ -108,7 +109,7 @@ func bankFor(ctx context.Context, g *kg.Graph, key bankKey, walks int, buildObs 
 		return b
 	}
 	start := time.Now()
-	b := buildBank(ctx, g, key, walks)
+	b := buildBank(ctx, g, key, build)
 	if b == nil {
 		return nil
 	}

@@ -251,6 +251,22 @@ func TestMineMatchesReferenceEdges(t *testing.T) {
 	if got := builds.Load() - before; got != 2 {
 		t.Fatalf("%d builds for budgets 101, 5000, 77, 4999; want 2", got)
 	}
+
+	// With BankWalks at the largest budget, rising budgets read prefixes of
+	// one build.
+	g = randomGraph(1, 60, 150, 4, false)
+	opt.BankWalks = 5000
+	before = builds.Load()
+	for w := 101; w <= 106; w++ {
+		o := opt
+		o.Walks = w
+		if got, want := Mine(g, []kg.NodeID{4, 9}, o), nb.mine([]kg.NodeID{4, 9}, w); !reflect.DeepEqual(got, want) {
+			t.Fatalf("walks %d of a 5000-walk bank: got %v, want %v", w, got, want)
+		}
+	}
+	if got := builds.Load() - before; got != 1 {
+		t.Fatalf("%d builds for budgets 101–106 with BankWalks 5000; want 1", got)
+	}
 }
 
 // tvDistance is the total-variation distance between two mined path
@@ -320,7 +336,7 @@ func TestBankLawMatchesPaperSampler(t *testing.T) {
 func arena(t *testing.T, g *kg.Graph, opt MineOptions) ([]byte, int) {
 	t.Helper()
 	opt = opt.withDefaults()
-	b := bankFor(context.Background(), g, opt.bankKey(), opt.Walks, nil)
+	b := bankFor(context.Background(), g, opt.bankKey(), opt.Walks, opt.Walks, nil)
 	if b == nil {
 		t.Fatal("no bank built")
 	}

@@ -91,6 +91,10 @@ type MineOptions struct {
 	// more walks than it holds. It is thus a per-graph budget: the largest
 	// value a caller passes sets the bank's size.
 	Walks int
+	// BankWalks, when above Walks, is the size of a bank this call builds:
+	// a caller whose budgets vary passes its largest one, so one build
+	// serves them all. The call still reads the first Walks walks.
+	BankWalks int
 	// MaxLength bounds the metapath length in edges. The paper finds 5 a
 	// reasonable choice. Default 5.
 	MaxLength int
@@ -113,6 +117,9 @@ func (o MineOptions) withDefaults() MineOptions {
 func (o MineOptions) bankKey() bankKey {
 	return bankKey{seed: o.Seed, maxLength: o.MaxLength, uniform: o.Uniform}
 }
+
+// bankWalks is the size of a bank built for o.
+func (o MineOptions) bankWalks() int { return max(o.Walks, o.BankWalks) }
 
 // Mine runs PathMining: of opt.Walks random walks from uniform start
 // nodes in V, it keeps those that do not start in query and reach a
@@ -158,7 +165,7 @@ func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOption
 	if len(q) >= n {
 		return nil // no start nodes available
 	}
-	b := bankFor(ctx, g, opt.bankKey(), opt.Walks, opt.BuildObs)
+	b := bankFor(ctx, g, opt.bankKey(), opt.Walks, opt.bankWalks(), opt.BuildObs)
 	if b == nil {
 		return nil
 	}
@@ -168,15 +175,15 @@ func MineCtx(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt MineOption
 }
 
 // Prepare builds g's walk bank for opt — Seed, MaxLength, Uniform and the
-// Walks budget — as the first MineCtx call would, and returns ctx.Err() if
-// the build was cut. Callers use it to pay the one-off build up front, or
-// to time it apart from the queries.
+// Walks budget (BankWalks when larger) — as the first MineCtx call would,
+// and returns ctx.Err() if the build was cut. Callers use it to pay the
+// one-off build up front, or to time it apart from the queries.
 func Prepare(ctx context.Context, g *kg.Graph, opt MineOptions) error {
 	opt = opt.withDefaults()
 	if g.NumNodes() == 0 || opt.Walks <= 0 {
 		return nil
 	}
-	bankFor(ctx, g, opt.bankKey(), opt.Walks, opt.BuildObs)
+	bankFor(ctx, g, opt.bankKey(), opt.bankWalks(), opt.bankWalks(), opt.BuildObs)
 	return ctx.Err()
 }
 

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 )
 
 // DefaultAlpha is the paper's significance level: a characteristic is
@@ -31,8 +32,12 @@ const DefaultAlpha = 0.05
 type Multinomial struct {
 	// Alpha is the rejection threshold. Default DefaultAlpha.
 	Alpha float64
-	// ExactLimit bounds the number of outcome compositions enumerated
-	// exactly; beyond it Monte-Carlo is used. Default 200000.
+	// ExactLimit bounds the number of outcome compositions C(n+k−1, k−1)
+	// of a test summed exactly; beyond it Monte-Carlo is used. Default
+	// 200000. It counts compositions, not cost: the enumeration skips or
+	// sums in closed form every subtree that lies wholly on one side of
+	// the observation, so only the outcomes near its probability are
+	// visited one by one.
 	ExactLimit int
 	// Samples caps the Monte-Carlo sample count. Default 20000. A test
 	// stops earlier once seqHits samples are at most as likely as the
@@ -91,11 +96,14 @@ func (m Multinomial) Test(pi []float64, x []int) Result {
 type Scratch struct {
 	p      []float64
 	logp   []float64
-	sufMin []float64 // exact: least finite logp over each category suffix
+	q      []float64 // exact: the possible categories' p by descending p,
+	logq   []float64 // their logs,
+	logS   []float64 // and the logs of their suffix sums
 	cdf    []float64
 	counts []int
 	guide  []int
-	drawn  []uint64 // monteCarlo: one bit per category drawn this sample
+	drawn  []uint64      // monteCarlo: one bit per category drawn this sample
+	src    rand.Source64 // monteCarlo: re-seeded per test
 }
 
 // grow returns buf resized to length k, reallocating only when capacity
@@ -151,28 +159,46 @@ func (m Multinomial) TestScratch(pi []float64, x []int, s *Scratch) Result {
 	}
 
 	if comps, ok := compositionsUpTo(n, len(x), m.ExactLimit); ok && comps <= m.ExactLimit {
-		return Result{P: m.exact(p, logp, logX, n, len(x), s), Exact: true, LogProbX: logX}
+		return Result{P: m.exact(p, logX, n, s), Exact: true, LogProbX: logX}
 	}
 	return Result{P: m.monteCarlo(p, logp, logX, n, seqHits, s), Exact: false, LogProbX: logX}
 }
 
-// exact enumerates the compositions of n into k parts, accumulating the
-// probability of outcomes at most as likely as logX. Probability terms are
-// pure arithmetic over the cached category logs and the ln-factorial
-// table, so enumeration spends no time in math.Log/Lgamma.
-func (m Multinomial) exact(p, logp []float64, logX float64, n, k int, s *Scratch) float64 {
-	s.sufMin = grow(s.sufMin, k)
-	e := exactSum{p: p, logp: logp, sufMin: s.sufMin, logN: lgammaInt(n + 1), threshold: logX + logProbTolerance}
-	least := math.Inf(1)
-	for i := k - 1; i >= 0; i-- {
-		if p[i] > 0 && logp[i] < least {
-			least = logp[i]
+// exact enumerates the compositions of n over the possible categories,
+// accumulating the probability of outcomes at most as likely as logX.
+// Probability terms are pure arithmetic over the cached category logs and
+// the ln-factorial table, so enumeration spends no time in math.Log/Lgamma.
+//
+// The categories are walked by descending p, which makes the next category
+// of a subtree its likeliest and the last one the rarest; equal p are
+// interchangeable, so the order is that of the values alone. Impossible
+// categories are left out: x is 0 on every one of them, since logX is
+// finite, and every outcome drawing on them has probability 0.
+func (m Multinomial) exact(p []float64, logX float64, n int, s *Scratch) float64 {
+	s.q = s.q[:0]
+	for _, pv := range p {
+		if pv > 0 {
+			s.q = append(s.q, pv)
 		}
-		e.sufMin[i] = least
+	}
+	slices.Sort(s.q)
+	slices.Reverse(s.q)
+	k := len(s.q)
+	s.logq, s.logS = grow(s.logq, k), grow(s.logS, k)
+	e := exactSum{p: s.q, logp: s.logq, logS: s.logS, logN: lgammaInt(n + 1), threshold: logX + logProbTolerance}
+	for j, pv := range e.p {
+		e.logp[j] = math.Log(pv)
+	}
+	sum := 0.0
+	for j := k - 1; j >= 0; j-- {
+		sum += e.p[j]
+		e.logS[j] = math.Log(sum)
 	}
 	// A subtree is skipped only when its least likely outcome clears the
-	// threshold by far more than the rounding of the few-term sums compared.
-	e.skipAbove = e.threshold + 1e-9*(1+math.Abs(e.threshold)+e.logN-float64(n)*least)
+	// threshold by far more than the rounding of the few-term sums compared,
+	// and counted whole only when its likeliest one falls as far below it.
+	slack := 1e-9 * (1 + math.Abs(e.threshold) + e.logN - float64(n)*e.logp[k-1])
+	e.skipAbove, e.countBelow = e.threshold+slack, e.threshold-slack
 	e.walk(0, n, 0)
 	if e.total > 1 {
 		e.total = 1 // guard against accumulation drift
@@ -180,32 +206,43 @@ func (m Multinomial) exact(p, logp []float64, logX float64, n, k int, s *Scratch
 	return e.total
 }
 
-// exactSum is the state of one exact enumeration.
+// exactSum is the state of one exact enumeration over categories of
+// descending p; logS[j] is ln Σ_{i≥j} p[i].
 type exactSum struct {
-	p, logp, sufMin                   []float64
-	logN, threshold, skipAbove, total float64
+	p, logp, logS                                 []float64
+	logN, threshold, skipAbove, countBelow, total float64
 }
 
 // walk adds the outcomes that place remaining draws on categories cat
 // onward, given the log-probability logAcc of the counts chosen so far.
 func (e *exactSum) walk(cat, remaining int, logAcc float64) {
-	if cat == len(e.p)-1 {
+	last := len(e.p) - 1
+	if cat == last {
 		e.leaf(logAcc + termLogCached(e.p[cat], e.logp[cat], remaining))
 		return
 	}
 	for c := 0; c <= remaining; c++ {
 		lt := termLogCached(e.p[cat], e.logp[cat], c)
-		if math.IsInf(lt, -1) {
-			break // impossible category: every count above zero has probability 0
-		}
-		switch left := remaining - c; {
-		case left == 0:
+		left := remaining - c
+		if left == 0 {
 			// Every deeper category takes 0 draws and contributes an exact
 			// +0 term: this is the leaf.
 			e.leaf(logAcc + lt)
-		case logAcc+lt+(float64(left)*e.sufMin[cat+1]-lgammaInt(left+1))+e.logN > e.skipAbove:
-			// All of left on the rarest remaining category is the subtree's
-			// least likely outcome; above the threshold, none of it counts.
+			continue
+		}
+		base, lf := logAcc+lt+e.logN, lgammaInt(left+1)
+		// The subtree's outcomes sum Π p^c/c! over its categories to
+		// S^left/left! (the multinomial theorem): its mass is exp(base+tail).
+		tail := float64(left)*e.logS[cat+1] - lf
+		switch {
+		case base+float64(left)*e.logp[last]-lf > e.skipAbove:
+			// All of left on the rarest category is the subtree's least
+			// likely outcome; above the threshold, none of it counts.
+		case base+min(float64(left)*e.logp[cat+1], tail) <= e.countBelow:
+			// No outcome is likelier than all of left on the likeliest
+			// category with every ln c! dropped, nor than the subtree's
+			// whole mass: below the threshold, all of it counts.
+			e.total += math.Exp(base + tail)
 		default:
 			e.walk(cat+1, left, logAcc+lt)
 		}
@@ -261,7 +298,13 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n, h int, s *Sc
 	threshold := logX + logProbTolerance
 	// rand.NewSource documents that its result implements Source64; drawing
 	// from it directly yields rand.Rand.Float64's values without the wrappers.
-	src := rand.NewSource(m.Seed).(rand.Source64)
+	// Seed resets it to exactly the state NewSource(m.Seed) starts in.
+	if s.src == nil {
+		s.src = rand.NewSource(m.Seed).(rand.Source64)
+	} else {
+		s.src.Seed(m.Seed)
+	}
+	src := s.src
 	s.cdf = grow(s.cdf, len(p))
 	cdf := s.cdf
 	acc := 0.0

@@ -246,22 +246,31 @@ func TestNormalizeHelpers(t *testing.T) {
 var benchSink Result
 
 func BenchmarkExactTest(b *testing.B) {
+	run := func(name string, pi []float64, x []int) {
+		b.Run(name, func(b *testing.B) {
+			var s Scratch
+			m := Multinomial{}
+			if r := m.TestScratch(pi, x, &s); !r.Exact {
+				b.Fatal("shape left the exact regime")
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchSink = m.TestScratch(pi, x, &s)
+			}
+		})
+	}
 	for _, sh := range exactShapes {
 		for _, obs := range []string{"mode", "mid", "rare"} {
 			pi, x := shapeCase(sh.k, sh.n, 1, obs)
-			b.Run(fmt.Sprintf("n=%d,k=%d/%s", sh.n, sh.k, obs), func(b *testing.B) {
-				var s Scratch
-				m := Multinomial{}
-				if r := m.TestScratch(pi, x, &s); !r.Exact {
-					b.Fatal("shape left the exact regime")
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					benchSink = m.TestScratch(pi, x, &s)
-				}
-			})
+			run(fmt.Sprintf("n=%d,k=%d/%s", sh.n, sh.k, obs), pi, x)
 		}
 	}
+	// Two heavy captured shapes: the first line of the capture (142 506
+	// compositions, accepting) and the 46 376-composition test on the fourth
+	// (P = 0.014, rejecting).
+	pis, xs := exactCaptured(b)
+	run("captured/accept", pis[0], xs[0])
+	run("captured/reject", pis[3], xs[3])
 }
 
 func BenchmarkMonteCarloTest(b *testing.B) {

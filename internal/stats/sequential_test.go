@@ -151,17 +151,23 @@ func TestFullBudgetMatchesReference(t *testing.T) {
 	}
 }
 
-// mcShapes reads testdata/mc_shapes.jsonl: one (π, x) per line, π as the
-// context's raw counts. The first nine are Monte-Carlo tests captured from
-// 120 cold ContextRW requests on G_small (2–4 actors, ContextSize 100,
-// Walks 200 000, Seed 1, inverse labels skipped); none rejects. The other
-// thirteen keep a captured π and n and redraw x from π mixed with uniform
-// draws, kept where the 20 000-sample P fell either side of α: at most
-// 0.03 (six, two of them below h/Samples) or 0.08–0.2 (seven).
+// mcShapes reads testdata/mc_shapes.jsonl (see readShapes). The first nine
+// are Monte-Carlo tests captured from 120 cold ContextRW requests on G_small
+// (2–4 actors, ContextSize 100, Walks 200 000, Seed 1, inverse labels
+// skipped); none rejects. The other thirteen keep a captured π and n and
+// redraw x from π mixed with uniform draws, kept where the 20 000-sample P
+// fell either side of α: at most 0.03 (six, two of them below h/Samples)
+// or 0.08–0.2 (seven).
 func mcShapes(t *testing.T) (pis [][]float64, xs [][]int) {
-	f, err := os.Open("testdata/mc_shapes.jsonl")
+	return readShapes(t, "testdata/mc_shapes.jsonl")
+}
+
+// readShapes reads one (π, x) per line of a JSONL file, π as the context's
+// raw counts.
+func readShapes(tb testing.TB, name string) (pis [][]float64, xs [][]int) {
+	f, err := os.Open(name)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	defer f.Close()
 	sc := bufio.NewScanner(f)
@@ -171,7 +177,7 @@ func mcShapes(t *testing.T) (pis [][]float64, xs [][]int) {
 			X  []int `json:"x"`
 		}
 		if err := json.Unmarshal(sc.Bytes(), &c); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		pi := make([]float64, len(c.Pi))
 		for i, v := range c.Pi {
@@ -180,7 +186,7 @@ func mcShapes(t *testing.T) (pis [][]float64, xs [][]int) {
 		pis, xs = append(pis, pi), append(xs, c.X)
 	}
 	if err := sc.Err(); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return pis, xs
 }

@@ -649,7 +649,9 @@ func (e *Engine) selectorFor(opt Options, tag string) ctxsel.Selector {
 	case SelectorJaccard:
 		return ctxsel.Jaccard{}
 	default:
-		return ctxsel.ContextRW{Walks: opt.Walks, Seed: opt.Seed, BuildObs: e.met.bank}
+		// A request reads a prefix of the bank built at the engine's own
+		// budget, so lower per-request Walks never rebuild it.
+		return ctxsel.ContextRW{Walks: opt.Walks, BankWalks: e.maxWalks(), Seed: opt.Seed, BuildObs: e.met.bank}
 	}
 }
 

@@ -205,6 +205,28 @@ func TestQueryWalksDampingOverrideEquivalence(t *testing.T) {
 	})
 }
 
+// TestQueryWalksReadOneBank: rising per-request Walks on one default engine
+// read prefixes of a single walk bank built at the engine's budget, and
+// answer bit for bit as engines configured with each budget do. Every
+// engine gets its own graph, so none reads another's bank.
+func TestQueryWalksReadOneBank(t *testing.T) {
+	e := NewEngine(buildLeaders(), Options{})
+	query, err := e.Resolve("Angela Merkel", "Barack Obama")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 60001; w <= 60006; w++ {
+		got := mustDo(t, e, Query{Nodes: query, Walks: w})
+		want := mustDo(t, NewEngine(buildLeaders(), Options{Walks: w}), Query{Nodes: query})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Walks %d on a default engine differs from an engine built at %d", w, w)
+		}
+	}
+	if got := stageCount(t, e, "mine_bank_build"); got != 1 {
+		t.Fatalf("%d walk-bank builds for six rising Walks, want 1", got)
+	}
+}
+
 func TestApplyTriplesErrorsAndEpochs(t *testing.T) {
 	e := NewEngine(buildLeaders(), Options{})
 	ctx := context.Background()
