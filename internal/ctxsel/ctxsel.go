@@ -122,25 +122,19 @@ type RandomWalk struct {
 // Name implements Selector.
 func (RandomWalk) Name() string { return "RandomWalk" }
 
-// Scores implements Selector, picking one of ppr's two PageRank schedules
-// from the call's shape. A stream and a single query take the per-seed
-// fold: each seed is solved to completion when the batch reaches it, and a
-// query is released as its last seed folds (a single query is a stream of
-// one). A barriered batch solves its distinct seeds once, shares the
-// blocked multi-vector gather across their dense tails, and folds every
-// query at the end. Both run on the calling goroutine and produce the same
-// bits per query.
+// Scores implements Selector through ppr's one PageRank schedule, the
+// per-seed fold: each distinct seed is solved to completion when the batch
+// first reaches it, on the calling goroutine, and a query's sum is
+// complete as its last seed folds. A stream releases each query then; a
+// barriered call returns every sum together. Both produce the same bits
+// per query.
 func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
-	switch {
-	case ready != nil:
-		// The returned error is ctx.Err(), which the caller consults itself.
-		_ = ppr.PersonalizedSumMultiStream(ctx, g, queries, s.Opt, ready)
-		return nil
-	case len(queries) == 1:
-		return [][]float64{ppr.PersonalizedSumCtx(ctx, g, queries[0], s.Opt)}
-	default:
+	if ready == nil {
 		return ppr.PersonalizedSumMultiCtx(ctx, g, queries, s.Opt)
 	}
+	// The returned error is ctx.Err(), which the caller consults itself.
+	_ = ppr.PersonalizedSumMultiStream(ctx, g, queries, s.Opt, ready)
+	return nil
 }
 
 // ContextRW is the paper's context selector (Section 3.1).

@@ -1,9 +1,13 @@
+// The blocked multi-vector gather. No request runs it: ppr solves one
+// seed at a time through GatherStep.
+
 package kg
 
 // MaxGatherBlock is the widest vector block GatherStepMulti accepts. Eight
 // float64 columns are exactly one 64-byte cache line per node, so a block
 // walks the edge stream once while every per-node probability read lands
 // in a single line — the sweet spot for the memory-bandwidth-bound kernel.
+// bench/replay.go's kernel probe is its only caller; it goes with that probe.
 const MaxGatherBlock = 8
 
 // GatherStepMulti computes one damped power-iteration step, next = c·Ã·p,
@@ -11,8 +15,7 @@ const MaxGatherBlock = 8
 // ("blocked"): column j of node x lives at p[x*b+j], and likewise in next.
 // The edge stream (in-edge lists and probabilities) is read once for the
 // whole block instead of once per vector, and the b reads of a source
-// node's block are contiguous — the entire win of the batched cold path
-// sits in this loop.
+// node's block are contiguous.
 //
 // Each column's arithmetic replicates GatherStep exactly: the same four
 // running sums over the same edge order, combined in the same tree, so
@@ -24,6 +27,7 @@ const MaxGatherBlock = 8
 // b must be in [1, MaxGatherBlock]; next and p must hold NumNodes()*b
 // entries. A one-column block is a plain vector, so it runs the serial
 // kernel, which skips the column loop and the stride arithmetic.
+// bench/replay.go's kernel probe is its only caller; it goes with that probe.
 func (t *TransitionCSR) GatherStepMulti(next, p []float64, c float64, b int, dangling []float64) {
 	switch b {
 	case 1:

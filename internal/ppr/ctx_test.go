@@ -81,8 +81,11 @@ func TestPersonalizedSumCtxCancelledMidSolve(t *testing.T) {
 }
 
 // TestPersonalizedSumMultiCtxCancelled: the batched solve aborts cleanly
-// at every cut depth — no partial seed-cache stores, nil or complete
-// output rows only, and a fresh run over the same cache is bitwise right.
+// at every cut depth. Its contract is the per-seed fold's, as
+// TestPersonalizedSumCtxCancelledMidSolve states it: a first-probe cut
+// stores nothing, a cut batch returns all-nil rows, and whatever a cut
+// run stored — only seeds whose solves finished — serves a fresh run over
+// the same cache bit for bit.
 func TestPersonalizedSumMultiCtxCancelled(t *testing.T) {
 	g := randomGraph(400, 1600, 17)
 	rng := rand.New(rand.NewSource(29))
@@ -96,13 +99,12 @@ func TestPersonalizedSumMultiCtxCancelled(t *testing.T) {
 	for k := int64(0); k < total; k += 1 + total/8 {
 		cache := seedCacheOf(0)
 		out := PersonalizedSumMultiCtx(newCountdownCtx(k), g, queries, Options{SeedCache: cache})
-		if st := cache.Stats(); st.Size != 0 {
-			t.Fatalf("cut %d: aborted batch stored %d entries", k, st.Size)
+		if st := cache.Stats(); k == 0 && st.Size != 0 {
+			t.Fatalf("first-probe cut stored %d entries", st.Size)
 		}
-		// Rows released before the cut carry full results; the rest nil.
 		for qi := range out {
 			if out[qi] != nil {
-				assertSameBits(t, "released-before-cut", out[qi], want[qi])
+				t.Fatalf("cut %d: query %d returned a row", k, qi)
 			}
 		}
 		got := PersonalizedSumMultiCtx(context.Background(), g, queries, Options{SeedCache: cache})

@@ -21,8 +21,8 @@ import (
 // dense solves finish at different points; at ten iterations every seed
 // goes dense. The values were recorded from the multi-seed
 // personalization kernel this package had before every solve became one
-// weighted seed. Any change to a solve's arithmetic, the fold order, or
-// the blocked kernel's column bookkeeping shows up here.
+// weighted seed. Any change to a solve's arithmetic or the fold order
+// shows up here.
 var goldenPPRDigests = map[[2]float64]string{
 	{0.2, 10}: "58848cdb1ef3178719924eff57324e77d5c496728ec79cedc33a11f7f8022751",
 	{0.5, 5}:  "1214ef14e88620023b6b34d2b60c0dc36aa278e8d6743cb08d65235dfe68f581",
@@ -131,9 +131,8 @@ func digestVectors(vs [][]float64) string {
 
 // TestPPRGoldenDigests: PersonalizedSumCtx, PersonalizedSumMultiCtx and
 // PersonalizedSumMultiStream return the recorded bits with and without a
-// seed cache (cold, then warm), through both the
-// per-seed dense tail and the blocked multi-vector kernel, on the flat
-// graph and on an overlay view of it.
+// seed cache (cold, then warm), on the flat graph and on an overlay view
+// of it.
 func TestPPRGoldenDigests(t *testing.T) {
 	if raceEnabled {
 		t.Skip("72 batches of 12 queries take minutes under the race detector")

@@ -37,7 +37,7 @@ func TestPersonalizedSumMultiMatchesSequentialBitwise(t *testing.T) {
 	shapes := []struct{ nodes, edges int }{
 		{40, 80},      // tiny: saturates instantly
 		{400, 1600},   // mixed sparse/dense switch points
-		{2000, 12000}, // every tail dense: full blocks narrowing to one column
+		{2000, 12000}, // every tail dense
 	}
 	for _, sh := range shapes {
 		g := randomGraph(sh.nodes, sh.edges, 17)
@@ -88,9 +88,9 @@ func TestPersonalizedSumMultiEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPersonalizedSumMultiLongRun: a 300-iteration blocked solve, whose
-// columns reach bitwise fixed points long before their budget runs out,
-// still equals the solo solve bit for bit.
+// TestPersonalizedSumMultiLongRun: a 300-iteration batch, whose solves
+// reach bitwise fixed points long before their budget runs out, still
+// equals the workspace fold bit for bit.
 func TestPersonalizedSumMultiLongRun(t *testing.T) {
 	// A small dense-ish graph saturates early and converges well within
 	// the iteration budget.

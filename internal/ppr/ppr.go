@@ -48,15 +48,11 @@
 // earlier one — interactive refinement, the add-one-entity/re-search loop
 // — solve only its new seeds.
 //
-// Two schedules produce those sums, with the same bits. The per-seed fold
-// (foldSeedSum, seedvec.go) serves PersonalizedSumCtx, a batch of one, and
-// PersonalizedSumMultiStream: it solves each seed to completion when the
-// batch first reaches it and releases each query as its last seed folds.
-// The blocked batch (PersonalizedSumMultiCtx, multi.go) solves the
-// batch's unique seeds, runs their dense tails through the multi-vector
-// gather kernel — which sweeps each row's columns one at a time with the
-// serial kernel's arithmetic at every block width — and folds every query
-// once at the end.
+// One schedule produces every sum: the per-seed fold (foldSeedSum,
+// seedvec.go) behind PersonalizedSumCtx, PersonalizedSumMultiCtx and
+// PersonalizedSumMultiStream. It solves each seed to completion when the
+// batch first reaches it and folds it before the next runs; a query is
+// complete as its last seed folds.
 package ppr
 
 import (
@@ -123,7 +119,6 @@ type workspace struct {
 	p, next []float64
 	touched []kg.NodeID // nodes with p != 0 (unused once dense)
 	nextT   []kg.NodeID // nodes with next != 0 (scratch for the sweep)
-	seed    kg.NodeID   // the personalization: all restart mass lands here
 	dense   bool        // the run saturated and switched to dense sweeps
 }
 
@@ -185,61 +180,36 @@ const denseSwitchDivisor = 6
 // the caller owns ws and must reset or release it after consuming the
 // result.
 //
-// The run is two phases: the sparse phase walks the frontier until it
-// saturates (or the iteration budget runs out), then every remaining
-// iteration is a dense step. PersonalizedSumMultiCtx drives the same two
-// phases but hands the dense tail to the blocked multi-vector kernel, so
-// both paths share each phase's code — and therefore its bits.
+// The sparse iterations walk the frontier until it saturates; every
+// iteration from then on is a dense gather, which overwrites next
+// outright, so ws.touched is not maintained in the dense regime. Either
+// way the teleport puts the restart mass, plus the mass stranded on
+// dangling nodes, back on the seed.
 //
 // Cancellation is checked between sweeps: once ctx is done the run stops
 // mid-schedule and leaves a partial vector in ws, so callers must consult
 // ctx.Err() before using (or caching) the result.
 func personalizedInto(ctx context.Context, g *kg.Graph, seed kg.NodeID, opt Options, ws *workspace) {
-	ws.init(seed)
 	tr := g.Transitions()
-	it := ws.sparsePhase(ctx, g, tr, opt, opt.Iterations)
-	for ; it < opt.Iterations; it++ {
-		if ctx.Err() != nil {
-			return
-		}
-		ws.denseStep(tr, opt)
-	}
-}
-
-// init puts the whole starting mass on seed, the initial frontier.
-func (ws *workspace) init(seed kg.NodeID) {
-	ws.seed = seed
-	ws.p[seed] = 1
-	ws.touched = append(ws.touched, seed)
-}
-
-// sparsePhase runs power iterations in the frontier-sparse regime until
-// the frontier saturates — setting ws.dense without running that
-// iteration — or limit iterations complete, or ctx is cancelled (the
-// caller detects that case via ctx.Err(), never through the return
-// value). Returns the number of iterations run. The final vector is in
-// ws.p with support ws.touched.
-func (ws *workspace) sparsePhase(ctx context.Context, g *kg.Graph, tr *kg.TransitionCSR, opt Options, limit int) int {
 	c := opt.Damping
 	p, next := ws.p, ws.next
-	touched, nextT := ws.touched, ws.nextT[:0]
-	it := 0
-	for ; it < limit; it++ {
-		if ctx.Err() != nil {
-			break
-		}
-		if len(touched)*denseSwitchDivisor >= len(p) {
+	p[seed] = 1
+	touched, nextT := append(ws.touched, seed), ws.nextT[:0]
+	for it := 0; it < opt.Iterations && ctx.Err() == nil; it++ {
+		if !ws.dense && len(touched)*denseSwitchDivisor >= len(p) {
 			ws.dense = true
-			break
+		}
+		if ws.dense {
+			dangling := tr.GatherStep(next, p, c)
+			next[seed] += (1 - c) + c*dangling
+			p, next = next, p
+			continue
 		}
 		dangling := sparseSweep(g, tr, p, next, touched, &nextT, c)
-		// Teleport: restart mass plus mass stranded on dangling nodes, all
-		// of it back to the seed.
-		restart := (1 - c) + c*dangling
-		if next[ws.seed] == 0 {
-			nextT = append(nextT, ws.seed)
+		if next[seed] == 0 {
+			nextT = append(nextT, seed)
 		}
-		next[ws.seed] += restart
+		next[seed] += (1 - c) + c*dangling
 		for _, u := range touched {
 			p[u] = 0
 		}
@@ -248,18 +218,6 @@ func (ws *workspace) sparsePhase(ctx context.Context, g *kg.Graph, tr *kg.Transi
 	}
 	ws.p, ws.next = p, next
 	ws.touched, ws.nextT = touched, nextT
-	return it
-}
-
-// denseStep runs one saturated iteration — a full gather plus the
-// teleport — leaving the new vector in ws.p. The gather overwrites next
-// outright, so stale values need no clearing; ws.touched is not
-// maintained in the dense regime.
-func (ws *workspace) denseStep(tr *kg.TransitionCSR, opt Options) {
-	c := opt.Damping
-	dangling := tr.GatherStep(ws.next, ws.p, c)
-	ws.next[ws.seed] += (1 - c) + c*dangling
-	ws.p, ws.next = ws.next, ws.p
 }
 
 // sparseSweep propagates one step over the frontier only, appending the

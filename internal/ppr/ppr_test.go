@@ -154,10 +154,11 @@ func TestPersonalizedSumCachelessMemoryBound(t *testing.T) {
 	assertSameBits(t, "cacheless", got, refPersonalizedSum(g, seeds, opt))
 }
 
-// TestPersonalizedSumMultiStreamCachelessMemoryBound: a cacheless stream
+// TestPersonalizedSumMultiStreamCachelessMemoryBound: a cacheless batch
 // over queries with no seed in common holds no solved vector past its
-// query's fold, so it allocates the released sums and O(n) besides — not
-// one dense vector per seed of the batch.
+// query's fold, so it allocates the returned sums and O(n) besides — not
+// one dense vector per seed of the batch — whether it streams or returns
+// the sums together.
 func TestPersonalizedSumMultiStreamCachelessMemoryBound(t *testing.T) {
 	g := randomGraph(5000, 40000, 123)
 	n := g.NumNodes()
@@ -171,20 +172,28 @@ func TestPersonalizedSumMultiStreamCachelessMemoryBound(t *testing.T) {
 	if p := solo(g, queries[0][0], opt); countNonzero(p)*denseSwitchDivisor < n {
 		t.Fatal("test graph must saturate a single-seed solve")
 	}
-	got := make([][]float64, len(queries))
-	ready := func(qi int, sum []float64) { got[qi] = sum }
-	PersonalizedSumMultiStream(context.Background(), g, queries, opt, ready) // warm the workspace pool
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	PersonalizedSumMultiStream(context.Background(), g, queries, opt, ready)
-	runtime.ReadMemStats(&after)
-	// The eight sums are 8·8n, plus pool refills as in the solo bound;
-	// keeping every solved vector would be 80·8n.
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(20*8*n) {
-		t.Fatalf("cacheless stream of %d queries allocated %d bytes, want ≤ %d", len(queries), alloc, 20*8*n)
+	runs := map[string]func() [][]float64{
+		"stream": func() [][]float64 {
+			got := make([][]float64, len(queries))
+			PersonalizedSumMultiStream(context.Background(), g, queries, opt, func(qi int, sum []float64) { got[qi] = sum })
+			return got
+		},
+		"batch": func() [][]float64 { return PersonalizedSumMultiCtx(context.Background(), g, queries, opt) },
 	}
-	for qi, q := range queries {
-		assertSameBits(t, "cacheless-stream", got[qi], refPersonalizedSum(g, q, opt))
+	for name, run := range runs {
+		run() // warm the workspace pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		got := run()
+		runtime.ReadMemStats(&after)
+		// The eight sums are 8·8n, plus pool refills as in the solo bound;
+		// keeping every solved vector would be 80·8n.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > uint64(20*8*n) {
+			t.Fatalf("cacheless %s of %d queries allocated %d bytes, want ≤ %d", name, len(queries), alloc, 20*8*n)
+		}
+		for qi, q := range queries {
+			assertSameBits(t, "cacheless-"+name, got[qi], refPersonalizedSum(g, q, opt))
+		}
 	}
 }
 

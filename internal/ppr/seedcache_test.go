@@ -128,9 +128,10 @@ func TestPersonalizedSumMultiSeedCacheBitwise(t *testing.T) {
 	}
 }
 
-// TestPersonalizedSumMultiSeedCacheBlockedKernel runs the blocked
-// multi-vector kernel on a small graph and checks the extracted columns
-// are cached and bitwise identical on reuse.
+// TestPersonalizedSumMultiSeedCacheBlockedKernel, named for the blocked
+// multi-vector kernel batches once ran, runs a batch of saturating seeds
+// on a small graph and checks their dense vectors are cached and bitwise
+// identical on reuse.
 func TestPersonalizedSumMultiSeedCacheBlockedKernel(t *testing.T) {
 	g := randomGraph(300, 6000, 9)
 	opt := Options{Iterations: 12}
@@ -184,7 +185,8 @@ func TestSeedCacheKeySeparatesOptions(t *testing.T) {
 // TestSeedCacheDenseVectorsExactSize: a cached dense vector is exactly n
 // long with no spare capacity, and the seed layer charges 8n plus the key
 // plus 64 bytes for it — the workspace's growth headroom never reaches the
-// cache, through either schedule.
+// cache, through a sum or a batch (the "blocked" row, named for the
+// blocked kernel batches once ran).
 func TestSeedCacheDenseVectorsExactSize(t *testing.T) {
 	g := randomGraph(300, 6000, 5)
 	n := g.NumNodes()

@@ -1,11 +1,10 @@
-// Single-seed vectors, and the per-seed fold: the first of the package's
-// two schedules.
+// Single-seed vectors, and the per-seed fold: the package's one schedule.
 //
 // A solve is always one weighted walk from one seed, so a seed's vector
 // depends only on the seed, the damping, the iteration count and the
 // graph. Every sum is a fold of such independent solves in seed-list
-// order, whether a vector came out of a workspace, out of the blocked
-// multi-vector kernel, or out of Options.SeedCache, and each fold makes
+// order, whether a vector came out of a workspace or out of
+// Options.SeedCache, and each fold makes
 // the same additions for every source (seedVec.foldInto,
 // workspace.foldInto). Cache state therefore never changes a bit of the
 // output, only how much of it is recomputed: with a cache, the expensive
@@ -13,11 +12,9 @@
 // after {A, B} — is served per seed (qcache.LayerSeed) and only the
 // misses are solved; with a nil cache every seed is a miss.
 //
-// foldSeedSum, below, is the schedule of PersonalizedSumCtx and
-// PersonalizedSumMultiStream: one workspace, each seed solved to
-// completion when the batch reaches it, each query released as soon as
-// its last seed folds. PersonalizedSumMultiCtx (multi.go) is the other
-// schedule: the blocked batch that folds once at the end.
+// foldSeedSum, below, is the schedule of every sum: one workspace, each
+// seed solved to completion when the batch reaches it, each query
+// released as soon as its last seed folds.
 //
 // A seedVec keeps its solve's natural shape: a solve that stayed
 // frontier-sparse keeps its support list and values (often far below
@@ -126,7 +123,7 @@ func seedKey(prefix string, s kg.NodeID) string {
 }
 
 // foldSeedSum is the per-seed schedule behind PersonalizedSumCtx (a batch
-// of one) and PersonalizedSumMultiStream: it calls ready(qi, sum) once per
+// of one), PersonalizedSumMultiCtx and PersonalizedSumMultiStream: it calls ready(qi, sum) once per
 // query, on the calling goroutine, with the query's seeds' vectors folded
 // in seed-list order. Every distinct seed consults the seed cache first,
 // in order of first appearance, and the queries the cache serves whole

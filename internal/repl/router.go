@@ -34,10 +34,15 @@ const (
 	defaultBreakerFails    = 3
 	defaultBreakerCooldown = 5 * time.Second
 	defaultMaxBodyBytes    = 1 << 20
-	// maxProxyRespBytes caps a buffered (retryable) response copy; a
-	// bigger response streams through on the first attempt only.
+	// maxProxyRespBytes caps the upstream response the router buffers to
+	// relay; a bigger one is refused with a 502 (errRespTooLarge).
 	maxProxyRespBytes = 64 << 20
 )
+
+// errRespTooLarge marks an upstream response over the router's buffer cap.
+// Its size is a property of the request, so it is neither retried on
+// another replica nor charged to the replica's breaker.
+var errRespTooLarge = errors.New("upstream response exceeds the router's buffer cap")
 
 // Backend names one replica in the fleet.
 type Backend struct {
@@ -86,6 +91,7 @@ type Router struct {
 	by      map[string]*backendState
 	order   []*backendState // constructor order, for probes and /healthz
 	primary *backendState   // nil when cfg.Primary == ""
+	maxResp int64           // response buffer cap: maxProxyRespBytes
 
 	// met is the router's own registry behind GET /metrics and GET
 	// /statsz: per-backend try latency (whose _count is the per-backend
@@ -148,7 +154,7 @@ func NewRouter(cfg RouterConfig) (*Router, error) {
 	if cfg.MaxBodyBytes <= 0 {
 		cfg.MaxBodyBytes = defaultMaxBodyBytes
 	}
-	rt := &Router{cfg: cfg, by: make(map[string]*backendState, len(cfg.Backends)), met: obs.NewRegistry()}
+	rt := &Router{cfg: cfg, by: make(map[string]*backendState, len(cfg.Backends)), maxResp: maxProxyRespBytes, met: obs.NewRegistry()}
 	rt.hedges = rt.met.NewCounter("nc_router_hedges_total", "Hedged read attempts fired.")
 	rt.exhausted = rt.met.NewCounter("nc_router_exhausted_total", "Reads for which every candidate backend failed.")
 	names := make([]string, 0, len(cfg.Backends))
@@ -308,6 +314,10 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// No TryTimeout here: ingest latency includes fsync and is bounded
 	// by the client's own deadline, which proxies through ctx.
 	resp, err := rt.forward(r.Context(), rt.primary, r, body)
+	if errors.Is(err, errRespTooLarge) {
+		writeRouterJSON(w, http.StatusBadGateway, routerError{Error: err.Error()})
+		return
+	}
 	if err != nil {
 		rt.recordFailure(rt.primary)
 		writeRouterJSON(w, http.StatusBadGateway, routerError{Error: "primary unreachable: " + err.Error()})
@@ -384,6 +394,10 @@ func (rt *Router) handleRead(w http.ResponseWriter, r *http.Request, hedgeable b
 			}
 		case a := <-results:
 			outstanding--
+			if errors.Is(a.err, errRespTooLarge) {
+				writeRouterJSON(w, http.StatusBadGateway, routerError{Error: a.err.Error()})
+				return
+			}
 			if a.err == nil && !retryableStatus(a.resp.status) {
 				rt.recordOutcome(a.b, a.resp.status)
 				a.b.served.Inc()
@@ -501,9 +515,12 @@ func (rt *Router) forward(ctx context.Context, b *backendState, orig *http.Reque
 		return nil, err
 	}
 	defer resp.Body.Close()
-	rb, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyRespBytes))
+	rb, err := io.ReadAll(io.LimitReader(resp.Body, rt.maxResp+1))
 	if err != nil {
 		return nil, fmt.Errorf("reading %s response: %w", b.name, err)
+	}
+	if int64(len(rb)) > rt.maxResp {
+		return nil, fmt.Errorf("%w: %s answered more than %d bytes", errRespTooLarge, b.name, rt.maxResp)
 	}
 	br := &bufferedResp{status: resp.StatusCode, body: rb, header: make(http.Header, 4)}
 	for _, h := range []string{"Content-Type", "Retry-After", "X-Replica-Epoch", "X-Request-ID"} {

@@ -219,6 +219,47 @@ func TestClientErrorIsFinal(t *testing.T) {
 	}
 }
 
+// TestOversizedResponseRefused: an upstream response past the buffer cap
+// is answered with a JSON 502 naming the cap, never relayed cut short
+// under the upstream's 200. The size is a property of the request, so no
+// other replica is tried and no breaker is charged; a response exactly at
+// the cap still relays whole.
+func TestOversizedResponseRefused(t *testing.T) {
+	reps, rt := testFleet(t, []string{"primary", "r1", "r2"}, func(cfg *RouterConfig) {
+		cfg.BreakerFails = 1 // one charge would open a breaker
+	})
+	order := readOrder(rt)
+	rt.maxResp = 8
+	for _, path := range []string{"/v1/search", "/v1/ingest"} {
+		rec := doRouter(rt, http.MethodPost, path, searchBody, nil)
+		var e routerError
+		if rec.Code != http.StatusBadGateway || json.Unmarshal(rec.Body.Bytes(), &e) != nil || !strings.Contains(e.Error, "8 bytes") {
+			t.Fatalf("%s: status %d body %q, want a JSON 502 naming the 8-byte cap", path, rec.Code, rec.Body)
+		}
+	}
+	for name, f := range reps {
+		want := int64(0)
+		if name == order[0] {
+			want = 1
+		}
+		if f.searchHits.Load() != want {
+			t.Fatalf("backend %s saw %d reads, want %d", name, f.searchHits.Load(), want)
+		}
+		if !rt.by[name].available() {
+			t.Fatalf("backend %s's breaker was charged for an oversized response", name)
+		}
+	}
+	if got := reps["primary"].ingestHits.Load(); got != 1 {
+		t.Fatalf("primary saw %d ingests, want 1", got)
+	}
+
+	whole := fmt.Sprintf(`{"served_by":%q}`, order[0])
+	rt.maxResp = int64(len(whole))
+	if rec := doRouter(rt, http.MethodPost, "/v1/search", searchBody, nil); rec.Code != http.StatusOK || rec.Body.String() != whole {
+		t.Fatalf("at-cap response: status %d body %q, want 200 %q", rec.Code, rec.Body, whole)
+	}
+}
+
 // TestAllFailedReplaysHonestBackpressure: when every slot answers 503,
 // the client gets a real replica's 503 with its Retry-After — evidence
 // beats a synthesized 502.

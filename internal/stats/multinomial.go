@@ -6,6 +6,7 @@
 package stats
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -96,8 +97,7 @@ func (m Multinomial) Test(pi []float64, x []int) Result {
 type Scratch struct {
 	p      []float64
 	logp   []float64
-	q      []float64 // exact: the possible categories' p by descending p,
-	logq   []float64 // their logs,
+	cats   []probLog // exact: the possible categories by descending p,
 	logS   []float64 // and the logs of their suffix sums
 	cdf    []float64
 	counts []int
@@ -159,7 +159,7 @@ func (m Multinomial) TestScratch(pi []float64, x []int, s *Scratch) Result {
 	}
 
 	if comps, ok := compositionsUpTo(n, len(x), m.ExactLimit); ok && comps <= m.ExactLimit {
-		return Result{P: m.exact(p, logX, n, s), Exact: true, LogProbX: logX}
+		return Result{P: m.exact(p, logp, logX, n, s), Exact: true, LogProbX: logX}
 	}
 	return Result{P: m.monteCarlo(p, logp, logX, n, seqHits, s), Exact: false, LogProbX: logX}
 }
@@ -171,33 +171,30 @@ func (m Multinomial) TestScratch(pi []float64, x []int, s *Scratch) Result {
 //
 // The categories are walked by descending p, which makes the next category
 // of a subtree its likeliest and the last one the rarest; equal p are
-// interchangeable, so the order is that of the values alone. Impossible
-// categories are left out: x is 0 on every one of them, since logX is
-// finite, and every outcome drawing on them has probability 0.
-func (m Multinomial) exact(p []float64, logX float64, n int, s *Scratch) float64 {
-	s.q = s.q[:0]
-	for _, pv := range p {
+// interchangeable, and have equal logs, so the order is that of the values
+// alone. Impossible categories are left out: x is 0 on every one of them,
+// since logX is finite, and every outcome drawing on them has probability
+// 0. Each possible category carries the log TestScratch already took.
+func (m Multinomial) exact(p, logp []float64, logX float64, n int, s *Scratch) float64 {
+	s.cats = s.cats[:0]
+	for i, pv := range p {
 		if pv > 0 {
-			s.q = append(s.q, pv)
+			s.cats = append(s.cats, probLog{pv, logp[i]})
 		}
 	}
-	slices.Sort(s.q)
-	slices.Reverse(s.q)
-	k := len(s.q)
-	s.logq, s.logS = grow(s.logq, k), grow(s.logS, k)
-	e := exactSum{p: s.q, logp: s.logq, logS: s.logS, logN: lgammaInt(n + 1), threshold: logX + logProbTolerance}
-	for j, pv := range e.p {
-		e.logp[j] = math.Log(pv)
-	}
+	slices.SortFunc(s.cats, func(a, b probLog) int { return cmp.Compare(b.p, a.p) })
+	k := len(s.cats)
+	s.logS = grow(s.logS, k)
+	e := exactSum{cats: s.cats, logS: s.logS, logN: lgammaInt(n + 1), threshold: logX + logProbTolerance}
 	sum := 0.0
 	for j := k - 1; j >= 0; j-- {
-		sum += e.p[j]
+		sum += e.cats[j].p
 		e.logS[j] = math.Log(sum)
 	}
 	// A subtree is skipped only when its least likely outcome clears the
 	// threshold by far more than the rounding of the few-term sums compared,
 	// and counted whole only when its likeliest one falls as far below it.
-	slack := 1e-9 * (1 + math.Abs(e.threshold) + e.logN - float64(n)*e.logp[k-1])
+	slack := 1e-9 * (1 + math.Abs(e.threshold) + e.logN - float64(n)*e.cats[k-1].logp)
 	e.skipAbove, e.countBelow = e.threshold+slack, e.threshold-slack
 	e.walk(0, n, 0)
 	if e.total > 1 {
@@ -206,23 +203,27 @@ func (m Multinomial) exact(p []float64, logX float64, n int, s *Scratch) float64
 	return e.total
 }
 
+// probLog is one possible category's p and ln p.
+type probLog struct{ p, logp float64 }
+
 // exactSum is the state of one exact enumeration over categories of
 // descending p; logS[j] is ln Σ_{i≥j} p[i].
 type exactSum struct {
-	p, logp, logS                                 []float64
+	cats                                          []probLog
+	logS                                          []float64
 	logN, threshold, skipAbove, countBelow, total float64
 }
 
 // walk adds the outcomes that place remaining draws on categories cat
 // onward, given the log-probability logAcc of the counts chosen so far.
 func (e *exactSum) walk(cat, remaining int, logAcc float64) {
-	last := len(e.p) - 1
+	last, pc := len(e.cats)-1, e.cats[cat]
 	if cat == last {
-		e.leaf(logAcc + termLogCached(e.p[cat], e.logp[cat], remaining))
+		e.leaf(logAcc + termLogCached(pc.p, pc.logp, remaining))
 		return
 	}
 	for c := 0; c <= remaining; c++ {
-		lt := termLogCached(e.p[cat], e.logp[cat], c)
+		lt := termLogCached(pc.p, pc.logp, c)
 		left := remaining - c
 		if left == 0 {
 			// Every deeper category takes 0 draws and contributes an exact
@@ -235,10 +236,10 @@ func (e *exactSum) walk(cat, remaining int, logAcc float64) {
 		// S^left/left! (the multinomial theorem): its mass is exp(base+tail).
 		tail := float64(left)*e.logS[cat+1] - lf
 		switch {
-		case base+float64(left)*e.logp[last]-lf > e.skipAbove:
+		case base+float64(left)*e.cats[last].logp-lf > e.skipAbove:
 			// All of left on the rarest category is the subtree's least
 			// likely outcome; above the threshold, none of it counts.
-		case base+min(float64(left)*e.logp[cat+1], tail) <= e.countBelow:
+		case base+min(float64(left)*e.cats[cat+1].logp, tail) <= e.countBelow:
 			// No outcome is likelier than all of left on the likeliest
 			// category with every ln c! dropped, nor than the subtree's
 			// whole mass: below the threshold, all of it counts.

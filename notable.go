@@ -93,8 +93,8 @@
 // DoBatch serves many independent queries in one pass over the cold
 // pipeline: each query consults the cache first, the misses share one
 // multi-source PageRank solve (each distinct seed across the batch is
-// solved once, with dense iterations blocked through a multi-vector
-// gather kernel on large graphs), and the comparison stages fan out
+// solved once, through the same per-seed fold as a single query), and
+// the comparison stages fan out
 // through a process-wide bounded executor, Options.Parallelism queries at
 // a time. Batches of overlapping cold
 // queries — eval sweeps, batch entity profiling, bursty traffic — run

@@ -223,10 +223,12 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 // Result per query, in order. Queries with identical effective options
 // (engine options + overrides; TopK excluded, it is a per-query
 // post-cut) share one deduplicated cold pass — per-query cache consults
-// first, one multi-source PageRank solve for the misses, comparison
-// stages fanned through the shared executor, up to Options.Parallelism
-// at once — and results are bitwise identical to calling Do per query for
-// every batch size, override mix, and Parallelism. Batches whose
+// first, one multi-source PageRank solve for the misses (each distinct
+// seed solved once, through the per-seed fold a single query runs),
+// comparison stages fanned through the shared executor, up to
+// Options.Parallelism at once — and results are bitwise identical to
+// calling Do per query for every batch size, override mix, and
+// Parallelism. Batches whose
 // overrides differ are grouped by effective options; deduplication
 // applies within each group.
 //
@@ -247,12 +249,13 @@ func (e *Engine) doBatch(ctx context.Context, qs []Query) ([]Result, error) {
 		ctx = context.Background()
 	}
 	view := e.vg.View() // pin: every group of the batch runs on this epoch
-	groups, err := e.groupRequests(qs, view)
-	if err != nil {
-		return nil, err
+	for i, q := range qs {
+		if err := q.validate(view.G, e.maxWalks()); err != nil {
+			return nil, fmt.Errorf("%w (batch index %d)", err, i)
+		}
 	}
 	results := make([]Result, len(qs))
-	for _, grp := range groups {
+	for _, grp := range e.groupRequests(qs, view) {
 		rs, err := core.FindNCBatch(ctx, view.G, grp.nodes, grp.copt)
 		if err != nil {
 			return nil, err
@@ -297,7 +300,7 @@ func (e *Engine) DoStream(ctx context.Context, qs []Query) <-chan Outcome {
 		valid = append(valid, q)
 		origIdx = append(origIdx, i)
 	}
-	groups, _ := e.groupRequests(valid, view) // already validated: err impossible
+	groups := e.groupRequests(valid, view)
 	start := time.Now()
 	go func() {
 		defer close(ch)
@@ -333,17 +336,14 @@ type requestGroup struct {
 	copt  core.Options
 }
 
-// groupRequests validates qs and partitions it by effective options
+// groupRequests partitions the validated qs by effective options
 // (first-appearance order, stable within a group) so each partition can
 // share one deduplicated batch pass, all pinned to the caller's view.
 // TopK never splits a group — it is applied per query after the fact.
-func (e *Engine) groupRequests(qs []Query, view *kg.View) ([]*requestGroup, error) {
+func (e *Engine) groupRequests(qs []Query, view *kg.View) []*requestGroup {
 	byOpt := make(map[Options]*requestGroup)
 	var groups []*requestGroup
 	for i, q := range qs {
-		if err := q.validate(view.G, e.maxWalks()); err != nil {
-			return nil, fmt.Errorf("%w (batch index %d)", err, i)
-		}
 		eff := e.opt.apply(q)
 		grp := byOpt[eff]
 		if grp == nil {
@@ -354,5 +354,5 @@ func (e *Engine) groupRequests(qs []Query, view *kg.View) ([]*requestGroup, erro
 		grp.idx = append(grp.idx, i)
 		grp.nodes = append(grp.nodes, q.Nodes)
 	}
-	return groups, nil
+	return groups
 }
