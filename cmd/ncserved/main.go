@@ -65,6 +65,24 @@ import (
 	"repro/internal/server"
 )
 
+// checkFlags refuses the engine flags no request could serve: a negative
+// -k or -walks, an -alpha outside (0, 1), or an unknown -selector.
+func checkFlags(k, walks int, alpha float64, selector string) error {
+	switch {
+	case k < 0:
+		return fmt.Errorf("-k %d is negative", k)
+	case walks < 0:
+		return fmt.Errorf("-walks %d is negative", walks)
+	case !(alpha > 0 && alpha < 1):
+		return fmt.Errorf("-alpha %v is outside (0, 1)", alpha)
+	}
+	switch selector {
+	case notable.SelectorContextRW, notable.SelectorRandomWalk, notable.SelectorSimRank, notable.SelectorJaccard:
+		return nil
+	}
+	return fmt.Errorf("unknown -selector %q (want contextrw | randomwalk | simrank | jaccard)", selector)
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -87,10 +105,8 @@ func main() {
 		follow      = flag.String("follow", "", "primary base URL to replicate from (follower mode: read-only, in-memory)")
 	)
 	flag.Parse()
-	switch *selector {
-	case notable.SelectorContextRW, notable.SelectorRandomWalk, notable.SelectorSimRank, notable.SelectorJaccard:
-	default:
-		fmt.Fprintf(os.Stderr, "ncserved: unknown -selector %q (want contextrw | randomwalk | simrank | jaccard)\n", *selector)
+	if err := checkFlags(*k, *walks, *alpha, *selector); err != nil {
+		fmt.Fprintf(os.Stderr, "ncserved: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -11,10 +11,13 @@
 //
 // A search runs on its request's goroutine: the context is selected there
 // and the labels are then tested one after another in LabelsOf order (the
-// finished report optionally memoized through Options.Cache). Results are
-// deterministic for a fixed seed because every randomized component takes
-// an explicit seed. The one fan-out is FindNCBatch's, which compares the
-// queries of a batch at once through internal/exec.
+// finished report optionally memoized through Options.Cache). Selection
+// has one mode: Contexts releases each query's context as it completes,
+// and FindNC and FindNCBatch collect the releases by query index
+// (CollectContexts) before comparing. Results are deterministic for a
+// fixed seed because every randomized component takes an explicit seed.
+// The one fan-out is FindNCBatch's, which compares the queries of a batch
+// at once through internal/exec.
 //
 // Every entry point is request-scoped: it takes a context.Context,
 // threads it through context selection (the PageRank loops check it
@@ -22,7 +25,7 @@
 // and returns ctx.Err() once the request is cancelled — a dropped request
 // stops burning CPU mid-solve. Cancellation never corrupts shared caches:
 // only complete records and contexts are stored. FindNCStream (stream.go)
-// additionally releases each query of a batch as it completes instead of
+// compares each query of a batch inside its context's release instead of
 // barriering.
 package core
 
@@ -248,12 +251,8 @@ func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (R
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
-	selStart := time.Now()
-	contexts := Contexts(ctx, g, [][]kg.NodeID{query}, opt, nil)
-	if opt.Obs != nil {
-		opt.Obs.Select.Observe(time.Since(selStart))
-	}
-	if err := ctx.Err(); err != nil {
+	contexts, err := selectTimed(ctx, g, [][]kg.NodeID{query}, opt)
+	if err != nil {
 		return Result{}, err
 	}
 	res := Result{Query: query, Context: contexts[0]}
@@ -266,26 +265,19 @@ func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (R
 	return res, err
 }
 
-// FindNCBatch runs FindNC for every query in one batched pass. Context
-// selection is one barriered Contexts call for the whole batch, so a
-// selector with batch-wide kernels amortizes graph traversal across the
-// cache misses; the comparison stages then fan out per query through the
-// shared executor, up to Parallelism at once, each an independent
-// CompareSets writing its own slot.
-// Results are bitwise identical to calling FindNC per query for every
-// batch size and Parallelism setting. A cancelled ctx stops every stage
-// within one sweep or label test and returns ctx.Err().
+// FindNCBatch runs FindNC for every query in one batched pass: one
+// selection for the whole batch, collected by query index, then one
+// CompareSets per query through the shared executor, up to Parallelism at
+// once. Results are bitwise identical to calling FindNC per query for
+// every batch size and Parallelism setting. A cancelled ctx stops every
+// stage within one sweep or label test and returns ctx.Err().
 func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
-	selStart := time.Now()
-	contexts := Contexts(ctx, g, queries, opt, nil)
-	if opt.Obs != nil {
-		opt.Obs.Select.Observe(time.Since(selStart))
-	}
-	if err := ctx.Err(); err != nil {
+	contexts, err := selectTimed(ctx, g, queries, opt)
+	if err != nil {
 		return nil, err
 	}
 	results := make([]Result, len(queries))
@@ -305,48 +297,67 @@ func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Op
 			results[i].Characteristics, _ = CompareSets(ctx, g, queries[i], results[i].ContextIDs(), opt)
 		}
 	}
-	workers := opt.Parallelism
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	exec.RunWorkersCtx(ctx, workers, run)
+	exec.RunWorkersCtx(ctx, min(opt.Parallelism, len(queries)), run)
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
+// selectTimed is CollectContexts under the Select stage timer.
+func selectTimed(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([][]topk.Item, error) {
+	start := time.Now()
+	contexts, err := CollectContexts(ctx, g, queries, opt)
+	if opt.Obs != nil {
+		opt.Obs.Select.Observe(time.Since(start))
+	}
+	return contexts, err
+}
+
+// CollectContexts runs Contexts and puts each released context in its
+// query's slot, whatever the release order. The slots come back even on
+// error, nil where nothing was released; the error is ctx.Err() once ctx
+// is done, or errSelectorStalled when the selector returned under a live
+// ctx without releasing every query.
+func CollectContexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([][]topk.Item, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	out := make([][]topk.Item, len(queries))
+	released := 0
+	Contexts(ctx, g, queries, opt, func(i int, items []topk.Item) {
+		out[i] = items
+		released++
+	})
+	if err := ctx.Err(); err != nil {
+		return out, err
+	}
+	if released < len(queries) {
+		return out, errSelectorStalled
+	}
+	return out, nil
+}
+
 // cachedContextFloor is the smallest cut the selector layer stores, so
 // one entry serves every default-sized request and any smaller one.
 const cachedContextFloor = 100
 
-// Contexts resolves every query's ranked context, exactly
-// ctxsel.TopKFromScores of the selector's vector at opt.ContextSize,
-// through the selector layer of opt.Cache: only the misses go to
-// opt.Selector.Scores, in the caller's mode, and each miss's vector is cut
-// once at max(k, cachedContextFloor), stored, and dropped. A hit is a
-// private copy of the entry's first k items; an entry shorter than its
-// cut holds every candidate and serves any k, while a larger k than a
-// full entry holds solves again and replaces it (the lookup still counts
-// as a hit). Entries are keyed by the query list as given (qcache.Key).
-//
-// ready == nil is the barriered call: it returns every context in query
-// order, or nil once ctx is done. ready != nil is the streaming call:
-// ready(i, items) fires once per query on the calling goroutine — hits at
-// once, misses as the selector releases them — and the return value is
-// nil. Once ctx is done nothing more is stored or released.
-func Contexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(i int, items []topk.Item)) [][]topk.Item {
+// Contexts resolves every query's ranked context — exactly
+// ctxsel.TopKFromScores of the selector's vector at opt.ContextSize — and
+// hands it to ready(i, items) once, on the calling goroutine: selector-
+// layer hits (opt.Cache) at once, misses as opt.Selector.Scores releases
+// them. Each miss's vector is cut once at max(k, cachedContextFloor),
+// stored under qcache.Key (the query list as given), and dropped. A hit is
+// a private copy of the entry's first k items; an entry shorter than its
+// cut holds every candidate and serves any k, while a k above a full
+// entry's cut solves again and replaces it (the lookup still counts as a
+// hit). Once ctx is done nothing more is stored or released.
+func Contexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options, ready func(i int, items []topk.Item)) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	opt = opt.withDefaults()
 	k := opt.ContextSize
-	var out [][]topk.Item
-	deliver := ready
-	if ready == nil {
-		out = make([][]topk.Item, len(queries))
-		deliver = func(i int, items []topk.Item) { out[i] = items }
-	}
 	// The selector sees misses[j] = queries[idx[j]]; keys[j] is "" when
 	// the query is not to be cached.
 	var (
@@ -360,17 +371,24 @@ func Contexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Optio
 			key = qcache.Key(opt.Cache.SelectorPrefix, q)
 		}
 		if items, ok := opt.Cache.lookup(key, k); ok {
-			deliver(i, items)
+			ready(i, items)
 			continue
 		}
 		idx, keys, misses = append(idx, i), append(keys, key), append(misses, q)
 	}
 	if len(misses) == 0 {
-		return out
+		return
 	}
-	cut := func(j int, scores []float64) (int, []topk.Item) {
+	opt.Selector.Scores(ctx, g, misses, func(j int, scores []float64) {
+		// One probe gates both: once ctx is done a context is neither
+		// stored nor released, even if the selector did not look at ctx
+		// before releasing its vector.
+		if ctx.Err() != nil {
+			return
+		}
 		if keys[j] == "" {
-			return idx[j], ctxsel.TopKFromScores(scores, misses[j], k)
+			ready(idx[j], ctxsel.TopKFromScores(scores, misses[j], k))
+			return
 		}
 		r := &rankedContext{cut: max(k, cachedContextFloor)}
 		r.items = ctxsel.TopKFromScores(scores, misses[j], r.cut)
@@ -378,27 +396,8 @@ func Contexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Optio
 		// and list element and the rankedContext.
 		opt.Cache.Store.PutSized(keys[j], r, qcache.LayerSelector, 16*int64(len(r.items))+int64(len(keys[j]))+96)
 		items, _ := r.prefix(k)
-		return idx[j], items
-	}
-	if ready != nil {
-		opt.Selector.Scores(ctx, g, misses, func(j int, scores []float64) {
-			// One probe gates both: once ctx is done a context is neither
-			// stored nor released, even if the selector did not look at ctx
-			// before releasing its vector.
-			if ctx.Err() == nil {
-				deliver(cut(j, scores))
-			}
-		})
-		return nil
-	}
-	scores := opt.Selector.Scores(ctx, g, misses, nil)
-	if ctx.Err() != nil {
-		return nil // cut short: vectors may be partial — neither stored nor usable
-	}
-	for j := range misses {
-		deliver(cut(j, scores[j]))
-	}
-	return out
+		ready(idx[j], items)
+	})
 }
 
 // rankedContext is one selector-layer entry: a query's context cut at

@@ -9,41 +9,34 @@ import (
 
 	"repro/internal/ctxsel"
 	"repro/internal/kg"
+	"repro/internal/qcache"
 )
 
-// selectorCall is one recorded Selector.Scores invocation.
-type selectorCall struct {
-	queries  [][]kg.NodeID
-	streamed bool
-}
-
-// recordingSelector delegates to RandomWalk and records how it was called;
-// with stall set, a streaming call releases only the first query.
+// recordingSelector delegates to RandomWalk and records the batch of every
+// call; with stall set, it releases only the first query.
 type recordingSelector struct {
-	calls *[]selectorCall
+	calls *[][][]kg.NodeID
 	stall bool
 }
 
 func (recordingSelector) Name() string { return "recording" }
 
-func (r recordingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(int, []float64)) [][]float64 {
-	*r.calls = append(*r.calls, selectorCall{queries: queries, streamed: ready != nil})
-	if r.stall && ready != nil {
-		ready(0, ctxsel.RandomWalk{}.Scores(ctx, g, queries[:1], nil)[0])
-		return nil
+func (r recordingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(int, []float64)) {
+	*r.calls = append(*r.calls, queries)
+	if r.stall {
+		queries = queries[:1]
 	}
-	return ctxsel.RandomWalk{}.Scores(ctx, g, queries, ready)
+	ctxsel.RandomWalk{}.Scores(ctx, g, queries, ready)
 }
 
 // TestEntryPointsMakeOneSelectorCall: each entry point reaches the
-// selector exactly once, in the mode its caller can observe — FindNC a
-// barriered batch of one, FindNCBatch one barriered batch, FindNCStream
-// one streaming batch — so the selector, not the caller, picks the solve
-// schedule.
+// selector exactly once — FindNC with a batch of one, FindNCBatch and
+// FindNCStream with the whole batch — so the selector, not the caller,
+// picks the solve schedule.
 func TestEntryPointsMakeOneSelectorCall(t *testing.T) {
 	g, query := leadersGraph()
 	queries := streamQueries(g, query)
-	var calls []selectorCall
+	var calls [][][]kg.NodeID
 	opt := Options{Selector: recordingSelector{calls: &calls}, ContextSize: 8, Seed: 3}
 
 	if _, err := FindNC(context.Background(), g, query, opt); err != nil {
@@ -57,13 +50,9 @@ func TestEntryPointsMakeOneSelectorCall(t *testing.T) {
 			t.Errorf("stream query %d: %v", i, err)
 		}
 	})
-	want := []selectorCall{
-		{queries: [][]kg.NodeID{query}, streamed: false},
-		{queries: queries, streamed: false},
-		{queries: queries, streamed: true},
-	}
+	want := [][][]kg.NodeID{{query}, queries, queries}
 	if !reflect.DeepEqual(calls, want) {
-		t.Fatalf("selector calls = %+v, want %+v", calls, want)
+		t.Fatalf("selector calls = %v, want %v", calls, want)
 	}
 }
 
@@ -73,7 +62,7 @@ func TestEntryPointsMakeOneSelectorCall(t *testing.T) {
 func TestFindNCStreamStalledSelector(t *testing.T) {
 	g, query := leadersGraph()
 	queries := streamQueries(g, query)
-	var calls []selectorCall
+	var calls [][][]kg.NodeID
 	opt := Options{Selector: recordingSelector{calls: &calls, stall: true}, ContextSize: 8, Seed: 3}
 	var mu sync.Mutex
 	errs := make(map[int]error)
@@ -94,6 +83,88 @@ func TestFindNCStreamStalledSelector(t *testing.T) {
 		}
 		if i != 0 && !errors.Is(err, errSelectorStalled) {
 			t.Fatalf("withheld query %d: err = %v, want errSelectorStalled", i, err)
+		}
+	}
+}
+
+// TestBatchEntryPointsReportStalledSelector: FindNC and FindNCBatch fail
+// with errSelectorStalled, rather than compare an empty context, when the
+// selector returns under a live ctx without releasing every query.
+func TestBatchEntryPointsReportStalledSelector(t *testing.T) {
+	g, query := leadersGraph()
+	queries := streamQueries(g, query)
+	var calls [][][]kg.NodeID
+	opt := Options{Selector: recordingSelector{calls: &calls, stall: true}, ContextSize: 8, Seed: 3}
+	if _, err := FindNCBatch(context.Background(), g, queries, opt); !errors.Is(err, errSelectorStalled) {
+		t.Fatalf("FindNCBatch: err = %v, want errSelectorStalled", err)
+	}
+	contexts, err := CollectContexts(context.Background(), g, queries, opt)
+	if !errors.Is(err, errSelectorStalled) || len(contexts) != len(queries) || contexts[0] == nil || contexts[1] != nil {
+		t.Fatalf("CollectContexts: %d slots, err = %v; want query 0's context alone and errSelectorStalled", len(contexts), err)
+	}
+	if _, err := FindNC(context.Background(), g, query, opt); err != nil {
+		t.Fatalf("FindNC on a batch of one, released: %v", err)
+	}
+}
+
+// reverseSelector scores a batch through RandomWalk but releases it in
+// reverse query order.
+type reverseSelector struct{}
+
+func (reverseSelector) Name() string { return "reverse" }
+
+func (reverseSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(int, []float64)) {
+	held := make([][]float64, len(queries))
+	ctxsel.RandomWalk{}.Scores(ctx, g, queries, func(i int, scores []float64) { held[i] = scores })
+	for i := len(held) - 1; i >= 0; i-- {
+		if held[i] != nil {
+			ready(i, held[i])
+		}
+	}
+}
+
+// TestReleasesOutOfQueryOrder: a selector releasing a batch in reverse
+// order, alone or behind a selector layer that already holds every other
+// query (so hits are released before misses), leaves each context in its
+// own query's slot — FindNCBatch, FindNC and CollectContexts are bitwise
+// what an in-order release yields.
+func TestReleasesOutOfQueryOrder(t *testing.T) {
+	g, query := leadersGraph()
+	queries := streamQueries(g, query)
+	ctx := context.Background()
+	inOrder := Options{Selector: ctxsel.RandomWalk{}, ContextSize: 8, Seed: 3}
+	want, err := FindNCBatch(ctx, g, queries, inOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed := inOrder
+	reversed.Selector = reverseSelector{}
+	cached := reversed
+	cached.Cache = &Cache{Store: qcache.NewSharded(qcache.Config{Capacity: 1024}), SelectorPrefix: "rw|"}
+	for i := 0; i < len(queries); i += 2 {
+		if _, err := CollectContexts(ctx, g, queries[i:i+1], cached); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, opt := range []Options{reversed, cached} {
+		contexts, err := CollectContexts(ctx, g, queries, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := FindNCBatch(ctx, g, queries, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range queries {
+			if !reflect.DeepEqual(contexts[i], want[i].Context) {
+				t.Fatalf("cached=%t: CollectContexts slot %d holds another query's context", opt.Cache != nil, i)
+			}
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Fatalf("cached=%t: FindNCBatch result %d differs from the in-order release", opt.Cache != nil, i)
+			}
+			if solo, err := FindNC(ctx, g, q, opt); err != nil || !reflect.DeepEqual(solo, want[i]) {
+				t.Fatalf("cached=%t: FindNC(query %d) differs from the in-order release (err %v)", opt.Cache != nil, i, err)
+			}
 		}
 	}
 }

@@ -2,16 +2,14 @@
 // pipeline as FindNCBatch but releases each query's result the moment it
 // is ready instead of barriering the whole batch.
 //
-// The barrier FindNCBatch pays is structural: the multi-source PageRank
-// solve finishes every query's context before any comparison stage
+// FindNCBatch collects every query's context before any comparison stage
 // starts, so the first result of an N-query batch arrives only after all
-// N have been compared. Here context selection is the streaming Contexts
-// call: as each query's context is released (a cache hit at once), its
-// comparison stage runs inside the release callback, on the calling
-// goroutine, and its result is emitted before the selector moves on to
-// the next query's seeds. Seed-level deduplication across the batch is
-// untouched (it lives inside the selector), and each emitted Result is
-// bitwise identical to a solo FindNC call.
+// N have been compared. Here each query's comparison stage runs inside
+// the release callback of the same Contexts call (a cache hit at once),
+// on the calling goroutine, and its result is emitted before the selector
+// moves on to the next query's seeds. Seed-level deduplication across the
+// batch is untouched (it lives inside the selector), and each emitted
+// Result is bitwise identical to a solo FindNC call.
 package core
 
 import (
@@ -23,9 +21,9 @@ import (
 	"repro/internal/topk"
 )
 
-// errSelectorStalled reports a streaming selector that returned without
-// either delivering a query or a cancelled ctx — a selector contract
-// violation surfaced as an error rather than a hang.
+// errSelectorStalled reports a selector that returned under a live ctx
+// without releasing every query — a selector contract violation surfaced
+// as an error rather than a hang or an empty context.
 var errSelectorStalled = errors.New("core: streaming selector ended before delivering every query")
 
 // FindNCStream runs FindNC for every query, invoking emit(i, res, err)

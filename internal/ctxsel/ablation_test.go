@@ -131,7 +131,7 @@ func rankingOf(scores []float64, query []kg.NodeID, k int) []struct {
 func TestScoresSumBounded(t *testing.T) {
 	g, query, _ := communityGraph()
 	s := ContextRW{Walks: 20000, Seed: 5}
-	scores := s.Scores(context.Background(), g, [][]kg.NodeID{query}, nil)[0]
+	scores := scoresOf(t, context.Background(), s, g, [][]kg.NodeID{query})[0]
 	sum := 0.0
 	for _, v := range scores {
 		if v < 0 {

@@ -46,10 +46,23 @@ func contractQueries(g *kg.Graph, query []kg.NodeID) [][]kg.NodeID {
 	return [][]kg.NodeID{query, {query[0]}, {query[0], b0}, query}
 }
 
+// scoresOf collects every vector a Scores call releases into its query's
+// slot, failing on a second release of one query.
+func scoresOf(t *testing.T, ctx context.Context, s Selector, g *kg.Graph, queries [][]kg.NodeID) [][]float64 {
+	t.Helper()
+	out := make([][]float64, len(queries))
+	s.Scores(ctx, g, queries, func(i int, scores []float64) {
+		if out[i] != nil {
+			t.Fatalf("%s: query %d released twice", s.Name(), i)
+		}
+		out[i] = scores
+	})
+	return out
+}
+
 // TestScoresModesBitwise: for every selector, a query's score vector — and
-// so its context — is bitwise the same whether it is scored alone, inside
-// a barriered batch, or released from a stream; a stream releases every
-// query exactly once and returns nil.
+// so its context — is bitwise the same whether it is scored alone or
+// released from a batch, and a batch releases every query exactly once.
 func TestScoresModesBitwise(t *testing.T) {
 	g, query, _ := communityGraph()
 	queries := contractQueries(g, query)
@@ -57,7 +70,7 @@ func TestScoresModesBitwise(t *testing.T) {
 	for _, s := range contractSelectors() {
 		solo := make([][]float64, len(queries))
 		for i, q := range queries {
-			solo[i] = s.Scores(ctx, g, [][]kg.NodeID{q}, nil)[0]
+			solo[i] = scoresOf(t, ctx, s, g, [][]kg.NodeID{q})[0]
 			if len(solo[i]) != g.NumNodes() {
 				t.Fatalf("%s: vector of %d scores for %d nodes", s.Name(), len(solo[i]), g.NumNodes())
 			}
@@ -66,48 +79,31 @@ func TestScoresModesBitwise(t *testing.T) {
 				t.Fatalf("%s: Select(%v) = %v, want the top-k cut %v", s.Name(), q, got, want)
 			}
 		}
-		batch := s.Scores(ctx, g, queries, nil)
-		if len(batch) != len(queries) {
-			t.Fatalf("%s: barriered batch returned %d vectors for %d queries", s.Name(), len(batch), len(queries))
-		}
-		streamed := make([][]float64, len(queries))
-		ret := s.Scores(ctx, g, queries, func(i int, scores []float64) {
-			if streamed[i] != nil {
-				t.Fatalf("%s: query %d released twice", s.Name(), i)
-			}
-			streamed[i] = scores
-		})
-		if ret != nil {
-			t.Fatalf("%s: streaming call returned %d vectors, want nil", s.Name(), len(ret))
-		}
-		for i := range queries {
-			if !reflect.DeepEqual(batch[i], solo[i]) {
-				t.Fatalf("%s: barriered vector %d differs from the solo one", s.Name(), i)
-			}
-			if streamed[i] == nil {
+		for i, scores := range scoresOf(t, ctx, s, g, queries) {
+			if scores == nil {
 				t.Fatalf("%s: query %d never released", s.Name(), i)
 			}
-			if !reflect.DeepEqual(streamed[i], solo[i]) {
-				t.Fatalf("%s: streamed vector %d differs from the solo one", s.Name(), i)
+			if !reflect.DeepEqual(scores, solo[i]) {
+				t.Fatalf("%s: batch vector %d differs from the solo one", s.Name(), i)
 			}
 		}
 	}
 }
 
-// TestScoresCancelled: at every cut depth and in every mode, no ready
-// fires once ctx is done, a released vector is complete (bitwise the
-// uncut one), and a pre-cancelled call releases nothing.
+// TestScoresCancelled: at every cut depth, no ready fires once ctx is
+// done, a released vector is complete (bitwise the uncut one), and a
+// pre-cancelled call releases nothing.
 func TestScoresCancelled(t *testing.T) {
 	g, query, _ := communityGraph()
 	queries := contractQueries(g, query)
 	for _, s := range contractSelectors() {
-		want := s.Scores(context.Background(), g, queries, nil)
+		want := scoresOf(t, context.Background(), s, g, queries)
 		const budget = int64(1 << 30)
 		full := newCountdownCtx(budget)
 		s.Scores(full, g, queries, func(int, []float64) {})
 		total := budget - full.left.Load()
 		if total < int64(len(queries)) {
-			t.Fatalf("%s: stream probed ctx only %d times for %d queries", s.Name(), total, len(queries))
+			t.Fatalf("%s: batch probed ctx only %d times for %d queries", s.Name(), total, len(queries))
 		}
 		for k := int64(0); k < total; k += 1 + total/16 {
 			ctx := newCountdownCtx(k)
@@ -125,11 +121,8 @@ func TestScoresCancelled(t *testing.T) {
 				t.Fatalf("%s: cut %d of %d never landed", s.Name(), k, total)
 			}
 			if k == 0 && released != 0 {
-				t.Fatalf("%s: pre-cancelled stream released %d queries", s.Name(), released)
+				t.Fatalf("%s: pre-cancelled batch released %d queries", s.Name(), released)
 			}
-			// Barriered and single calls under the same cut must return (not
-			// hang or panic); their vectors are meaningless by contract.
-			s.Scores(newCountdownCtx(k), g, queries, nil)
 			if got := Select(newCountdownCtx(k), s, g, queries[0], 8); k == 0 && got != nil {
 				t.Fatalf("%s: pre-cancelled Select returned %v", s.Name(), got)
 			}

@@ -2,8 +2,9 @@
 // top-k nodes most similar to a query set.
 //
 // Definition 2 has one shape — score every node against Q, cut the top-k —
-// and so does this package: a Selector scores, TopKFromScores cuts. Two
-// selectors come from the paper:
+// and so does this package: a Selector scores, releasing each query's
+// vector once it is complete, and TopKFromScores cuts. Two selectors come
+// from the paper:
 //
 //   - RandomWalk — the baseline: informativeness-weighted Personalized
 //     PageRank from each query node, summed (Section 3.1, Eq. 1–2).
@@ -36,58 +37,42 @@ type Selector interface {
 	// Name identifies the selector in reports and cache keys.
 	Name() string
 	// Scores computes one dense similarity vector per query (index = node
-	// ID; query nodes may carry arbitrary scores, the cut excludes them).
-	// A single query is a batch of one. Each vector is bitwise what a
-	// batch of just that query yields, whatever the batch or mode.
-	//
-	// ready == nil is the barriered call: it returns every vector, in
-	// query order, and may use batch-wide kernels. Once ctx is done the
-	// returned vectors are meaningless — callers must consult ctx.Err()
-	// before using or storing them.
-	//
-	// ready != nil is the streaming call: ready(i, scores) fires exactly
-	// once per query, on the calling goroutine, the moment that query's
-	// vector is complete (expensive consumers should offload), and the
-	// return value is nil. Once ctx is done the call stops and unreleased
+	// ID; query nodes may carry arbitrary scores, the cut excludes them)
+	// and hands it to ready(i, scores), exactly once per query, on the
+	// calling goroutine, the moment that vector is complete (expensive
+	// consumers should offload). Releases may come in any order; a single
+	// query is a batch of one. Each vector is bitwise what a batch of just
+	// that query yields. Once ctx is done the call stops and unreleased
 	// queries never get a callback, so only complete vectors are released.
-	Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64
+	Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64))
 }
 
 // Select resolves one query's ranked context through sel: up to k nodes by
-// descending similarity, never including query nodes. A done ctx yields
-// nil.
+// descending similarity, never including query nodes. A ctx done before
+// the vector is complete yields nil.
 func Select(ctx context.Context, sel Selector, g *kg.Graph, query []kg.NodeID, k int) []topk.Item {
-	scores := sel.Scores(ctx, g, [][]kg.NodeID{query}, nil)
-	if ctx.Err() != nil {
+	var scores []float64
+	sel.Scores(ctx, g, [][]kg.NodeID{query}, func(_ int, s []float64) { scores = s })
+	if scores == nil {
 		return nil
 	}
-	return TopKFromScores(scores[0], query, k)
+	return TopKFromScores(scores, query, k)
 }
 
-// scoreEach is Scores for selectors without a batch-wide kernel: score
-// runs per query in order, each vector delivered in the caller's mode as
-// it completes. A score cut short by ctx is dropped along with the rest of
-// the batch.
-func scoreEach(ctx context.Context, queries [][]kg.NodeID, ready func(i int, scores []float64), score func(query []kg.NodeID) []float64) [][]float64 {
-	var out [][]float64
-	if ready == nil {
-		out = make([][]float64, len(queries))
-	}
+// scoreEach is Scores for selectors that score one query at a time: score
+// runs per query in order, each vector released as it completes. A score
+// cut short by ctx is dropped along with the rest of the batch.
+func scoreEach(ctx context.Context, queries [][]kg.NodeID, ready func(i int, scores []float64), score func(query []kg.NodeID) []float64) {
 	for i, q := range queries {
 		if ctx.Err() != nil {
-			break
+			return
 		}
 		scores := score(q)
 		if ctx.Err() != nil {
-			break
+			return
 		}
-		if ready != nil {
-			ready(i, scores)
-		} else {
-			out[i] = scores
-		}
+		ready(i, scores)
 	}
-	return out
 }
 
 // TopKFromScores cuts the k best-scored nodes from a dense score vector,
@@ -124,17 +109,11 @@ func (RandomWalk) Name() string { return "RandomWalk" }
 
 // Scores implements Selector through ppr's one PageRank schedule, the
 // per-seed fold: each distinct seed is solved to completion when the batch
-// first reaches it, on the calling goroutine, and a query's sum is
-// complete as its last seed folds. A stream releases each query then; a
-// barriered call returns every sum together. Both produce the same bits
-// per query.
-func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
-	if ready == nil {
-		return ppr.PersonalizedSumMultiCtx(ctx, g, queries, s.Opt)
-	}
+// first reaches it, on the calling goroutine, and a query is released as
+// its last seed folds.
+func (s RandomWalk) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) {
 	// The returned error is ctx.Err(), which the caller consults itself.
 	_ = ppr.PersonalizedSumMultiStream(ctx, g, queries, s.Opt, ready)
-	return nil
 }
 
 // ContextRW is the paper's context selector (Section 3.1).
@@ -184,9 +163,9 @@ func (s ContextRW) withDefaults() ContextRW {
 // the graph's walk bank; the first selection on a graph builds it, and
 // that build — the one long step — honors cancellation via
 // metapath.MineCtx. The scoring pass runs only while ctx stays live.
-func (s ContextRW) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
+func (s ContextRW) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) {
 	s = s.withDefaults()
-	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
+	scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
 		mined := metapath.MineCtx(ctx, g, query, metapath.MineOptions{
 			Walks:     s.Walks,
 			BankWalks: s.BankWalks,
@@ -332,8 +311,8 @@ type Jaccard struct{}
 func (Jaccard) Name() string { return "Jaccard" }
 
 // Scores implements Selector.
-func (Jaccard) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
-	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
+func (Jaccard) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) {
+	scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
 		return neighborScores(g, query, jaccard)
 	})
 }
@@ -350,12 +329,12 @@ type SimRank struct {
 func (SimRank) Name() string { return "SimRank" }
 
 // Scores implements Selector.
-func (s SimRank) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) [][]float64 {
+func (s SimRank) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(i int, scores []float64)) {
 	c := s.C
 	if c == 0 {
 		c = 0.8
 	}
-	return scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
+	scoreEach(ctx, queries, ready, func(query []kg.NodeID) []float64 {
 		return neighborScores(g, query, func(a, b map[kg.NodeID]bool) float64 {
 			if len(a) == 0 || len(b) == 0 {
 				return 0

@@ -6,28 +6,9 @@ import (
 	"testing"
 )
 
-// TestGroupCtxCancelledDropsTasks: Go on a cancelled group is a no-op —
-// no execution, no Wait leak.
-func TestGroupCtxCancelledDropsTasks(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	g := NewGroupCtx(ctx, Default())
-	var ran atomic.Int64
-	g.Go(func() { ran.Add(1) })
-	g.Wait()
-	if ran.Load() != 1 {
-		t.Fatalf("live group ran %d tasks, want 1", ran.Load())
-	}
-	cancel()
-	g2 := NewGroupCtx(ctx, Default())
-	g2.Go(func() { ran.Add(1) })
-	g2.Wait()
-	if ran.Load() != 1 {
-		t.Fatal("cancelled group still ran a task")
-	}
-}
-
 // TestRunWorkersCtx: under a live ctx the claim loop drains everything; a
-// pre-cancelled ctx runs nothing, including the inline share.
+// pre-cancelled ctx runs nothing, including the caller's own share, and
+// spills nothing inline.
 func TestRunWorkersCtx(t *testing.T) {
 	var next, done atomic.Int64
 	const items = 50
@@ -51,6 +32,14 @@ func TestRunWorkersCtx(t *testing.T) {
 	RunWorkersCtx(ctx, 4, func() { ran.Add(1) })
 	if ran.Load() != 0 {
 		t.Fatalf("cancelled RunWorkersCtx executed %d workers", ran.Load())
+	}
+	// Nor does it hand off or spill anything onto a saturated pool.
+	p := newPool(2)
+	release := hold(p, nil)
+	defer release()
+	p.runWorkers(ctx, 4, func() { ran.Add(1) })
+	if s := p.Stats(); ran.Load() != 0 || s.InlineRuns != 0 {
+		t.Fatalf("cancelled call on a held pool: %d runs, stats %+v", ran.Load(), s)
 	}
 }
 

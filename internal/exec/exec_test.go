@@ -5,103 +5,116 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
-// TestPoolConcurrencyBound: a pool of w workers runs at most w tasks on
-// pool goroutines; with the submitter running fallbacks inline, observed
-// concurrency never exceeds w+1 (workers plus the one submitting
-// goroutine).
+// hold occupies every goroutine of p with a task, counted in g when g is
+// non-nil, that blocks until the returned release is called. A blocking
+// send lands only on a parked goroutine, and a goroutine running a held
+// task takes no other, so once hold returns p has no idle goroutine and
+// Busy counts every held task.
+func hold(p *Pool, g *peakGauge) (release func()) {
+	gate := make(chan struct{})
+	started := make(chan struct{}, p.workers)
+	for i := 0; i < p.workers; i++ {
+		p.tasks <- func() {
+			if g != nil {
+				g.enter()
+				defer g.leave()
+			}
+			started <- struct{}{}
+			<-gate
+		}
+	}
+	for i := 0; i < p.workers; i++ {
+		<-started
+	}
+	return func() { close(gate) }
+}
+
+// peakGauge tracks how many runs are in flight and the most ever at once.
+type peakGauge struct{ cur, peak atomic.Int64 }
+
+func (g *peakGauge) enter() {
+	cur := g.cur.Add(1)
+	for old := g.peak.Load(); cur > old && !g.peak.CompareAndSwap(old, cur); old = g.peak.Load() {
+	}
+}
+
+func (g *peakGauge) leave() { g.cur.Add(-1) }
+
+// TestPoolConcurrencyBound: at most workers+1 runs are in flight at once
+// (the pool's goroutines plus the caller). With every pool goroutine held
+// mid-task, each of a call's runs executes inline beside them, so the
+// bound is reached exactly; once released, later calls stay within it.
 func TestPoolConcurrencyBound(t *testing.T) {
 	const workers = 3
-	p := NewPool(workers)
-	var inFlight, peak atomic.Int64
-	g := NewGroupCtx(context.Background(), p)
-	for i := 0; i < 50; i++ {
-		g.Go(func() {
-			cur := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if cur <= old || peak.CompareAndSwap(old, cur) {
-					break
-				}
-			}
-			time.Sleep(time.Millisecond)
-			inFlight.Add(-1)
-		})
+	p := newPool(workers)
+	var g peakGauge
+	run := func() {
+		g.enter()
+		g.leave()
 	}
-	g.Wait()
-	if got := peak.Load(); got > workers+1 {
-		t.Fatalf("peak concurrency %d, want <= %d (workers + submitter)", got, workers+1)
+	release := hold(p, &g)
+	p.runWorkers(context.Background(), 10, run)
+	if got := g.peak.Load(); got != workers+1 {
+		t.Fatalf("peak concurrency on a held pool %d, want exactly %d (workers + caller)", got, workers+1)
+	}
+	release()
+	for i := 0; i < 200; i++ {
+		p.runWorkers(context.Background(), 10, run)
+	}
+	if got := g.peak.Load(); got > workers+1 {
+		t.Fatalf("peak concurrency %d, want <= %d (workers + caller)", got, workers+1)
 	}
 }
 
-// TestGroupRunsEveryTask: every submitted task runs exactly once whether
-// it was handed off or ran inline.
-func TestGroupRunsEveryTask(t *testing.T) {
-	p := NewPool(2)
-	var ran atomic.Int64
-	g := NewGroupCtx(context.Background(), p)
-	for i := 0; i < 1000; i++ {
-		g.Go(func() { ran.Add(1) })
-	}
-	g.Wait()
-	if ran.Load() != 1000 {
-		t.Fatalf("%d tasks ran, want 1000", ran.Load())
-	}
-}
-
-// TestNestedGroupsNoDeadlock: tasks that themselves fan out through the
-// same pool must complete — the inline fallback guarantees progress even
-// when the nesting exceeds the worker count.
-func TestNestedGroupsNoDeadlock(t *testing.T) {
-	p := NewPool(2)
-	var ran atomic.Int64
-	done := make(chan struct{})
-	go func() {
-		outer := NewGroupCtx(context.Background(), p)
-		for i := 0; i < 8; i++ {
-			outer.Go(func() {
-				inner := NewGroupCtx(context.Background(), p)
-				for j := 0; j < 8; j++ {
-					inner.Go(func() { ran.Add(1) })
-				}
-				inner.Wait()
-			})
-		}
-		outer.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("nested groups deadlocked")
-	}
-	if ran.Load() != 64 {
-		t.Fatalf("%d inner tasks ran, want 64", ran.Load())
-	}
-}
-
-// TestGroupsShareOnePool: many concurrent groups over one pool all
-// complete and never lose a task.
-func TestGroupsShareOnePool(t *testing.T) {
-	p := NewPool(4)
-	var ran atomic.Int64
+// TestRunWorkersRunsEveryItemOnce: concurrent callers sharing one pool each
+// get exactly workers executions of run under a live ctx, and their claim
+// loops process every item exactly once, whether a run was handed off or
+// ran inline.
+func TestRunWorkersRunsEveryItemOnce(t *testing.T) {
+	const callers, workers, items = 8, 4, 500
+	p := newPool(2)
+	counts := make([]atomic.Int32, callers*items)
+	runs := make([]atomic.Int32, callers)
 	var wg sync.WaitGroup
-	for c := 0; c < 16; c++ {
+	for c := 0; c < callers; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			g := NewGroupCtx(context.Background(), p)
-			for i := 0; i < 100; i++ {
-				g.Go(func() { ran.Add(1) })
-			}
-			g.Wait()
+			var next atomic.Int64
+			p.runWorkers(context.Background(), workers, func() {
+				runs[c].Add(1)
+				for i := next.Add(1) - 1; i < items; i = next.Add(1) - 1 {
+					counts[c*items+int(i)].Add(1)
+				}
+			})
 		}()
 	}
 	wg.Wait()
-	if ran.Load() != 1600 {
-		t.Fatalf("%d tasks ran, want 1600", ran.Load())
+	for c := range runs {
+		if n := runs[c].Load(); n != workers {
+			t.Fatalf("caller %d: run executed %d times, want %d", c, n, workers)
+		}
+	}
+	for i := range counts {
+		if n := counts[i].Load(); n != 1 {
+			t.Fatalf("caller %d item %d ran %d times, want 1", i/items, i%items, n)
+		}
+	}
+}
+
+// TestNestedRunWorkersNoDeadlock: runs that themselves fan out through the
+// same pool complete — a nested call that finds no idle goroutine runs
+// inline — even when the nesting exceeds the worker count.
+func TestNestedRunWorkersNoDeadlock(t *testing.T) {
+	p := newPool(2)
+	var ran atomic.Int64
+	p.runWorkers(context.Background(), 8, func() {
+		p.runWorkers(context.Background(), 8, func() { ran.Add(1) })
+	})
+	if ran.Load() != 64 {
+		t.Fatalf("%d inner runs, want 64", ran.Load())
 	}
 }
 

@@ -2,63 +2,28 @@ package exec
 
 import (
 	"context"
+	"slices"
 	"testing"
-	"time"
 )
 
-// waitFor polls cond for up to ~2s — gauge updates race the observer by
-// design, so assertions settle rather than sample.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if cond() {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("timeout waiting for %s", what)
-}
-
-// TestPoolStats: Busy gauges tasks on pool workers, InlineRuns counts
-// saturation spills, and both settle back after the load drains.
+// TestPoolStats: Busy gauges tasks on pool goroutines, and a hand-off to a
+// saturated pool runs inline on the caller and counts in InlineRuns.
 func TestPoolStats(t *testing.T) {
-	p := NewPool(2)
+	p := newPool(2)
 	if s := p.Stats(); s.Workers != 2 || s.Busy != 0 || s.InlineRuns != 0 {
 		t.Fatalf("fresh pool stats = %+v", s)
 	}
-
-	release := make(chan struct{})
-	block := func() { <-release }
-	// Saturate both workers. TrySubmit is a true idleness probe, so it can
-	// refuse until the freshly started workers park; retry instead of
-	// assuming startup order.
-	for i := 0; i < 2; i++ {
-		waitFor(t, "worker handoff", func() bool { return p.TrySubmit(block) })
+	release := hold(p, nil)
+	defer release()
+	if s := p.Stats(); s.Busy != 2 || s.InlineRuns != 0 {
+		t.Fatalf("held pool stats = %+v, want Busy 2 and no inline run", s)
 	}
-	waitFor(t, "Busy=2", func() bool { return p.Stats().Busy == 2 })
-
-	// A Group task submitted against the saturated pool runs inline on its
-	// submitter and bumps the spill counter.
-	g := NewGroupCtx(context.Background(), p)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		g.Go(func() {})
-	}()
-	<-done
-	g.Wait()
-	s := p.Stats()
-	if s.InlineRuns != 1 {
-		t.Fatalf("InlineRuns = %d after a saturated submit, want 1", s.InlineRuns)
-	}
-	if s.Busy != 2 {
-		t.Fatalf("Busy = %d while both workers blocked, want 2", s.Busy)
-	}
-
-	close(release)
-	waitFor(t, "Busy=0", func() bool { return p.Stats().Busy == 0 })
-	if s := p.Stats(); s.InlineRuns != 1 || s.Workers != 2 {
-		t.Fatalf("drained pool stats = %+v", s)
+	// Each spilled worker runs on this goroutine as soon as it is counted,
+	// before the next hand-off is tried, and the caller's own run comes
+	// last — so the runs, which need no lock, see InlineRuns 1, 2, 3, 3.
+	var seen []int64
+	p.runWorkers(context.Background(), 4, func() { seen = append(seen, p.Stats().InlineRuns) })
+	if s := p.Stats(); !slices.Equal(seen, []int64{1, 2, 3, 3}) || s.InlineRuns != 3 || s.Busy != 2 {
+		t.Fatalf("4 workers on a saturated pool: runs saw InlineRuns %v, stats %+v; want [1 2 3 3], 3 inline, Busy 2", seen, s)
 	}
 }

@@ -8,7 +8,7 @@
 // each miss to completion when the batch first reaches it, and folds every
 // query's seeds in seed-list order, so each sum is bitwise identical to
 // calling PersonalizedSumCtx per query. The barriered batch and the stream
-// differ only in when a sum reaches the caller.
+// differ only in when a sum reaches the caller; requests use the stream.
 package ppr
 
 import (
@@ -29,6 +29,10 @@ import (
 // cancellation. A batch cut short returns all-nil rows; callers must treat
 // ctx.Err() != nil as "no result". Seeds solved before the cut stay in the
 // seed cache: their vectors are complete.
+//
+// No request calls it — a batch's selection streams, and its caller
+// gathers the releases — so bench/replay.go's batch probe is its only
+// non-test caller.
 func PersonalizedSumMultiCtx(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) [][]float64 {
 	out := make([][]float64, len(queries))
 	released := 0

@@ -52,7 +52,8 @@
 // seedvec.go) behind PersonalizedSumCtx, PersonalizedSumMultiCtx and
 // PersonalizedSumMultiStream. It solves each seed to completion when the
 // batch first reaches it and folds it before the next runs; a query is
-// complete as its last seed folds.
+// complete as its last seed folds. Every request reaches it through
+// PersonalizedSumMultiStream (ctxsel.RandomWalk).
 package ppr
 
 import (
@@ -266,6 +267,9 @@ func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched [
 // request stops burning CPU within one sweep. A sum cut short by ctx is
 // never returned: the result is nil — callers must treat ctx.Err() != nil
 // as "no result" — and nothing partial is ever stored in the seed cache.
+//
+// No request calls it — selection runs PersonalizedSumMultiStream — so
+// bench/replay.go's per-stage probe is its only non-test caller.
 func PersonalizedSumCtx(ctx context.Context, g *kg.Graph, seeds []kg.NodeID, opt Options) []float64 {
 	start := time.Now()
 	var sum []float64

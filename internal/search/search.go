@@ -18,6 +18,7 @@
 package search
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -106,9 +107,10 @@ func (idx *Index) NumNodes() int {
 
 // Lookup finds the best matches for a free-text mention. An exact
 // (case-insensitive) name match always ranks first with score 1; otherwise
-// candidates are scored by the fraction of query tokens they contain,
-// discounted by how many extra tokens the candidate name has. Ties break
-// by name for determinism. Returns up to limit hits.
+// candidates are scored by the fraction of the mention's distinct tokens
+// they contain, discounted by how many extra tokens the candidate name
+// has, so no fuzzy score exceeds 0.9. Ties break by name for determinism.
+// Returns up to limit hits.
 func (idx *Index) Lookup(mention string, limit int) []Hit {
 	if limit <= 0 {
 		return nil
@@ -125,7 +127,11 @@ func (idx *Index) Lookup(mention string, limit int) []Hit {
 			return hits
 		}
 	}
+	// A repeated mention token counts once: counted again, it would lift a
+	// fuzzy score past 0.9 and above the exact hit.
 	tokens := Tokenize(mention)
+	slices.Sort(tokens)
+	tokens = slices.Compact(tokens)
 	if len(tokens) > 0 {
 		matched := make(map[kg.NodeID]int)
 		for _, tok := range tokens {

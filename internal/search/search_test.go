@@ -124,7 +124,9 @@ func TestDeterministicTieBreak(t *testing.T) {
 }
 
 // refLookup is Lookup as it stood before the exact-hit short-circuit and
-// the lock, kept verbatim as the reference the served path must equal.
+// the lock, kept verbatim as the reference the served path must equal on
+// every mention without a repeated token (it counts a repeat again; see
+// TestLookupRepeatedMentionTokens).
 func refLookup(idx *Index, mention string, limit int) []Hit {
 	if limit <= 0 {
 		return nil
@@ -166,6 +168,41 @@ func refLookup(idx *Index, mention string, limit int) []Hit {
 		hits = hits[:limit]
 	}
 	return hits
+}
+
+// TestLookupRepeatedMentionTokens: a mention repeating a token ranks as
+// its distinct tokens do. Every fuzzy score stays at most 0.9, so the
+// exact hit leads, and the first hit at any limit is Lookup(m, 1)'s, which
+// Resolve takes.
+func TestLookupRepeatedMentionTokens(t *testing.T) {
+	b := kg.NewBuilder(16)
+	for _, n := range []string{"foo foo", "Foo", "Angela Merkel", "Merkel Foo Bar"} {
+		b.Node(n)
+	}
+	idx := NewIndex(b.Build())
+	for _, m := range []string{"foo foo", "Foo FOO foo", "merkel merkel merkel", "angela merkel angela", "foo merkel foo"} {
+		hits := idx.Lookup(m, 10)
+		if len(hits) == 0 {
+			t.Fatalf("Lookup(%q) found nothing", m)
+		}
+		for _, h := range hits {
+			if exact := strings.EqualFold(h.Name, strings.TrimSpace(m)); !exact && h.Score > 0.9 {
+				t.Fatalf("Lookup(%q): fuzzy hit %+v scores above 0.9", m, h)
+			}
+		}
+		first := idx.Lookup(m, 1)
+		for _, k := range []int{2, 5, 10} {
+			if got := idx.Lookup(m, k); got[0] != first[0] {
+				t.Fatalf("Lookup(%q, %d)[0] = %+v, Lookup(%q, 1)[0] = %+v", m, k, got[0], m, first[0])
+			}
+		}
+		if ids, _ := idx.Resolve([]string{m}); ids[0] != hits[0].Node {
+			t.Fatalf("Resolve(%q) = %d, Lookup's first hit %+v", m, ids[0], hits[0])
+		}
+	}
+	if h := idx.Lookup("foo foo", 2); h[0].Name != "foo foo" || h[0].Score != 1 || h[1].Score != 0.9 {
+		t.Fatalf(`Lookup("foo foo", 2) = %v, want the exact hit at 1, then "Foo" at 0.9`, h)
+	}
 }
 
 // refNewIndex is NewIndex as it stood before Extend: one pass over every

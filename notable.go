@@ -92,13 +92,14 @@
 //
 // DoBatch serves many independent queries in one pass over the cold
 // pipeline: each query consults the cache first, the misses share one
-// multi-source PageRank solve (each distinct seed across the batch is
-// solved once, through the same per-seed fold as a single query), and
-// the comparison stages fan out
-// through a process-wide bounded executor, Options.Parallelism queries at
-// a time. Batches of overlapping cold
-// queries — eval sweeps, batch entity profiling, bursty traffic — run
-// severalfold faster than sequential Do calls with identical output.
+// selection that releases each query's context as it completes (under
+// RandomWalk each distinct seed across the batch is solved once, through
+// the same per-seed fold as a single query), the releases are collected
+// by query index, and the comparison stages fan out through a
+// process-wide bounded executor, Options.Parallelism queries at a time.
+// Batches of overlapping cold queries — eval sweeps, batch entity
+// profiling, bursty traffic — run severalfold faster than sequential Do
+// calls with identical output.
 //
 // DoStream runs the same deduplicated batch but runs each query's
 // comparison stage as soon as its PageRank sum folds, on the stream's own
@@ -215,8 +216,8 @@ type Options struct {
 	ContextSize int
 	// Selector is one of the Selector* constants (default ContextRW).
 	Selector string
-	// Walks is the PathMining budget for ContextRW (default
-	// DefaultWalks). Every query of a graph epoch reads the first Walks
+	// Walks is the PathMining budget for ContextRW (DefaultWalks when not
+	// positive). Every query of a graph epoch reads the first Walks
 	// walks of one walk bank, built by the epoch's first ContextRW read,
 	// so Walks sizes that bank. A request may lower it via Query.Walks,
 	// never raise it.
@@ -274,7 +275,8 @@ type Options struct {
 // vectors are bounded by bytes as well: SeedLayerBytes.
 const DefaultCacheSize = 1024
 
-// DefaultWalks is the ContextRW walk budget when Options.Walks is 0.
+// DefaultWalks is the ContextRW walk budget when Options.Walks is not
+// positive.
 const DefaultWalks = 200000
 
 // SeedLayerBytes bounds the seed layer: single-seed PageRank vectors
@@ -459,6 +461,9 @@ func NewEngine(g *Graph, opt Options) *Engine {
 func newEngine(g *Graph, opt Options, startEpoch uint64, met *engineMetrics) *Engine {
 	if opt.Seed == 0 {
 		opt.Seed = 1
+	}
+	if opt.Walks <= 0 {
+		opt.Walks = DefaultWalks
 	}
 	size := opt.CacheSize
 	if size == 0 {
@@ -651,7 +656,7 @@ func (e *Engine) selectorFor(opt Options, tag string) ctxsel.Selector {
 	default:
 		// A request reads a prefix of the bank built at the engine's own
 		// budget, so lower per-request Walks never rebuild it.
-		return ctxsel.ContextRW{Walks: opt.Walks, BankWalks: e.maxWalks(), Seed: opt.Seed, BuildObs: e.met.bank}
+		return ctxsel.ContextRW{Walks: opt.Walks, BankWalks: e.opt.Walks, Seed: opt.Seed, BuildObs: e.met.bank}
 	}
 }
 
@@ -708,7 +713,9 @@ func (e *Engine) Context(query []NodeID, k int) []ContextItem {
 	}
 	copt := e.coreOptionsFor(e.opt, view)
 	copt.ContextSize = k
-	return core.Contexts(context.Background(), view.G, [][]NodeID{query}, copt, nil)[0]
+	// A live ctx and a built-in selector leave no error to report.
+	contexts, _ := core.CollectContexts(context.Background(), view.G, [][]NodeID{query}, copt)
+	return contexts[0]
 }
 
 // LoadGraph reads triples (N-Triples subset or TSV) from r and builds a

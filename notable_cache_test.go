@@ -21,28 +21,22 @@ type countingSelector struct {
 
 func (c countingSelector) Name() string { return "counting" }
 
-func (c countingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(int, []float64)) [][]float64 {
-	out := make([][]float64, len(queries))
+func (c countingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, ready func(int, []float64)) {
 	for i := range queries {
 		*c.scored++
-		out[i] = make([]float64, g.NumNodes())
-		for id := range out[i] {
-			out[i][id] = float64(id + 1)
+		scores := make([]float64, g.NumNodes())
+		for id := range scores {
+			scores[id] = float64(id + 1)
 		}
-		if ready != nil {
-			ready(i, out[i])
-		}
+		ready(i, scores)
 	}
-	if ready != nil {
-		return nil
-	}
-	return out
 }
 
-// selectOne resolves one query's context through core.Contexts at size k.
+// selectOne resolves one query's context through core.CollectContexts at
+// size k.
 func selectOne(copt core.Options, g *Graph, query []NodeID, k int) []ContextItem {
 	copt.ContextSize = k
-	return core.Contexts(context.Background(), g, [][]NodeID{query}, copt, nil)[0]
+	return contextsOf(context.Background(), g, [][]NodeID{query}, copt)[0]
 }
 
 func TestCachedSelectorRunsScoringOnce(t *testing.T) {
@@ -79,11 +73,11 @@ func TestCachedSelectorRunsScoringOnce(t *testing.T) {
 	if d := selectOne(copt, g, query, 3); len(d) != 3 || scored != 2 {
 		t.Fatalf("k=3 select: len %d, scoring ran %d times", len(d), scored)
 	}
-	// So does every batch mode: a barriered batch and a stream holding the
-	// warm query plus one new query score only the new one.
+	// So does a batch: one holding the warm query plus one new query scores
+	// only the new one, whether collected or streamed.
 	other := []NodeID{query[0]}
-	if got := core.Contexts(ctx, g, [][]NodeID{query, other}, copt, nil); len(got) != 2 || scored != 3 {
-		t.Fatalf("barriered batch: %d contexts, scoring ran %d times, want 2 and 3", len(got), scored)
+	if got := contextsOf(ctx, g, [][]NodeID{query, other}, copt); len(got) != 2 || scored != 3 {
+		t.Fatalf("collected batch: %d contexts, scoring ran %d times, want 2 and 3", len(got), scored)
 	}
 	released := 0
 	core.Contexts(ctx, g, [][]NodeID{other, query, {query[1]}}, copt, func(int, []ContextItem) { released++ })

@@ -172,7 +172,7 @@ func TestPinnedRequestSurvivesPurge(t *testing.T) {
 					got, err = core.FindNC(ctx, view.G, query, copt)
 				} else {
 					// FindNC's two stages by hand, with the publish between them.
-					got = Result{Query: query, Context: core.Contexts(ctx, view.G, [][]NodeID{query}, copt, nil)[0]}
+					got = Result{Query: query, Context: contextsOf(ctx, view.G, [][]NodeID{query}, copt)[0]}
 					publish()
 					got.Characteristics, err = core.CompareSets(ctx, view.G, query, got.ContextIDs(), copt)
 				}

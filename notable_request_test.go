@@ -135,6 +135,46 @@ func TestDoBatchMatchesSearchBatchBitwise(t *testing.T) {
 	}
 }
 
+// TestNonPositiveWalksReadsDefault: an engine built with Walks −1 reads
+// DefaultWalks, as one built with Walks 0 does — its default ContextRW
+// requests answer bitwise like a default engine's, with a non-empty
+// context, and it accepts exactly the same per-request budgets.
+func TestNonPositiveWalksReadsDefault(t *testing.T) {
+	g := buildLeaders()
+	ctx := context.Background()
+	def := NewEngine(g, Options{ContextSize: 6, TestSamples: 500})
+	neg := NewEngine(g, Options{ContextSize: 6, TestSamples: 500, Walks: -1})
+	queries := leaderQueries(t, def, 4)
+	want, err := def.DoBatch(ctx, asQueries(queries))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		got, err := neg.Do(ctx, Query{Nodes: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Context) == 0 || !reflect.DeepEqual(got, want[i]) {
+			t.Fatalf("query %d: a Walks −1 engine answers %d context nodes, unlike the default engine's %d", i, len(got.Context), len(want[i].Context))
+		}
+		if !reflect.DeepEqual(neg.Context(q, 6), def.Context(q, 6)) {
+			t.Fatalf("query %d: Context differs between a Walks −1 engine and a default one", i)
+		}
+	}
+	got, err := neg.DoBatch(ctx, asQueries(queries))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("DoBatch on a Walks −1 engine differs from a default engine's (err %v)", err)
+	}
+	for _, e := range []*Engine{def, neg} {
+		if _, err := e.Do(ctx, Query{Nodes: queries[0], Walks: DefaultWalks}); err != nil {
+			t.Fatalf("Walks = DefaultWalks refused: %v", err)
+		}
+		if _, err := e.Do(ctx, Query{Nodes: queries[0], Walks: DefaultWalks + 1}); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("Walks above DefaultWalks: err = %v, want ErrBadQuery", err)
+		}
+	}
+}
+
 // TestDoBatchMixedOverrides: a batch whose queries carry different
 // overrides groups by effective options and still returns, per query,
 // exactly what a solo Do with the same overrides returns.

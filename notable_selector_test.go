@@ -154,11 +154,11 @@ func selectorLayer(e *Engine, sel ctxsel.Selector) core.Options {
 
 // TestCachedSelectorCancelled drives the selector layer (core.Contexts
 // under the engine's cache) in front of the RandomWalk selector — so over
-// the seed layer too — through a cut at every probe depth in every mode: a
-// pre-cancelled call leaves every layer empty, no context is released
-// after the cut, every released context is complete, and whatever the
-// aborted calls stored is whole — a live call over the same cache returns
-// the uncached bits.
+// the seed layer too — through a cut at every probe depth, one query per
+// call and the whole batch in one call: a pre-cancelled call leaves every
+// layer empty, no context is released after the cut, every released
+// context is complete, and whatever the aborted calls stored is whole — a
+// live call over the same cache returns the uncached bits.
 func TestCachedSelectorCancelled(t *testing.T) {
 	g := buildLeaders()
 	opt := Options{Selector: SelectorRandomWalk, Seed: 3}
@@ -166,21 +166,18 @@ func TestCachedSelectorCancelled(t *testing.T) {
 	off.CacheSize = -1
 	ref := NewEngine(g, off)
 	queries := leaderQueries(t, ref, 6)
-	want := core.Contexts(context.Background(), g, queries, ref.coreOptionsFor(ref.opt, ref.vg.View()), nil)
+	want := contextsOf(context.Background(), g, queries, ref.coreOptionsFor(ref.opt, ref.vg.View()))
 
 	modes := []struct {
 		name string
 		run  func(ctx context.Context, copt core.Options, ready func(int, []ContextItem))
 	}{
-		{"single", func(ctx context.Context, copt core.Options, _ func(int, []ContextItem)) {
-			for _, q := range queries {
-				core.Contexts(ctx, g, [][]NodeID{q}, copt, nil)
+		{"single", func(ctx context.Context, copt core.Options, ready func(int, []ContextItem)) {
+			for i, q := range queries {
+				core.Contexts(ctx, g, [][]NodeID{q}, copt, func(_ int, items []ContextItem) { ready(i, items) })
 			}
 		}},
-		{"barriered", func(ctx context.Context, copt core.Options, _ func(int, []ContextItem)) {
-			core.Contexts(ctx, g, queries, copt, nil)
-		}},
-		{"stream", func(ctx context.Context, copt core.Options, ready func(int, []ContextItem)) {
+		{"batch", func(ctx context.Context, copt core.Options, ready func(int, []ContextItem)) {
 			core.Contexts(ctx, g, queries, copt, ready)
 		}},
 	}
@@ -210,7 +207,7 @@ func TestCachedSelectorCancelled(t *testing.T) {
 				}
 			}
 		}
-		got := core.Contexts(context.Background(), g, queries, optionsOf(scarred), nil)
+		got := contextsOf(context.Background(), g, queries, optionsOf(scarred))
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: contexts after cancelled calls differ — a partial entry was stored", mode.name)
 		}
@@ -223,11 +220,10 @@ type releaseAllSelector struct{}
 
 func (releaseAllSelector) Name() string { return "release-all" }
 
-func (releaseAllSelector) Scores(_ context.Context, g *kg.Graph, queries [][]NodeID, ready func(int, []float64)) [][]float64 {
+func (releaseAllSelector) Scores(_ context.Context, g *kg.Graph, queries [][]NodeID, ready func(int, []float64)) {
 	for i := range queries {
 		ready(i, make([]float64, g.NumNodes()))
 	}
-	return nil
 }
 
 // TestCachedSelectorWithholdsReleaseAfterCut: the selector layer's own
@@ -250,5 +246,58 @@ func TestCachedSelectorWithholdsReleaseAfterCut(t *testing.T) {
 	}
 	if n := e.CacheStats().Size; n != 1 {
 		t.Fatalf("cache holds %d entries, want query 0's context alone", n)
+	}
+}
+
+// reverseRelease wraps a selector and releases each batch in reverse query
+// order; its Name, and so its selector-layer keys, are the wrapped one's.
+type reverseRelease struct{ ctxsel.Selector }
+
+func (r reverseRelease) Scores(ctx context.Context, g *kg.Graph, queries [][]NodeID, ready func(int, []float64)) {
+	held := make([][]float64, len(queries))
+	r.Selector.Scores(ctx, g, queries, func(i int, scores []float64) { held[i] = scores })
+	for i := len(held) - 1; i >= 0; i-- {
+		if held[i] != nil {
+			ready(i, held[i])
+		}
+	}
+}
+
+// TestEngineContextAfterOutOfOrderRelease: the engine's selector layer,
+// half warm (so hits are released before misses) in front of a selector
+// releasing in reverse order, puts each context in its own query's slot
+// and stores it under its own key — the collected batch and every later
+// Engine.Context served from those entries equal an uncached engine's.
+func TestEngineContextAfterOutOfOrderRelease(t *testing.T) {
+	g := buildLeaders()
+	ctx := context.Background()
+	for _, sel := range []string{SelectorRandomWalk, SelectorContextRW} {
+		opt := Options{Selector: sel, Walks: 20000, Seed: 3}
+		off := opt
+		off.CacheSize = -1
+		ref := NewEngine(g, off)
+		e := NewEngine(g, opt)
+		queries := leaderQueries(t, e, 6)
+		copt := e.coreOptionsFor(e.opt, e.vg.View())
+		copt.Selector = reverseRelease{copt.Selector}
+		for i := 0; i < len(queries); i += 2 {
+			contextsOf(ctx, g, queries[i:i+1], copt)
+		}
+		got := contextsOf(ctx, g, queries, copt)
+		for i, q := range queries {
+			want := ref.Context(q, 100)
+			if len(want) == 0 {
+				t.Fatalf("%s: query %d has an empty context", sel, i)
+			}
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("%s: collected slot %d holds another query's context", sel, i)
+			}
+			if !reflect.DeepEqual(e.Context(q, 100), want) {
+				t.Fatalf("%s: Engine.Context(query %d) differs after an out-of-order fill", sel, i)
+			}
+		}
+		if st := e.CacheStats().Layers[qcache.LayerSelector]; st.Hits == 0 {
+			t.Fatalf("%s: Engine.Context never hit the selector layer: %+v", sel, st)
+		}
 	}
 }

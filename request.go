@@ -49,9 +49,9 @@ type Query struct {
 	TestSamples int
 	// Walks overrides Options.Walks when > 0 (the ContextRW selector's
 	// PathMining budget). It may only lower the budget: a value above the
-	// engine's Options.Walks (DefaultWalks when unset) is ErrBadQuery, so
-	// that the walk bank a graph epoch retains never grows past the
-	// configured size. The override reads a prefix of the same bank and
+	// engine's Options.Walks (DefaultWalks when not positive) is
+	// ErrBadQuery, so that the walk bank a graph epoch retains never grows
+	// past the configured size. The override reads a prefix of the same bank and
 	// folds into the selector cache key, so results equal an engine
 	// configured with the same Walks — warm or cold — and never collide
 	// with other budgets' entries.
@@ -110,14 +110,6 @@ func (q Query) validate(g *kg.Graph, maxWalks int) error {
 		return fmt.Errorf("%w: Policy %q is neither %q nor %q", ErrBadQuery, q.Policy, PolicyStrict, PolicyPooled)
 	}
 	return checkNodes(g, "Nodes", q.Nodes)
-}
-
-// maxWalks is the largest Query.Walks the engine accepts: its own budget.
-func (e *Engine) maxWalks() int {
-	if e.opt.Walks > 0 {
-		return e.opt.Walks
-	}
-	return DefaultWalks
 }
 
 // checkNodes rejects the first of ids that is not a node of g, naming the
@@ -203,7 +195,7 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 		ctx = context.Background()
 	}
 	view := e.vg.View() // pin: the whole request runs on this epoch
-	if err := q.validate(view.G, e.maxWalks()); err != nil {
+	if err := q.validate(view.G, e.opt.Walks); err != nil {
 		return Result{}, err
 	}
 	copt := e.coreOptionsFor(e.opt.apply(q), view)
@@ -250,7 +242,7 @@ func (e *Engine) doBatch(ctx context.Context, qs []Query) ([]Result, error) {
 	}
 	view := e.vg.View() // pin: every group of the batch runs on this epoch
 	for i, q := range qs {
-		if err := q.validate(view.G, e.maxWalks()); err != nil {
+		if err := q.validate(view.G, e.opt.Walks); err != nil {
 			return nil, fmt.Errorf("%w (batch index %d)", err, i)
 		}
 	}
@@ -293,7 +285,7 @@ func (e *Engine) DoStream(ctx context.Context, qs []Query) <-chan Outcome {
 	valid := make([]Query, 0, len(qs))
 	origIdx := make([]int, 0, len(qs)) // maps valid-slice position → qs index
 	for i, q := range qs {
-		if err := q.validate(view.G, e.maxWalks()); err != nil {
+		if err := q.validate(view.G, e.opt.Walks); err != nil {
 			ch <- Outcome{Index: i, Err: fmt.Errorf("%w (batch index %d)", err, i)}
 			continue
 		}

@@ -3,6 +3,8 @@ package notable
 import (
 	"context"
 	"os"
+
+	"repro/internal/core"
 )
 
 // writeFile is a test helper shared across root-package tests.
@@ -27,4 +29,11 @@ func asQueries(nodes [][]NodeID) []Query {
 		qs[i] = Query{Nodes: q}
 	}
 	return qs
+}
+
+// contextsOf is core.CollectContexts without its error: each query's
+// released context in its slot, nil where none was released.
+func contextsOf(ctx context.Context, g *Graph, queries [][]NodeID, copt core.Options) [][]ContextItem {
+	out, _ := core.CollectContexts(ctx, g, queries, copt)
+	return out
 }
