@@ -6,9 +6,7 @@ import (
 	"testing"
 )
 
-// TestRunWorkersCtx: under a live ctx the claim loop drains everything; a
-// pre-cancelled ctx runs nothing, including the caller's own share, and
-// spills nothing inline.
+// TestRunWorkersCtx: under a live ctx the claim loop drains everything.
 func TestRunWorkersCtx(t *testing.T) {
 	var next, done atomic.Int64
 	const items = 50
@@ -25,7 +23,12 @@ func TestRunWorkersCtx(t *testing.T) {
 	if done.Load() != items {
 		t.Fatalf("live ctx drained %d of %d items", done.Load(), items)
 	}
+}
 
+// TestGroupCtxCancelledDropsTasks: a pre-cancelled ctx runs nothing,
+// including the caller's own share, and hands off or spills nothing onto
+// a saturated pool.
+func TestGroupCtxCancelledDropsTasks(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran atomic.Int64
@@ -33,7 +36,6 @@ func TestRunWorkersCtx(t *testing.T) {
 	if ran.Load() != 0 {
 		t.Fatalf("cancelled RunWorkersCtx executed %d workers", ran.Load())
 	}
-	// Nor does it hand off or spill anything onto a saturated pool.
 	p := newPool(2)
 	release := hold(p, nil)
 	defer release()

@@ -68,11 +68,35 @@ func TestPoolConcurrencyBound(t *testing.T) {
 	}
 }
 
-// TestRunWorkersRunsEveryItemOnce: concurrent callers sharing one pool each
-// get exactly workers executions of run under a live ctx, and their claim
+// TestGroupRunsEveryTask: one call's claim loop processes every item
+// exactly once, and run executes exactly workers times, when most runs
+// find no idle goroutine on a small pool and spill inline.
+func TestGroupRunsEveryTask(t *testing.T) {
+	const workers, items = 8, 1000
+	p := newPool(2)
+	counts := make([]atomic.Int32, items)
+	var runs, next atomic.Int64
+	p.runWorkers(context.Background(), workers, func() {
+		runs.Add(1)
+		for i := next.Add(1) - 1; i < items; i = next.Add(1) - 1 {
+			counts[i].Add(1)
+		}
+	})
+	if n := runs.Load(); n != workers {
+		t.Fatalf("run executed %d times, want %d", n, workers)
+	}
+	for i := range counts {
+		if n := counts[i].Load(); n != 1 {
+			t.Fatalf("item %d ran %d times, want 1", i, n)
+		}
+	}
+}
+
+// TestGroupsShareOnePool: concurrent callers sharing one pool each get
+// exactly workers executions of run under a live ctx, and their claim
 // loops process every item exactly once, whether a run was handed off or
 // ran inline.
-func TestRunWorkersRunsEveryItemOnce(t *testing.T) {
+func TestGroupsShareOnePool(t *testing.T) {
 	const callers, workers, items = 8, 4, 500
 	p := newPool(2)
 	counts := make([]atomic.Int32, callers*items)
