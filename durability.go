@@ -217,13 +217,15 @@ func (e *Engine) DurabilityStats() DurabilityStats {
 	}
 }
 
-// Close waits for any in-flight background compaction, then flushes and
-// closes the engine's write-ahead log. Idempotent; a no-op on
-// non-durable engines. The engine keeps serving reads after Close, but
-// further ApplyTriples calls fail (the durability contract can no longer
-// be honored).
+// Close waits for any in-flight background compaction, purges the query
+// cache — which unmaps the cached seed vectors at once instead of at some
+// later collection — then flushes and closes the engine's write-ahead
+// log. Idempotent. The engine keeps serving reads after Close, but
+// further ApplyTriples calls fail on a durable engine (the durability
+// contract can no longer be honored).
 func (e *Engine) Close() error {
 	e.vg.WaitCompaction()
+	e.purgeEpochKeyed()
 	if l := e.wal.Load(); l != nil {
 		return l.Close()
 	}

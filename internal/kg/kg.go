@@ -121,9 +121,11 @@ type Graph struct {
 
 // WalkBankSlot returns the graph's slot for the metapath package's walk
 // bank: data another package derives from the graph and caches on it, so
-// that it lives exactly as long as the graph — one epoch of a Versioned
-// store. kg never reads the slot. The stored value must not point back to
-// the graph, or a finalizer on it would keep the pair alive.
+// that it lives exactly as long as the graph's epoch of a Versioned
+// store. kg reads the slot only to hand it on at compaction, whose flat
+// graph reads the same as the overlay graph it replaces, so one slot
+// serves both. The stored value must not point back to the graph, or a
+// finalizer on it would keep the pair alive.
 func (g *Graph) WalkBankSlot() *atomic.Value { return &g.walkBank }
 
 // NumNodes returns |V|.

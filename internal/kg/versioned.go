@@ -179,8 +179,9 @@ func (v *Versioned) maybeCompact(view *View) {
 
 // compactFrom folds view's overlay into a flat base and publishes it at
 // the unchanged epoch: under mu it re-checks that view is still current,
-// stores the flat view, counts and times the rebuild, and then fires
-// OnCompact. Returns the published view, or nil when an Apply or Reset
+// hands the overlay graph's walk-bank slot to the flat graph (same epoch,
+// same bits, so the same bank), stores the flat view, counts and times
+// the rebuild, and then fires OnCompact. Returns the published view, or nil when an Apply or Reset
 // moved on first and the rebuild is discarded (the next Apply past the
 // threshold re-triggers a background one).
 func (v *Versioned) compactFrom(view *View) *View {
@@ -190,6 +191,9 @@ func (v *Versioned) compactFrom(view *View) *View {
 	if cur := v.cur.Load(); cur.Epoch != view.Epoch || cur.G != view.G {
 		v.mu.Unlock()
 		return nil
+	}
+	if slot := view.G.walkBank.Load(); slot != nil {
+		flat.walkBank.Store(slot)
 	}
 	nv := &View{Epoch: view.Epoch, G: flat}
 	v.cur.Store(nv)

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/kg"
 	"repro/internal/obs"
+	"repro/internal/offheap"
 )
 
 // A walk bank holds one graph's mining walks for every query at once. A
@@ -32,7 +33,7 @@ type bank struct {
 	walks int // walk ids 0..walks-1
 
 	// mem is the whole arena — offsets, lists, labels — mapped off the Go
-	// heap where the platform allows (mapArena), so that it does not count
+	// heap where the platform allows (offheap.Map), so that it does not count
 	// twice through GC pacing. release unmaps it; every reader must end
 	// with runtime.KeepAlive on the bank.
 	mem    []byte
@@ -161,7 +162,7 @@ func buildBank(ctx context.Context, g *kg.Graph, key bankKey, walks int) *bank {
 	}
 	offBytes := uint64(n+1) * 8
 	labBytes := uint64(walks) * uint64(L) * uint64(b.labW)
-	b.mem = mapArena(int(offBytes + listBytes + labBytes))
+	b.mem = offheap.Map(int(offBytes + listBytes + labBytes))
 	mappedBytes.Add(int64(len(b.mem)))
 	runtime.SetFinalizer(b, (*bank).release)
 	b.offs, b.lists, b.labels = b.mem[:offBytes], b.mem[offBytes:offBytes+listBytes], b.mem[offBytes+listBytes:]
@@ -199,7 +200,7 @@ func buildBank(ctx context.Context, g *kg.Graph, key bankKey, walks int) *bank {
 // for a cancelled build, which was never published.
 func (b *bank) release() {
 	mappedBytes.Add(-int64(len(b.mem)))
-	unmapArena(b.mem)
+	offheap.Unmap(b.mem)
 	b.mem, b.offs, b.lists, b.labels = nil, nil, nil, nil
 }
 

@@ -45,7 +45,20 @@
 // share an entry. MultisetKey sorts the IDs, keeping duplicates, for the
 // order-independent but multiplicity-sensitive comparison stage.
 //
-// Values are opaque to the cache and treated as immutable once cached.
+// # Ownership
+//
+// Values are opaque to the cache and treated as immutable once cached,
+// with one exception: a value that implements Releaser owns something the
+// collector does not manage (ppr's seed vectors live in off-heap
+// mappings), and the cache calls its Release exactly once when it drops
+// the value — evicted for the entry cap or a layer's byte budget, replaced
+// by a PutSized of the same key, or dropped by Purge — and never while
+// the value is resident. A PutSized hands the cache one reference: the
+// nil cache, which keeps nothing, releases the value at once. Release
+// runs after the shard's lock is let go, so it may be slow, and a value
+// Get returned a moment earlier may be released while its reader still
+// holds it: a Releaser that outlives its entry must count its own
+// references (ppr.seedVec does).
 //
 // # Epoch keying
 //
@@ -135,6 +148,12 @@ type Config struct {
 	// only.
 	LayerBudgets [NumLayers]int64
 }
+
+// Releaser is a cached value with resources to free when the cache drops
+// it (see "Ownership"). Its dynamic type must be comparable — a pointer,
+// typically — so that storing a key's current value again, which
+// releases nothing, can be told apart from a replacement.
+type Releaser interface{ Release() }
 
 // Cache is a bounded, sharded LRU map with hit/miss/eviction counters and
 // per-layer byte accounting. A nil *Cache is a valid no-op cache: Get
@@ -280,17 +299,26 @@ func (c *Cache) GetLayer(key string, layer Layer) (any, bool) {
 // cache exceeds its entry cap or the layer's byte budget.
 // The hint is the caller's estimate of the value's footprint; the cache
 // never inspects values. Storing an existing key refreshes its value,
-// hint, layer, and recency.
+// hint, layer, and recency, and releases the value it replaces (see
+// "Ownership"); the nil cache releases val at once.
 func (c *Cache) PutSized(key string, val any, layer Layer, bytes int64) {
 	if c == nil {
+		if r, ok := val.(Releaser); ok {
+			r.Release()
+		}
 		return
 	}
 	sh := c.shardFor(key)
+	var dropped []Releaser
+	defer releaseAll(&dropped)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.seq++
 	if el, ok := sh.items[key]; ok {
 		e := el.Value.(*entry)
+		if r, ok := e.val.(Releaser); ok && any(r) != val {
+			dropped = append(dropped, r)
+		}
 		sh.bytes[e.layer] -= e.bytes
 		sh.bytes[layer] += bytes
 		e.seq = sh.seq
@@ -303,12 +331,20 @@ func (c *Cache) PutSized(key string, val any, layer Layer, bytes int64) {
 			e.val, e.layer, e.bytes = val, layer, bytes
 			sh.items[key] = sh.ll[layer].PushFront(e)
 		}
-		sh.evictOver()
+		sh.evictOver(&dropped)
 		return
 	}
 	sh.bytes[layer] += bytes
 	sh.items[key] = sh.ll[layer].PushFront(&entry{key: key, val: val, layer: layer, bytes: bytes, seq: sh.seq})
-	sh.evictOver()
+	sh.evictOver(&dropped)
+}
+
+// releaseAll releases every dropped value. Deferred ahead of a shard's
+// unlock, it runs after the lock is let go.
+func releaseAll(dropped *[]Releaser) {
+	for _, r := range *dropped {
+		r.Release()
+	}
 }
 
 // evictOver drops LRU entries until every bound holds: first each
@@ -318,11 +354,12 @@ func (c *Cache) PutSized(key string, val any, layer Layer, bytes int64) {
 // globally oldest entry is necessarily the back of its layer's list). The
 // newest entry of a list is never dropped: a single value larger than its
 // layer's whole budget still caches (and evicts the rest of the layer)
-// rather than thrashing on every PutSized.
-func (sh *shard) evictOver() {
+// rather than thrashing on every PutSized. The dropped values are
+// appended to *dropped for release once the lock is let go.
+func (sh *shard) evictOver(dropped *[]Releaser) {
 	for l := range sh.ll {
 		for sh.layerMax[l] > 0 && sh.bytes[l] > sh.layerMax[l] && sh.ll[l].Len() > 1 {
-			sh.remove(sh.ll[l].Back())
+			sh.remove(sh.ll[l].Back(), dropped)
 		}
 	}
 	for len(sh.items) > 1 && len(sh.items) > sh.capacity {
@@ -335,39 +372,52 @@ func (sh *shard) evictOver() {
 				}
 			}
 		}
-		sh.remove(oldest)
+		sh.remove(oldest, dropped)
 	}
 }
 
 // remove drops one entry, updating the map, its layer's bytes, and the
-// eviction counter.
-func (sh *shard) remove(el *list.Element) {
+// eviction counter, and appends its value to *dropped if it is a
+// Releaser.
+func (sh *shard) remove(el *list.Element, dropped *[]Releaser) {
 	e := el.Value.(*entry)
 	sh.ll[e.layer].Remove(el)
 	delete(sh.items, e.key)
 	sh.bytes[e.layer] -= e.bytes
 	sh.evictions++
+	collect(dropped, e.val)
+}
+
+// collect appends val to *dropped if it is a Releaser.
+func collect(dropped *[]Releaser, val any) {
+	if r, ok := val.(Releaser); ok {
+		*dropped = append(*dropped, r)
+	}
 }
 
 // Purge drops every entry of the given layers — the engine's
-// drop-at-publish for the epoch-keyed layers (see "Epoch keying"). The
-// drops count in Stats.Purged, not Evictions, and leave hit/miss counters
-// and every other layer untouched.
+// drop-at-publish for the epoch-keyed layers (see "Epoch keying") — and
+// releases their values. The drops count in Stats.Purged, not Evictions,
+// and leave hit/miss counters and every other layer untouched.
 func (c *Cache) Purge(layers ...Layer) {
 	if c == nil {
 		return
 	}
 	for _, sh := range c.shards {
+		var dropped []Releaser
 		sh.mu.Lock()
 		for _, l := range layers {
 			for el := sh.ll[l].Front(); el != nil; el = el.Next() {
-				delete(sh.items, el.Value.(*entry).key)
+				e := el.Value.(*entry)
+				delete(sh.items, e.key)
+				collect(&dropped, e.val)
 			}
 			sh.purged += uint64(sh.ll[l].Len())
 			sh.ll[l].Init()
 			sh.bytes[l] = 0
 		}
 		sh.mu.Unlock()
+		releaseAll(&dropped)
 	}
 }
 

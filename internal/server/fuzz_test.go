@@ -59,3 +59,67 @@ func FuzzIngest(f *testing.F) {
 		}
 	})
 }
+
+// queryPaths are the endpoints FuzzQueryDecoders posts every body to.
+var queryPaths = []string{"/v1/search", "/v1/batch", "/v1/stream"}
+
+// FuzzQueryDecoders: any body POSTed to /v1/search, /v1/batch or
+// /v1/stream gets 200, a typed 4xx, 503 or 504 with a JSON body — on a
+// stream, every NDJSON line is a JSON value — and never a panic or a 5xx
+// the client cannot act on.
+func FuzzQueryDecoders(f *testing.F) {
+	for _, body := range []string{
+		``,
+		`{}`,
+		`null`,
+		`[]`,
+		`{"entities":["Angela Merkel","Barack Obama"]}`,
+		`{"entities":["Angela Merkel"],"selector":"randomwalk","context_size":3}`,
+		`{"nodes":[0,1],"top_k":2,"policy":"pooled","alpha":0.05}`,
+		`{"nodes":[4294967295]}`,
+		`{"entities":["Nobody Known"]}`,
+		`{"entities":["Angela Merkel"],"walks":-1,"damping":1.5}`,
+		`{"entities":["Angela Merkel"],"selector":"RandomWalk"}`,
+		`{"entities":["Angela Merkel"],"context_size":1000000000,"test_samples":3}`,
+		`{"entities":["Angela Merkel"],"timeout_ms":1,"degrade":false}`,
+		`{"entities":["Angela Merkel"],"unknown":1}`,
+		`{"queries":[]}`,
+		`{"queries":[{"entities":["Angela Merkel","Barack Obama"]},{"nodes":[2,3],"selector":"randomwalk"}]}`,
+		`{"queries":[{"entities":["Angela Merkel"]},{"nodes":[]}],"timeout_ms":1}`,
+		`{"queries":[{"entities":["Angela Merkel"],"policy":"pooledd"}]}`,
+		`{"queries":[{"nodes":[0]}],"timeout_ms":-5}`,
+		`{"queries":null}`,
+		`{"entities":"Angela Merkel"}`,
+		`{"entities":["Angela Merkel"]}{"entities":["Barack Obama"]}`,
+	} {
+		f.Add([]byte(body))
+	}
+	eng := testEngine(notable.Options{})
+	h := New(eng, quietCfg()).Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range queryPaths {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/json")
+			h.ServeHTTP(rec, req)
+
+			switch rec.Code {
+			case http.StatusOK, http.StatusBadRequest, http.StatusRequestEntityTooLarge,
+				http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			default:
+				t.Fatalf("%s: status %d for body %q: %s", path, rec.Code, body, rec.Body.Bytes())
+			}
+			if path == "/v1/stream" && rec.Code == http.StatusOK {
+				for i, line := range bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n")) {
+					if !json.Valid(line) {
+						t.Fatalf("%s: line %d of the stream for body %q is not JSON: %q", path, i, body, line)
+					}
+				}
+				continue
+			}
+			if !json.Valid(rec.Body.Bytes()) {
+				t.Fatalf("%s: status %d with a non-JSON body %q for body %q", path, rec.Code, rec.Body.Bytes(), body)
+			}
+		}
+	})
+}

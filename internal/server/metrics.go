@@ -12,6 +12,7 @@ package server
 import (
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -134,6 +135,10 @@ func (s *Server) registerState() {
 		func() float64 { return float64(runtime.NumGoroutine()) })
 	reg.NewGaugeFunc("nc_process_rss_bytes", "Resident set size from /proc/self/statm (0 where unavailable).",
 		func() float64 { return float64(readRSSBytes()) })
+	reg.NewGaugeFunc("nc_process_heap_live_bytes", "Go heap bytes the last collection marked live.",
+		func() float64 { return readRuntimeMetric("/gc/heap/live:bytes") })
+	reg.NewGaugeFunc("nc_process_heap_goal_bytes", "Go heap size at which the next collection starts.",
+		func() float64 { return readRuntimeMetric("/gc/heap/goal:bytes") })
 	reg.NewGaugeFunc("nc_server_draining", "1 once graceful shutdown has begun.",
 		func() float64 { return obs.Bool(s.draining.Load()) })
 	reg.NewGaugeFunc("nc_server_in_flight", "Admitted engine requests being served.",
@@ -155,6 +160,17 @@ func (s *Server) registerState() {
 		func() float64 { return float64(exec.Default().Stats().Busy) })
 	reg.NewCounterFunc("nc_exec_inline_runs_total", "Group tasks run inline because every worker was busy.",
 		func() float64 { return float64(exec.Default().Stats().InlineRuns) })
+}
+
+// readRuntimeMetric reads one uint64 runtime/metrics sample, 0 if the
+// runtime does not support it.
+func readRuntimeMetric(name string) float64 {
+	sample := []metrics.Sample{{Name: name}}
+	metrics.Read(sample)
+	if sample[0].Value.Kind() != metrics.KindUint64 {
+		return 0
+	}
+	return float64(sample[0].Value.Uint64())
 }
 
 // Metrics returns the server's own registry — request counters, latency

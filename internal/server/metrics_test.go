@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -406,4 +407,43 @@ func TestStatszMatchesMetrics(t *testing.T) {
 		}
 		sameSeries(t, h)
 	})
+}
+
+// TestMetricsMemorySplit: the series that split a server's memory — the Go
+// heap's live bytes and goal, the walk bank and the mapped seed vectors —
+// parse and move. A RandomWalk search maps its cached seed vectors, and
+// Close, which purges the cache, unmaps them again.
+func TestMetricsMemorySplit(t *testing.T) {
+	eng := testEngine(notable.Options{Selector: notable.SelectorRandomWalk})
+	ts := httptest.NewServer(New(eng, quietCfg()).Handler())
+	defer ts.Close()
+	if resp, data := postJSON(t, ts.Client(), ts.URL+"/v1/search", map[string]any{
+		"entities": []string{"Angela Merkel", "Barack Obama"},
+	}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("search status %d: %s", resp.StatusCode, data)
+	}
+	runtime.GC()
+	body := scrape(t, ts)
+	for _, name := range []string{"nc_process_heap_live_bytes", "nc_process_heap_goal_bytes"} {
+		if got := metricValue(t, body, name, ""); got <= 0 {
+			t.Errorf("%s = %v, want > 0", name, got)
+		}
+	}
+	if !strings.Contains(body, "\nnc_mine_bank_bytes ") {
+		t.Error("scrape missing nc_mine_bank_bytes")
+	}
+	// Both seeds' solves saturate on the test graph, so each maps 8n bytes.
+	ours := float64(2 * 8 * eng.Graph().NumNodes())
+	mapped := metricValue(t, body, "nc_ppr_seed_mapped_bytes", "")
+	if mapped < ours {
+		t.Fatalf("nc_ppr_seed_mapped_bytes = %v after a two-seed RandomWalk search, want ≥ %v", mapped, ours)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Engines other tests dropped may unmap theirs meanwhile: the gauge
+	// can only fall further.
+	if got := metricValue(t, scrape(t, ts), "nc_ppr_seed_mapped_bytes", ""); got > mapped-ours {
+		t.Fatalf("nc_ppr_seed_mapped_bytes = %v after Close, want ≤ %v", got, mapped-ours)
+	}
 }

@@ -413,6 +413,8 @@ func (e *Engine) registerState() {
 		func() float64 { return obs.Bool(e.VersionStats().Compacting) })
 	reg.NewGaugeFunc("nc_mine_bank_bytes", "Bytes of the ContextRW walk bank the current graph epoch holds (0 until its first ContextRW read).",
 		func() float64 { return float64(metapath.BankBytes(e.vg.View().G)) })
+	reg.NewGaugeFunc("nc_ppr_seed_mapped_bytes", "Bytes of dense PageRank seed vectors mapped outside the Go heap, process-wide: cached ones plus evicted ones a solve in flight still reads.",
+		func() float64 { return float64(ppr.SeedMappedBytes()) })
 
 	reg.NewGaugeFunc("nc_wal_enabled", "1 when the engine has a write-ahead log.",
 		func() float64 { return obs.Bool(e.DurabilityStats().Enabled) })

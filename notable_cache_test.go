@@ -382,3 +382,41 @@ func BenchmarkEngineWarmSearch(b *testing.B) {
 		run(b, big, Options{Selector: SelectorRandomWalk})
 	})
 }
+
+// TestSeedMappedBytesOwnership: a RandomWalk engine's cached seed vectors
+// are mapped outside the Go heap and show on nc_ppr_seed_mapped_bytes, and
+// the cache hands every byte back the moment it drops them: at an epoch
+// publish, and at Close.
+func TestSeedMappedBytesOwnership(t *testing.T) {
+	settleFinalizers()
+	e := NewEngine(buildLeaders(), Options{Selector: SelectorRandomWalk, ContextSize: 6})
+	base := gaugeValue(t, e, "nc_ppr_seed_mapped_bytes")
+	n := float64(e.Graph().NumNodes())
+	search := func(names ...string) {
+		t.Helper()
+		if _, err := doNames(e, names...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search("Angela Merkel", "Barack Obama")
+	search("Angela Merkel", "Barack Obama", "Xi Jinping")
+	if got := gaugeValue(t, e, "nc_ppr_seed_mapped_bytes") - base; got != 3*8*n {
+		t.Fatalf("three cached seed vectors map %v bytes, want %v", got, 3*8*n)
+	}
+	if _, err := e.ApplyTriples(context.Background(), []Triple{{S: "Angela Merkel", P: "awarded", O: "Nobel Prize"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := gaugeValue(t, e, "nc_ppr_seed_mapped_bytes"); got != base {
+		t.Fatalf("after an epoch publish %v bytes mapped, want %v", got, base)
+	}
+	search("Angela Merkel", "Barack Obama")
+	if got := gaugeValue(t, e, "nc_ppr_seed_mapped_bytes"); got <= base {
+		t.Fatalf("after a search at the new epoch %v bytes mapped, want > %v", got, base)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := gaugeValue(t, e, "nc_ppr_seed_mapped_bytes"); got != base {
+		t.Fatalf("after Close %v bytes mapped, want %v", got, base)
+	}
+}

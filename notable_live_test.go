@@ -383,3 +383,39 @@ func TestConcurrentQueriesDuringApplyAndCompaction(t *testing.T) {
 func countryName(i int) string {
 	return "Country " + string(rune('A'+i))
 }
+
+// TestCompactionKeepsWalkBank: compaction publishes the same epoch with
+// the same bits, so the flat graph takes the overlay graph's walk bank. A
+// cacheless ContextRW read after Compact builds no bank and answers bit
+// for bit as it did before, and as a from-scratch engine does.
+func TestCompactionKeepsWalkBank(t *testing.T) {
+	opt := Options{ContextSize: 8, Walks: 15000, Seed: 3, Selector: SelectorContextRW, CacheSize: -1}
+	e := NewEngine(buildLeaders(), opt)
+	query, err := e.Resolve("Angela Merkel", "Barack Obama")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ApplyTriples(context.Background(), []Triple{{S: "Angela Merkel", P: "awarded", O: "Nobel Prize"}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	q := Query{Nodes: query}
+	before := mustDo(t, e, q)
+	builds := stageCount(t, e, "mine_bank_build")
+	if builds != 1 {
+		t.Fatalf("%d walk-bank builds on the overlay graph, want 1", builds)
+	}
+	e.vg.Compact()
+	if st := e.VersionStats(); st.Rebuilds != 1 || st.OverlayAdds != 0 {
+		t.Fatalf("Compact left %+v, want one rebuild and a flat graph", st)
+	}
+	after := mustDo(t, e, q)
+	if got := stageCount(t, e, "mine_bank_build"); got != builds {
+		t.Fatalf("a ContextRW read after compaction built the walk bank again (%d builds)", got)
+	}
+	if !reflect.DeepEqual(after, before) {
+		t.Fatal("a ContextRW read after compaction differs from the one before it")
+	}
+	if want := mustDo(t, referenceEngine(e, opt), q); !reflect.DeepEqual(after, want) {
+		t.Fatal("a ContextRW read after compaction differs from a from-scratch engine")
+	}
+}

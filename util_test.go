@@ -1,8 +1,13 @@
 package notable
 
 import (
+	"bytes"
 	"context"
 	"os"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
 
 	"repro/internal/core"
 )
@@ -36,4 +41,49 @@ func asQueries(nodes [][]NodeID) []Query {
 func contextsOf(ctx context.Context, g *Graph, queries [][]NodeID, copt core.Options) [][]ContextItem {
 	out, _ := core.CollectContexts(ctx, g, queries, copt)
 	return out
+}
+
+// sentinel carries a pointer so that it is never tiny-allocated: a tiny
+// block shared with other objects may never be finalized.
+type sentinel struct{ _ *int }
+
+// armSentinel sets a finalizer that closes done on an object nothing
+// references.
+func armSentinel(done chan struct{}) {
+	runtime.SetFinalizer(&sentinel{}, func(*sentinel) { close(done) })
+}
+
+// settleFinalizers returns once the finalizer of every object that was
+// unreachable at the call has run — the seed vectors of engines earlier
+// tests dropped without Close among them. runtime.GC queues them all
+// before it returns, and the finalizer goroutine runs the whole queue it
+// takes before it takes the next, so a sentinel armed after the first
+// one ran runs after every finalizer queued with the first.
+func settleFinalizers() {
+	for range 2 {
+		done := make(chan struct{})
+		armSentinel(done)
+		runtime.GC()
+		<-done
+	}
+}
+
+// gaugeValue reads one unlabelled series from e's registry.
+func gaugeValue(t *testing.T, e *Engine, name string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.Metrics().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no %s line in the exposition", name)
+	return 0
 }
