@@ -256,7 +256,7 @@ func (s ContextRW) ScoresWithPaths(g *kg.Graph, query []kg.NodeID, mined []metap
 		if total > 0 {
 			prM := float64(st.counts[i]) / float64(total)
 			for _, v := range sb.touched {
-				scores[v] += prM * sb.buf[v]
+				scores[v] += float64(prM * sb.buf[v])
 			}
 		}
 		for _, v := range sb.touched {

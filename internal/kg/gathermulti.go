@@ -12,7 +12,8 @@ const MaxGatherBlock = 8
 
 // GatherStepMulti computes one damped power-iteration step, next = c·Ã·p,
 // for b personalization vectors at once. Vectors are stored interleaved
-// ("blocked"): column j of node x lives at p[x*b+j], and likewise in next.
+// ("blocked") in row order: column j of transpose row r lives at p[r*b+j],
+// and likewise in next.
 // The edge stream (in-edge lists and probabilities) is read once for the
 // whole block instead of once per vector, and the b reads of a source
 // node's block are contiguous.
@@ -38,8 +39,8 @@ func (t *TransitionCSR) GatherStepMulti(next, p []float64, c float64, b int, dan
 		t.gatherRowsMulti(next, p, c, b)
 	}
 	clear(dangling[:b])
-	for _, d := range t.dangling {
-		blk := p[int(d)*b : int(d)*b+b]
+	for _, r := range t.dangling {
+		blk := p[int(r)*b : int(r)*b+b]
 		for j := 0; j < b; j++ {
 			dangling[j] += blk[j]
 		}
@@ -47,34 +48,35 @@ func (t *TransitionCSR) GatherStepMulti(next, p []float64, c float64, b int, dan
 }
 
 // gatherRowsMulti computes every transpose row of one blocked gather step,
-// writing node tRow[i]'s block for each row i. Columns are swept one at a
+// writing row r's block for each row r. Columns are swept one at a
 // time inside each row with the serial kernel's four register
 // accumulators; the row's edge list, probabilities, and the source blocks'
 // cache lines stay hot across the b column passes, so the memory system
 // sees each line once per block rather than once per vector.
 func (t *TransitionCSR) gatherRowsMulti(next, p []float64, c float64, b int) {
-	lo := 0
-	offs := t.tOff[1:]
-	for i, x := range t.tRow {
-		hi := int(offs[i])
-		row := t.tFrom[lo:hi]
-		pr := t.tProb[lo:hi:hi][:len(row)]
-		out := next[int(x)*b : int(x)*b+b : int(x)*b+b]
-		for j := range out {
-			var acc0, acc1, acc2, acc3 float64
-			k := 0
-			for ; k+3 < len(row); k += 4 {
-				acc0 += p[int(row[k])*b+j] * pr[k]
-				acc1 += p[int(row[k+1])*b+j] * pr[k+1]
-				acc2 += p[int(row[k+2])*b+j] * pr[k+2]
-				acc3 += p[int(row[k+3])*b+j] * pr[k+3]
+	r, lo := 0, 0
+	for _, run := range t.runs {
+		for ; r < run.end; r++ {
+			hi := lo + run.deg
+			row := t.tFrom[lo:hi]
+			pr := t.tProb[lo:hi:hi][:len(row)]
+			out := next[r*b : r*b+b : r*b+b]
+			for j := range out {
+				var acc0, acc1, acc2, acc3 float64
+				k := 0
+				for ; k+3 < len(row); k += 4 {
+					acc0 += float64(p[int(row[k])*b+j] * pr[k])
+					acc1 += float64(p[int(row[k+1])*b+j] * pr[k+1])
+					acc2 += float64(p[int(row[k+2])*b+j] * pr[k+2])
+					acc3 += float64(p[int(row[k+3])*b+j] * pr[k+3])
+				}
+				for ; k < len(row); k++ {
+					acc0 += float64(p[int(row[k])*b+j] * pr[k])
+				}
+				out[j] = c * ((acc0 + acc1) + (acc2 + acc3))
 			}
-			for ; k < len(row); k++ {
-				acc0 += p[int(row[k])*b+j] * pr[k]
-			}
-			out[j] = c * ((acc0 + acc1) + (acc2 + acc3))
+			lo = hi
 		}
-		lo = hi
 	}
 }
 
@@ -82,27 +84,28 @@ func (t *TransitionCSR) gatherRowsMulti(next, p []float64, c float64, b int) {
 // constant stride turns every source-block index into a shift.
 func (t *TransitionCSR) gatherRowsMulti8(next, p []float64, c float64) {
 	const b = MaxGatherBlock
-	lo := 0
-	offs := t.tOff[1:]
-	for i, x := range t.tRow {
-		hi := int(offs[i])
-		row := t.tFrom[lo:hi]
-		pr := t.tProb[lo:hi:hi][:len(row)]
-		out := next[int(x)*b : int(x)*b+b : int(x)*b+b]
-		for j := range out {
-			var acc0, acc1, acc2, acc3 float64
-			k := 0
-			for ; k+3 < len(row); k += 4 {
-				acc0 += p[int(row[k])*b+j] * pr[k]
-				acc1 += p[int(row[k+1])*b+j] * pr[k+1]
-				acc2 += p[int(row[k+2])*b+j] * pr[k+2]
-				acc3 += p[int(row[k+3])*b+j] * pr[k+3]
+	r, lo := 0, 0
+	for _, run := range t.runs {
+		for ; r < run.end; r++ {
+			hi := lo + run.deg
+			row := t.tFrom[lo:hi]
+			pr := t.tProb[lo:hi:hi][:len(row)]
+			out := next[r*b : r*b+b : r*b+b]
+			for j := range out {
+				var acc0, acc1, acc2, acc3 float64
+				k := 0
+				for ; k+3 < len(row); k += 4 {
+					acc0 += float64(p[int(row[k])*b+j] * pr[k])
+					acc1 += float64(p[int(row[k+1])*b+j] * pr[k+1])
+					acc2 += float64(p[int(row[k+2])*b+j] * pr[k+2])
+					acc3 += float64(p[int(row[k+3])*b+j] * pr[k+3])
+				}
+				for ; k < len(row); k++ {
+					acc0 += float64(p[int(row[k])*b+j] * pr[k])
+				}
+				out[j] = c * ((acc0 + acc1) + (acc2 + acc3))
 			}
-			for ; k < len(row); k++ {
-				acc0 += p[int(row[k])*b+j] * pr[k]
-			}
-			out[j] = c * ((acc0 + acc1) + (acc2 + acc3))
+			lo = hi
 		}
-		lo = hi
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// packColumns interleaves cols (each a dense n-vector) into the blocked
-// layout GatherStepMulti expects.
+// packColumns interleaves cols (each a dense row-ordered n-vector) into
+// the blocked layout GatherStepMulti expects.
 func packColumns(cols [][]float64, n int) []float64 {
 	b := len(cols)
 	pm := make([]float64, n*b)
@@ -20,7 +20,9 @@ func packColumns(cols [][]float64, n int) []float64 {
 
 // TestGatherStepMultiMatchesSerialBitwise: every block width must
 // reproduce b independent serial GatherStep runs bit for bit — the
-// invariant the whole batched PPR path rests on.
+// invariant the whole batched PPR path rests on. Both kernels read and
+// write row order, so the random columns stand for row-ordered vectors
+// and row x of the block is row x of each serial result.
 func TestGatherStepMultiMatchesSerialBitwise(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := transitionGraph(int64(trial), 30+trial*40, 100+trial*150)

@@ -27,22 +27,22 @@ func TestTransitionsRowsAreStochastic(t *testing.T) {
 	if tr != g.Transitions() {
 		t.Fatal("Transitions must build once and return the shared matrix")
 	}
+	if len(tr.tProb) != g.NumEdges() {
+		t.Fatalf("%d transpose probs for %d edges", len(tr.tProb), g.NumEdges())
+	}
 	for n := 0; n < g.NumNodes(); n++ {
 		adj := g.OutEdges(NodeID(n))
-		probs := tr.Probs(NodeID(n))
-		if len(probs) != len(adj) {
-			t.Fatalf("node %d: %d probs for %d edges", n, len(probs), len(adj))
-		}
 		if len(adj) == 0 {
 			continue
 		}
 		sum := 0.0
 		for i, e := range adj {
-			sum += probs[i]
+			prob := tr.Prob(NodeID(n), e.Label)
+			sum += prob
 			if wd := g.WeightedOutDegree(NodeID(n)); wd > 0 {
 				want := g.LabelWeight(e.Label) / wd
-				if math.Abs(probs[i]-want) > 1e-15 {
-					t.Fatalf("node %d edge %d: prob %v, want %v", n, i, probs[i], want)
+				if math.Abs(prob-want) > 1e-15 {
+					t.Fatalf("node %d edge %d: prob %v, want %v", n, i, prob, want)
 				}
 			}
 		}
@@ -63,8 +63,7 @@ func TestGatherStepMatchesScatter(t *testing.T) {
 			p[i] = rng.Float64()
 		}
 		const c = 0.8
-		next := make([]float64, n)
-		danglingGather := tr.GatherStep(next, p, c)
+		danglingGather, next := gatherInNodeOrder(tr, make([]float64, n), p, c)
 
 		want := make([]float64, n)
 		danglingScatter := 0.0
@@ -74,9 +73,8 @@ func TestGatherStepMatchesScatter(t *testing.T) {
 				danglingScatter += p[from]
 				continue
 			}
-			probs := tr.Probs(NodeID(from))
-			for i, e := range adj {
-				want[e.To] += c * p[from] * probs[i]
+			for _, e := range adj {
+				want[e.To] += c * p[from] * tr.Prob(NodeID(from), e.Label)
 			}
 		}
 		for i := range want {

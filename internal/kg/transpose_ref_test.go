@@ -248,7 +248,9 @@ func refOverlay(t *testing.T, rng *rand.Rand, g *Graph, steps int) *Graph {
 // TestGatherMatchesRowMajorReference: both gather entry points —
 // GatherStep, and GatherStepMulti at every block width — reproduce the
 // row-major reference kernels bit for bit, over the next vector's stale
-// contents, on flat graphs and on overlay views.
+// contents, on flat graphs and on overlay views. The kernels read and
+// write row order, so their inputs go through ToRows and their outputs
+// back through FromRows.
 func TestGatherMatchesRowMajorReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(36))
 	type shape struct {
@@ -275,15 +277,123 @@ func TestGatherMatchesRowMajorReference(t *testing.T) {
 	}
 }
 
+// TestGatherCoversEveryDegreeClass: the gather's closed forms (in-degree
+// 0–5), its loop (6 and up) and a hub row, beside dangling rows, on a
+// weighted graph and on a one-label graph whose sending rows all take the
+// uniform fallback, reproduce the row-major reference bit for bit.
+func TestGatherCoversEveryDegreeClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(50))
+	for _, labels := range []int{3, 1} {
+		g := classGraph(rng, labels)
+		tr := g.Transitions()
+		rows := map[int]int{}
+		for i, run := range tr.runs {
+			start := 0
+			if i > 0 {
+				start = tr.runs[i-1].end
+			}
+			rows[run.deg] = run.end - start
+		}
+		for d := 0; d <= 9; d++ {
+			if rows[d] == 0 {
+				t.Fatalf("labels=%d: no row of in-degree %d (runs %v)", labels, d, tr.runs)
+			}
+		}
+		if hub := tr.runs[len(tr.runs)-1].deg; hub < 40 {
+			t.Fatalf("labels=%d: largest in-degree %d, want a hub", labels, hub)
+		}
+		if len(tr.dangling) == 0 {
+			t.Fatalf("labels=%d: no dangling row", labels)
+		}
+		uniform := 0
+		for v := 0; v < g.NumNodes(); v++ {
+			if len(g.OutEdges(NodeID(v))) > 0 && g.WeightedOutDegree(NodeID(v)) == 0 {
+				uniform++
+			}
+		}
+		if (uniform > 0) != (labels == 1) {
+			t.Fatalf("labels=%d: %d uniform-fallback rows", labels, uniform)
+		}
+		requireGatherMatchesRef(t, fmt.Sprintf("labels=%d", labels), g, rng)
+	}
+}
+
+// classGraph builds a graph with no mirror edges whose transpose holds
+// perClass rows of every in-degree 0 through 9 and one hub that every
+// sender feeds. The targets never send, and neither does every fifth
+// sender, so they are dangling rows; the senders receive nothing, so they
+// are in-degree-0 rows. labels = 1 leaves one label of weight 0, whose
+// rows take the uniform fallback.
+func classGraph(rng *rand.Rand, labels int) *Graph {
+	const perClass, senders = 7, 60
+	const targets = 10 * perClass
+	b := NewBuilder(0).DisableInverses()
+	name := func(i int) string { return fmt.Sprintf("n%d", i) }
+	hub := targets
+	for i := 0; i <= targets+senders; i++ {
+		b.Node(name(i))
+	}
+	label := func() string { return fmt.Sprintf("l%d", rng.Intn(labels)) }
+	live := make([]int, 0, senders)
+	for s := hub + 1; s <= hub+senders; s++ {
+		if s%5 != 0 {
+			live = append(live, s)
+		}
+	}
+	for to := 0; to < targets; to++ {
+		for _, k := range rng.Perm(len(live))[:to/perClass] {
+			b.AddEdge(name(live[k]), label(), name(to))
+		}
+	}
+	for _, s := range live {
+		b.AddEdge(name(s), label(), name(hub))
+	}
+	return b.Build()
+}
+
+// gatherInNodeOrder runs GatherStep on the node-ordered vector p over
+// the row-ordered next, whatever it holds, and returns the dangling mass
+// and the step's result in node order.
+func gatherInNodeOrder(tr *TransitionCSR, next, p []float64, c float64) (float64, []float64) {
+	pRows := make([]float64, len(p))
+	tr.ToRows(pRows, p)
+	d := tr.GatherStep(next, pRows, c)
+	tr.FromRows(pRows, next)
+	return d, pRows
+}
+
+// gatherMultiInNodeOrder runs GatherStepMulti on the node-ordered block
+// pm of width b over the row-ordered next, whatever it holds, and returns
+// the step's result in node order.
+func gatherMultiInNodeOrder(tr *TransitionCSR, next, pm []float64, c float64, b int, dangling []float64) []float64 {
+	tr.GatherStepMulti(next, blockRows(tr, pm, b, true), c, b, dangling)
+	return blockRows(tr, next, b, false)
+}
+
+// blockRows permutes a blocked vector of width b into row order (toRows)
+// or back into node order.
+func blockRows(tr *TransitionCSR, pm []float64, b int, toRows bool) []float64 {
+	out := make([]float64, len(pm))
+	for v := range tr.rowOf {
+		r := tr.Row(NodeID(v))
+		if toRows {
+			copy(out[r*b:r*b+b], pm[v*b:v*b+b])
+		} else {
+			copy(out[v*b:v*b+b], pm[r*b:r*b+b])
+		}
+	}
+	return out
+}
+
 func requireGatherMatchesRef(t *testing.T, label string, g *Graph, rng *rand.Rand) {
 	t.Helper()
 	tr, ref := g.Transitions(), refBuildTransitions(g)
 	n := g.NumNodes()
 	for v := 0; v < n; v++ {
-		got, want := tr.Probs(NodeID(v)), ref.prob[ref.off[v]:ref.off[v+1]]
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: node %d prob %d = %v, reference %v", label, v, i, got[i], want[i])
+		want := ref.prob[ref.off[v]:ref.off[v+1]]
+		for i, e := range g.OutEdges(NodeID(v)) {
+			if got := tr.Prob(NodeID(v), e.Label); got != want[i] {
+				t.Fatalf("%s: node %d prob %d = %v, reference %v", label, v, i, got, want[i])
 			}
 		}
 	}
@@ -312,8 +422,8 @@ func requireGatherMatchesRef(t *testing.T, label string, g *Graph, rng *rand.Ran
 			}
 		}
 	}
-	next := stale(n)
-	check("GatherStep", next, tr.GatherStep(next, p, c))
+	d, next := gatherInNodeOrder(tr, stale(n), p, c)
+	check("GatherStep", next, d)
 	for b := 1; b <= MaxGatherBlock; b++ {
 		pm := make([]float64, n*b)
 		for i := range pm {
@@ -322,8 +432,8 @@ func requireGatherMatchesRef(t *testing.T, label string, g *Graph, rng *rand.Ran
 		wantM := make([]float64, n*b)
 		wantDM := make([]float64, b)
 		ref.gatherStepMulti(wantM, pm, c, b, wantDM)
-		nextM, d := stale(n*b), stale(b)
-		tr.GatherStepMulti(nextM, pm, c, b, d)
+		d := stale(b)
+		nextM := gatherMultiInNodeOrder(tr, stale(n*b), pm, c, b, d)
 		for j := 0; j < b; j++ {
 			if d[j] != wantDM[j] {
 				t.Fatalf("%s GatherStepMulti(b=%d): dangling col %d = %v, reference %v", label, b, j, d[j], wantDM[j])

@@ -180,18 +180,18 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 	}
 	gt, wt := got.Transitions(), want.Transitions()
 	for n := 0; n < want.NumNodes(); n++ {
-		if !reflect.DeepEqual(gt.Probs(NodeID(n)), wt.Probs(NodeID(n))) {
-			t.Fatalf("node %q probs: got %v, want %v", want.NodeName(NodeID(n)), gt.Probs(NodeID(n)), wt.Probs(NodeID(n)))
+		for i, e := range want.OutEdges(NodeID(n)) {
+			if gp, wp := gt.Prob(NodeID(n), e.Label), wt.Prob(NodeID(n), e.Label); gp != wp {
+				t.Fatalf("node %q edge %d prob: got %v, want %v", want.NodeName(NodeID(n)), i, gp, wp)
+			}
 		}
 	}
 	p := make([]float64, want.NumNodes())
 	for i := range p {
 		p[i] = 1 / float64(i+1)
 	}
-	gn := make([]float64, len(p))
-	wn := make([]float64, len(p))
-	gd := gt.GatherStep(gn, p, 0.8)
-	wd := wt.GatherStep(wn, p, 0.8)
+	gd, gn := gatherInNodeOrder(gt, make([]float64, len(p)), p, 0.8)
+	wd, wn := gatherInNodeOrder(wt, make([]float64, len(p)), p, 0.8)
 	if gd != wd || !reflect.DeepEqual(gn, wn) {
 		t.Fatalf("gather step mismatch: dangling %v vs %v", gd, wd)
 	}
@@ -200,10 +200,9 @@ func requireSameGraph(t *testing.T, got, want *Graph) {
 		for i := range pm {
 			pm[i] = 1 / float64(i+b)
 		}
-		gm, wm := make([]float64, len(pm)), make([]float64, len(pm))
 		gdm, wdm := make([]float64, b), make([]float64, b)
-		wt.GatherStepMulti(wm, pm, 0.8, b, wdm)
-		gt.GatherStepMulti(gm, pm, 0.8, b, gdm)
+		gm := gatherMultiInNodeOrder(gt, make([]float64, len(pm)), pm, 0.8, b, gdm)
+		wm := gatherMultiInNodeOrder(wt, make([]float64, len(pm)), pm, 0.8, b, wdm)
 		if !reflect.DeepEqual(gdm, wdm) || !reflect.DeepEqual(gm, wm) {
 			t.Fatalf("blocked gather step mismatch at b=%d", b)
 		}

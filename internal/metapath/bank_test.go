@@ -11,7 +11,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/gen"
 	"repro/internal/kg"
@@ -375,24 +374,35 @@ func (c *cutCtx) Err() error {
 	return nil
 }
 
-// settleMapped collects until the banks of graphs earlier tests dropped
-// are unmapped — mappedBytes holds still over three collections — and
-// returns what stays mapped. Later finalizers can only lower it.
-func settleMapped(t *testing.T) int64 {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for last, still := mappedBytes.Load(), 0; still < 3; {
-		if time.Now().After(deadline) {
-			t.Fatal("mapped bank bytes never settled")
-		}
+// sentinel carries a pointer so that it is never tiny-allocated: a tiny
+// block shared with other objects may never be finalized.
+type sentinel struct{ _ *int }
+
+// armSentinel sets a finalizer that closes done on an object nothing
+// references.
+func armSentinel(done chan struct{}) {
+	runtime.SetFinalizer(&sentinel{}, func(*sentinel) { close(done) })
+}
+
+// settleFinalizers returns once the finalizer of every object that was
+// unreachable at the call has run. runtime.GC queues them all before it
+// returns, and the finalizer goroutine runs the whole queue it takes
+// before it takes the next, so a sentinel armed after the first one ran
+// runs after every finalizer queued with the first.
+func settleFinalizers() {
+	for range 2 {
+		done := make(chan struct{})
+		armSentinel(done)
 		runtime.GC()
-		time.Sleep(time.Millisecond)
-		if cur := mappedBytes.Load(); cur == last {
-			still++
-		} else {
-			last, still = cur, 0
-		}
+		<-done
 	}
+}
+
+// settleMapped runs the finalizers of the banks of graphs earlier tests
+// dropped and returns what stays mapped. Later finalizers can only lower
+// it.
+func settleMapped() int64 {
+	settleFinalizers()
 	return mappedBytes.Load()
 }
 
@@ -408,7 +418,7 @@ func TestBankCancelledBuildPublishesNothing(t *testing.T) {
 	// second probe; a budget of 4 cuts pass 2 at its second.
 	for _, probes := range []int64{1, 4} {
 		g := randomGraph(4, 50, 200, 3, true)
-		mapped := settleMapped(t)
+		mapped := settleMapped()
 		ctx := &cutCtx{Context: context.Background()}
 		ctx.left.Store(probes)
 		before := builds.Load()
@@ -474,12 +484,7 @@ func TestBankLifetimeAcrossGC(t *testing.T) {
 			t.Fatalf("round %d: mined %v, want %v", i, got, want)
 		}
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for mappedBytes.Load() > mapped {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d bank bytes still mapped after the graphs were dropped, want ≤ %d", mappedBytes.Load(), mapped)
-		}
-		runtime.GC()
-		time.Sleep(time.Millisecond)
+	if got := settleMapped(); got > mapped {
+		t.Fatalf("%d bank bytes still mapped after the graphs were dropped, want ≤ %d", got, mapped)
 	}
 }

@@ -217,3 +217,32 @@ func TestPersonalizedSumMultiStreamCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseCutReturnsToNodeOrder: a solve cut after its switch to dense
+// sweeps, which run in the transpose's row order, still leaves its vector
+// in node order — the partial vector is a finished solve of as many
+// iterations — and the workspace it leaves, reset as the pool resets it,
+// serves the next solve bit for bit.
+func TestDenseCutReturnsToNodeOrder(t *testing.T) {
+	g := randomGraph(2000, 12000, 55)
+	const seed, other = kg.NodeID(17), kg.NodeID(40)
+	opt := Options{}.withDefaults()
+	want := solo(g, other, Options{})
+	dense := 0
+	for cut := 1; cut < opt.Iterations; cut++ {
+		ws := getWorkspace(g.NumNodes())
+		personalizedInto(newCountdownCtx(int64(cut)), g, seed, opt, ws)
+		if ws.dense {
+			dense++
+		}
+		assertSameBits(t, "cut vector", ws.p, solo(g, seed, Options{Iterations: cut}))
+		ws.reset()
+		personalizedInto(context.Background(), g, other, opt, ws)
+		assertSameBits(t, "next solve", ws.p, want)
+		ws.release()
+		assertSameBits(t, "pooled solve", solo(g, other, Options{}), want)
+	}
+	if dense == 0 {
+		t.Fatal("no cut landed after the switch to dense sweeps")
+	}
+}

@@ -30,16 +30,20 @@
 // NumNodes/denseSwitchDivisor (see that constant for the crossover
 // rationale), where frontier bookkeeping costs more than it saves. The
 // saturated gather walks the transpose's rows, which are stored in
-// ascending in-degree order so that consecutive rows run the same number
-// of inner-loop trips, and writes each row's node. Every step of a solve
-// runs on the calling goroutine: a sum solves its seeds one after another,
-// never a split of one step, and the concurrency lives above the package,
-// one request per goroutine. Both regimes read
-// per-edge transition probabilities from the graph's precomputed
-// kg.TransitionCSR rather than recomputing w(l)/wdeg per edge per
-// iteration, and the teleport is one add at the seed. Scratch vectors are
-// recycled through a sync.Pool and cleared sparsely, so a steady-state
-// solve allocates nothing per iteration.
+// ascending in-degree order and handled one run of equal in-degree at a
+// time, and it reads and writes vectors in that row order: the solve
+// permutes its vector into row order once at the switch and back to node
+// order once when its loop ends, so nothing outside the solve sees row
+// order. Every step of a solve runs on the calling goroutine: a sum
+// solves its seeds one after another, never a split of one step, and the
+// concurrency lives above the package, one request per goroutine. The
+// dense gather reads per-edge transition probabilities precomputed in the
+// transpose of kg.TransitionCSR; the sparse sweep forms each edge's
+// w(l)·(1/wdeg) from the label weight and the matrix's per-node
+// normalizer, the same product the transpose stores. The teleport is one
+// add at the seed. Scratch vectors are recycled through a sync.Pool and
+// cleared sparsely, so a steady-state solve allocates nothing per
+// iteration.
 //
 // A PageRank sum is a fold of single-seed vectors: every distinct seed is
 // solved once or served from Options.SeedCache, and the vectors are folded
@@ -181,15 +185,18 @@ const denseSwitchDivisor = 6
 // the caller owns ws and must reset or release it after consuming the
 // result.
 //
-// The sparse iterations walk the frontier until it saturates; every
-// iteration from then on is a dense gather, which overwrites next
-// outright, so ws.touched is not maintained in the dense regime. Either
-// way the teleport puts the restart mass, plus the mass stranded on
-// dangling nodes, back on the seed.
+// The sparse iterations walk the frontier in node order until it
+// saturates; every iteration from then on is a dense gather, which reads
+// and writes the transpose's row order (kg.TransitionCSR.ToRows) and
+// overwrites next outright, so ws.touched is not maintained in the dense
+// regime. The vector enters row order once, at the switch, and returns to
+// node order once, when the loop ends, so ws.p is in node order whenever
+// the caller sees it. Either way the teleport puts the restart mass, plus
+// the mass stranded on dangling nodes, back on the seed.
 //
 // Cancellation is checked between sweeps: once ctx is done the run stops
-// mid-schedule and leaves a partial vector in ws, so callers must consult
-// ctx.Err() before using (or caching) the result.
+// mid-schedule and leaves a partial vector in ws, in node order, so
+// callers must consult ctx.Err() before using (or caching) the result.
 func personalizedInto(ctx context.Context, g *kg.Graph, seed kg.NodeID, opt Options, ws *workspace) {
 	tr := g.Transitions()
 	c := opt.Damping
@@ -199,10 +206,12 @@ func personalizedInto(ctx context.Context, g *kg.Graph, seed kg.NodeID, opt Opti
 	for it := 0; it < opt.Iterations && ctx.Err() == nil; it++ {
 		if !ws.dense && len(touched)*denseSwitchDivisor >= len(p) {
 			ws.dense = true
+			tr.ToRows(next, p)
+			p, next = next, p
 		}
 		if ws.dense {
 			dangling := tr.GatherStep(next, p, c)
-			next[seed] += (1 - c) + c*dangling
+			next[tr.Row(seed)] += (1 - c) + float64(c*dangling)
 			p, next = next, p
 			continue
 		}
@@ -210,12 +219,16 @@ func personalizedInto(ctx context.Context, g *kg.Graph, seed kg.NodeID, opt Opti
 		if next[seed] == 0 {
 			nextT = append(nextT, seed)
 		}
-		next[seed] += (1 - c) + c*dangling
+		next[seed] += (1 - c) + float64(c*dangling)
 		for _, u := range touched {
 			p[u] = 0
 		}
 		p, next = next, p
 		touched, nextT = nextT, touched[:0]
+	}
+	if ws.dense {
+		tr.FromRows(next, p)
+		p, next = next, p
 	}
 	ws.p, ws.next = p, next
 	ws.touched, ws.nextT = touched, nextT
@@ -235,9 +248,8 @@ func sparseSweep(g *kg.Graph, tr *kg.TransitionCSR, p, next []float64, touched [
 			continue
 		}
 		cpf := c * pf
-		probs := tr.Probs(from)
-		for i, e := range adj {
-			share := cpf * probs[i]
+		for _, e := range adj {
+			share := float64(cpf * tr.Prob(from, e.Label))
 			if share == 0 {
 				continue // zero-weight label: no mass, keep nextT exact
 			}
