@@ -36,7 +36,7 @@
 //	                  or draining (with current/target epochs)
 //	GET  /livez       liveness: 200 whenever the process can answer
 //	GET  /v1/repl/stream, /v1/repl/snapshot  replication feed (-wal-dir)
-//	GET  /metrics     cache layers, executor load, in-flight gauge,
+//	GET  /metrics     cache layers, in-flight gauge,
 //	                  graph epoch + overlay/compaction counters,
 //	                  WAL/checkpoint gauges, latency histograms
 //	GET  /statsz      the same series as JSON
@@ -93,13 +93,12 @@ func main() {
 		walks       = flag.Int("walks", 200000, "PathMining walk budget")
 		alpha       = flag.Float64("alpha", 0.05, "default significance level")
 		seed        = flag.Int64("seed", 1, "random seed")
-		parallelism = flag.Int("par", 0, "queries of one /v1/batch request compared at once (0 = library default)")
 		cacheShards = flag.Int("cache-shards", 8, "query-cache shards for concurrent traffic")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-drain deadline after SIGTERM")
 		reqTimeout  = flag.Duration("timeout", 30*time.Second, "default per-request timeout")
 		maxTimeout  = flag.Duration("max-timeout", time.Minute, "cap on client-requested timeouts")
 		maxBody     = flag.Int64("max-body", 1<<20, "request body size limit in bytes")
-		maxInflight = flag.Int("max-inflight", 0, "admission gate: concurrent engine requests before shedding (0 = 4x executor workers)")
+		maxInflight = flag.Int("max-inflight", 0, "admission gate: concurrent engine requests before shedding (0 = 4x GOMAXPROCS)")
 		pprofOn     = flag.Bool("pprof", false, "mount /debug/pprof")
 		walDir      = flag.String("wal-dir", "", "write-ahead-log directory for durable ingest (empty = in-memory only)")
 		follow      = flag.String("follow", "", "primary base URL to replicate from (follower mode: read-only, in-memory)")
@@ -125,7 +124,6 @@ func main() {
 		Walks:       *walks,
 		Alpha:       *alpha,
 		Seed:        *seed,
-		Parallelism: *parallelism,
 		CacheShards: *cacheShards,
 	}
 	srv := server.NewPending(server.Config{

@@ -12,21 +12,19 @@
 // A search runs on its request's goroutine: the context is selected there
 // and the labels are then tested one after another in LabelsOf order (the
 // finished report optionally memoized through Options.Cache). Selection
-// has one mode: Contexts releases each query's context as it completes,
-// and FindNC and FindNCBatch collect the releases by query index
-// (CollectContexts) before comparing. Results are deterministic for a
-// fixed seed because every randomized component takes an explicit seed.
-// The one fan-out is FindNCBatch's, which compares the queries of a batch
-// at once through internal/exec.
+// has one mode: Contexts releases each query's context as it completes.
+// FindNC collects the release (CollectContexts) before comparing;
+// FindNCStream and FindNCBatch compare each query inside its release, and
+// FindNCBatch collects the results by query index. Nothing fans out.
+// Results are deterministic for a fixed seed because every randomized
+// component takes an explicit seed.
 //
 // Every entry point is request-scoped: it takes a context.Context,
 // threads it through context selection (the PageRank loops check it
 // between sweeps) and the comparison stage (checked between label tests),
 // and returns ctx.Err() once the request is cancelled — a dropped request
 // stops burning CPU mid-solve. Cancellation never corrupts shared caches:
-// only complete records and contexts are stored. FindNCStream (stream.go)
-// compares each query of a batch inside its context's release instead of
-// barriering.
+// only complete records and contexts are stored.
 package core
 
 import (
@@ -36,13 +34,11 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
 	"repro/internal/ctxsel"
 	"repro/internal/dist"
-	"repro/internal/exec"
 	"repro/internal/kg"
 	"repro/internal/obs"
 	"repro/internal/qcache"
@@ -121,10 +117,6 @@ type Options struct {
 	// Policy controls how query-only instance values are treated; see
 	// dist.UnseenPolicy. Default UnseenStrict (the paper's formula).
 	Policy dist.UnseenPolicy
-	// Parallelism bounds how many queries of a FindNCBatch are compared at
-	// once; 0 means 4. Every other entry point runs on its caller's
-	// goroutine.
-	Parallelism int
 	// Seed drives every randomized component.
 	Seed int64
 	// Cache, when non-nil, memoizes ranked contexts (see Contexts) and
@@ -133,12 +125,12 @@ type Options struct {
 	Cache *Cache
 
 	// Obs, when non-nil, receives per-stage wall times: one Select
-	// observation per FindNC call, per batch select phase and per
-	// FindNCStream call (cache hits included — a warm hit is still the
-	// stage's latency as the caller experienced it; a stream's is its
-	// streaming Contexts call minus the comparisons run inside it), and
-	// one Compare observation per CompareSets call. Each observation is a
-	// few atomic adds; nil costs one branch.
+	// observation per FindNC, FindNCBatch and FindNCStream call (cache
+	// hits included — a warm hit is still the stage's latency as the
+	// caller experienced it; a batch's or stream's is its streaming
+	// Contexts call minus the comparisons run inside it), and one Compare
+	// observation per CompareSets call. Each observation is a few atomic
+	// adds; nil costs one branch.
 	Obs *StageObs
 }
 
@@ -170,9 +162,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Test.Seed == 0 {
 		o.Test.Seed = o.Seed
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = 4
 	}
 	return o
 }
@@ -265,41 +254,28 @@ func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (R
 	return res, err
 }
 
-// FindNCBatch runs FindNC for every query in one batched pass: one
-// selection for the whole batch, collected by query index, then one
-// CompareSets per query through the shared executor, up to Parallelism at
-// once. Results are bitwise identical to calling FindNC per query for
-// every batch size and Parallelism setting. A cancelled ctx stops every
-// stage within one sweep or label test and returns ctx.Err().
+// FindNCBatch is FindNCStream collected by query index: every query is
+// compared on the calling goroutine inside its context's release, and the
+// results come back in query order, each bitwise identical to a solo
+// FindNC call. It returns ctx.Err() once ctx is done, else the first
+// error emitted (a stalled selector's included).
 func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opt = opt.withDefaults()
-	contexts, err := selectTimed(ctx, g, queries, opt)
-	if err != nil {
-		return nil, err
-	}
 	results := make([]Result, len(queries))
-	var next atomic.Int64
-	run := func() {
-		for {
-			if ctx.Err() != nil {
-				return
-			}
-			i := int(next.Add(1)) - 1
-			if i >= len(queries) {
-				return
-			}
-			results[i] = Result{Query: queries[i], Context: contexts[i]}
-			// The only possible error is ctx.Err(), reported once after the
-			// fan drains; the partial slot is discarded with the batch.
-			results[i].Characteristics, _ = CompareSets(ctx, g, queries[i], results[i].ContextIDs(), opt)
+	var first error
+	FindNCStream(ctx, g, queries, opt, func(i int, res Result, err error) {
+		if err != nil && first == nil {
+			first = err
 		}
-	}
-	exec.RunWorkersCtx(ctx, min(opt.Parallelism, len(queries)), run)
+		results[i] = res
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
+	}
+	if first != nil {
+		return nil, first
 	}
 	return results, nil
 }

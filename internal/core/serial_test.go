@@ -20,8 +20,8 @@ func goroutineID() string {
 }
 
 // TestComparisonRunsOnCallersGoroutine: every label test of CompareSets,
-// FindNC and FindNCStream runs on the calling goroutine — the comparison
-// stage fans nothing out to workers.
+// FindNC, FindNCStream and FindNCBatch runs on the calling goroutine — the
+// comparison stage fans nothing out to workers.
 func TestComparisonRunsOnCallersGoroutine(t *testing.T) {
 	g, query := leadersGraph()
 	opt := Options{Selector: ctxsel.RandomWalk{}, ContextSize: 8, Seed: 3}
@@ -38,6 +38,11 @@ func TestComparisonRunsOnCallersGoroutine(t *testing.T) {
 					t.Errorf("query %d: %v", i, err)
 				}
 			})
+		},
+		"FindNCBatch": func() {
+			if _, err := FindNCBatch(context.Background(), g, streamQueries(g, query), opt); err != nil {
+				t.Error(err)
+			}
 		},
 	}
 	for name, run := range runs {

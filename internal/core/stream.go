@@ -1,15 +1,12 @@
-// Streaming batch search: FindNCStream runs the same deduplicated batch
-// pipeline as FindNCBatch but releases each query's result the moment it
-// is ready instead of barriering the whole batch.
+// Streaming batch search: FindNCStream runs a batch's deduplicated
+// selection and releases each query's result the moment it is ready.
 //
-// FindNCBatch collects every query's context before any comparison stage
-// starts, so the first result of an N-query batch arrives only after all
-// N have been compared. Here each query's comparison stage runs inside
-// the release callback of the same Contexts call (a cache hit at once),
-// on the calling goroutine, and its result is emitted before the selector
-// moves on to the next query's seeds. Seed-level deduplication across the
-// batch is untouched (it lives inside the selector), and each emitted
-// Result is bitwise identical to a solo FindNC call.
+// Each query's comparison stage runs inside the release callback of the
+// same Contexts call (a cache hit at once), on the calling goroutine, and
+// its result is emitted before the selector moves on to the next query's
+// seeds. Seed-level deduplication across the batch is untouched (it lives
+// inside the selector), and each emitted Result is bitwise identical to a
+// solo FindNC call. FindNCBatch is this pass collected by query index.
 package core
 
 import (

@@ -149,7 +149,7 @@ func (idx *Index) Lookup(mention string, limit int) []Hit {
 			hits = append(hits, Hit{
 				Node:  id,
 				Name:  idx.g.NodeName(id),
-				Score: 0.9 * coverage * (0.5 + 0.5*brevity),
+				Score: 0.9 * coverage * (0.5 + float64(0.5*brevity)),
 			})
 		}
 	}

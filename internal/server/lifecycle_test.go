@@ -402,7 +402,7 @@ func (c holdCtx) Err() error {
 // cancels the request context, the engine work winds down, and no
 // goroutines leak.
 func TestStreamDisconnectCancels(t *testing.T) {
-	eng := testEngine(notable.Options{Parallelism: 2})
+	eng := testEngine(notable.Options{})
 	s := New(eng, quietCfg())
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()

@@ -16,7 +16,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -123,7 +122,7 @@ func (m *serverMetrics) endpoint(path string) *endpointMetrics {
 	}
 }
 
-// registerState adds the process, admission and executor gauges to the
+// registerState adds the process and admission gauges to the
 // server registry. They are read at scrape time, so nothing is added to
 // the request path; a booting server reports them before its engine
 // exists.
@@ -154,12 +153,6 @@ func (s *Server) registerState() {
 			rd := s.readiness.Load()
 			return obs.Bool(s.engine() != nil && (rd == nil || rd.Ready))
 		})
-	reg.NewGaugeFunc("nc_exec_workers", "Shared executor worker goroutines.",
-		func() float64 { return float64(exec.Default().Stats().Workers) })
-	reg.NewGaugeFunc("nc_exec_busy", "Shared executor tasks running on workers.",
-		func() float64 { return float64(exec.Default().Stats().Busy) })
-	reg.NewCounterFunc("nc_exec_inline_runs_total", "Group tasks run inline because every worker was busy.",
-		func() float64 { return float64(exec.Default().Stats().InlineRuns) })
 }
 
 // readRuntimeMetric reads one uint64 runtime/metrics sample, 0 if the

@@ -244,15 +244,15 @@ func TestStatszMetricsKey(t *testing.T) {
 	}
 }
 
-// volatileSeries move between any two reads of a live process (the
-// executor is process-wide, shared with whatever else runs); the
+// volatileSeries move between any two reads of a live process (the heap
+// grows and the collector re-paces between the two scrapes); the
 // equivalence check requires them on both surfaces but not equal.
 var volatileSeries = map[string]bool{
-	"nc_process_uptime_seconds": true,
-	"nc_process_goroutines":     true,
-	"nc_process_rss_bytes":      true,
-	"nc_exec_busy":              true,
-	"nc_exec_inline_runs_total": true,
+	"nc_process_uptime_seconds":  true,
+	"nc_process_goroutines":      true,
+	"nc_process_rss_bytes":       true,
+	"nc_process_heap_live_bytes": true,
+	"nc_process_heap_goal_bytes": true,
 }
 
 // parseExposition splits a text scrape into counter and gauge samples

@@ -25,8 +25,8 @@
 //     stack, and answered with a 500; concurrent requests and the process
 //     are unaffected.
 //
-//   - Load shedding. An admission gate sized off the shared internal/exec
-//     executor fast-fails with 503 + Retry-After once Config.MaxInFlight
+//   - Load shedding. An admission gate sized off GOMAXPROCS fast-fails
+//     with 503 + Retry-After once Config.MaxInFlight
 //     requests are in flight, so overload degrades throughput instead of
 //     latency: admitted requests keep their p50, excess ones get an
 //     immediate, cheap answer.
@@ -39,7 +39,7 @@
 // Retry-After once draining — a node about to exit takes no new writes),
 // GET /healthz (flips 503 while draining), GET /metrics and GET /statsz
 // (one set of series — request counters, stage latencies, cache layers,
-// executor load, in-flight gauge, graph epoch and overlay/compaction
+// in-flight gauge, graph epoch and overlay/compaction
 // counters, WAL/checkpoint gauges on durable engines — as Prometheus text
 // and as JSON), and net/http/pprof under /debug/pprof/ when enabled.
 package server
@@ -59,6 +59,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -66,7 +67,6 @@ import (
 	"time"
 
 	"repro"
-	"repro/internal/exec"
 	"repro/internal/obs"
 )
 
@@ -88,10 +88,9 @@ type Config struct {
 	// (default 1 MiB).
 	MaxBodyBytes int64
 	// MaxInFlight is the admission gate: engine requests beyond it are
-	// shed with 503 + Retry-After. Default 4× the shared executor's worker
-	// count — enough concurrency to keep the pool saturated through
-	// decode/encode gaps, small enough that queueing shows up as fast 503s
-	// instead of latency.
+	// shed with 503 + Retry-After. Default 4× GOMAXPROCS — enough
+	// concurrency to keep every core busy through decode/encode gaps,
+	// small enough that queueing shows up as fast 503s instead of latency.
 	MaxInFlight int
 	// RetryAfter is the Retry-After hint on shed responses (default 1s).
 	RetryAfter time.Duration
@@ -126,7 +125,7 @@ func (c Config) withDefaults() Config {
 		c.MaxBodyBytes = 1 << 20
 	}
 	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 4 * exec.Default().Stats().Workers
+		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second

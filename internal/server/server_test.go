@@ -341,7 +341,7 @@ func TestBatchAndStreamEndpoints(t *testing.T) {
 }
 
 // TestStatszEndpoint: the stats payload carries the gauges an operator
-// tunes by — executor width, cache layers, in-flight — and they move.
+// tunes by — admission gate, cache layers, in-flight — and they move.
 func TestStatszEndpoint(t *testing.T) {
 	s := New(testEngine(notable.Options{}), quietCfg())
 	ts := httptest.NewServer(s.Handler())
@@ -349,9 +349,6 @@ func TestStatszEndpoint(t *testing.T) {
 
 	postJSON(t, ts.Client(), ts.URL+"/v1/search", map[string]any{"entities": []string{"Angela Merkel"}})
 	st := getStatsz(t, ts).Series
-	if st["nc_exec_workers"] < 1 {
-		t.Fatalf("executor workers = %v", st["nc_exec_workers"])
-	}
 	if st["nc_server_max_in_flight"] < 1 || st["nc_server_draining"] != 0 || st["nc_server_in_flight"] != 0 {
 		t.Fatalf("gauges: %v", st)
 	}
@@ -404,11 +401,10 @@ func countdownAfter(t *testing.T, k int64) *atomic.Pointer[countdownCtx] {
 // with degraded=true and a non-empty prefix of the full report — and with
 // "degrade": false, a 504 instead.
 func TestDegradedHTTP(t *testing.T) {
-	// Test labels one at a time, so the claim order is the label order and
-	// each claim is one ctx probe. The deadline is a countdown of ctx
-	// probes, so where it lands does not depend on how long any stage
-	// takes on this host.
-	opt := notable.Options{Parallelism: 1}
+	// Labels are tested one at a time in label order, one ctx probe each.
+	// The deadline is a countdown of ctx probes, so where it lands does not
+	// depend on how long any stage takes on this host.
+	var opt notable.Options
 	eng := testEngine(opt)
 	s := New(eng, quietCfg())
 	ts := httptest.NewServer(s.Handler())

@@ -36,7 +36,7 @@ func KLDivergence(p, q []float64) float64 {
 	qs := smooth(q, n, eps)
 	d := 0.0
 	for i := 0; i < n; i++ {
-		d += ps[i] * math.Log(ps[i]/qs[i])
+		d += float64(ps[i] * math.Log(ps[i]/qs[i]))
 	}
 	if d < 0 {
 		d = 0 // numerical guard; KL is non-negative

@@ -194,7 +194,7 @@ func (m Multinomial) exact(p, logp []float64, logX float64, n int, s *Scratch) f
 	// A subtree is skipped only when its least likely outcome clears the
 	// threshold by far more than the rounding of the few-term sums compared,
 	// and counted whole only when its likeliest one falls as far below it.
-	slack := 1e-9 * (1 + math.Abs(e.threshold) + e.logN - float64(n)*e.cats[k-1].logp)
+	slack := float64(1e-9 * (1 + math.Abs(e.threshold) + e.logN - float64(float64(n)*e.cats[k-1].logp)))
 	e.skipAbove, e.countBelow = e.threshold+slack, e.threshold-slack
 	e.walk(0, n, 0)
 	if e.total > 1 {
@@ -234,9 +234,9 @@ func (e *exactSum) walk(cat, remaining int, logAcc float64) {
 		base, lf := logAcc+lt+e.logN, lgammaInt(left+1)
 		// The subtree's outcomes sum Π p^c/c! over its categories to
 		// S^left/left! (the multinomial theorem): its mass is exp(base+tail).
-		tail := float64(left)*e.logS[cat+1] - lf
+		tail := float64(float64(left)*e.logS[cat+1]) - lf
 		switch {
-		case base+float64(left)*e.cats[last].logp-lf > e.skipAbove:
+		case base+float64(float64(left)*e.cats[last].logp)-lf > e.skipAbove:
 			// All of left on the rarest category is the subtree's least
 			// likely outcome; above the threshold, none of it counts.
 		case base+min(float64(left)*e.cats[cat+1].logp, tail) <= e.countBelow:
@@ -367,7 +367,7 @@ func (m Multinomial) monteCarlo(p, logp []float64, logX float64, n, h int, s *Sc
 		for w, word := range drawn {
 			for ; word != 0; word &= word - 1 {
 				c := w<<6 | bits.TrailingZeros64(word)
-				lp += float64(counts[c])*logp[c] - lgammaInt(counts[c]+1)
+				lp += float64(float64(counts[c])*logp[c]) - lgammaInt(counts[c]+1)
 				counts[c] = 0
 			}
 			drawn[w] = 0
@@ -410,7 +410,7 @@ func termLogCached(p, lp float64, c int) float64 {
 	if p <= 0 {
 		return math.Inf(-1)
 	}
-	return float64(c)*lp - lgammaInt(c+1)
+	return float64(float64(c)*lp) - lgammaInt(c+1)
 }
 
 // lnFactTabSize bounds the precomputed ln Γ table; larger arguments (a

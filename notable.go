@@ -94,18 +94,17 @@
 // pipeline: each query consults the cache first, the misses share one
 // selection that releases each query's context as it completes (under
 // RandomWalk each distinct seed across the batch is solved once, through
-// the same per-seed fold as a single query), the releases are collected
-// by query index, and the comparison stages fan out through a
-// process-wide bounded executor, Options.Parallelism queries at a time.
-// Batches of overlapping cold queries — eval sweeps, batch entity
-// profiling, bursty traffic — run severalfold faster than sequential Do
-// calls with identical output.
+// the same per-seed fold as a single query), and each query is compared
+// inside its release, on the caller's goroutine; the results are
+// collected by query index. Batches of overlapping cold queries — eval
+// sweeps, batch entity profiling, bursty traffic — run severalfold faster
+// than sequential Do calls with identical output.
 //
-// DoStream runs the same deduplicated batch but runs each query's
-// comparison stage as soon as its PageRank sum folds, on the stream's own
-// goroutine, emitting results in completion order: time-to-first-result drops from "the
-// whole batch" to roughly "one query", while per-query results stay
-// bitwise identical to solo Do calls.
+// DoStream runs the same pass on the stream's own goroutine and emits
+// each result as its comparison finishes, in completion order:
+// time-to-first-result drops from "the whole batch" to roughly "one
+// query", while per-query results stay bitwise identical to solo Do
+// calls.
 //
 // # Serving
 //
@@ -125,14 +124,14 @@
 // panic isolation, and load shedding; see internal/server and
 // docs/serving.md.
 //
-// Neither caching, batching, nor parallelism changes results: every
-// randomized component takes an explicit seed, a search runs on its
-// request's goroutine (PageRank solves one seed after another and folds
-// in seed-list order; path mining draws its seeded walk streams in order;
-// labels are tested one after another), DoBatch's fan-out compares each
-// query independently into its own slot, and every batched stage
-// replicates its sequential arithmetic, so every cache state, batch size,
-// and worker count produces bitwise-identical output.
+// Neither caching nor batching changes results: every randomized
+// component takes an explicit seed, a search runs on its request's
+// goroutine (PageRank solves one seed after another and folds in
+// seed-list order; path mining draws its seeded walk streams in order;
+// labels are tested one after another), a batch compares each query
+// independently into its own slot, and every batched stage replicates its
+// sequential arithmetic, so every cache state and batch size produces
+// bitwise-identical output.
 package notable
 
 import (
@@ -233,10 +232,10 @@ type Options struct {
 	Policy string
 	// Seed drives all randomized components (default 1).
 	Seed int64
-	// Parallelism bounds how many queries of one DoBatch are compared at
-	// once through the shared executor; 0 means the core default (4).
-	// Every other request runs on its caller's goroutine. It never
-	// changes results, only wall-clock.
+	// Parallelism is ignored: every request, a DoBatch included, runs on
+	// its caller's goroutine.
+	//
+	// Deprecated: it no longer has any effect.
 	Parallelism int
 	// CacheSize bounds the engine's query cache: the number of memoized
 	// entries across all three cache layers — ranked selector contexts,
@@ -693,7 +692,6 @@ func (e *Engine) coreOptionsFor(opt Options, view *kg.View) core.Options {
 		},
 		SkipInverse: true,
 		Policy:      policy,
-		Parallelism: opt.Parallelism,
 		Seed:        opt.Seed,
 		Obs:         e.met.stage,
 	}

@@ -51,7 +51,7 @@ func searchSequential(t testing.TB, e *Engine, queries [][]NodeID) []Result {
 }
 
 // TestSearchBatchMatchesSequentialBitwise is the batch pipeline's
-// acceptance invariant: for every batch size and Parallelism, DoBatch
+// acceptance invariant: for every batch size, DoBatch
 // on a fresh engine returns exactly — bitwise, via DeepEqual on the full
 // Result records — what per-query Do calls on an equally fresh engine
 // return. Covers the score-caching selector path (RandomWalk, whose batch
@@ -60,33 +60,30 @@ func TestSearchBatchMatchesSequentialBitwise(t *testing.T) {
 	g := buildLeaders()
 	base := Options{ContextSize: 6, Selector: SelectorRandomWalk, Seed: 3, TestSamples: 500}
 	for _, batchSize := range []int{1, 3, 16} {
-		for _, par := range []int{1, 4} {
-			opt := base
-			opt.Parallelism = par
-			seqEng := NewEngine(g, opt)
-			queries := leaderQueries(t, seqEng, batchSize)
-			want := searchSequential(t, seqEng, queries)
+		opt := base
+		seqEng := NewEngine(g, opt)
+		queries := leaderQueries(t, seqEng, batchSize)
+		want := searchSequential(t, seqEng, queries)
 
-			batchEng := NewEngine(g, opt)
-			got, err := batchEng.DoBatch(context.Background(), asQueries(queries))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("batch=%d par=%d: batched results differ from sequential", batchSize, par)
-			}
+		batchEng := NewEngine(g, opt)
+		got, err := batchEng.DoBatch(context.Background(), asQueries(queries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("batch=%d: batched results differ from sequential", batchSize)
+		}
 
-			// Cacheless engines must agree too — the batch path's solver
-			// dedup does not depend on the cache.
-			opt.CacheSize = -1
-			coldEng := NewEngine(g, opt)
-			cold, err := coldEng.DoBatch(context.Background(), asQueries(queries))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cold, want) {
-				t.Fatalf("batch=%d par=%d: cacheless batch differs", batchSize, par)
-			}
+		// Cacheless engines must agree too — the batch path's solver
+		// dedup does not depend on the cache.
+		opt.CacheSize = -1
+		coldEng := NewEngine(g, opt)
+		cold, err := coldEng.DoBatch(context.Background(), asQueries(queries))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cold, want) {
+			t.Fatalf("batch=%d: cacheless batch differs", batchSize)
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestPinnedRequestSurvivesPurge(t *testing.T) {
 					t.Fatal(err)
 				}
 				refOpt := opt
-				refOpt.CacheSize, refOpt.Parallelism = -1, 1
+				refOpt.CacheSize = -1
 				want := mustDo(t, NewEngine(buildLeaders(), refOpt), Query{Nodes: query})
 				if warm {
 					mustDo(t, e, Query{Nodes: query})

@@ -216,13 +216,12 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 // (engine options + overrides; TopK excluded, it is a per-query
 // post-cut) share one deduplicated cold pass — per-query cache consults
 // first, one multi-source PageRank solve for the misses (each distinct
-// seed solved once, through the per-seed fold a single query runs),
-// comparison stages fanned through the shared executor, up to
-// Options.Parallelism at once — and results are bitwise identical to
-// calling Do per query for every batch size, override mix, and
-// Parallelism. Batches whose
-// overrides differ are grouped by effective options; deduplication
-// applies within each group.
+// seed solved once, through the per-seed fold a single query runs), each
+// query compared on the caller's goroutine as its context is released,
+// as DoStream does — and results are bitwise identical to calling Do per
+// query for every batch size and override mix. Batches whose overrides
+// differ are grouped by effective options; deduplication applies within
+// each group.
 //
 // Validation is up-front: any malformed query — empty, a bad override, a
 // node ID the graph lacks — fails the whole batch with an error wrapping
@@ -269,13 +268,13 @@ func (e *Engine) doBatch(ctx context.Context, qs []Query) ([]Result, error) {
 // in a fraction of the batch's total wall-clock, with every Result
 // bitwise identical to a solo Do call.
 //
-// Cancelling ctx stops all workers within one PageRank sweep or one
+// Cancelling ctx stops the stream within one PageRank sweep or one
 // label test; queries not yet completed are flushed with Err = ctx.Err()
 // and the channel closes. The channel is buffered for the whole batch,
 // so a consumer that stops receiving (with or without cancelling) never
-// blocks or leaks the workers. Malformed queries (empty node sets, bad
-// overrides, node IDs the graph lacks) yield an Outcome with Err wrapping
-// ErrEmptyQuery or ErrBadQuery instead of failing the batch.
+// blocks or leaks the stream's goroutine. Malformed queries (empty node
+// sets, bad overrides, node IDs the graph lacks) yield an Outcome with Err
+// wrapping ErrEmptyQuery or ErrBadQuery instead of failing the batch.
 func (e *Engine) DoStream(ctx context.Context, qs []Query) <-chan Outcome {
 	if ctx == nil {
 		ctx = context.Background()

@@ -15,7 +15,7 @@ trap 'rm -rf "$TMP"' EXIT
 go build -o "$TMP/ncserved" ./cmd/ncserved
 go build -o "$TMP/ncsoak" ./cmd/ncsoak
 
-# The default admission gate is 4x executor workers — on a small CI box
+# The default admission gate is 4x GOMAXPROCS — on a small CI box
 # that can be 4 slots, which a 15 QPS burst overruns with sheds the soak
 # would count against its error budget. The smoke probes leaks, not
 # admission control, so give the gate explicit headroom.
