@@ -13,7 +13,8 @@ var ErrEmptyQuery = errors.New("notable: empty query")
 
 // ErrBadQuery is returned by Do, DoBatch, and DoStream when a Query
 // carries an override that no engine configuration could make valid — a
-// negative TopK, ContextSize, or TestSamples, or an Alpha outside (0, 1).
+// negative TopK, ContextSize, or TestSamples, or an Alpha outside (0, 1) —
+// or a Walks or TestSamples above the engine's own.
 // The returned error wraps ErrBadQuery and names the offending field;
 // match with errors.Is. (Zero values are not errors: they mean "inherit
 // the engine's option".)

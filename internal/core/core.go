@@ -13,9 +13,9 @@
 // and the labels are then tested one after another in LabelsOf order (the
 // finished report optionally memoized through Options.Cache). Selection
 // has one mode: Contexts releases each query's context as it completes.
-// FindNC collects the release (CollectContexts) before comparing;
-// FindNCStream and FindNCBatch compare each query inside its release, and
-// FindNCBatch collects the results by query index. Nothing fans out.
+// Every entry point runs one pass: FindNCStream compares each query inside
+// its release, FindNCBatch collects the stream's results by query index,
+// and FindNC is FindNCBatch of one. Nothing fans out.
 // Results are deterministic for a fixed seed because every randomized
 // component takes an explicit seed.
 //
@@ -111,8 +111,10 @@ type Options struct {
 	// order and a started test always finishes), so a degraded response is
 	// a prefix-consistent subset of the full one. Cancellation before or
 	// during context selection still fails whole — there is no context to
-	// be partial about. Batch entry points ignore Partial: a cancelled
-	// batch is abandoned outright.
+	// be partial about. Every entry point honours it: FindNCStream emits
+	// the cut query's context and tested prefix with the *PartialError, and
+	// FindNCBatch (so FindNC) returns every slot with it. A cut after the
+	// comparison has finished is a bare ctx.Err(), as without Partial.
 	Partial bool
 	// Policy controls how query-only instance values are treated; see
 	// dist.UnseenPolicy. Default UnseenStrict (the paper's formula).
@@ -125,12 +127,12 @@ type Options struct {
 	Cache *Cache
 
 	// Obs, when non-nil, receives per-stage wall times: one Select
-	// observation per FindNC, FindNCBatch and FindNCStream call (cache
-	// hits included — a warm hit is still the stage's latency as the
-	// caller experienced it; a batch's or stream's is its streaming
-	// Contexts call minus the comparisons run inside it), and one Compare
-	// observation per CompareSets call. Each observation is a few atomic
-	// adds; nil costs one branch.
+	// observation per FindNCStream pass, and so per FindNC and FindNCBatch
+	// call (cache hits included — a warm hit is still the stage's latency
+	// as the caller experienced it), timing the pass's Contexts call minus
+	// the comparisons run inside it; and one Compare observation per
+	// CompareSets call. Each observation is a few atomic adds; nil costs
+	// one branch.
 	Obs *StageObs
 }
 
@@ -230,35 +232,27 @@ func (e *PartialError) Error() string {
 // Unwrap exposes the underlying ctx error to errors.Is.
 func (e *PartialError) Unwrap() error { return e.Cause }
 
-// FindNC runs the full pipeline on query against g. Cancellation is
-// request-scoped: once ctx is done, FindNC stops within one PageRank
-// sweep or one label test and returns ctx.Err() — or, under
-// Options.Partial, the labels tested so far alongside a *PartialError
-// when the cut landed in the comparison stage.
+// FindNC runs the full pipeline on query against g: FindNCBatch of one.
+// Cancellation is request-scoped: once ctx is done, FindNC stops within
+// one PageRank sweep or one label test and returns ctx.Err() — or, under
+// Options.Partial, the context and the labels tested so far alongside a
+// *PartialError when the cut landed in the comparison stage.
 func FindNC(ctx context.Context, g *kg.Graph, query []kg.NodeID, opt Options) (Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	opt = opt.withDefaults()
-	contexts, err := selectTimed(ctx, g, [][]kg.NodeID{query}, opt)
-	if err != nil {
+	results, err := FindNCBatch(ctx, g, [][]kg.NodeID{query}, opt)
+	if results == nil {
 		return Result{}, err
 	}
-	res := Result{Query: query, Context: contexts[0]}
-	chars, err := CompareSets(ctx, g, query, res.ContextIDs(), opt)
-	var pe *PartialError
-	if err != nil && !errors.As(err, &pe) {
-		return Result{}, err
-	}
-	res.Characteristics = chars
-	return res, err
+	return results[0], err
 }
 
 // FindNCBatch is FindNCStream collected by query index: every query is
 // compared on the calling goroutine inside its context's release, and the
 // results come back in query order, each bitwise identical to a solo
-// FindNC call. It returns ctx.Err() once ctx is done, else the first
-// error emitted (a stalled selector's included).
+// FindNC call. When the first error emitted is a *PartialError (only
+// under Options.Partial) every slot comes back with it, the cut query's
+// holding its context and tested prefix. Otherwise it returns ctx.Err()
+// once ctx is done, else the first error emitted (a stalled selector's
+// included).
 func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([]Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -271,6 +265,10 @@ func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Op
 		}
 		results[i] = res
 	})
+	var pe *PartialError
+	if errors.As(first, &pe) {
+		return results, first
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -278,40 +276,6 @@ func FindNCBatch(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Op
 		return nil, first
 	}
 	return results, nil
-}
-
-// selectTimed is CollectContexts under the Select stage timer.
-func selectTimed(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([][]topk.Item, error) {
-	start := time.Now()
-	contexts, err := CollectContexts(ctx, g, queries, opt)
-	if opt.Obs != nil {
-		opt.Obs.Select.Observe(time.Since(start))
-	}
-	return contexts, err
-}
-
-// CollectContexts runs Contexts and puts each released context in its
-// query's slot, whatever the release order. The slots come back even on
-// error, nil where nothing was released; the error is ctx.Err() once ctx
-// is done, or errSelectorStalled when the selector returned under a live
-// ctx without releasing every query.
-func CollectContexts(ctx context.Context, g *kg.Graph, queries [][]kg.NodeID, opt Options) ([][]topk.Item, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	out := make([][]topk.Item, len(queries))
-	released := 0
-	Contexts(ctx, g, queries, opt, func(i int, items []topk.Item) {
-		out[i] = items
-		released++
-	})
-	if err := ctx.Err(); err != nil {
-		return out, err
-	}
-	if released < len(queries) {
-		return out, errSelectorStalled
-	}
-	return out, nil
 }
 
 // cachedContextFloor is the smallest cut the selector layer stores, so

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/ctxsel"
 	"repro/internal/kg"
 )
 
@@ -142,4 +143,57 @@ func TestFindNCPartial(t *testing.T) {
 	if len(res2.Characteristics) != 0 || len(res2.Context) != 0 {
 		t.Fatal("non-Partial cancellation returned a result")
 	}
+}
+
+// TestFindNCStreamPartial: under Options.Partial, a stream whose first
+// label test cancels ctx emits the cut query with its context and a
+// one-record prefix — each record bitwise the uncut run's — alongside a
+// *PartialError; every other query is emitted with a bare ctx error.
+func TestFindNCStreamPartial(t *testing.T) {
+	g, query := leadersGraph()
+	queries := streamQueries(g, query)
+	opt := Options{Selector: ctxsel.RandomWalk{}, ContextSize: 8, Seed: 3}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tested := 0
+	testLabelHook = func() {
+		if tested++; tested == 1 {
+			cancel()
+		}
+	}
+	defer func() { testLabelHook = nil }()
+	partialOpt := opt
+	partialOpt.Partial = true
+	cut, emits := -1, 0
+	var res Result
+	FindNCStream(ctx, g, queries, partialOpt, func(i int, r Result, err error) {
+		emits++
+		var pe *PartialError
+		switch {
+		case errors.As(err, &pe):
+			if cut >= 0 {
+				t.Fatalf("queries %d and %d both emitted a *PartialError", cut, i)
+			}
+			if pe.Tested != 1 || !errors.Is(err, context.Canceled) {
+				t.Fatalf("query %d: %v, want one label tested and context.Canceled", i, err)
+			}
+			cut, res = i, r
+		case errors.Is(err, context.Canceled):
+			if len(r.Context) != 0 || len(r.Characteristics) != 0 {
+				t.Fatalf("query %d: bare cancellation emitted a result", i)
+			}
+		default:
+			t.Fatalf("query %d: err = %v, want a cut", i, err)
+		}
+	})
+	if emits != len(queries) || cut < 0 {
+		t.Fatalf("%d emits for %d queries, cut query %d; want every query once and one *PartialError", emits, len(queries), cut)
+	}
+	testLabelHook = nil
+	full := findNC(t, g, queries[cut], opt)
+	if !reflect.DeepEqual(res.Context, full.Context) || !reflect.DeepEqual(res.Query, queries[cut]) {
+		t.Fatal("degraded stream result lost its query or context")
+	}
+	checkPrefix(t, res.Characteristics, full.Characteristics,
+		partialLabels(g, queries[cut], full.ContextIDs(), false)[:1])
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ctxsel"
 	"repro/internal/kg"
 	"repro/internal/qcache"
+	"repro/internal/topk"
 )
 
 // recordingSelector delegates to RandomWalk and records the batch of every
@@ -87,9 +88,10 @@ func TestFindNCStreamStalledSelector(t *testing.T) {
 	}
 }
 
-// TestBatchEntryPointsReportStalledSelector: FindNC and FindNCBatch fail
-// with errSelectorStalled, rather than compare an empty context, when the
-// selector returns under a live ctx without releasing every query.
+// TestBatchEntryPointsReportStalledSelector: FindNCBatch fails with
+// errSelectorStalled, rather than compare an empty context, when the
+// selector returns under a live ctx without releasing every query; FindNC,
+// a batch of one the selector does release, succeeds.
 func TestBatchEntryPointsReportStalledSelector(t *testing.T) {
 	g, query := leadersGraph()
 	queries := streamQueries(g, query)
@@ -97,10 +99,6 @@ func TestBatchEntryPointsReportStalledSelector(t *testing.T) {
 	opt := Options{Selector: recordingSelector{calls: &calls, stall: true}, ContextSize: 8, Seed: 3}
 	if _, err := FindNCBatch(context.Background(), g, queries, opt); !errors.Is(err, errSelectorStalled) {
 		t.Fatalf("FindNCBatch: err = %v, want errSelectorStalled", err)
-	}
-	contexts, err := CollectContexts(context.Background(), g, queries, opt)
-	if !errors.Is(err, errSelectorStalled) || len(contexts) != len(queries) || contexts[0] == nil || contexts[1] != nil {
-		t.Fatalf("CollectContexts: %d slots, err = %v; want query 0's context alone and errSelectorStalled", len(contexts), err)
 	}
 	if _, err := FindNC(context.Background(), g, query, opt); err != nil {
 		t.Fatalf("FindNC on a batch of one, released: %v", err)
@@ -126,8 +124,8 @@ func (reverseSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]kg.N
 // TestReleasesOutOfQueryOrder: a selector releasing a batch in reverse
 // order, alone or behind a selector layer that already holds every other
 // query (so hits are released before misses), leaves each context in its
-// own query's slot — FindNCBatch, FindNC and CollectContexts are bitwise
-// what an in-order release yields.
+// own query's slot — FindNCBatch's results, contexts included, and FindNC
+// are bitwise what an in-order release yields.
 func TestReleasesOutOfQueryOrder(t *testing.T) {
 	g, query := leadersGraph()
 	queries := streamQueries(g, query)
@@ -142,22 +140,16 @@ func TestReleasesOutOfQueryOrder(t *testing.T) {
 	cached := reversed
 	cached.Cache = &Cache{Store: qcache.NewSharded(qcache.Config{Capacity: 1024}), SelectorPrefix: "rw|"}
 	for i := 0; i < len(queries); i += 2 {
-		if _, err := CollectContexts(ctx, g, queries[i:i+1], cached); err != nil {
-			t.Fatal(err)
-		}
+		Contexts(ctx, g, queries[i:i+1], cached, func(int, []topk.Item) {})
 	}
 	for _, opt := range []Options{reversed, cached} {
-		contexts, err := CollectContexts(ctx, g, queries, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := FindNCBatch(ctx, g, queries, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i, q := range queries {
-			if !reflect.DeepEqual(contexts[i], want[i].Context) {
-				t.Fatalf("cached=%t: CollectContexts slot %d holds another query's context", opt.Cache != nil, i)
+			if !reflect.DeepEqual(got[i].Context, want[i].Context) {
+				t.Fatalf("cached=%t: FindNCBatch slot %d holds another query's context", opt.Cache != nil, i)
 			}
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Fatalf("cached=%t: FindNCBatch result %d differs from the in-order release", opt.Cache != nil, i)

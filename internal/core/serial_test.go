@@ -54,15 +54,13 @@ func TestComparisonRunsOnCallersGoroutine(t *testing.T) {
 	}
 }
 
-// TestStreamStageTimersExcludeComparisons: a stream records one ctx_select
-// and one ppr_solve observation, and neither counts the comparisons that
-// run inside the selection's release callbacks — each stays below the
-// time the label tests alone slept.
+// TestStreamStageTimersExcludeComparisons: a stream, and FindNC (a batch
+// of one through the same pass), records one ctx_select and one ppr_solve
+// observation, and neither counts the comparisons that run inside the
+// selection's release callbacks — each stays below the time the label
+// tests alone slept.
 func TestStreamStageTimersExcludeComparisons(t *testing.T) {
 	g, query := leadersGraph()
-	solve := obs.NewHistogram(nil)
-	stages := &StageObs{Select: obs.NewHistogram(nil), Compare: obs.NewHistogram(nil)}
-	opt := Options{Selector: ctxsel.RandomWalk{Opt: ppr.Options{SolveObs: solve}}, ContextSize: 8, Seed: 3, Obs: stages}
 	const nap = 2 * time.Millisecond
 	tested := 0
 	testLabelHook = func() {
@@ -70,25 +68,36 @@ func TestStreamStageTimersExcludeComparisons(t *testing.T) {
 		time.Sleep(nap)
 	}
 	defer func() { testLabelHook = nil }()
-	FindNCStream(context.Background(), g, streamQueries(g, query), opt, func(i int, _ Result, err error) {
-		if err != nil {
-			t.Errorf("query %d: %v", i, err)
-		}
-	})
-	slept := time.Duration(tested) * nap
-	if tested == 0 {
-		t.Fatal("no label tested")
+	runs := map[string]func(Options){
+		"FindNCStream": func(opt Options) {
+			FindNCStream(context.Background(), g, streamQueries(g, query), opt, func(i int, _ Result, err error) {
+				if err != nil {
+					t.Errorf("query %d: %v", i, err)
+				}
+			})
+		},
+		"FindNC": func(opt Options) { findNC(t, g, query, opt) },
 	}
-	for name, h := range map[string]*obs.Histogram{"ctx_select": stages.Select, "ppr_solve": solve} {
-		s := h.Snapshot()
-		if s.Count != 1 {
-			t.Fatalf("%s: %d observations per stream, want 1", name, s.Count)
+	for input, run := range runs {
+		solve := obs.NewHistogram(nil)
+		stages := &StageObs{Select: obs.NewHistogram(nil), Compare: obs.NewHistogram(nil)}
+		tested = 0
+		run(Options{Selector: ctxsel.RandomWalk{Opt: ppr.Options{SolveObs: solve}}, ContextSize: 8, Seed: 3, Obs: stages})
+		slept := time.Duration(tested) * nap
+		if tested == 0 {
+			t.Fatalf("%s: no label tested", input)
 		}
-		if got := time.Duration(s.SumNanos); got >= slept {
-			t.Fatalf("%s: %v observed, not below the %v the label tests slept", name, got, slept)
+		for name, h := range map[string]*obs.Histogram{"ctx_select": stages.Select, "ppr_solve": solve} {
+			s := h.Snapshot()
+			if s.Count != 1 {
+				t.Fatalf("%s: %s: %d observations per call, want 1", input, name, s.Count)
+			}
+			if got := time.Duration(s.SumNanos); got >= slept {
+				t.Fatalf("%s: %s: %v observed, not below the %v the label tests slept", input, name, got, slept)
+			}
 		}
-	}
-	if got := time.Duration(stages.Compare.Snapshot().SumNanos); got < slept {
-		t.Fatalf("compare: %v observed, below the %v the label tests slept", got, slept)
+		if got := time.Duration(stages.Compare.Snapshot().SumNanos); got < slept {
+			t.Fatalf("%s: compare: %v observed, below the %v the label tests slept", input, got, slept)
+		}
 	}
 }

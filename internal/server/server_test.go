@@ -189,6 +189,7 @@ func TestErrorMapping(t *testing.T) {
 		{"unknown policy", "/v1/search", `{"entities":["Angela Merkel"],"policy":"pooledd"}`, http.StatusBadRequest, ""},
 		{"node id out of range", "/v1/search", `{"nodes":[999999]}`, http.StatusBadRequest, ""},
 		{"walks over the engine's budget", "/v1/search", `{"entities":["Angela Merkel"],"walks":5001}`, http.StatusBadRequest, "budget"},
+		{"test_samples over the engine's cap", "/v1/search", `{"entities":["Angela Merkel"],"test_samples":20001}`, http.StatusBadRequest, "cap 20000"},
 		{"empty batch", "/v1/batch", `{"queries":[]}`, http.StatusBadRequest, "empty batch"},
 		{"unresolved entity in batch query 1", "/v1/batch", unresolved1, http.StatusBadRequest, "query 1:"},
 		{"bad override in batch", "/v1/batch", `{"queries":[{"entities":["Angela Merkel"],"top_k":-1}]}`, http.StatusBadRequest, "TopK"},

@@ -17,6 +17,10 @@ import (
 // notable when the test rejects equality with p ≤ 0.05.
 const DefaultAlpha = 0.05
 
+// DefaultSamples is the Monte-Carlo sample cap when Multinomial.Samples is
+// not positive.
+const DefaultSamples = 20000
+
 // Multinomial runs the exact multinomial test of Section 3.2.
 //
 // Given a multinomial distribution π (the normalized context distribution)
@@ -40,10 +44,10 @@ type Multinomial struct {
 	// the observation, so only the outcomes near its probability are
 	// visited one by one.
 	ExactLimit int
-	// Samples caps the Monte-Carlo sample count. Default 20000. A test
-	// stops earlier once seqHits samples are at most as likely as the
-	// observation, so only one with P below about seqHits/Samples draws
-	// all of them.
+	// Samples caps the Monte-Carlo sample count. Default DefaultSamples.
+	// A test stops earlier once seqHits samples are at most as likely as
+	// the observation, so only one with P below about seqHits/Samples
+	// draws all of them.
 	Samples int
 	// Seed makes Monte-Carlo runs deterministic.
 	Seed int64
@@ -70,7 +74,7 @@ func (m Multinomial) withDefaults() Multinomial {
 		m.ExactLimit = 200000
 	}
 	if m.Samples <= 0 {
-		m.Samples = 20000
+		m.Samples = DefaultSamples
 	}
 	return m
 }

@@ -253,6 +253,7 @@ type Options struct {
 	// are at most as likely as the observation, so only a test with P
 	// below about 100/TestSamples reaches the cap; a lower cap coarsens
 	// exactly those p-values. Results remain deterministic for any value.
+	// A request's Query.TestSamples may only lower it.
 	TestSamples int
 	// TestExactLimit overrides the outcome-composition count up to which
 	// the test enumerates exactly instead of sampling (default 200000).
@@ -713,9 +714,10 @@ func (e *Engine) Context(query []NodeID, k int) []ContextItem {
 	}
 	copt := e.coreOptionsFor(e.opt, view)
 	copt.ContextSize = k
-	// A live ctx and a built-in selector leave no error to report.
-	contexts, _ := core.CollectContexts(context.Background(), view.G, [][]NodeID{query}, copt)
-	return contexts[0]
+	// A live ctx and a built-in selector release the one query.
+	var items []ContextItem
+	core.Contexts(context.Background(), view.G, [][]NodeID{query}, copt, func(_ int, got []ContextItem) { items = got })
+	return items
 }
 
 // LoadGraph reads triples (N-Triples subset or TSV) from r and builds a

@@ -32,7 +32,7 @@ func (c countingSelector) Scores(ctx context.Context, g *kg.Graph, queries [][]k
 	}
 }
 
-// selectOne resolves one query's context through core.CollectContexts at
+// selectOne resolves one query's context through core.Contexts at
 // size k.
 func selectOne(copt core.Options, g *Graph, query []NodeID, k int) []ContextItem {
 	copt.ContextSize = k

@@ -59,7 +59,7 @@ func TestDoOverridesMatchEngineOptions(t *testing.T) {
 		{"Selector", Query{Selector: SelectorRandomWalk}, func(o Options) Options { o.Selector = SelectorRandomWalk; return o }},
 		{"Alpha", Query{Alpha: 0.2}, func(o Options) Options { o.Alpha = 0.2; return o }},
 		{"Policy", Query{Policy: PolicyPooled}, func(o Options) Options { o.Policy = PolicyPooled; return o }},
-		{"TestSamples", Query{TestSamples: 750}, func(o Options) Options { o.TestSamples = 750; return o }},
+		{"TestSamples", Query{TestSamples: 300}, func(o Options) Options { o.TestSamples = 300; return o }},
 	}
 	for _, tc := range cases {
 		q := tc.q
@@ -436,6 +436,8 @@ func TestQueryValidation(t *testing.T) {
 		{"Alpha", Query{Nodes: nodes, Alpha: 1}},
 		{"Alpha", Query{Nodes: nodes, Alpha: 1.5}},
 		{"TestSamples", Query{Nodes: nodes, TestSamples: -5}},
+		// Above the engine's cap of 500.
+		{"TestSamples", Query{Nodes: nodes, TestSamples: 501}},
 		// ctxsel.RandomWalk's Name(), not the Selector* constant.
 		{"Selector", Query{Nodes: nodes, Selector: "RandomWalk"}},
 		{"Selector", Query{Nodes: nodes, Selector: "pagerank"}},

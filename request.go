@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kg"
+	"repro/internal/stats"
 )
 
 // Query is one request-scoped search: the query nodes plus per-request
@@ -45,7 +46,10 @@ type Query struct {
 	// Policy overrides Options.Policy when non-empty (PolicyStrict or
 	// PolicyPooled).
 	Policy string
-	// TestSamples overrides Options.TestSamples when > 0.
+	// TestSamples overrides Options.TestSamples when > 0. It may only
+	// lower the engine's cap: a value above Options.TestSamples (20000
+	// when not positive) is ErrBadQuery, since the Monte-Carlo loop of one
+	// label test runs to the cap without looking at ctx.
 	TestSamples int
 	// Walks overrides Options.Walks when > 0 (the ContextRW selector's
 	// PathMining budget). It may only lower the budget: a value above the
@@ -66,19 +70,20 @@ type Query struct {
 	// returns the labels tested so far — a prefix-consistent subset of the
 	// full report, context included — alongside a *DegradedError instead
 	// of discarding the work with a bare ctx error. A cut before the
-	// context is selected still fails whole. Only Do honors Degrade;
+	// context is selected, or after the comparison has finished, still
+	// fails whole. Only Do honors Degrade;
 	// DoBatch and DoStream abandon cancelled work outright.
 	Degrade bool
 }
 
 // validate rejects override values no engine configuration could make
-// valid, a Walks above maxWalks (the engine's budget), and node IDs g does
-// not have. Zero values are never errors — they mean "inherit the
+// valid, a Walks or TestSamples above the engine's own (eng's), and node
+// IDs g does not have. Zero values are never errors — they mean "inherit the
 // engine's option" — so validation only fires on explicit nonsense:
 // negative sizes/counts, significance levels outside (0, 1), selector
 // names other than the four Selector* constants, policy names other than
 // the two Policy* constants, and node IDs past g.NumNodes().
-func (q Query) validate(g *kg.Graph, maxWalks int) error {
+func (q Query) validate(g *kg.Graph, eng Options) error {
 	if len(q.Nodes) == 0 {
 		return ErrEmptyQuery
 	}
@@ -91,10 +96,12 @@ func (q Query) validate(g *kg.Graph, maxWalks int) error {
 		return fmt.Errorf("%w: Alpha %v outside (0, 1)", ErrBadQuery, q.Alpha)
 	case q.TestSamples < 0:
 		return fmt.Errorf("%w: TestSamples %d < 0", ErrBadQuery, q.TestSamples)
+	case q.TestSamples > eng.samplesCap():
+		return fmt.Errorf("%w: TestSamples %d above the engine's cap %d", ErrBadQuery, q.TestSamples, eng.samplesCap())
 	case q.Walks < 0:
 		return fmt.Errorf("%w: Walks %d < 0", ErrBadQuery, q.Walks)
-	case q.Walks > maxWalks:
-		return fmt.Errorf("%w: Walks %d above the engine's budget %d", ErrBadQuery, q.Walks, maxWalks)
+	case q.Walks > eng.Walks:
+		return fmt.Errorf("%w: Walks %d above the engine's budget %d", ErrBadQuery, q.Walks, eng.Walks)
 	case q.Damping != 0 && (q.Damping <= 0 || q.Damping >= 1):
 		return fmt.Errorf("%w: Damping %v outside (0, 1)", ErrBadQuery, q.Damping)
 	}
@@ -122,6 +129,14 @@ func checkNodes(g *kg.Graph, list string, ids []NodeID) error {
 		}
 	}
 	return nil
+}
+
+// samplesCap is the Monte-Carlo sample cap o gives every label test.
+func (o Options) samplesCap() int {
+	if o.TestSamples > 0 {
+		return o.TestSamples
+	}
+	return stats.DefaultSamples
 }
 
 // apply returns o with q's non-zero overrides folded in.
@@ -195,7 +210,7 @@ func (e *Engine) doOne(ctx context.Context, q Query) (Result, error) {
 		ctx = context.Background()
 	}
 	view := e.vg.View() // pin: the whole request runs on this epoch
-	if err := q.validate(view.G, e.opt.Walks); err != nil {
+	if err := q.validate(view.G, e.opt); err != nil {
 		return Result{}, err
 	}
 	copt := e.coreOptionsFor(e.opt.apply(q), view)
@@ -241,7 +256,7 @@ func (e *Engine) doBatch(ctx context.Context, qs []Query) ([]Result, error) {
 	}
 	view := e.vg.View() // pin: every group of the batch runs on this epoch
 	for i, q := range qs {
-		if err := q.validate(view.G, e.opt.Walks); err != nil {
+		if err := q.validate(view.G, e.opt); err != nil {
 			return nil, fmt.Errorf("%w (batch index %d)", err, i)
 		}
 	}
@@ -284,7 +299,7 @@ func (e *Engine) DoStream(ctx context.Context, qs []Query) <-chan Outcome {
 	valid := make([]Query, 0, len(qs))
 	origIdx := make([]int, 0, len(qs)) // maps valid-slice position → qs index
 	for i, q := range qs {
-		if err := q.validate(view.G, e.opt.Walks); err != nil {
+		if err := q.validate(view.G, e.opt); err != nil {
 			ch <- Outcome{Index: i, Err: fmt.Errorf("%w (batch index %d)", err, i)}
 			continue
 		}

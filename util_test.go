@@ -36,10 +36,11 @@ func asQueries(nodes [][]NodeID) []Query {
 	return qs
 }
 
-// contextsOf is core.CollectContexts without its error: each query's
-// released context in its slot, nil where none was released.
+// contextsOf runs core.Contexts and returns each query's released
+// context in its slot, nil where none was released.
 func contextsOf(ctx context.Context, g *Graph, queries [][]NodeID, copt core.Options) [][]ContextItem {
-	out, _ := core.CollectContexts(ctx, g, queries, copt)
+	out := make([][]ContextItem, len(queries))
+	core.Contexts(ctx, g, queries, copt, func(i int, items []ContextItem) { out[i] = items })
 	return out
 }
 
